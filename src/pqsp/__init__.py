@@ -1,7 +1,7 @@
 """Parallel QSP: factor a polynomial into threads, simulate the joint
 circuit, and estimate spectral properties with predicted shot budgets."""
 
-from .errors import ConvergenceError, InputError, PostSelectionError
+from .errors import ConvergenceError, InputError, NotNonNegativeError, PostSelectionError
 from .poly import (
     ChebyshevSeries,
     Parity,
@@ -19,10 +19,6 @@ from .poly import (
     to_chebyshev,
 )
 from .factor import (
-    BALANCED_NORM,
-    CONTIGUOUS,
-    ROUND_ROBIN,
-    STRATEGIES,
     FactorizationPlan,
     ParallelTerm,
     ParallelTermList,
@@ -65,7 +61,6 @@ from .sim import (
 )
 from .estimate import (
     CostModel,
-    EntropyParams,
     EstimationReport,
     estimate_chebyshev,
     estimate_direct,

@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from .config import ExperimentConfig, RunRecord, config_hash, resolve_state
-from .errors import ConvergenceError, InputError, PostSelectionError
+from .errors import ConvergenceError, InputError, NotNonNegativeError, PostSelectionError
 from .estimate import (
     CostModel,
     estimate_chebyshev,
@@ -37,8 +37,6 @@ from .estimate import (
     von_neumann,
 )
 from .factor import (
-    ROUND_ROBIN,
-    STRATEGIES,
     FactorizationPlan,
     factorize_nonneg,
     rescale_factors,
@@ -54,7 +52,7 @@ from .poly import (
 from .qsp import find_phases, realized_value
 from .sim import (
     DensityMatrix,
-    ShotSampler,
+    _as_sampler,
     generalized_swap_expectation,
     parallel_qsp_run,
     query_depth_report,
@@ -123,26 +121,18 @@ def main():
 @main.command()
 @click.argument("poly_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--k", "k", type=int, required=True, help="Thread count.")
-@click.option(
-    "--strategy",
-    type=click.Choice(sorted(STRATEGIES)),
-    default=ROUND_ROBIN,
-    show_default=True,
-    help="Root grouping strategy.",
-)
 @click.option("--rescaled/--raw", default=False, help="Emit unit-norm factors.")
 @click.option("--out", type=click.Path(dir_okay=False), help="Plan JSON path.")
 @_mapped_errors
-def factor(poly_file, k, strategy, rescaled, out):
+def factor(poly_file, k, rescaled, out):
     """Factor a non-negative polynomial into k thread polynomials."""
     p = _load_poly(poly_file)
-    plan = factorize_nonneg(p, k, strategy=strategy)
+    plan = factorize_nonneg(p, k)
     if rescaled:
         plan = rescale_factors(plan)
     residual = verify_factorization(plan, p)
     click.echo(f"degrees: {[f.degree for f in plan.factors]}", err=True)
     click.echo(f"K: {plan.factorization_constant:.6g}", err=True)
-    click.echo(f"strategy: {strategy}", err=True)
     click.echo(f"residual: {residual:.3e}", err=True)
     _emit_json(plan.to_dict(), out)
 
@@ -175,11 +165,11 @@ def _dispatch_estimate(cfg: ExperimentConfig, rho: DensityMatrix):
     if cfg.property == "trace":
         p = _load_poly(cfg.poly)
         try:
-            return estimate_direct(p, rho, cfg.k, strategy=cfg.strategy, **common)
-        except InputError as exc:
-            if "estimate_chebyshev" not in str(exc):
-                raise
-            return estimate_chebyshev(p, rho, cfg.k, **common)
+            report, route = estimate_direct(p, rho, cfg.k, **common), "direct"
+        except NotNonNegativeError:
+            report, route = estimate_chebyshev(p, rho, cfg.k, **common), "chebyshev"
+        report.breakdown["route"] = route
+        return report
     if cfg.property == "renyi":
         if float(cfg.alpha).is_integer() and cfg.alpha >= 2:
             return renyi_integer(rho, int(cfg.alpha), cfg.k, **common)
@@ -224,7 +214,6 @@ def _append_csv(path: str, row: dict):
     show_default=True,
 )
 @click.option("--seed", type=int, envvar="PQSP_SEED", default=None)
-@click.option("--strategy", type=click.Choice(sorted(STRATEGIES)), default=ROUND_ROBIN)
 @click.option("--delta", default="auto", help="Spectral cutoff or 'auto'.")
 @click.option("--rank", type=int, default=None, help="Known rank for the cutoff.")
 @click.option("--log2", is_flag=True, help="Report entropies in bits.")
@@ -233,7 +222,7 @@ def _append_csv(path: str, row: dict):
 @_mapped_errors
 def estimate(
     property_, state, poly, alpha, beta, k, epsilon, shots, auto_shots,
-    mode, seed, strategy, delta, rank, log2, out, csv_path,
+    mode, seed, delta, rank, log2, out, csv_path,
 ):
     """Estimate a spectral property end to end and record the run."""
     if auto_shots and shots is not None:
@@ -247,7 +236,7 @@ def estimate(
     cfg = ExperimentConfig(
         property=property_, state=state, poly=poly, alpha=alpha, beta=beta,
         k=k, epsilon=epsilon, shots="auto" if auto_shots else shots, mode=mode,
-        seed=seed, strategy=strategy, delta=delta_val, rank=rank, log2=log2,
+        seed=seed, delta=delta_val, rank=rank, log2=log2,
         out=out, csv=csv_path,
     )
     rho = resolve_state(cfg.state)
@@ -329,7 +318,7 @@ def simulate(state, plan, shots, mode, encode, seed, epsilon, out):
             shots = int(shots)
         except ValueError as exc:
             raise InputError(f"--shots expects an integer or 'exact', got {shots!r}") from exc
-    sampler = ShotSampler(0 if seed is None else seed)
+    sampler = _as_sampler(None, seed)
     factors = list(loaded.factors)
     est = parallel_qsp_run(
         factors, rho, shots=shots, mode=mode, sampler=sampler, encode=encode

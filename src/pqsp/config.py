@@ -16,7 +16,6 @@ from typing import Literal, Optional, Union
 from pydantic import BaseModel, ConfigDict, Field, field_validator, model_validator
 
 from .errors import InputError
-from .factor import ROUND_ROBIN, STRATEGIES
 from .sim import DensityMatrix
 
 __all__ = ["ExperimentConfig", "RunRecord", "resolve_state", "config_hash"]
@@ -39,19 +38,11 @@ class ExperimentConfig(BaseModel):
     shots: Union[int, Literal["auto"], None] = None
     mode: Literal["exact", "sampled"] = "exact"
     seed: Optional[int] = None
-    strategy: str = ROUND_ROBIN
     delta: Union[float, Literal["auto"]] = "auto"
     rank: Optional[int] = Field(default=None, ge=1)
     log2: bool = False
     out: Optional[str] = None
     csv: Optional[str] = None
-
-    @field_validator("strategy")
-    @classmethod
-    def _known_strategy(cls, v: str) -> str:
-        if v not in STRATEGIES:
-            raise ValueError(f"unknown strategy {v!r}; expected one of {sorted(STRATEGIES)}")
-        return v
 
     @field_validator("shots")
     @classmethod

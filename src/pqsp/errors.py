@@ -5,11 +5,20 @@ code should raise the most specific class that applies rather than a bare
 ValueError.
 """
 
-__all__ = ["InputError", "ConvergenceError", "PostSelectionError"]
+__all__ = ["InputError", "NotNonNegativeError", "ConvergenceError", "PostSelectionError"]
 
 
 class InputError(ValueError):
     """Invalid or out-of-contract input (exit code 2 at the CLI)."""
+
+
+class NotNonNegativeError(InputError):
+    """A source that must be non-negative on the real line is not.
+
+    Raised where a polynomial would have to factor into squared moduli; a
+    caller can route such a source through the basis-product estimator,
+    which needs no sign condition.
+    """
 
 
 class ConvergenceError(RuntimeError):

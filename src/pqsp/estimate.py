@@ -26,9 +26,8 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, InputError, NotNonNegativeError
 from .factor import (
-    ROUND_ROBIN,
     chebyshev_parallel_terms,
     factorize_nonneg,
     rescale_factors,
@@ -45,6 +44,7 @@ from .sim import (
     DensityMatrix,
     Estimate,
     ShotSampler,
+    _as_sampler,
     hadamard_test,
     oracle_block_encode,
     parallel_qsp_run,
@@ -54,7 +54,6 @@ from .sim import (
 __all__ = [
     "EstimationReport",
     "CostModel",
-    "EntropyParams",
     "predict_cost",
     "importance_sample",
     "estimate_direct",
@@ -150,41 +149,6 @@ class CostModel:
     beta: float | None = None
 
 
-@dataclass(frozen=True)
-class EntropyParams:
-    """Resolved parameters of an entropy run (order, cutoff, rank, trace)."""
-
-    alpha: float | None = None
-    beta: float | None = None
-    delta: float | None = None
-    kappa: float | None = None
-    rank: int | None = None
-    s_alpha: float | None = None
-
-    def __post_init__(self):
-        if self.alpha is not None:
-            if self.alpha <= 0:
-                raise InputError(f"alpha must be positive, got {self.alpha}")
-            if self.alpha == 1:
-                raise InputError("alpha = 1 is the von Neumann limit; use von_neumann")
-        if self.delta is not None and not (0.0 < self.delta <= 1.0):
-            raise InputError(f"delta must lie in (0, 1], got {self.delta}")
-
-    def to_dict(self) -> dict:
-        return {
-            k: v
-            for k, v in {
-                "alpha": self.alpha,
-                "beta": self.beta,
-                "delta": self.delta,
-                "kappa": self.kappa,
-                "rank": self.rank,
-                "s_alpha": self.s_alpha,
-            }.items()
-            if v is not None
-        }
-
-
 def _require(model: CostModel, route: str, *names: str) -> list:
     vals = []
     for name in names:
@@ -231,12 +195,6 @@ def predict_cost(model: CostModel, route: str) -> int:
     return max(1, math.ceil(raw))
 
 
-def _sampler(sampler: ShotSampler | None, seed: int | None) -> ShotSampler:
-    if sampler is not None:
-        return sampler
-    return ShotSampler(0 if seed is None else seed)
-
-
 def importance_sample(
     coeffs: Sequence[float],
     term_estimators: Sequence[Callable[[int, ShotSampler], np.ndarray]],
@@ -260,7 +218,7 @@ def importance_sample(
     n = int(total_shots)
     if n < 1:
         raise InputError(f"total_shots must be positive, got {total_shots!r}")
-    smp = _sampler(sampler, seed)
+    smp = _as_sampler(sampler, seed)
     counts = smp.multinomial(n, np.abs(c) / one_norm)
     pooled = []
     for j, n_j in enumerate(counts):
@@ -331,7 +289,6 @@ def estimate_direct(
     shots: ShotPolicy = None,
     mode: Mode = "exact",
     epsilon: float = 0.05,
-    strategy: str = ROUND_ROBIN,
     seed: int | None = None,
     sampler: ShotSampler | None = None,
 ) -> EstimationReport:
@@ -341,7 +298,9 @@ def estimate_direct(
     Hadamard test, the high part is factorized into k threads, rescaled, and
     run in parallel, with the squared factorization constant undoing the
     rescale attenuation.  Sampled mode divides the shot budget evenly
-    between the two branches.
+    between the two branches.  A high constituent that is not non-negative
+    on the real line raises NotNonNegativeError; estimate_chebyshev takes
+    any bounded P.
     """
     _check_target(p)
     if k < 1:
@@ -355,7 +314,7 @@ def estimate_direct(
 
     if not p_high.is_zero():
         if p_high.degree % 2 == 1:
-            raise InputError(
+            raise NotNonNegativeError(
                 "the high constituent has odd degree, so it cannot be non-negative; "
                 "route through estimate_chebyshev"
             )
@@ -363,7 +322,7 @@ def estimate_direct(
         vals = np.real(p_high(grid))
         scale = max(float(np.max(np.abs(vals))), 1e-30)
         if float(vals.min()) < -1e-9 * scale:
-            raise InputError(
+            raise NotNonNegativeError(
                 "the high constituent is negative on [-1, 1]; "
                 "route through estimate_chebyshev"
             )
@@ -371,7 +330,7 @@ def estimate_direct(
     exact = mode == "exact"
     if not exact and not isinstance(shots, int):
         raise InputError("sampled mode needs an integer shot count")
-    smp = _sampler(sampler, seed)
+    smp = _as_sampler(sampler, seed)
 
     branches = int(not p_low.is_zero()) + int(not p_high.is_zero())
     alloc = _split_shots(shots, branches) if not exact and branches else []
@@ -395,7 +354,7 @@ def estimate_direct(
         breakdown["low_branch_depth"] = low_depth
 
     if not p_high.is_zero():
-        plan = rescale_factors(factorize_nonneg(p_high, k, strategy=strategy))
+        plan = rescale_factors(factorize_nonneg(p_high, k))
         k_const = plan.stored_constant
         factors = list(plan.factors)
         n = "exact" if exact else alloc.pop(0)
@@ -525,7 +484,7 @@ def estimate_chebyshev(
     exact = mode == "exact"
     if not exact and not isinstance(shots, int):
         raise InputError("sampled mode needs an integer shot count")
-    smp = _sampler(sampler, seed)
+    smp = _as_sampler(sampler, seed)
 
     p_even, p_odd = parity_split(p)
     k_even = k if k % 2 == 0 else k - 1
@@ -657,10 +616,9 @@ def renyi_integer(
     if k < 1:
         raise InputError(f"thread count must be at least 1, got {k}")
     exact = mode == "exact"
-    smp = _sampler(sampler, seed)
+    smp = _as_sampler(sampler, seed)
     dim = rho.dim
-    params = EntropyParams(alpha=float(alpha))
-    breakdown: dict = {"params": params.to_dict()}
+    breakdown: dict = {"params": {"alpha": float(alpha)}}
 
     if alpha <= k:
         breakdown["notice"] = (
@@ -749,7 +707,7 @@ def monomial_poly_trace(
     exact = mode == "exact"
     if not exact and not isinstance(shots, int):
         raise InputError("sampled mode needs an integer shot count")
-    smp = _sampler(sampler, seed)
+    smp = _as_sampler(sampler, seed)
     dim = rho.dim
     coeffs = [float(c.real) for c in p.coeffs]
     one_norm = sum(abs(c) for c in coeffs)
@@ -853,7 +811,7 @@ def partition_function(
             "series_degree": d,
             "remainder_bound": math.exp(log_remainder(d)),
             "one_norm_certificate": math.exp(beta),
-            "params": EntropyParams(beta=beta).to_dict(),
+            "params": {"beta": beta},
         }
     )
     return EstimationReport(
@@ -1006,7 +964,9 @@ def renyi_noninteger(
         )
     entropy = math.log(s_val) / (1.0 - alpha)
     entropy_err = sub.std_error / (s_val * abs(1.0 - alpha))
-    params = EntropyParams(alpha=alpha, delta=dval, rank=rank, s_alpha=s_val)
+    params = {"alpha": alpha, "delta": dval, "s_alpha": s_val}
+    if rank is not None:
+        params["rank"] = rank
     predicted = predict_cost(
         CostModel(epsilon=epsilon, d=deg, k=k, alpha=alpha, s_alpha=s_val),
         "theorem10",
@@ -1014,7 +974,7 @@ def renyi_noninteger(
     breakdown = dict(sub.breakdown)
     breakdown.update(
         {
-            "params": params.to_dict(),
+            "params": params,
             "delta_route": droute,
             "approximant_degree": deg,
             "approximant_error": cert,
@@ -1068,12 +1028,14 @@ def von_neumann(
     sub = _entropy_from_poly_trace(
         poly, rho, k, shots, mode, epsilon, seed, sampler, auto
     )
-    params = EntropyParams(delta=dval, rank=rank)
+    params = {"delta": dval}
+    if rank is not None:
+        params["rank"] = rank
     predicted = predict_cost(CostModel(epsilon=epsilon, d=deg, k=k), "theorem11")
     breakdown = dict(sub.breakdown)
     breakdown.update(
         {
-            "params": params.to_dict(),
+            "params": params,
             "delta_route": droute,
             "approximant_degree": deg,
             "approximant_error": cert,

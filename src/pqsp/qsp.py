@@ -28,6 +28,11 @@ from .poly import ChebyshevSeries, Parity, Polynomial, sup_norm
 
 CONVENTIONS = ("wx_00", "wx_pp")
 
+# Phase-finding budget: restarts from the deterministic ladder, and the
+# Levenberg-Marquardt evaluation budget per start in units of (d + 2).
+N_STARTS = 8
+MAX_ITER = 500
+
 __all__ = [
     "CONVENTIONS",
     "QspPhases",
@@ -238,17 +243,12 @@ def validate_conditions(p: Polynomial, q: Polynomial, d: int, tol: float = 1e-9)
     return report
 
 
-def find_phases(
-    target: Polynomial,
-    tol: float = 1e-4,
-    max_iter: int = 500,
-    n_starts: int = 8,
-) -> QspPhases:
+def find_phases(target: Polynomial, tol: float = 1e-4) -> QspPhases:
     """Phases whose <+|U|+> real part matches a real definite-parity target.
 
     Levenberg-Marquardt least squares on Chebyshev nodes, restarted from a
-    deterministic ladder of initial phase vectors (all zeros first, then
-    seeded perturbations of growing size).  Returns as soon as one start
+    deterministic ladder of N_STARTS initial phase vectors (all zeros first,
+    then seeded perturbations of growing size).  Returns as soon as one start
     reaches max error <= tol on the nodes; if none does, the failure carries
     the best residual seen.
     """
@@ -273,14 +273,14 @@ def find_phases(
         return plus.real - tvals
 
     best_err = math.inf
-    for start in range(n_starts):
+    for start in range(N_STARTS):
         if start == 0:
             x0 = np.zeros(d + 1)
         else:
             rng = np.random.default_rng(1000 + start)
             x0 = rng.uniform(-0.25 * start, 0.25 * start, d + 1)
         try:
-            res = least_squares(residual, x0, method="lm", max_nfev=max_iter * (d + 2))
+            res = least_squares(residual, x0, method="lm", max_nfev=MAX_ITER * (d + 2))
         except Exception:
             continue
         err = float(np.max(np.abs(residual(res.x))))

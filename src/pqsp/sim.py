@@ -235,14 +235,6 @@ class BlockEncoding:
         d = self.block_dim
         return self.unitary[:d, :d]
 
-    @property
-    def proj_left(self) -> np.ndarray:
-        p = np.zeros(self.unitary.shape, dtype=complex)
-        p[: self.block_dim, : self.block_dim] = np.eye(self.block_dim)
-        return p
-
-    proj_right = proj_left
-
     def unitarity_defect(self) -> float:
         u = self.unitary
         return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))

@@ -65,11 +65,6 @@ class TestFactorCommand:
         assert result.exit_code == 2
         assert "even degree" in result.stderr
 
-    def test_unknown_strategy_exits_2(self, runner, tmp_path):
-        poly = write_poly(tmp_path / "p.json", [0, 0, 1])
-        result = runner.invoke(main, ["factor", poly, "--k", "1", "--strategy", "zigzag"])
-        assert result.exit_code == 2
-
 
 class TestPhasesCommand:
     def test_identity_target(self, runner, tmp_path):
@@ -90,24 +85,56 @@ class TestPhasesCommand:
 class TestEstimateCommand:
     def test_trace_exact(self, runner, tmp_path):
         poly = write_poly(tmp_path / "x4.json", [0, 0, 0, 0, 1])
+        out = tmp_path / "run.json"
         result = runner.invoke(
             main,
             ["estimate", "--property", "trace", "--state", "diag:0.75,0.25",
-             "--poly", poly, "--k", "2"],
+             "--poly", poly, "--k", "2", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
         assert "value: 0.3203125" in value_line(result.stdout)
+        assert json.loads(out.read_text())["report"]["breakdown"]["route"] == "direct"
 
     def test_trace_chebyshev_fallback(self, runner, tmp_path):
-        # T_6 has a sign-indefinite high part, so the direct route declines
+        # T_6's high part at k=2 is 2 (4x^2 - 3)^2 >= 0, so the direct route
+        # takes it; the fallback itself is covered below
         poly = write_poly(tmp_path / "t6.json", [0, 0, 0, 0, 0, 0, 1], basis="chebyshev")
+        out = tmp_path / "run.json"
         result = runner.invoke(
             main,
             ["estimate", "--property", "trace", "--state", "diag:0.75,0.25",
-             "--poly", poly, "--k", "2"],
+             "--poly", poly, "--k", "2", "--out", str(out)],
         )
         assert result.exit_code == 0, result.output
         assert "-0.421875" in value_line(result.stdout)
+        assert json.loads(out.read_text())["report"]["breakdown"]["route"] == "direct"
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            # high part x^2 - 0.5 is negative on [-1, 1]
+            [0.0, 0.0, -0.25, 0.0, 0.5],
+            # the next two have high parts that are non-negative on [-1, 1]
+            # but not on the real line, so only the factorization rejects them:
+            # a negative leading coefficient
+            [0.0, 0.0, 1.0, 0.0, -0.25],
+            # x^2 (x^2 - 5x + 6) / 12, with simple real roots at 2 and 3
+            [0.0, 0.0, 0.5, -5.0 / 12.0, 1.0 / 12.0],
+        ],
+    )
+    def test_trace_falls_back_when_not_nonnegative(self, runner, tmp_path, coeffs):
+        poly = write_poly(tmp_path / "p.json", coeffs)
+        out = tmp_path / "run.json"
+        result = runner.invoke(
+            main,
+            ["estimate", "--property", "trace", "--state", "diag:0.75,0.25",
+             "--poly", poly, "--k", "2", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        want = float(np.polynomial.polynomial.polyval([0.75, 0.25], coeffs).sum())
+        report = json.loads(out.read_text())["report"]
+        assert report["value"] == pytest.approx(want, abs=1e-9)
+        assert report["breakdown"]["route"] == "chebyshev"
 
     def test_renyi_integer(self, runner):
         result = runner.invoke(

@@ -9,6 +9,7 @@ from pqsp import (
     DensityMatrix,
     EstimationReport,
     InputError,
+    NotNonNegativeError,
     Polynomial,
     ShotSampler,
     chebyshev_polynomial,
@@ -136,11 +137,11 @@ class TestEstimateDirect:
 
     def test_negative_high_part_redirects(self, rho_34):
         p = Polynomial([0, 0, -0.25, 0, 0.5])  # high part x^2 - 0.5 at k=2
-        with pytest.raises(InputError, match="estimate_chebyshev"):
+        with pytest.raises(NotNonNegativeError, match="estimate_chebyshev"):
             estimate_direct(p, rho_34, 2)
 
     def test_odd_high_part_redirects(self, rho_34):
-        with pytest.raises(InputError, match="odd"):
+        with pytest.raises(NotNonNegativeError, match="odd"):
             estimate_direct(Polynomial([0, 0, 0, 1]), rho_34, 2)
 
     def test_norm_cap(self, rho_34):
@@ -230,6 +231,7 @@ class TestRenyiInteger:
         assert rep.value == pytest.approx(S6_EXACT, abs=1e-12)
         assert rep.query_depth == 2
         assert rep.width == 2
+        assert rep.breakdown["params"] == {"alpha": 6.0}
 
     def test_pure_state_second_order(self):
         rep = renyi_integer(DensityMatrix.pure(2), 2, 1)
@@ -310,6 +312,7 @@ class TestPartitionFunction:
         assert rep.value == pytest.approx(PARTITION_BETA1, abs=1e-3)
         assert rep.breakdown["remainder_bound"] <= 1e-3 / (2 * 2)
         assert rep.breakdown["one_norm"] <= rep.breakdown["one_norm_certificate"]
+        assert rep.breakdown["params"] == {"beta": 1.0}
 
     def test_negative_beta_rejected(self, rho_34):
         with pytest.raises(InputError, match="non-negative"):
@@ -326,6 +329,9 @@ class TestRenyiNonInteger:
         rep = renyi_noninteger(rho_34, 0.5, 2, epsilon=0.05)
         assert abs(rep.value - want) <= 0.05
         assert rep.breakdown["approximant_error"] <= rep.breakdown["eps_prime"]
+        assert rep.breakdown["params"] == pytest.approx(
+            {"alpha": 0.5, "delta": 0.25, "s_alpha": rep.breakdown["s_alpha"]}, abs=1e-12
+        )
 
     def test_pure_state_vanishes(self):
         rep = renyi_noninteger(DensityMatrix.pure(2), 2.5, 2, epsilon=0.05)
@@ -342,7 +348,10 @@ class TestRenyiNonInteger:
     def test_rank_route(self, rho_34):
         rep = renyi_noninteger(rho_34, 0.5, 2, rank=2)
         assert rep.breakdown["delta_route"] == "rank"
-        assert rep.breakdown["params"]["delta"] == pytest.approx(0.5)
+        assert rep.breakdown["params"] == pytest.approx(
+            {"alpha": 0.5, "delta": 0.5, "rank": 2, "s_alpha": rep.breakdown["s_alpha"]},
+            abs=1e-12,
+        )
 
 
 class TestVonNeumann:
@@ -350,6 +359,7 @@ class TestVonNeumann:
         rep = von_neumann(rho_34, 2, epsilon=0.05)
         assert abs(rep.value - VN_EXACT) <= 0.05
         assert rep.breakdown["approximant_error"] <= rep.breakdown["eps_prime"]
+        assert rep.breakdown["params"] == pytest.approx({"delta": 0.25}, abs=1e-12)
 
     def test_maximally_mixed(self):
         rep = von_neumann(DensityMatrix.maximally_mixed(2), 2, epsilon=0.05)

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqsp import (
-    BALANCED_NORM,
-    CONTIGUOUS,
-    ROUND_ROBIN,
     FactorizationPlan,
     InputError,
+    NotNonNegativeError,
     Polynomial,
     chebyshev_parallel_terms,
     chebyshev_polynomial,
@@ -73,23 +71,16 @@ class TestFactorizeNonneg:
         assert plan.factorization_constant == pytest.approx(2.0, rel=1e-6)
 
     def test_odd_degree_rejected(self):
-        with pytest.raises(InputError, match="even degree"):
+        with pytest.raises(NotNonNegativeError, match="even degree"):
             factorize_nonneg(Polynomial([0, 1]), 1)
 
     def test_negative_source_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(NotNonNegativeError):
             factorize_nonneg(Polynomial([-1, 0, -1]), 1)
 
     def test_k_beyond_degree_rejected(self):
         with pytest.raises(InputError):
             factorize_nonneg(Polynomial([0, 0, 1]), 3)
-
-    @pytest.mark.parametrize("strategy", [ROUND_ROBIN, CONTIGUOUS, BALANCED_NORM])
-    def test_strategies_all_reconstruct(self, strategy):
-        rng = np.random.default_rng(11)
-        source = random_nonneg(rng, 6)
-        plan = factorize_nonneg(source, 3, strategy=strategy)
-        assert verify_factorization(plan, source) <= 1e-6
 
     def test_round_robin_deterministic(self):
         rng = np.random.default_rng(12)
