@@ -29,7 +29,6 @@ from .estimate import (
     CostModel,
     estimate_chebyshev,
     estimate_direct,
-    monomial_poly_trace,
     partition_function,
     predict_cost,
     renyi_integer,
@@ -44,7 +43,6 @@ from .factor import (
 )
 from .poly import (
     Polynomial,
-    chebyshev_polynomial,
     constituent_norm_bounds,
     polynomial_from_dict,
     sup_norm,
@@ -349,7 +347,7 @@ def _suite_swap(dims, ks, seed, inject_fault):
     checks = []
     for d in dims:
         rho = DensityMatrix.random_seeded(d, seed + d)
-        eigs = np.linalg.eigvalsh(rho.matrix)
+        eigs = rho.eigenvalues()
         for k in ks:
             got = generalized_swap_expectation([rho] * k).value
             want = float(np.sum(eigs ** k))

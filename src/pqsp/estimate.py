@@ -261,9 +261,8 @@ def _trace_via_hadamard(
     """
     d = rho.dim
     norm = sup_norm(p)
-    w, v = rho.eigh()
-    block = (v * (p(np.clip(w, -1.0, 1.0)) / norm)) @ v.conj().T
-    enc = oracle_block_encode(block)
+    values = p(np.clip(rho.eigenvalues(), -1.0, 1.0)) / norm
+    enc = oracle_block_encode(rho.spectral_operator(values))
     est = hadamard_test(enc, DensityMatrix.maximally_mixed(d), shots=shots, sampler=sampler)
     scale = d * norm
     depth = p.degree if p.parity is not Parity.INDEFINITE else 2 * p.degree
@@ -326,6 +325,8 @@ def estimate_direct(
                 "the high constituent is negative on [-1, 1]; "
                 "route through estimate_chebyshev"
             )
+        # factor before any simulation, so a rejected high part fails fast
+        plan = rescale_factors(factorize_nonneg(p_high, k))
 
     exact = mode == "exact"
     if not exact and not isinstance(shots, int):
@@ -354,7 +355,6 @@ def estimate_direct(
         breakdown["low_branch_depth"] = low_depth
 
     if not p_high.is_zero():
-        plan = rescale_factors(factorize_nonneg(p_high, k))
         k_const = plan.stored_constant
         factors = list(plan.factors)
         n = "exact" if exact else alloc.pop(0)
@@ -624,8 +624,7 @@ def renyi_integer(
         breakdown["notice"] = (
             "alpha <= k leaves nothing to parallelize; sequential path used"
         )
-        power = np.linalg.matrix_power(rho.matrix, alpha - 1)
-        enc = oracle_block_encode(power)
+        enc = oracle_block_encode(rho.spectral_operator(rho.eigenvalues() ** (alpha - 1)))
         n = "exact" if exact else (1000 if shots in ("auto", None) else int(shots))
         est = hadamard_test(enc, rho, shots=n, sampler=smp.child(1))
         s_val, s_err, used = est.value, est.std_error, est.shots_used

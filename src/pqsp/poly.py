@@ -14,7 +14,6 @@ for the degree range (<= 200) this package targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 

@@ -100,25 +100,12 @@ class QspUnitaryValue:
         return complex(0.5 * self.matrix.sum())
 
 
-def _signal_matrix(x: float) -> np.ndarray:
-    s = math.sqrt(max(0.0, 1.0 - x * x))
-    return np.array([[x, 1j * s], [1j * s, x]], dtype=complex)
-
-
-def _phase_matrix(phi: float) -> np.ndarray:
-    return np.array([[np.exp(1j * phi), 0.0], [0.0, np.exp(-1j * phi)]], dtype=complex)
-
-
 def qsp_unitary(phases: QspPhases, x: float) -> QspUnitaryValue:
     """Multiply out the signal-processing sequence at one x in [-1, 1]."""
     if abs(x) > 1.0 + 1e-12:
         raise InputError(f"signal value x={x} lies outside [-1, 1]")
     x = min(1.0, max(-1.0, float(x)))
-    w = _signal_matrix(x)
-    m = _phase_matrix(phases.phases[0])
-    for phi in phases.phases[1:]:
-        m = m @ w @ _phase_matrix(phi)
-    return QspUnitaryValue(matrix=m, x=x)
+    return QspUnitaryValue(matrix=_batched_sequence(phases.phases, np.array([x]))[0], x=x)
 
 
 def _batched_sequence(phases: Sequence[float], xs: np.ndarray) -> np.ndarray:

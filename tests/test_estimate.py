@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pqsp import estimate
 from pqsp import (
     ConvergenceError,
     CostModel,
@@ -143,6 +144,19 @@ class TestEstimateDirect:
     def test_odd_high_part_redirects(self, rho_34):
         with pytest.raises(NotNonNegativeError, match="odd"):
             estimate_direct(Polynomial([0, 0, 0, 1]), rho_34, 2)
+
+    def test_rejected_high_part_runs_no_simulation(self, rho_34, monkeypatch):
+        # high part 0.5 - 0.2x^2 at k=2 is positive on [-1, 1], so only the
+        # factorization rejects it; the low branch must not run first
+        calls = []
+        run_low = estimate._trace_via_hadamard
+        monkeypatch.setattr(
+            estimate, "_trace_via_hadamard", lambda *a: calls.append(a) or run_low(*a)
+        )
+        p = Polynomial([0.1, 0.1, 0.5, 0, -0.2])
+        with pytest.raises(NotNonNegativeError, match="leading coefficient"):
+            estimate_direct(p, rho_34, 2)
+        assert calls == []
 
     def test_norm_cap(self, rho_34):
         with pytest.raises(InputError, match="rescale"):

@@ -1,0 +1,61 @@
+"""Static checks on the package source that need no linter installed."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pqsp"
+# __init__.py imports only to re-export.
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by an import that the module never references or exports."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    exported: set[str] = set()
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            # quoted annotations such as -> "ShotSampler"
+            for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+                for const in ast.walk(ann) if ann is not None else ():
+                    if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                        expr = ast.parse(const.value, mode="eval")
+                        used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in imported.items()
+        if name not in used and name not in exported
+    )
+
+
+def test_scan_flags_unused_import():
+    src = "from typing import Sequence, Literal\nimport math\nx: Literal[1] = math.pi\n"
+    assert _unused_imports(src) == ["Sequence (line 1)"]
+
+
+def test_scan_respects_all_future_and_quoted_annotations():
+    src = (
+        "from __future__ import annotations\nfrom os import sep\nfrom typing import Sized\n"
+        '__all__ = ["sep"]\ndef f(x: "Sized") -> None: ...\n'
+    )
+    assert _unused_imports(src) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []

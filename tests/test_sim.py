@@ -29,8 +29,12 @@ from conftest import random_nonneg
 
 
 def spectral_parallel_value(factors, rho):
-    """z by direct spectral evaluation: all operators share rho's eigenbasis."""
-    lams = rho.eigenvalues()
+    """z by direct spectral evaluation: all operators share rho's eigenbasis.
+
+    The eigenvalues come from a fresh eigvalsh, not rho's stored spectrum, so
+    the check stays independent of the decomposition direct mode runs on.
+    """
+    lams = np.linalg.eigvalsh(rho.matrix)
     acc = lams ** len(factors)
     for f in factors:
         acc = acc * np.abs(f(lams)) ** 2
@@ -75,6 +79,15 @@ class TestDensityMatrix:
         rho = DensityMatrix.maximally_mixed(2)
         with pytest.raises(AttributeError):
             rho.matrix = np.eye(2)
+
+    def test_stored_spectrum_is_read_only(self):
+        rho = DensityMatrix.random_seeded(4, 3)
+        w, v = rho.eigh()
+        assert not w.flags.writeable and not v.flags.writeable
+        assert not rho.eigenvalues().flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.5
+        assert np.allclose(rho.spectral_operator(w), rho.matrix, atol=1e-14)
 
     def test_dict_round_trip(self):
         rho = DensityMatrix.random_seeded(3, 4)
@@ -198,8 +211,8 @@ class TestSwapExpectation:
 class TestParallelRun:
     def test_direct_matches_spectral(self):
         rng = np.random.default_rng(50)
-        for trial in range(10):
-            dim = int(rng.integers(2, 6))
+        for trial in range(14):
+            dim = int(rng.integers(2, 6)) if trial < 10 else (8, 16, 32, 64)[trial - 10]
             k = int(rng.integers(1, 4))
             rho = DensityMatrix.random_seeded(dim, int(rng.integers(1, 10 ** 6)))
             source = random_nonneg(rng, int(rng.integers(k, 2 * k + 2)))
@@ -210,13 +223,16 @@ class TestParallelRun:
 
     def test_circuit_matches_direct(self):
         rng = np.random.default_rng(51)
-        for dim in (2, 3, 4):
-            rho = DensityMatrix.random_seeded(dim, 60 + dim)
-            source = random_nonneg(rng, 3)
-            plan = rescale_factors(factorize_nonneg(source, 2))
-            direct = parallel_qsp_run(plan.factors, rho, mode="direct")
-            circuit = parallel_qsp_run(plan.factors, rho, mode="circuit")
-            assert abs(direct.value - circuit.value) <= 1e-8
+        states = [DensityMatrix.random_seeded(dim, 60 + dim) for dim in (2, 3, 4)]
+        # degenerate spectra: a basis-free state and a repeated eigenvalue
+        states += [DensityMatrix.maximally_mixed(4), DensityMatrix.diagonal([0.4, 0.4, 0.2])]
+        chebyshev_factors = (chebyshev_polynomial(2), chebyshev_polynomial(3))
+        for rho in states:
+            plan = rescale_factors(factorize_nonneg(random_nonneg(rng, 3), 2))
+            for factors, encode in ((plan.factors, "oracle"), (chebyshev_factors, "qsp")):
+                direct = parallel_qsp_run(factors, rho, mode="direct", encode=encode)
+                circuit = parallel_qsp_run(factors, rho, mode="circuit", encode=encode)
+                assert abs(direct.value - circuit.value) <= 1e-8
 
     def test_qsp_encode_matches_oracle(self, rho_34):
         # phase route needs definite parity; Chebyshev factors qualify
