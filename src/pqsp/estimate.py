@@ -3,11 +3,14 @@
 Every estimator here reduces tr(f(rho)) to a combination of three runs: a
 sequential Hadamard test for the low-degree remainder, parallel runs of
 factor polynomials for the high-degree part, and an importance sampler that
-recombines coefficient-weighted term estimates.  Reports carry the measured
-value, its standard error, the shots actually consumed, the closed-form
-predicted shot count for the chosen route (unit leading constant; these are
-order-of-magnitude planners, not guarantees), and the query depth / width
-accounting.
+recombines coefficient-weighted term estimates.  Each run is one stage
+Estimate: c * stage scales it back to the trace it measures (D times the
+norm for a Hadamard test, K^2 for a factorized run), a + b adds independent
+stages, and a report's value, standard error and shots are their sum (for
+entropies, its ln(s)/(1 - alpha) transform).  Reports also carry the
+closed-form predicted shot count for the chosen route (unit leading
+constant; these are order-of-magnitude planners, not guarantees) and the
+query depth / width accounting.
 
 Cost routes are keyed by the names predict_cost accepts ("theorem3" ...
 "theorem11"); each is a documented closed form over the fields of CostModel.
@@ -20,13 +23,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 
-from .errors import ConvergenceError, InputError, NotNonNegativeError
+from .errors import ConvergenceError, InputError
 from .factor import (
     chebyshev_parallel_terms,
     factorize_nonneg,
@@ -69,6 +72,8 @@ ShotPolicy = int | Literal["auto"] | None
 Mode = Literal["exact", "sampled"]
 
 SQRT2P1 = 1.0 + math.sqrt(2.0)
+# Highest degree _fit_odd_approximant tries before giving up.
+MAX_APPROXIMANT_DEGREE = 200
 
 
 @dataclass(frozen=True)
@@ -240,10 +245,10 @@ def importance_sample(
     )
 
 
-def _check_target(p: Polynomial, norm_cap: float = 1.0 + 1e-9) -> None:
+def _check_target(p: Polynomial) -> None:
     if p.max_imag() > 1e-10:
         raise InputError("target polynomial must have real coefficients")
-    if sup_norm(p) > norm_cap:
+    if sup_norm(p) > 1.0 + 1e-9:
         raise InputError("target polynomial must have sup norm at most 1; rescale it")
 
 
@@ -264,15 +269,13 @@ def _trace_via_hadamard(
     values = p(np.clip(rho.eigenvalues(), -1.0, 1.0)) / norm
     enc = oracle_block_encode(rho.spectral_operator(values))
     est = hadamard_test(enc, DensityMatrix.maximally_mixed(d), shots=shots, sampler=sampler)
-    scale = d * norm
     depth = p.degree if p.parity is not Parity.INDEFINITE else 2 * p.degree
-    return (
-        Estimate(
-            value=scale * est.value,
-            std_error=scale * est.std_error,
-            shots_used=est.shots_used,
-        ),
-        depth,
+    return (d * norm) * est, depth
+
+
+def _report(est: Estimate, **fields) -> EstimationReport:
+    return EstimationReport(
+        value=est.value, std_error=est.std_error, shots_used=est.shots_used, **fields
     )
 
 
@@ -312,19 +315,6 @@ def estimate_direct(
         p_low, p_high = split_constituents(p, k)
 
     if not p_high.is_zero():
-        if p_high.degree % 2 == 1:
-            raise NotNonNegativeError(
-                "the high constituent has odd degree, so it cannot be non-negative; "
-                "route through estimate_chebyshev"
-            )
-        grid = np.linspace(-1.0, 1.0, 2001)
-        vals = np.real(p_high(grid))
-        scale = max(float(np.max(np.abs(vals))), 1e-30)
-        if float(vals.min()) < -1e-9 * scale:
-            raise NotNonNegativeError(
-                "the high constituent is negative on [-1, 1]; "
-                "route through estimate_chebyshev"
-            )
         # factor before any simulation, so a rejected high part fails fast
         plan = rescale_factors(factorize_nonneg(p_high, k))
 
@@ -336,9 +326,7 @@ def estimate_direct(
     branches = int(not p_low.is_zero()) + int(not p_high.is_zero())
     alloc = _split_shots(shots, branches) if not exact and branches else []
 
-    value = 0.0
-    variance = 0.0
-    shots_used = 0
+    total = Estimate(0.0, 0.0)
     low_depth = 0
     breakdown: dict = {"w_low": 0.0, "w_high": 0.0, "K": 1.0}
     k_const = 1.0
@@ -347,11 +335,9 @@ def estimate_direct(
 
     if not p_low.is_zero():
         n = "exact" if exact else alloc.pop(0)
-        est, low_depth = _trace_via_hadamard(p_low, rho, n, smp.child(0))
-        value += est.value
-        variance += est.std_error ** 2
-        shots_used += est.shots_used
-        breakdown["w_low"] = est.value
+        low, low_depth = _trace_via_hadamard(p_low, rho, n, smp.child(0))
+        total += low
+        breakdown["w_low"] = low.value
         breakdown["low_branch_depth"] = low_depth
 
     if not p_high.is_zero():
@@ -359,16 +345,14 @@ def estimate_direct(
         factors = list(plan.factors)
         n = "exact" if exact else alloc.pop(0)
         run = parallel_qsp_run(factors, rho, shots=n, mode="direct", sampler=smp.child(1))
-        att = plan.stored_constant ** 2
-        value += att * run.value
-        variance += (att * run.std_error) ** 2
-        shots_used += run.shots_used
+        high = k_const ** 2 * run
+        total += high
         parallel_depth, width = query_depth_report(factors)
         width = max(width, k)
         breakdown.update(
             {
-                "w_high": att * run.value,
-                "K": plan.stored_constant,
+                "w_high": high.value,
+                "K": k_const,
                 "factor_degrees": [f.degree for f in factors],
                 "parallel_depth": parallel_depth,
             }
@@ -380,10 +364,8 @@ def estimate_direct(
         norm_low=0.0 if p_low.is_zero() else sup_norm(p_low),
     )
     predicted = predict_cost(model, "theorem4")
-    return EstimationReport(
-        value=value,
-        std_error=math.sqrt(variance),
-        shots_used=shots_used,
+    return _report(
+        total,
         predicted_shots=predicted,
         query_depth=max(low_depth, parallel_depth),
         width=width,
@@ -391,13 +373,33 @@ def estimate_direct(
     )
 
 
-def _term_runner(
-    factors: Sequence[Polynomial], rho: DensityMatrix
-) -> Callable[[int, ShotSampler], np.ndarray]:
-    def run(n: int, smp: ShotSampler) -> np.ndarray:
-        return parallel_qsp_run(factors, rho, shots=n, mode="direct", sampler=smp).samples()
+def _term_sum(
+    coeffs: Sequence[float],
+    layouts: Sequence[Sequence[Polynomial]],
+    rho: DensityMatrix,
+    shots: int | Literal["exact"],
+    sampler: ShotSampler,
+) -> Estimate:
+    """sum_j c_j z_j over one parallel run per thread layout.
 
-    return run
+    Exact mode adds the exact runs; otherwise importance_sample splits the
+    shots across the layouts by |c_j|.
+    """
+    if shots == "exact":
+        return Estimate(
+            value=sum(
+                c * parallel_qsp_run(fl, rho, shots="exact", mode="direct").value
+                for c, fl in zip(coeffs, layouts)
+            ),
+            std_error=0.0,
+        )
+
+    def runner(factors: Sequence[Polynomial]) -> Callable[[int, ShotSampler], np.ndarray]:
+        return lambda n, smp: parallel_qsp_run(
+            factors, rho, shots=n, mode="direct", sampler=smp
+        ).samples()
+
+    return importance_sample(coeffs, [runner(fl) for fl in layouts], shots, sampler=sampler)
 
 
 def _chebyshev_part(
@@ -423,14 +425,12 @@ def _chebyshev_part(
         return est, info
 
     p_low, p_high = split_constituents(part, k_part)
-    value, variance, used = 0.0, 0.0, 0
+    total = Estimate(0.0, 0.0)
     info: dict = {"sequential": False, "k_part": k_part}
     if not p_low.is_zero():
-        est, depth = _trace_via_hadamard(p_low, rho, shots_low, smp_low)
-        value += est.value
-        variance += est.std_error ** 2
-        used += est.shots_used
-        info["w_low"] = est.value
+        low, depth = _trace_via_hadamard(p_low, rho, shots_low, smp_low)
+        total += low
+        info["w_low"] = low.value
         info["low_depth"] = depth
     terms = chebyshev_parallel_terms(p_high, k_part, d_part)
     factor_lists = [term_factor_polynomials(t, k_part) for t in terms.terms]
@@ -441,24 +441,12 @@ def _chebyshev_part(
     info["term_one_norm"] = terms.one_norm
     info["parallel_depth"] = actual_depth
     if terms.terms:
-        if shots_high == "exact":
-            w_high = 0.0
-            for t, fl in zip(terms.terms, factor_lists):
-                z = parallel_qsp_run(fl, rho, shots="exact", mode="direct").value
-                w_high += t.coeff * z
-            est_high = Estimate(value=w_high, std_error=0.0, shots_used=0)
-        else:
-            est_high = importance_sample(
-                [t.coeff for t in terms.terms],
-                [_term_runner(fl, rho) for fl in factor_lists],
-                shots_high,
-                sampler=smp_high,
-            )
-        value += est_high.value
-        variance += est_high.std_error ** 2
-        used += est_high.shots_used
-        info["w_high"] = est_high.value
-    return Estimate(value=value, std_error=math.sqrt(variance), shots_used=used), info
+        high = _term_sum(
+            [t.coeff for t in terms.terms], factor_lists, rho, shots_high, smp_high
+        )
+        total += high
+        info["w_high"] = high.value
+    return total, info
 
 
 def estimate_chebyshev(
@@ -499,7 +487,7 @@ def estimate_chebyshev(
     ]
 
     alloc = _split_shots(shots, 2 * len(jobs)) if not exact and jobs else []
-    value, variance, used = 0.0, 0.0, 0
+    total = Estimate(0.0, 0.0)
     breakdown: dict = {}
     actual_depth = 0
     actual_width = 0
@@ -509,9 +497,7 @@ def estimate_chebyshev(
         est, info = _chebyshev_part(
             part, kp, rho, s_low, s_high, smp.child(2 * i), smp.child(2 * i + 1)
         )
-        value += est.value
-        variance += est.std_error ** 2
-        used += est.shots_used
+        total += est
         breakdown[name] = info
         if info.get("sequential"):
             actual_depth = max(actual_depth, info["depth"])
@@ -559,10 +545,8 @@ def estimate_chebyshev(
         ),
         "theorem5",
     )
-    return EstimationReport(
-        value=value,
-        std_error=math.sqrt(variance),
-        shots_used=used,
+    return _report(
+        total,
         predicted_shots=predicted,
         query_depth=depth,
         width=width,
@@ -619,6 +603,7 @@ def renyi_integer(
     smp = _as_sampler(sampler, seed)
     dim = rho.dim
     breakdown: dict = {"params": {"alpha": float(alpha)}}
+    pilot_used = 0
 
     if alpha <= k:
         breakdown["notice"] = (
@@ -626,10 +611,8 @@ def renyi_integer(
         )
         enc = oracle_block_encode(rho.spectral_operator(rho.eigenvalues() ** (alpha - 1)))
         n = "exact" if exact else (1000 if shots in ("auto", None) else int(shots))
-        est = hadamard_test(enc, rho, shots=n, sampler=smp.child(1))
-        s_val, s_err, used = est.value, est.std_error, est.shots_used
+        trace = hadamard_test(enc, rho, shots=n, sampler=smp.child(1))
         depth, width = alpha - 1, 1
-        pilot_used = 0
     else:
         factors = _monomial_factors(alpha, k)
         depth = ((alpha - k) // 2) // k + 1
@@ -637,8 +620,7 @@ def renyi_integer(
         breakdown["exponents"] = [f.degree for f in factors]
         breakdown["actual_depth"] = max(f.degree for f in factors)
         if exact:
-            est = parallel_qsp_run(factors, rho, shots="exact", mode="direct")
-            s_val, s_err, used, pilot_used = est.value, 0.0, 0, 0
+            trace = parallel_qsp_run(factors, rho, shots="exact", mode="direct")
         else:
             if shots in ("auto", None):
                 pilot = parallel_qsp_run(
@@ -653,32 +635,39 @@ def renyi_integer(
                 breakdown["pilot_estimate"] = pilot.value
                 breakdown["auto_shots"] = n_main
             else:
-                pilot_used = 0
                 n_main = int(shots)
-            est = parallel_qsp_run(
+            trace = parallel_qsp_run(
                 factors, rho, shots=n_main, mode="direct", sampler=smp.child(1)
             )
-            s_val, s_err, used = est.value, est.std_error, est.shots_used
 
-    if s_val <= 0.0:
-        raise ConvergenceError(
-            f"trace estimate {s_val:.3e} is not positive; "
-            "the entropy logarithm is undefined at this shot count"
-        )
-    entropy = math.log(s_val) / (1 - alpha)
-    entropy_err = s_err / (s_val * abs(1 - alpha))
-    breakdown["s_alpha"] = s_val
+    entropy = _renyi_transform(trace, alpha)
+    breakdown["s_alpha"] = trace.value
     predicted = predict_cost(
-        CostModel(epsilon=epsilon, s_alpha=s_val, alpha=float(alpha)), "theorem7"
+        CostModel(epsilon=epsilon, s_alpha=trace.value, alpha=float(alpha)), "theorem7"
     )
     return EstimationReport(
-        value=entropy,
-        std_error=entropy_err,
-        shots_used=used + pilot_used,
+        value=entropy.value,
+        std_error=entropy.std_error,
+        shots_used=entropy.shots_used + pilot_used,
         predicted_shots=predicted,
         query_depth=depth,
         width=width,
         breakdown=breakdown,
+    )
+
+
+def _renyi_transform(trace: Estimate | EstimationReport, alpha: float) -> Estimate:
+    """ln(s)/(1 - alpha) of a trace estimate s, error propagated to first order."""
+    s = trace.value
+    if s <= 0.0:
+        raise ConvergenceError(
+            f"trace estimate {s:.3e} is not positive; "
+            "the entropy logarithm is undefined at this shot count"
+        )
+    return Estimate(
+        value=math.log(s) / (1 - alpha),
+        std_error=trace.std_error / (s * abs(1 - alpha)),
+        shots_used=trace.shots_used,
     )
 
 
@@ -719,23 +708,12 @@ def monomial_poly_trace(
     tail = [(n, c) for n, c in enumerate(coeffs) if n >= 1 and c != 0.0]
     layouts = {n: _monomial_factors(n, k) for n, _ in tail}
 
-    value = c0 * dim
-    variance, used = 0.0, 0
+    total = Estimate(c0 * dim, 0.0)
     if tail:
-        if exact:
-            for n, c in tail:
-                z = parallel_qsp_run(layouts[n], rho, shots="exact", mode="direct").value
-                value += c * z
-        else:
-            est = importance_sample(
-                [c for _, c in tail],
-                [_term_runner(layouts[n], rho) for n, _ in tail],
-                shots,
-                sampler=smp,
-            )
-            value += est.value
-            variance = est.std_error ** 2
-            used = est.shots_used
+        total += _term_sum(
+            [c for _, c in tail], [layouts[n] for n, _ in tail], rho,
+            "exact" if exact else shots, smp,
+        )
 
     d = p.degree
     depth = max(0, ((d - k) // 2) // k + 1) if d >= 1 else 0
@@ -749,10 +727,8 @@ def monomial_poly_trace(
             (max(f.degree for f in layouts[n]) for n, _ in tail), default=0
         ),
     }
-    return EstimationReport(
-        value=value,
-        std_error=math.sqrt(variance),
-        shots_used=used,
+    return _report(
+        total,
         predicted_shots=predicted,
         query_depth=depth,
         width=width,
@@ -803,24 +779,16 @@ def partition_function(
     sub = monomial_poly_trace(
         series, rho, k, shots=n_shots, mode=mode, epsilon=epsilon, seed=seed, sampler=sampler
     )
-    predicted = predict_cost(CostModel(epsilon=epsilon, beta=beta), "theorem9")
-    breakdown = dict(sub.breakdown)
-    breakdown.update(
-        {
-            "series_degree": d,
-            "remainder_bound": math.exp(log_remainder(d)),
-            "one_norm_certificate": math.exp(beta),
-            "params": {"beta": beta},
-        }
-    )
-    return EstimationReport(
-        value=sub.value,
-        std_error=sub.std_error,
-        shots_used=sub.shots_used,
-        predicted_shots=predicted,
-        query_depth=sub.query_depth,
-        width=sub.width,
-        breakdown=breakdown,
+    return replace(
+        sub,
+        predicted_shots=predict_cost(CostModel(epsilon=epsilon, beta=beta), "theorem9"),
+        breakdown=dict(
+            sub.breakdown,
+            series_degree=d,
+            remainder_bound=math.exp(log_remainder(d)),
+            one_norm_certificate=math.exp(beta),
+            params={"beta": beta},
+        ),
     )
 
 
@@ -828,20 +796,20 @@ def _fit_odd_approximant(
     f: Callable[[np.ndarray], np.ndarray],
     delta: float,
     eps_prime: float,
-    max_degree: int = 200,
 ) -> tuple[Polynomial, int, float]:
     """Odd polynomial approximant to an odd target on [delta, 1], verified.
 
     Least-squares in the odd basis on scaled nodes of [delta, 1]; oddness
     extends validity to [-1, -delta] for free.  The accepted degree is the
     first whose measured sup error on an independent uniform grid clears
-    eps_prime; exceeding max_degree raises with the best residual seen.
+    eps_prime; exceeding MAX_APPROXIMANT_DEGREE raises with the best residual
+    seen.
     """
     if not (0.0 < delta < 1.0):
         raise InputError(f"delta must lie strictly inside (0, 1), got {delta}")
     best_res, best = math.inf, None
     d = 1
-    while d <= max_degree:
+    while d <= MAX_APPROXIMANT_DEGREE:
         n_nodes = 4 * (d + 1)
         theta = (np.arange(n_nodes) + 0.5) * math.pi / n_nodes
         nodes = (1.0 + delta) / 2.0 + (1.0 - delta) / 2.0 * np.cos(theta)
@@ -858,7 +826,7 @@ def _fit_odd_approximant(
             best_res, best = err, d
         d += 2
     raise ConvergenceError(
-        f"no odd approximant of degree <= {max_degree} reaches error {eps_prime:.3e} "
+        f"no odd approximant of degree <= {MAX_APPROXIMANT_DEGREE} reaches error {eps_prime:.3e} "
         f"(best {best_res:.3e} at degree {best})",
         best_residual=best_res,
     )
@@ -884,33 +852,52 @@ def _resolve_delta(
 
 
 def _entropy_from_poly_trace(
-    poly: Polynomial,
+    f: Callable[[np.ndarray], np.ndarray],
+    budget: float,
+    model: CostModel,
+    route: str,
     rho: DensityMatrix,
     k: int,
+    delta: float | Literal["auto"],
+    rank: int | None,
     shots: ShotPolicy,
     mode: Mode,
-    epsilon: float,
     seed: int | None,
     sampler: ShotSampler | None,
-    auto_shots: int | None,
 ) -> EstimationReport:
-    """Shared tail: shrink below unit norm, estimate the trace, undo shrink."""
+    """tr(q(rho)) for a certified odd approximant q to f: the shared pipeline.
+
+    q is fitted on [delta, 1] to the error budget/(2*dim), or budget/(2*rank)
+    on the rank route, shrunk below unit norm, traced by estimate_chebyshev
+    and scaled back.  Auto shots and predicted_shots quote `route` for
+    `model` at the approximant's degree.
+    """
+    if k < 1:
+        raise InputError(f"thread count must be at least 1, got {k}")
+    dval, droute = _resolve_delta(rho, delta, rank)
+    eps_prime = budget / (2.0 * rank if droute == "rank" else 2.0 * rho.dim)
+    poly, deg, cert = _fit_odd_approximant(f, dval, eps_prime)
+    predicted = predict_cost(replace(model, d=deg), route)
     shrink = min(1.0, (1.0 - 1e-9) / sup_norm(poly))
-    n_shots = shots
-    if mode == "sampled" and shots in ("auto", None):
-        n_shots = auto_shots
+    auto = mode == "sampled" and shots in ("auto", None)
     sub = estimate_chebyshev(
-        poly * shrink, rho, k, shots=n_shots, mode=mode, epsilon=epsilon,
-        seed=seed, sampler=sampler,
+        poly * shrink, rho, k, shots=predicted if auto else shots, mode=mode,
+        epsilon=model.epsilon, seed=seed, sampler=sampler,
     )
-    return EstimationReport(
+    return replace(
+        sub,
         value=sub.value / shrink,
         std_error=sub.std_error / shrink,
-        shots_used=sub.shots_used,
-        predicted_shots=sub.predicted_shots,
-        query_depth=sub.query_depth,
-        width=sub.width,
-        breakdown=dict(sub.breakdown, shrink=shrink),
+        predicted_shots=predicted,
+        breakdown=dict(
+            sub.breakdown,
+            shrink=shrink,
+            params={"delta": dval} if rank is None else {"delta": dval, "rank": rank},
+            delta_route=droute,
+            approximant_degree=deg,
+            approximant_error=cert,
+            eps_prime=eps_prime,
+        ),
     )
 
 
@@ -938,57 +925,25 @@ def renyi_noninteger(
             f"alpha must be positive and non-integer, got {alpha!r}; "
             "integer orders go through renyi_integer"
         )
-    if k < 1:
-        raise InputError(f"thread count must be at least 1, got {k}")
-    dval, droute = _resolve_delta(rho, delta, rank)
-    dim = rho.dim
-    s_floor = dim ** (1.0 - alpha) if alpha > 1 else 1.0
-    denom = 2.0 * rank if droute == "rank" else 2.0 * dim
-    eps_prime = s_floor * epsilon * abs(alpha - 1.0) / denom
-    poly, deg, cert = _fit_odd_approximant(
-        lambda x: np.sign(x) * np.abs(x) ** alpha, dval, eps_prime
+    s_floor = rho.dim ** (1.0 - alpha) if alpha > 1 else 1.0
+    model = CostModel(epsilon=epsilon, k=k, alpha=alpha, s_alpha=s_floor)
+    trace = _entropy_from_poly_trace(
+        lambda x: np.sign(x) * np.abs(x) ** alpha, s_floor * epsilon * abs(alpha - 1.0),
+        model, "theorem10", rho, k, delta, rank, shots, mode, seed, sampler,
     )
-    auto = predict_cost(
-        CostModel(epsilon=epsilon, d=deg, k=k, alpha=alpha, s_alpha=s_floor),
-        "theorem10",
-    )
-    sub = _entropy_from_poly_trace(
-        poly, rho, k, shots, mode, epsilon, seed, sampler, auto
-    )
-    s_val = sub.value
-    if s_val <= 0.0:
-        raise ConvergenceError(
-            f"trace estimate {s_val:.3e} is not positive; "
-            "the entropy logarithm is undefined at this shot count"
-        )
-    entropy = math.log(s_val) / (1.0 - alpha)
-    entropy_err = sub.std_error / (s_val * abs(1.0 - alpha))
-    params = {"alpha": alpha, "delta": dval, "s_alpha": s_val}
-    if rank is not None:
-        params["rank"] = rank
-    predicted = predict_cost(
-        CostModel(epsilon=epsilon, d=deg, k=k, alpha=alpha, s_alpha=s_val),
-        "theorem10",
-    )
-    breakdown = dict(sub.breakdown)
-    breakdown.update(
-        {
-            "params": params,
-            "delta_route": droute,
-            "approximant_degree": deg,
-            "approximant_error": cert,
-            "eps_prime": eps_prime,
-            "s_alpha": s_val,
-        }
-    )
-    return EstimationReport(
-        value=entropy,
-        std_error=entropy_err,
-        shots_used=sub.shots_used,
-        predicted_shots=predicted,
-        query_depth=sub.query_depth,
-        width=sub.width,
-        breakdown=breakdown,
+    entropy = _renyi_transform(trace, alpha)
+    s_val = trace.value
+    deg = trace.breakdown["approximant_degree"]
+    return replace(
+        trace,
+        value=entropy.value,
+        std_error=entropy.std_error,
+        predicted_shots=predict_cost(replace(model, d=deg, s_alpha=s_val), "theorem10"),
+        breakdown=dict(
+            trace.breakdown,
+            params={"alpha": alpha, **trace.breakdown["params"], "s_alpha": s_val},
+            s_alpha=s_val,
+        ),
     )
 
 
@@ -1009,12 +964,6 @@ def von_neumann(
     follows, so the certified polynomial error epsilon/(2*dim) (or the rank
     variant) is the whole budget.
     """
-    if k < 1:
-        raise InputError(f"thread count must be at least 1, got {k}")
-    dval, droute = _resolve_delta(rho, delta, rank)
-    dim = rho.dim
-    denom = 2.0 * rank if droute == "rank" else 2.0 * dim
-    eps_prime = epsilon / denom
 
     def target(x: np.ndarray) -> np.ndarray:
         ax = np.abs(x)
@@ -1022,31 +971,7 @@ def von_neumann(
         np.log(ax, out=out, where=ax > 0)
         return -x * out
 
-    poly, deg, cert = _fit_odd_approximant(target, dval, eps_prime)
-    auto = predict_cost(CostModel(epsilon=epsilon, d=deg, k=k), "theorem11")
-    sub = _entropy_from_poly_trace(
-        poly, rho, k, shots, mode, epsilon, seed, sampler, auto
-    )
-    params = {"delta": dval}
-    if rank is not None:
-        params["rank"] = rank
-    predicted = predict_cost(CostModel(epsilon=epsilon, d=deg, k=k), "theorem11")
-    breakdown = dict(sub.breakdown)
-    breakdown.update(
-        {
-            "params": params,
-            "delta_route": droute,
-            "approximant_degree": deg,
-            "approximant_error": cert,
-            "eps_prime": eps_prime,
-        }
-    )
-    return EstimationReport(
-        value=sub.value,
-        std_error=sub.std_error,
-        shots_used=sub.shots_used,
-        predicted_shots=predicted,
-        query_depth=sub.query_depth,
-        width=sub.width,
-        breakdown=breakdown,
+    return _entropy_from_poly_trace(
+        target, epsilon, CostModel(epsilon=epsilon, k=k), "theorem11",
+        rho, k, delta, rank, shots, mode, seed, sampler,
     )

@@ -112,11 +112,21 @@ class FactorizationPlan:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FactorizationPlan":
+        """Load a plan, rejecting stored norms or K that its factors do not have."""
         factors = tuple(Polynomial.from_dict(f) for f in obj["factors"])
+        norms = tuple(sup_norm(f) for f in factors)
+        k_const = float(np.prod(norms))
+        stored = [float(n) for n in obj["norms"]]
+        if len(stored) != len(norms) or not all(
+            math.isclose(a, b, rel_tol=1e-9) for a, b in zip(stored, norms)
+        ):
+            raise InputError(f"plan norms {stored} differ from the factors' norms {list(norms)}")
+        if not math.isclose(float(obj["K"]), k_const, rel_tol=1e-9):
+            raise InputError(f"plan K {obj['K']} differs from the factors' K {k_const}")
         return cls(
             factors=factors,
-            factor_norms=tuple(float(n) for n in obj["norms"]),
-            factorization_constant=float(obj["K"]),
+            factor_norms=norms,
+            factorization_constant=k_const,
             k=int(obj["k"]),
             source_degree=int(obj["source_degree"]),
             stored_constant=float(obj.get("stored_K", 1.0)),
@@ -259,27 +269,30 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
     """
     if k < 1:
         raise InputError("thread count k must be at least 1")
-    if R.max_imag() > 1e-12 * max(1.0, max(abs(c) for c in R.coeffs)):
-        raise InputError("factorization requires real coefficients")
     d = R.degree
     if d % 2:
-        raise NotNonNegativeError("non-negative polynomial must have even degree")
-    if d > 0 and k > d:
-        raise InputError(f"more threads than half-degree supports: k={k} > degree {d}")
-
+        raise NotNonNegativeError(
+            f"non-negative polynomial must have even degree, not odd degree {d}; "
+            "estimate_chebyshev takes any bounded polynomial"
+        )
     xs = np.linspace(-1.0, 1.0, 2001)
     vals = np.real(R(xs))
     scale = max(1e-30, float(np.abs(vals).max()))
     if float(vals.min()) < -1e-9 * scale:
         raise NotNonNegativeError(
-            f"polynomial is negative on [-1, 1] (min {vals.min():.3e}); "
-            "only non-negative sources factor into squared moduli"
+            f"polynomial is negative on [-1, 1] (min {vals.min():.3e}); only "
+            "non-negative sources factor into squared moduli, and estimate_chebyshev "
+            "takes any bounded polynomial"
         )
     C = R.coeffs[-1].real
     if C <= 0:
         raise NotNonNegativeError(
             "leading coefficient must be positive for a non-negative source"
         )
+    if R.max_imag() > 1e-12 * max(1.0, max(abs(c) for c in R.coeffs)):
+        raise InputError("factorization requires real coefficients")
+    if d > 0 and k > d:
+        raise InputError(f"more threads than half-degree supports: k={k} > degree {d}")
 
     if d == 0:
         half: list[complex] = []

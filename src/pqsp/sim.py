@@ -57,6 +57,9 @@ class Estimate:
 
     Parallel runs also record the per-shot outcome counts
     (plus, minus, discarded) so importance samplers can pool raw samples.
+    Estimators assemble their stages arithmetically: a + b is the sum of two
+    independent stages (variances and shots add) and c * est rescales a
+    stage by a known constant.  Both results drop the per-shot counts.
     """
 
     value: float
@@ -68,6 +71,18 @@ class Estimate:
         if self.counts is None:
             raise InputError("no per-shot counts recorded for this estimate")
         return np.repeat([1.0, -1.0, 0.0], self.counts)
+
+    def __add__(self, other: "Estimate") -> "Estimate":
+        return Estimate(
+            value=self.value + other.value,
+            std_error=math.hypot(self.std_error, other.std_error),
+            shots_used=self.shots_used + other.shots_used,
+        )
+
+    def __rmul__(self, c: float) -> "Estimate":
+        return Estimate(
+            value=c * self.value, std_error=abs(c) * self.std_error, shots_used=self.shots_used
+        )
 
 
 class ShotSampler:
@@ -622,17 +637,17 @@ def parallel_qsp_run(
     )
 
 
-def query_depth_report(factors: Sequence[Polynomial], parity_ok: bool = True) -> tuple[int, int]:
+def query_depth_report(factors: Sequence[Polynomial]) -> tuple[int, int]:
     """(query depth, width) for a parallel layout.
 
-    Depth is the largest factor degree when every factor has definite parity
-    and the caller's implementation exploits it (parity_ok); otherwise the
-    generic two-sequence accounting doubles it.  Width is the thread count,
-    including any bare-state thread the caller appended as a constant factor.
+    Depth is the largest factor degree when every factor has definite parity;
+    otherwise the generic two-sequence accounting doubles it.  Width is the
+    thread count, including any bare-state thread the caller appended as a
+    constant factor.
     """
     if not factors:
         return 0, 0
     max_deg = max(f.degree for f in factors)
-    definite = parity_ok and all(f.parity is not Parity.INDEFINITE for f in factors)
+    definite = all(f.parity is not Parity.INDEFINITE for f in factors)
     depth = max_deg if definite else 2 * max_deg
     return depth, len(factors)

@@ -136,6 +136,22 @@ class TestEstimateCommand:
         assert report["value"] == pytest.approx(want, abs=1e-9)
         assert report["breakdown"]["route"] == "chebyshev"
 
+    def test_trace_falls_back_when_threads_outnumber_high_degree(self, runner, tmp_path):
+        # k = 4 leaves the high part 0.5 - 0.25x^2: degree 2 < k, and a
+        # negative leading coefficient, which is the verdict that counts
+        coeffs = [0.0, 0.0, 0.0, 0.0, 0.5, 0.0, -0.25]
+        poly = write_poly(tmp_path / "p.json", coeffs)
+        out = tmp_path / "run.json"
+        result = runner.invoke(
+            main,
+            ["estimate", "--property", "trace", "--state", "diag:0.75,0.25",
+             "--poly", poly, "--k", "4", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())["report"]
+        assert report["value"] == pytest.approx(0.1156005859375, abs=1e-12)
+        assert report["breakdown"]["route"] == "chebyshev"
+
     def test_renyi_integer(self, runner):
         result = runner.invoke(
             main,
@@ -282,6 +298,21 @@ class TestSimulateCommand:
             main, ["simulate", "--state", "pure:2", "--plan", str(plan_path)]
         )
         assert result.exit_code == 4
+
+    def test_tampered_plan_exits_2(self, runner, tmp_path):
+        poly = write_poly(tmp_path / "x4.json", [0, 0, 0, 0, 1])
+        plan_path = tmp_path / "plan.json"
+        runner.invoke(
+            main, ["factor", poly, "--k", "2", "--rescaled", "--out", str(plan_path)]
+        )
+        plan = json.loads(plan_path.read_text())
+        plan["K"] = 10.0
+        plan_path.write_text(json.dumps(plan))
+        result = runner.invoke(
+            main, ["simulate", "--state", "diag:0.75,0.25", "--plan", str(plan_path)]
+        )
+        assert result.exit_code == 2
+        assert "K" in result.stderr
 
     def test_circuit_dimension_cap_exits_2(self, runner, tmp_path):
         poly = write_poly(tmp_path / "x4.json", [0, 0, 0, 0, 1])

@@ -388,6 +388,52 @@ class TestVonNeumann:
             von_neumann(rho_34, 0)
 
 
+class TestSeededPins:
+    """Sampled reports on diag(0.75, 0.25), recorded before the reports were
+    assembled from Estimate stages; they guard the shot split and the
+    sampler's child streams."""
+
+    CASES = {
+        "direct": (
+            lambda rho: estimate_direct(
+                Polynomial([0.1, -0.2, 0.3, 0, 0.2]), rho, 2,
+                shots=20000, mode="sampled", seed=7,
+            ),
+            (0.24532999999999988, 0.0069970921663690035, 20000),
+        ),
+        "chebyshev": (
+            lambda rho: estimate_chebyshev(
+                Polynomial([0.1, 0.2, -0.3, 0, 0.25, 0.1]), rho, 2,
+                shots=20000, mode="sampled", seed=7,
+            ),
+            (0.52742, 0.2025152173838164, 15000),
+        ),
+        "monomial": (
+            lambda rho: monomial_poly_trace(
+                Polynomial([0.2, 0.5, 0.3, -0.1]), rho, 2,
+                shots=20000, mode="sampled", seed=7,
+            ),
+            (1.0445799999999998, 0.00444148821014714, 20000),
+        ),
+        "renyi_auto": (
+            lambda rho: renyi_integer(rho, 6, 2, mode="sampled", seed=8),
+            (0.38364386978202547, 0.024636545238418087, 1463),
+        ),
+        "partition_auto": (
+            lambda rho: partition_function(rho, 1.0, 2, epsilon=0.01, mode="sampled", seed=7),
+            (1.2541475130785735, 0.005633654933818982, 73891),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pinned(self, rho_34, name):
+        run, (value, std_error, shots_used) = self.CASES[name]
+        rep = run(rho_34)
+        assert rep.value == pytest.approx(value, rel=1e-12)
+        assert rep.std_error == pytest.approx(std_error, rel=1e-12)
+        assert rep.shots_used == shots_used
+
+
 class TestReportPlumbing:
     def test_round_trip(self, rho_34):
         rep = estimate_chebyshev(chebyshev_polynomial(6), rho_34, 2)

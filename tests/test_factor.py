@@ -82,6 +82,12 @@ class TestFactorizeNonneg:
         with pytest.raises(InputError):
             factorize_nonneg(Polynomial([0, 0, 1]), 3)
 
+    def test_verdict_precedes_thread_count_check(self):
+        # 0.5 - 0.25x^2 is positive on [-1, 1] but has a negative leading
+        # coefficient; the verdict must not hide behind k > degree
+        with pytest.raises(NotNonNegativeError, match="leading coefficient"):
+            factorize_nonneg(Polynomial([0.5, 0, -0.25]), 4)
+
     def test_round_robin_deterministic(self):
         rng = np.random.default_rng(12)
         source = random_nonneg(rng, 5)
@@ -145,6 +151,14 @@ class TestRescale:
         again = FactorizationPlan.from_dict(plan.to_dict())
         assert again.factors == plan.factors
         assert again.stored_constant == plan.stored_constant
+
+    @pytest.mark.parametrize("field", ["norms", "K"])
+    def test_loaded_constants_must_match_factors(self, field):
+        rng = np.random.default_rng(24)
+        obj = rescale_factors(factorize_nonneg(random_nonneg(rng, 3), 2)).to_dict()
+        obj[field] = [10.0, 1.0] if field == "norms" else 10.0
+        with pytest.raises(InputError, match=field):
+            FactorizationPlan.from_dict(obj)
 
 
 def _even_tail(rng, half_degree):

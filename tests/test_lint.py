@@ -43,6 +43,29 @@ def _unused_imports(source: str) -> list[str]:
     )
 
 
+def _unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes no module references.
+
+    A reference is any name, attribute or imported name equal to the
+    definition's, in any of the given modules.
+    """
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined[node.name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
+
+
 def test_scan_flags_unused_import():
     src = "from typing import Sequence, Literal\nimport math\nx: Literal[1] = math.pi\n"
     assert _unused_imports(src) == ["Sequence (line 1)"]
@@ -59,3 +82,17 @@ def test_scan_respects_all_future_and_quoted_annotations():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_scan_flags_unreferenced_private():
+    sources = {
+        "a.py": "def _called(): ...\ndef _dead(): ...\nclass _Shared: ...\nx = _called()\n",
+        "b.py": "from .a import _Shared\nimport a\ny = a._viaattr\n",
+        "c.py": "def _viaattr(): ...\ndef public(): ...\n",
+    }
+    assert _unreferenced_private(sources) == ["_dead (a.py:2)"]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_private(sources) == []

@@ -323,6 +323,25 @@ class TestParallelRun:
             est.samples()
 
 
+class TestEstimateArithmetic:
+    def test_sum_of_independent_stages(self):
+        a = Estimate(value=0.5, std_error=0.03, shots_used=100, counts=(60, 30, 10))
+        b = Estimate(value=-0.2, std_error=0.04, shots_used=300)
+        total = a + b
+        assert total.value == pytest.approx(0.3, abs=1e-15)
+        assert total.std_error == pytest.approx(math.hypot(0.03, 0.04), rel=1e-15)
+        assert total.shots_used == 400
+        assert total.counts is None
+
+    def test_negative_scale_keeps_error_sign_and_shots(self):
+        est = Estimate(value=0.5, std_error=0.03, shots_used=100, counts=(60, 30, 10))
+        scaled = -4.0 * est
+        assert scaled.value == -2.0
+        assert scaled.std_error == pytest.approx(0.12, rel=1e-15)
+        assert scaled.std_error >= 0.0
+        assert scaled.shots_used == 100
+
+
 class TestQueryDepthReport:
     def test_definite_parity_uses_plain_degree(self):
         factors = [Polynomial([0, 0, 1]), Polynomial([0, 0, 1])]
@@ -330,9 +349,6 @@ class TestQueryDepthReport:
 
     def test_indefinite_parity_doubles(self):
         assert query_depth_report([Polynomial([0, 1, 1])]) == (4, 1)
-
-    def test_parity_opt_out_doubles(self):
-        assert query_depth_report([Polynomial([0, 0, 1])], parity_ok=False) == (4, 1)
 
     def test_empty(self):
         assert query_depth_report([]) == (0, 0)
