@@ -50,7 +50,7 @@ from .poly import (
 from .qsp import find_phases, realized_value
 from .sim import (
     DensityMatrix,
-    _as_sampler,
+    ShotSampler,
     generalized_swap_expectation,
     parallel_qsp_run,
     query_depth_report,
@@ -316,10 +316,9 @@ def simulate(state, plan, shots, mode, encode, seed, epsilon, out):
             shots = int(shots)
         except ValueError as exc:
             raise InputError(f"--shots expects an integer or 'exact', got {shots!r}") from exc
-    sampler = _as_sampler(None, seed)
     factors = list(loaded.factors)
     est = parallel_qsp_run(
-        factors, rho, shots=shots, mode=mode, sampler=sampler, encode=encode
+        factors, rho, shots=shots, mode=mode, sampler=ShotSampler(seed), encode=encode
     )
     depth, width = query_depth_report(factors)
     k_total = loaded.stored_constant * loaded.factorization_constant

@@ -7,10 +7,18 @@ recombines coefficient-weighted term estimates.  Each run is one stage
 Estimate: c * stage scales it back to the trace it measures (D times the
 norm for a Hadamard test, K^2 for a factorized run), a + b adds independent
 stages, and a report's value, standard error and shots are their sum (for
-entropies, its ln(s)/(1 - alpha) transform).  Reports also carry the
-closed-form predicted shot count for the chosen route (unit leading
-constant; these are order-of-magnitude planners, not guarantees) and the
-query depth / width accounting.
+entropies, its ln(s)/(1 - alpha) transform).
+
+Sampled mode needs an integer shot budget, which _allocate splits evenly
+over the stages (the first `budget mod stages` stages take one shot more);
+exact mode gives every stage "exact".  estimate_chebyshev allots a low and a
+high share to each parity part, and a part whose low or high stage does not
+run hands that share to the one that does.  An estimator's `seed` feeds one
+ShotSampler, and each stage draws from its own child stream.
+
+Reports also carry the closed-form predicted shot count for the chosen
+route (unit leading constant; these are order-of-magnitude planners, not
+guarantees) and the query depth / width accounting.
 
 Cost routes are keyed by the names predict_cost accepts ("theorem3" ...
 "theorem11"); each is a documented closed form over the fields of CostModel.
@@ -204,7 +212,6 @@ def importance_sample(
     coeffs: Sequence[float],
     term_estimators: Sequence[Callable[[int, ShotSampler], np.ndarray]],
     total_shots: int,
-    seed: int | None = None,
     sampler: ShotSampler | None = None,
 ) -> Estimate:
     """Coefficient-weighted sum of term traces by index sampling.
@@ -223,7 +230,7 @@ def importance_sample(
     n = int(total_shots)
     if n < 1:
         raise InputError(f"total_shots must be positive, got {total_shots!r}")
-    smp = _as_sampler(sampler, seed)
+    smp = _as_sampler(sampler)
     counts = smp.multinomial(n, np.abs(c) / one_norm)
     pooled = []
     for j, n_j in enumerate(counts):
@@ -261,16 +268,15 @@ def _trace_via_hadamard(
     """tr(p(rho)) by a Hadamard test against the maximally mixed state.
 
     Encodes p(rho)/||p|| and reads D * ||p|| * Re tr((I/D) * block).  Returns
-    the scaled estimate and the sequential depth charged for it (deg p for a
-    definite-parity target, twice that otherwise).
+    the scaled estimate and the sequential depth query_depth_report charges
+    for p.
     """
     d = rho.dim
     norm = sup_norm(p)
     values = p(np.clip(rho.eigenvalues(), -1.0, 1.0)) / norm
     enc = oracle_block_encode(rho.spectral_operator(values))
     est = hadamard_test(enc, DensityMatrix.maximally_mixed(d), shots=shots, sampler=sampler)
-    depth = p.degree if p.parity is not Parity.INDEFINITE else 2 * p.degree
-    return (d * norm) * est, depth
+    return (d * norm) * est, query_depth_report([p])[0]
 
 
 def _report(est: Estimate, **fields) -> EstimationReport:
@@ -279,9 +285,14 @@ def _report(est: Estimate, **fields) -> EstimationReport:
     )
 
 
-def _split_shots(total: int, parts: int) -> list[int]:
-    base, rem = divmod(total, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
+def _allocate(shots: ShotPolicy, mode: Mode, stages: int) -> list[int | Literal["exact"]]:
+    """Each stage's shots: "exact" in exact mode, else an even split of the budget."""
+    if mode == "exact":
+        return ["exact"] * stages
+    if not isinstance(shots, int):
+        raise InputError("sampled mode needs an integer shot count")
+    base, rem = divmod(shots, max(stages, 1))
+    return [base + (1 if i < rem else 0) for i in range(stages)]
 
 
 def estimate_direct(
@@ -292,7 +303,6 @@ def estimate_direct(
     mode: Mode = "exact",
     epsilon: float = 0.05,
     seed: int | None = None,
-    sampler: ShotSampler | None = None,
 ) -> EstimationReport:
     """tr(P(rho)) for P whose high constituent is non-negative on the reals.
 
@@ -318,13 +328,8 @@ def estimate_direct(
         # factor before any simulation, so a rejected high part fails fast
         plan = rescale_factors(factorize_nonneg(p_high, k))
 
-    exact = mode == "exact"
-    if not exact and not isinstance(shots, int):
-        raise InputError("sampled mode needs an integer shot count")
-    smp = _as_sampler(sampler, seed)
-
-    branches = int(not p_low.is_zero()) + int(not p_high.is_zero())
-    alloc = _split_shots(shots, branches) if not exact and branches else []
+    alloc = _allocate(shots, mode, int(not p_low.is_zero()) + int(not p_high.is_zero()))
+    smp = ShotSampler(seed)
 
     total = Estimate(0.0, 0.0)
     low_depth = 0
@@ -334,8 +339,7 @@ def estimate_direct(
     width = k
 
     if not p_low.is_zero():
-        n = "exact" if exact else alloc.pop(0)
-        low, low_depth = _trace_via_hadamard(p_low, rho, n, smp.child(0))
+        low, low_depth = _trace_via_hadamard(p_low, rho, alloc.pop(0), smp.child(0))
         total += low
         breakdown["w_low"] = low.value
         breakdown["low_branch_depth"] = low_depth
@@ -343,8 +347,9 @@ def estimate_direct(
     if not p_high.is_zero():
         k_const = plan.stored_constant
         factors = list(plan.factors)
-        n = "exact" if exact else alloc.pop(0)
-        run = parallel_qsp_run(factors, rho, shots=n, mode="direct", sampler=smp.child(1))
+        run = parallel_qsp_run(
+            factors, rho, shots=alloc.pop(0), mode="direct", sampler=smp.child(1)
+        )
         high = k_const ** 2 * run
         total += high
         parallel_depth, width = query_depth_report(factors)
@@ -406,8 +411,7 @@ def _chebyshev_part(
     part: Polynomial,
     k_part: int,
     rho: DensityMatrix,
-    shots_low: int | Literal["exact"],
-    shots_high: int | Literal["exact"],
+    shots: Sequence[int | Literal["exact"]],
     smp_low: ShotSampler,
     smp_high: ShotSampler,
 ) -> tuple[Estimate, dict]:
@@ -416,30 +420,32 @@ def _chebyshev_part(
     Degenerate layouts (no threads to fill, or degree at most the thread
     count) run the whole part sequentially; otherwise the low constituent is
     read sequentially and the high constituent goes through the basis-product
-    term decomposition, one parallel run per term.
+    term decomposition, one parallel run per term.  shots holds the (low,
+    high) shares; a stage that does not run hands its share to the one that
+    does.
     """
     d_part = part.degree
+    pooled = "exact" if shots[0] == "exact" else sum(shots)
     if k_part < 1 or d_part <= k_part:
-        est, depth = _trace_via_hadamard(part, rho, shots_low, smp_low)
+        est, depth = _trace_via_hadamard(part, rho, pooled, smp_low)
         info = {"sequential": True, "depth": depth, "w": est.value}
         return est, info
 
     p_low, p_high = split_constituents(part, k_part)
     total = Estimate(0.0, 0.0)
     info: dict = {"sequential": False, "k_part": k_part}
+    shots_high = pooled
     if not p_low.is_zero():
-        low, depth = _trace_via_hadamard(p_low, rho, shots_low, smp_low)
+        low, depth = _trace_via_hadamard(p_low, rho, shots[0], smp_low)
         total += low
         info["w_low"] = low.value
         info["low_depth"] = depth
+        shots_high = shots[1]
     terms = chebyshev_parallel_terms(p_high, k_part, d_part)
     factor_lists = [term_factor_polynomials(t, k_part) for t in terms.terms]
-    actual_depth = max(
-        (max((f.degree for f in fl), default=0) for fl in factor_lists), default=0
-    )
     info["term_count"] = len(terms.terms)
     info["term_one_norm"] = terms.one_norm
-    info["parallel_depth"] = actual_depth
+    info["parallel_depth"] = query_depth_report([f for fl in factor_lists for f in fl])[0]
     if terms.terms:
         high = _term_sum(
             [t.coeff for t in terms.terms], factor_lists, rho, shots_high, smp_high
@@ -457,7 +463,6 @@ def estimate_chebyshev(
     mode: Mode = "exact",
     epsilon: float = 0.05,
     seed: int | None = None,
-    sampler: ShotSampler | None = None,
 ) -> EstimationReport:
     """tr(P(rho)) for arbitrary real bounded P via basis-product terms.
 
@@ -469,11 +474,6 @@ def estimate_chebyshev(
     _check_target(p)
     if k < 1:
         raise InputError(f"thread count must be at least 1, got {k}")
-    exact = mode == "exact"
-    if not exact and not isinstance(shots, int):
-        raise InputError("sampled mode needs an integer shot count")
-    smp = _as_sampler(sampler, seed)
-
     p_even, p_odd = parity_split(p)
     k_even = k if k % 2 == 0 else k - 1
     k_odd = k if k % 2 == 1 else k - 1
@@ -486,16 +486,15 @@ def estimate_chebyshev(
         if not part.is_zero()
     ]
 
-    alloc = _split_shots(shots, 2 * len(jobs)) if not exact and jobs else []
+    alloc = _allocate(shots, mode, 2 * len(jobs))
+    smp = ShotSampler(seed)
     total = Estimate(0.0, 0.0)
     breakdown: dict = {}
     actual_depth = 0
     actual_width = 0
     for i, (name, part, kp) in enumerate(jobs):
-        s_low = "exact" if exact else alloc[2 * i]
-        s_high = "exact" if exact else alloc[2 * i + 1]
         est, info = _chebyshev_part(
-            part, kp, rho, s_low, s_high, smp.child(2 * i), smp.child(2 * i + 1)
+            part, kp, rho, alloc[2 * i : 2 * i + 2], smp.child(2 * i), smp.child(2 * i + 1)
         )
         total += est
         breakdown[name] = info
@@ -582,7 +581,6 @@ def renyi_integer(
     shots: ShotPolicy = "auto",
     mode: Mode = "exact",
     seed: int | None = None,
-    sampler: ShotSampler | None = None,
 ) -> EstimationReport:
     """Integer-order Renyi entropy ln(tr(rho^alpha))/(1-alpha).
 
@@ -599,8 +597,8 @@ def renyi_integer(
     alpha = int(alpha)
     if k < 1:
         raise InputError(f"thread count must be at least 1, got {k}")
-    exact = mode == "exact"
-    smp = _as_sampler(sampler, seed)
+    auto = shots in ("auto", None)
+    smp = ShotSampler(seed)
     dim = rho.dim
     breakdown: dict = {"params": {"alpha": float(alpha)}}
     pilot_used = 0
@@ -610,35 +608,27 @@ def renyi_integer(
             "alpha <= k leaves nothing to parallelize; sequential path used"
         )
         enc = oracle_block_encode(rho.spectral_operator(rho.eigenvalues() ** (alpha - 1)))
-        n = "exact" if exact else (1000 if shots in ("auto", None) else int(shots))
+        (n,) = _allocate(1000 if auto else shots, mode, 1)
         trace = hadamard_test(enc, rho, shots=n, sampler=smp.child(1))
         depth, width = alpha - 1, 1
     else:
         factors = _monomial_factors(alpha, k)
         depth = ((alpha - k) // 2) // k + 1
-        width = len(factors)
         breakdown["exponents"] = [f.degree for f in factors]
-        breakdown["actual_depth"] = max(f.degree for f in factors)
-        if exact:
-            trace = parallel_qsp_run(factors, rho, shots="exact", mode="direct")
-        else:
-            if shots in ("auto", None):
-                pilot = parallel_qsp_run(
-                    factors, rho, shots=1000, mode="direct", sampler=smp.child(0)
-                )
-                pilot_used = pilot.shots_used
-                s_guess = min(1.0, max(pilot.value, dim ** (1 - alpha)))
-                n_main = predict_cost(
-                    CostModel(epsilon=epsilon, s_alpha=s_guess, alpha=float(alpha)),
-                    "theorem7",
-                )
-                breakdown["pilot_estimate"] = pilot.value
-                breakdown["auto_shots"] = n_main
-            else:
-                n_main = int(shots)
-            trace = parallel_qsp_run(
-                factors, rho, shots=n_main, mode="direct", sampler=smp.child(1)
+        breakdown["actual_depth"], width = query_depth_report(factors)
+        if mode != "exact" and auto:
+            pilot = parallel_qsp_run(
+                factors, rho, shots=1000, mode="direct", sampler=smp.child(0)
             )
+            pilot_used = pilot.shots_used
+            s_guess = min(1.0, max(pilot.value, dim ** (1 - alpha)))
+            shots = predict_cost(
+                CostModel(epsilon=epsilon, s_alpha=s_guess, alpha=float(alpha)), "theorem7"
+            )
+            breakdown["pilot_estimate"] = pilot.value
+            breakdown["auto_shots"] = shots
+        (n,) = _allocate(shots, mode, 1)
+        trace = parallel_qsp_run(factors, rho, shots=n, mode="direct", sampler=smp.child(1))
 
     entropy = _renyi_transform(trace, alpha)
     breakdown["s_alpha"] = trace.value
@@ -679,7 +669,6 @@ def monomial_poly_trace(
     mode: Mode = "exact",
     epsilon: float = 0.05,
     seed: int | None = None,
-    sampler: ShotSampler | None = None,
 ) -> EstimationReport:
     """tr(P(rho)) term by term over the monomial coefficients.
 
@@ -692,10 +681,7 @@ def monomial_poly_trace(
         raise InputError("polynomial must have real coefficients")
     if k < 1:
         raise InputError(f"thread count must be at least 1, got {k}")
-    exact = mode == "exact"
-    if not exact and not isinstance(shots, int):
-        raise InputError("sampled mode needs an integer shot count")
-    smp = _as_sampler(sampler, seed)
+    (n_shots,) = _allocate(shots, mode, 1)
     dim = rho.dim
     coeffs = [float(c.real) for c in p.coeffs]
     one_norm = sum(abs(c) for c in coeffs)
@@ -711,8 +697,7 @@ def monomial_poly_trace(
     total = Estimate(c0 * dim, 0.0)
     if tail:
         total += _term_sum(
-            [c for _, c in tail], [layouts[n] for n, _ in tail], rho,
-            "exact" if exact else shots, smp,
+            [c for _, c in tail], [layouts[n] for n, _ in tail], rho, n_shots, ShotSampler(seed)
         )
 
     d = p.degree
@@ -723,9 +708,7 @@ def monomial_poly_trace(
         "constant_term": c0 * dim,
         "one_norm": one_norm,
         "active_exponents": [n for n, _ in tail],
-        "actual_depth": max(
-            (max(f.degree for f in layouts[n]) for n, _ in tail), default=0
-        ),
+        "actual_depth": query_depth_report([f for fl in layouts.values() for f in fl])[0],
     }
     return _report(
         total,
@@ -744,7 +727,6 @@ def partition_function(
     shots: ShotPolicy = "auto",
     mode: Mode = "exact",
     seed: int | None = None,
-    sampler: ShotSampler | None = None,
 ) -> EstimationReport:
     """tr(exp(-beta * rho)) through a truncated exponential series.
 
@@ -777,7 +759,7 @@ def partition_function(
     if mode == "sampled" and shots in ("auto", None):
         n_shots = predict_cost(CostModel(epsilon=epsilon, beta=beta), "theorem9")
     sub = monomial_poly_trace(
-        series, rho, k, shots=n_shots, mode=mode, epsilon=epsilon, seed=seed, sampler=sampler
+        series, rho, k, shots=n_shots, mode=mode, epsilon=epsilon, seed=seed
     )
     return replace(
         sub,
@@ -863,7 +845,6 @@ def _entropy_from_poly_trace(
     shots: ShotPolicy,
     mode: Mode,
     seed: int | None,
-    sampler: ShotSampler | None,
 ) -> EstimationReport:
     """tr(q(rho)) for a certified odd approximant q to f: the shared pipeline.
 
@@ -882,7 +863,7 @@ def _entropy_from_poly_trace(
     auto = mode == "sampled" and shots in ("auto", None)
     sub = estimate_chebyshev(
         poly * shrink, rho, k, shots=predicted if auto else shots, mode=mode,
-        epsilon=model.epsilon, seed=seed, sampler=sampler,
+        epsilon=model.epsilon, seed=seed,
     )
     return replace(
         sub,
@@ -911,7 +892,6 @@ def renyi_noninteger(
     shots: ShotPolicy = "auto",
     mode: Mode = "exact",
     seed: int | None = None,
-    sampler: ShotSampler | None = None,
 ) -> EstimationReport:
     """Non-integer-order Renyi entropy via an odd approximant to x^alpha.
 
@@ -929,7 +909,7 @@ def renyi_noninteger(
     model = CostModel(epsilon=epsilon, k=k, alpha=alpha, s_alpha=s_floor)
     trace = _entropy_from_poly_trace(
         lambda x: np.sign(x) * np.abs(x) ** alpha, s_floor * epsilon * abs(alpha - 1.0),
-        model, "theorem10", rho, k, delta, rank, shots, mode, seed, sampler,
+        model, "theorem10", rho, k, delta, rank, shots, mode, seed,
     )
     entropy = _renyi_transform(trace, alpha)
     s_val = trace.value
@@ -956,7 +936,6 @@ def von_neumann(
     shots: ShotPolicy = "auto",
     mode: Mode = "exact",
     seed: int | None = None,
-    sampler: ShotSampler | None = None,
 ) -> EstimationReport:
     """Von Neumann entropy -tr(rho ln rho) via an odd approximant to -x ln|x|.
 
@@ -973,5 +952,5 @@ def von_neumann(
 
     return _entropy_from_poly_trace(
         target, epsilon, CostModel(epsilon=epsilon, k=k), "theorem11",
-        rho, k, delta, rank, shots, mode, seed, sampler,
+        rho, k, delta, rank, shots, mode, seed,
     )

@@ -291,8 +291,6 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
         )
     if R.max_imag() > 1e-12 * max(1.0, max(abs(c) for c in R.coeffs)):
         raise InputError("factorization requires real coefficients")
-    if d > 0 and k > d:
-        raise InputError(f"more threads than half-degree supports: k={k} > degree {d}")
 
     if d == 0:
         half: list[complex] = []

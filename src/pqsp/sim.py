@@ -8,6 +8,8 @@ combines them: k threads each apply a factor polynomial to a copy of rho,
 post-select on the encoding flags, and a Hadamard-conjugated controlled
 cyclic shift reads out z = tr(rho^k * prod_j |P_j(rho)|^2) through the joint
 outcome statistics, without ever renormalizing by the success probability.
+The three read-out primitives share one one-ancilla read-out, _readout: the
+exact value, or Bernoulli shots drawn from the caller's ShotSampler.
 
 Two execution modes exist.  "direct" works on rho's stored eigenvalues w_i:
 every thread block P_j(rho) is a function of rho, so one eigenbasis
@@ -88,14 +90,14 @@ class Estimate:
 class ShotSampler:
     """Deterministic counter-based randomness for measurement simulation.
 
-    Wraps a Philox generator keyed by (seed, spawn path): the same seed and
-    request sequence reproduce identical draws, and child(i) yields an
-    independent stream, so multi-stage estimators can hand each stage its
-    own sampler without coupling their consumption.
+    Wraps a Philox generator keyed by (seed, spawn path; a seed of None is
+    0): the same seed and request sequence reproduce identical draws, and
+    child(i) yields an independent stream, so multi-stage estimators can hand
+    each stage its own sampler without coupling their consumption.
     """
 
-    def __init__(self, seed: int, _path: tuple[int, ...] = ()):
-        self.seed = int(seed)
+    def __init__(self, seed: int | None, _path: tuple[int, ...] = ()):
+        self.seed = 0 if seed is None else int(seed)
         self.path = tuple(_path)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         self.rng = np.random.Generator(np.random.Philox(ss))
@@ -115,10 +117,8 @@ class ShotSampler:
         return f"ShotSampler(seed={self.seed}, path={self.path})"
 
 
-def _as_sampler(sampler: "ShotSampler | None", seed: int | None = None) -> "ShotSampler":
-    if sampler is not None:
-        return sampler
-    return ShotSampler(0 if seed is None else seed)
+def _as_sampler(sampler: "ShotSampler | None") -> "ShotSampler":
+    return ShotSampler(None) if sampler is None else sampler
 
 
 def _check_shots(shots: ShotSpec) -> int:
@@ -128,6 +128,28 @@ def _check_shots(shots: ShotSpec) -> int:
     if n < 1:
         raise InputError(f"shots must be a positive integer, got {shots!r}")
     return n
+
+
+def _readout(
+    value: float, shots: ShotSpec, sampler: "ShotSampler | None", signed: bool = True
+) -> Estimate:
+    """The exact value, or Bernoulli shots of a one-ancilla read-out of it.
+
+    A signed read-out measures p = 1/2 + value/2 and returns 2*p_hat - 1 with
+    standard error 2*sqrt(p_hat(1-p_hat)/shots); an unsigned one measures
+    p = value and returns p_hat with half that error.
+    """
+    if shots == "exact":
+        return Estimate(value=float(value), std_error=0.0, shots_used=0)
+    n = _check_shots(shots)
+    p = 0.5 + 0.5 * min(1.0, max(-1.0, value)) if signed else value
+    p_hat = _as_sampler(sampler).bernoulli_count(p, n) / n
+    scale = 2.0 if signed else 1.0
+    return Estimate(
+        value=2.0 * p_hat - 1.0 if signed else p_hat,
+        std_error=scale * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n),
+        shots_used=n,
+    )
 
 
 class DensityMatrix:
@@ -375,19 +397,7 @@ def hadamard_test(
     if sigma.dim != b.shape[0]:
         raise InputError("state dimension does not match the encoded block")
     t = complex(np.trace(sigma.matrix @ b))
-    val = t.real if part == "real" else t.imag
-    if shots == "exact":
-        return Estimate(value=float(val), std_error=0.0, shots_used=0)
-    n = _check_shots(shots)
-    sampler = _as_sampler(sampler)
-    p = 0.5 + 0.5 * min(1.0, max(-1.0, val))
-    ones = sampler.bernoulli_count(p, n)
-    p_hat = ones / n
-    return Estimate(
-        value=2.0 * p_hat - 1.0,
-        std_error=2.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n),
-        shots_used=n,
-    )
+    return _readout(t.real if part == "real" else t.imag, shots, sampler)
 
 
 def qsp_test(
@@ -401,17 +411,7 @@ def qsp_test(
     if sigma.dim != b.shape[0]:
         raise InputError("state dimension does not match the encoded block")
     p = float(np.real(np.trace(sigma.matrix @ b.conj().T @ b)))
-    if shots == "exact":
-        return Estimate(value=p, std_error=0.0, shots_used=0)
-    n = _check_shots(shots)
-    sampler = _as_sampler(sampler)
-    ones = sampler.bernoulli_count(min(1.0, max(0.0, p)), n)
-    p_hat = ones / n
-    return Estimate(
-        value=p_hat,
-        std_error=math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n),
-        shots_used=n,
-    )
+    return _readout(p, shots, sampler, signed=False)
 
 
 def generalized_swap_expectation(
@@ -436,19 +436,7 @@ def generalized_swap_expectation(
     prod = states[0].matrix
     for s in states[1:]:
         prod = prod @ s.matrix
-    val = float(np.real(np.trace(prod)))
-    if shots == "exact":
-        return Estimate(value=val, std_error=0.0, shots_used=0)
-    n = _check_shots(shots)
-    sampler = _as_sampler(sampler)
-    p = 0.5 * (1.0 + min(1.0, max(-1.0, val)))
-    ones = sampler.bernoulli_count(p, n)
-    p_hat = ones / n
-    return Estimate(
-        value=2.0 * p_hat - 1.0,
-        std_error=2.0 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n),
-        shots_used=n,
-    )
+    return _readout(float(np.real(np.trace(prod))), shots, sampler)
 
 
 def _factor_phases(factor: Polynomial, norm: float) -> tuple[QspPhases, float]:

@@ -136,6 +136,22 @@ class TestEstimateCommand:
         assert report["value"] == pytest.approx(want, abs=1e-9)
         assert report["breakdown"]["route"] == "chebyshev"
 
+    def test_trace_direct_when_threads_outnumber_high_degree(self, runner, tmp_path):
+        # k = 4 leaves the high part 0.5 + 0.25x^2 of degree 2 < k; the
+        # factorization pads the spare threads with constant factors
+        coeffs = [0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.25]
+        poly = write_poly(tmp_path / "p.json", coeffs)
+        out = tmp_path / "run.json"
+        result = runner.invoke(
+            main,
+            ["estimate", "--property", "trace", "--state", "diag:0.75,0.25",
+             "--poly", poly, "--k", "4", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())["report"]
+        assert report["value"] == pytest.approx(0.2047119140625, abs=1e-12)
+        assert report["breakdown"]["route"] == "direct"
+
     def test_trace_falls_back_when_threads_outnumber_high_degree(self, runner, tmp_path):
         # k = 4 leaves the high part 0.5 - 0.25x^2: degree 2 < k, and a
         # negative leading coefficient, which is the verdict that counts

@@ -75,7 +75,7 @@ class TestImportanceSample:
             [0.5, 0.5],
             [lambda n, s: np.ones(n), lambda n, s: np.ones(n)],
             200,
-            seed=1,
+            sampler=ShotSampler(1),
         )
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
@@ -104,7 +104,7 @@ class TestImportanceSample:
 
     def test_bad_shape_rejected(self):
         with pytest.raises(InputError, match="expected"):
-            importance_sample([1.0], [lambda n, s: np.ones(n + 1)], 16, seed=0)
+            importance_sample([1.0], [lambda n, s: np.ones(n + 1)], 16, sampler=ShotSampler(0))
 
     def test_nonpositive_shots_rejected(self):
         with pytest.raises(InputError, match="positive"):
@@ -157,6 +157,12 @@ class TestEstimateDirect:
         with pytest.raises(NotNonNegativeError, match="leading coefficient"):
             estimate_direct(p, rho_34, 2)
         assert calls == []
+
+    def test_threads_beyond_high_degree_pad_with_constants(self, rho_34):
+        # k = 4 leaves the high part 0.5 + 0.25x^2: one half-root, four threads
+        rep = estimate_direct(Polynomial([0, 0, 0, 0, 0.5, 0, 0.25]), rho_34, 4)
+        assert rep.value == pytest.approx(0.2047119140625, abs=1e-12)
+        assert rep.breakdown["factor_degrees"] == [1, 0, 0, 0]
 
     def test_norm_cap(self, rho_34):
         with pytest.raises(InputError, match="rescale"):
@@ -387,11 +393,18 @@ class TestVonNeumann:
         with pytest.raises(InputError, match="thread count"):
             von_neumann(rho_34, 0)
 
+    def test_sampled_spends_whole_budget(self, rho_34):
+        # k_odd = 1 leaves the odd approximant no low stage; its share goes
+        # to the high stage instead of going unspent
+        rep = von_neumann(rho_34, 2, mode="sampled", shots=20000, seed=7)
+        assert rep.shots_used == 20000
+
 
 class TestSeededPins:
     """Sampled reports on diag(0.75, 0.25), recorded before the reports were
-    assembled from Estimate stages; they guard the shot split and the
-    sampler's child streams."""
+    assembled from Estimate stages (chebyshev: since unspent shares move to
+    the stage that runs); they guard the shot split and the sampler's child
+    streams."""
 
     CASES = {
         "direct": (
@@ -406,7 +419,8 @@ class TestSeededPins:
                 Polynomial([0.1, 0.2, -0.3, 0, 0.25, 0.1]), rho, 2,
                 shots=20000, mode="sampled", seed=7,
             ),
-            (0.52742, 0.2025152173838164, 15000),
+            # the odd part (k_odd = 1) has no low stage; its share goes to the high stage
+            (0.54038, 0.20084703305299684, 20000),
         ),
         "monomial": (
             lambda rho: monomial_poly_trace(

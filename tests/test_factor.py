@@ -78,9 +78,11 @@ class TestFactorizeNonneg:
         with pytest.raises(NotNonNegativeError):
             factorize_nonneg(Polynomial([-1, 0, -1]), 1)
 
-    def test_k_beyond_degree_rejected(self):
-        with pytest.raises(InputError):
-            factorize_nonneg(Polynomial([0, 0, 1]), 3)
+    def test_k_beyond_degree_pads_with_constants(self):
+        # one half-root for three threads: the trailing factors are constants
+        plan = factorize_nonneg(Polynomial([0, 0, 1]), 3)
+        assert [f.degree for f in plan.factors] == [1, 0, 0]
+        assert verify_factorization(plan, Polynomial([0, 0, 1])) <= 1e-12
 
     def test_verdict_precedes_thread_count_check(self):
         # 0.5 - 0.25x^2 is positive on [-1, 1] but has a negative leading

@@ -66,6 +66,22 @@ def _unreferenced_private(sources: dict[str, str]) -> list[str]:
     return sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
 
 
+def _seed_and_sampler(source: str) -> list[str]:
+    """Public functions taking both a `seed` and a `sampler` parameter.
+
+    One call has one source of randomness: estimators take a seed, the
+    read-out primitives and importance_sample take a ShotSampler.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            a = node.args
+            names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+            if {"seed", "sampler"} <= names:
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
 def test_scan_flags_unused_import():
     src = "from typing import Sequence, Literal\nimport math\nx: Literal[1] = math.pi\n"
     assert _unused_imports(src) == ["Sequence (line 1)"]
@@ -96,3 +112,19 @@ def test_scan_flags_unreferenced_private():
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert _unreferenced_private(sources) == []
+
+
+def test_scan_flags_seed_and_sampler():
+    src = (
+        "def both(x, seed=None, sampler=None): ...\n"
+        "def _private(seed, sampler): ...\n"
+        "def kwonly(*, seed, sampler): ...\n"
+        "def seeded(seed=None): ...\n"
+        "class A:\n    def method(self, sampler, seed): ...\n"
+    )
+    assert _seed_and_sampler(src) == ["both (line 1)", "kwonly (line 3)", "method (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_takes_seed_and_sampler(path):
+    assert _seed_and_sampler(path.read_text()) == []

@@ -182,6 +182,41 @@ class TestMeasurementPrimitives:
         assert abs(a.value - 0.625) <= 5 * max(a.std_error, 1e-3)
 
 
+class TestSampledReadoutPins:
+    """Sampled read-outs on diag(0.75, 0.25) with the block rho^2, 4096 shots
+    and ShotSampler(3), recorded before the three read-outs shared one
+    Bernoulli path; exact equality guards the draw and the error formula."""
+
+    CASES = {
+        "hadamard_real": (
+            lambda rho, enc, smp: hadamard_test(enc, rho, shots=4096, sampler=smp),
+            (0.439453125, 0.01403539880659226),
+        ),
+        "hadamard_imag": (
+            lambda rho, enc, smp: hadamard_test(enc, rho, shots=4096, part="imag", sampler=smp),
+            (-0.001953125, 0.01562497019764919),
+        ),
+        "qsp_test": (
+            lambda rho, enc, smp: qsp_test(enc, rho, shots=4096, sampler=smp),
+            (0.2373046875, 0.006647352709504915),
+        ),
+        "swap": (
+            lambda rho, enc, smp: generalized_swap_expectation(
+                [rho] * 3, shots=4096, sampler=smp
+            ),
+            (0.439453125, 0.01403539880659226),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_pinned(self, rho_34, name):
+        run, pinned = self.CASES[name]
+        enc = oracle_block_encode(rho_34.spectral_operator(rho_34.eigenvalues() ** 2))
+        est = run(rho_34, enc, ShotSampler(3))
+        assert (est.value, est.std_error) == pinned
+        assert est.shots_used == 4096
+
+
 class TestSwapExpectation:
     @pytest.mark.parametrize("dim", [2, 4, 8])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
