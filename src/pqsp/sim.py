@@ -144,12 +144,10 @@ def _readout(
     n = _check_shots(shots)
     p = 0.5 + 0.5 * min(1.0, max(-1.0, value)) if signed else value
     p_hat = _as_sampler(sampler).bernoulli_count(p, n) / n
-    scale = 2.0 if signed else 1.0
-    return Estimate(
-        value=2.0 * p_hat - 1.0 if signed else p_hat,
-        std_error=scale * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n),
-        shots_used=n,
-    )
+    se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+    if signed:
+        return Estimate(value=2.0 * p_hat - 1.0, std_error=2.0 * se, shots_used=n)
+    return Estimate(value=p_hat, std_error=se, shots_used=n)
 
 
 class DensityMatrix:

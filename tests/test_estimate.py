@@ -401,10 +401,10 @@ class TestVonNeumann:
 
 
 class TestSeededPins:
-    """Sampled reports on diag(0.75, 0.25), recorded before the reports were
-    assembled from Estimate stages (chebyshev: since unspent shares move to
-    the stage that runs); they guard the shot split and the sampler's child
-    streams."""
+    """Sampled reports on diag(0.75, 0.25); they guard the shot split and the
+    sampler's child streams.  Each was recorded before the reports were
+    assembled from Estimate stages, except chebyshev, re-recorded when a
+    stage that does not run began handing its share to the one that does."""
 
     CASES = {
         "direct": (
