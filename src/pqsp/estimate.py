@@ -9,8 +9,8 @@ norm for a Hadamard test, K^2 for a factorized run), a + b adds independent
 stages, and a report's value, standard error and shots are their sum (for
 entropies, its ln(s)/(1 - alpha) transform).
 
-Sampled mode needs an integer shot budget, which _allocate splits evenly
-over the stages (the first `budget mod stages` stages take one shot more);
+Sampled mode needs an integer budget of at least one shot per stage, which
+_allocate splits evenly (the first `budget mod stages` stages take one more);
 exact mode gives every stage "exact".  estimate_chebyshev allots a low and a
 high share to each parity part, and a part whose low or high stage does not
 run hands that share to the one that does.  An estimator's `seed` feeds one
@@ -29,6 +29,7 @@ in the report breakdown.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -47,6 +48,7 @@ from .factor import (
 from .poly import (
     Parity,
     Polynomial,
+    _shared_polynomial,
     parity_split,
     split_constituents,
     sup_norm,
@@ -259,6 +261,10 @@ def _check_target(p: Polynomial) -> None:
         raise InputError("target polynomial must have sup norm at most 1; rescale it")
 
 
+# I/D per dimension, built and decomposed once; DensityMatrix is immutable.
+_maximally_mixed = functools.lru_cache(maxsize=16)(DensityMatrix.maximally_mixed)
+
+
 def _trace_via_hadamard(
     p: Polynomial,
     rho: DensityMatrix,
@@ -275,7 +281,7 @@ def _trace_via_hadamard(
     norm = sup_norm(p)
     values = p(np.clip(rho.eigenvalues(), -1.0, 1.0)) / norm
     enc = oracle_block_encode(rho.spectral_operator(values))
-    est = hadamard_test(enc, DensityMatrix.maximally_mixed(d), shots=shots, sampler=sampler)
+    est = hadamard_test(enc, _maximally_mixed(d), shots=shots, sampler=sampler)
     return (d * norm) * est, query_depth_report([p])[0]
 
 
@@ -291,6 +297,8 @@ def _allocate(shots: ShotPolicy, mode: Mode, stages: int) -> list[int | Literal[
         return ["exact"] * stages
     if not isinstance(shots, int):
         raise InputError("sampled mode needs an integer shot count")
+    if shots < stages:
+        raise InputError(f"sampled shot budget {shots} is below the stage count {stages}")
     base, rem = divmod(shots, max(stages, 1))
     return [base + (1 if i < rem else 0) for i in range(stages)]
 
@@ -563,13 +571,13 @@ def _monomial_factors(n: int, k: int) -> list[Polynomial]:
     if n < 1:
         raise InputError("monomial exponent must be at least 1")
     if n <= k:
-        return [Polynomial([1.0]) for _ in range(n)]
+        return [Polynomial.one()] * n
     m = (n - k) // 2
     r = m % k
     exps = [m // k + 1] * r + [m // k] * (k - r)
-    factors = [Polynomial.monomial(e) if e else Polynomial([1.0]) for e in exps]
+    factors = [_shared_polynomial("x", e) for e in exps]
     if (n - k) % 2 == 1:
-        factors.append(Polynomial([1.0]))
+        factors.append(Polynomial.one())
     return factors
 
 

@@ -38,6 +38,7 @@ from .errors import ConvergenceError, InputError, NotNonNegativeError
 from .poly import (
     Parity,
     Polynomial,
+    _shared_polynomial,
     chebyshev_coefficient,
     chebyshev_polynomial,
     sup_norm,
@@ -475,12 +476,13 @@ def term_factor_polynomials(term: ParallelTerm, k: int) -> list[Polynomial]:
     The product of squared moduli over the returned factors equals
     T_a^{2j} T_b^{2l}: with l=1 the first slot takes T_a*T_b (or T_b alone
     when j=0) and the next j-1 slots take T_a; with l=0 the first j slots
-    take T_a.  Remaining slots hold the constant 1.
+    take T_a.  Remaining slots hold the constant 1.  Every slot is a shared
+    instance, so repeated terms reuse their factors and the factors' norms.
     """
-    Ta = chebyshev_polynomial(term.a)
-    Tb = chebyshev_polynomial(term.b)
+    Ta, Tb = chebyshev_polynomial(term.a), chebyshev_polynomial(term.b)
     if term.l == 1:
-        base = [Tb] if term.j == 0 else [Ta * Tb] + [Ta] * (term.j - 1)
+        TaTb = _shared_polynomial("T", term.a, term.b)
+        base = [Tb] if term.j == 0 else [TaTb] + [Ta] * (term.j - 1)
     else:
         base = [Ta] * term.j
     if len(base) > k:

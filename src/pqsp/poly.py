@@ -8,11 +8,13 @@ of the last coefficient that actually matters.
 
 Sup norms on an interval are computed by a Chebyshev-node scan followed by
 golden-section refinement of every local maximum, which is cheap and reliable
-for the degree range (<= 200) this package targets.
+for the degree range (<= 200) this package targets.  A polynomial's [-1, 1]
+norm is scanned once and kept on it; layout builders share their instances.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -95,7 +97,8 @@ def _parse_pairs(items) -> list[complex]:
 class Polynomial:
     """Dense univariate polynomial sum_n a_n x^n in the monomial basis."""
 
-    __slots__ = ("coeffs",)
+    # _norm holds sup_norm on [-1, 1] once computed; == and hash read coeffs only
+    __slots__ = ("coeffs", "_norm")
 
     def __init__(self, coeffs: Iterable[complex]):
         object.__setattr__(self, "coeffs", _trim(coeffs))
@@ -170,7 +173,7 @@ class Polynomial:
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls([1.0])
+        return _shared_polynomial("x", 0)
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex], scale: complex = 1.0) -> "Polynomial":
@@ -262,9 +265,18 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> float:
 def sup_norm(p, a: float = -1.0, b: float = 1.0) -> float:
     """max |p(x)| over [a, b], resolved to about 1e-8 relative accuracy.
 
-    Scans max(1000, 20*(degree+1)) Chebyshev nodes plus both endpoints, then
-    refines every interior local maximum with golden-section search.
+    Scans max(400, 12*(degree+1)) Chebyshev nodes plus both endpoints, then
+    refines every interior local maximum with golden-section search.  A
+    Polynomial's [-1, 1] norm is scanned once, on first request, then read back.
     """
+    if (a, b) != (-1.0, 1.0) or not isinstance(p, Polynomial):
+        return _scan_sup_norm(p, a, b)
+    if not hasattr(p, "_norm"):
+        object.__setattr__(p, "_norm", _scan_sup_norm(p, a, b))
+    return p._norm
+
+
+def _scan_sup_norm(p, a: float, b: float) -> float:
     if b <= a:
         raise InputError("empty interval")
     deg = p.degree
@@ -303,7 +315,16 @@ def chebyshev_polynomial(n: int) -> Polynomial:
     """T_n in the monomial basis (exact integer coefficients for n <= 50)."""
     if n < 0:
         raise InputError("order must be non-negative")
-    return from_chebyshev(ChebyshevSeries([0.0] * n + [1.0]))
+    return _shared_polynomial("T", n)
+
+
+@functools.lru_cache(maxsize=256)
+def _shared_polynomial(kind: str, m: int, n: int = 0) -> Polynomial:
+    """The one shared T_m (times T_n when n > 0) or x^m: built and norm-scanned once."""
+    if kind == "x":
+        return Polynomial([0] * m + [1.0])
+    t_m = from_chebyshev(ChebyshevSeries([0.0] * m + [1.0]))
+    return t_m * _shared_polynomial("T", n) if n else t_m
 
 
 def split_constituents(p: Polynomial, k: int) -> tuple[Polynomial, Polynomial]:

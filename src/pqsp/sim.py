@@ -561,9 +561,10 @@ def parallel_qsp_run(
     """Joint-outcome estimate of z = tr(rho^k * prod_j |P_j(rho)|^2).
 
     Every factor must already have sup norm at most 1 (rescale the plan
-    first); each shot lands in one of three categories, success with control
-    0 (+1), success with control 1 (-1), or a failed post-selection (0), and
-    the category mean estimates z without conditioning on success.
+    first; every call checks, reading each factor's memoized norm).  Each
+    shot lands in one of three categories, success with control 0 (+1),
+    success with control 1 (-1), or a failed post-selection (0), and the
+    category mean estimates z without conditioning on success.
     """
     k = len(factors)
     if k < 1:

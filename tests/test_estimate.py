@@ -176,6 +176,14 @@ class TestEstimateDirect:
         with pytest.raises(InputError, match="integer shot"):
             estimate_direct(Polynomial([0, 0, 0, 0, 1]), rho_34, 2, mode="sampled")
 
+    @pytest.mark.parametrize("shots", [1, 0, -3])
+    def test_budget_below_stage_count_rejected(self, rho_34, shots):
+        # a low and a high stage
+        p = Polynomial([0.1, -0.2, 0.3, 0, 0.2])
+        with pytest.raises(InputError, match=f"budget {shots} is below the stage count 2"):
+            estimate_direct(p, rho_34, 2, shots=shots, mode="sampled")
+        assert estimate_direct(p, rho_34, 2, shots=2, mode="sampled").shots_used == 2
+
     def test_sampled_within_error_bars(self, rho_34):
         p = Polynomial([0.25 / 2.25, -1 / 2.25, 1 / 2.25])
         exact = estimate_direct(p, rho_34, 2).value
@@ -243,6 +251,17 @@ class TestEstimateChebyshev:
     def test_norm_cap(self, rho_34):
         with pytest.raises(InputError, match="rescale"):
             estimate_chebyshev(Polynomial([0, 0, 2]), rho_34, 2)
+
+    def test_budget_below_stage_count_rejected(self, rho_34):
+        # k = 3: an even and an odd part, each with a low and a high share
+        p = Polynomial([0.1, -0.2, 0.3, 0, 0.2])
+        with pytest.raises(InputError, match="budget 3 is below the stage count 4"):
+            estimate_chebyshev(p, rho_34, 3, shots=3, mode="sampled")
+        assert estimate_chebyshev(p, rho_34, 3, shots=4, mode="sampled").shots_used == 4
+
+    def test_low_branch_shares_maximally_mixed_state(self, rho_34):
+        assert estimate._maximally_mixed(2) is estimate._maximally_mixed(2)
+        assert np.array_equal(estimate._maximally_mixed(3).matrix, np.eye(3) / 3)
 
 
 class TestRenyiInteger:

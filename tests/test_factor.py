@@ -213,6 +213,12 @@ class TestChebyshevTerms:
             assert len(factors) == 2
             assert all(sup_norm(f) <= 1 + 1e-9 for f in factors)
 
+    def test_repeated_terms_share_factor_instances(self):
+        terms = chebyshev_parallel_terms(chebyshev_polynomial(10), 2, 12).terms
+        first = [term_factor_polynomials(t, 2) for t in terms]
+        again = [term_factor_polynomials(t, 2) for t in terms]
+        assert all(x is y for fa, fb in zip(first, again) for x, y in zip(fa, fb))
+
     def test_one_norm_matches_terms(self):
         terms = chebyshev_parallel_terms(chebyshev_polynomial(6), 2, 8)
         assert terms.one_norm == pytest.approx(

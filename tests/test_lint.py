@@ -82,6 +82,30 @@ def _seed_and_sampler(source: str) -> list[str]:
     return found
 
 
+def _unbounded_caches(source: str) -> list[str]:
+    """functools caches that can grow for the life of the process.
+
+    `cache`, a bare `lru_cache` and an `lru_cache` whose maxsize is not an
+    integer literal are flagged, whether used as decorators or called.
+    """
+    tree = ast.parse(source)
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            sizes = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "maxsize"]
+            if sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int:
+                bounded.add(id(node.func))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            name = node.attr if node.value.id == "functools" else None
+        else:
+            name = node.id if isinstance(node, ast.Name) else None
+        if name in ("cache", "lru_cache") and (name == "cache" or id(node) not in bounded):
+            found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
 def test_scan_flags_unused_import():
     src = "from typing import Sequence, Literal\nimport math\nx: Literal[1] = math.pi\n"
     assert _unused_imports(src) == ["Sequence (line 1)"]
@@ -128,3 +152,32 @@ def test_scan_flags_seed_and_sampler():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_takes_seed_and_sampler(path):
     assert _seed_and_sampler(path.read_text()) == []
+
+
+def test_scan_flags_unbounded_caches():
+    src = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.lru_cache(maxsize=64)\ndef ok(n): ...\n"
+        "@functools.cache\ndef grows(n): ...\n"
+        "@lru_cache\ndef bare(n): ...\n"
+        "@functools.lru_cache(maxsize=None)\ndef unbounded(n): ...\n"
+        "wrapped = functools.lru_cache(16)(len)\n"
+        "@cache\ndef plain(n): ...\n"
+    )
+    assert _unbounded_caches(src) == [
+        "cache (line 5)", "lru_cache (line 7)", "lru_cache (line 9)", "cache (line 12)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unbounded_caches(path):
+    assert _unbounded_caches(path.read_text()) == []
+
+
+def test_cache_scan_fails_a_copy_with_functools_cache():
+    path = SRC / "poly.py"
+    source = path.read_text()
+    assert "@functools.lru_cache(maxsize=" in source
+    mutated = source.replace("@functools.lru_cache(maxsize=256)", "@functools.cache", 1)
+    assert mutated != source
+    assert len(_unbounded_caches(mutated)) == 1

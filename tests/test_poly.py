@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pqsp import poly
 from pqsp import (
     ChebyshevSeries,
     InputError,
@@ -94,6 +95,58 @@ class TestSupNorm:
 
     def test_subinterval(self):
         assert sup_norm(Polynomial([0, 1]), 0.2, 0.5) == pytest.approx(0.5, abs=1e-9)
+
+
+class TestNormMemo:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        seen = []
+        scan = poly._scan_sup_norm
+
+        def counting(p, a, b):
+            seen.append((p, a, b))
+            return scan(p, a, b)
+
+        monkeypatch.setattr(poly, "_scan_sup_norm", counting)
+        return seen
+
+    def test_unit_interval_scanned_once(self, scans):
+        p = Polynomial([0.1, -0.7, 0.2])
+        first = sup_norm(p)
+        assert [sup_norm(p) for _ in range(3)] == [first] * 3
+        assert scans == [(p, -1.0, 1.0)]
+
+    def test_other_interval_scans_every_time(self, scans):
+        p = Polynomial([0, 1])
+        sup_norm(p, 0.2, 0.5)
+        sup_norm(p, 0.2, 0.5)
+        assert len(scans) == 2
+
+    def test_slot_not_settable_from_outside(self):
+        p = Polynomial([0, 1])
+        with pytest.raises(AttributeError):
+            p._norm = 0.5
+        sup_norm(p)
+        with pytest.raises(AttributeError):
+            p._norm = 0.5
+        assert sup_norm(p) == pytest.approx(1.0, abs=1e-12)
+
+    def test_memoized_norm_leaves_equality_and_hash(self):
+        p = Polynomial([0.3, 0, -0.6])
+        sup_norm(p)
+        fresh = Polynomial([0.3, 0, -0.6])
+        assert p == fresh and hash(p) == hash(fresh)
+        assert {p: 1}[fresh] == 1
+
+    def test_subinterval_does_not_fill_the_memo(self):
+        p = Polynomial([0, 1])
+        assert sup_norm(p, 0.0, 0.5) == pytest.approx(0.5, abs=1e-9)
+        assert sup_norm(p) == pytest.approx(1.0, abs=1e-9)
+
+    def test_builders_share_instances(self):
+        assert chebyshev_polynomial(7) is chebyshev_polynomial(7)
+        assert Polynomial.one() is Polynomial.one()
+        assert Polynomial.one() == Polynomial([1.0])
 
 
 @given(coeff_lists)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pqsp import poly
 from pqsp import (
     DensityMatrix,
     Estimate,
@@ -284,6 +285,26 @@ class TestParallelRun:
     def test_unnormalized_factor_rejected(self, rho_34):
         with pytest.raises(InputError, match="rescale"):
             parallel_qsp_run([Polynomial([0, 2.0])], rho_34)
+
+    def test_factor_norms_scanned_once_per_factor(self, rho_34, monkeypatch):
+        scanned = []
+        scan = poly._scan_sup_norm
+
+        def counting(p, a, b):
+            scanned.append(p)
+            return scan(p, a, b)
+
+        monkeypatch.setattr(poly, "_scan_sup_norm", counting)
+        a, b = Polynomial([0, 0.5]), Polynomial([0.3, 0, 0.4])
+        values = {parallel_qsp_run([a, b, a], rho_34).value for _ in range(4)}
+        assert len(values) == 1
+        assert len(scanned) == 2 and scanned[0] is a and scanned[1] is b
+
+    def test_norm_check_repeats_on_every_call(self, rho_34):
+        big = Polynomial([0, 0, 1.5])
+        for _ in range(2):
+            with pytest.raises(InputError, match="factor 1 has sup norm above 1"):
+                parallel_qsp_run([Polynomial([0, 1]), big], rho_34)
 
     def test_post_selection_failure(self):
         # (x - 1)/2 annihilates the only populated eigenvalue
