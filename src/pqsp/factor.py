@@ -479,7 +479,8 @@ def term_factor_polynomials(term: ParallelTerm, k: int) -> list[Polynomial]:
     take T_a.  Remaining slots hold the constant 1.  Every slot is a shared
     instance, so repeated terms reuse their factors and the factors' norms.
     """
-    Ta, Tb = chebyshev_polynomial(term.a), chebyshev_polynomial(term.b)
+    Ta = chebyshev_polynomial(term.a)
+    Tb = chebyshev_polynomial(term.b)
     if term.l == 1:
         TaTb = _shared_polynomial("T", term.a, term.b)
         base = [Tb] if term.j == 0 else [TaTb] + [Ta] * (term.j - 1)
