@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 failed validation suite, 2 invalid input,
 from __future__ import annotations
 
 import csv as csv_module
+import dataclasses
 import functools
 import json
 import math
@@ -45,6 +46,7 @@ from .poly import (
     Polynomial,
     constituent_norm_bounds,
     polynomial_from_dict,
+    split_constituents,
     sup_norm,
 )
 from .qsp import find_phases, realized_value
@@ -253,7 +255,7 @@ def estimate(
     click.echo(f"depth: {report.query_depth}  width: {report.width}")
     click.echo(f"shots: used {report.shots_used}, predicted {report.predicted_shots}")
 
-    snapshot = cfg.model_dump()
+    snapshot = dataclasses.asdict(cfg)
     record = RunRecord(
         config=snapshot,
         report=report_dict,
@@ -383,8 +385,6 @@ def _suite_modes(trials, seed, inject_fault):
 
 
 def _suite_bounds(trials, seed, inject_fault):
-    from .poly import split_constituents
-
     checks = []
     rng = np.random.default_rng(seed)
     for t in range(trials):

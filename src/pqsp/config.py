@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Literal, Optional, Union
-
-from pydantic import BaseModel, ConfigDict, Field, field_validator, model_validator
+import numbers
+from dataclasses import asdict, dataclass, fields
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 from .errors import InputError
 from .sim import DensityMatrix
@@ -23,45 +23,71 @@ __all__ = ["ExperimentConfig", "RunRecord", "resolve_state", "config_hash"]
 PropertyName = Literal["trace", "renyi", "von-neumann", "partition"]
 
 
-class ExperimentConfig(BaseModel):
-    """One estimation task: what to measure, on which state, at what budget."""
+def _conform(name: str, value, hint):
+    """value as its annotated type; numbers are coerced, nothing else is."""
+    kinds = get_args(hint) if get_origin(hint) is Union else (hint,)
+    for kind in kinds:
+        if get_origin(kind) is Literal:
+            if value in get_args(kind):
+                return value
+        elif kind is float and isinstance(value, numbers.Real):
+            return float(value)
+        elif kind is int and isinstance(value, numbers.Integral):
+            return int(value)
+        elif isinstance(value, kind):
+            return value
+    allowed = [
+        " or ".join(map(repr, get_args(k))) if get_origin(k) is Literal
+        else "None" if k is type(None) else k.__name__
+        for k in kinds
+    ]
+    raise InputError(f"{name} must be {' or '.join(allowed)}, got {value!r}")
 
-    model_config = ConfigDict(extra="forbid")
+
+def _conform_fields(obj) -> None:
+    hints = get_type_hints(type(obj))
+    for f in fields(obj):
+        setattr(obj, f.name, _conform(f.name, getattr(obj, f.name), hints[f.name]))
+
+
+@dataclass
+class ExperimentConfig:
+    """One estimation task: what to measure, on which state, at what budget."""
 
     property: PropertyName
     state: str
     poly: Optional[str] = None
     alpha: Optional[float] = None
     beta: Optional[float] = None
-    k: int = Field(default=1, ge=1)
-    epsilon: float = Field(default=0.05, gt=0.0)
+    k: int = 1
+    epsilon: float = 0.05
     shots: Union[int, Literal["auto"], None] = None
     mode: Literal["exact", "sampled"] = "exact"
     seed: Optional[int] = None
     delta: Union[float, Literal["auto"]] = "auto"
-    rank: Optional[int] = Field(default=None, ge=1)
+    rank: Optional[int] = None
     log2: bool = False
     out: Optional[str] = None
     csv: Optional[str] = None
 
-    @field_validator("shots")
-    @classmethod
-    def _positive_shots(cls, v):
-        if isinstance(v, int) and v < 1:
-            raise ValueError(f"shots must be positive, got {v}")
-        return v
-
-    @model_validator(mode="after")
-    def _property_fields(self) -> "ExperimentConfig":
+    def __post_init__(self):
+        _conform_fields(self)
+        if self.k < 1:
+            raise InputError(f"k must be >= 1, got {self.k}")
+        if not self.epsilon > 0.0:
+            raise InputError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.rank is not None and self.rank < 1:
+            raise InputError(f"rank must be >= 1, got {self.rank}")
+        if isinstance(self.shots, int) and self.shots < 1:
+            raise InputError(f"shots must be positive, got {self.shots}")
         if self.property == "trace" and not self.poly:
-            raise ValueError("property 'trace' needs --poly with the target polynomial")
+            raise InputError("property 'trace' needs --poly with the target polynomial")
         if self.property == "renyi" and self.alpha is None:
-            raise ValueError("property 'renyi' needs --alpha")
+            raise InputError("property 'renyi' needs --alpha")
         if self.property == "partition" and self.beta is None:
-            raise ValueError("property 'partition' needs --beta")
+            raise InputError("property 'partition' needs --beta")
         if self.mode == "sampled" and self.shots is None:
-            raise ValueError("sampled mode needs --shots or --auto-shots")
-        return self
+            raise InputError("sampled mode needs --shots or --auto-shots")
 
 
 def resolve_state(spec: str) -> DensityMatrix:
@@ -97,10 +123,9 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-class RunRecord(BaseModel):
+@dataclass
+class RunRecord:
     """Config snapshot plus report; the replayable unit of an experiment."""
-
-    model_config = ConfigDict(extra="forbid")
 
     config: dict
     report: dict
@@ -108,12 +133,20 @@ class RunRecord(BaseModel):
     version: str
     input_hash: str
 
+    def __post_init__(self):
+        _conform_fields(self)
+
     def to_json(self) -> str:
-        return json.dumps(self.model_dump(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
-        return cls.model_validate(json.loads(text))
+        """Parse a record file; unknown, missing or wrong-typed fields raise InputError."""
+        obj = json.loads(text)
+        names, got = {f.name for f in fields(cls)}, set(obj) if isinstance(obj, dict) else set()
+        if got != names:
+            raise InputError(f"RunRecord: missing {sorted(names - got)}, unknown {sorted(got - names)}")
+        return cls(**obj)
 
     def replay_equal(self, other: "RunRecord") -> bool:
         """Equality up to wall clock: same config, hash, and report."""

@@ -11,6 +11,9 @@ the off-diagonal entry is i*Q(x)*sqrt(1-x^2) with deg(Q) <= d-1, and
 out of the sequence are supported: "wx_00" designates <0|U|0> = P and
 "wx_pp" designates <+|U|+> = Re(P) + i*Re(Q)*sqrt(1-x^2), whose real part is
 the quantity phase finding matches against a real target.
+
+scipy is imported on the first phase solve, not with this module, so code
+that never calls `find_phases` does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
-from scipy.optimize import least_squares
 
 from .errors import ConvergenceError, InputError
 from .poly import ChebyshevSeries, Parity, Polynomial, sup_norm
@@ -46,6 +48,14 @@ __all__ = [
     "designated_element",
     "realized_value",
 ]
+
+
+# A plain module function, not an import alias: perfbench's tracer wraps and rebinds it.
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first call."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 def _fold(phi: float) -> float:
@@ -237,7 +247,7 @@ def find_phases(target: Polynomial, tol: float = 1e-4) -> QspPhases:
     deterministic ladder of N_STARTS initial phase vectors (all zeros first,
     then seeded perturbations of growing size).  Returns as soon as one start
     reaches max error <= tol on the nodes; if none does, the failure carries
-    the best residual seen.
+    the best residual seen.  The first call imports scipy.
     """
     scale = max(1.0, max(abs(c) for c in target.coeffs))
     if target.max_imag() > 1e-10 * scale:
@@ -268,7 +278,7 @@ def find_phases(target: Polynomial, tol: float = 1e-4) -> QspPhases:
             x0 = rng.uniform(-0.25 * start, 0.25 * start, d + 1)
         try:
             res = least_squares(residual, x0, method="lm", max_nfev=MAX_ITER * (d + 2))
-        except Exception:
+        except ValueError:  # a start whose residuals are not finite
             continue
         err = float(np.max(np.abs(residual(res.x))))
         if err < best_err:

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from pydantic import ValidationError
 
 from pqsp import (
     ExperimentConfig,
@@ -255,7 +259,7 @@ class TestEstimateCommand:
         assert runner.invoke(main, args).exit_code == 0
         second = RunRecord.from_json(out.read_text())
         assert first.replay_equal(second)
-        a, b = first.model_dump(), second.model_dump()
+        a, b = dataclasses.asdict(first), dataclasses.asdict(second)
         a.pop("duration_s"), b.pop("duration_s")
         assert a == b
 
@@ -403,18 +407,45 @@ class TestCostCommand:
 
 class TestConfigPlumbing:
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(TypeError, match="shotz"):
             ExperimentConfig(property="renyi", state="pure:2", alpha=2.0, shotz=10)
 
     def test_trace_needs_poly(self):
-        with pytest.raises(ValidationError, match="poly"):
+        with pytest.raises(InputError, match="poly"):
             ExperimentConfig(property="trace", state="pure:2")
 
     def test_sampled_needs_shots(self):
-        with pytest.raises(ValidationError, match="shots"):
+        with pytest.raises(InputError, match="shots"):
             ExperimentConfig(
                 property="renyi", state="pure:2", alpha=2.0, mode="sampled"
             )
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda r: r.update(extra=1), "extra"),
+            (lambda r: r.pop("input_hash"), "input_hash"),
+            (lambda r: r.update(report="x"), "report"),
+        ],
+        ids=["unknown-key", "missing-key", "report-not-object"],
+    )
+    def test_run_record_file_rejected(self, edit, field):
+        record = {"config": {}, "report": {}, "duration_s": 0.5, "version": "0.1.0",
+                  "input_hash": config_hash({})}
+        assert RunRecord.from_json(json.dumps(record)).duration_s == 0.5
+        edit(record)
+        with pytest.raises(InputError, match=field):
+            RunRecord.from_json(json.dumps(record))
+
+    @pytest.mark.parametrize("field", ["k", "epsilon", "rank", "shots"])
+    def test_estimate_rejects_nonpositive(self, runner, field):
+        result = runner.invoke(
+            main,
+            ["estimate", "--property", "renyi", "--alpha", "2", "--state", "diag:0.75,0.25",
+             f"--{field}", "0"],
+        )
+        assert result.exit_code == 2
+        assert f"error: {field} must be" in result.stderr
 
     def test_resolve_generators(self):
         assert resolve_state("pure:3").dim == 3
@@ -441,3 +472,21 @@ class TestConfigPlumbing:
         b = config_hash({"y": [1, 2], "x": 1})
         assert a == b
         assert len(a) == 64
+
+
+def test_import_loads_neither_scipy_nor_pydantic():
+    """`import pqsp.cli` loads no scipy; the first phase solve does."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "import pqsp, pqsp.cli\n"
+        "print(sorted(m for m in ('scipy', 'pydantic') if m in sys.modules))\n"
+        "from pqsp import chebyshev_polynomial, find_phases\n"
+        "find_phases(chebyshev_polynomial(6) * 0.9)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]

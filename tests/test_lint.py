@@ -2,11 +2,13 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pqsp"
+PYPROJECT = SRC.parents[1] / "pyproject.toml"
 # __init__.py imports only to re-export.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -181,3 +183,63 @@ def test_cache_scan_fails_a_copy_with_functools_cache():
     assert swapped == 1
     line = mutated[: mutated.index("@functools.cache")].count("\n") + 1
     assert _unbounded_caches(mutated) == [f"cache (line {line})"]
+
+
+def _third_party_imports(source: str) -> set[str]:
+    """Top-level packages of the absolute, non-stdlib imports in a source.
+
+    Imports inside functions count: a deferred import is still a dependency.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names)
+
+
+def _dependency_mismatch(sources: dict[str, str], declared: set[str]) -> dict[str, list[str]]:
+    """Imported packages missing from the declared dependencies, and the reverse.
+
+    Each package here is imported under its distribution name.
+    """
+    imported = set().union(*(_third_party_imports(src) for src in sources.values()))
+    return {"unlisted": sorted(imported - declared), "unused": sorted(declared - imported)}
+
+
+def _declared_dependencies() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in project["dependencies"]}
+
+
+def test_scan_finds_deferred_third_party_imports():
+    src = (
+        "from __future__ import annotations\nimport os.path\nimport numpy.linalg as la\n"
+        "from . import poly\nfrom .errors import InputError\n"
+        "def f():\n    from scipy.optimize import least_squares\n    import json\n"
+    )
+    assert _third_party_imports(src) == {"numpy", "scipy"}
+
+
+def test_imports_match_declared_dependencies():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _dependency_mismatch(sources, _declared_dependencies()) == {
+        "unlisted": [], "unused": [],
+    }
+
+
+def test_dependency_scan_fails_a_copy_with_an_unlisted_import():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    sources["config.py"] += "\n\ndef _model():\n    import pydantic\n\n    return pydantic\n"
+    assert _dependency_mismatch(sources, _declared_dependencies()) == {
+        "unlisted": ["pydantic"], "unused": [],
+    }
+
+
+def test_dependency_scan_flags_a_leftover_declaration():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _dependency_mismatch(sources, _declared_dependencies() | {"pydantic"}) == {
+        "unlisted": [], "unused": ["pydantic"],
+    }

@@ -14,6 +14,7 @@ from pqsp import (
     chebyshev_polynomial,
     extract_polynomials,
     find_phases,
+    qsp,
     qsp_unitary,
     realized_value,
     validate_conditions,
@@ -149,6 +150,28 @@ class TestFindPhases:
     def test_degree_cap(self):
         with pytest.raises(InputError, match="degree cap"):
             find_phases(chebyshev_polynomial(42))
+
+    def test_solver_import_failure_propagates(self, monkeypatch):
+        def missing(*args, **kwargs):
+            raise ImportError("No module named 'scipy'")
+
+        monkeypatch.setattr(qsp, "least_squares", missing)
+        with pytest.raises(ImportError, match="scipy"):
+            find_phases(chebyshev_polynomial(6))
+
+    def test_rejected_start_moves_to_the_next(self, monkeypatch):
+        solve, calls = qsp.least_squares, []
+
+        def first_start_rejected(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 1:
+                raise ValueError("Residuals are not finite in the initial point.")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(qsp, "least_squares", first_start_rejected)
+        phases = find_phases(Polynomial([0, 1]))
+        assert len(calls) == 2 and np.any(calls[1] != 0.0)
+        assert abs(realized_value(phases, 0.3) - 0.3) <= 1e-4
 
 
 class TestChebyshevBlockValue:
