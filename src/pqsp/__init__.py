@@ -3,7 +3,6 @@ circuit, and estimate spectral properties with predicted shot budgets."""
 
 from .errors import ConvergenceError, InputError, NotNonNegativeError, PostSelectionError
 from .poly import (
-    ChebyshevSeries,
     Parity,
     Polynomial,
     chebyshev_coeff_1norm,
@@ -11,12 +10,9 @@ from .poly import (
     chebyshev_coefficient,
     chebyshev_polynomial,
     constituent_norm_bounds,
-    from_chebyshev,
     parity_split,
-    polynomial_from_dict,
     split_constituents,
     sup_norm,
-    to_chebyshev,
 )
 from .factor import (
     FactorizationPlan,
@@ -35,7 +31,6 @@ from .qsp import (
     QspConditionReport,
     QspPhases,
     QspUnitaryValue,
-    chebyshev_block_value,
     designated_element,
     extract_polynomials,
     find_phases,

@@ -45,7 +45,6 @@ from .factor import (
 from .poly import (
     Polynomial,
     constituent_norm_bounds,
-    polynomial_from_dict,
     split_constituents,
     sup_norm,
 )
@@ -86,7 +85,7 @@ def _mapped_errors(fn):
 def _load_poly(path: str) -> Polynomial:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    return polynomial_from_dict(obj)
+    return Polynomial.from_dict(obj)
 
 
 def _emit_json(obj: dict, out: str | None):
@@ -363,7 +362,7 @@ def _random_nonneg_poly(rng, k):
     """|q|^2 for a random complex q; simple roots keep factoring stable."""
     q = Polynomial(rng.normal(size=k + 1) + 1j * rng.normal(size=k + 1))
     q = q * (1.0 / max(sup_norm(q), 1e-12))
-    return q * Polynomial([c.conjugate() for c in q.coeffs])
+    return q * Polynomial.from_cheb([c.conjugate() for c in q.cheb])
 
 
 def _suite_modes(trials, seed, inject_fault):

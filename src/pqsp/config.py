@@ -141,8 +141,12 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
-        """Parse a record file; unknown, missing or wrong-typed fields raise InputError."""
-        obj = json.loads(text)
+        """Parse a record file; malformed JSON and unknown, missing or wrong-typed
+        fields raise InputError."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"RunRecord: malformed JSON: {exc}") from exc
         names, got = {f.name for f in fields(cls)}, set(obj) if isinstance(obj, dict) else set()
         if got != names:
             raise InputError(f"RunRecord: missing {sorted(names - got)}, unknown {sorted(got - names)}")

@@ -800,16 +800,7 @@ def _fit_odd_approximant(
     best_res, best = math.inf, None
     d = 1
     while d <= MAX_APPROXIMANT_DEGREE:
-        n_nodes = 4 * (d + 1)
-        theta = (np.arange(n_nodes) + 0.5) * math.pi / n_nodes
-        nodes = (1.0 + delta) / 2.0 + (1.0 - delta) / 2.0 * np.cos(theta)
-        vander = npcheb.chebvander(nodes, d)[:, 1::2]
-        coef, *_ = np.linalg.lstsq(vander, f(nodes), rcond=None)
-        full = np.zeros(d + 1)
-        full[1::2] = coef
-        poly = Polynomial(npcheb.cheb2poly(full))
-        grid = np.linspace(delta, 1.0, max(10 * d, 50))
-        err = float(np.max(np.abs(np.real(poly(grid)) - f(grid))))
+        poly, err = _odd_fit(f, delta, d)
         if err <= eps_prime:
             return poly, d, err
         if err < best_res:
@@ -820,6 +811,27 @@ def _fit_odd_approximant(
         f"(best {best_res:.3e} at degree {best})",
         best_residual=best_res,
     )
+
+
+def _odd_fit(
+    f: Callable[[np.ndarray], np.ndarray], delta: float, d: int
+) -> tuple[Polynomial, float]:
+    """The degree-d fit and its sup error on the uniform grid.
+
+    A frame of its own, so that the ConvergenceError of a failed search does
+    not keep the last fit's arrays alive (640 KB of Vandermonde matrix at
+    degree 199) for as long as a caller keeps the error.
+    """
+    n_nodes = 4 * (d + 1)
+    theta = (np.arange(n_nodes) + 0.5) * math.pi / n_nodes
+    nodes = (1.0 + delta) / 2.0 + (1.0 - delta) / 2.0 * np.cos(theta)
+    vander = npcheb.chebvander(nodes, d)[:, 1::2]
+    coef, *_ = np.linalg.lstsq(vander, f(nodes), rcond=None)
+    full = np.zeros(d + 1)
+    full[1::2] = coef
+    poly = Polynomial.from_cheb(full)
+    grid = np.linspace(delta, 1.0, max(10 * d, 50))
+    return poly, float(np.max(np.abs(np.real(poly(grid)) - f(grid))))
 
 
 def _resolve_delta(

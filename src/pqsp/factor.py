@@ -42,7 +42,6 @@ from .poly import (
     chebyshev_coefficient,
     chebyshev_polynomial,
     sup_norm,
-    to_chebyshev,
 )
 
 # Points on [-1, 1] at which verify_factorization compares the product of
@@ -150,11 +149,15 @@ def _cluster_roots(raw: np.ndarray, tol: float) -> list[tuple[complex, int]]:
     return [(sum(ms) / len(ms), len(ms)) for ms in clusters]
 
 
-def _newton_polish(p: Polynomial, z: complex, mult: int) -> complex:
-    dp = p.derivative()
+def _newton_polish(mono: tuple[complex, ...], z: complex, mult: int) -> complex:
+    """Multiplicity-aware Newton steps, p and p' by Horner's rule on the
+    monomial coefficients that the companion eigenproblem also reads."""
+    z = complex(z)
     for _ in range(60):
-        pz = p(z)
-        dz = dp(z)
+        pz = dz = 0j
+        for c in reversed(mono):
+            dz = dz * z + pz
+            pz = pz * z + c
         if abs(dz) < 1e-300:
             break
         step = mult * pz / dz
@@ -177,15 +180,16 @@ def find_roots(p: Polynomial) -> RootSet:
     """
     if p.degree < 1:
         raise InputError("constant polynomial has no roots to find")
-    lead = p.coeffs[-1]
+    mono = p.coeffs
+    lead = mono[-1]
     if abs(lead) <= 1e-12:
         raise InputError("leading coefficient vanishes")
-    raw = np.roots(np.array(p.coeffs[::-1], dtype=complex))
+    raw = np.roots(np.array(mono[::-1], dtype=complex))
     clusters = _cluster_roots(raw, tol=1e-7)
-    polished = [(_newton_polish(p, z, m), m) for z, m in clusters]
+    polished = [(_newton_polish(mono, z, m), m) for z, m in clusters]
 
     def backward_error(z: complex) -> float:
-        scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(p.coeffs))
+        scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(mono))
         return abs(p(z)) / max(scale, 1e-300)
 
     worst = max(backward_error(z) for z, _ in polished)
@@ -227,7 +231,7 @@ def _half_root_multiset(R: Polynomial, rs: RootSet) -> list[complex]:
                 f"not non-negative on the real line: odd-multiplicity real root near x={r1:.6g}"
             )
         merged = (m1 * r1 + m2 * r2) / (m1 + m2)
-        merged = _newton_polish(R, complex(merged), m1 + m2).real
+        merged = _newton_polish(R.coeffs, merged, m1 + m2).real
         half.extend([complex(merged)] * ((m1 + m2) // 2))
     if len(odd) % 2:
         r, _ = odd[-1]
@@ -285,12 +289,13 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
             "non-negative sources factor into squared moduli, and estimate_chebyshev "
             "takes any bounded polynomial"
         )
-    C = R.coeffs[-1].real
+    # the leading monomial coefficient: T_d = 2^(d-1) x^d + lower powers
+    C = R.cheb[-1].real * 2.0 ** max(d - 1, 0)
     if C <= 0:
         raise NotNonNegativeError(
             "leading coefficient must be positive for a non-negative source"
         )
-    if R.max_imag() > 1e-12 * max(1.0, max(abs(c) for c in R.coeffs)):
+    if R.max_imag() > 1e-12 * max(1.0, max(abs(c) for c in R.cheb)):
         raise InputError("factorization requires real coefficients")
 
     if d == 0:
@@ -317,7 +322,7 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
 
 
 def factorization_constant(plan: FactorizationPlan) -> float:
-    """K = prod_j sup_norm(R_j, -1, 1), recomputed from the factors."""
+    """K = prod_j sup_norm(R_j), recomputed from the factors."""
     return float(np.prod([sup_norm(f) for f in plan.factors]))
 
 
@@ -331,10 +336,7 @@ def rescale_factors(plan: FactorizationPlan) -> FactorizationPlan:
     for j, n in enumerate(plan.factor_norms):
         if not (n > 0.0) or not math.isfinite(n):
             raise InputError(f"factor {j} has degenerate norm {n!r}; cannot rescale")
-    factors = tuple(
-        Polynomial([c / n for c in f.coeffs])
-        for f, n in zip(plan.factors, plan.factor_norms)
-    )
+    factors = tuple(f / n for f, n in zip(plan.factors, plan.factor_norms))
     norms = tuple(sup_norm(f) for f in factors)
     return FactorizationPlan(
         factors=factors,
@@ -425,15 +427,14 @@ def chebyshev_parallel_terms(p_high: Polynomial, k: int, d: int) -> ParallelTerm
             f"thread count parity must match the degree: k={k}, d={d}, "
             f"tail degree {p_high.degree}"
         )
-    if p_high.max_imag() > 1e-12 * max(1.0, max(abs(c) for c in p_high.coeffs)):
+    if p_high.max_imag() > 1e-12 * max(1.0, max(abs(c) for c in p_high.cheb)):
         raise InputError("expected real coefficients")
     if p_high.parity is not Parity.EVEN:
         raise InputError("tail polynomial must have even parity")
 
-    series = to_chebyshev(p_high)
     # work[j] holds the running coefficient of T_{2j}; j = a*k + b
     work: dict[int, float] = {}
-    for idx, c in enumerate(series.coeffs):
+    for idx, c in enumerate(p_high.cheb):
         if idx % 2 == 0 and abs(c) > 0.0:
             work[idx // 2] = c.real
     a_max = (d - k) // (2 * k)

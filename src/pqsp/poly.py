@@ -1,15 +1,24 @@
-"""Polynomials in monomial and Chebyshev bases.
+"""Polynomials held as Chebyshev series.
 
 Everything downstream (factorization, block-encoded simulation, property
-estimation) moves polynomials through this module.  Coefficients are complex
-and stored lowest power first; trailing coefficients at or below 1e-12 in
-magnitude are trimmed on construction so that ``degree`` is always the index
-of the last coefficient that actually matters.
+estimation) moves polynomials through this module.  A Polynomial stores the
+complex coefficients c_n of sum_n c_n T_n(x), lowest order first.  Arithmetic,
+evaluation (Clenshaw's recurrence), the constituent and parity splits and the
+sup norm all stay in that basis, which keeps its precision at the degrees the
+entropy approximants need: a degree-79 approximant has Chebyshev coefficients
+below 0.25 and monomial ones up to 1e26.
 
-Sup norms on an interval are computed by a Chebyshev-node scan followed by
-golden-section refinement of every local maximum, which is cheap and reliable
-for the degree range (<= 200) this package targets.  A polynomial's [-1, 1]
-norm is scanned once and kept on it; layout builders share their instances.
+``Polynomial(coeffs)`` takes monomial coefficients, the form JSON files and
+callers write by hand, and ``coeffs`` gives that monomial view back; basis
+changes happen in this module only.  Trailing coefficients at or below 1e-12
+in magnitude are trimmed in the basis they are given in, so ``degree`` is
+always the index of the last coefficient that actually matters.
+
+The [-1, 1] sup norm comes from the colleague matrix (Trefethen, Approximation
+Theory and Approximation Practice, chs. 18-19): |p| is evaluated at both ends
+and at the real roots of the derivative of |p|^2.  It is computed once per
+polynomial and kept on it, scalar multiples carry it along, and layout
+builders share their instances.
 """
 
 from __future__ import annotations
@@ -17,11 +26,10 @@ from __future__ import annotations
 import functools
 import math
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
-from numpy.polynomial import polynomial as nppoly
 
 from .errors import InputError
 
@@ -31,10 +39,7 @@ __all__ = [
     "TRIM_TOL",
     "Parity",
     "Polynomial",
-    "ChebyshevSeries",
     "sup_norm",
-    "to_chebyshev",
-    "from_chebyshev",
     "split_constituents",
     "parity_split",
     "chebyshev_coefficient",
@@ -42,7 +47,6 @@ __all__ = [
     "chebyshev_coeff_1norm",
     "constituent_norm_bounds",
     "chebyshev_polynomial",
-    "polynomial_from_dict",
 ]
 
 
@@ -51,8 +55,10 @@ class Parity(Enum):
 
     A polynomial is tagged ``EVEN`` when every odd-index coefficient is at
     most 1e-12 in magnitude, ``ODD`` symmetrically, and ``INDEFINITE`` when
-    both index classes carry weight.  The zero polynomial is tagged ``EVEN``
-    by convention; validators that accept either parity treat it specially.
+    both index classes carry weight.  T_n has the parity of n, so the tag of
+    the Chebyshev coefficients is the parity of the function.  The zero
+    polynomial is tagged ``EVEN`` by convention; validators that accept
+    either parity treat it specially.
     """
 
     EVEN = "even"
@@ -79,10 +85,6 @@ def _trim(coeffs: Iterable[complex]) -> tuple[complex, ...]:
     return tuple(cs)
 
 
-def _coeff_pairs(coeffs: Sequence[complex]) -> list[list[float]]:
-    return [[float(c.real), float(c.imag)] for c in coeffs]
-
-
 def _parse_pairs(items) -> list[complex]:
     out = []
     for item in items:
@@ -95,77 +97,99 @@ def _parse_pairs(items) -> list[complex]:
 
 
 class Polynomial:
-    """Dense univariate polynomial sum_n a_n x^n in the monomial basis."""
+    """Dense univariate polynomial sum_n c_n T_n(x) in the Chebyshev basis."""
 
-    # _norm holds sup_norm on [-1, 1] once computed; == and hash read coeffs only
-    __slots__ = ("coeffs", "_norm")
+    # cheb holds the coefficients; _mono (the monomial view) and _norm (the
+    # sup norm on [-1, 1]) are filled once, on first request; == and hash
+    # read cheb only
+    __slots__ = ("cheb", "_mono", "_norm")
 
     def __init__(self, coeffs: Iterable[complex]):
-        object.__setattr__(self, "coeffs", _trim(coeffs))
+        """The polynomial sum_n coeffs[n] x^n, from monomial coefficients."""
+        mono = _trim(coeffs)
+        object.__setattr__(self, "_mono", mono)
+        object.__setattr__(self, "cheb", tuple(complex(c) for c in npcheb.poly2cheb(mono)))
+
+    @classmethod
+    def from_cheb(cls, coeffs: Iterable[complex]) -> "Polynomial":
+        """The polynomial sum_n coeffs[n] T_n(x)."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "cheb", _trim(coeffs))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @property
+    def coeffs(self) -> tuple[complex, ...]:
+        """Monomial coefficients, lowest power first: as given, or converted once."""
+        if not hasattr(self, "_mono"):
+            mono = tuple(complex(c) for c in npcheb.cheb2poly(self.cheb))
+            object.__setattr__(self, "_mono", mono)
+        return self._mono
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.cheb) - 1
 
     @property
     def parity(self) -> Parity:
-        return Parity.of(self.coeffs)
+        return Parity.of(self.cheb)
 
     def is_zero(self) -> bool:
-        return all(abs(c) <= TRIM_TOL for c in self.coeffs)
+        return all(abs(c) <= TRIM_TOL for c in self.cheb)
 
     def max_imag(self) -> float:
-        return max(abs(c.imag) for c in self.coeffs)
+        return max(abs(c.imag) for c in self.cheb)
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; accepts scalars or numpy arrays."""
-        if isinstance(x, (int, float, complex)):
-            acc = 0j
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        acc = np.zeros_like(np.asarray(x, dtype=complex))
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        if np.asarray(x).ndim == 0:
-            return complex(acc)
-        return acc
+        """Evaluate by Clenshaw's recurrence (as chebval does); scalars or arrays."""
+        c = self.cheb
+        scalar = isinstance(x, (int, float, complex))
+        x = complex(x) if scalar else np.asarray(x)
+        c0, c1 = (c[0], 0j) if len(c) == 1 else (c[-2], c[-1])
+        x2 = 2 * x
+        for ck in c[-3::-1]:
+            c0, c1 = ck - c1, c0 + c1 * x2
+        val = c0 + c1 * x
+        return complex(val) if scalar or val.ndim == 0 else val
 
     def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial([0])
-        return Polynomial([n * c for n, c in enumerate(self.coeffs)][1:])
+        return Polynomial.from_cheb(npcheb.chebder(self.cheb))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = list(self.coeffs), list(other.coeffs)
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial([ca + (b[i] if i < len(b) else 0) for i, ca in enumerate(a)])
+        return Polynomial.from_cheb(npcheb.chebadd(self.cheb, other.cheb))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (other * -1)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return Polynomial(nppoly.polymul(np.array(self.coeffs), np.array(other.coeffs)))
-        return Polynomial([c * other for c in self.coeffs])
+            return Polynomial.from_cheb(npcheb.chebmul(self.cheb, other.cheb))
+        scaled = Polynomial.from_cheb([c * other for c in self.cheb])
+        if hasattr(self, "_norm"):  # a known norm scales with the polynomial
+            object.__setattr__(scaled, "_norm", abs(other) * self._norm)
+        return scaled
 
     __rmul__ = __mul__
+
+    def __truediv__(self, s: complex) -> "Polynomial":
+        scaled = Polynomial.from_cheb([c / s for c in self.cheb])
+        if hasattr(self, "_norm"):
+            object.__setattr__(scaled, "_norm", self._norm / abs(s))
+        return scaled
 
     def __neg__(self) -> "Polynomial":
         return self * -1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return isinstance(other, Polynomial) and self.cheb == other.cheb
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.cheb)
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
+        return f"Polynomial.from_cheb({list(self.cheb)!r})"
 
     @classmethod
     def monomial(cls, n: int, coeff: complex = 1.0) -> "Polynomial":
@@ -177,142 +201,47 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex], scale: complex = 1.0) -> "Polynomial":
-        return cls(np.atleast_1d(nppoly.polyfromroots(np.array(roots, dtype=complex))) * scale)
+        return cls.from_cheb(npcheb.chebfromroots(np.array(roots, dtype=complex)) * scale)
 
     def to_dict(self) -> dict:
-        return {"basis": "monomial", "coeffs": _coeff_pairs(self.coeffs)}
+        return {"basis": "monomial", "coeffs": [[c.real, c.imag] for c in self.coeffs]}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Polynomial":
-        if obj.get("basis", "monomial") != "monomial":
-            raise InputError("expected monomial basis; use polynomial_from_dict for mixed input")
-        return cls(_parse_pairs(obj["coeffs"]))
+        """Parse the JSON form, whose coefficients are in either basis."""
+        basis = obj.get("basis", "monomial")
+        if basis not in ("monomial", "chebyshev"):
+            raise InputError(f"unknown basis {basis!r}")
+        coeffs = _parse_pairs(obj["coeffs"])
+        return cls(coeffs) if basis == "monomial" else cls.from_cheb(coeffs)
 
 
-class ChebyshevSeries:
-    """Polynomial expressed as sum_n c_n T_n(x) over Chebyshev polynomials."""
+def sup_norm(p: Polynomial) -> float:
+    """max |p(x)| over [-1, 1], computed on first request and kept on p.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[complex]):
-        object.__setattr__(self, "coeffs", _trim(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChebyshevSeries is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        val = npcheb.chebval(x, np.array(self.coeffs))
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return complex(val)
-        return val
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChebyshevSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("cheb", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"ChebyshevSeries({list(self.coeffs)!r})"
-
-    def to_dict(self) -> dict:
-        return {"basis": "chebyshev", "coeffs": _coeff_pairs(self.coeffs)}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ChebyshevSeries":
-        if obj.get("basis") != "chebyshev":
-            raise InputError("expected chebyshev basis")
-        return cls(_parse_pairs(obj["coeffs"]))
-
-
-def polynomial_from_dict(obj: dict) -> Polynomial:
-    """Parse either basis from its JSON form and return a monomial Polynomial."""
-    basis = obj.get("basis", "monomial")
-    if basis == "monomial":
-        return Polynomial.from_dict(obj)
-    if basis == "chebyshev":
-        return from_chebyshev(ChebyshevSeries.from_dict(obj))
-    raise InputError(f"unknown basis {basis!r}")
-
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f: Callable[[float], float], a: float, b: float) -> float:
-    """Maximum of f on [a, b] by golden-section search; f assumed unimodal here."""
-    c = b - (b - a) * _INV_PHI
-    d = a + (b - a) * _INV_PHI
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if d - c <= 1e-12 * (1.0 + abs(a) + abs(b)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INV_PHI
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INV_PHI
-            fd = f(d)
-    mid = 0.5 * (a + b)
-    return max(fc, fd, f(mid))
-
-
-def sup_norm(p, a: float = -1.0, b: float = 1.0) -> float:
-    """max |p(x)| over [a, b], resolved to about 1e-8 relative accuracy.
-
-    Scans max(400, 12*(degree+1)) Chebyshev nodes plus both endpoints, then
-    refines every interior local maximum with golden-section search.  A
-    Polynomial's [-1, 1] norm is scanned once, on first request, then read back.
+    |p|^2 is extremal at the ends and at the real roots of its derivative
+    2 Re(p' conj(p)), or of p' when p is real; the colleague matrix
+    (chebroots) gives those roots, and |p| is evaluated at both ends and at
+    the real part of every root, clipped into the interval.
     """
-    if (a, b) != (-1.0, 1.0) or not isinstance(p, Polynomial):
-        return _scan_sup_norm(p, a, b)
     if not hasattr(p, "_norm"):
-        object.__setattr__(p, "_norm", _scan_sup_norm(p, a, b))
+        object.__setattr__(p, "_norm", _colleague_norm(np.array(p.cheb)))
     return p._norm
 
 
-def _scan_sup_norm(p, a: float, b: float) -> float:
-    if b <= a:
-        raise InputError("empty interval")
-    deg = p.degree
-    if deg == 0:
-        return float(abs(p.coeffs[0]))
-    n = max(400, 12 * (deg + 1))
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    theta = (2 * np.arange(1, n + 1) - 1) * math.pi / (2 * n)
-    xs = np.concatenate(([a], np.sort(mid + half * np.cos(theta)), [b]))
-    vals = np.abs(p(xs))
-    best = float(vals.max())
-
-    def f(x: float) -> float:
-        return abs(p(x))
-
-    # strict on the left so a plateau of ties yields one representative,
-    # not a search per grid point
-    interior = np.nonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] >= vals[2:]))[0] + 1
-    for i in interior:
-        best = max(best, _golden_max(f, xs[i - 1], xs[i + 1]))
-    # endpoints may hide a maximum inside the first grid cell
-    best = max(best, _golden_max(f, xs[0], xs[1]), _golden_max(f, xs[-2], xs[-1]))
-    return best
-
-
-def to_chebyshev(p: Polynomial) -> ChebyshevSeries:
-    """Basis change by the exact recurrence-built transformation."""
-    return ChebyshevSeries(npcheb.poly2cheb(np.array(p.coeffs)))
-
-
-def from_chebyshev(s: ChebyshevSeries) -> Polynomial:
-    return Polynomial(npcheb.cheb2poly(np.array(s.coeffs)))
+def _colleague_norm(c: np.ndarray) -> float:
+    if len(c) == 1:
+        return float(abs(c[0]))
+    if np.all(c.imag == 0.0):
+        slope = npcheb.chebder(c.real)
+    else:
+        slope = npcheb.chebmul(npcheb.chebder(c), c.conj()).real
+    xs = np.concatenate(([-1.0, 1.0], np.clip(npcheb.chebroots(slope).real, -1.0, 1.0)))
+    return float(np.max(np.abs(npcheb.chebval(xs, c))))
 
 
 def chebyshev_polynomial(n: int) -> Polynomial:
-    """T_n in the monomial basis (exact integer coefficients for n <= 50)."""
+    """T_n, one shared instance per order."""
     if n < 0:
         raise InputError("order must be non-negative")
     return _shared_polynomial("T", n)
@@ -320,18 +249,27 @@ def chebyshev_polynomial(n: int) -> Polynomial:
 
 @functools.lru_cache(maxsize=256)
 def _shared_polynomial(kind: str, m: int, n: int = 0) -> Polynomial:
-    """The one shared T_m (times T_n when n > 0) or x^m: built and norm-scanned once."""
+    """The one shared T_m (times T_n when n > 0) or x^m, built once.
+
+    Each is bounded by 1 on [-1, 1] and equals 1 at x = 1, so its sup norm
+    is set to exactly 1 rather than computed.
+    """
     if kind == "x":
-        return Polynomial([0] * m + [1.0])
-    t_m = from_chebyshev(ChebyshevSeries([0.0] * m + [1.0]))
-    return t_m * _shared_polynomial("T", n) if n else t_m
+        p = Polynomial.monomial(m)
+    else:
+        p = Polynomial.from_cheb([0.0] * m + [1.0])
+        p = p * _shared_polynomial("T", n) if n else p
+    object.__setattr__(p, "_norm", 1.0)
+    return p
 
 
 def split_constituents(p: Polynomial, k: int) -> tuple[Polynomial, Polynomial]:
     """Split p = p_low + x^k * p_high with deg(p_low) <= k-1.
 
-    Requires 1 <= k <= degree(p); a k beyond the degree leaves nothing to
-    parallelize and is rejected.
+    p_high never leaves the Chebyshev basis: k times, the series' value at 0
+    is taken as the next Taylor coefficient of p_low, and the series minus
+    that value is divided by x.  Requires 1 <= k <= degree(p); a k beyond
+    the degree leaves nothing to parallelize and is rejected.
     """
     if k < 1:
         raise InputError("constituent order k must be at least 1")
@@ -339,14 +277,23 @@ def split_constituents(p: Polynomial, k: int) -> tuple[Polynomial, Polynomial]:
         raise InputError(
             f"nothing to parallelize: k={k} exceeds the polynomial degree {p.degree}"
         )
-    return Polynomial(p.coeffs[:k]), Polynomial(p.coeffs[k:])
+    taylor, c = [], list(p.cheb)
+    for _ in range(k):
+        taylor.append(sum(c[0::4]) - sum(c[2::4]))  # T_j(0) = 1, 0, -1, 0, ...
+        # q = (c - c(0)) / x from the top: x T_0 = T_1, x T_j = (T_{j+1} + T_{j-1}) / 2
+        q = [0j] * (len(c) + 1)
+        for j in range(len(c) - 1, 1, -1):
+            q[j - 1] = 2 * c[j] - q[j + 1]
+        q[0] = c[1] - q[2] / 2
+        c = q[: len(c) - 1]
+    return Polynomial(taylor), Polynomial.from_cheb(c)
 
 
 def parity_split(p: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Return (even part, odd part); their sum reproduces p exactly."""
-    even = [c if i % 2 == 0 else 0 for i, c in enumerate(p.coeffs)]
-    odd = [c if i % 2 == 1 else 0 for i, c in enumerate(p.coeffs)]
-    return Polynomial(even), Polynomial(odd)
+    even = [c if i % 2 == 0 else 0 for i, c in enumerate(p.cheb)]
+    odd = [c if i % 2 == 1 else 0 for i, c in enumerate(p.cheb)]
+    return Polynomial.from_cheb(even), Polynomial.from_cheb(odd)
 
 
 def _check_index_pair(d: int, n: int) -> bool:

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .errors import ConvergenceError, InputError
-from .poly import ChebyshevSeries, Parity, Polynomial, sup_norm
+from .poly import Parity, Polynomial, sup_norm
 
 CONVENTIONS = ("wx_00", "wx_pp")
 
@@ -44,7 +44,6 @@ __all__ = [
     "extract_polynomials",
     "validate_conditions",
     "find_phases",
-    "chebyshev_block_value",
     "designated_element",
     "realized_value",
 ]
@@ -156,9 +155,9 @@ def extract_polynomials(phases: QspPhases, grid_size: int | None = None) -> tupl
     """Recover (P, Q) from samples of the sequence on Chebyshev nodes.
 
     The matrix elements are sampled at grid_size nodes (at least 2*(d+1)),
-    fitted with exact-degree Chebyshev interpolants, and converted to the
-    monomial basis.  Coefficients below 1e-10 of the largest are zeroed so
-    that parity and degree read cleanly off the result.
+    and fitted with exact-degree Chebyshev interpolants.  Coefficients below
+    1e-10 of the largest are zeroed so that parity and degree read cleanly
+    off the result.
     """
     d = phases.degree
     if grid_size is None:
@@ -181,7 +180,7 @@ def extract_polynomials(phases: QspPhases, grid_size: int | None = None) -> tupl
             )
         floor = 1e-10 * max(1.0, float(np.max(np.abs(c))))
         c[np.abs(c) <= floor] = 0.0
-        return Polynomial(npcheb.cheb2poly(c))
+        return Polynomial.from_cheb(c)
 
     p = fit(p_samples, d)
     q = fit(q_samples, d - 1) if d >= 1 else Polynomial([0.0])
@@ -249,7 +248,7 @@ def find_phases(target: Polynomial, tol: float = 1e-4) -> QspPhases:
     reaches max error <= tol on the nodes; if none does, the failure carries
     the best residual seen.  The first call imports scipy.
     """
-    scale = max(1.0, max(abs(c) for c in target.coeffs))
+    scale = max(1.0, max(abs(c) for c in target.cheb))
     if target.max_imag() > 1e-10 * scale:
         raise InputError("target polynomial must have real coefficients")
     if target.parity is Parity.INDEFINITE:
@@ -290,9 +289,3 @@ def find_phases(target: Polynomial, tol: float = 1e-4) -> QspPhases:
         best_residual=best_err,
     )
 
-
-def chebyshev_block_value(series: ChebyshevSeries, lam: float) -> complex:
-    """sum_n c_n T_n(lam) for a spectral value lam in [-1, 1]."""
-    if abs(lam) > 1.0 + 1e-12:
-        raise InputError(f"spectral value {lam} lies outside [-1, 1]")
-    return complex(npcheb.chebval(min(1.0, max(-1.0, lam)), np.array(series.coeffs)))

@@ -20,3 +20,24 @@ def random_nonneg(rng: np.random.Generator, half_degree: int) -> Polynomial:
     p = q * Polynomial([c.conjugate() for c in q.coeffs])
     p = Polynomial([c.real for c in p.coeffs])
     return p * (1.0 / sup_norm(p))
+
+
+def dense_sup_norm(cheb) -> float:
+    """Reference max |sum_j c_j T_j(x)| on [-1, 1], independent of sup_norm.
+
+    Samples a uniform grid in t = arccos(x), then zooms five times (64-fold
+    each) around every local grid maximum within 10% of the largest.
+    """
+    c = np.asarray(cheb)
+    t = np.linspace(0.0, np.pi, 4001)
+    vals = np.abs(np.polynomial.chebyshev.chebval(np.cos(t), c))
+    pad = np.concatenate(([-1.0], vals, [-1.0]))
+    peak = (pad[1:-1] >= pad[:-2]) & (pad[1:-1] >= pad[2:]) & (vals >= 0.9 * vals.max())
+    centers, half = t[peak], t[1]
+    best = float(vals.max())
+    for _ in range(5):
+        fine = np.clip(centers[:, None] + np.linspace(-half, half, 65), 0.0, np.pi)
+        v = np.abs(np.polynomial.chebyshev.chebval(np.cos(fine), c))
+        best = max(best, float(v.max()))
+        centers, half = fine[np.arange(len(fine)), v.argmax(axis=1)], half / 32
+    return best

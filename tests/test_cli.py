@@ -63,6 +63,29 @@ class TestFactorCommand:
         plan = FactorizationPlan.from_dict(json.loads(out.read_text()))
         assert plan.k == 2
 
+    def test_out_file_keeps_monomial_factors(self, runner, tmp_path):
+        # the plan file holds monomial factors whichever basis the source came in
+        mono = write_poly(tmp_path / "mono.json", [2, 0, -1, 0, 1])
+        cheb = write_poly(
+            tmp_path / "cheb.json", [[1.875, 0], [0, 0], [0, 0], [0, 0], [0.125, 0]],
+            basis="chebyshev",
+        )
+        assert Polynomial.from_dict(json.loads(Path(cheb).read_text())) == Polynomial.from_dict(
+            json.loads(Path(mono).read_text())
+        )
+        plans = []
+        for name, poly in (("mono", mono), ("cheb", cheb)):
+            out = tmp_path / f"plan-{name}.json"
+            result = runner.invoke(main, ["factor", poly, "--k", "2", "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            plans.append(json.loads(out.read_text()))
+        assert plans[0] == plans[1]
+        factors = [Polynomial.from_dict(f) for f in plans[0]["factors"]]
+        assert all(f["basis"] == "monomial" for f in plans[0]["factors"])
+        xs = np.linspace(-1.0, 1.0, 9)
+        product = np.abs(factors[0](xs)) ** 2 * np.abs(factors[1](xs)) ** 2
+        assert np.allclose(product, xs ** 4 - xs ** 2 + 2, atol=1e-12)
+
     def test_odd_degree_exits_2(self, runner, tmp_path):
         poly = write_poly(tmp_path / "p.json", [0, 1])
         result = runner.invoke(main, ["factor", poly, "--k", "1"])
@@ -436,6 +459,10 @@ class TestConfigPlumbing:
         edit(record)
         with pytest.raises(InputError, match=field):
             RunRecord.from_json(json.dumps(record))
+
+    def test_run_record_malformed_json_rejected(self):
+        with pytest.raises(InputError, match="malformed JSON"):
+            RunRecord.from_json('{"config": {}')
 
     @pytest.mark.parametrize("field", ["k", "epsilon", "rank", "shots"])
     def test_estimate_rejects_nonpositive(self, runner, field):

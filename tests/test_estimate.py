@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_sup_norm
 from pqsp import estimate
 from pqsp import (
     ConvergenceError,
@@ -22,6 +23,8 @@ from pqsp import (
     predict_cost,
     renyi_integer,
     renyi_noninteger,
+    split_constituents,
+    sup_norm,
     von_neumann,
 )
 
@@ -417,6 +420,48 @@ class TestVonNeumann:
         # to the high stage instead of going unspent
         rep = von_neumann(rho_34, 2, mode="sampled", shots=20000, seed=7)
         assert rep.shots_used == 20000
+
+
+class TestEntropyApproximants:
+    """Approximants are fitted, checked and traced in the Chebyshev basis, so
+    high-degree fits keep their precision: the von Neumann fit on
+    random_seeded(4, 7) has degree 79 and monomial coefficients up to 1e26."""
+
+    @staticmethod
+    def _fit_vn_4_7():
+        rho = DensityMatrix.random_seeded(4, 7)
+        delta, _ = estimate._resolve_delta(rho, "auto", None)
+        poly, degree, _ = estimate._fit_odd_approximant(
+            lambda x: -x * np.log(np.abs(x)), delta, 0.05 / (2 * rho.dim)
+        )
+        return poly, degree
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("dim", [4, 8])
+    @pytest.mark.parametrize("alpha", [None, 1.5, 2.5], ids=["von-neumann", "renyi-1.5", "renyi-2.5"])
+    def test_within_epsilon_on_random_states(self, alpha, dim, k):
+        rho = DensityMatrix.random_seeded(dim, 7)
+        w = rho.eigenvalues()
+        w = w[w > 1e-12]
+        if alpha is None:
+            rep, exact = von_neumann(rho, k), float(-np.sum(w * np.log(w)))
+        else:
+            rep, exact = renyi_noninteger(rho, alpha, k), math.log(np.sum(w ** alpha)) / (1 - alpha)
+        assert abs(rep.value - exact) <= 0.05
+        assert rep.breakdown["approximant_error"] <= rep.breakdown["eps_prime"]
+
+    def test_degree_79_norm_matches_dense_reference(self):
+        poly, degree = self._fit_vn_4_7()
+        assert degree == 79
+        assert sup_norm(poly) == pytest.approx(dense_sup_norm(poly.cheb), rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_degree_79_split_reassembles(self, k):
+        poly, _ = self._fit_vn_4_7()
+        low, high = split_constituents(poly, k)
+        xs = np.linspace(-1.0, 1.0, 201)
+        gap = np.max(np.abs(low(xs) + xs ** k * high(xs) - poly(xs)))
+        assert gap <= 1e-11 * max(1.0, sup_norm(high))
 
 
 class TestSeededPins:

@@ -185,6 +185,46 @@ def test_cache_scan_fails_a_copy_with_functools_cache():
     assert _unbounded_caches(mutated) == [f"cache (line {line})"]
 
 
+def _basis_changes(source: str) -> list[str]:
+    """Names of numpy's monomial/Chebyshev conversions a source refers to.
+
+    poly.py alone decides which basis coefficients are in; every other
+    module works on Polynomial and never converts.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = (
+            node.attr if isinstance(node, ast.Attribute)
+            else node.id if isinstance(node, ast.Name)
+            else node.name if isinstance(node, ast.alias)
+            else None
+        )
+        if name in ("cheb2poly", "poly2cheb"):
+            found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "poly.py"], ids=lambda p: p.name
+)
+def test_basis_changes_only_in_poly(path):
+    assert _basis_changes(path.read_text()) == []
+
+
+def test_basis_scan_fails_a_copy_that_converts():
+    assert {f.split()[0] for f in _basis_changes((SRC / "poly.py").read_text())} == {
+        "cheb2poly", "poly2cheb",
+    }
+    source = (SRC / "estimate.py").read_text()
+    mutated, swapped = re.subn(
+        r"Polynomial\.from_cheb\(full\)", "Polynomial(npcheb.cheb2poly(full))", source
+    )
+    assert swapped == 1
+    mutated = "from numpy.polynomial.chebyshev import poly2cheb\n" + mutated
+    line = mutated[: mutated.index("npcheb.cheb2poly")].count("\n") + 1
+    assert _basis_changes(mutated) == ["poly2cheb (line 1)", f"cheb2poly (line {line})"]
+
+
 def _third_party_imports(source: str) -> set[str]:
     """Top-level packages of the absolute, non-stdlib imports in a source.
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import dense_sup_norm
 from pqsp import poly
 from pqsp import (
-    ChebyshevSeries,
     InputError,
     Parity,
     Polynomial,
@@ -15,12 +15,9 @@ from pqsp import (
     chebyshev_coefficient,
     chebyshev_polynomial,
     constituent_norm_bounds,
-    from_chebyshev,
     parity_split,
-    polynomial_from_dict,
     split_constituents,
     sup_norm,
-    to_chebyshev,
 )
 
 coeff_lists = st.lists(
@@ -73,11 +70,21 @@ class TestPolynomial:
 
     def test_polynomial_from_dict_chebyshev_basis(self):
         obj = {"basis": "chebyshev", "coeffs": [[0, 0], [0, 0], [1, 0]]}
-        assert polynomial_from_dict(obj) == Polynomial([-1, 0, 2])
+        assert Polynomial.from_dict(obj) == Polynomial([-1, 0, 2])
+        assert Polynomial.from_dict(obj).to_dict() == {
+            "basis": "monomial", "coeffs": [[-1.0, 0.0], [0.0, 0.0], [2.0, 0.0]],
+        }
 
     def test_unknown_basis_rejected(self):
         with pytest.raises(InputError):
-            polynomial_from_dict({"basis": "legendre", "coeffs": [[1, 0]]})
+            Polynomial.from_dict({"basis": "legendre", "coeffs": [[1, 0]]})
+
+    def test_chebyshev_constructor(self):
+        p = Polynomial.from_cheb([0.5, 0.25, 0, 0])
+        assert p.cheb == (0.5, 0.25) and p.degree == 1
+        assert p == Polynomial([0.5, 0.25])
+        assert (p * p).cheb == pytest.approx((0.28125, 0.25, 0.03125))
+        assert p.derivative() == Polynomial([0.25])
 
 
 class TestSupNorm:
@@ -93,34 +100,57 @@ class TestSupNorm:
         # |x - i| = sqrt(x^2 + 1), largest at the ends
         assert sup_norm(Polynomial([-1j, 1])) == pytest.approx(math.sqrt(2), abs=1e-9)
 
-    def test_subinterval(self):
-        assert sup_norm(Polynomial([0, 1]), 0.2, 0.5) == pytest.approx(0.5, abs=1e-9)
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 121, 200])
+    def test_chebyshev_series_t_n(self, n):
+        # a fresh T_n: the shared chebyshev_polynomial(n) has its norm set to 1
+        assert sup_norm(Polynomial.from_cheb([0] * n + [1])) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 3, 10, 40])
+    def test_flat_maximum(self, m):
+        # (1 - x^2)^m / 2: one maximum at 0, flatter as m grows
+        p = Polynomial([1, 0, -1])
+        for _ in range(m - 1):
+            p = p * Polynomial([1, 0, -1])
+        p = p * 0.5
+        assert sup_norm(p) == pytest.approx(dense_sup_norm(p.cheb), rel=1e-12)
+        assert sup_norm(p) == pytest.approx(0.5, rel=1e-9)  # products round off
+
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    def test_random_series_match_dense_reference(self, complex_coeffs):
+        rng = np.random.default_rng(11)
+        for d in [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200]:
+            c = rng.normal(size=d + 1) / (1.0 + np.arange(d + 1))
+            if complex_coeffs:
+                c = c + 1j * rng.normal(size=d + 1) / (1.0 + np.arange(d + 1))
+            p = Polynomial.from_cheb(c)
+            assert sup_norm(p) == pytest.approx(dense_sup_norm(c), rel=1e-9), d
 
 
 class TestNormMemo:
     @pytest.fixture
     def scans(self, monkeypatch):
         seen = []
-        scan = poly._scan_sup_norm
+        norm = poly._colleague_norm
 
-        def counting(p, a, b):
-            seen.append((p, a, b))
-            return scan(p, a, b)
+        def counting(c):
+            seen.append(tuple(c))
+            return norm(c)
 
-        monkeypatch.setattr(poly, "_scan_sup_norm", counting)
+        monkeypatch.setattr(poly, "_colleague_norm", counting)
         return seen
 
     def test_unit_interval_scanned_once(self, scans):
         p = Polynomial([0.1, -0.7, 0.2])
         first = sup_norm(p)
         assert [sup_norm(p) for _ in range(3)] == [first] * 3
-        assert scans == [(p, -1.0, 1.0)]
+        assert scans == [p.cheb]
 
-    def test_other_interval_scans_every_time(self, scans):
-        p = Polynomial([0, 1])
-        sup_norm(p, 0.2, 0.5)
-        sup_norm(p, 0.2, 0.5)
-        assert len(scans) == 2
+    def test_scalar_multiples_carry_the_norm(self, scans):
+        p = Polynomial([0.1, -0.7, 0.2])
+        first = sup_norm(p)
+        assert sup_norm(p * -2.0) == 2.0 * first
+        assert sup_norm(p / first) == 1.0
+        assert scans == [p.cheb]
 
     def test_slot_not_settable_from_outside(self):
         p = Polynomial([0, 1])
@@ -138,11 +168,6 @@ class TestNormMemo:
         assert p == fresh and hash(p) == hash(fresh)
         assert {p: 1}[fresh] == 1
 
-    def test_subinterval_does_not_fill_the_memo(self):
-        p = Polynomial([0, 1])
-        assert sup_norm(p, 0.0, 0.5) == pytest.approx(0.5, abs=1e-9)
-        assert sup_norm(p) == pytest.approx(1.0, abs=1e-9)
-
     def test_builders_share_instances(self):
         assert chebyshev_polynomial(7) is chebyshev_polynomial(7)
         assert Polynomial.one() is Polynomial.one()
@@ -153,7 +178,7 @@ class TestNormMemo:
 @settings(max_examples=50, deadline=None)
 def test_chebyshev_round_trip(cs):
     p = Polynomial(cs)
-    back = from_chebyshev(to_chebyshev(p))
+    back = Polynomial.from_cheb(p.cheb)
     scale = max(1.0, max(abs(c) for c in p.coeffs))
     assert all(abs(a - b) <= 1e-9 * scale for a, b in zip(back.coeffs, p.coeffs))
 
@@ -162,7 +187,8 @@ def test_chebyshev_polynomial_values():
     T6 = chebyshev_polynomial(6)
     assert complex(T6(0.75)).real == pytest.approx(-0.3671875, abs=1e-12)
     assert complex(T6(0.25)).real == pytest.approx(-0.0546875, abs=1e-12)
-    assert to_chebyshev(T6).coeffs == (0,) * 6 + (1,)
+    assert T6.cheb == (0,) * 6 + (1,)
+    assert T6.coeffs == (-1, 0, 18, 0, -48, 0, 32)
 
 
 class TestSplits:

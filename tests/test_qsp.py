@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqsp import (
-    ChebyshevSeries,
     ConvergenceError,
     InputError,
     Polynomial,
     QspPhases,
-    chebyshev_block_value,
     chebyshev_polynomial,
+    designated_element,
     extract_polynomials,
     find_phases,
     qsp,
@@ -175,17 +174,17 @@ class TestFindPhases:
 
 
 class TestChebyshevBlockValue:
+    """A Chebyshev series at a spectral value: the zero-phase block carries T_d."""
+
     def test_linear(self):
-        assert chebyshev_block_value(ChebyshevSeries((0.0, 1.0)), 0.4) == pytest.approx(0.4)
+        assert Polynomial.from_cheb((0.0, 1.0))(0.4) == pytest.approx(0.4)
+        assert designated_element(QspPhases((0.0, 0.0)), 0.4) == pytest.approx(0.4)
 
     def test_quadratic(self):
         # T_2(0.5) = -0.5
-        assert chebyshev_block_value(ChebyshevSeries((0.0, 0.0, 1.0)), 0.5) == pytest.approx(-0.5)
+        assert Polynomial.from_cheb((0.0, 0.0, 1.0))(0.5) == pytest.approx(-0.5)
+        assert designated_element(QspPhases((0.0,) * 3), 0.5) == pytest.approx(-0.5)
 
     def test_affine_combination_vanishes(self):
-        series = ChebyshevSeries((0.5, 0.5))  # (1 + x) / 2
-        assert chebyshev_block_value(series, -1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InputError, match="outside"):
-            chebyshev_block_value(ChebyshevSeries((1.0,)), 1.01)
+        series = Polynomial.from_cheb((0.5, 0.5))  # (1 + x) / 2
+        assert series(-1.0) == pytest.approx(0.0, abs=1e-12)

@@ -288,17 +288,17 @@ class TestParallelRun:
 
     def test_factor_norms_scanned_once_per_factor(self, rho_34, monkeypatch):
         scanned = []
-        scan = poly._scan_sup_norm
+        norm = poly._colleague_norm
 
-        def counting(p, a, b):
-            scanned.append(p)
-            return scan(p, a, b)
+        def counting(c):
+            scanned.append(c)
+            return norm(c)
 
-        monkeypatch.setattr(poly, "_scan_sup_norm", counting)
+        monkeypatch.setattr(poly, "_colleague_norm", counting)
         a, b = Polynomial([0, 0.5]), Polynomial([0.3, 0, 0.4])
         values = {parallel_qsp_run([a, b, a], rho_34).value for _ in range(4)}
         assert len(values) == 1
-        assert len(scanned) == 2 and scanned[0] is a and scanned[1] is b
+        assert [tuple(c) for c in scanned] == [a.cheb, b.cheb]
 
     def test_norm_check_repeats_on_every_call(self, rho_34):
         big = Polynomial([0, 0, 1.5])
