@@ -437,22 +437,6 @@ def generalized_swap_expectation(
     return _readout(float(np.real(np.trace(prod))), shots, sampler)
 
 
-def _factor_phases(factor: Polynomial, norm: float) -> tuple[QspPhases, float]:
-    """Phases realizing Re(P) for a real definite-parity factor of sup norm `norm`.
-
-    Phase finding needs a target strictly inside the unit ball, so a factor
-    at norm 1 is first scaled by a small deliberate shrink; it is returned so
-    callers can undo its square per thread.
-    """
-    if factor.max_imag() > 1e-10 or factor.parity is Parity.INDEFINITE:
-        raise InputError(
-            "phase-based encoding needs a real definite-parity factor; "
-            "use the oracle encoding for complex or mixed-parity factors"
-        )
-    shrink = (1.0 - 2e-6) / norm if norm > 1.0 - 1e-6 else 1.0
-    return find_phases(factor * shrink), shrink
-
-
 def _encode_factor_qsp(phases: QspPhases, rho: DensityMatrix) -> BlockEncoding:
     """One-ancilla average of the qubitized sequences for phi and -phi.
 
@@ -473,25 +457,25 @@ def _encode_factor_qsp(phases: QspPhases, rho: DensityMatrix) -> BlockEncoding:
 
 
 def _thread_values(
-    factors: Sequence[Polynomial],
-    norms: Sequence[float],
-    w: np.ndarray,
-    encode: str,
-) -> tuple[list[np.ndarray], list[QspPhases] | None, float]:
-    """Each thread block's eigenvalues on rho's spectrum w, plus the encode-side rescale.
+    factors: Sequence[Polynomial], w: np.ndarray, encode: str
+) -> tuple[list[np.ndarray], list[QspPhases] | None]:
+    """Each thread block's eigenvalues on rho's spectrum w, plus the phases if any.
 
     Every block is a function of rho, so rho's eigenbasis diagonalizes them
     all.  Oracle encoding reproduces each factor exactly; the phase route
-    realizes Re(P) of a slightly shrunk factor, whose square per thread is
-    returned (with the phases) so callers can undo it.
+    realizes Re(P) = factor to phase finding's tolerance.
     """
     if encode == "oracle":
-        return [f(w) for f in factors], None, 1.0
+        return [f(w) for f in factors], None
     if encode != "qsp":
         raise InputError(f"unknown encode mode {encode!r}")
-    found = [_factor_phases(f, n) for f, n in zip(factors, norms)]
-    values = [_batched_sequence(ph.phases, w)[:, 0, 0].real for ph, _ in found]
-    return values, [ph for ph, _ in found], math.prod(s ** 2 for _, s in found)
+    if any(f.max_imag() > 1e-10 or f.parity is Parity.INDEFINITE for f in factors):
+        raise InputError(
+            "phase-based encoding needs real definite-parity factors; "
+            "use the oracle encoding for complex or mixed-parity factors"
+        )
+    phases = [find_phases(f) for f in factors]
+    return [_batched_sequence(ph.phases, w)[:, 0, 0].real for ph in phases], phases
 
 
 def _joint_probabilities_circuit(
@@ -569,9 +553,8 @@ def parallel_qsp_run(
     k = len(factors)
     if k < 1:
         raise InputError("need at least one factor polynomial")
-    norms = [sup_norm(f) for f in factors]
-    for j, norm in enumerate(norms):
-        if norm > 1.0 + 1e-9:
+    for j, f in enumerate(factors):
+        if sup_norm(f) > 1.0 + 1e-9:
             raise InputError(
                 f"apply rescale_factors: factor {j} has sup norm above 1"
             )
@@ -581,7 +564,7 @@ def parallel_qsp_run(
         raise InputError("circuit mode supports dimensions up to 4 and k up to 3")
 
     w = rho.eigenvalues()
-    values, phases, undo = _thread_values(factors, norms, w, encode)
+    values, phases = _thread_values(factors, w, encode)
     # thread j post-selects with q_j = tr(B_j rho B_j^dagger) = sum_i w_i |b_ij|^2
     weights = [np.abs(b) ** 2 for b in values]
     q_threads = [float(np.dot(w, a)) for a in weights]
@@ -603,7 +586,7 @@ def parallel_qsp_run(
             raise PostSelectionError("post-selection impossible: joint success probability ~0")
 
     if shots == "exact":
-        return Estimate(value=z / undo, std_error=0.0, shots_used=0)
+        return Estimate(value=z, std_error=0.0, shots_used=0)
     n = _check_shots(shots)
     sampler = _as_sampler(sampler)
     z_cond = min(1.0, max(-1.0, z / q))
@@ -617,8 +600,8 @@ def parallel_qsp_run(
     if n > 1:
         var *= n / (n - 1)
     return Estimate(
-        value=mean / undo,
-        std_error=math.sqrt(var / n) / undo,
+        value=mean,
+        std_error=math.sqrt(var / n),
         shots_used=n,
         counts=(n_plus, n_minus, int(counts[2])),
     )

@@ -22,6 +22,14 @@ def random_nonneg(rng: np.random.Generator, half_degree: int) -> Polynomial:
     return p * (1.0 / sup_norm(p))
 
 
+
+def random_parity_target(rng: np.random.Generator, degree: int) -> Polynomial:
+    """A random real Chebyshev series of the parity of `degree`, at sup norm 1."""
+    c = np.zeros(degree + 1)
+    c[degree % 2 :: 2] = rng.standard_normal(degree // 2 + 1)
+    p = Polynomial.from_cheb(c)
+    return p * (1.0 / sup_norm(p))
+
 def dense_sup_norm(cheb) -> float:
     """Reference max |sum_j c_j T_j(x)| on [-1, 1], independent of sup_norm.
 

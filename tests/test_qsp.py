@@ -18,6 +18,7 @@ from pqsp import (
     realized_value,
     validate_conditions,
 )
+from conftest import random_parity_target
 
 
 class TestQspUnitary:
@@ -150,27 +151,49 @@ class TestFindPhases:
         with pytest.raises(InputError, match="degree cap"):
             find_phases(chebyshev_polynomial(42))
 
-    def test_solver_import_failure_propagates(self, monkeypatch):
-        def missing(*args, **kwargs):
-            raise ImportError("No module named 'scipy'")
-
-        monkeypatch.setattr(qsp, "least_squares", missing)
-        with pytest.raises(ImportError, match="scipy"):
-            find_phases(chebyshev_polynomial(6))
-
-    def test_rejected_start_moves_to_the_next(self, monkeypatch):
+    def test_one_deterministic_solve_bit_for_bit(self, monkeypatch):
         solve, calls = qsp.least_squares, []
 
-        def first_start_rejected(*args, **kwargs):
-            calls.append(args[1])
-            if len(calls) == 1:
-                raise ValueError("Residuals are not finite in the initial point.")
-            return solve(*args, **kwargs)
+        def counted(target):
+            calls.append(target)
+            return solve(target)
 
-        monkeypatch.setattr(qsp, "least_squares", first_start_rejected)
-        phases = find_phases(Polynomial([0, 1]))
-        assert len(calls) == 2 and np.any(calls[1] != 0.0)
-        assert abs(realized_value(phases, 0.3) - 0.3) <= 1e-4
+        monkeypatch.setattr(qsp, "least_squares", counted)
+        target = 0.9 * chebyshev_polynomial(24)
+        first = find_phases(target)
+        find_phases(0.6 * chebyshev_polynomial(24) - 0.3 * chebyshev_polynomial(2))
+        again = find_phases(target)
+        assert first == again
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("target", [
+        pytest.param(0.9 * chebyshev_polynomial(36), id="0.9T36"),
+        pytest.param(0.99 * chebyshev_polynomial(40), id="0.99T40"),
+        pytest.param(Polynomial([0, 1]), id="x"),
+        pytest.param(chebyshev_polynomial(6), id="T6"),
+    ])
+    def test_accurate_on_chebyshev_targets(self, target):
+        assert _dense_error(target) <= 1e-10
+
+    @pytest.mark.parametrize("norm", [1.0, 1.0 - 2e-6, 0.9])
+    def test_accurate_on_random_targets(self, norm):
+        rng = np.random.default_rng(9)
+        worst = 0.0
+        for d in range(1, 41):
+            worst = max(worst, _dense_error(norm * random_parity_target(rng, d)))
+        assert worst <= 1e-10
+
+    def test_tolerance_below_round_off_is_a_typed_failure(self):
+        with pytest.raises(ConvergenceError) as info:
+            find_phases(0.9 * chebyshev_polynomial(6), tol=1e-18)
+        assert 0.0 < info.value.best_residual < 1e-12
+
+
+def _dense_error(target: Polynomial) -> float:
+    """Largest |Re<+|U|+> - target| over 401 even points of [-1, 1]."""
+    xs = np.linspace(-1.0, 1.0, 401)
+    u = qsp._batched_sequence(find_phases(target, tol=1e-10).phases, xs)
+    return float(np.max(np.abs(0.5 * u.sum(axis=(1, 2)).real - target(xs).real)))
 
 
 class TestChebyshevBlockValue:

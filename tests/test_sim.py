@@ -26,7 +26,7 @@ from pqsp import (
     query_depth_report,
     rescale_factors,
 )
-from conftest import random_nonneg
+from conftest import random_nonneg, random_parity_target
 
 
 def spectral_parallel_value(factors, rho):
@@ -277,6 +277,16 @@ class TestParallelRun:
         qsp = parallel_qsp_run(factors, rho_34, encode="qsp")
         # phase finding is tolerance-limited, not exact
         assert abs(oracle.value - qsp.value) <= 5e-4
+
+    @pytest.mark.parametrize("dim", [8, 16, 32])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_qsp_encode_matches_spectral_at_larger_dims(self, dim, k):
+        # random definite-parity factors up to degree 40, each at sup norm 1
+        rng = np.random.default_rng(100 * dim + k)
+        rho = DensityMatrix.random_seeded(dim, dim + k)
+        factors = [random_parity_target(rng, int(rng.integers(1, 41))) for _ in range(k)]
+        est = parallel_qsp_run(factors, rho, mode="direct", encode="qsp")
+        assert est.value == pytest.approx(spectral_parallel_value(factors, rho), rel=1e-9)
 
     def test_qsp_encode_rejects_indefinite_parity(self, rho_34):
         with pytest.raises(InputError, match="parity"):
