@@ -48,11 +48,14 @@ from .sim import (
     block_encode_density,
     generalized_swap_expectation,
     hadamard_test,
+    joint_readout,
     oracle_block_encode,
     parallel_qsp_run,
+    parallel_qsp_runs,
     purify,
     qsp_test,
     query_depth_report,
+    spectral_hadamard_test,
 )
 from .estimate import (
     CostModel,

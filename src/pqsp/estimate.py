@@ -3,11 +3,12 @@
 Every estimator here reduces tr(f(rho)) to a combination of three runs: a
 sequential Hadamard test for the low-degree remainder, parallel runs of
 factor polynomials for the high-degree part, and an importance sampler that
-recombines coefficient-weighted term estimates.  Each run is one stage
-Estimate: c * stage scales it back to the trace it measures (D times the
-norm for a Hadamard test, K^2 for a factorized run), a + b adds independent
-stages, and a report's value, standard error and shots are their sum (for
-entropies, its ln(s)/(1 - alpha) transform).
+recombines coefficient-weighted term estimates in one multinomial draw over
+all of a stage's thread layouts.  Each run is one stage Estimate: c * stage
+scales it back to the trace it measures (D times the norm for a Hadamard
+test, K^2 for a factorized run), a + b adds independent stages, and a
+report's value, standard error and shots are their sum (for entropies, its
+ln(s)/(1 - alpha) transform).
 
 Sampled mode needs an integer budget of at least one shot per stage, which
 _allocate splits evenly (the first `budget mod stages` stages take one more);
@@ -29,7 +30,6 @@ in the report breakdown.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -57,11 +57,12 @@ from .sim import (
     DensityMatrix,
     Estimate,
     ShotSampler,
-    _as_sampler,
-    hadamard_test,
-    oracle_block_encode,
+    _check_shots,
+    joint_readout,
     parallel_qsp_run,
+    parallel_qsp_runs,
     query_depth_report,
+    spectral_hadamard_test,
 )
 
 __all__ = [
@@ -212,46 +213,20 @@ def predict_cost(model: CostModel, route: str) -> int:
 
 def importance_sample(
     coeffs: Sequence[float],
-    term_estimators: Sequence[Callable[[int, ShotSampler], np.ndarray]],
+    layouts: Sequence[Sequence[Polynomial]],
+    rho: DensityMatrix,
     total_shots: int,
     sampler: ShotSampler | None = None,
 ) -> Estimate:
-    """Coefficient-weighted sum of term traces by index sampling.
+    """Coefficient-weighted sum of thread-layout traces by one importance draw.
 
-    Term j receives a share of shots proportional to |c_j|/||c||_1; each
-    estimator returns per-shot values unbiased for its term, which are
-    sign-flipped by sign(c_j) and pooled, so ||c||_1 times the pooled mean is
-    unbiased for sum_j c_j * (term j).
+    Each shot picks layout j with probability |c_j|/||c||_1 and measures its
+    parallel run; sign(c_j) flips the outcome, so ||c||_1 times the pooled
+    mean is unbiased for sum_j c_j z_j.  All layouts are evaluated in one
+    parallel_qsp_runs pass and all shots drawn by one joint_readout.
     """
-    c = np.asarray(coeffs, dtype=float)
-    one_norm = float(np.abs(c).sum())
-    if one_norm <= 0.0:
-        raise InputError("all-zero coefficients: nothing to sample")
-    if len(term_estimators) != len(c):
-        raise InputError("one estimator per coefficient is required")
-    n = int(total_shots)
-    if n < 1:
-        raise InputError(f"total_shots must be positive, got {total_shots!r}")
-    smp = _as_sampler(sampler)
-    counts = smp.multinomial(n, np.abs(c) / one_norm)
-    pooled = []
-    for j, n_j in enumerate(counts):
-        if n_j == 0:
-            continue
-        vals = np.asarray(term_estimators[j](int(n_j), smp.child(j)), dtype=float)
-        if vals.shape != (int(n_j),):
-            raise InputError(
-                f"term estimator {j} returned {vals.shape}, expected ({n_j},)"
-            )
-        pooled.append(math.copysign(1.0, c[j]) * vals)
-    values = np.concatenate(pooled)
-    mean = float(values.mean())
-    spread = float(values.std(ddof=1)) if n > 1 else 0.0
-    return Estimate(
-        value=one_norm * mean,
-        std_error=one_norm * spread / math.sqrt(n),
-        shots_used=n,
-    )
+    q, z = parallel_qsp_runs(layouts, rho)
+    return joint_readout(q, z, total_shots, sampler, coeffs=coeffs)
 
 
 def _check_target(p: Polynomial) -> None:
@@ -259,10 +234,6 @@ def _check_target(p: Polynomial) -> None:
         raise InputError("target polynomial must have real coefficients")
     if sup_norm(p) > 1.0 + 1e-9:
         raise InputError("target polynomial must have sup norm at most 1; rescale it")
-
-
-# I/D per dimension, built and decomposed once; DensityMatrix is immutable.
-_maximally_mixed = functools.lru_cache(maxsize=16)(DensityMatrix.maximally_mixed)
 
 
 def _trace_via_hadamard(
@@ -273,16 +244,11 @@ def _trace_via_hadamard(
 ) -> tuple[Estimate, int]:
     """tr(p(rho)) by a Hadamard test against the maximally mixed state.
 
-    Encodes p(rho)/||p|| and reads D * ||p|| * Re tr((I/D) * block).  Returns
-    the scaled estimate and the sequential depth query_depth_report charges
-    for p.
+    Reads D * ||p|| * Re tr((I/D) * p(rho)/||p||).  Returns the scaled
+    estimate and the sequential depth query_depth_report charges for p.
     """
-    d = rho.dim
-    norm = sup_norm(p)
-    values = p(np.clip(rho.eigenvalues(), -1.0, 1.0)) / norm
-    enc = oracle_block_encode(rho.spectral_operator(values))
-    est = hadamard_test(enc, _maximally_mixed(d), shots=shots, sampler=sampler)
-    return (d * norm) * est, query_depth_report([p])[0]
+    est = spectral_hadamard_test(p, rho, "mixed", shots=shots, sampler=sampler)
+    return (rho.dim * sup_norm(p)) * est, query_depth_report([p])[0]
 
 
 def _report(est: Estimate, **fields) -> EstimationReport:
@@ -295,10 +261,7 @@ def _allocate(shots: ShotPolicy, mode: Mode, stages: int) -> list[int | Literal[
     """Each stage's shots: "exact" in exact mode, else an even split of the budget."""
     if mode == "exact":
         return ["exact"] * stages
-    if not isinstance(shots, int):
-        raise InputError("sampled mode needs an integer shot count")
-    if shots < stages:
-        raise InputError(f"sampled shot budget {shots} is below the stage count {stages}")
+    shots = _check_shots(shots, stages)
     base, rem = divmod(shots, max(stages, 1))
     return [base + (1 if i < rem else 0) for i in range(stages)]
 
@@ -393,26 +356,15 @@ def _term_sum(
     shots: int | Literal["exact"],
     sampler: ShotSampler,
 ) -> Estimate:
-    """sum_j c_j z_j over one parallel run per thread layout.
+    """sum_j c_j z_j over the parallel runs of all thread layouts at once.
 
-    Exact mode adds the exact runs; otherwise importance_sample splits the
-    shots across the layouts by |c_j|.
+    Exact mode dots the coefficients with the runs' z; otherwise
+    importance_sample draws the shots across the layouts by |c_j|.
     """
     if shots == "exact":
-        return Estimate(
-            value=sum(
-                c * parallel_qsp_run(fl, rho, shots="exact", mode="direct").value
-                for c, fl in zip(coeffs, layouts)
-            ),
-            std_error=0.0,
-        )
-
-    def runner(factors: Sequence[Polynomial]) -> Callable[[int, ShotSampler], np.ndarray]:
-        return lambda n, smp: parallel_qsp_run(
-            factors, rho, shots=n, mode="direct", sampler=smp
-        ).samples()
-
-    return importance_sample(coeffs, [runner(fl) for fl in layouts], shots, sampler=sampler)
+        _, z = parallel_qsp_runs(layouts, rho)
+        return Estimate(value=float(np.dot(coeffs, z)), std_error=0.0)
+    return importance_sample(coeffs, layouts, rho, shots, sampler=sampler)
 
 
 def _chebyshev_part(
@@ -428,9 +380,9 @@ def _chebyshev_part(
     Degenerate layouts (no threads to fill, or degree at most the thread
     count) run the whole part sequentially; otherwise the low constituent is
     read sequentially and the high constituent goes through the basis-product
-    term decomposition, one parallel run per term.  shots holds the (low,
-    high) shares; a stage that does not run hands its share to the one that
-    does.
+    term decomposition, all terms in one batch of parallel runs.  shots holds
+    the (low, high) shares; a stage that does not run hands its share to the
+    one that does.
     """
     d_part = part.degree
     pooled = "exact" if shots[0] == "exact" else sum(shots)
@@ -615,9 +567,10 @@ def renyi_integer(
         breakdown["notice"] = (
             "alpha <= k leaves nothing to parallelize; sequential path used"
         )
-        enc = oracle_block_encode(rho.spectral_operator(rho.eigenvalues() ** (alpha - 1)))
         (n,) = _allocate(1000 if auto else shots, mode, 1)
-        trace = hadamard_test(enc, rho, shots=n, sampler=smp.child(1))
+        trace = spectral_hadamard_test(
+            _shared_polynomial("x", alpha - 1), rho, "rho", shots=n, sampler=smp.child(1)
+        )
         depth, width = alpha - 1, 1
     else:
         factors = _monomial_factors(alpha, k)

@@ -99,10 +99,10 @@ def _parse_pairs(items) -> list[complex]:
 class Polynomial:
     """Dense univariate polynomial sum_n c_n T_n(x) in the Chebyshev basis."""
 
-    # cheb holds the coefficients; _mono (the monomial view) and _norm (the
-    # sup norm on [-1, 1]) are filled once, on first request; == and hash
-    # read cheb only
-    __slots__ = ("cheb", "_mono", "_norm")
+    # cheb holds the coefficients; _mono (the monomial view), _norm (the
+    # sup norm on [-1, 1]) and _parity are filled once, on first request;
+    # == and hash read cheb only
+    __slots__ = ("cheb", "_mono", "_norm", "_parity")
 
     def __init__(self, coeffs: Iterable[complex]):
         """The polynomial sum_n coeffs[n] x^n, from monomial coefficients."""
@@ -134,7 +134,9 @@ class Polynomial:
 
     @property
     def parity(self) -> Parity:
-        return Parity.of(self.cheb)
+        if not hasattr(self, "_parity"):
+            object.__setattr__(self, "_parity", Parity.of(self.cheb))
+        return self._parity
 
     def is_zero(self) -> bool:
         return all(abs(c) <= TRIM_TOL for c in self.cheb)

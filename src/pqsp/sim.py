@@ -8,22 +8,27 @@ combines them: k threads each apply a factor polynomial to a copy of rho,
 post-select on the encoding flags, and a Hadamard-conjugated controlled
 cyclic shift reads out z = tr(rho^k * prod_j |P_j(rho)|^2) through the joint
 outcome statistics, without ever renormalizing by the success probability.
-The three read-out primitives share one one-ancilla read-out, _readout: the
-exact value, or Bernoulli shots drawn from the caller's ShotSampler.
+The one-ancilla read-outs share _readout: the exact value, or Bernoulli
+shots drawn from the caller's ShotSampler.  joint_readout is the one place
+that draws (+1, -1, discard) shots of parallel runs: one multinomial draw
+per stage, however many coefficient-weighted thread layouts it pools.
 
-Two execution modes exist.  "direct" works on rho's stored eigenvalues w_i:
+Two execution modes exist.  "direct" works on rho's eigenvalues w_i alone:
 every thread block P_j(rho) is a function of rho, so one eigenbasis
 diagonalizes them all, thread j post-selects with probability
 q_j = sum_i w_i |P_j(w_i)|^2 and z = sum_i w_i^k prod_j |P_j(w_i)|^2, with no
-D x D matrix formed.  "circuit" tensors the literal thread unitaries together
-and computes the same joint outcome probabilities from the full register
-state, which is exponentially larger and exists purely as a correctness
-witness for small dimensions.
+D x D matrix formed; parallel_qsp_runs evaluates every layout of a stage in
+one array pass, and spectral_hadamard_test reads tr(sigma p(rho)) the same
+way.  "circuit" tensors the literal thread unitaries together and computes
+the same joint outcome probabilities from the full register state, which is
+exponentially larger and exists purely as a correctness witness for small
+dimensions.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -46,6 +51,9 @@ __all__ = [
     "hadamard_test",
     "qsp_test",
     "generalized_swap_expectation",
+    "spectral_hadamard_test",
+    "parallel_qsp_runs",
+    "joint_readout",
     "parallel_qsp_run",
     "query_depth_report",
 ]
@@ -57,22 +65,14 @@ ShotSpec = int | Literal["exact"]
 class Estimate:
     """A value with its standard error; exact computations use shots_used=0.
 
-    Parallel runs also record the per-shot outcome counts
-    (plus, minus, discarded) so importance samplers can pool raw samples.
     Estimators assemble their stages arithmetically: a + b is the sum of two
     independent stages (variances and shots add) and c * est rescales a
-    stage by a known constant.  Both results drop the per-shot counts.
+    stage by a known constant.
     """
 
     value: float
     std_error: float
     shots_used: int = 0
-    counts: tuple[int, int, int] | None = None
-
-    def samples(self) -> np.ndarray:
-        if self.counts is None:
-            raise InputError("no per-shot counts recorded for this estimate")
-        return np.repeat([1.0, -1.0, 0.0], self.counts)
 
     def __add__(self, other: "Estimate") -> "Estimate":
         return Estimate(
@@ -121,13 +121,13 @@ def _as_sampler(sampler: "ShotSampler | None") -> "ShotSampler":
     return ShotSampler(None) if sampler is None else sampler
 
 
-def _check_shots(shots: ShotSpec) -> int:
-    if shots == "exact":
-        raise InputError("sampled path invoked with shots='exact'")
-    n = int(shots)
-    if n < 1:
-        raise InputError(f"shots must be a positive integer, got {shots!r}")
-    return n
+def _check_shots(shots, stages: int = 1) -> int:
+    """A sampled budget: an integer (numpy's too, not bool), one shot per stage or more."""
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise InputError(f"sampled mode needs an integer shot count, got {shots!r}")
+    if shots < stages:
+        raise InputError(f"sampled shot budget {shots} is below the stage count {stages}")
+    return int(shots)
 
 
 def _readout(
@@ -154,15 +154,19 @@ class DensityMatrix:
     """A trace-one positive semidefinite Hermitian matrix with its spectrum.
 
     Construction validates Hermiticity (1e-10 entrywise) and unit trace
-    (1e-10), then runs one eigendecomposition, which checks that the
-    spectrum is >= -1e-10 and is stored read-only beside the matrix.  Every
-    function of rho is built from it: f(rho) = V diag(f(w)) V^dagger (see
-    spectral_operator).  That costs one eigh per state, about 0.70 ms at
-    D = 64 against 0.40 ms for the eigenvalues alone (one BLAS thread on a
-    2-vCPU Xeon VM).  Direct simulation paths are sized for dimensions up
-    to 64.
+    (1e-10), then runs eigvalsh, which checks that the spectrum is >= -1e-10;
+    the eigenvalues are stored read-only beside the matrix and never change
+    afterwards.  Direct simulation needs nothing more.  The eigenvectors are
+    computed on the first call to eigh() or spectral_operator (circuit mode,
+    purification) and kept; every function of rho is then
+    f(rho) = V diag(f(w)) V^dagger.  At D = 64 with one BLAS thread on a
+    2-vCPU Xeon VM, construction takes about 0.6 ms (1.2 ms when it ran the
+    full eigh) and the first eigh() call about 1 ms more.  Direct
+    simulation paths are sized for dimensions up to 64.
     """
 
+    # _v (the eigenvector columns) is filled on first request, like
+    # Polynomial._norm
     __slots__ = ("matrix", "_w", "_v")
 
     def __init__(self, matrix):
@@ -173,10 +177,10 @@ class DensityMatrix:
             raise InputError("density matrix must be Hermitian")
         if abs(np.trace(arr) - 1.0) > 1e-10:
             raise InputError(f"density matrix trace is {np.trace(arr)}, expected 1")
-        w, v = np.linalg.eigh(arr)
+        w = np.linalg.eigvalsh(arr)
         if float(w.min()) < -1e-10:
             raise InputError("density matrix has a negative eigenvalue")
-        for name, a in (("matrix", arr), ("_w", w), ("_v", v)):
+        for name, a in (("matrix", arr), ("_w", w)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -188,15 +192,23 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stored (ascending eigenvalues, eigenvector columns)."""
-        return self._w, self._v
+        """(ascending eigenvalues, eigenvector columns); the vectors are kept."""
+        return self._w, self._vectors()
+
+    def _vectors(self) -> np.ndarray:
+        if not hasattr(self, "_v"):
+            v = np.linalg.eigh(self.matrix)[1]
+            v.flags.writeable = False
+            object.__setattr__(self, "_v", v)
+        return self._v
 
     def eigenvalues(self) -> np.ndarray:
         return self._w
 
     def spectral_operator(self, values) -> np.ndarray:
         """V diag(values) V^dagger: f(rho) for values = f(eigenvalues())."""
-        return (self._v * values) @ self._v.conj().T
+        v = self._vectors()
+        return (v * values) @ v.conj().T
 
     @classmethod
     def pure(cls, dim: int, index: int = 0) -> "DensityMatrix":
@@ -398,6 +410,28 @@ def hadamard_test(
     return _readout(t.real if part == "real" else t.imag, shots, sampler)
 
 
+def spectral_hadamard_test(
+    p: Polynomial,
+    rho: DensityMatrix,
+    sigma: Literal["mixed", "rho"] = "mixed",
+    shots: ShotSpec = "exact",
+    sampler: ShotSampler | None = None,
+) -> Estimate:
+    """Hadamard test of Re tr(sigma * p(rho)/||p||), read from rho's eigenvalues.
+
+    sigma is I/D ("mixed") or rho itself ("rho").  The block p(rho)/||p|| is
+    a function of rho, so the trace is a weighted mean of p(w_i)/||p|| over
+    the eigenvalues w_i, clipped to [-1, 1], and lies in [-1, 1] without any
+    encoding being built.  Sampled mode draws through _readout.
+    """
+    if sigma not in ("mixed", "rho"):
+        raise InputError(f"sigma must be 'mixed' or 'rho', got {sigma!r}")
+    w = rho.eigenvalues()
+    values = np.real(p(np.clip(w, -1.0, 1.0))) / sup_norm(p)
+    t = float(np.mean(values)) if sigma == "mixed" else float(np.dot(w, values))
+    return _readout(t, shots, sampler)
+
+
 def qsp_test(
     enc: BlockEncoding,
     sigma: DensityMatrix,
@@ -534,6 +568,102 @@ def _joint_probabilities_circuit(
     return p_succ, z
 
 
+def _check_norm(f: Polynomial, where: str) -> None:
+    if sup_norm(f) > 1.0 + 1e-9:
+        raise InputError(f"apply rescale_factors: {where} has sup norm above 1")
+
+
+def parallel_qsp_runs(
+    layouts: Sequence[Sequence[Polynomial]], rho: DensityMatrix, encode: str = "oracle"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Direct-mode (q, z) of every thread layout of a stage, in one array pass.
+
+    q[i] is layout i's post-selection probability prod_j q_j and
+    z[i] = tr(rho^k_i * prod_j |P_j(rho)|^2), with k_i = len(layouts[i]), so
+    layouts may differ in length.  Each distinct factor instance (the layout
+    builders share them) is checked against sup norm 1 and evaluated on
+    rho's eigenvalues once.  A thread that cannot succeed raises
+    PostSelectionError naming its layout and thread.
+    """
+    width = max((len(fl) for fl in layouts), default=0)
+    # row 0 of the weight table is a constant-1 thread that pads short layouts
+    index = np.zeros((len(layouts), width), dtype=np.intp)
+    rows: dict[int, int] = {}
+    distinct: list[Polynomial] = []
+    for i, fl in enumerate(layouts):
+        if not fl:
+            raise InputError(f"layout {i} needs at least one factor polynomial")
+        for j, f in enumerate(fl):
+            if id(f) not in rows:
+                _check_norm(f, f"layout {i}, factor {j}")
+                rows[id(f)] = len(distinct) + 1
+                distinct.append(f)
+            index[i, j] = rows[id(f)]
+    w = rho.eigenvalues()
+    values, _ = _thread_values(distinct, w, encode)
+    weights = np.abs(np.array([np.ones(len(w)), *values])) ** 2
+    # thread j post-selects with q_j = tr(B_j rho B_j^dagger) = sum_i w_i |b_ij|^2
+    q_threads = (weights @ w)[index]
+    failed = np.argwhere(q_threads <= 1e-14)
+    if failed.size:
+        i, j = failed[0]
+        raise PostSelectionError(
+            f"post-selection impossible: layout {i}, thread {j} succeeds with "
+            f"probability {q_threads[i, j]:.3e}"
+        )
+    powers = w ** np.array([len(fl) for fl in layouts])[:, None]
+    z = np.einsum("ij,ij->i", powers, np.prod(weights[index], axis=1))
+    return np.prod(q_threads, axis=1), z
+
+
+def joint_readout(
+    q: Sequence[float],
+    z: Sequence[float],
+    shots: ShotSpec = "exact",
+    sampler: ShotSampler | None = None,
+    coeffs: Sequence[float] | None = None,
+) -> Estimate:
+    """sum_j c_j z_j from the (+1, -1, discard) shots of parallel runs (q_j, z_j).
+
+    Run j succeeds with probability q_j, and a success reads +1 with
+    probability (1 + z_j/q_j)/2 and -1 otherwise; c defaults to all ones.
+    Exact mode returns sum_j c_j z_j.  Sampled mode makes one multinomial
+    draw of n shots over the 3T cells (run j, outcome o) with probabilities
+    (|c_j|/||c||_1) p_{j,o}, so the cost is O(runs) whatever n is; for one
+    run with no coefficients that is multinomial(n, [p+, p-, 1 - q]).  The
+    value ||c||_1 sum_j sign(c_j)(n_{j+} - n_{j-})/n is unbiased, and its
+    standard error comes from the pooled second moment, corrected by n/(n-1).
+    """
+    q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
+    c = np.ones(z.shape) if coeffs is None else np.asarray(coeffs, dtype=float)
+    if z.ndim != 1 or q.shape != z.shape or c.shape != z.shape:
+        raise InputError(
+            f"one q, z and coefficient per run is required, got shapes "
+            f"{q.shape}, {z.shape} and {c.shape}"
+        )
+    one_norm = float(np.abs(c).sum())
+    if one_norm <= 0.0:
+        raise InputError("all-zero coefficients: nothing to sample")
+    if shots == "exact":
+        return Estimate(value=float(np.dot(c, z)), std_error=0.0, shots_used=0)
+    n = _check_shots(shots)
+    z_cond = np.clip(z / q, -1.0, 1.0)
+    cells = np.stack(
+        [q * 0.5 * (1.0 + z_cond), q * 0.5 * (1.0 - z_cond), np.maximum(0.0, 1.0 - q)], axis=1
+    )
+    pvals = (np.abs(c) / one_norm)[:, None] * cells
+    counts = _as_sampler(sampler).multinomial(n, pvals.ravel())
+    n_plus, n_minus = counts[0::3], counts[1::3]
+    mean = float(np.dot(np.sign(c), n_plus - n_minus)) / n
+    second_moment = float(np.sum(n_plus + n_minus)) / n
+    var = max(second_moment - mean * mean, 0.0)
+    if n > 1:
+        var *= n / (n - 1)
+    return Estimate(
+        value=one_norm * mean, std_error=one_norm * math.sqrt(var / n), shots_used=n
+    )
+
+
 def parallel_qsp_run(
     factors: Sequence[Polynomial],
     rho: DensityMatrix,
@@ -548,63 +678,31 @@ def parallel_qsp_run(
     first; every call checks, reading each factor's memoized norm).  Each
     shot lands in one of three categories, success with control 0 (+1),
     success with control 1 (-1), or a failed post-selection (0), and the
-    category mean estimates z without conditioning on success.
+    category mean estimates z without conditioning on success.  Direct mode
+    is the one-layout case of parallel_qsp_runs; both modes read out through
+    joint_readout.
     """
     k = len(factors)
     if k < 1:
         raise InputError("need at least one factor polynomial")
-    for j, f in enumerate(factors):
-        if sup_norm(f) > 1.0 + 1e-9:
-            raise InputError(
-                f"apply rescale_factors: factor {j} has sup norm above 1"
-            )
     if mode not in ("direct", "circuit"):
         raise InputError(f"unknown mode {mode!r}; expected 'direct' or 'circuit'")
-    if mode == "circuit" and (rho.dim > 4 or k > 3):
-        raise InputError("circuit mode supports dimensions up to 4 and k up to 3")
-
-    w = rho.eigenvalues()
-    values, phases = _thread_values(factors, w, encode)
-    # thread j post-selects with q_j = tr(B_j rho B_j^dagger) = sum_i w_i |b_ij|^2
-    weights = [np.abs(b) ** 2 for b in values]
-    q_threads = [float(np.dot(w, a)) for a in weights]
-    for j, q in enumerate(q_threads):
-        if q <= 1e-14:
-            raise PostSelectionError(
-                f"post-selection impossible: thread {j} succeeds with probability {q:.3e}"
-            )
     if mode == "direct":
-        q = math.prod(q_threads)
-        z = float(np.dot(w ** k, np.prod(weights, axis=0)))
+        q, z = parallel_qsp_runs([factors], rho, encode)
+        return joint_readout(q, z, shots, sampler)
+    if rho.dim > 4 or k > 3:
+        raise InputError("circuit mode supports dimensions up to 4 and k up to 3")
+    for j, f in enumerate(factors):
+        _check_norm(f, f"factor {j}")
+    values, phases = _thread_values(factors, rho.eigenvalues(), encode)
+    if phases is None:
+        encs = [oracle_block_encode(rho.spectral_operator(b)) for b in values]
     else:
-        if phases is None:
-            encs = [oracle_block_encode(rho.spectral_operator(b)) for b in values]
-        else:
-            encs = [_encode_factor_qsp(ph, rho) for ph in phases]
-        q, z = _joint_probabilities_circuit([e.unitary for e in encs], rho)
-        if q <= 1e-14:
-            raise PostSelectionError("post-selection impossible: joint success probability ~0")
-
-    if shots == "exact":
-        return Estimate(value=z, std_error=0.0, shots_used=0)
-    n = _check_shots(shots)
-    sampler = _as_sampler(sampler)
-    z_cond = min(1.0, max(-1.0, z / q))
-    p_plus = q * 0.5 * (1.0 + z_cond)
-    p_minus = q * 0.5 * (1.0 - z_cond)
-    counts = sampler.multinomial(n, [p_plus, p_minus, max(0.0, 1.0 - q)])
-    n_plus, n_minus, _ = (int(c) for c in counts)
-    mean = (n_plus - n_minus) / n
-    second_moment = (n_plus + n_minus) / n
-    var = max(second_moment - mean * mean, 0.0)
-    if n > 1:
-        var *= n / (n - 1)
-    return Estimate(
-        value=mean,
-        std_error=math.sqrt(var / n),
-        shots_used=n,
-        counts=(n_plus, n_minus, int(counts[2])),
-    )
+        encs = [_encode_factor_qsp(ph, rho) for ph in phases]
+    q, z = _joint_probabilities_circuit([e.unitary for e in encs], rho)
+    if q <= 1e-14:
+        raise PostSelectionError("post-selection impossible: joint success probability ~0")
+    return joint_readout([q], [z], shots, sampler)
 
 
 def query_depth_report(factors: Sequence[Polynomial]) -> tuple[int, int]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqsp import poly
+from pqsp import estimate, poly, sim
 from pqsp import (
     DensityMatrix,
     Estimate,
@@ -15,16 +15,22 @@ from pqsp import (
     ShotSampler,
     apply_qsp,
     block_encode_density,
+    chebyshev_parallel_terms,
     chebyshev_polynomial,
     factorize_nonneg,
     generalized_swap_expectation,
     hadamard_test,
+    joint_readout,
     oracle_block_encode,
     parallel_qsp_run,
+    parallel_qsp_runs,
     purify,
     qsp_test,
     query_depth_report,
     rescale_factors,
+    spectral_hadamard_test,
+    split_constituents,
+    term_factor_polynomials,
 )
 from conftest import random_nonneg, random_parity_target
 
@@ -89,6 +95,22 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             w[0] = 0.5
         assert np.allclose(rho.spectral_operator(w), rho.matrix, atol=1e-14)
+
+    def test_eigenvectors_on_first_use(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        rho = DensityMatrix.random_seeded(4, 3)
+        w = rho.eigenvalues()
+        before = w.copy()
+        assert calls == []
+        w2, v = rho.eigh()
+        assert rho.eigh()[1] is v and calls == [1]
+        assert w2 is w and rho.eigenvalues() is w
+        assert np.array_equal(w, before)
+        assert not v.flags.writeable
+        assert np.allclose(rho.spectral_operator(w), rho.matrix, atol=1e-14)
+        assert calls == [1]
 
     def test_dict_round_trip(self):
         rho = DensityMatrix.random_seeded(3, 4)
@@ -181,6 +203,29 @@ class TestMeasurementPrimitives:
         assert a.value == b.value and a.std_error == b.std_error
         assert a.shots_used == 4096
         assert abs(a.value - 0.625) <= 5 * max(a.std_error, 1e-3)
+
+
+class TestSpectralHadamard:
+    @pytest.mark.parametrize("sigma", ["mixed", "rho"])
+    def test_matches_encoded_hadamard_test(self, sigma):
+        rho = DensityMatrix.random_seeded(8, 12)
+        p = Polynomial([0.3, -0.5, 0.0, 0.9])
+        values = np.real(p(rho.eigenvalues())) / poly.sup_norm(p)
+        enc = oracle_block_encode(rho.spectral_operator(values))
+        state = DensityMatrix.maximally_mixed(8) if sigma == "mixed" else rho
+        want = hadamard_test(enc, state).value
+        assert spectral_hadamard_test(p, rho, sigma).value == pytest.approx(want, abs=1e-14)
+
+    def test_sampled_reads_through_readout(self, rho_34):
+        est = spectral_hadamard_test(
+            chebyshev_polynomial(2), rho_34, "rho", shots=4096, sampler=ShotSampler(3)
+        )
+        assert est.shots_used == 4096
+        assert -1.0 <= est.value <= 1.0
+
+    def test_unknown_sigma(self, rho_34):
+        with pytest.raises(InputError, match="sigma"):
+            spectral_hadamard_test(Polynomial([0, 1]), rho_34, "pure")
 
 
 class TestSampledReadoutPins:
@@ -345,8 +390,7 @@ class TestParallelRun:
         factors = (Polynomial([0, 1]), Polynomial([0, 1]))
         a = parallel_qsp_run(factors, rho_34, shots=10 ** 4, sampler=ShotSampler(11))
         b = parallel_qsp_run(factors, rho_34, shots=10 ** 4, sampler=ShotSampler(11))
-        assert a.value == b.value
-        assert a.counts == b.counts
+        assert a == b
 
     def test_sampled_run_unbiased(self, rho_34):
         factors = (Polynomial([0, 1]), Polynomial([0, 1]))
@@ -376,31 +420,97 @@ class TestParallelRun:
         ratio = avg_stderr(10 ** 3) / avg_stderr(10 ** 5)
         assert 6.25 <= ratio <= 16.0
 
-    def test_counts_expose_samples(self, rho_34):
-        factors = (Polynomial([0, 1]),)
-        est = parallel_qsp_run(factors, rho_34, shots=2048, sampler=ShotSampler(5))
-        samples = est.samples()
-        assert len(samples) == 2048
-        assert float(np.mean(samples)) == pytest.approx(est.value, abs=1e-12)
 
-    def test_exact_estimate_has_no_samples(self, rho_34):
-        est = parallel_qsp_run((Polynomial([0, 1]),), rho_34)
-        with pytest.raises(InputError, match="counts"):
-            est.samples()
+class TestBatchedRuns:
+    @staticmethod
+    def layouts():
+        """Term layouts (k = 2) and monomial layouts of 1 to 4 threads (k = 3)."""
+        tail = split_constituents(chebyshev_polynomial(16), 2)[1]
+        terms = chebyshev_parallel_terms(tail, 2, 16).terms
+        return [term_factor_polynomials(t, 2) for t in terms] + [
+            estimate._monomial_factors(n, 3) for n in range(1, 9)
+        ]
+
+    @pytest.mark.parametrize("dim", [4, 16, 32])
+    def test_batch_matches_single_runs(self, dim):
+        rho = DensityMatrix.random_seeded(dim, dim)
+        layouts = self.layouts()
+        assert {len(fl) for fl in layouts} == {1, 2, 3, 4}
+        q, z = parallel_qsp_runs(layouts, rho)
+        assert q.shape == z.shape == (len(layouts),)
+        lams = np.linalg.eigvalsh(rho.matrix)
+        for i, fl in enumerate(layouts):
+            assert z[i] == pytest.approx(parallel_qsp_run(fl, rho).value, abs=1e-14)
+            assert z[i] == pytest.approx(spectral_parallel_value(fl, rho), abs=1e-12)
+            want_q = math.prod(float(np.dot(lams, np.abs(f(lams)) ** 2)) for f in fl)
+            assert q[i] == pytest.approx(want_q, abs=1e-12)
+
+    def test_each_distinct_factor_checked_once(self, rho_34, monkeypatch):
+        checked = []
+        check = sim._check_norm
+        monkeypatch.setattr(
+            sim, "_check_norm", lambda f, where: checked.append(f) or check(f, where)
+        )
+        layouts = self.layouts()
+        parallel_qsp_runs(layouts, rho_34)
+        distinct = {id(f) for fl in layouts for f in fl}
+        assert len(checked) == len(distinct) < sum(len(fl) for fl in layouts)
+
+    def test_errors_name_layout_and_thread(self):
+        rho = DensityMatrix.pure(2)
+        ok, dead = Polynomial([0, 1]), Polynomial([-0.5, 0.5])
+        with pytest.raises(PostSelectionError, match="layout 1, thread 2"):
+            parallel_qsp_runs([[ok], [ok, ok, dead]], rho)
+        with pytest.raises(InputError, match="layout 1, factor 0 has sup norm above 1"):
+            parallel_qsp_runs([[ok], [Polynomial([0, 0, 1.5])]], rho)
+        with pytest.raises(InputError, match="layout 0 needs at least one"):
+            parallel_qsp_runs([[]], rho)
+
+
+class TestJointReadout:
+    def test_one_run_is_the_single_multinomial(self, rho_34):
+        factors = (Polynomial([0, 1]), Polynomial([0.5, 0, 0.5]))
+        q, z = parallel_qsp_runs([factors], rho_34)
+        z_cond = min(1.0, max(-1.0, z[0] / q[0]))
+        pvals = [q[0] * 0.5 * (1.0 + z_cond), q[0] * 0.5 * (1.0 - z_cond), 1.0 - q[0]]
+        n_plus, n_minus, _ = ShotSampler(4).multinomial(5000, pvals)
+        est = joint_readout(q, z, 5000, ShotSampler(4))
+        assert est.value == (n_plus - n_minus) / 5000
+        assert est == parallel_qsp_run(factors, rho_34, shots=5000, sampler=ShotSampler(4))
+
+    def test_one_draw_unbiased_with_calibrated_error(self):
+        rho = DensityMatrix.random_seeded(4, 1)
+        tail = split_constituents(chebyshev_polynomial(10), 2)[1]
+        terms = chebyshev_parallel_terms(tail, 2, 10).terms
+        c = [t.coeff for t in terms]
+        q, z = parallel_qsp_runs([term_factor_polynomials(t, 2) for t in terms], rho)
+        exact = float(np.dot(c, z))
+        assert joint_readout(q, z, coeffs=c).value == exact
+        ests = [joint_readout(q, z, 2000, ShotSampler(s), coeffs=c) for s in range(200)]
+        vals = np.array([e.value for e in ests])
+        spread = float(np.std(vals, ddof=1))
+        assert abs(vals.mean() - exact) <= 5 * spread / math.sqrt(len(vals))
+        assert float(np.mean([e.std_error for e in ests])) == pytest.approx(spread, rel=0.15)
+        assert all(e.shots_used == 2000 for e in ests)
+
+    def test_shape_and_coefficient_checks(self):
+        with pytest.raises(InputError, match="one q, z and coefficient per run"):
+            joint_readout([0.5, 0.5], [0.1, 0.2], coeffs=[1.0])
+        with pytest.raises(InputError, match="all-zero"):
+            joint_readout([0.5], [0.1], coeffs=[0.0])
 
 
 class TestEstimateArithmetic:
     def test_sum_of_independent_stages(self):
-        a = Estimate(value=0.5, std_error=0.03, shots_used=100, counts=(60, 30, 10))
+        a = Estimate(value=0.5, std_error=0.03, shots_used=100)
         b = Estimate(value=-0.2, std_error=0.04, shots_used=300)
         total = a + b
         assert total.value == pytest.approx(0.3, abs=1e-15)
         assert total.std_error == pytest.approx(math.hypot(0.03, 0.04), rel=1e-15)
         assert total.shots_used == 400
-        assert total.counts is None
 
     def test_negative_scale_keeps_error_sign_and_shots(self):
-        est = Estimate(value=0.5, std_error=0.03, shots_used=100, counts=(60, 30, 10))
+        est = Estimate(value=0.5, std_error=0.03, shots_used=100)
         scaled = -4.0 * est
         assert scaled.value == -2.0
         assert scaled.std_error == pytest.approx(0.12, rel=1e-15)
