@@ -85,6 +85,28 @@ def _trim(coeffs: Iterable[complex]) -> tuple[complex, ...]:
     return tuple(cs)
 
 
+def _poly2cheb(mono: Sequence[complex]) -> tuple[complex, ...]:
+    """Monomial to Chebyshev coefficients: numpy's poly2cheb, step for step.
+
+    Horner's scheme in the Chebyshev basis, highest power first: multiply by
+    x as chebmulx does, add the next coefficient, drop exact trailing zeros.
+    The operations and their order are numpy's, so the result has the same
+    bits; plain complex lists avoid numpy's per-step array overhead, which
+    dominates at the degrees used here.
+    """
+    res = [0j]
+    for a in reversed(mono):
+        if len(res) > 1 or res[0] != 0:
+            half = [c / 2 for c in res[1:]]
+            res = [res[0] * 0, res[0], *half]
+            for i, h in enumerate(half):
+                res[i] += h
+        res[0] += a
+        while len(res) > 1 and res[-1] == 0:
+            res.pop()
+    return tuple(res)
+
+
 def _parse_pairs(items) -> list[complex]:
     out = []
     for item in items:
@@ -108,7 +130,7 @@ class Polynomial:
         """The polynomial sum_n coeffs[n] x^n, from monomial coefficients."""
         mono = _trim(coeffs)
         object.__setattr__(self, "_mono", mono)
-        object.__setattr__(self, "cheb", tuple(complex(c) for c in npcheb.poly2cheb(mono)))
+        object.__setattr__(self, "cheb", _poly2cheb(mono))
 
     @classmethod
     def from_cheb(cls, coeffs: Iterable[complex]) -> "Polynomial":

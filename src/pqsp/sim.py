@@ -19,10 +19,17 @@ diagonalizes them all, thread j post-selects with probability
 q_j = sum_i w_i |P_j(w_i)|^2 and z = sum_i w_i^k prod_j |P_j(w_i)|^2, with no
 D x D matrix formed; parallel_qsp_runs evaluates every layout of a stage in
 one array pass, and spectral_hadamard_test reads tr(sigma p(rho)) the same
-way.  "circuit" tensors the literal thread unitaries together and computes
-the same joint outcome probabilities from the full register state, which is
-exponentially larger and exists purely as a correctness witness for small
-dimensions.
+way.  "circuit" builds each thread's literal unitary (the oracle dilation
+or the QSP sequence) and reads the same joint outcome probabilities through
+the literal cyclic-shift permutation, as a correctness witness independent
+of direct mode's closed form.  Post-selecting every flag register on zero
+commutes with the shift, which moves system registers only, and leaves the
+tensor product of the flag-zero blocks' outputs B_j rho B_j^dagger; the
+swap test is therefore evaluated on that D^k-dimensional success subspace,
+in O(k D^3 + D^(2k)) work rather than O(nt^3) on the full register of
+nt = (2D)^k or (4D)^k amplitudes.  The caps (D <= 4, k <= 3, a register of
+at most 1024 amplitudes) still apply, sized by the register the circuit
+would need.
 """
 
 from __future__ import annotations
@@ -515,55 +522,40 @@ def _thread_values(
 def _joint_probabilities_circuit(
     unitaries: Sequence[np.ndarray], rho: DensityMatrix
 ) -> tuple[float, float]:
-    """(success prob, z) from the tensored thread registers.
+    """(success prob, z) of the tensored thread registers, on the success subspace.
 
     Each thread holds flag registers plus a system register; the circuit
     applies all thread unitaries, a Hadamard-conjugated controlled cyclic
     shift of the system registers, and reads joint outcome probabilities
-    for (control, all flags zero).
+    for (control, all flags zero).  The all-flags-zero projector P acts on
+    flags only, so it commutes with the shift, and it maps the register
+    state to the product of sigma_j = B_j rho B_j^dagger, B_j = u_j[:d, :d]
+    the flag-zero block of thread j.  The four Hadamard/shift terms are
+    therefore formed on that D^k product alone, with the literal shift
+    permutation: O(k D^3 + D^(2k)) work in place of O(nt^3) on the full
+    register of nt = prod_j dim(u_j) amplitudes, whose 1024 cap still holds.
     """
     d = rho.dim
-    dims = [u.shape[0] for u in unitaries]
-    nt = int(np.prod(dims))
+    nt = math.prod(u.shape[0] for u in unitaries)
     if nt > 1024:
         raise InputError(
             f"circuit mode register dimension {nt} exceeds the 1024 cap; "
             "use direct mode or smaller instances"
         )
-    u_thr = np.eye(1, dtype=complex)
-    tau0 = np.eye(1, dtype=complex)
+    sigma = np.eye(1, dtype=complex)
     for u in unitaries:
-        n = u.shape[0]
-        init = np.zeros((n, n), dtype=complex)
-        init[:d, :d] = rho.matrix
-        u_thr = np.kron(u_thr, u)
-        tau0 = np.kron(tau0, init)
-    tau = u_thr @ tau0 @ u_thr.conj().T
+        b = u[:d, :d]
+        sigma = np.kron(sigma, b @ rho.matrix @ b.conj().T)
+    # system digits, thread 0 most significant; the shift moves digit j-1 to j
+    shape = (d,) * len(unitaries)
+    digits = np.indices(shape).reshape(len(unitaries), -1)
+    perm = np.ravel_multi_index(np.roll(digits, 1, axis=0), shape)
 
-    # index digits per thread; system digit is (t mod d), flags are (t div d)
-    idx = np.arange(nt)
-    digits = []
-    rem = idx
-    for n in reversed(dims):
-        digits.append(rem % n)
-        rem = rem // n
-    digits = digits[::-1]
-    flags = [t // d for t in digits]
-    systems = [t % d for t in digits]
-    shifted = systems[-1:] + systems[:-1]
-    acc = np.zeros(nt, dtype=int)
-    for n, f, s in zip(dims, flags, shifted):
-        acc = acc * n + (f * d + s)
-    perm = acc
-
-    success = np.nonzero(np.all([f == 0 for f in flags], axis=0))[0]
-    p_succ = float(np.real(np.trace(tau[np.ix_(success, success)])))
+    p_succ = float(np.real(np.trace(sigma)))
     # Hadamard, controlled shift, Hadamard: p(control=0 and flags 0)
-    s_tau = tau[perm, :]
-    tau_s_dag = tau[:, perm]
-    s_tau_s_dag = s_tau[:, perm]
-    fin00 = 0.25 * (tau + tau_s_dag + s_tau + s_tau_s_dag)
-    p_both = float(np.real(np.trace(fin00[np.ix_(success, success)])))
+    s_sigma = sigma[perm, :]
+    fin00 = 0.25 * (sigma + sigma[:, perm] + s_sigma + s_sigma[:, perm])
+    p_both = float(np.real(np.trace(fin00)))
     z = 2.0 * p_both - p_succ
     return p_succ, z
 

@@ -183,6 +183,24 @@ def test_chebyshev_round_trip(cs):
     assert all(abs(a - b) <= 1e-9 * scale for a, b in zip(back.coeffs, p.coeffs))
 
 
+def test_monomial_conversion_matches_numpy_exactly():
+    rng = np.random.default_rng(35)
+    for trial in range(400):
+        n = int(rng.integers(1, 62))
+        cs = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7, size=n)
+        if trial % 2:
+            cs = cs + 1j * rng.normal(size=n)
+        cs[rng.random(n) < 0.3] = 0.0
+        p = Polynomial(cs)
+        want = tuple(complex(c) for c in np.polynomial.chebyshev.poly2cheb(p.coeffs))
+        assert p.cheb == want
+    # halving a subnormal top coefficient underflows to exact zeros, which
+    # numpy trims; Polynomial's own 1e-12 trim never lets such inputs through
+    for mono in ((0j, 0j, 5e-324), (1 + 0j, 0j, 0j, 5e-324j), (0j,)):
+        want = tuple(complex(c) for c in np.polynomial.chebyshev.poly2cheb(mono))
+        assert poly._poly2cheb(mono) == want
+
+
 def test_chebyshev_polynomial_values():
     T6 = chebyshev_polynomial(6)
     assert complex(T6(0.75)).real == pytest.approx(-0.3671875, abs=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,55 @@ def spectral_parallel_value(factors, rho):
     for f in factors:
         acc = acc * np.abs(f(lams)) ** 2
     return float(np.sum(acc))
+
+
+def full_register_probabilities(unitaries, rho):
+    """Reference (success prob, z) from the whole tensored register.
+
+    Builds tau = U (tensor of |0><0|_flags x rho) U^dagger over all
+    nt = prod_j dim(u_j) amplitudes, applies the Hadamard-conjugated
+    controlled cyclic shift of the system registers as a permutation, and
+    traces the (control 0, all flags zero) block: O(nt^3) work that circuit
+    mode's success-subspace kernel must reproduce.
+    """
+    d = rho.dim
+    dims = [u.shape[0] for u in unitaries]
+    nt = int(np.prod(dims))
+    u_thr = np.eye(1, dtype=complex)
+    tau0 = np.eye(1, dtype=complex)
+    for u in unitaries:
+        n = u.shape[0]
+        init = np.zeros((n, n), dtype=complex)
+        init[:d, :d] = rho.matrix
+        u_thr = np.kron(u_thr, u)
+        tau0 = np.kron(tau0, init)
+    tau = u_thr @ tau0 @ u_thr.conj().T
+
+    # index digits per thread; system digit is (t mod d), flags are (t div d)
+    rem = np.arange(nt)
+    digits = []
+    for n in reversed(dims):
+        digits.append(rem % n)
+        rem = rem // n
+    digits = digits[::-1]
+    flags = [t // d for t in digits]
+    systems = [t % d for t in digits]
+    shifted = systems[-1:] + systems[:-1]
+    perm = np.zeros(nt, dtype=int)
+    for n, f, s in zip(dims, flags, shifted):
+        perm = perm * n + (f * d + s)
+
+    success = np.nonzero(np.all([f == 0 for f in flags], axis=0))[0]
+    p_succ = float(np.real(np.trace(tau[np.ix_(success, success)])))
+    s_tau = tau[perm, :]
+    fin00 = 0.25 * (tau + tau[:, perm] + s_tau + s_tau[:, perm])
+    p_both = float(np.real(np.trace(fin00[np.ix_(success, success)])))
+    return p_succ, 2.0 * p_both - p_succ
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestDensityMatrix:
@@ -307,13 +357,18 @@ class TestParallelRun:
         states = [DensityMatrix.random_seeded(dim, 60 + dim) for dim in (2, 3, 4)]
         # degenerate spectra: a basis-free state and a repeated eigenvalue
         states += [DensityMatrix.maximally_mixed(4), DensityMatrix.diagonal([0.4, 0.4, 0.2])]
-        chebyshev_factors = (chebyshev_polynomial(2), chebyshev_polynomial(3))
-        for rho in states:
-            plan = rescale_factors(factorize_nonneg(random_nonneg(rng, 3), 2))
-            for factors, encode in ((plan.factors, "oracle"), (chebyshev_factors, "qsp")):
-                direct = parallel_qsp_run(factors, rho, mode="direct", encode=encode)
-                circuit = parallel_qsp_run(factors, rho, mode="circuit", encode=encode)
-                assert abs(direct.value - circuit.value) <= 1e-8
+        for k in (1, 2, 3):
+            chebyshev_factors = [chebyshev_polynomial(j + 2) for j in range(k)]
+            for rho in states:
+                plan = rescale_factors(factorize_nonneg(random_nonneg(rng, 3), k))
+                cases = [(plan.factors, "oracle")]
+                # the phase route's 4D-dimensional threads must fit the register cap
+                if (4 * rho.dim) ** k <= 1024:
+                    cases.append((chebyshev_factors, "qsp"))
+                for factors, encode in cases:
+                    direct = parallel_qsp_run(factors, rho, mode="direct", encode=encode)
+                    circuit = parallel_qsp_run(factors, rho, mode="circuit", encode=encode)
+                    assert abs(direct.value - circuit.value) <= 1e-8
 
     def test_qsp_encode_matches_oracle(self, rho_34):
         # phase route needs definite parity; Chebyshev factors qualify
@@ -419,6 +474,63 @@ class TestParallelRun:
 
         ratio = avg_stderr(10 ** 3) / avg_stderr(10 ** 5)
         assert 6.25 <= ratio <= 16.0
+
+
+class TestCircuitKernel:
+    """The success-subspace kernel against the full-register reference."""
+
+    def test_matches_full_register_on_random_unitaries(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for dim in (2, 3, 4):
+            for k in (1, 2, 3):
+                for flags in (2, 4, 8):
+                    if (flags * dim) ** k > 1024:
+                        continue
+                    rho = DensityMatrix.random_seeded(dim, 10 * dim + k)
+                    us = [random_unitary(rng, flags * dim) for _ in range(k)]
+                    got = sim._joint_probabilities_circuit(us, rho)
+                    assert got == pytest.approx(full_register_probabilities(us, rho), abs=1e-12)
+                    checked += 1
+        assert checked == 22
+
+    @pytest.mark.parametrize("dim, encode", [(4, "oracle"), (2, "qsp")])
+    def test_matches_full_register_on_thread_unitaries(self, monkeypatch, dim, encode):
+        # the 512-amplitude registers: 8-dimensional oracle threads at D = 4,
+        # 8-dimensional phase-route threads at D = 2
+        seen = []
+        kernel = sim._joint_probabilities_circuit
+
+        def recording(unitaries, rho):
+            seen.append((unitaries, rho))
+            return kernel(unitaries, rho)
+
+        monkeypatch.setattr(sim, "_joint_probabilities_circuit", recording)
+        rho = DensityMatrix.random_seeded(dim, 70 + dim)
+        if encode == "oracle":
+            rng = np.random.default_rng(12)
+            factors = rescale_factors(factorize_nonneg(random_nonneg(rng, 4), 3)).factors
+        else:
+            factors = [chebyshev_polynomial(n) for n in (1, 2, 3)]
+        parallel_qsp_run(factors, rho, mode="circuit", encode=encode)
+        [(unitaries, _)] = seen
+        assert math.prod(u.shape[0] for u in unitaries) == 512
+        got = kernel(unitaries, rho)
+        assert got == pytest.approx(full_register_probabilities(unitaries, rho), abs=1e-12)
+
+    def test_largest_oracle_run_stays_small(self):
+        rng = np.random.default_rng(13)
+        rho = DensityMatrix.random_seeded(4, 3)
+        factors = rescale_factors(factorize_nonneg(random_nonneg(rng, 4), 3)).factors
+        parallel_qsp_run(factors, rho, mode="circuit")
+        tracemalloc.start()
+        try:
+            parallel_qsp_run(factors, rho, mode="circuit")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 512 x 512 complex matrix of the full register is 4 MiB
+        assert peak < 2 ** 20
 
 
 class TestBatchedRuns:
