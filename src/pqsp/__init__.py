@@ -27,33 +27,16 @@ from .factor import (
     term_factor_polynomials,
     verify_factorization,
 )
-from .qsp import (
-    QspConditionReport,
-    QspPhases,
-    QspUnitaryValue,
-    designated_element,
-    extract_polynomials,
-    find_phases,
-    qsp_unitary,
-    realized_value,
-    validate_conditions,
-)
+from .qsp import QspPhases, find_phases, realized_value
 from .sim import (
-    BlockEncoding,
     DensityMatrix,
     Estimate,
-    Purification,
     ShotSampler,
-    apply_qsp,
-    block_encode_density,
     generalized_swap_expectation,
-    hadamard_test,
     joint_readout,
     oracle_block_encode,
     parallel_qsp_run,
     parallel_qsp_runs,
-    purify,
-    qsp_test,
     query_depth_report,
     spectral_hadamard_test,
 )

@@ -22,11 +22,10 @@ Im P into the "wx_pp" read-out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
 from .errors import ConvergenceError, InputError
 from .poly import Parity, Polynomial, sup_norm
@@ -41,13 +40,7 @@ MAX_NEWTON_STEPS = 100
 __all__ = [
     "CONVENTIONS",
     "QspPhases",
-    "QspUnitaryValue",
-    "QspConditionReport",
-    "qsp_unitary",
-    "extract_polynomials",
-    "validate_conditions",
     "find_phases",
-    "designated_element",
     "realized_value",
 ]
 
@@ -84,34 +77,6 @@ class QspPhases:
         return cls(tuple(float(p) for p in obj["phases"]), obj.get("convention", "wx_00"))
 
 
-@dataclass(frozen=True)
-class QspUnitaryValue:
-    """U_phi evaluated at one signal value x."""
-
-    matrix: np.ndarray
-    x: float
-
-    def unitarity_defect(self) -> float:
-        m = self.matrix
-        return float(np.max(np.abs(m @ m.conj().T - np.eye(2))))
-
-    @property
-    def p_element(self) -> complex:
-        return complex(self.matrix[0, 0])
-
-    @property
-    def plus_element(self) -> complex:
-        return complex(0.5 * self.matrix.sum())
-
-
-def qsp_unitary(phases: QspPhases, x: float) -> QspUnitaryValue:
-    """Multiply out the signal-processing sequence at one x in [-1, 1]."""
-    if abs(x) > 1.0 + 1e-12:
-        raise InputError(f"signal value x={x} lies outside [-1, 1]")
-    x = min(1.0, max(-1.0, float(x)))
-    return QspUnitaryValue(matrix=_batched_sequence(phases.phases, np.array([x]))[0], x=x)
-
-
 def _batched_sequence(phases: Sequence[float], xs: np.ndarray) -> np.ndarray:
     """U_phi at every x in xs, as an (n, 2, 2) stack."""
     return _prefix_products(phases, xs)[-1]
@@ -140,107 +105,17 @@ def _prefix_products(phases: Sequence[float], xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def designated_element(phases: QspPhases, x: float) -> complex:
-    """The matrix element the convention designates: <0|U|0> or <+|U|+>."""
-    u = qsp_unitary(phases, x)
-    return u.p_element if phases.convention == "wx_00" else u.plus_element
-
-
 def realized_value(phases: QspPhases, x: float) -> float:
-    """Real part of the designated element; the scalar phase finding targets."""
-    return designated_element(phases, x).real
+    """Real part of the designated element, <0|U|0> for "wx_00" or <+|U|+>
+    for "wx_pp", at one x in [-1, 1]; the scalar phase finding targets."""
+    if abs(x) > 1.0 + 1e-12:
+        raise InputError(f"signal value x={x} lies outside [-1, 1]")
+    u = _batched_sequence(phases.phases, np.array([min(1.0, max(-1.0, float(x)))]))[0]
+    return float((u[0, 0] if phases.convention == "wx_00" else 0.5 * u.sum()).real)
 
 
 def _chebyshev_nodes(n: int) -> np.ndarray:
     return np.cos((2 * np.arange(1, n + 1) - 1) * math.pi / (2 * n))
-
-
-def extract_polynomials(phases: QspPhases, grid_size: int | None = None) -> tuple[Polynomial, Polynomial]:
-    """Recover (P, Q) from samples of the sequence on Chebyshev nodes.
-
-    The matrix elements are sampled at grid_size nodes (at least 2*(d+1)),
-    and fitted with exact-degree Chebyshev interpolants.  Coefficients below
-    1e-10 of the largest are zeroed so that parity and degree read cleanly
-    off the result.
-    """
-    d = phases.degree
-    if grid_size is None:
-        grid_size = max(2 * (d + 1), 16)
-    if grid_size < 2 * (d + 1):
-        raise InputError(f"grid_size must be at least {2 * (d + 1)} for degree {d}")
-    xs = _chebyshev_nodes(grid_size)
-    u = _batched_sequence(phases.phases, xs)
-    s = np.sqrt(1.0 - xs * xs)
-    p_samples = u[:, 0, 0]
-    q_samples = u[:, 0, 1] / (1j * s)
-
-    def fit(samples: np.ndarray, deg: int) -> Polynomial:
-        c = npcheb.chebfit(xs, samples, deg)
-        resid = float(np.max(np.abs(npcheb.chebval(xs, c) - samples)))
-        if resid > 1e-8:
-            raise ConvergenceError(
-                f"interpolation is ill-conditioned at degree {deg}: residual {resid:.3e}",
-                best_residual=resid,
-            )
-        floor = 1e-10 * max(1.0, float(np.max(np.abs(c))))
-        c[np.abs(c) <= floor] = 0.0
-        return Polynomial.from_cheb(c)
-
-    p = fit(p_samples, d)
-    q = fit(q_samples, d - 1) if d >= 1 else Polynomial([0.0])
-    return p, q
-
-
-def _parity_compatible(p: Polynomial, want_odd: bool) -> bool:
-    if p.is_zero():
-        return True
-    return p.parity is (Parity.ODD if want_odd else Parity.EVEN)
-
-
-@dataclass(frozen=True)
-class QspConditionReport:
-    """Pass/fail per structural condition, with the worst normalization defect."""
-
-    degree_p_ok: bool
-    degree_q_ok: bool
-    parity_p_ok: bool
-    parity_q_ok: bool
-    normalization_ok: bool
-    worst_violation: float
-    checks: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.degree_p_ok
-            and self.degree_q_ok
-            and self.parity_p_ok
-            and self.parity_q_ok
-            and self.normalization_ok
-        )
-
-
-def validate_conditions(p: Polynomial, q: Polynomial, d: int, tol: float = 1e-9) -> QspConditionReport:
-    """Check the structural conditions a degree-d sequence imposes on (P, Q)."""
-    xs = _chebyshev_nodes(max(64, 4 * (d + 1)))
-    norm_vals = np.abs(p(xs)) ** 2 + (1.0 - xs * xs) * np.abs(q(xs)) ** 2
-    worst = float(np.max(np.abs(norm_vals - 1.0)))
-    report = QspConditionReport(
-        degree_p_ok=p.degree <= d,
-        degree_q_ok=q.is_zero() or q.degree <= max(d - 1, 0),
-        parity_p_ok=_parity_compatible(p, want_odd=bool(d % 2)),
-        parity_q_ok=_parity_compatible(q, want_odd=bool((d - 1) % 2)),
-        normalization_ok=worst <= tol,
-        worst_violation=worst,
-    )
-    report.checks.update(
-        degree_p=report.degree_p_ok,
-        degree_q=report.degree_q_ok,
-        parity_p=report.parity_p_ok,
-        parity_q=report.parity_q_ok,
-        normalization=report.normalization_ok,
-    )
-    return report
 
 
 # A plain module function, not an alias or a method: perfbench's tracer wraps

@@ -1,17 +1,18 @@
 """Density matrices, block encodings, and measurement simulation.
 
-Estimation reduces to three read-out primitives on block-encoded operators:
-the Hadamard test (real or imaginary part of tr(sigma * B)), the squared
-test (tr(sigma * B^dagger B)), and the generalized swap test, which turns a
-cyclic shift over k registers into tr(rho_1 ... rho_k).  parallel_qsp_run
-combines them: k threads each apply a factor polynomial to a copy of rho,
-post-select on the encoding flags, and a Hadamard-conjugated controlled
-cyclic shift reads out z = tr(rho^k * prod_j |P_j(rho)|^2) through the joint
-outcome statistics, without ever renormalizing by the success probability.
-The one-ancilla read-outs share _readout: the exact value, or Bernoulli
-shots drawn from the caller's ShotSampler.  joint_readout is the one place
-that draws (+1, -1, discard) shots of parallel runs: one multinomial draw
-per stage, however many coefficient-weighted thread layouts it pools.
+Estimation has three read-outs.  spectral_hadamard_test is the Hadamard
+test of Re tr(sigma * p(rho)/||p||) for sigma = I/D or rho;
+generalized_swap_expectation is the generalized swap test, which turns a
+cyclic shift over k registers into tr(rho_1 ... rho_k); and parallel_qsp_run
+is the paper's parallel circuit: k threads each apply a factor polynomial to
+a copy of rho, post-select on their encoding flags, and a
+Hadamard-conjugated controlled cyclic shift reads out
+z = tr(rho^k * prod_j |P_j(rho)|^2) through the joint outcome statistics,
+without ever renormalizing by the success probability.  The two one-ancilla
+read-outs share _readout: the exact value, or Bernoulli shots drawn from the
+caller's ShotSampler.  joint_readout is the one place that draws
+(+1, -1, discard) shots of parallel runs: one multinomial draw per stage,
+however many coefficient-weighted thread layouts it pools.
 
 Two execution modes exist.  "direct" works on rho's eigenvalues w_i alone:
 every thread block P_j(rho) is a function of rho, so one eigenbasis
@@ -47,16 +48,9 @@ from .qsp import QspPhases, _batched_sequence, find_phases
 
 __all__ = [
     "DensityMatrix",
-    "Purification",
-    "BlockEncoding",
     "ShotSampler",
     "Estimate",
-    "purify",
-    "block_encode_density",
     "oracle_block_encode",
-    "apply_qsp",
-    "hadamard_test",
-    "qsp_test",
     "generalized_swap_expectation",
     "spectral_hadamard_test",
     "parallel_qsp_runs",
@@ -137,24 +131,19 @@ def _check_shots(shots, stages: int = 1) -> int:
     return int(shots)
 
 
-def _readout(
-    value: float, shots: ShotSpec, sampler: "ShotSampler | None", signed: bool = True
-) -> Estimate:
+def _readout(value: float, shots: ShotSpec, sampler: "ShotSampler | None") -> Estimate:
     """The exact value, or Bernoulli shots of a one-ancilla read-out of it.
 
-    A signed read-out measures p = 1/2 + value/2 and returns 2*p_hat - 1 with
-    standard error 2*sqrt(p_hat(1-p_hat)/shots); an unsigned one measures
-    p = value and returns p_hat with half that error.
+    The ancilla reads 0 with probability p = 1/2 + value/2; sampled mode
+    returns 2*p_hat - 1 with standard error 2*sqrt(p_hat(1-p_hat)/shots).
     """
     if shots == "exact":
         return Estimate(value=float(value), std_error=0.0, shots_used=0)
     n = _check_shots(shots)
-    p = 0.5 + 0.5 * min(1.0, max(-1.0, value)) if signed else value
+    p = 0.5 + 0.5 * min(1.0, max(-1.0, value))
     p_hat = _as_sampler(sampler).bernoulli_count(p, n) / n
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
-    if signed:
-        return Estimate(value=2.0 * p_hat - 1.0, std_error=2.0 * se, shots_used=n)
-    return Estimate(value=p_hat, std_error=se, shots_used=n)
+    return Estimate(value=2.0 * p_hat - 1.0, std_error=2.0 * se, shots_used=n)
 
 
 class DensityMatrix:
@@ -164,8 +153,8 @@ class DensityMatrix:
     (1e-10), then runs eigvalsh, which checks that the spectrum is >= -1e-10;
     the eigenvalues are stored read-only beside the matrix and never change
     afterwards.  Direct simulation needs nothing more.  The eigenvectors are
-    computed on the first call to eigh() or spectral_operator (circuit mode,
-    purification) and kept; every function of rho is then
+    computed on the first call to eigh() or spectral_operator (circuit mode)
+    and kept; every function of rho is then
     f(rho) = V diag(f(w)) V^dagger.  At D = 64 with one BLAS thread on a
     2-vCPU Xeon VM, construction takes about 0.6 ms (1.2 ms when it ran the
     full eigh) and the first eigh() call about 1 ms more.  Direct
@@ -258,77 +247,14 @@ class DensityMatrix:
         return cls([[complex(v[0], v[1]) for v in row] for row in rows])
 
 
-@dataclass(frozen=True)
-class Purification:
-    """A unitary V on two registers with V|0> = sum_j sqrt(p_j) |j>|chi_j>."""
-
-    unitary: np.ndarray
-    rho: DensityMatrix
-
-    def state(self) -> np.ndarray:
-        return self.unitary[:, 0]
-
-    def reduced_state(self) -> DensityMatrix:
-        d = self.rho.dim
-        psi = self.state().reshape(d, d)
-        return DensityMatrix(np.einsum("ab,ac->bc", psi, psi.conj()))
-
-
-def purify(rho: DensityMatrix) -> Purification:
-    """Eigendecompose rho and complete the purified column to a unitary.
-
-    The first column is sum_j sqrt(p_j) |j>_A |chi_j>_B; the remaining
-    columns are an orthonormal completion (QR of the column against the
-    standard basis), with the first column pinned exactly.
-    """
-    d = rho.dim
-    w, v = rho.eigh()
-    w = np.clip(w, 0.0, None)
-    psi = ((v * np.sqrt(w)).T).reshape(d * d)
-    m = np.concatenate([psi[:, None], np.eye(d * d, dtype=complex)], axis=1)
-    q, _ = np.linalg.qr(m)
-    q = np.array(q)
-    q[:, 0] = psi
-    return Purification(unitary=q, rho=rho)
-
-
-@dataclass(frozen=True)
-class BlockEncoding:
-    """A unitary whose top-left block_dim x block_dim block encodes an operator."""
-
-    unitary: np.ndarray
-    block_dim: int
-
-    @property
-    def block(self) -> np.ndarray:
-        d = self.block_dim
-        return self.unitary[:d, :d]
-
-    def unitarity_defect(self) -> float:
-        u = self.unitary
-        return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
-
-
-def block_encode_density(pur: Purification) -> BlockEncoding:
-    """U = (V^dagger on AB) SWAP_BC (V on AB), whose C-register block is rho."""
-    d = pur.rho.dim
-    v_full = np.kron(pur.unitary, np.eye(d, dtype=complex))
-    idx = np.arange(d ** 3)
-    a, rem = idx // (d * d), idx % (d * d)
-    b, c = rem // d, rem % d
-    swapped = (a * d + c) * d + b
-    u = v_full.conj().T[:, :] @ v_full[swapped, :]
-    return BlockEncoding(unitary=u, block_dim=d)
-
-
 def _psd_sqrt(h: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def oracle_block_encode(m) -> BlockEncoding:
-    """Exact-arithmetic dilation [[M, sqrt(I-MM*)], [sqrt(I-M*M), -M*]].
+def oracle_block_encode(m) -> np.ndarray:
+    """Exact-arithmetic dilation [[M, sqrt(I-MM*)], [sqrt(I-M*M), -M*]], a unitary.
 
     Requires spectral norm at most 1 (tolerance 1e-9); larger operators must
     be rescaled first.
@@ -343,8 +269,7 @@ def oracle_block_encode(m) -> BlockEncoding:
     eye = np.eye(d, dtype=complex)
     s1 = _psd_sqrt(eye - m @ m.conj().T)
     s2 = _psd_sqrt(eye - m.conj().T @ m)
-    u = np.block([[m, s1], [s2, -m.conj().T]])
-    return BlockEncoding(unitary=u, block_dim=d)
+    return np.block([[m, s1], [s2, -m.conj().T]])
 
 
 def _qubitized_step(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -369,54 +294,6 @@ def _qsp_sequence_unitary(phases: Sequence[float], step: np.ndarray) -> np.ndarr
     return u
 
 
-def apply_qsp(phases: QspPhases, enc: BlockEncoding) -> BlockEncoding:
-    """Interleave phase gates with the qubitized step built on enc's block.
-
-    The encoded operator must be Hermitian; the output block is P(A) for the
-    P the phase sequence generates, verified against direct spectral
-    evaluation (apply P to each eigenvalue) to 1e-8 before returning.
-    """
-    a = enc.block
-    if float(np.max(np.abs(a - a.conj().T))) > 1e-9:
-        raise InputError("encoded operator must be Hermitian for the qubitized route")
-    w, v = np.linalg.eigh(a)
-    u = _qsp_sequence_unitary(phases.phases, _qubitized_step(a, w, v))
-    out = BlockEncoding(unitary=u, block_dim=enc.block_dim)
-
-    from .qsp import extract_polynomials
-
-    p, _ = extract_polynomials(phases)
-    expected = (v * p(np.clip(w, -1.0, 1.0))) @ v.conj().T
-    defect = float(np.max(np.abs(out.block - expected)))
-    if defect > 1e-8:
-        raise RuntimeError(
-            f"qsp block deviates from spectral evaluation by {defect:.3e}"
-        )
-    return out
-
-
-def hadamard_test(
-    enc: BlockEncoding,
-    sigma: DensityMatrix,
-    shots: ShotSpec = "exact",
-    part: str = "real",
-    sampler: ShotSampler | None = None,
-) -> Estimate:
-    """Estimate Re or Im of tr(sigma * B) for the encoded block B.
-
-    The ancilla outcome probability is p = 1/2 + 1/2 * Re[tr(sigma B)] (the
-    imaginary part uses the phased variant); sampling draws Bernoulli shots
-    and returns 2*p_hat - 1 with standard error 2*sqrt(p_hat(1-p_hat)/shots).
-    """
-    if part not in ("real", "imag"):
-        raise InputError(f"part must be 'real' or 'imag', got {part!r}")
-    b = enc.block
-    if sigma.dim != b.shape[0]:
-        raise InputError("state dimension does not match the encoded block")
-    t = complex(np.trace(sigma.matrix @ b))
-    return _readout(t.real if part == "real" else t.imag, shots, sampler)
-
-
 def spectral_hadamard_test(
     p: Polynomial,
     rho: DensityMatrix,
@@ -429,28 +306,18 @@ def spectral_hadamard_test(
     sigma is I/D ("mixed") or rho itself ("rho").  The block p(rho)/||p|| is
     a function of rho, so the trace is a weighted mean of p(w_i)/||p|| over
     the eigenvalues w_i, clipped to [-1, 1], and lies in [-1, 1] without any
-    encoding being built.  Sampled mode draws through _readout.
+    encoding being built.  The zero polynomial has no such block and raises
+    InputError.  Sampled mode draws through _readout.
     """
     if sigma not in ("mixed", "rho"):
         raise InputError(f"sigma must be 'mixed' or 'rho', got {sigma!r}")
+    norm = sup_norm(p)
+    if norm == 0.0:
+        raise InputError("the zero polynomial has no block p/||p|| to encode")
     w = rho.eigenvalues()
-    values = np.real(p(np.clip(w, -1.0, 1.0))) / sup_norm(p)
+    values = np.real(p(np.clip(w, -1.0, 1.0))) / norm
     t = float(np.mean(values)) if sigma == "mixed" else float(np.dot(w, values))
     return _readout(t, shots, sampler)
-
-
-def qsp_test(
-    enc: BlockEncoding,
-    sigma: DensityMatrix,
-    shots: ShotSpec = "exact",
-    sampler: ShotSampler | None = None,
-) -> Estimate:
-    """Estimate tr(sigma * B^dagger B), the squared-magnitude read-out."""
-    b = enc.block
-    if sigma.dim != b.shape[0]:
-        raise InputError("state dimension does not match the encoded block")
-    p = float(np.real(np.trace(sigma.matrix @ b.conj().T @ b)))
-    return _readout(p, shots, sampler, signed=False)
 
 
 def generalized_swap_expectation(
@@ -478,7 +345,7 @@ def generalized_swap_expectation(
     return _readout(float(np.real(np.trace(prod))), shots, sampler)
 
 
-def _encode_factor_qsp(phases: QspPhases, rho: DensityMatrix) -> BlockEncoding:
+def _encode_factor_qsp(phases: QspPhases, rho: DensityMatrix) -> np.ndarray:
     """One-ancilla average of the qubitized sequences for phi and -phi.
 
     The sequence for the negated phases has <0|U|0> = conj(P), so the
@@ -494,7 +361,7 @@ def _encode_factor_qsp(phases: QspPhases, rho: DensityMatrix) -> BlockEncoding:
     v[: 2 * d, : 2 * d] = u_plus
     v[2 * d :, 2 * d :] = zc @ u_minus @ zc
     h = np.kron(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0), np.eye(2 * d))
-    return BlockEncoding(unitary=h @ v @ h, block_dim=d)
+    return h @ v @ h
 
 
 def _thread_values(
@@ -688,10 +555,10 @@ def parallel_qsp_run(
         _check_norm(f, f"factor {j}")
     values, phases = _thread_values(factors, rho.eigenvalues(), encode)
     if phases is None:
-        encs = [oracle_block_encode(rho.spectral_operator(b)) for b in values]
+        unitaries = [oracle_block_encode(rho.spectral_operator(b)) for b in values]
     else:
-        encs = [_encode_factor_qsp(ph, rho) for ph in phases]
-    q, z = _joint_probabilities_circuit([e.unitary for e in encs], rho)
+        unitaries = [_encode_factor_qsp(ph, rho) for ph in phases]
+    q, z = _joint_probabilities_circuit(unitaries, rho)
     if q <= 1e-14:
         raise PostSelectionError("post-selection impossible: joint success probability ~0")
     return joint_readout([q], [z], shots, sampler)

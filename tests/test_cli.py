@@ -102,6 +102,15 @@ class TestPhasesCommand:
         assert len(payload["phases"]) == 2
         assert payload["residual"] <= 1e-9
 
+    def test_scaled_t6_residual_pinned(self, runner, tmp_path):
+        # recorded before realized_value read the sequence without a wrapper;
+        # exact equality shows the read-out is unchanged to the bit
+        coeffs = [[0.0, 0.0]] * 6 + [[0.9, 0.0]]
+        poly = write_poly(tmp_path / "t6.json", coeffs, basis="chebyshev")
+        result = runner.invoke(main, ["phases", poly])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["residual"] == 8.049116928532385e-16
+
     def test_overscaled_exits_2(self, runner, tmp_path):
         poly = write_poly(tmp_path / "big.json", [0, 1.2])
         result = runner.invoke(main, ["phases", poly])

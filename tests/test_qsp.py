@@ -10,13 +10,9 @@ from pqsp import (
     Polynomial,
     QspPhases,
     chebyshev_polynomial,
-    designated_element,
-    extract_polynomials,
     find_phases,
     qsp,
-    qsp_unitary,
     realized_value,
-    validate_conditions,
 )
 from conftest import random_parity_target
 
@@ -28,21 +24,21 @@ class TestQspUnitary:
     )
     @settings(max_examples=60, deadline=None)
     def test_sequence_is_unitary(self, phis, x):
-        u = qsp_unitary(QspPhases(tuple(phis)), x)
-        assert u.unitarity_defect() <= 1e-12
+        u = qsp._batched_sequence(QspPhases(tuple(phis)).phases, np.array([x]))[0]
+        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-12
 
     def test_zero_phases_give_chebyshev(self):
         # trivial sequence: U = W^d, whose corner is T_d(x)
         for d in (1, 3, 6, 20):
             phases = QspPhases((0.0,) * (d + 1))
             for x in np.linspace(-1, 1, 50):
-                got = qsp_unitary(phases, float(x)).p_element
+                got = realized_value(phases, float(x))
                 want = math.cos(d * math.acos(float(x)))
                 assert abs(got - want) <= 1e-12
 
     def test_signal_outside_interval_rejected(self):
         with pytest.raises(InputError, match="outside"):
-            qsp_unitary(QspPhases((0.0, 0.0)), 1.5)
+            realized_value(QspPhases((0.0, 0.0)), 1.5)
 
     def test_degree_counts_signal_slots(self):
         assert QspPhases((0.1, 0.2, 0.3)).degree == 2
@@ -68,51 +64,6 @@ class TestQspPhasesContainer:
         a = QspPhases((0.5, 1.5, -0.5), convention="wx_pp")
         b = QspPhases.from_dict(a.to_dict())
         assert b == a
-
-
-class TestExtractPolynomials:
-    def test_trivial_sequence_recovers_pair(self):
-        phases = QspPhases((0.0,) * 7)  # degree 6
-        p, q = extract_polynomials(phases)
-        t6 = chebyshev_polynomial(6)
-        u5 = Polynomial([0, 6, 0, -32, 0, 32])
-        assert np.allclose(np.real(p.coeffs), t6.coeffs, atol=1e-9)
-        assert np.allclose(np.real(q.coeffs), u5.coeffs, atol=1e-8)
-
-    def test_pair_satisfies_normalization(self):
-        phases = QspPhases((0.4, -0.1, 0.9, 0.4), convention="wx_00")
-        p, q = extract_polynomials(phases)
-        report = validate_conditions(p, q, phases.degree)
-        assert report.passed, report.checks
-
-    def test_grid_too_small_rejected(self):
-        with pytest.raises(InputError, match="grid_size"):
-            extract_polynomials(QspPhases((0.0,) * 5), grid_size=6)
-
-
-class TestValidateConditions:
-    def test_identity_target(self):
-        report = validate_conditions(Polynomial([0, 1]), Polynomial([1]), 1)
-        assert report.passed
-
-    def test_degree_and_parity_violations(self):
-        report = validate_conditions(Polynomial([0, 0, 1]), Polynomial([0]), 1)
-        assert not report.degree_p_ok
-        assert not report.parity_p_ok
-        assert not report.passed
-
-    def test_chebyshev_pair(self):
-        t4 = chebyshev_polynomial(4)
-        u3 = Polynomial([0, -4, 0, 8])
-        report = validate_conditions(t4, u3, 4)
-        assert report.passed
-        assert report.worst_violation <= 1e-12
-
-    def test_normalization_violation_measured(self):
-        # defect 3 - 3x^2 peaks at the node closest to zero
-        report = validate_conditions(Polynomial([0, 1]), Polynomial([2]), 1)
-        assert not report.normalization_ok
-        assert 2.99 <= report.worst_violation <= 3.0
 
 
 class TestFindPhases:
@@ -201,12 +152,12 @@ class TestChebyshevBlockValue:
 
     def test_linear(self):
         assert Polynomial.from_cheb((0.0, 1.0))(0.4) == pytest.approx(0.4)
-        assert designated_element(QspPhases((0.0, 0.0)), 0.4) == pytest.approx(0.4)
+        assert realized_value(QspPhases((0.0, 0.0)), 0.4) == pytest.approx(0.4)
 
     def test_quadratic(self):
         # T_2(0.5) = -0.5
         assert Polynomial.from_cheb((0.0, 0.0, 1.0))(0.5) == pytest.approx(-0.5)
-        assert designated_element(QspPhases((0.0,) * 3), 0.5) == pytest.approx(-0.5)
+        assert realized_value(QspPhases((0.0,) * 3), 0.5) == pytest.approx(-0.5)
 
     def test_affine_combination_vanishes(self):
         series = Polynomial.from_cheb((0.5, 0.5))  # (1 + x) / 2

@@ -12,21 +12,15 @@ from pqsp import (
     InputError,
     Polynomial,
     PostSelectionError,
-    QspPhases,
     ShotSampler,
-    apply_qsp,
-    block_encode_density,
     chebyshev_parallel_terms,
     chebyshev_polynomial,
     factorize_nonneg,
     generalized_swap_expectation,
-    hadamard_test,
     joint_readout,
     oracle_block_encode,
     parallel_qsp_run,
     parallel_qsp_runs,
-    purify,
-    qsp_test,
     query_depth_report,
     rescale_factors,
     spectral_hadamard_test,
@@ -168,103 +162,35 @@ class TestDensityMatrix:
         assert np.allclose(again.matrix, rho.matrix, atol=1e-15)
 
 
-class TestPurification:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_reduced_state_matches(self, seed):
-        rho = DensityMatrix.random_seeded(3, seed)
-        pur = purify(rho)
-        assert np.allclose(pur.reduced_state().matrix, rho.matrix, atol=1e-12)
-
-    def test_unitary_and_unit_state(self):
-        rho = DensityMatrix.diagonal([0.75, 0.25])
-        pur = purify(rho)
-        u = pur.unitary
-        assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-12
-        assert np.linalg.norm(pur.state()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_pure_state_purifies(self):
-        rho = DensityMatrix.pure(2)
-        pur = purify(rho)
-        assert np.allclose(pur.reduced_state().matrix, rho.matrix, atol=1e-12)
-
-
 class TestBlockEncodings:
-    def test_density_encoding_block(self, rho_34):
-        enc = block_encode_density(purify(rho_34))
-        assert np.allclose(enc.block, rho_34.matrix, atol=1e-10)
-        assert enc.unitarity_defect() <= 1e-9
-
     def test_oracle_encoding_block(self):
         m = np.array([[0.3, 0.1], [0.1, -0.2]])
-        enc = oracle_block_encode(m)
-        assert np.allclose(enc.block, m, atol=1e-12)
-        assert enc.unitarity_defect() <= 1e-12
+        u = oracle_block_encode(m)
+        assert np.allclose(u[:2, :2], m, atol=1e-12)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-12
 
     def test_oracle_rejects_large_norm(self):
         with pytest.raises(InputError, match="rescale"):
             oracle_block_encode(np.eye(2) * 1.5)
 
-    def test_apply_qsp_trivial_phases(self, rho_34):
-        enc = oracle_block_encode(rho_34.matrix)
-        out = apply_qsp(QspPhases((0.0,) * 4), enc)
-        t3 = chebyshev_polynomial(3)
-        want = np.diag([t3(0.75), t3(0.25)])
-        assert np.allclose(out.block, want, atol=1e-10)
-
-    def test_apply_qsp_needs_hermitian_block(self):
-        enc = oracle_block_encode(np.array([[0.0, 0.5], [-0.5, 0.0]]))
-        with pytest.raises(InputError, match="Hermitian"):
-            apply_qsp(QspPhases((0.0, 0.0)), enc)
-
-
-class TestMeasurementPrimitives:
-    def test_hadamard_exact(self, rho_34):
-        enc = oracle_block_encode(rho_34.matrix)
-        est = hadamard_test(enc, rho_34)
-        assert est.value == pytest.approx(0.625, abs=1e-12)  # tr(rho^2)
-        assert est.std_error == 0.0 and est.shots_used == 0
-
-    def test_hadamard_imag_of_hermitian_vanishes(self, rho_34):
-        enc = oracle_block_encode(rho_34.matrix)
-        est = hadamard_test(enc, rho_34, part="imag")
-        assert est.value == pytest.approx(0.0, abs=1e-12)
-
-    def test_hadamard_bad_part(self, rho_34):
-        enc = oracle_block_encode(rho_34.matrix)
-        with pytest.raises(InputError, match="part"):
-            hadamard_test(enc, rho_34, part="abs")
-
-    def test_qsp_test_exact(self, rho_34):
-        enc = oracle_block_encode(rho_34.matrix)
-        est = qsp_test(enc, rho_34)
-        assert est.value == pytest.approx(0.4375, abs=1e-12)  # tr(rho^3)
-
-    def test_dimension_mismatch(self, rho_34):
-        enc = oracle_block_encode(np.eye(3) * 0.2)
-        with pytest.raises(InputError, match="dimension"):
-            hadamard_test(enc, rho_34)
-        with pytest.raises(InputError, match="dimension"):
-            qsp_test(enc, rho_34)
-
-    def test_sampled_hadamard_reproducible(self, rho_34):
-        enc = oracle_block_encode(rho_34.matrix)
-        a = hadamard_test(enc, rho_34, shots=4096, sampler=ShotSampler(3))
-        b = hadamard_test(enc, rho_34, shots=4096, sampler=ShotSampler(3))
-        assert a.value == b.value and a.std_error == b.std_error
-        assert a.shots_used == 4096
-        assert abs(a.value - 0.625) <= 5 * max(a.std_error, 1e-3)
-
 
 class TestSpectralHadamard:
+    @pytest.mark.parametrize("dim", [8, 16, 32, 64])
     @pytest.mark.parametrize("sigma", ["mixed", "rho"])
-    def test_matches_encoded_hadamard_test(self, sigma):
-        rho = DensityMatrix.random_seeded(8, 12)
+    def test_matches_encoded_hadamard_test(self, sigma, dim):
+        # reference: Re tr(sigma B) for the block B of the oracle dilation of p(rho)/||p||
+        rho = DensityMatrix.random_seeded(dim, 12)
         p = Polynomial([0.3, -0.5, 0.0, 0.9])
         values = np.real(p(rho.eigenvalues())) / poly.sup_norm(p)
-        enc = oracle_block_encode(rho.spectral_operator(values))
-        state = DensityMatrix.maximally_mixed(8) if sigma == "mixed" else rho
-        want = hadamard_test(enc, state).value
+        block = oracle_block_encode(rho.spectral_operator(values))[:dim, :dim]
+        state = DensityMatrix.maximally_mixed(dim) if sigma == "mixed" else rho
+        want = float(np.real(np.trace(state.matrix @ block)))
         assert spectral_hadamard_test(p, rho, sigma).value == pytest.approx(want, abs=1e-14)
+
+    @pytest.mark.parametrize("shots", ["exact", 100])
+    def test_zero_polynomial_rejected(self, rho_34, shots):
+        with pytest.raises(InputError, match="zero polynomial"):
+            spectral_hadamard_test(Polynomial([0.0]), rho_34, "rho", shots=shots)
 
     def test_sampled_reads_through_readout(self, rho_34):
         est = spectral_hadamard_test(
@@ -279,27 +205,20 @@ class TestSpectralHadamard:
 
 
 class TestSampledReadoutPins:
-    """Sampled read-outs on diag(0.75, 0.25) with the block rho^2, 4096 shots
-    and ShotSampler(3), recorded before the three read-outs shared one
-    Bernoulli path; exact equality guards the draw and the error formula."""
+    """Sampled read-outs of tr(rho^3) on diag(0.75, 0.25), with 4096 shots and
+    ShotSampler(3), recorded before the read-outs shared one Bernoulli path
+    (the Hadamard case on the oracle dilation of rho^2); exact equality
+    guards the draw and the error formula."""
 
     CASES = {
         "hadamard_real": (
-            lambda rho, enc, smp: hadamard_test(enc, rho, shots=4096, sampler=smp),
+            lambda rho, smp: spectral_hadamard_test(
+                Polynomial([0, 0, 1]), rho, "rho", shots=4096, sampler=smp
+            ),
             (0.439453125, 0.01403539880659226),
         ),
-        "hadamard_imag": (
-            lambda rho, enc, smp: hadamard_test(enc, rho, shots=4096, part="imag", sampler=smp),
-            (-0.001953125, 0.01562497019764919),
-        ),
-        "qsp_test": (
-            lambda rho, enc, smp: qsp_test(enc, rho, shots=4096, sampler=smp),
-            (0.2373046875, 0.006647352709504915),
-        ),
         "swap": (
-            lambda rho, enc, smp: generalized_swap_expectation(
-                [rho] * 3, shots=4096, sampler=smp
-            ),
+            lambda rho, smp: generalized_swap_expectation([rho] * 3, shots=4096, sampler=smp),
             (0.439453125, 0.01403539880659226),
         ),
     }
@@ -307,8 +226,7 @@ class TestSampledReadoutPins:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_pinned(self, rho_34, name):
         run, pinned = self.CASES[name]
-        enc = oracle_block_encode(rho_34.spectral_operator(rho_34.eigenvalues() ** 2))
-        est = run(rho_34, enc, ShotSampler(3))
+        est = run(rho_34, ShotSampler(3))
         assert (est.value, est.std_error) == pinned
         assert est.shots_used == 4096
 
