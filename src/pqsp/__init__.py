@@ -18,9 +18,7 @@ from .factor import (
     FactorizationPlan,
     ParallelTerm,
     ParallelTermList,
-    RootSet,
     chebyshev_parallel_terms,
-    factorization_constant,
     factorize_nonneg,
     find_roots,
     rescale_factors,

@@ -28,6 +28,7 @@ from .config import ExperimentConfig, RunRecord, config_hash, resolve_state
 from .errors import ConvergenceError, InputError, NotNonNegativeError, PostSelectionError
 from .estimate import (
     CostModel,
+    EstimationReport,
     estimate_chebyshev,
     estimate_direct,
     partition_function,
@@ -147,10 +148,7 @@ def phases(poly_file, tol, out):
     found = find_phases(target, tol=tol)
     d = target.degree
     nodes = np.cos((np.arange(4 * (d + 1)) + 0.5) * math.pi / (4 * (d + 1)))
-    residual = max(
-        abs(realized_value(found, float(x)) - float(np.real(target(float(x)))))
-        for x in nodes
-    )
+    residual = float(np.max(np.abs(realized_value(found, nodes) - np.real(target(nodes)))))
     click.echo(f"degree: {d}", err=True)
     click.echo(f"residual: {residual:.3e}", err=True)
     payload = dict(found.to_dict(), residual=residual)
@@ -324,23 +322,23 @@ def simulate(state, plan, shots, mode, encode, seed, epsilon, out):
     depth, width = query_depth_report(factors)
     k_total = loaded.stored_constant * loaded.factorization_constant
     predicted = predict_cost(CostModel(epsilon=epsilon, K=k_total), "theorem3")
-    payload = {
-        "value": est.value,
-        "std_error": est.std_error,
-        "shots_used": est.shots_used,
-        "predicted_shots": predicted,
-        "query_depth": depth,
-        "width": width,
-        "breakdown": {
+    report = EstimationReport(
+        value=est.value,
+        std_error=est.std_error,
+        shots_used=est.shots_used,
+        predicted_shots=predicted,
+        query_depth=depth,
+        width=width,
+        breakdown={
             "stored_K": loaded.stored_constant,
             "source_value": loaded.stored_constant ** 2 * est.value,
             "mode": mode,
             "encode": encode,
         },
-    }
+    )
     click.echo(f"z: {est.value:.9g} +/- {est.std_error:.3g}")
     click.echo(f"depth: {depth}  width: {width}")
-    _emit_json(payload, out)
+    _emit_json(report.to_dict(), out)
 
 
 def _suite_swap(dims, ks, seed, inject_fault):
@@ -485,12 +483,8 @@ def cost(route, epsilon, k_const, norm_low, norm_high, one_norm, d, k, alpha,
     shots = predict_cost(model, route)
     inputs = {
         name: val
-        for name, val in (
-            ("K", k_const), ("norm_low", norm_low), ("norm_high", norm_high),
-            ("one_norm", one_norm), ("d", d), ("k", k), ("alpha", alpha),
-            ("s_alpha", s_alpha), ("beta", beta),
-        )
-        if val is not None
+        for name, val in dataclasses.asdict(model).items()
+        if name != "epsilon" and val is not None
     }
     click.echo(f"route: {route}  epsilon: {epsilon}")
     if inputs:

@@ -88,6 +88,10 @@ class ExperimentConfig:
             raise InputError("property 'partition' needs --beta")
         if self.mode == "sampled" and self.shots is None:
             raise InputError("sampled mode needs --shots or --auto-shots")
+        if self.property == "trace" and self.mode == "sampled" and self.shots == "auto":
+            raise InputError(
+                "property 'trace' has no automatic budget: use --shots, not --auto-shots"
+            )
 
 
 def resolve_state(spec: str) -> DensityMatrix:

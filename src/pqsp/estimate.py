@@ -215,7 +215,7 @@ def importance_sample(
     coeffs: Sequence[float],
     layouts: Sequence[Sequence[Polynomial]],
     rho: DensityMatrix,
-    total_shots: int,
+    total_shots: int | Literal["exact"],
     sampler: ShotSampler | None = None,
 ) -> Estimate:
     """Coefficient-weighted sum of thread-layout traces by one importance draw.
@@ -223,7 +223,8 @@ def importance_sample(
     Each shot picks layout j with probability |c_j|/||c||_1 and measures its
     parallel run; sign(c_j) flips the outcome, so ||c||_1 times the pooled
     mean is unbiased for sum_j c_j z_j.  All layouts are evaluated in one
-    parallel_qsp_runs pass and all shots drawn by one joint_readout.
+    parallel_qsp_runs pass and all shots drawn by one joint_readout, which
+    returns sum_j c_j z_j itself for "exact".
     """
     q, z = parallel_qsp_runs(layouts, rho)
     return joint_readout(q, z, total_shots, sampler, coeffs=coeffs)
@@ -349,24 +350,6 @@ def estimate_direct(
     )
 
 
-def _term_sum(
-    coeffs: Sequence[float],
-    layouts: Sequence[Sequence[Polynomial]],
-    rho: DensityMatrix,
-    shots: int | Literal["exact"],
-    sampler: ShotSampler,
-) -> Estimate:
-    """sum_j c_j z_j over the parallel runs of all thread layouts at once.
-
-    Exact mode dots the coefficients with the runs' z; otherwise
-    importance_sample draws the shots across the layouts by |c_j|.
-    """
-    if shots == "exact":
-        _, z = parallel_qsp_runs(layouts, rho)
-        return Estimate(value=float(np.dot(coeffs, z)), std_error=0.0)
-    return importance_sample(coeffs, layouts, rho, shots, sampler=sampler)
-
-
 def _chebyshev_part(
     part: Polynomial,
     k_part: int,
@@ -407,7 +390,7 @@ def _chebyshev_part(
     info["term_one_norm"] = terms.one_norm
     info["parallel_depth"] = query_depth_report([f for fl in factor_lists for f in fl])[0]
     if terms.terms:
-        high = _term_sum(
+        high = importance_sample(
             [t.coeff for t in terms.terms], factor_lists, rho, shots_high, smp_high
         )
         total += high
@@ -657,7 +640,7 @@ def monomial_poly_trace(
 
     total = Estimate(c0 * dim, 0.0)
     if tail:
-        total += _term_sum(
+        total += importance_sample(
             [c for _, c in tail], [layouts[n] for n, _ in tail], rho, n_shots, ShotSampler(seed)
         )
 
@@ -716,15 +699,14 @@ def partition_function(
             raise ConvergenceError("series degree exceeded 400 without certification")
     coeffs = [(-beta) ** n / math.factorial(n) for n in range(d + 1)]
     series = Polynomial(coeffs)
-    n_shots = shots
-    if mode == "sampled" and shots in ("auto", None):
-        n_shots = predict_cost(CostModel(epsilon=epsilon, beta=beta), "theorem9")
+    predicted = predict_cost(CostModel(epsilon=epsilon, beta=beta), "theorem9")
+    auto = mode == "sampled" and shots in ("auto", None)
     sub = monomial_poly_trace(
-        series, rho, k, shots=n_shots, mode=mode, epsilon=epsilon, seed=seed
+        series, rho, k, shots=predicted if auto else shots, mode=mode, epsilon=epsilon, seed=seed
     )
     return replace(
         sub,
-        predicted_shots=predict_cost(CostModel(epsilon=epsilon, beta=beta), "theorem9"),
+        predicted_shots=predicted,
         breakdown=dict(
             sub.breakdown,
             series_degree=d,
@@ -869,7 +851,7 @@ def renyi_noninteger(
     """Non-integer-order Renyi entropy via an odd approximant to x^alpha.
 
     The approximant is certified on [delta, 1] to the error that keeps the
-    final entropy within epsilon after the logarithm's derivative is
+    final entropy within epsilon after the logarithm's slope is
     accounted for; the trace of the approximant then routes through the
     basis-product estimator, and the entropy transform propagates the error.
     """

@@ -29,7 +29,7 @@ sampler has to absorb instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -49,38 +49,16 @@ from .poly import (
 VERIFY_GRID = 500
 
 __all__ = [
-    "RootSet",
     "FactorizationPlan",
     "ParallelTerm",
     "ParallelTermList",
     "find_roots",
     "factorize_nonneg",
-    "factorization_constant",
     "rescale_factors",
     "verify_factorization",
     "chebyshev_parallel_terms",
     "term_factor_polynomials",
 ]
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Clustered roots with multiplicities plus the leading coefficient."""
-
-    roots: tuple[tuple[complex, int], ...]
-    leading_coeff: complex
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.roots)
-
-    def __call__(self, x):
-        acc = np.full_like(np.asarray(x, dtype=complex), self.leading_coeff)
-        for r, m in self.roots:
-            acc = acc * (np.asarray(x, dtype=complex) - r) ** m
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return complex(acc)
-        return acc
 
 
 @dataclass(frozen=True)
@@ -167,8 +145,9 @@ def _newton_polish(mono: tuple[complex, ...], z: complex, mult: int) -> complex:
     return z
 
 
-def find_roots(p: Polynomial) -> RootSet:
-    """All complex roots of p via the companion eigenproblem.
+def find_roots(p: Polynomial) -> tuple[tuple[complex, int], ...]:
+    """All complex roots of p, as (root, multiplicity) pairs, via the companion
+    eigenproblem.
 
     Nearby eigenvalues (within 1e-7) are merged into one root of higher
     multiplicity, then each cluster center is polished by multiplicity-aware
@@ -198,16 +177,18 @@ def find_roots(p: Polynomial) -> RootSet:
             f"root polishing stalled: worst backward error {worst:.3e} exceeds 1e-10",
             best_residual=worst,
         )
-    return RootSet(tuple(polished), lead)
+    return tuple(polished)
 
 
-def _half_root_multiset(R: Polynomial, rs: RootSet) -> list[complex]:
+def _half_root_multiset(
+    R: Polynomial, roots: tuple[tuple[complex, int], ...]
+) -> list[complex]:
     """Half-multiplicity reals plus Im>0 conjugate representatives, flattened."""
     imag_tol = 1e-7
     reals: list[tuple[float, int]] = []
     plus: list[tuple[complex, int]] = []
     minus: list[tuple[complex, int]] = []
-    for z, m in rs.roots:
+    for z, m in roots:
         if abs(z.imag) <= imag_tol:
             reals.append((z.real, m))
         elif z.imag > 0:
@@ -321,11 +302,6 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
     )
 
 
-def factorization_constant(plan: FactorizationPlan) -> float:
-    """K = prod_j sup_norm(R_j), recomputed from the factors."""
-    return float(np.prod([sup_norm(f) for f in plan.factors]))
-
-
 def rescale_factors(plan: FactorizationPlan) -> FactorizationPlan:
     """Divide each factor by its sup norm and fold the product into stored_constant.
 
@@ -379,9 +355,7 @@ class ParallelTermList:
     """
 
     terms: tuple[ParallelTerm, ...]
-    k: int
-    source_degree: int
-    ctilde: dict[int, float] = field(default_factory=dict)
+    ctilde: dict[int, float]
 
     @property
     def one_norm(self) -> float:
@@ -397,17 +371,6 @@ class ParallelTermList:
         if np.isscalar(x) or np.asarray(x).ndim == 0:
             return float(acc)
         return acc
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "source_degree": self.source_degree,
-            "ctilde": {str(i): v for i, v in sorted(self.ctilde.items())},
-            "terms": [
-                {"coeff": t.coeff, "a": t.a, "b": t.b, "j": t.j, "l": t.l}
-                for t in self.terms
-            ],
-        }
 
 
 def chebyshev_parallel_terms(p_high: Polynomial, k: int, d: int) -> ParallelTermList:
@@ -457,7 +420,7 @@ def chebyshev_parallel_terms(p_high: Polynomial, k: int, d: int) -> ParallelTerm
         if val != 0.0:
             ctilde[2 * b] = val
 
-    t2k = {j: float(chebyshev_coefficient(2 * k, 2 * j, strict=False)) for j in range(k + 1)}
+    t2k = {j: float(chebyshev_coefficient(2 * k, 2 * j)) for j in range(k + 1)}
     t2 = {0: -1.0, 1: 2.0}
     terms = []
     for idx, ct in sorted(ctilde.items()):
@@ -468,7 +431,7 @@ def chebyshev_parallel_terms(p_high: Polynomial, k: int, d: int) -> ParallelTerm
                 if coeff == 0.0:
                     continue
                 terms.append(ParallelTerm(coeff=coeff, a=a, b=b, j=j, l=l))
-    return ParallelTermList(terms=tuple(terms), k=k, source_degree=d, ctilde=ctilde)
+    return ParallelTermList(terms=tuple(terms), ctilde=ctilde)
 
 
 def term_factor_polynomials(term: ParallelTerm, k: int) -> list[Polynomial]:

@@ -16,7 +16,7 @@ always the index of the last coefficient that actually matters.
 
 The [-1, 1] sup norm comes from the colleague matrix (Trefethen, Approximation
 Theory and Approximation Practice, chs. 18-19): |p| is evaluated at both ends
-and at the real roots of the derivative of |p|^2.  It is computed once per
+and at the stationary points of |p|^2.  It is computed once per
 polynomial and kept on it, scalar multiples carry it along, and layout
 builders share their instances.
 """
@@ -66,9 +66,9 @@ class Parity(Enum):
     INDEFINITE = "indefinite"
 
     @staticmethod
-    def of(coeffs: Sequence[complex], tol: float = TRIM_TOL) -> "Parity":
-        has_even = any(abs(c) > tol for c in coeffs[0::2])
-        has_odd = any(abs(c) > tol for c in coeffs[1::2])
+    def of(coeffs: Sequence[complex]) -> "Parity":
+        has_even = any(abs(c) > TRIM_TOL for c in coeffs[0::2])
+        has_odd = any(abs(c) > TRIM_TOL for c in coeffs[1::2])
         if has_even and has_odd:
             return Parity.INDEFINITE
         if has_odd:
@@ -178,9 +178,6 @@ class Polynomial:
         val = c0 + c1 * x
         return complex(val) if scalar or val.ndim == 0 else val
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial.from_cheb(npcheb.chebder(self.cheb))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial.from_cheb(npcheb.chebadd(self.cheb, other.cheb))
 
@@ -243,7 +240,7 @@ class Polynomial:
 def sup_norm(p: Polynomial) -> float:
     """max |p(x)| over [-1, 1], computed on first request and kept on p.
 
-    |p|^2 is extremal at the ends and at the real roots of its derivative
+    |p|^2 is extremal at the ends and at the real roots of its slope
     2 Re(p' conj(p)), or of p' when p is real; the colleague matrix
     (chebroots) gives those roots, and |p| is evaluated at both ends and at
     the real part of every root, clipped into the interval.
@@ -328,18 +325,15 @@ def _check_index_pair(d: int, n: int) -> bool:
     return (d - n) % 2 == 0
 
 
-def chebyshev_coefficient(d: int, n: int, strict: bool = True) -> int:
+def chebyshev_coefficient(d: int, n: int) -> int:
     """Monomial coefficient t_{d,n} of x^n in T_d, as an exact integer.
 
     t_{d,n} = (-1)^((d-n)/2) * 2^(n-1) * d * ((d+n)/2 - 1)! / ((d-n)/2)! / n!
 
-    Indices of the wrong parity carry no weight; with strict=True they raise,
-    otherwise the value 0 is returned so callers can sum blindly.
+    An index of the wrong parity has no term in T_d and raises InputError.
     """
     if not _check_index_pair(d, n):
-        if strict:
-            raise InputError(f"T_{d} has no x^{n} term (parity mismatch)")
-        return 0
+        raise InputError(f"T_{d} has no x^{n} term (parity mismatch)")
     num = d * math.factorial((d + n) // 2 - 1) * (1 << n)
     den = 2 * math.factorial((d - n) // 2) * math.factorial(n)
     mag = num // den

@@ -5,12 +5,12 @@ phase list (phi_0, ..., phi_d) produces
 
     U_phi(x) = S(phi_0) * prod_{i=1..d} W(x) S(phi_i),   S(phi) = diag(e^{i phi}, e^{-i phi}).
 
-The top-left entry of U_phi is a degree-d polynomial P with parity d mod 2,
-the off-diagonal entry is i*Q(x)*sqrt(1-x^2) with deg(Q) <= d-1, and
-|P|^2 + (1-x^2)|Q|^2 = 1 on [-1, 1].  Two conventions for reading a scalar
-out of the sequence are supported: "wx_00" designates <0|U|0> = P and
-"wx_pp" designates <+|U|+> = Re(P) + i*Re(Q)*sqrt(1-x^2), whose real part is
-the quantity phase finding matches against a real target.
+For any phases U_phi = [[P, i*Q*s], [i*conj(Q)*s, conj(P)]], s = sqrt(1-x^2),
+with deg P = d of parity d mod 2, deg Q <= d-1 and |P|^2 + s^2 |Q|^2 = 1 on
+[-1, 1].  The one read-out is Re <+|U|+> (convention "wx_pp"): the
+off-diagonal pair adds only the imaginary part i*Re(Q)*s to <+|U|+>, so its
+real part is Re P, the same as Re <0|U|0>, and it is the value phase finding
+matches against a real target.
 
 Phase finding is numpy only.  It solves for symmetric phases, whose Im P can
 reach any real definite-parity target of sup norm at most 1 (Dong, Meng,
@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 from .poly import Parity, Polynomial, sup_norm
 
-CONVENTIONS = ("wx_00", "wx_pp")
+CONVENTIONS = ("wx_pp",)
 
 # Newton steps allowed per solve.  From the zero start the residual reaches
 # round-off in under 10 steps at sup norm 0.99 or less and in about 30 at
@@ -53,10 +53,10 @@ def _fold(phi: float) -> float:
 
 @dataclass(frozen=True)
 class QspPhases:
-    """A phase list plus the convention naming its designated matrix element."""
+    """A phase list plus the convention naming its read-out."""
 
     phases: tuple[float, ...]
-    convention: str = "wx_00"
+    convention: str = "wx_pp"
 
     def __post_init__(self):
         if self.convention not in CONVENTIONS:
@@ -74,7 +74,7 @@ class QspPhases:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "QspPhases":
-        return cls(tuple(float(p) for p in obj["phases"]), obj.get("convention", "wx_00"))
+        return cls(tuple(float(p) for p in obj["phases"]), obj.get("convention", "wx_pp"))
 
 
 def _batched_sequence(phases: Sequence[float], xs: np.ndarray) -> np.ndarray:
@@ -105,13 +105,15 @@ def _prefix_products(phases: Sequence[float], xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def realized_value(phases: QspPhases, x: float) -> float:
-    """Real part of the designated element, <0|U|0> for "wx_00" or <+|U|+>
-    for "wx_pp", at one x in [-1, 1]; the scalar phase finding targets."""
-    if abs(x) > 1.0 + 1e-12:
-        raise InputError(f"signal value x={x} lies outside [-1, 1]")
-    u = _batched_sequence(phases.phases, np.array([min(1.0, max(-1.0, float(x)))]))[0]
-    return float((u[0, 0] if phases.convention == "wx_00" else 0.5 * u.sum()).real)
+def realized_value(phases: QspPhases, x):
+    """Re <+|U|+> = Re P at x in [-1, 1]: a float for a scalar, else an array of x's shape."""
+    xs = np.asarray(x, dtype=float)
+    outside = np.abs(xs) > 1.0 + 1e-12
+    if outside.any():
+        raise InputError(f"signal value x={float(xs[outside][0])} lies outside [-1, 1]")
+    u = _batched_sequence(phases.phases, np.clip(xs, -1.0, 1.0).ravel())
+    values = (0.5 * u.sum(axis=(1, 2))).real
+    return float(values[0]) if xs.ndim == 0 else values.reshape(xs.shape)
 
 
 def _chebyshev_nodes(n: int) -> np.ndarray:
@@ -182,11 +184,11 @@ def find_phases(target: Polynomial, tol: float = 1e-4) -> QspPhases:
     phis = least_squares(target)
     phis[0] -= math.pi / 4
     phis[-1] -= math.pi / 4
+    found = QspPhases(tuple(phis))
     xs = _chebyshev_nodes(max(4 * (d + 1), 32))
-    plus = 0.5 * _batched_sequence(phis, xs).sum(axis=(1, 2))
-    err = float(np.max(np.abs(plus.real - np.real(target(xs)))))
+    err = float(np.max(np.abs(realized_value(found, xs) - np.real(target(xs)))))
     if err <= tol:
-        return QspPhases(tuple(phis), convention="wx_pp")
+        return found
     raise ConvergenceError(
         f"phase finding did not reach tol={tol:g}; best max error {err:.3e}",
         best_residual=err,

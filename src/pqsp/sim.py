@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import InputError, PostSelectionError
 from .poly import Parity, Polynomial, sup_norm
-from .qsp import QspPhases, _batched_sequence, find_phases
+from .qsp import QspPhases, find_phases, realized_value
 
 __all__ = [
     "DensityMatrix",
@@ -383,7 +383,7 @@ def _thread_values(
             "use the oracle encoding for complex or mixed-parity factors"
         )
     phases = [find_phases(f) for f in factors]
-    return [_batched_sequence(ph.phases, w)[:, 0, 0].real for ph in phases], phases
+    return [realized_value(ph, w) for ph in phases], phases
 
 
 def _joint_probabilities_circuit(

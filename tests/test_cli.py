@@ -268,6 +268,28 @@ class TestEstimateCommand:
         )
         assert result.exit_code == 2
 
+    def test_sampled_trace_rejects_auto_shots(self, runner, tmp_path):
+        # the trace estimators have no automatic budget; the config says so
+        # before the state (here a missing file) is loaded
+        poly = write_poly(tmp_path / "x4.json", [0, 0, 0, 0, 1])
+        result = runner.invoke(
+            main,
+            ["estimate", "--property", "trace", "--poly", poly, "--k", "2",
+             "--state", str(tmp_path / "missing.json"), "--mode", "sampled", "--auto-shots"],
+        )
+        assert result.exit_code == 2
+        assert "--auto-shots" in result.stderr and "--shots" in result.stderr
+        assert "trace" in result.stderr
+
+    def test_exact_trace_ignores_auto_shots(self, runner, tmp_path):
+        poly = write_poly(tmp_path / "x4.json", [0, 0, 0, 0, 1])
+        result = runner.invoke(
+            main,
+            ["estimate", "--property", "trace", "--poly", poly, "--k", "2",
+             "--state", "diag:0.75,0.25", "--auto-shots"],
+        )
+        assert result.exit_code == 0, result.output
+
     def test_trace_requires_poly(self, runner):
         result = runner.invoke(
             main, ["estimate", "--property", "trace", "--state", "diag:0.75,0.25"]

@@ -496,6 +496,29 @@ class TestEntropyApproximants:
         assert gap <= 1e-11 * max(1.0, sup_norm(high))
 
 
+class TestLargerStates:
+    """Exact trace estimators against sum_i p(lambda_i) beyond the D = 2-8 above.
+
+    p = 0.1 - 0.2x + x^k (0.3 + 0.2x^2) has a non-negative high constituent
+    for the direct route's split at k, and every estimator takes it.
+    """
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("dim", [16, 32, 64])
+    @pytest.mark.parametrize(
+        "estimator", [estimate_direct, estimate_chebyshev, monomial_poly_trace],
+        ids=lambda f: f.__name__,
+    )
+    def test_exact_matches_spectral_sum(self, estimator, dim, k):
+        coeffs = [0.1, -0.2] + [0.0] * (k - 2) + [0.3, 0.0, 0.2]
+        rho = DensityMatrix.random_seeded(dim, dim + k)
+        lam = np.linalg.eigvalsh(rho.matrix)
+        want = float(np.sum(np.polynomial.polynomial.polyval(lam, coeffs)))
+        rep = estimator(Polynomial(coeffs), rho, k)
+        assert rep.shots_used == 0 and rep.std_error == 0.0
+        assert abs(rep.value - want) <= 1e-12
+
+
 class TestSeededPins:
     """Sampled reports on diag(0.75, 0.25); they guard the shot split and the
     sampler's child streams.  direct and renyi_auto were recorded before the

@@ -185,6 +185,51 @@ def test_cache_scan_fails_a_copy_with_functools_cache():
     assert _unbounded_caches(mutated) == [f"cache (line {line})"]
 
 
+def _stale_exports(source: str) -> list[str]:
+    """Names in a module's __all__ that no module-level statement binds.
+
+    perfbench's tracer reads every entry with getattr, so one stale name
+    stops every traced benchmark run.
+    """
+    bound: set[str] = set()
+    exported: list[str] = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_scan_flags_stale_exports():
+    src = (
+        "import numpy as np\nfrom .poly import sup_norm\nTOL: float = 1e-12\na, b = 1, 2\n"
+        "class Plan: ...\ndef run(): ...\n"
+        '__all__ = ["np", "sup_norm", "TOL", "b", "Plan", "run", "gone", "inner"]\n'
+        "def outer():\n    inner = 1\n"
+    )
+    assert _stale_exports(src) == ["gone", "inner"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_export_resolves(path):
+    assert _stale_exports(path.read_text()) == []
+
+
+def test_export_scan_fails_a_copy_with_a_stale_name():
+    source = (SRC / "factor.py").read_text()
+    mutated, added = re.subn(r"__all__ = \[\n", '__all__ = [\n    "RootSet",\n', source)
+    assert added == 1
+    assert _stale_exports(source) == []
+    assert _stale_exports(mutated) == ["RootSet"]
+
+
 def _basis_changes(source: str) -> list[str]:
     """Names of numpy's monomial/Chebyshev conversions a source refers to.
 

@@ -40,6 +40,19 @@ class TestQspUnitary:
         with pytest.raises(InputError, match="outside"):
             realized_value(QspPhases((0.0, 0.0)), 1.5)
 
+    def test_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(4)
+        for d in (0, 1, 5, 12):
+            phases = QspPhases(tuple(rng.uniform(-math.pi, math.pi, d + 1)))
+            xs = np.concatenate((rng.uniform(-1.0, 1.0, 40), [-1.0, 0.0, 1.0]))
+            got = realized_value(phases, xs)
+            assert got.shape == xs.shape
+            assert got.tolist() == [realized_value(phases, float(x)) for x in xs]
+
+    def test_array_with_one_outside_entry_rejected(self):
+        with pytest.raises(InputError, match="outside"):
+            realized_value(QspPhases((0.0, 0.0)), np.array([0.2, -1.0, 1.5, 0.3]))
+
     def test_degree_counts_signal_slots(self):
         assert QspPhases((0.1, 0.2, 0.3)).degree == 2
 
@@ -53,8 +66,9 @@ class TestQspPhasesContainer:
             assert realized_value(a, x) == pytest.approx(realized_value(b, x), abs=1e-12)
 
     def test_unknown_convention_rejected(self):
-        with pytest.raises(InputError, match="convention"):
-            QspPhases((0.0,), convention="zx_00")
+        for convention in ("zx_00", "wx_00"):
+            with pytest.raises(InputError, match="convention"):
+                QspPhases((0.0,), convention=convention)
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
