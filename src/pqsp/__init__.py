@@ -32,7 +32,6 @@ from .sim import (
     ShotSampler,
     generalized_swap_expectation,
     joint_readout,
-    oracle_block_encode,
     parallel_qsp_run,
     parallel_qsp_runs,
     query_depth_report,

@@ -341,7 +341,7 @@ def simulate(state, plan, shots, mode, encode, seed, epsilon, out):
     _emit_json(report.to_dict(), out)
 
 
-def _suite_swap(dims, ks, seed, inject_fault):
+def _suite_swap(dims, ks, seed):
     checks = []
     for d in dims:
         rho = DensityMatrix.random_seeded(d, seed + d)
@@ -349,8 +349,6 @@ def _suite_swap(dims, ks, seed, inject_fault):
         for k in ks:
             got = generalized_swap_expectation([rho] * k).value
             want = float(np.sum(eigs ** k))
-            if inject_fault:
-                got += 1e-3
             ok = abs(got - want) <= 1e-10
             checks.append((f"swap D={d} k={k}", ok, abs(got - want)))
     return checks
@@ -363,7 +361,7 @@ def _random_nonneg_poly(rng, k):
     return q * Polynomial.from_cheb([c.conjugate() for c in q.cheb])
 
 
-def _suite_modes(trials, seed, inject_fault):
+def _suite_modes(trials, seed):
     checks = []
     rng = np.random.default_rng(seed)
     for d in (2, 3, 4):
@@ -374,14 +372,12 @@ def _suite_modes(trials, seed, inject_fault):
                 factors = list(plan.factors)
                 z_direct = parallel_qsp_run(factors, rho, mode="direct").value
                 z_circuit = parallel_qsp_run(factors, rho, mode="circuit").value
-                if inject_fault:
-                    z_circuit += 1e-3
                 gap = abs(z_direct - z_circuit)
                 checks.append((f"modes D={d} k={k} trial={t}", gap <= 1e-8, gap))
     return checks
 
 
-def _suite_bounds(trials, seed, inject_fault):
+def _suite_bounds(trials, seed):
     checks = []
     rng = np.random.default_rng(seed)
     for t in range(trials):
@@ -393,8 +389,6 @@ def _suite_bounds(trials, seed, inject_fault):
             cert_low, cert_high = constituent_norm_bounds(d, k)
             measured_low = 0.0 if low.is_zero() else sup_norm(low)
             measured_high = 0.0 if high.is_zero() else sup_norm(high)
-            if inject_fault:
-                measured_low += cert_low
             ok = measured_low <= cert_low * (1 + 1e-9) and measured_high <= cert_high * (1 + 1e-9)
             checks.append((f"bounds d={d} k={k} trial={t}", ok, (measured_low, measured_high)))
     return checks
@@ -411,19 +405,18 @@ def _suite_bounds(trials, seed, inject_fault):
 @click.option("--k", "ks", default="2..5", show_default=True, help="Thread counts.")
 @click.option("--trials", type=int, default=3, show_default=True)
 @click.option("--seed", type=int, envvar="PQSP_SEED", default=0)
-@click.option("--inject-fault", is_flag=True, hidden=True)
 @_mapped_errors
-def validate(suite, dims, ks, trials, seed, inject_fault):
+def validate(suite, dims, ks, trials, seed):
     """Run built-in invariant suites; exit 1 if any check fails."""
     dim_list = _parse_span(dims)
     k_list = _parse_span(ks)
     checks = []
     if suite in ("all", "swap"):
-        checks += _suite_swap(dim_list, k_list, seed, inject_fault)
+        checks += _suite_swap(dim_list, k_list, seed)
     if suite in ("all", "modes"):
-        checks += _suite_modes(trials, seed, inject_fault)
+        checks += _suite_modes(trials, seed)
     if suite in ("all", "bounds"):
-        checks += _suite_bounds(trials, seed, inject_fault)
+        checks += _suite_bounds(trials, seed)
     failures = [name for name, ok, _ in checks if not ok]
     click.echo(
         json.dumps(

@@ -116,18 +116,6 @@ class EstimationReport:
             "breakdown": _jsonable(self.breakdown),
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EstimationReport":
-        return cls(
-            value=float(obj["value"]),
-            std_error=float(obj["std_error"]),
-            shots_used=int(obj["shots_used"]),
-            predicted_shots=int(obj["predicted_shots"]),
-            query_depth=int(obj["query_depth"]),
-            width=int(obj["width"]),
-            breakdown=obj.get("breakdown", {}),
-        )
-
 
 def _jsonable(obj):
     if isinstance(obj, dict):

@@ -129,16 +129,24 @@ def _cluster_roots(raw: np.ndarray, tol: float) -> list[tuple[complex, int]]:
 
 def _newton_polish(mono: tuple[complex, ...], z: complex, mult: int) -> complex:
     """Multiplicity-aware Newton steps, p and p' by Horner's rule on the
-    monomial coefficients that the companion eigenproblem also reads."""
+    monomial coefficients that the companion eigenproblem also reads.
+
+    At a multiple root p and p' are both round-off noise, and steps taken on
+    them walk the root away (a double real root off the real line), so there
+    a step that does not lower |p| is undone and ends the polish."""
     z = complex(z)
+    last = None  # a multiple root's iterate and |p| before the step just taken
     for _ in range(60):
         pz = dz = 0j
         for c in reversed(mono):
             dz = dz * z + pz
             pz = pz * z + c
+        if last is not None and abs(pz) >= last[1]:
+            return last[0]
         if abs(dz) < 1e-300:
             break
         step = mult * pz / dz
+        last = (z, abs(pz)) if mult > 1 else None
         z = z - step
         if abs(step) <= 1e-15 * (1.0 + abs(z)):
             break

@@ -187,18 +187,27 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             return Polynomial.from_cheb(npcheb.chebmul(self.cheb, other.cheb))
-        scaled = Polynomial.from_cheb([c * other for c in self.cheb])
-        if hasattr(self, "_norm"):  # a known norm scales with the polynomial
-            object.__setattr__(scaled, "_norm", abs(other) * self._norm)
-        return scaled
+        norm = abs(other) * self._norm if hasattr(self, "_norm") else None
+        return self._scaled([complex(c * other) for c in self.cheb], norm)
 
     __rmul__ = __mul__
 
     def __truediv__(self, s: complex) -> "Polynomial":
-        scaled = Polynomial.from_cheb([c / s for c in self.cheb])
-        if hasattr(self, "_norm"):
-            object.__setattr__(scaled, "_norm", self._norm / abs(s))
-        return scaled
+        norm = self._norm / abs(s) if hasattr(self, "_norm") else None
+        return self._scaled([complex(c / s) for c in self.cheb], norm)
+
+    @staticmethod
+    def _scaled(cheb: list[complex], norm: float | None) -> "Polynomial":
+        """A scalar multiple, with its norm if known.  Only exact zeros are
+        trimmed: a nonzero scale keeps the degree however small the top
+        coefficient gets, and a scale of zero gives the zero polynomial."""
+        while len(cheb) > 1 and cheb[-1] == 0:
+            cheb.pop()
+        p = Polynomial.__new__(Polynomial)
+        object.__setattr__(p, "cheb", tuple(cheb))
+        if norm is not None:
+            object.__setattr__(p, "_norm", norm)
+        return p
 
     def __neg__(self) -> "Polynomial":
         return self * -1

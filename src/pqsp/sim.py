@@ -20,17 +20,18 @@ diagonalizes them all, thread j post-selects with probability
 q_j = sum_i w_i |P_j(w_i)|^2 and z = sum_i w_i^k prod_j |P_j(w_i)|^2, with no
 D x D matrix formed; parallel_qsp_runs evaluates every layout of a stage in
 one array pass, and spectral_hadamard_test reads tr(sigma p(rho)) the same
-way.  "circuit" builds each thread's literal unitary (the oracle dilation
-or the QSP sequence) and reads the same joint outcome probabilities through
-the literal cyclic-shift permutation, as a correctness witness independent
-of direct mode's closed form.  Post-selecting every flag register on zero
-commutes with the shift, which moves system registers only, and leaves the
-tensor product of the flag-zero blocks' outputs B_j rho B_j^dagger; the
-swap test is therefore evaluated on that D^k-dimensional success subspace,
-in O(k D^3 + D^(2k)) work rather than O(nt^3) on the full register of
-nt = (2D)^k or (4D)^k amplitudes.  The caps (D <= 4, k <= 3, a register of
-at most 1024 amplitudes) still apply, sized by the register the circuit
-would need.
+way.  "circuit" builds each thread's flag-zero block B_j as a D x D matrix
+(P_j(rho) in rho's eigenbasis for the oracle encoding, the average of the
+two qubitized sequences' top-left blocks for the phase route) and reads the
+joint outcome probabilities through the literal cyclic-shift permutation,
+as a correctness witness independent of direct mode's closed form.
+Post-selecting every flag register on zero commutes with the shift, which
+moves system registers only, and leaves the tensor product of the outputs
+B_j rho B_j^dagger; that block is all the swap test reads, so it is
+evaluated on the D^k-dimensional success subspace, in O(k D^3 + D^(2k))
+work.  The caps (D <= 4, k <= 3, a register of at most 1024 amplitudes)
+still apply, sized by the register the circuit would need: (2D)^k for the
+oracle encoding, (4D)^k for the phase route's two sequences.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "DensityMatrix",
     "ShotSampler",
     "Estimate",
-    "oracle_block_encode",
     "generalized_swap_expectation",
     "spectral_hadamard_test",
     "parallel_qsp_runs",
@@ -247,31 +247,6 @@ class DensityMatrix:
         return cls([[complex(v[0], v[1]) for v in row] for row in rows])
 
 
-def _psd_sqrt(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def oracle_block_encode(m) -> np.ndarray:
-    """Exact-arithmetic dilation [[M, sqrt(I-MM*)], [sqrt(I-M*M), -M*]], a unitary.
-
-    Requires spectral norm at most 1 (tolerance 1e-9); larger operators must
-    be rescaled first.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError("operator must be square")
-    smax = float(np.linalg.norm(m, 2))
-    if smax > 1.0 + 1e-9:
-        raise InputError(f"rescale first: operator norm {smax:.6g} exceeds 1")
-    d = m.shape[0]
-    eye = np.eye(d, dtype=complex)
-    s1 = _psd_sqrt(eye - m @ m.conj().T)
-    s2 = _psd_sqrt(eye - m.conj().T @ m)
-    return np.block([[m, s1], [s2, -m.conj().T]])
-
-
 def _qubitized_step(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """W[A] = [[A, i sqrt(I-A^2)], [i sqrt(I-A^2), A]] for Hermitian A = V diag(w) V^dagger."""
     if float(np.max(np.abs(w))) > 1.0 + 1e-9:
@@ -345,23 +320,18 @@ def generalized_swap_expectation(
     return _readout(float(np.real(np.trace(prod))), shots, sampler)
 
 
-def _encode_factor_qsp(phases: QspPhases, rho: DensityMatrix) -> np.ndarray:
-    """One-ancilla average of the qubitized sequences for phi and -phi.
+def _qsp_block(phases: QspPhases, rho: DensityMatrix) -> np.ndarray:
+    """Flag-zero block of the one-ancilla average of the sequences for phi and -phi.
 
-    The sequence for the negated phases has <0|U|0> = conj(P), so the
-    flag-zero block of the average is Re(P)(rho), P the polynomial the
+    The sequence for the negated phases has <0|U|0> = conj(P), so the block
+    (U_phi[:D, :D] + U_-phi[:D, :D]) / 2 is Re(P)(rho), P the polynomial the
     phases generate.
     """
     d = rho.dim
     step = _qubitized_step(rho.matrix, *rho.eigh())
     u_plus = _qsp_sequence_unitary(phases.phases, step)
     u_minus = _qsp_sequence_unitary([-p for p in phases.phases], step)
-    zc = np.diag(np.concatenate([np.ones(d), -np.ones(d)])).astype(complex)
-    v = np.zeros((4 * d, 4 * d), dtype=complex)
-    v[: 2 * d, : 2 * d] = u_plus
-    v[2 * d :, 2 * d :] = zc @ u_minus @ zc
-    h = np.kron(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0), np.eye(2 * d))
-    return h @ v @ h
+    return 0.5 * (u_plus[:d, :d] + u_minus[:d, :d])
 
 
 def _thread_values(
@@ -387,35 +357,26 @@ def _thread_values(
 
 
 def _joint_probabilities_circuit(
-    unitaries: Sequence[np.ndarray], rho: DensityMatrix
+    blocks: Sequence[np.ndarray], rho: DensityMatrix
 ) -> tuple[float, float]:
     """(success prob, z) of the tensored thread registers, on the success subspace.
 
     Each thread holds flag registers plus a system register; the circuit
     applies all thread unitaries, a Hadamard-conjugated controlled cyclic
     shift of the system registers, and reads joint outcome probabilities
-    for (control, all flags zero).  The all-flags-zero projector P acts on
+    for (control, all flags zero).  The all-flags-zero projector acts on
     flags only, so it commutes with the shift, and it maps the register
-    state to the product of sigma_j = B_j rho B_j^dagger, B_j = u_j[:d, :d]
-    the flag-zero block of thread j.  The four Hadamard/shift terms are
-    therefore formed on that D^k product alone, with the literal shift
-    permutation: O(k D^3 + D^(2k)) work in place of O(nt^3) on the full
-    register of nt = prod_j dim(u_j) amplitudes, whose 1024 cap still holds.
+    state to the product of sigma_j = B_j rho B_j^dagger, B_j the D x D
+    flag-zero block of thread j: the four Hadamard/shift terms are formed
+    on that D^k product alone, with the literal shift permutation.
     """
     d = rho.dim
-    nt = math.prod(u.shape[0] for u in unitaries)
-    if nt > 1024:
-        raise InputError(
-            f"circuit mode register dimension {nt} exceeds the 1024 cap; "
-            "use direct mode or smaller instances"
-        )
     sigma = np.eye(1, dtype=complex)
-    for u in unitaries:
-        b = u[:d, :d]
+    for b in blocks:
         sigma = np.kron(sigma, b @ rho.matrix @ b.conj().T)
     # system digits, thread 0 most significant; the shift moves digit j-1 to j
-    shape = (d,) * len(unitaries)
-    digits = np.indices(shape).reshape(len(unitaries), -1)
+    shape = (d,) * len(blocks)
+    digits = np.indices(shape).reshape(len(blocks), -1)
     perm = np.ravel_multi_index(np.roll(digits, 1, axis=0), shape)
 
     p_succ = float(np.real(np.trace(sigma)))
@@ -538,8 +499,10 @@ def parallel_qsp_run(
     shot lands in one of three categories, success with control 0 (+1),
     success with control 1 (-1), or a failed post-selection (0), and the
     category mean estimates z without conditioning on success.  Direct mode
-    is the one-layout case of parallel_qsp_runs; both modes read out through
-    joint_readout.
+    is the one-layout case of parallel_qsp_runs.  Circuit mode checks its
+    caps before any phase finding, then builds each thread's D x D
+    flag-zero block, which is all the success-subspace swap test reads.
+    Both modes read out through joint_readout.
     """
     k = len(factors)
     if k < 1:
@@ -551,14 +514,23 @@ def parallel_qsp_run(
         return joint_readout(q, z, shots, sampler)
     if rho.dim > 4 or k > 3:
         raise InputError("circuit mode supports dimensions up to 4 and k up to 3")
+    # a thread is the qubitized flag and the averaging ancilla (qsp) or one
+    # flag qubit (oracle) over the system register; an unknown encode passes
+    # here and is named by _thread_values
+    nt = ((4 if encode == "qsp" else 2) * rho.dim) ** k
+    if nt > 1024:
+        raise InputError(
+            f"circuit mode register dimension {nt} exceeds the 1024 cap; "
+            "use direct mode or smaller instances"
+        )
     for j, f in enumerate(factors):
         _check_norm(f, f"factor {j}")
     values, phases = _thread_values(factors, rho.eigenvalues(), encode)
     if phases is None:
-        unitaries = [oracle_block_encode(rho.spectral_operator(b)) for b in values]
+        blocks = [rho.spectral_operator(b) for b in values]
     else:
-        unitaries = [_encode_factor_qsp(ph, rho) for ph in phases]
-    q, z = _joint_probabilities_circuit(unitaries, rho)
+        blocks = [_qsp_block(ph, rho) for ph in phases]
+    q, z = _joint_probabilities_circuit(blocks, rho)
     if q <= 1e-14:
         raise PostSelectionError("post-selection impossible: joint success probability ~0")
     return joint_readout([q], [z], shots, sampler)

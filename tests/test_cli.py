@@ -19,6 +19,7 @@ from pqsp import (
     config_hash,
     resolve_state,
 )
+from pqsp import cli
 from pqsp.cli import main
 
 S6_EXACT = math.log(0.75 ** 6 + 0.25 ** 6) / (1 - 6)
@@ -144,6 +145,20 @@ class TestEstimateCommand:
         assert result.exit_code == 0, result.output
         assert "-0.421875" in value_line(result.stdout)
         assert json.loads(out.read_text())["report"]["breakdown"]["route"] == "direct"
+
+    def test_trace_direct_on_double_real_roots(self, runner, tmp_path):
+        # 0.9 T_6's high part at k = 2 has two double real roots
+        poly = write_poly(tmp_path / "t6.json", [0, 0, 0, 0, 0, 0, 0.9], basis="chebyshev")
+        out = tmp_path / "run.json"
+        result = runner.invoke(
+            main,
+            ["estimate", "--property", "trace", "--state", "diag:0.75,0.25",
+             "--poly", poly, "--k", "2", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads(out.read_text())["report"]
+        assert report["value"] == pytest.approx(0.9 * -0.421875, abs=1e-12)
+        assert report["breakdown"]["route"] == "direct"
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -408,8 +423,15 @@ class TestValidateCommand:
         assert summary["checks"] > 0
         assert summary["failures"] == []
 
-    def test_injected_fault_caught(self, runner):
-        result = runner.invoke(main, ["validate", "--suite", "swap", "--inject-fault"])
+    def test_injected_fault_caught(self, runner, monkeypatch):
+        swap = cli.generalized_swap_expectation
+
+        def faulty(states):
+            est = swap(states)
+            return dataclasses.replace(est, value=est.value + 1e-3)
+
+        monkeypatch.setattr(cli, "generalized_swap_expectation", faulty)
+        result = runner.invoke(main, ["validate", "--suite", "swap"])
         assert result.exit_code == 1
         assert "FAIL" in result.stderr
 

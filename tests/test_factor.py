@@ -37,6 +37,16 @@ class TestFindRoots:
         assert mult == 2
         assert root == pytest.approx(0.5, abs=1e-6)
 
+    def test_double_real_roots_stay_real(self):
+        # 0.9 T_6's high part at k = 2 is 1.8 (4x^2 - 3)^2; the eigensolver
+        # returns each double root a round-off distance off the real line
+        _, high = split_constituents(0.9 * chebyshev_polynomial(6), 2)
+        roots = find_roots(high)
+        assert [m for _, m in roots] == [2, 2]
+        assert all(abs(r.imag) <= 1e-12 for r, _ in roots)
+        got = sorted(r.real for r, _ in roots)
+        assert got == pytest.approx([-math.sqrt(3) / 2, math.sqrt(3) / 2], abs=1e-12)
+
     def test_reassembly_residual(self):
         rng = np.random.default_rng(5)
         p = Polynomial(rng.normal(size=9))

@@ -15,6 +15,7 @@ from pqsp import (
     chebyshev_coefficient,
     chebyshev_polynomial,
     constituent_norm_bounds,
+    factorize_nonneg,
     parity_split,
     split_constituents,
     sup_norm,
@@ -56,6 +57,21 @@ class TestPolynomial:
         assert (a + b).coeffs == (1, 3)
         assert (a * b).coeffs == (0, 2, 2)
         assert (a - a).is_zero()
+
+    def test_nonzero_scalar_multiple_keeps_degree(self):
+        # |q|^2 for 18 random upper-half-plane roots: degree 36 with a top
+        # Chebyshev coefficient of 2.9e-11, below TRIM_TOL once divided by the norm
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-1.2, 1.2, 18) + 1j * rng.uniform(0.15, 1, 18)
+        q = Polynomial.from_roots(z)
+        q_bar = Polynomial.from_cheb([c.conjugate() for c in q.cheb])
+        p = Polynomial.from_cheb([c.real for c in (q * q_bar).cheb])
+        assert p.degree == 36
+        norm = sup_norm(p)
+        for scaled in (p * (1 / norm), (1 / norm) * p, p / norm):
+            assert scaled.degree == 36
+            assert len(factorize_nonneg(scaled, 2).factors) == 2
+        assert (p * 0).is_zero() and (p * 0).degree == 0
 
     def test_monomial_and_from_roots(self):
         assert Polynomial.monomial(3).coeffs == (0, 0, 0, 1)

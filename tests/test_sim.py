@@ -18,7 +18,6 @@ from pqsp import (
     factorize_nonneg,
     generalized_swap_expectation,
     joint_readout,
-    oracle_block_encode,
     parallel_qsp_run,
     parallel_qsp_runs,
     query_depth_report,
@@ -85,6 +84,35 @@ def full_register_probabilities(unitaries, rho):
     fin00 = 0.25 * (tau + tau[:, perm] + s_tau + s_tau[:, perm])
     p_both = float(np.real(np.trace(fin00[np.ix_(success, success)])))
     return p_succ, 2.0 * p_both - p_succ
+
+
+def oracle_dilation(m):
+    """Reference unitary [[M, sqrt(I-MM*)], [sqrt(I-M*M), -M*]] of an operator of norm <= 1."""
+
+    def psd_sqrt(h):
+        w, v = np.linalg.eigh(h)
+        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+    eye = np.eye(m.shape[0])
+    return np.block(
+        [[m, psd_sqrt(eye - m @ m.conj().T)], [psd_sqrt(eye - m.conj().T @ m), -m.conj().T]]
+    )
+
+
+def qsp_average_unitary(phases, rho):
+    """Reference 4D x 4D unitary of the phase route: an ancilla in |+> selects
+    the qubitized sequence for phi or (conjugated by Z on the flag) for -phi,
+    and is read in the Hadamard basis."""
+    d = rho.dim
+    step = sim._qubitized_step(rho.matrix, *rho.eigh())
+    u_plus = sim._qsp_sequence_unitary(phases.phases, step)
+    u_minus = sim._qsp_sequence_unitary([-p for p in phases.phases], step)
+    zc = np.diag(np.concatenate([np.ones(d), -np.ones(d)]))
+    v = np.zeros((4 * d, 4 * d), dtype=complex)
+    v[: 2 * d, : 2 * d] = u_plus
+    v[2 * d :, 2 * d :] = zc @ u_minus @ zc
+    h = np.kron(np.array([[1, 1], [1, -1]]) / math.sqrt(2.0), np.eye(2 * d))
+    return h @ v @ h
 
 
 def random_unitary(rng, n):
@@ -165,13 +193,14 @@ class TestDensityMatrix:
 class TestBlockEncodings:
     def test_oracle_encoding_block(self):
         m = np.array([[0.3, 0.1], [0.1, -0.2]])
-        u = oracle_block_encode(m)
+        u = oracle_dilation(m)
         assert np.allclose(u[:2, :2], m, atol=1e-12)
         assert np.max(np.abs(u @ u.conj().T - np.eye(4))) <= 1e-12
 
-    def test_oracle_rejects_large_norm(self):
+    def test_oracle_rejects_large_norm(self, rho_34):
+        # spectrum in [0, 1]: ||f(rho)||_2 <= sup norm, so the norm check is the only guard
         with pytest.raises(InputError, match="rescale"):
-            oracle_block_encode(np.eye(2) * 1.5)
+            parallel_qsp_run([Polynomial([0, 0, 1.5])], rho_34, mode="circuit")
 
 
 class TestSpectralHadamard:
@@ -182,7 +211,7 @@ class TestSpectralHadamard:
         rho = DensityMatrix.random_seeded(dim, 12)
         p = Polynomial([0.3, -0.5, 0.0, 0.9])
         values = np.real(p(rho.eigenvalues())) / poly.sup_norm(p)
-        block = oracle_block_encode(rho.spectral_operator(values))[:dim, :dim]
+        block = oracle_dilation(rho.spectral_operator(values))[:dim, :dim]
         state = DensityMatrix.maximally_mixed(dim) if sigma == "mixed" else rho
         want = float(np.real(np.trace(state.matrix @ block)))
         assert spectral_hadamard_test(p, rho, sigma).value == pytest.approx(want, abs=1e-14)
@@ -355,6 +384,18 @@ class TestParallelRun:
         with pytest.raises(InputError, match="1024"):
             parallel_qsp_run(factors, rho, mode="circuit", encode="qsp")
 
+    def test_circuit_register_cap_before_phase_finding(self, monkeypatch):
+        def refuse(f):
+            raise AssertionError("the register cap is sized from the encoding alone")
+
+        monkeypatch.setattr(sim, "find_phases", refuse)
+        rho = DensityMatrix.random_seeded(4, 7)
+        factors = [chebyshev_polynomial(n) for n in (1, 2, 3)]
+        with pytest.raises(InputError, match="register dimension 4096 exceeds the 1024 cap"):
+            parallel_qsp_run(factors, rho, mode="circuit", encode="qsp")
+        with pytest.raises(InputError, match="unknown encode mode 'fancy'"):
+            parallel_qsp_run(factors, rho, mode="circuit", encode="fancy")
+
     def test_unknown_mode(self, rho_34):
         with pytest.raises(InputError, match="mode"):
             parallel_qsp_run([Polynomial([0, 1])], rho_34, mode="fancy")
@@ -407,7 +448,7 @@ class TestCircuitKernel:
                         continue
                     rho = DensityMatrix.random_seeded(dim, 10 * dim + k)
                     us = [random_unitary(rng, flags * dim) for _ in range(k)]
-                    got = sim._joint_probabilities_circuit(us, rho)
+                    got = sim._joint_probabilities_circuit([u[:dim, :dim] for u in us], rho)
                     assert got == pytest.approx(full_register_probabilities(us, rho), abs=1e-12)
                     checked += 1
         assert checked == 22
@@ -416,14 +457,19 @@ class TestCircuitKernel:
     def test_matches_full_register_on_thread_unitaries(self, monkeypatch, dim, encode):
         # the 512-amplitude registers: 8-dimensional oracle threads at D = 4,
         # 8-dimensional phase-route threads at D = 2
-        seen = []
-        kernel = sim._joint_probabilities_circuit
+        seen = {}
+        kernel, thread_values = sim._joint_probabilities_circuit, sim._thread_values
 
-        def recording(unitaries, rho):
-            seen.append((unitaries, rho))
-            return kernel(unitaries, rho)
+        def recording_values(*args):
+            seen["values"] = thread_values(*args)
+            return seen["values"]
 
-        monkeypatch.setattr(sim, "_joint_probabilities_circuit", recording)
+        def recording_kernel(blocks, rho):
+            seen["blocks"] = blocks
+            return kernel(blocks, rho)
+
+        monkeypatch.setattr(sim, "_thread_values", recording_values)
+        monkeypatch.setattr(sim, "_joint_probabilities_circuit", recording_kernel)
         rho = DensityMatrix.random_seeded(dim, 70 + dim)
         if encode == "oracle":
             rng = np.random.default_rng(12)
@@ -431,9 +477,19 @@ class TestCircuitKernel:
         else:
             factors = [chebyshev_polynomial(n) for n in (1, 2, 3)]
         parallel_qsp_run(factors, rho, mode="circuit", encode=encode)
-        [(unitaries, _)] = seen
+        values, phases = seen["values"]
+        if encode == "oracle":
+            unitaries = [oracle_dilation(rho.spectral_operator(v)) for v in values]
+        else:
+            unitaries = [qsp_average_unitary(ph, rho) for ph in phases]
         assert math.prod(u.shape[0] for u in unitaries) == 512
-        got = kernel(unitaries, rho)
+        for u, b in zip(unitaries, seen["blocks"], strict=True):
+            assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-12
+            if encode == "oracle":
+                assert np.array_equal(u[:dim, :dim], b)
+            else:
+                assert np.max(np.abs(u[:dim, :dim] - b)) <= 1e-14
+        got = kernel(seen["blocks"], rho)
         assert got == pytest.approx(full_register_probabilities(unitaries, rho), abs=1e-12)
 
     def test_largest_oracle_run_stays_small(self):
