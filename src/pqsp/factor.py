@@ -38,7 +38,9 @@ from .errors import ConvergenceError, InputError, NotNonNegativeError
 from .poly import (
     Parity,
     Polynomial,
+    _clenshaw,
     _shared_polynomial,
+    _sup_norms,
     chebyshev_coefficient,
     chebyshev_polynomial,
     sup_norm,
@@ -47,6 +49,8 @@ from .poly import (
 # Points on [-1, 1] at which verify_factorization compares the product of
 # squared factors with the source.
 VERIFY_GRID = 500
+_SIGN_GRID = np.linspace(-1.0, 1.0, 2001)  # where factorize_nonneg checks the sign
+_SIGN_GRID.flags.writeable = False
 
 __all__ = [
     "FactorizationPlan",
@@ -92,7 +96,7 @@ class FactorizationPlan:
     def from_dict(cls, obj: dict) -> "FactorizationPlan":
         """Load a plan, rejecting stored norms or K that its factors do not have."""
         factors = tuple(Polynomial.from_dict(f) for f in obj["factors"])
-        norms = tuple(sup_norm(f) for f in factors)
+        norms = _sup_norms(factors)
         k_const = float(np.prod(norms))
         stored = [float(n) for n in obj["norms"]]
         if len(stored) != len(norms) or not all(
@@ -112,19 +116,17 @@ class FactorizationPlan:
 
 
 def _cluster_roots(raw: np.ndarray, tol: float) -> list[tuple[complex, int]]:
-    clusters: list[list[complex]] = []
-    order = np.lexsort((raw.imag, raw.real))
-    for z in raw[order]:
-        placed = False
-        for members in clusters:
-            center = sum(members) / len(members)
-            if abs(z - center) <= tol:
-                members.append(complex(z))
-                placed = True
+    """Greedy clusters in (real, imag) order, each with its running sum and count."""
+    clusters: list[list] = []
+    for z in raw[np.lexsort((raw.imag, raw.real))].tolist():
+        for cl in clusters:
+            if abs(z - cl[0] / cl[1]) <= tol:
+                cl[0] += z
+                cl[1] += 1
                 break
-        if not placed:
-            clusters.append([complex(z)])
-    return [(sum(ms) / len(ms), len(ms)) for ms in clusters]
+        else:
+            clusters.append([0 + z, 1])
+    return [(total / count, count) for total, count in clusters]
 
 
 def _newton_polish(mono: tuple[complex, ...], z: complex, mult: int) -> complex:
@@ -154,8 +156,8 @@ def _newton_polish(mono: tuple[complex, ...], z: complex, mult: int) -> complex:
 
 
 def find_roots(p: Polynomial) -> tuple[tuple[complex, int], ...]:
-    """All complex roots of p, as (root, multiplicity) pairs, via the companion
-    eigenproblem.
+    """All complex roots of p, as (root, multiplicity) pairs: the eigenvalues
+    of np.roots' companion matrix, plus an exact zero per zero low-order term.
 
     Nearby eigenvalues (within 1e-7) are merged into one root of higher
     multiplicity, then each cluster center is polished by multiplicity-aware
@@ -168,24 +170,25 @@ def find_roots(p: Polynomial) -> tuple[tuple[complex, int], ...]:
     if p.degree < 1:
         raise InputError("constant polynomial has no roots to find")
     mono = p.coeffs
-    lead = mono[-1]
-    if abs(lead) <= 1e-12:
+    if abs(mono[-1]) <= 1e-12:
         raise InputError("leading coefficient vanishes")
-    raw = np.roots(np.array(mono[::-1], dtype=complex))
+    c = np.array(mono)
+    kept = c[int(np.flatnonzero(c)[0]) :]
+    raw = np.zeros(p.degree, dtype=complex)  # the exact zero roots come last
+    companion = np.eye(len(kept) - 1, k=-1, dtype=complex)
+    companion[:1] = -kept[-2::-1] / kept[-1]
+    raw[: len(kept) - 1] = np.linalg.eigvals(companion)
     clusters = _cluster_roots(raw, tol=1e-7)
-    polished = [(_newton_polish(mono, z, m), m) for z, m in clusters]
+    polished = np.array([_newton_polish(mono, z, m) for z, m in clusters])
 
-    def backward_error(z: complex) -> float:
-        scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(mono))
-        return abs(p(z)) / max(scale, 1e-300)
-
-    worst = max(backward_error(z) for z, _ in polished)
-    if worst > 1e-10:
+    scale = np.abs(polished)[:, None] ** np.arange(len(mono)) @ np.abs(c)
+    worst = float(np.max(np.abs(p(polished)) / np.maximum(scale, 1e-300)))
+    if not worst <= 1e-10:
         raise ConvergenceError(
             f"root polishing stalled: worst backward error {worst:.3e} exceeds 1e-10",
             best_residual=worst,
         )
-    return tuple(polished)
+    return tuple(zip(polished.tolist(), (m for _, m in clusters)))
 
 
 def _half_root_multiset(
@@ -256,21 +259,24 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
     The half-root multiset is dealt round robin, in order of real part, over
     k groups whose sizes differ by at most one (the first d/2 mod k groups
     take the extra root), and every factor is scaled by C^(1/2k) with C the
-    leading coefficient, so that prod_j |R_j|^2 reproduces R.  With fewer half-roots than groups the
-    trailing factors are constants, which is how tails like x^2 split across
-    k=2 threads.  A source that is not non-negative on the real line raises
+    leading coefficient, so that prod_j |R_j|^2 reproduces R.  With fewer
+    half-roots than groups the trailing factors are constants, which is how
+    tails like x^2 split across k=2 threads; the k factor norms are found in
+    one batch.  A complex source raises InputError, before any sign check; a
+    real one that is not non-negative on the real line raises
     NotNonNegativeError.
     """
     if k < 1:
         raise InputError("thread count k must be at least 1")
+    if R.max_imag() > 1e-12 * max(1.0, max(abs(c) for c in R.cheb)):
+        raise InputError("factorization requires real coefficients")
     d = R.degree
     if d % 2:
         raise NotNonNegativeError(
             f"non-negative polynomial must have even degree, not odd degree {d}; "
             "estimate_chebyshev takes any bounded polynomial"
         )
-    xs = np.linspace(-1.0, 1.0, 2001)
-    vals = np.real(R(xs))
+    vals = _clenshaw([c.real for c in R.cheb], _SIGN_GRID)
     scale = max(1e-30, float(np.abs(vals).max()))
     if float(vals.min()) < -1e-9 * scale:
         raise NotNonNegativeError(
@@ -284,8 +290,6 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
         raise NotNonNegativeError(
             "leading coefficient must be positive for a non-negative source"
         )
-    if R.max_imag() > 1e-12 * max(1.0, max(abs(c) for c in R.cheb)):
-        raise InputError("factorization requires real coefficients")
 
     if d == 0:
         half: list[complex] = []
@@ -299,7 +303,7 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
     scale_j = C ** (1.0 / (2 * k))
     groups = _group_roots(half, k)
     factors = tuple(Polynomial.from_roots(g, scale=scale_j) for g in groups)
-    norms = tuple(sup_norm(f) for f in factors)
+    norms = _sup_norms(factors)
     return FactorizationPlan(
         factors=factors,
         factor_norms=norms,

@@ -14,11 +14,11 @@ changes happen in this module only.  Trailing coefficients at or below 1e-12
 in magnitude are trimmed in the basis they are given in, so ``degree`` is
 always the index of the last coefficient that actually matters.
 
-The [-1, 1] sup norm comes from the colleague matrix (Trefethen, Approximation
-Theory and Approximation Practice, chs. 18-19): |p| is evaluated at both ends
-and at the stationary points of |p|^2.  It is computed once per
-polynomial and kept on it, scalar multiples carry it along, and layout
-builders share their instances.
+The [-1, 1] sup norm comes from the colleague matrix (Battles and Trefethen,
+SIAM J. Sci. Comput. 25, 2004): |p| is evaluated at both ends and at the
+stationary points of |p|^2, for a batch of polynomials at once.  It is
+computed once per polynomial and kept on it, scalar multiples carry it
+along, and layout builders share their instances.
 """
 
 from __future__ import annotations
@@ -168,14 +168,8 @@ class Polynomial:
 
     def __call__(self, x):
         """Evaluate by Clenshaw's recurrence (as chebval does); scalars or arrays."""
-        c = self.cheb
         scalar = isinstance(x, (int, float, complex))
-        x = complex(x) if scalar else np.asarray(x)
-        c0, c1 = (c[0], 0j) if len(c) == 1 else (c[-2], c[-1])
-        x2 = 2 * x
-        for ck in c[-3::-1]:
-            c0, c1 = ck - c1, c0 + c1 * x2
-        val = c0 + c1 * x
+        val = _clenshaw(self.cheb, complex(x) if scalar else np.asarray(x))
         return complex(val) if scalar or val.ndim == 0 else val
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -186,7 +180,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return Polynomial.from_cheb(npcheb.chebmul(self.cheb, other.cheb))
+            cheb = npcheb.chebmul(self.cheb, other.cheb)
+            return self._scaled([complex(c) for c in cheb], None)
         norm = abs(other) * self._norm if hasattr(self, "_norm") else None
         return self._scaled([complex(c * other) for c in self.cheb], norm)
 
@@ -198,9 +193,9 @@ class Polynomial:
 
     @staticmethod
     def _scaled(cheb: list[complex], norm: float | None) -> "Polynomial":
-        """A scalar multiple, with its norm if known.  Only exact zeros are
-        trimmed: a nonzero scale keeps the degree however small the top
-        coefficient gets, and a scale of zero gives the zero polynomial."""
+        """A scalar multiple or a product, with its norm if known.  Only exact
+        zeros are trimmed: the degree stays however small the top coefficient
+        gets, and a zero scale gives the zero polynomial."""
         while len(cheb) > 1 and cheb[-1] == 0:
             cheb.pop()
         p = Polynomial.__new__(Polynomial)
@@ -246,28 +241,79 @@ class Polynomial:
         return cls(coeffs) if basis == "monomial" else cls.from_cheb(coeffs)
 
 
+def _clenshaw(c, x):
+    """sum_n c[n] T_n(x) by Clenshaw's recurrence as chebval; c[n] may broadcast on x."""
+    c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])
+    x2 = 2 * x
+    for ck in c[-3::-1]:
+        c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 def sup_norm(p: Polynomial) -> float:
     """max |p(x)| over [-1, 1], computed on first request and kept on p.
 
-    |p|^2 is extremal at the ends and at the real roots of its slope
-    2 Re(p' conj(p)), or of p' when p is real; the colleague matrix
-    (chebroots) gives those roots, and |p| is evaluated at both ends and at
-    the real part of every root, clipped into the interval.
+    |p|^2 is extremal at the ends and at the real roots of its slope, the
+    derivative of |p|^2 (of p when p is real); the eigenvalues of the slope's
+    colleague matrix give those roots, and |p| is evaluated at both ends and
+    at the real part of every root, clipped into the interval.
     """
-    if not hasattr(p, "_norm"):
-        object.__setattr__(p, "_norm", _colleague_norm(np.array(p.cheb)))
-    return p._norm
+    return p._norm if hasattr(p, "_norm") else _sup_norms((p,))[0]
 
 
-def _colleague_norm(c: np.ndarray) -> float:
-    if len(c) == 1:
-        return float(abs(c[0]))
-    if np.all(c.imag == 0.0):
-        slope = npcheb.chebder(c.real)
-    else:
-        slope = npcheb.chebmul(npcheb.chebder(c), c.conj()).real
-    xs = np.concatenate(([-1.0, 1.0], np.clip(npcheb.chebroots(slope).real, -1.0, 1.0)))
-    return float(np.max(np.abs(npcheb.chebval(xs, c))))
+def _sup_norms(polys: Sequence[Polynomial]) -> tuple[float, ...]:
+    """sup_norm of each polynomial; the ones not yet known share one kernel call."""
+    todo = [p for p in polys if not hasattr(p, "_norm")]
+    for p, norm in zip(todo, _colleague_norms([p.cheb for p in todo])):
+        object.__setattr__(p, "_norm", norm)
+    return tuple(p._norm for p in polys)
+
+
+def _colleague_norms(series: Sequence[Sequence[complex]]) -> list[float]:
+    """max |p| on [-1, 1] of each Chebyshev series.  Real and complex series
+    form one zero-padded stack each (padding adds exact zeros, so a norm does
+    not depend on the batch); a stack's slopes of one degree share one eigvals call."""
+    norms = [abs(c[0]) for c in series]
+    for real in (True, False):
+        rows = [i for i, c in enumerate(series)
+                if len(c) > 1 and all(z.imag == 0 for z in c) is real]
+        if not rows:
+            continue
+        m, n = len(rows), max(len(series[i]) for i in rows) - 1
+        cs = np.array([(*series[i], *(0j,) * (n + 1 - len(series[i]))) for i in rows])
+        cs = q = cs.real if real else cs
+        if not real:  # 2|p|^2, as T_i T_j = (T_{i+j} + T_{|i-j|}) / 2 fills two bins per term
+            w = (cs[:, :, None] * cs.conj()[:, None, :]).real.ravel()
+            i, j = np.arange(n + 1)[:, None], np.arange(n + 1)
+            base = (2 * n + 1) * np.arange(m)[:, None, None]
+            q = np.bincount((base + i + j).ravel(), w, m * (2 * n + 1))
+            q = (q + np.bincount((base + abs(i - j)).ravel(), w, len(q))).reshape(m, -1)
+        # (q')_k sums 2 j q_j over j = k+1, k+3, ... (halved at k = 0)
+        terms = q[:, :0:-1] * np.arange(2 * q.shape[1] - 2, 0, -2)
+        slopes = np.empty_like(terms)
+        slopes[:, 0::2], slopes[:, 1::2] = terms[:, 0::2].cumsum(1), terms[:, 1::2].cumsum(1)
+        slopes = slopes[:, ::-1]
+        slopes[:, 0] *= 0.5
+        xs = np.full((m, slopes.shape[1] + 1), -1.0)  # both ends, roots, repeats of -1
+        xs[:, 1] = 1.0
+        degree = [len(series[i]) - 2 if real else 2 * len(series[i]) - 3 for i in rows]
+        for d in set(degree):
+            at = [r for r, e in enumerate(degree) if e == d]
+            s = slopes[at, : d + 1]
+            if d < 2:
+                xs[at, 2 : 2 + d] = -s[:, :d] / s[:, d:]
+                continue
+            # numpy's chebcompanion, rotated as chebroots does
+            mats, k = np.zeros((len(at), d, d)), np.arange(d - 1)
+            mats[:, k, k + 1] = mats[:, k + 1, k] = [math.sqrt(0.5)] + [0.5] * (d - 2)
+            scl = np.array([1.0] + [math.sqrt(0.5)] * (d - 1))
+            mats[:, :, -1] -= (s[:, :-1] / s[:, -1:]) * (scl / scl[-1]) * 0.5
+            xs[at, 2 : 2 + d] = np.linalg.eigvals(mats[:, ::-1, ::-1]).real
+        xs = np.minimum(np.maximum(xs, -1.0), 1.0)
+        vals = np.abs(_clenshaw(cs.T[:, :, None], xs)).max(axis=1)
+        for i, v in zip(rows, vals.tolist()):
+            norms[i] = v
+    return norms
 
 
 def chebyshev_polynomial(n: int) -> Polynomial:

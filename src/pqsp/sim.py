@@ -36,6 +36,7 @@ oracle encoding, (4D)^k for the phase route's two sequences.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -370,14 +371,11 @@ def _joint_probabilities_circuit(
     flag-zero block of thread j: the four Hadamard/shift terms are formed
     on that D^k product alone, with the literal shift permutation.
     """
-    d = rho.dim
     sigma = np.eye(1, dtype=complex)
-    for b in blocks:
-        sigma = np.kron(sigma, b @ rho.matrix @ b.conj().T)
-    # system digits, thread 0 most significant; the shift moves digit j-1 to j
-    shape = (d,) * len(blocks)
-    digits = np.indices(shape).reshape(len(blocks), -1)
-    perm = np.ravel_multi_index(np.roll(digits, 1, axis=0), shape)
+    for b in blocks:  # np.kron's broadcast product, without its wrappers
+        s = b @ rho.matrix @ b.conj().T
+        sigma = (sigma[:, None, :, None] * s[None, :, None, :]).reshape(len(sigma) * len(s), -1)
+    perm = _shift_permutation(rho.dim, len(blocks))
 
     p_succ = float(np.real(np.trace(sigma)))
     # Hadamard, controlled shift, Hadamard: p(control=0 and flags 0)
@@ -386,6 +384,16 @@ def _joint_probabilities_circuit(
     p_both = float(np.real(np.trace(fin00)))
     z = 2.0 * p_both - p_succ
     return p_succ, z
+
+
+@functools.lru_cache(maxsize=16)
+def _shift_permutation(d: int, k: int) -> np.ndarray:
+    """Read-only row order of the shift moving digit j-1 of k D-level digits
+    to j, thread 0 most significant."""
+    shape = (d,) * k
+    perm = np.ravel_multi_index(np.roll(np.indices(shape).reshape(k, -1), 1, axis=0), shape)
+    perm.flags.writeable = False
+    return perm
 
 
 def _check_norm(f: Polynomial, where: str) -> None:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pqsp import factor
 from pqsp import (
+    ConvergenceError,
     FactorizationPlan,
     InputError,
     NotNonNegativeError,
@@ -58,6 +60,79 @@ class TestFindRoots:
         assert np.max(np.abs(rebuilt - p(xs))) <= 1e-8 * scale
 
 
+def reference_clusters(raw, tol):
+    """Greedy clustering that recomputes each cluster's mean from its members."""
+    clusters = []
+    for z in raw[np.lexsort((raw.imag, raw.real))]:
+        for members in clusters:
+            if abs(z - sum(members) / len(members)) <= tol:
+                members.append(complex(z))
+                break
+        else:
+            clusters.append([complex(z)])
+    return [(sum(ms) / len(ms), len(ms)) for ms in clusters]
+
+
+def np_roots_route(p):
+    """find_roots through np.roots, the reference clustering and a per-root residual check."""
+    mono = p.coeffs
+    raw = np.roots(np.array(mono[::-1], dtype=complex))
+    roots = tuple((factor._newton_polish(mono, z, m), m) for z, m in reference_clusters(raw, 1e-7))
+    for z, _ in roots:
+        if abs(p(z)) / max(sum(abs(c) * abs(z) ** i for i, c in enumerate(mono)), 1e-300) > 1e-10:
+            return ConvergenceError
+    return roots
+
+
+class TestLeanRoots:
+    def test_same_roots_as_np_roots_route(self):
+        rng = np.random.default_rng(31)
+        _, high = split_constituents(0.9 * chebyshev_polynomial(6), 2)  # two double roots
+        sources = [high, Polynomial([0, 0, 0.5, -1, 1]), Polynomial([0, 0, 2])]
+        while len(sources) < 500:
+            c = rng.normal(size=int(rng.integers(2, 11)))
+            c[-1] += math.copysign(1.0, c[-1])  # |lead| >= 1 keeps the roots near the unit disk
+            c[: rng.integers(0, min(3, len(c)))] = 0.0  # exact zero roots
+            sources.append(Polynomial(c))
+        stalled = 0
+        for p in sources:
+            want = np_roots_route(p)
+            if want is ConvergenceError:
+                stalled += 1
+                with pytest.raises(ConvergenceError, match="root polishing stalled"):
+                    find_roots(p)
+            else:
+                assert find_roots(p) == want
+        assert stalled < 50  # the routes also agree on which sources stall
+        assert find_roots(Polynomial([0, 0, 2])) == ((0j, 2),)  # an exact double zero
+
+    def test_clusters_match_reference(self):
+        rng = np.random.default_rng(32)
+        for _ in range(500):
+            base = rng.normal(size=5) + 1j * rng.normal(size=5) * (rng.random(5) < 0.6)
+            raw = np.repeat(base, rng.integers(1, 4, size=5))
+            raw = raw + rng.normal(size=raw.size) * 10.0 ** rng.uniform(-12, -6, raw.size)
+            got, want = factor._cluster_roots(raw, 1e-7), reference_clusters(raw, 1e-7)
+            assert [(repr(z), m) for z, m in got] == [(repr(z), m) for z, m in want]
+
+    def test_one_eigvals_call_per_slope_size(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        for seed, half, k in [(8, 6, 3), (9, 7, 3), (10, 8, 2), (11, 5, 4)]:
+            source = random_nonneg(np.random.default_rng(seed), half)
+            calls.clear()
+            plan = factorize_nonneg(source, k)
+            # each factor's slope is (|R_j|^2)', of degree 2 deg(R_j) - 1
+            sizes = {2 * f.degree - 1 for f in plan.factors if f.degree > 1}
+            assert len(calls) == 1 + len(sizes), (seed, calls)
+
+
 class TestFactorizeNonneg:
     def test_square_single_thread(self):
         plan = factorize_nonneg(Polynomial([0, 0, 1]), 1)
@@ -81,6 +156,12 @@ class TestFactorizeNonneg:
     def test_odd_degree_rejected(self):
         with pytest.raises(NotNonNegativeError, match="even degree"):
             factorize_nonneg(Polynomial([0, 1]), 1)
+
+    @pytest.mark.parametrize("coeffs", [[-1 + 0.5j, 0, 1], [1, 0, 1j], [1 + 1j, 0, 1]])
+    def test_complex_source_named_before_sign(self, coeffs):
+        with pytest.raises(InputError, match="real coefficients") as err:
+            factorize_nonneg(Polynomial(coeffs), 2)
+        assert not isinstance(err.value, NotNonNegativeError)
 
     def test_negative_source_rejected(self):
         with pytest.raises(NotNonNegativeError):

@@ -73,6 +73,18 @@ class TestPolynomial:
             assert len(factorize_nonneg(scaled, 2).factors) == 2
         assert (p * 0).is_zero() and (p * 0).degree == 0
 
+    def test_product_keeps_degree(self):
+        # |q|^2 of a sup-normalized q: the product's top Chebyshev coefficient
+        # falls below TRIM_TOL on most seeds, and only exact zeros are trimmed
+        for seed in range(80):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(16, 21))
+            q = Polynomial.from_roots(rng.uniform(-1.2, 1.2, n) + 1j * rng.uniform(0.15, 1, n))
+            q = q / sup_norm(q)
+            q_bar = Polynomial.from_cheb([c.conjugate() for c in q.cheb])
+            assert q_bar.degree == n
+            assert (q * q_bar).degree == 2 * n, seed
+
     def test_monomial_and_from_roots(self):
         assert Polynomial.monomial(3).coeffs == (0, 0, 0, 1)
         p = Polynomial.from_roots([1j, -1j])
@@ -130,6 +142,20 @@ class TestSupNorm:
         assert sup_norm(p) == pytest.approx(dense_sup_norm(p.cheb), rel=1e-12)
         assert sup_norm(p) == pytest.approx(0.5, rel=1e-9)  # products round off
 
+    def test_one_batch_of_mixed_sizes(self):
+        # degrees 0-40, real and complex, in one kernel call: each norm matches
+        # the dense reference and, bit for bit, the series normed alone
+        rng = np.random.default_rng(17)
+        series = []
+        for d in range(41):
+            decay = 1.0 + np.arange(d + 1)
+            c = rng.normal(size=d + 1) / decay
+            series += [tuple(c + 0j), tuple(c + 1j * rng.normal(size=d + 1) / decay)]
+        norms = poly._colleague_norms(series)
+        for c, norm in zip(series, norms):
+            assert norm == pytest.approx(dense_sup_norm(c), rel=1e-12)
+            assert norm == poly._colleague_norms([c])[0]
+
     @pytest.mark.parametrize("complex_coeffs", [False, True])
     def test_random_series_match_dense_reference(self, complex_coeffs):
         rng = np.random.default_rng(11)
@@ -145,13 +171,13 @@ class TestNormMemo:
     @pytest.fixture
     def scans(self, monkeypatch):
         seen = []
-        norm = poly._colleague_norm
+        kernel = poly._colleague_norms
 
-        def counting(c):
-            seen.append(tuple(c))
-            return norm(c)
+        def counting(series):
+            seen.extend(tuple(c) for c in series)
+            return kernel(series)
 
-        monkeypatch.setattr(poly, "_colleague_norm", counting)
+        monkeypatch.setattr(poly, "_colleague_norms", counting)
         return seen
 
     def test_unit_interval_scanned_once(self, scans):

@@ -345,13 +345,13 @@ class TestParallelRun:
 
     def test_factor_norms_scanned_once_per_factor(self, rho_34, monkeypatch):
         scanned = []
-        norm = poly._colleague_norm
+        kernel = poly._colleague_norms
 
-        def counting(c):
-            scanned.append(c)
-            return norm(c)
+        def counting(series):
+            scanned.extend(series)
+            return kernel(series)
 
-        monkeypatch.setattr(poly, "_colleague_norm", counting)
+        monkeypatch.setattr(poly, "_colleague_norms", counting)
         a, b = Polynomial([0, 0.5]), Polynomial([0.3, 0, 0.4])
         values = {parallel_qsp_run([a, b, a], rho_34).value for _ in range(4)}
         assert len(values) == 1
@@ -437,6 +437,12 @@ class TestParallelRun:
 
 class TestCircuitKernel:
     """The success-subspace kernel against the full-register reference."""
+
+    def test_shift_permutation_cached_and_read_only(self):
+        perm = sim._shift_permutation(2, 3)
+        assert perm is sim._shift_permutation(2, 3)
+        with pytest.raises(ValueError):
+            perm[0] = 1
 
     def test_matches_full_register_on_random_unitaries(self):
         rng = np.random.default_rng(11)
