@@ -16,13 +16,12 @@ from .poly import (
 )
 from .factor import (
     FactorizationPlan,
-    ParallelTerm,
     ParallelTermList,
     chebyshev_parallel_terms,
     factorize_nonneg,
     find_roots,
     rescale_factors,
-    term_factor_polynomials,
+    term_layout,
     verify_factorization,
 )
 from .qsp import QspPhases, find_phases, realized_value
@@ -32,6 +31,7 @@ from .sim import (
     ShotSampler,
     generalized_swap_expectation,
     joint_readout,
+    layout_table,
     parallel_qsp_run,
     parallel_qsp_runs,
     query_depth_report,

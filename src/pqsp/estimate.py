@@ -43,7 +43,7 @@ from .factor import (
     chebyshev_parallel_terms,
     factorize_nonneg,
     rescale_factors,
-    term_factor_polynomials,
+    term_layout,
 )
 from .poly import (
     Parity,
@@ -59,6 +59,7 @@ from .sim import (
     ShotSampler,
     _check_shots,
     joint_readout,
+    layout_table,
     parallel_qsp_run,
     parallel_qsp_runs,
     query_depth_report,
@@ -201,20 +202,21 @@ def predict_cost(model: CostModel, route: str) -> int:
 
 def importance_sample(
     coeffs: Sequence[float],
-    layouts: Sequence[Sequence[Polynomial]],
+    table: Sequence[Polynomial],
+    index: np.ndarray,
     rho: DensityMatrix,
     total_shots: int | Literal["exact"],
     sampler: ShotSampler | None = None,
 ) -> Estimate:
-    """Coefficient-weighted sum of thread-layout traces by one importance draw.
+    """Coefficient-weighted sum of a stage's run traces by one importance draw.
 
-    Each shot picks layout j with probability |c_j|/||c||_1 and measures its
-    parallel run; sign(c_j) flips the outcome, so ||c||_1 times the pooled
-    mean is unbiased for sum_j c_j z_j.  All layouts are evaluated in one
-    parallel_qsp_runs pass and all shots drawn by one joint_readout, which
-    returns sum_j c_j z_j itself for "exact".
+    Each shot picks run j of the (table, index) stage with probability
+    |c_j|/||c||_1 and measures it; sign(c_j) flips the outcome, so ||c||_1
+    times the pooled mean is unbiased for sum_j c_j z_j.  All runs are
+    evaluated in one parallel_qsp_runs pass and all shots drawn by one
+    joint_readout, which returns sum_j c_j z_j itself for "exact".
     """
-    q, z = parallel_qsp_runs(layouts, rho)
+    q, z = parallel_qsp_runs(table, index, rho)
     return joint_readout(q, z, total_shots, sampler, coeffs=coeffs)
 
 
@@ -373,14 +375,12 @@ def _chebyshev_part(
         info["low_depth"] = depth
         shots_high = shots[1]
     terms = chebyshev_parallel_terms(p_high, k_part, d_part)
-    factor_lists = [term_factor_polynomials(t, k_part) for t in terms.terms]
-    info["term_count"] = len(terms.terms)
+    table, index = term_layout(terms, k_part)
+    info["term_count"] = len(terms.coeff)
     info["term_one_norm"] = terms.one_norm
-    info["parallel_depth"] = query_depth_report([f for fl in factor_lists for f in fl])[0]
-    if terms.terms:
-        high = importance_sample(
-            [t.coeff for t in terms.terms], factor_lists, rho, shots_high, smp_high
-        )
+    info["parallel_depth"] = query_depth_report(table)[0]
+    if len(terms.coeff):
+        high = importance_sample(terms.coeff, table, index, rho, shots_high, smp_high)
         total += high
         info["w_high"] = high.value
     return total, info
@@ -625,11 +625,12 @@ def monomial_poly_trace(
     c0 = coeffs[0] if coeffs else 0.0
     tail = [(n, c) for n, c in enumerate(coeffs) if n >= 1 and c != 0.0]
     layouts = {n: _monomial_factors(n, k) for n, _ in tail}
+    table, index = layout_table([layouts[n] for n, _ in tail])
 
     total = Estimate(c0 * dim, 0.0)
     if tail:
         total += importance_sample(
-            [c for _, c in tail], [layouts[n] for n, _ in tail], rho, n_shots, ShotSampler(seed)
+            [c for _, c in tail], table, index, rho, n_shots, ShotSampler(seed)
         )
 
     d = p.degree
@@ -640,7 +641,7 @@ def monomial_poly_trace(
         "constant_term": c0 * dim,
         "one_norm": one_norm,
         "active_exponents": [n for n, _ in tail],
-        "actual_depth": query_depth_report([f for fl in layouts.values() for f in fl])[0],
+        "actual_depth": query_depth_report(table)[0],
     }
     return _report(
         total,

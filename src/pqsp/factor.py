@@ -28,6 +28,7 @@ sampler has to absorb instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,14 +55,13 @@ _SIGN_GRID.flags.writeable = False
 
 __all__ = [
     "FactorizationPlan",
-    "ParallelTerm",
     "ParallelTermList",
     "find_roots",
     "factorize_nonneg",
     "rescale_factors",
     "verify_factorization",
     "chebyshev_parallel_terms",
-    "term_factor_polynomials",
+    "term_layout",
 ]
 
 
@@ -163,9 +163,10 @@ def find_roots(p: Polynomial) -> tuple[tuple[complex, int], ...]:
     multiplicity, then each cluster center is polished by multiplicity-aware
     Newton steps.  Residuals are judged in backward-error form,
     |p(z)| / sum_i |c_i| |z|^i, so roots far outside the unit disk are held
-    to the same relative standard as interior ones; a polished root whose
-    backward error exceeds 1e-10 indicates the eigensolver output could not
-    be rescued, and the call fails with the worst residual attached.
+    to the same relative standard as interior ones (an exact zero root of a
+    source with c_0 = 0 is exact).  A polished root whose backward error
+    exceeds 1e-10 indicates the eigensolver output could not be rescued,
+    and the call fails with the worst residual attached.
     """
     if p.degree < 1:
         raise InputError("constant polynomial has no roots to find")
@@ -182,7 +183,9 @@ def find_roots(p: Polynomial) -> tuple[tuple[complex, int], ...]:
     polished = np.array([_newton_polish(mono, z, m) for z, m in clusters])
 
     scale = np.abs(polished)[:, None] ** np.arange(len(mono)) @ np.abs(c)
-    worst = float(np.max(np.abs(p(polished)) / np.maximum(scale, 1e-300)))
+    backward = np.abs(p(polished)) / np.maximum(scale, 1e-300)
+    backward[(polished == 0) & (c[0] == 0)] = 0.0  # the series' p(0) is round-off, not 0
+    worst = float(np.max(backward))
     if not worst <= 1e-10:
         raise ConvergenceError(
             f"root polishing stalled: worst backward error {worst:.3e} exceeds 1e-10",
@@ -346,43 +349,40 @@ def verify_factorization(plan: FactorizationPlan, source: Polynomial) -> float:
     return float(np.max(np.abs(recon - src) / (1.0 + np.abs(src))))
 
 
-@dataclass(frozen=True)
-class ParallelTerm:
-    """One product term coeff * T_a(x)^{2j} * T_b(x)^{2l}."""
-
-    coeff: float
-    a: int
-    b: int
-    j: int
-    l: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParallelTermList:
-    """Chebyshev product expansion of an even tail polynomial.
+    """Chebyshev product expansion of an even tail polynomial, as arrays.
 
-    ``ctilde`` maps the even index a*2k + 2b to the intermediate coefficient
-    produced by rewriting mixed indices into products; the term list carries
-    the fully expanded coefficients C = ctilde * t_{2k,2j} * t_{2,2l}.
+    Term i is coeff[i] * T_a[i](x)^{2 j[i]} * T_b[i](x)^{2 l[i]}, in order
+    of (a*2k + 2b, j, l).  ``ctilde`` maps the even index a*2k + 2b to the
+    intermediate coefficient produced by rewriting mixed indices into
+    products; the expanded coefficients are C = ctilde * t_{2k,2j} * t_{2,2l}.
     """
 
-    terms: tuple[ParallelTerm, ...]
+    coeff: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    j: np.ndarray
+    l: np.ndarray
     ctilde: dict[int, float]
 
     @property
     def one_norm(self) -> float:
-        return float(sum(abs(t.coeff) for t in self.terms))
+        return float(sum(np.abs(self.coeff).tolist()))
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
-        orders = {o for t in self.terms for o in (t.a, t.b)}
-        tvals = {o: npcheb.chebval(xs, [0.0] * o + [1.0]) for o in orders}
-        acc = np.zeros_like(xs)
-        for t in self.terms:
-            acc = acc + t.coeff * tvals[t.a] ** (2 * t.j) * tvals[t.b] ** (2 * t.l)
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return float(acc)
-        return acc
+        top = max(self.a.max(initial=0), self.b.max(initial=0))
+        tvals = npcheb.chebval(xs.ravel(), np.eye(top + 1))  # row m holds T_m
+        powers = tvals[self.a] ** (2 * self.j[:, None]) * tvals[self.b] ** (2 * self.l[:, None])
+        acc = (self.coeff @ powers).reshape(xs.shape)
+        return float(acc) if acc.ndim == 0 else acc
+
+
+@functools.lru_cache(maxsize=16)
+def _t2k_row(k: int) -> tuple[float, ...]:
+    """t_{2k,2j} for j = 0..k."""
+    return tuple(float(chebyshev_coefficient(2 * k, 2 * j)) for j in range(k + 1))
 
 
 def chebyshev_parallel_terms(p_high: Polynomial, k: int, d: int) -> ParallelTermList:
@@ -393,7 +393,8 @@ def chebyshev_parallel_terms(p_high: Polynomial, k: int, d: int) -> ParallelTerm
     using T_{a*2k + 2b} = 2 T_{a*2k} T_{2b} - T_{(a-1)*2k + 2(k-b)}.  The
     surviving coefficients ctilde multiply T_{2k}(T_a) and T_2(T_b)
     expansions, giving terms in powers T_a^{2j} T_b^{2l} whose factor
-    polynomials all have sup norm 1.
+    polynomials all have sup norm 1.  Terms with a zero coefficient are
+    dropped.
     """
     if k < 1:
         raise InputError("thread count k must be at least 1")
@@ -432,36 +433,36 @@ def chebyshev_parallel_terms(p_high: Polynomial, k: int, d: int) -> ParallelTerm
         if val != 0.0:
             ctilde[2 * b] = val
 
-    t2k = {j: float(chebyshev_coefficient(2 * k, 2 * j)) for j in range(k + 1)}
-    t2 = {0: -1.0, 1: 2.0}
-    terms = []
-    for idx, ct in sorted(ctilde.items()):
-        a, b = idx // (2 * k), (idx % (2 * k)) // 2
-        for j in range(k + 1):
-            for l in (0, 1):
-                coeff = ct * t2k[j] * t2[l]
-                if coeff == 0.0:
-                    continue
-                terms.append(ParallelTerm(coeff=coeff, a=a, b=b, j=j, l=l))
-    return ParallelTermList(terms=tuple(terms), ctilde=ctilde)
+    idx = np.array(sorted(ctilde), dtype=np.intp)
+    ct = np.array([ctilde[i] for i in idx.tolist()], dtype=float)
+    # (index, j, l) grids in term order; C = (ctilde * t_{2k,2j}) * t_{2,2l}
+    coeff = ct[:, None, None] * np.array(_t2k_row(k))[:, None] * np.array([-1.0, 2.0])
+    kept = coeff != 0.0
+    ii, j, l = (grid[kept] for grid in np.indices(coeff.shape))
+    return ParallelTermList(coeff[kept], idx[ii] // (2 * k), idx[ii] % (2 * k) // 2, j, l, ctilde)
 
 
-def term_factor_polynomials(term: ParallelTerm, k: int) -> list[Polynomial]:
-    """Assign one product term to k factor slots.
+def term_layout(terms: ParallelTermList, k: int) -> tuple[tuple[Polynomial, ...], np.ndarray]:
+    """The factor table and (terms x k) index of the terms' runs on k threads.
 
-    The product of squared moduli over the returned factors equals
-    T_a^{2j} T_b^{2l}: with l=1 the first slot takes T_a*T_b (or T_b alone
-    when j=0) and the next j-1 slots take T_a; with l=0 the first j slots
-    take T_a.  Remaining slots hold the constant 1.  Every slot is a shared
-    instance, so repeated terms reuse their factors and the factors' norms.
+    The squared moduli of run i's k factors multiply to T_a^{2j} T_b^{2l}:
+    with l=1 thread 0 takes T_a*T_b (or T_b alone when j=0) and the next j-1
+    threads take T_a; with l=0 the first j threads take T_a; the constant 1
+    fills the rest.  Every factor is a shared instance of norm 1.  Table row
+    0 is the padding constant 1 and the other rows follow first appearance,
+    thread by thread and term by term.
     """
-    Ta = chebyshev_polynomial(term.a)
-    Tb = chebyshev_polynomial(term.b)
-    if term.l == 1:
-        TaTb = _shared_polynomial("T", term.a, term.b)
-        base = [Tb] if term.j == 0 else [TaTb] + [Ta] * (term.j - 1)
-    else:
-        base = [Ta] * term.j
-    if len(base) > k:
-        raise InputError(f"term needs {len(base)} slots but only k={k} are available")
-    return base + [Polynomial.one()] * (k - len(base))
+    a, b, j, l = (v[:, None] for v in (terms.a, terms.b, terms.j, terms.l))
+    n = int(max(terms.a.max(initial=0), terms.b.max(initial=0))) + 1
+    # a thread's key: 0 for the constant 1, 1 + m for T_m, 1 + n + a*n + b for T_a*T_b
+    key = np.where(np.arange(k) < j, 1 + a, 0)
+    key[:, :1] = np.where(l == 1, np.where(j == 0, 1 + b, 1 + n + a * n + b), key[:, :1])
+    codes, first, inverse = np.unique(key.ravel(), return_index=True, return_inverse=True)
+    order = np.argsort(first)  # a row's position in the BLAS product q = weights @ w sets its bits
+    table = [Polynomial.one()] + [
+        Polynomial.one() if c == 0
+        else chebyshev_polynomial(c - 1) if c <= n
+        else _shared_polynomial("T", *divmod(c - 1 - n, n))
+        for c in codes[order].tolist()
+    ]
+    return tuple(table), np.argsort(order)[inverse].reshape(key.shape) + 1

@@ -12,15 +12,17 @@ without ever renormalizing by the success probability.  The two one-ancilla
 read-outs share _readout: the exact value, or Bernoulli shots drawn from the
 caller's ShotSampler.  joint_readout is the one place that draws
 (+1, -1, discard) shots of parallel runs: one multinomial draw per stage,
-however many coefficient-weighted thread layouts it pools.
+however many coefficient-weighted runs it pools.
 
 Two execution modes exist.  "direct" works on rho's eigenvalues w_i alone:
 every thread block P_j(rho) is a function of rho, so one eigenbasis
 diagonalizes them all, thread j post-selects with probability
 q_j = sum_i w_i |P_j(w_i)|^2 and z = sum_i w_i^k prod_j |P_j(w_i)|^2, with no
-D x D matrix formed; parallel_qsp_runs evaluates every layout of a stage in
+D x D matrix formed.  parallel_qsp_runs evaluates a stage, a factor table
+and an index of its runs (layout_table builds both from thread layouts), in
 one array pass, and spectral_hadamard_test reads tr(sigma p(rho)) the same
-way.  "circuit" builds each thread's flag-zero block B_j as a D x D matrix
+way.
+"circuit" builds each thread's flag-zero block B_j as a D x D matrix
 (P_j(rho) in rho's eigenbasis for the oracle encoding, the average of the
 two qubitized sequences' top-left blocks for the phase route) and reads the
 joint outcome probabilities through the literal cyclic-shift permutation,
@@ -45,7 +47,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import InputError, PostSelectionError
-from .poly import Parity, Polynomial, sup_norm
+from .poly import Parity, Polynomial, _clenshaw, sup_norm
 from .qsp import QspPhases, find_phases, realized_value
 
 __all__ = [
@@ -54,6 +56,7 @@ __all__ = [
     "Estimate",
     "generalized_swap_expectation",
     "spectral_hadamard_test",
+    "layout_table",
     "parallel_qsp_runs",
     "joint_readout",
     "parallel_qsp_run",
@@ -93,16 +96,20 @@ class ShotSampler:
     """Deterministic counter-based randomness for measurement simulation.
 
     Wraps a Philox generator keyed by (seed, spawn path; a seed of None is
-    0): the same seed and request sequence reproduce identical draws, and
-    child(i) yields an independent stream, so multi-stage estimators can hand
-    each stage its own sampler without coupling their consumption.
+    0), built on the first draw, so exact runs build none.  The same seed
+    and request sequence reproduce identical draws, and child(i) yields an
+    independent stream, so multi-stage estimators can hand each stage its
+    own sampler without coupling their consumption.
     """
 
     def __init__(self, seed: int | None, _path: tuple[int, ...] = ()):
         self.seed = 0 if seed is None else int(seed)
         self.path = tuple(_path)
+
+    @functools.cached_property
+    def rng(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
-        self.rng = np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.Philox(ss))
 
     def child(self, index: int) -> "ShotSampler":
         return ShotSampler(self.seed, self.path + (int(index),))
@@ -337,15 +344,19 @@ def _qsp_block(phases: QspPhases, rho: DensityMatrix) -> np.ndarray:
 
 def _thread_values(
     factors: Sequence[Polynomial], w: np.ndarray, encode: str
-) -> tuple[list[np.ndarray], list[QspPhases] | None]:
+) -> tuple[np.ndarray | list[np.ndarray], list[QspPhases] | None]:
     """Each thread block's eigenvalues on rho's spectrum w, plus the phases if any.
 
     Every block is a function of rho, so rho's eigenbasis diagonalizes them
-    all.  Oracle encoding reproduces each factor exactly; the phase route
-    realizes Re(P) = factor to phase finding's tolerance.
+    all.  Oracle encoding reproduces the factors exactly, in one Clenshaw
+    pass over their zero-padded series (leading zeros change no step's
+    value); the phase route realizes Re(P) = factor to phase finding's
+    tolerance.
     """
     if encode == "oracle":
-        return [f(w) for f in factors], None
+        n = max((len(f.cheb) for f in factors), default=1)
+        series = np.array([(*f.cheb, *(0j,) * (n - len(f.cheb))) for f in factors], complex)
+        return _clenshaw(series.reshape(-1, n).T[:, :, None], w), None
     if encode != "qsp":
         raise InputError(f"unknown encode mode {encode!r}")
     if any(f.max_imag() > 1e-10 or f.parity is Parity.INDEFINITE for f in factors):
@@ -396,40 +407,45 @@ def _shift_permutation(d: int, k: int) -> np.ndarray:
     return perm
 
 
-def _check_norm(f: Polynomial, where: str) -> None:
-    if sup_norm(f) > 1.0 + 1e-9:
-        raise InputError(f"apply rescale_factors: {where} has sup norm above 1")
+def layout_table(layouts: Sequence[Sequence[Polynomial]]) -> tuple[tuple, np.ndarray]:
+    """The factor table and index of hand-built thread layouts, for parallel_qsp_runs.
 
-
-def parallel_qsp_runs(
-    layouts: Sequence[Sequence[Polynomial]], rho: DensityMatrix, encode: str = "oracle"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Direct-mode (q, z) of every thread layout of a stage, in one array pass.
-
-    q[i] is layout i's post-selection probability prod_j q_j and
-    z[i] = tr(rho^k_i * prod_j |P_j(rho)|^2), with k_i = len(layouts[i]), so
-    layouts may differ in length.  Each distinct factor instance (the layout
-    builders share them) is checked against sup norm 1 and evaluated on
-    rho's eigenvalues once.  A thread that cannot succeed raises
-    PostSelectionError naming its layout and thread.
+    Row 0 of the table is the constant 1 that pads short layouts; the other
+    rows are the distinct factor instances (layout builders share them) in
+    order of first appearance.
     """
-    width = max((len(fl) for fl in layouts), default=0)
-    # row 0 of the weight table is a constant-1 thread that pads short layouts
-    index = np.zeros((len(layouts), width), dtype=np.intp)
-    rows: dict[int, int] = {}
-    distinct: list[Polynomial] = []
+    index = np.zeros((len(layouts), max((len(fl) for fl in layouts), default=0)), np.intp)
+    rows: dict[int, tuple[int, Polynomial]] = {}  # by identity: (row, instance)
     for i, fl in enumerate(layouts):
         if not fl:
             raise InputError(f"layout {i} needs at least one factor polynomial")
         for j, f in enumerate(fl):
-            if id(f) not in rows:
-                _check_norm(f, f"layout {i}, factor {j}")
-                rows[id(f)] = len(distinct) + 1
-                distinct.append(f)
-            index[i, j] = rows[id(f)]
+            index[i, j] = rows.setdefault(id(f), (len(rows) + 1, f))[0]
+    return (Polynomial.one(), *(f for _, f in rows.values())), index
+
+
+def parallel_qsp_runs(
+    table: Sequence[Polynomial], index: np.ndarray, rho: DensityMatrix, encode: str = "oracle"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Direct-mode (q, z) of every run of a stage, in one array pass.
+
+    The stage is a factor table, its distinct factors with row 0 the
+    constant 1, and an integer index with one row per run: run i's thread j
+    applies table[index[i, j]], and row 0 entries pad short runs, so run i
+    has k_i threads, its nonzero entries.  q[i] is run i's post-selection
+    probability prod_j q_j and z[i] = tr(rho^k_i * prod_j |P_j(rho)|^2).
+    Each table row is checked against sup norm 1 and evaluated on rho's
+    eigenvalues once.  A factor above norm 1 or a thread that cannot succeed
+    raises naming its first run and thread.
+    """
+    over = [r for r, f in enumerate(table[1:], 1) if sup_norm(f) > 1.0 + 1e-9]
+    if over:
+        i, j = np.argwhere(np.isin(index, over))[0]
+        raise InputError(f"apply rescale_factors: layout {i}, factor {j} has sup norm above 1")
     w = rho.eigenvalues()
-    values, _ = _thread_values(distinct, w, encode)
-    weights = np.abs(np.array([np.ones(len(w)), *values])) ** 2
+    values, _ = _thread_values(table[1:], w, encode)
+    weights = np.ones((len(table), len(w)))
+    weights[1:] = np.abs(values) ** 2
     # thread j post-selects with q_j = tr(B_j rho B_j^dagger) = sum_i w_i |b_ij|^2
     q_threads = (weights @ w)[index]
     failed = np.argwhere(q_threads <= 1e-14)
@@ -439,7 +455,7 @@ def parallel_qsp_runs(
             f"post-selection impossible: layout {i}, thread {j} succeeds with "
             f"probability {q_threads[i, j]:.3e}"
         )
-    powers = w ** np.array([len(fl) for fl in layouts])[:, None]
+    powers = w ** np.count_nonzero(index, axis=1)[:, None]
     z = np.einsum("ij,ij->i", powers, np.prod(weights[index], axis=1))
     return np.prod(q_threads, axis=1), z
 
@@ -518,7 +534,7 @@ def parallel_qsp_run(
     if mode not in ("direct", "circuit"):
         raise InputError(f"unknown mode {mode!r}; expected 'direct' or 'circuit'")
     if mode == "direct":
-        q, z = parallel_qsp_runs([factors], rho, encode)
+        q, z = parallel_qsp_runs(*layout_table([factors]), rho, encode)
         return joint_readout(q, z, shots, sampler)
     if rho.dim > 4 or k > 3:
         raise InputError("circuit mode supports dimensions up to 4 and k up to 3")
@@ -532,7 +548,8 @@ def parallel_qsp_run(
             "use direct mode or smaller instances"
         )
     for j, f in enumerate(factors):
-        _check_norm(f, f"factor {j}")
+        if sup_norm(f) > 1.0 + 1e-9:
+            raise InputError(f"apply rescale_factors: factor {j} has sup norm above 1")
     values, phases = _thread_values(factors, rho.eigenvalues(), encode)
     if phases is None:
         blocks = [rho.spectral_operator(b) for b in values]

@@ -20,6 +20,7 @@ from pqsp import (
     estimate_direct,
     importance_sample,
     joint_readout,
+    layout_table,
     monomial_poly_trace,
     parallel_qsp_run,
     partition_function,
@@ -76,13 +77,17 @@ class TestPredictCost:
 
 
 class TestImportanceSample:
-    """importance_sample(coeffs, layouts, rho, shots, sampler): one draw over all layouts."""
+    """importance_sample(coeffs, table, index, rho, shots, sampler): one draw over all runs."""
 
     ONE = [Polynomial.one()]
 
+    @staticmethod
+    def sample(coeffs, layouts, rho, shots, sampler=None):
+        return importance_sample(coeffs, *layout_table(layouts), rho, shots, sampler)
+
     def test_constant_terms_pool_exactly(self, rho_34):
         # a bare register reads tr(rho) = 1 on every shot
-        est = importance_sample([0.5, 0.5], [self.ONE, self.ONE], rho_34, 200, ShotSampler(1))
+        est = self.sample([0.5, 0.5], [self.ONE, self.ONE], rho_34, 200, ShotSampler(1))
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert est.std_error == pytest.approx(0.0, abs=1e-12)
         assert est.shots_used == 200
@@ -91,7 +96,7 @@ class TestImportanceSample:
         # 0.8 tr(rho) - 0.4 tr(rho^2) = 0.8 - 0.4 * 0.625
         layouts = [self.ONE, self.ONE * 2]
         vals = [
-            importance_sample([0.8, -0.4], layouts, rho_34, 500, ShotSampler(rep)).value
+            self.sample([0.8, -0.4], layouts, rho_34, 500, ShotSampler(rep)).value
             for rep in range(200)
         ]
         mean = float(np.mean(vals))
@@ -100,19 +105,19 @@ class TestImportanceSample:
 
     def test_zero_coefficients_rejected(self, rho_34):
         with pytest.raises(InputError, match="all-zero"):
-            importance_sample([0.0], [self.ONE], rho_34, 10)
+            self.sample([0.0], [self.ONE], rho_34, 10)
 
     def test_estimator_count_mismatch(self, rho_34):
         with pytest.raises(InputError, match="one q, z and coefficient per run"):
-            importance_sample([1.0, 2.0], [self.ONE], rho_34, 10)
+            self.sample([1.0, 2.0], [self.ONE], rho_34, 10)
 
     def test_bad_shape_rejected(self, rho_34):
         with pytest.raises(InputError, match="layout 1 needs at least one factor"):
-            importance_sample([1.0, 2.0], [self.ONE, []], rho_34, 16, ShotSampler(0))
+            self.sample([1.0, 2.0], [self.ONE, []], rho_34, 16, ShotSampler(0))
 
     def test_nonpositive_shots_rejected(self, rho_34):
         with pytest.raises(InputError, match="budget 0 is below the stage count 1"):
-            importance_sample([1.0], [self.ONE], rho_34, 0)
+            self.sample([1.0], [self.ONE], rho_34, 0)
 
 
 @pytest.mark.parametrize(
@@ -611,13 +616,13 @@ class TestBatchedStages:
         assert counts["runs"] <= parts
 
     def test_guard_fails_a_per_term_loop(self, monkeypatch):
-        def per_term(coeffs, layouts, rho, total_shots, sampler=None):
+        def per_term(coeffs, table, index, rho, total_shots, sampler=None):
             c = np.asarray(coeffs)
             split = sampler.multinomial(total_shots, np.abs(c) / np.abs(c).sum())
             total = Estimate(0.0, 0.0)
             for j, n_j in enumerate(split):
                 if n_j:
-                    q, z = estimate.parallel_qsp_runs([layouts[j]], rho)
+                    q, z = estimate.parallel_qsp_runs(table, index[j : j + 1], rho)
                     total += c[j] * joint_readout(q, z, int(n_j), sampler.child(j))
             return total
 
@@ -625,6 +630,28 @@ class TestBatchedStages:
         counts, parts, _ = self._count_degree40(monkeypatch)
         assert counts["samplers"] > 2 * parts + 1
         assert counts["runs"] > parts
+
+    def test_exact_stage_is_one_table_call_and_draws_nothing(self, monkeypatch):
+        counts = {"clenshaw": 0, "philox": 0}
+        clenshaw, philox = sim._clenshaw, np.random.Philox
+
+        def counting_clenshaw(c, x):
+            counts["clenshaw"] += 1
+            return clenshaw(c, x)
+
+        def counting_philox(*args, **kwargs):
+            counts["philox"] += 1
+            return philox(*args, **kwargs)
+
+        rng = np.random.default_rng(38)
+        p = 0.5 * (random_parity_target(rng, 38) + random_parity_target(rng, 37))
+        rho = DensityMatrix.random_seeded(32, 4)
+        monkeypatch.setattr(sim, "_clenshaw", counting_clenshaw)
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        rep = estimate_chebyshev(p, rho, 4, seed=1)
+        parts = [rep.breakdown[name] for name in ("even", "odd")]
+        assert all(part["term_count"] > 10 for part in parts)
+        assert counts == {"clenshaw": len(parts), "philox": 0}
 
     def test_sampled_memory_does_not_grow_with_shots(self, rho_34):
         p = Polynomial([0.1, 0.2, -0.3, 0, 0.25, 0.1])

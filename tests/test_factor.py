@@ -18,7 +18,7 @@ from pqsp import (
     rescale_factors,
     split_constituents,
     sup_norm,
-    term_factor_polynomials,
+    term_layout,
     verify_factorization,
 )
 from conftest import random_nonneg
@@ -74,26 +74,37 @@ def reference_clusters(raw, tol):
 
 
 def np_roots_route(p):
-    """find_roots through np.roots, the reference clustering and a per-root residual check."""
+    """find_roots through np.roots, the reference clustering and a per-root
+    residual check, under which an exact zero root of a source with c_0 = 0
+    is exact."""
     mono = p.coeffs
     raw = np.roots(np.array(mono[::-1], dtype=complex))
     roots = tuple((factor._newton_polish(mono, z, m), m) for z, m in reference_clusters(raw, 1e-7))
     for z, _ in roots:
+        if z == 0 and mono[0] == 0:
+            continue
         if abs(p(z)) / max(sum(abs(c) * abs(z) ** i for i, c in enumerate(mono)), 1e-300) > 1e-10:
             return ConvergenceError
     return roots
 
 
+def zero_root_sources(seed, count):
+    """Seeded random sources whose lowest 0-2 monomial coefficients are exactly 0."""
+    rng = np.random.default_rng(seed)
+    sources = []
+    for _ in range(count):
+        c = rng.normal(size=int(rng.integers(2, 11)))
+        c[-1] += math.copysign(1.0, c[-1])  # |lead| >= 1 keeps the roots near the unit disk
+        c[: rng.integers(0, min(3, len(c)))] = 0.0  # exact zero roots
+        sources.append(Polynomial(c))
+    return sources
+
+
 class TestLeanRoots:
     def test_same_roots_as_np_roots_route(self):
-        rng = np.random.default_rng(31)
         _, high = split_constituents(0.9 * chebyshev_polynomial(6), 2)  # two double roots
         sources = [high, Polynomial([0, 0, 0.5, -1, 1]), Polynomial([0, 0, 2])]
-        while len(sources) < 500:
-            c = rng.normal(size=int(rng.integers(2, 11)))
-            c[-1] += math.copysign(1.0, c[-1])  # |lead| >= 1 keeps the roots near the unit disk
-            c[: rng.integers(0, min(3, len(c)))] = 0.0  # exact zero roots
-            sources.append(Polynomial(c))
+        sources += zero_root_sources(31, 497)
         stalled = 0
         for p in sources:
             want = np_roots_route(p)
@@ -105,6 +116,22 @@ class TestLeanRoots:
                 assert find_roots(p) == want
         assert stalled < 50  # the routes also agree on which sources stall
         assert find_roots(Polynomial([0, 0, 2])) == ((0j, 2),)  # an exact double zero
+
+    def test_zero_root_is_exact(self):
+        # p(0) from the Chebyshev series is round-off, not 0, against a scale of 0
+        roots = find_roots(Polynomial([0, 0, 0.3134, 0.1016, -1.464]))
+        assert (0j, 2) in roots
+        assert sum(m for _, m in roots) == 4
+
+    def test_zero_root_family_solves(self):
+        # 42 of these 333 sources raised ConvergenceError when p(0)'s round-off
+        # was judged against the zero scale sum_i |c_i| 0^i = c_0
+        family = [p for p in zero_root_sources(31, 497) if p.coeffs[0] == 0]
+        assert len(family) == 333
+        for p in family:
+            roots = find_roots(p)
+            assert (0j, int(np.flatnonzero(p.coeffs)[0])) in roots
+            assert sum(m for _, m in roots) == p.degree
 
     def test_clusters_match_reference(self):
         rng = np.random.default_rng(32)
@@ -288,26 +315,41 @@ class TestChebyshevTerms:
         terms = chebyshev_parallel_terms(tail, k, tail.degree + k)
         a_max = tail.degree // (2 * k)
         bound = (a_max + 1) * k * 2 * (k + 1)
-        assert len(terms.terms) <= bound
+        assert len(terms.coeff) <= bound
 
     def test_factor_lists_pad_to_k(self):
         terms = chebyshev_parallel_terms(chebyshev_polynomial(6), 2, 8)
-        for term in terms.terms:
-            factors = term_factor_polynomials(term, 2)
-            assert len(factors) == 2
-            assert all(sup_norm(f) <= 1 + 1e-9 for f in factors)
+        table, index = term_layout(terms, 2)
+        assert index.shape == (len(terms.coeff), 2)
+        assert np.all(index > 0)  # row 0 pads short runs, and these runs are all k long
+        assert sorted(set(index.ravel().tolist())) == list(range(1, len(table)))
+        assert all(sup_norm(f) <= 1 + 1e-9 for f in table)
+
+    def test_layout_factors_multiply_to_the_term(self):
+        xs = np.linspace(-1, 1, 41)
+        for k in (1, 2, 3, 4, 5):
+            tail = split_constituents(chebyshev_polynomial(7 * k + 2), k)[1]
+            terms = chebyshev_parallel_terms(tail, k, 7 * k + 2)
+            table, index = term_layout(terms, k)
+            for row, a, b, j, l in zip(index, terms.a, terms.b, terms.j, terms.l):
+                got = np.prod([np.abs(table[r](xs)) ** 2 for r in row], axis=0)
+                ta, tb = chebyshev_polynomial(a)(xs), chebyshev_polynomial(b)(xs)
+                assert np.max(np.abs(got - ta ** (2 * j) * tb ** (2 * l))) <= 1e-12
 
     def test_repeated_terms_share_factor_instances(self):
-        terms = chebyshev_parallel_terms(chebyshev_polynomial(10), 2, 12).terms
-        first = [term_factor_polynomials(t, 2) for t in terms]
-        again = [term_factor_polynomials(t, 2) for t in terms]
-        assert all(x is y for fa, fb in zip(first, again) for x, y in zip(fa, fb))
+        terms = chebyshev_parallel_terms(chebyshev_polynomial(10), 2, 12)
+        first, again = term_layout(terms, 2), term_layout(terms, 2)
+        assert all(x is y for x, y in zip(first[0], again[0]))
+        assert np.array_equal(first[1], again[1])
+
+    def test_term_coefficients_cached_per_thread_count(self):
+        # T_6 = 32x^6 - 48x^4 + 18x^2 - 1
+        assert factor._t2k_row(3) == (-1.0, 18.0, -48.0, 32.0)
+        assert factor._t2k_row(3) is factor._t2k_row(3)
 
     def test_one_norm_matches_terms(self):
         terms = chebyshev_parallel_terms(chebyshev_polynomial(6), 2, 8)
-        assert terms.one_norm == pytest.approx(
-            sum(abs(t.coeff) for t in terms.terms), rel=1e-12
-        )
+        assert terms.one_norm == pytest.approx(np.abs(terms.coeff).sum(), rel=1e-12)
 
     def test_parity_mismatch_rejected(self):
         with pytest.raises(InputError):

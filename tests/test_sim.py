@@ -18,13 +18,14 @@ from pqsp import (
     factorize_nonneg,
     generalized_swap_expectation,
     joint_readout,
+    layout_table,
     parallel_qsp_run,
     parallel_qsp_runs,
     query_depth_report,
     rescale_factors,
     spectral_hadamard_test,
     split_constituents,
-    term_factor_polynomials,
+    term_layout,
 )
 from conftest import random_nonneg, random_parity_target
 
@@ -40,6 +41,50 @@ def spectral_parallel_value(factors, rho):
     for f in factors:
         acc = acc * np.abs(f(lams)) ** 2
     return float(np.sum(acc))
+
+
+def reference_term_layouts(terms, k):
+    """Each product term's k factor instances, one list per term.
+
+    With l=1 the first slot takes T_a*T_b (T_b alone when j=0) and the next
+    j-1 slots take T_a; with l=0 the first j slots take T_a; the constant 1
+    fills the rest.
+    """
+    layouts = []
+    for a, b, j, l in zip(*(v.tolist() for v in (terms.a, terms.b, terms.j, terms.l))):
+        ta = chebyshev_polynomial(a)
+        if l == 1:
+            base = [chebyshev_polynomial(b)] if j == 0 else [poly._shared_polynomial("T", a, b)]
+            base += [ta] * (j - 1)
+        else:
+            base = [ta] * j
+        layouts.append(base + [Polynomial.one()] * (k - len(base)))
+    return layouts
+
+
+def reference_runs(layouts, rho):
+    """(q, z) of thread layouts by the per-factor route.
+
+    The distinct factor instances, found by identity in first-appearance
+    order after a constant-1 padding row, are each evaluated by their own
+    Clenshaw call; the weights, products and BLAS calls are the table
+    path's, so the two must agree bit for bit.
+    """
+    width = max(len(fl) for fl in layouts)
+    index = np.zeros((len(layouts), width), dtype=np.intp)
+    rows, distinct = {}, []
+    for i, fl in enumerate(layouts):
+        for j, f in enumerate(fl):
+            if id(f) not in rows:
+                rows[id(f)] = len(distinct) + 1
+                distinct.append(f)
+            index[i, j] = rows[id(f)]
+    w = rho.eigenvalues()
+    weights = np.abs(np.array([np.ones(len(w)), *[f(w) for f in distinct]])) ** 2
+    q_threads = (weights @ w)[index]
+    powers = w ** np.array([len(fl) for fl in layouts])[:, None]
+    z = np.einsum("ij,ij->i", powers, np.prod(weights[index], axis=1))
+    return np.prod(q_threads, axis=1), z
 
 
 def full_register_probabilities(unitaries, rho):
@@ -518,8 +563,8 @@ class TestBatchedRuns:
     def layouts():
         """Term layouts (k = 2) and monomial layouts of 1 to 4 threads (k = 3)."""
         tail = split_constituents(chebyshev_polynomial(16), 2)[1]
-        terms = chebyshev_parallel_terms(tail, 2, 16).terms
-        return [term_factor_polynomials(t, 2) for t in terms] + [
+        terms = chebyshev_parallel_terms(tail, 2, 16)
+        return reference_term_layouts(terms, 2) + [
             estimate._monomial_factors(n, 3) for n in range(1, 9)
         ]
 
@@ -528,7 +573,7 @@ class TestBatchedRuns:
         rho = DensityMatrix.random_seeded(dim, dim)
         layouts = self.layouts()
         assert {len(fl) for fl in layouts} == {1, 2, 3, 4}
-        q, z = parallel_qsp_runs(layouts, rho)
+        q, z = parallel_qsp_runs(*layout_table(layouts), rho)
         assert q.shape == z.shape == (len(layouts),)
         lams = np.linalg.eigvalsh(rho.matrix)
         for i, fl in enumerate(layouts):
@@ -537,14 +582,52 @@ class TestBatchedRuns:
             want_q = math.prod(float(np.dot(lams, np.abs(f(lams)) ** 2)) for f in fl)
             assert q[i] == pytest.approx(want_q, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [4, 16, 32])
+    def test_table_path_matches_reference_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        rho = DensityMatrix.random_seeded(dim, 7 * dim)
+        for k in range(1, 6):
+            for degree in (38, 39):
+                kp = k if k % 2 == degree % 2 else k - 1
+                if kp < 1:
+                    continue
+                high = split_constituents(random_parity_target(rng, degree), kp)[1]
+                terms = chebyshev_parallel_terms(high, kp, degree)
+                table, index = term_layout(terms, kp)
+                q, z = parallel_qsp_runs(table, index, rho)
+                want_q, want_z = reference_runs(reference_term_layouts(terms, kp), rho)
+                assert q.tobytes() == want_q.tobytes(), (k, degree)
+                assert z.tobytes() == want_z.tobytes(), (k, degree)
+
+    def test_layout_table_matches_reference_bits(self):
+        rho = DensityMatrix.random_seeded(16, 5)
+        layouts = self.layouts()
+        table, index = layout_table(layouts)
+        assert table[0] is Polynomial.one()
+        q, z = parallel_qsp_runs(table, index, rho)
+        want_q, want_z = reference_runs(layouts, rho)
+        assert (q.tobytes(), z.tobytes()) == (want_q.tobytes(), want_z.tobytes())
+
+    def test_stacked_values_match_per_factor_bits(self):
+        rng = np.random.default_rng(600)
+        for _ in range(200):
+            table = []
+            for _ in range(int(rng.integers(1, 12))):
+                c = rng.normal(size=int(rng.integers(1, 14)))
+                if rng.random() < 0.5:
+                    c = c + 1j * rng.normal(size=c.size)
+                table.append(Polynomial.from_cheb(c))
+            w = np.linalg.eigvalsh(DensityMatrix.random_seeded(int(rng.integers(1, 33)), 3).matrix)
+            values, _ = sim._thread_values(table, w, "oracle")
+            for row, f in zip(values, table):
+                assert row.tobytes() == f(w).tobytes()
+
     def test_each_distinct_factor_checked_once(self, rho_34, monkeypatch):
         checked = []
-        check = sim._check_norm
-        monkeypatch.setattr(
-            sim, "_check_norm", lambda f, where: checked.append(f) or check(f, where)
-        )
+        norm = sim.sup_norm
+        monkeypatch.setattr(sim, "sup_norm", lambda f: checked.append(f) or norm(f))
         layouts = self.layouts()
-        parallel_qsp_runs(layouts, rho_34)
+        parallel_qsp_runs(*layout_table(layouts), rho_34)
         distinct = {id(f) for fl in layouts for f in fl}
         assert len(checked) == len(distinct) < sum(len(fl) for fl in layouts)
 
@@ -552,17 +635,17 @@ class TestBatchedRuns:
         rho = DensityMatrix.pure(2)
         ok, dead = Polynomial([0, 1]), Polynomial([-0.5, 0.5])
         with pytest.raises(PostSelectionError, match="layout 1, thread 2"):
-            parallel_qsp_runs([[ok], [ok, ok, dead]], rho)
+            parallel_qsp_runs(*layout_table([[ok], [ok, ok, dead]]), rho)
         with pytest.raises(InputError, match="layout 1, factor 0 has sup norm above 1"):
-            parallel_qsp_runs([[ok], [Polynomial([0, 0, 1.5])]], rho)
+            parallel_qsp_runs(*layout_table([[ok], [Polynomial([0, 0, 1.5])]]), rho)
         with pytest.raises(InputError, match="layout 0 needs at least one"):
-            parallel_qsp_runs([[]], rho)
+            layout_table([[]])
 
 
 class TestJointReadout:
     def test_one_run_is_the_single_multinomial(self, rho_34):
         factors = (Polynomial([0, 1]), Polynomial([0.5, 0, 0.5]))
-        q, z = parallel_qsp_runs([factors], rho_34)
+        q, z = parallel_qsp_runs(*layout_table([factors]), rho_34)
         z_cond = min(1.0, max(-1.0, z[0] / q[0]))
         pvals = [q[0] * 0.5 * (1.0 + z_cond), q[0] * 0.5 * (1.0 - z_cond), 1.0 - q[0]]
         n_plus, n_minus, _ = ShotSampler(4).multinomial(5000, pvals)
@@ -573,9 +656,9 @@ class TestJointReadout:
     def test_one_draw_unbiased_with_calibrated_error(self):
         rho = DensityMatrix.random_seeded(4, 1)
         tail = split_constituents(chebyshev_polynomial(10), 2)[1]
-        terms = chebyshev_parallel_terms(tail, 2, 10).terms
-        c = [t.coeff for t in terms]
-        q, z = parallel_qsp_runs([term_factor_polynomials(t, 2) for t in terms], rho)
+        terms = chebyshev_parallel_terms(tail, 2, 10)
+        c = terms.coeff
+        q, z = parallel_qsp_runs(*term_layout(terms, 2), rho)
         exact = float(np.dot(c, z))
         assert joint_readout(q, z, coeffs=c).value == exact
         ests = [joint_readout(q, z, 2000, ShotSampler(s), coeffs=c) for s in range(200)]
