@@ -10,11 +10,13 @@ test, K^2 for a factorized run), a + b adds independent stages, and a
 report's value, standard error and shots are their sum (for entropies, its
 ln(s)/(1 - alpha) transform).
 
-Sampled mode needs an integer budget of at least one shot per stage, which
-_allocate splits evenly (the first `budget mod stages` stages take one more);
-exact mode gives every stage "exact".  estimate_chebyshev allots a low and a
-high share to each parity part, and a part whose low or high stage does not
-run hands that share to the one that does.  An estimator's `seed` feeds one
+Each estimator plans its stages and _run_stages, the one place that splits
+a budget and builds samplers, runs them.  A stage is a bound read-out, its
+scale, its count of budget slots and its ShotSampler child path.  Exact mode
+gives every stage "exact"; a sampled budget needs an integer of at least one
+shot per slot and splits evenly (the first `budget mod slots` slots take one
+more).  estimate_chebyshev gives each parity part two slots, both to one
+stage when the other does not run.  An estimator's `seed` keys one
 ShotSampler, and each stage draws from its own child stream.
 
 Reports also carry the closed-form predicted shot count for the chosen
@@ -33,6 +35,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial, reduce
+from itertools import islice
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -227,34 +231,55 @@ def _check_target(p: Polynomial) -> None:
         raise InputError("target polynomial must have sup norm at most 1; rescale it")
 
 
-def _trace_via_hadamard(
-    p: Polynomial,
-    rho: DensityMatrix,
-    shots: int | Literal["exact"],
-    sampler: ShotSampler | None,
-) -> tuple[Estimate, int]:
-    """tr(p(rho)) by a Hadamard test against the maximally mixed state.
+@dataclass(frozen=True)
+class _Stage:
+    """One read-out of a plan: read(shots, sampler=) returns its Estimate,
+    scale maps that to the trace it measures, shares is its count of budget
+    slots and stream its ShotSampler child path."""
 
-    Reads D * ||p|| * Re tr((I/D) * p(rho)/||p||).  Returns the scaled
-    estimate and the sequential depth query_depth_report charges for p.
+    read: Callable[..., Estimate]
+    scale: float = 1.0
+    shares: int = 1
+    stream: tuple[int, ...] = ()
+
+
+def _hadamard_stage(
+    p: Polynomial, rho: DensityMatrix, stream: tuple[int, ...], shares: int = 1
+) -> _Stage:
+    """tr(p(rho)) as D * ||p|| * Re tr((I/D) * p(rho)/||p||), a Hadamard test."""
+    return _Stage(
+        partial(spectral_hadamard_test, p, rho, "mixed"), rho.dim * sup_norm(p), shares, stream
+    )
+
+
+def _run_stages(
+    stages: Sequence[_Stage], shots: ShotPolicy, mode: Mode, seed: int | None
+) -> list[Estimate]:
+    """Each stage's scaled Estimate, read on its own child of one ShotSampler.
+
+    Exact mode reads every stage "exact".  Otherwise the budget must be an
+    integer of at least the total slot count; it splits evenly over the
+    slots (the first `budget mod slots` take one more), and each stage
+    takes the sum of its `shares` consecutive slots.
     """
-    est = spectral_hadamard_test(p, rho, "mixed", shots=shots, sampler=sampler)
-    return (rho.dim * sup_norm(p)) * est, query_depth_report([p])[0]
+    slots = sum(s.shares for s in stages)
+    if mode == "exact":
+        counts = ["exact"] * len(stages)
+    else:
+        base, rem = divmod(_check_shots(shots, slots), max(slots, 1))
+        split = iter([base + (i < rem) for i in range(slots)])
+        counts = [sum(islice(split, s.shares)) for s in stages]
+    root = ShotSampler(seed)
+    return [
+        s.scale * s.read(n, sampler=reduce(ShotSampler.child, s.stream, root))
+        for s, n in zip(stages, counts)
+    ]
 
 
 def _report(est: Estimate, **fields) -> EstimationReport:
     return EstimationReport(
         value=est.value, std_error=est.std_error, shots_used=est.shots_used, **fields
     )
-
-
-def _allocate(shots: ShotPolicy, mode: Mode, stages: int) -> list[int | Literal["exact"]]:
-    """Each stage's shots: "exact" in exact mode, else an even split of the budget."""
-    if mode == "exact":
-        return ["exact"] * stages
-    shots = _check_shots(shots, stages)
-    base, rem = divmod(shots, max(stages, 1))
-    return [base + (1 if i < rem else 0) for i in range(stages)]
 
 
 def estimate_direct(
@@ -286,53 +311,37 @@ def estimate_direct(
     else:
         p_low, p_high = split_constituents(p, k)
 
-    if not p_high.is_zero():
-        # factor before any simulation, so a rejected high part fails fast
-        plan = rescale_factors(factorize_nonneg(p_high, k))
-
-    alloc = _allocate(shots, mode, int(not p_low.is_zero()) + int(not p_high.is_zero()))
-    smp = ShotSampler(seed)
-
-    total = Estimate(0.0, 0.0)
-    low_depth = 0
+    stages: dict[str, _Stage] = {}
     breakdown: dict = {"w_low": 0.0, "w_high": 0.0, "K": 1.0}
-    k_const = 1.0
-    parallel_depth = 0
+    low_depth = parallel_depth = 0
     width = k
-
     if not p_low.is_zero():
-        low, low_depth = _trace_via_hadamard(p_low, rho, alloc.pop(0), smp.child(0))
-        total += low
-        breakdown["w_low"] = low.value
-        breakdown["low_branch_depth"] = low_depth
-
+        stages["w_low"] = _hadamard_stage(p_low, rho, (0,))
+        breakdown["low_branch_depth"] = low_depth = query_depth_report([p_low])[0]
     if not p_high.is_zero():
-        k_const = plan.stored_constant
+        plan = rescale_factors(factorize_nonneg(p_high, k))
         factors = list(plan.factors)
-        run = parallel_qsp_run(
-            factors, rho, shots=alloc.pop(0), mode="direct", sampler=smp.child(1)
-        )
-        high = k_const ** 2 * run
-        total += high
-        parallel_depth, width = query_depth_report(factors)
-        width = max(width, k)
+        read = partial(parallel_qsp_run, factors, rho)
+        stages["w_high"] = _Stage(read, plan.stored_constant ** 2, 1, (1,))
+        parallel_depth, threads = query_depth_report(factors)
+        width = max(threads, k)
         breakdown.update(
-            {
-                "w_high": high.value,
-                "K": k_const,
-                "factor_degrees": [f.degree for f in factors],
-                "parallel_depth": parallel_depth,
-            }
+            K=plan.stored_constant,
+            factor_degrees=[f.degree for f in factors],
+            parallel_depth=parallel_depth,
         )
 
+    # every stage is planned, so a rejected high part fails before any read-out
+    ests = _run_stages(list(stages.values()), shots, mode, seed)
+    breakdown.update(zip(stages, (est.value for est in ests)))
     model = CostModel(
         epsilon=epsilon,
-        K=k_const,
+        K=breakdown["K"],
         norm_low=0.0 if p_low.is_zero() else sup_norm(p_low),
     )
     predicted = predict_cost(model, "theorem4")
     return _report(
-        total,
+        sum(ests, Estimate(0.0, 0.0)),
         predicted_shots=predicted,
         query_depth=max(low_depth, parallel_depth),
         width=width,
@@ -341,49 +350,40 @@ def estimate_direct(
 
 
 def _chebyshev_part(
-    part: Polynomial,
-    k_part: int,
-    rho: DensityMatrix,
-    shots: Sequence[int | Literal["exact"]],
-    smp_low: ShotSampler,
-    smp_high: ShotSampler,
-) -> tuple[Estimate, dict]:
-    """Estimate tr(part(rho)) for one definite-parity part.
+    part: Polynomial, k_part: int, rho: DensityMatrix, i: int
+) -> tuple[dict[str, _Stage], dict]:
+    """Plan tr(part(rho)) for one definite-parity part: (stages, info).
 
     Degenerate layouts (no threads to fill, or degree at most the thread
     count) run the whole part sequentially; otherwise the low constituent is
     read sequentially and the high constituent goes through the basis-product
-    term decomposition, all terms in one batch of parallel runs.  shots holds
-    the (low, high) shares; a stage that does not run hands its share to the
-    one that does.
+    term decomposition, all terms in one batch of parallel runs.  Part i
+    owns two budget slots and streams 2i (low) and 2i + 1 (high); a stage
+    whose partner does not run takes both slots.  stages are keyed by the
+    info entry their value fills, which info holds as None until then.
     """
     d_part = part.degree
-    pooled = "exact" if shots[0] == "exact" else sum(shots)
     if k_part < 1 or d_part <= k_part:
-        est, depth = _trace_via_hadamard(part, rho, pooled, smp_low)
-        info = {"sequential": True, "depth": depth, "w": est.value}
-        return est, info
+        info = {"sequential": True, "depth": query_depth_report([part])[0], "w": None}
+        return {"w": _hadamard_stage(part, rho, (2 * i,), 2)}, info
 
     p_low, p_high = split_constituents(part, k_part)
-    total = Estimate(0.0, 0.0)
-    info: dict = {"sequential": False, "k_part": k_part}
-    shots_high = pooled
-    if not p_low.is_zero():
-        low, depth = _trace_via_hadamard(p_low, rho, shots[0], smp_low)
-        total += low
-        info["w_low"] = low.value
-        info["low_depth"] = depth
-        shots_high = shots[1]
     terms = chebyshev_parallel_terms(p_high, k_part, d_part)
     table, index = term_layout(terms, k_part)
+    shares = 1 if not p_low.is_zero() and len(terms.coeff) else 2
+    stages: dict[str, _Stage] = {}
+    info: dict = {"sequential": False, "k_part": k_part}
+    if not p_low.is_zero():
+        stages["w_low"] = _hadamard_stage(p_low, rho, (2 * i,), shares)
+        info.update(w_low=None, low_depth=query_depth_report([p_low])[0])
     info["term_count"] = len(terms.coeff)
     info["term_one_norm"] = terms.one_norm
     info["parallel_depth"] = query_depth_report(table)[0]
     if len(terms.coeff):
-        high = importance_sample(terms.coeff, table, index, rho, shots_high, smp_high)
-        total += high
-        info["w_high"] = high.value
-    return total, info
+        read = partial(importance_sample, terms.coeff, table, index, rho)
+        stages["w_high"] = _Stage(read, 1.0, shares, (2 * i + 1,))
+        info["w_high"] = None
+    return stages, info
 
 
 def estimate_chebyshev(
@@ -410,32 +410,27 @@ def estimate_chebyshev(
     k_odd = k if k % 2 == 1 else k - 1
     jobs = [
         (name, part, kp)
-        for name, part, kp in (
-            ("even", p_even, k_even),
-            ("odd", p_odd, k_odd),
-        )
+        for name, part, kp in (("even", p_even, k_even), ("odd", p_odd, k_odd))
         if not part.is_zero()
     ]
 
-    alloc = _allocate(shots, mode, 2 * len(jobs))
-    smp = ShotSampler(seed)
+    plans = [_chebyshev_part(part, kp, rho, i) for i, (_, part, kp) in enumerate(jobs)]
+    ests = iter(_run_stages([s for st, _ in plans for s in st.values()], shots, mode, seed))
     total = Estimate(0.0, 0.0)
     breakdown: dict = {}
     actual_depth = 0
     actual_width = 0
-    for i, (name, part, kp) in enumerate(jobs):
-        est, info = _chebyshev_part(
-            part, kp, rho, alloc[2 * i : 2 * i + 2], smp.child(2 * i), smp.child(2 * i + 1)
-        )
-        total += est
+    for (name, _, kp), (stages, info) in zip(jobs, plans):
+        # sum each part's stages, then the parts: a flat sum moves last bits
+        part_ests = list(islice(ests, len(stages)))
+        info.update(zip(stages, (est.value for est in part_ests)))
+        total += sum(part_ests, Estimate(0.0, 0.0))
         breakdown[name] = info
-        if info.get("sequential"):
+        if info["sequential"]:
             actual_depth = max(actual_depth, info["depth"])
             actual_width = max(actual_width, 1)
         else:
-            actual_depth = max(
-                actual_depth, info.get("parallel_depth", 0), info.get("low_depth", 0)
-            )
+            actual_depth = max(actual_depth, info["parallel_depth"], info.get("low_depth", 0))
             actual_width = max(actual_width, kp)
 
     d = p.degree
@@ -520,47 +515,37 @@ def renyi_integer(
     floor(floor((alpha-k)/2)/k) + 1, which can exceed the constructed
     factors' degree (that actual degree sits in the breakdown).  alpha <= k
     has nothing to parallelize and falls back to one sequential Hadamard
-    test, noted in the breakdown.  Auto shot selection runs a 1000-shot
-    pilot to seed the trace-dependent count.
+    test, noted in the breakdown.  Auto shot selection runs the same stage
+    as a 1000-shot pilot to seed the trace-dependent count.
     """
     if int(alpha) != alpha or alpha < 2:
         raise InputError(f"alpha must be an integer >= 2, got {alpha!r}")
     alpha = int(alpha)
     if k < 1:
         raise InputError(f"thread count must be at least 1, got {k}")
-    auto = shots in ("auto", None)
-    smp = ShotSampler(seed)
-    dim = rho.dim
     breakdown: dict = {"params": {"alpha": float(alpha)}}
     pilot_used = 0
 
     if alpha <= k:
-        breakdown["notice"] = (
-            "alpha <= k leaves nothing to parallelize; sequential path used"
-        )
-        (n,) = _allocate(1000 if auto else shots, mode, 1)
-        trace = spectral_hadamard_test(
-            _shared_polynomial("x", alpha - 1), rho, "rho", shots=n, sampler=smp.child(1)
-        )
+        breakdown["notice"] = "alpha <= k leaves nothing to parallelize; sequential path used"
+        read = partial(spectral_hadamard_test, _shared_polynomial("x", alpha - 1), rho, "rho")
         depth, width = alpha - 1, 1
     else:
         factors = _monomial_factors(alpha, k)
         depth = ((alpha - k) // 2) // k + 1
         breakdown["exponents"] = [f.degree for f in factors]
         breakdown["actual_depth"], width = query_depth_report(factors)
-        if mode != "exact" and auto:
-            pilot = parallel_qsp_run(
-                factors, rho, shots=1000, mode="direct", sampler=smp.child(0)
-            )
-            pilot_used = pilot.shots_used
-            s_guess = min(1.0, max(pilot.value, dim ** (1 - alpha)))
-            shots = predict_cost(
-                CostModel(epsilon=epsilon, s_alpha=s_guess, alpha=float(alpha)), "theorem7"
-            )
-            breakdown["pilot_estimate"] = pilot.value
-            breakdown["auto_shots"] = shots
-        (n,) = _allocate(shots, mode, 1)
-        trace = parallel_qsp_run(factors, rho, shots=n, mode="direct", sampler=smp.child(1))
+        read = partial(parallel_qsp_run, factors, rho)
+    if mode != "exact" and shots in ("auto", None):
+        (pilot,) = _run_stages([_Stage(read, stream=(0,))], 1000, mode, seed)
+        pilot_used = pilot.shots_used
+        s_guess = min(1.0, max(pilot.value, rho.dim ** (1 - alpha)))
+        shots = predict_cost(
+            CostModel(epsilon=epsilon, s_alpha=s_guess, alpha=float(alpha)), "theorem7"
+        )
+        breakdown["pilot_estimate"] = pilot.value
+        breakdown["auto_shots"] = shots
+    (trace,) = _run_stages([_Stage(read, stream=(1,))], shots, mode, seed)
 
     entropy = _renyi_transform(trace, alpha)
     breakdown["s_alpha"] = trace.value
@@ -613,7 +598,6 @@ def monomial_poly_trace(
         raise InputError("polynomial must have real coefficients")
     if k < 1:
         raise InputError(f"thread count must be at least 1, got {k}")
-    (n_shots,) = _allocate(shots, mode, 1)
     dim = rho.dim
     coeffs = [float(c.real) for c in p.coeffs]
     one_norm = sum(abs(c) for c in coeffs)
@@ -627,11 +611,9 @@ def monomial_poly_trace(
     layouts = {n: _monomial_factors(n, k) for n, _ in tail}
     table, index = layout_table([layouts[n] for n, _ in tail])
 
-    total = Estimate(c0 * dim, 0.0)
-    if tail:
-        total += importance_sample(
-            [c for _, c in tail], table, index, rho, n_shots, ShotSampler(seed)
-        )
+    read = partial(importance_sample, [c for _, c in tail], table, index, rho)
+    stages = [_Stage(read)] if tail else []
+    total = sum(_run_stages(stages, shots, mode, seed), Estimate(c0 * dim, 0.0))
 
     d = p.degree
     depth = max(0, ((d - k) // 2) // k + 1) if d >= 1 else 0

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -185,9 +187,11 @@ class TestEstimateDirect:
         # high part 0.5 - 0.2x^2 at k=2 is positive on [-1, 1], so only the
         # factorization rejects it; the low branch must not run first
         calls = []
-        run_low = estimate._trace_via_hadamard
+        run_low = estimate.spectral_hadamard_test
         monkeypatch.setattr(
-            estimate, "_trace_via_hadamard", lambda *a: calls.append(a) or run_low(*a)
+            estimate,
+            "spectral_hadamard_test",
+            lambda *a, **kw: calls.append(a) or run_low(*a, **kw),
         )
         p = Polynomial([0.1, 0.1, 0.5, 0, -0.2])
         with pytest.raises(NotNonNegativeError, match="leading coefficient"):
@@ -344,6 +348,18 @@ class TestRenyiInteger:
         assert rep.shots_used > 1000  # pilot plus main run
         assert "auto_shots" in rep.breakdown
         assert abs(rep.value - S6_EXACT) <= 5 * rep.std_error
+
+    def test_sequential_auto_shots_follow_epsilon(self, rho_34):
+        # alpha <= k sizes its budget from the pilot as alpha > k does; a flat
+        # 1000 shots left std_error at 3.9 epsilon for epsilon = 0.01
+        reps = [
+            renyi_integer(rho_34, 2, 2, epsilon=eps, mode="sampled", seed=8)
+            for eps in (0.1, 0.03, 0.01)
+        ]
+        shots = [rep.breakdown["auto_shots"] for rep in reps]
+        assert shots[0] < shots[1] < shots[2]
+        assert reps[-1].shots_used == 1000 + shots[-1]
+        assert reps[-1].std_error < 2 * 0.01
 
     def test_error_propagation_is_first_order(self, rho_34):
         rep = renyi_integer(rho_34, 6, 2, mode="sampled", shots=20000, seed=9)
@@ -535,7 +551,8 @@ class TestSeededPins:
     partition_auto were re-recorded when importance sampling began drawing
     all of a stage's terms in one multinomial draw (exact values 0.31641,
     1.04375 and 1.25119; the draws sit 0.06, 0.98 and 0.44 standard errors
-    away)."""
+    away).  chebyshev_pooled was recorded before the stage executor (exact
+    value 0.2125, 1.62 standard errors away)."""
 
     CASES = {
         "direct": (
@@ -552,6 +569,13 @@ class TestSeededPins:
             ),
             # the odd part (k_odd = 1) has no low stage; its share goes to the high stage
             (0.32897000000000004, 0.20055465307776246, 20000),
+        ),
+        "chebyshev_pooled": (
+            lambda rho: estimate_chebyshev(
+                Polynomial([0.1, 0.2, -0.3]), rho, 3, shots=20000, mode="sampled", seed=7,
+            ),
+            # both parts run sequentially, each one stage on its part's two slots
+            (0.22104000000000007, 0.00528019120865902, 20000),
         ),
         "monomial": (
             lambda rho: monomial_poly_trace(
@@ -577,6 +601,86 @@ class TestSeededPins:
         assert rep.value == pytest.approx(value, rel=1e-12)
         assert rep.std_error == pytest.approx(std_error, rel=1e-12)
         assert rep.shots_used == shots_used
+
+
+def _allocate(shots, mode, stages):
+    """The even split every estimator made for itself before the stage
+    executor, kept as the executor's reference."""
+    if mode == "exact":
+        return ["exact"] * stages
+    shots = sim._check_shots(shots, stages)
+    base, rem = divmod(shots, max(stages, 1))
+    return [base + (1 if i < rem else 0) for i in range(stages)]
+
+
+class TestStageExecutor:
+    """estimate._run_stages against the split it replaced.
+
+    A part is one slot with one stage (estimate_direct, monomial_poly_trace,
+    renyi_integer), or two slots with a low and a high stage, or two slots
+    pooled into the stage that runs (estimate_chebyshev)."""
+
+    SHARES = {"single": [1], "split": [1, 1], "pooled": [2]}
+
+    @staticmethod
+    def _reference(kinds, shots, mode):
+        alloc = iter(_allocate(shots, mode, sum(1 if kind == "single" else 2 for kind in kinds)))
+        out = []
+        for kind in kinds:
+            if kind == "pooled":
+                # the pooling estimate_chebyshev's parts did for themselves
+                pair = [next(alloc), next(alloc)]
+                out.append("exact" if pair[0] == "exact" else sum(pair))
+            else:
+                out.extend(islice(alloc, 1 if kind == "single" else 2))
+        return out
+
+    @staticmethod
+    def _run(shares, shots, mode):
+        """Each stage's shots, read back through shots_used."""
+        stages = [
+            estimate._Stage(lambda n, sampler: Estimate(0.0, 0.0, n), 1.0, s, (i,))
+            for i, s in enumerate(shares)
+        ]
+        return [est.shots_used for est in estimate._run_stages(stages, shots, mode, 0)]
+
+    def test_split_matches_reference(self):
+        rng = np.random.default_rng(17)
+        kinds_all = sorted(self.SHARES)
+        for trial in range(400):
+            kinds = [kinds_all[i] for i in rng.integers(0, 3, size=rng.integers(1, 5))]
+            shares = [s for kind in kinds for s in self.SHARES[kind]]
+            shots = int(rng.integers(1, 11) if trial % 4 == 0 else rng.integers(1, 10 ** 6 + 1))
+            try:
+                want = self._reference(kinds, shots, "sampled")
+            except InputError as exc:
+                with pytest.raises(InputError, match=re.escape(str(exc))):
+                    self._run(shares, shots, "sampled")
+                continue
+            assert self._run(shares, shots, "sampled") == want
+            assert self._run(shares, shots, "exact") == self._reference(kinds, shots, "exact")
+
+    @pytest.mark.parametrize("shots", [None, 2.5, True, "auto"])
+    def test_non_integer_budget_rejected(self, shots):
+        with pytest.raises(InputError, match="needs an integer shot count"):
+            self._run([1, 2], shots, "sampled")
+        assert self._run([1, 2], shots, "exact") == ["exact", "exact"]
+
+    def test_budget_below_slot_count_rejected(self):
+        with pytest.raises(InputError, match="budget 2 is below the stage count 3"):
+            self._run([1, 2], 2, "sampled")
+
+    def test_each_stage_reads_its_own_stream(self):
+        seen = []
+
+        def read(n, sampler):
+            seen.append((sampler.seed, sampler.path))
+            return Estimate(0.0, 0.0, n)
+
+        streams = [(), (0,), (3,), (1, 2)]
+        stages = [estimate._Stage(read, 1.0, 1, s) for s in streams]
+        estimate._run_stages(stages, 8, "sampled", 5)
+        assert seen == [(5, s) for s in streams]
 
 
 class TestBatchedStages:

@@ -270,6 +270,43 @@ def test_basis_scan_fails_a_copy_that_converts():
     assert _basis_changes(mutated) == ["poly2cheb (line 1)", f"cheb2poly (line {line})"]
 
 
+def _shot_plumbing(source: str) -> list[str]:
+    """Where a source builds a ShotSampler or checks a sampled budget.
+
+    estimate.py does each once, in its stage executor, so every estimator
+    shares one budget split and one set of sampler streams.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("ShotSampler", "_check_shots")
+            ):
+                found.append(f"{node.func.id} in {getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_shot_plumbing_only_in_the_stage_executor():
+    assert _shot_plumbing((SRC / "estimate.py").read_text()) == [
+        "ShotSampler in _run_stages", "_check_shots in _run_stages",
+    ]
+
+
+def test_plumbing_scan_fails_a_copy_that_builds_its_own_sampler():
+    source = (SRC / "estimate.py").read_text()
+    mutated, added = re.subn(
+        r"\(trace,\) = _run_stages\(",
+        "smp = ShotSampler(seed)\n    (trace,) = _run_stages(",
+        source,
+    )
+    assert added == 1
+    assert _shot_plumbing(mutated) == [
+        "ShotSampler in _run_stages", "ShotSampler in renyi_integer", "_check_shots in _run_stages",
+    ]
+
+
 def _third_party_imports(source: str) -> set[str]:
     """Top-level packages of the absolute, non-stdlib imports in a source.
 
