@@ -94,8 +94,10 @@ class FactorizationPlan:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FactorizationPlan":
-        """Load a plan, rejecting stored norms or K that its factors do not have."""
+        """Load a plan, rejecting a k, stored norms or K that its factors do not have."""
         factors = tuple(Polynomial.from_dict(f) for f in obj["factors"])
+        if not factors or int(obj["k"]) != len(factors):
+            raise InputError(f"plan k {obj['k']} needs k >= 1 factors, got {len(factors)}")
         norms = _sup_norms(factors)
         k_const = float(np.prod(norms))
         stored = [float(n) for n in obj["norms"]]
@@ -109,7 +111,7 @@ class FactorizationPlan:
             factors=factors,
             factor_norms=norms,
             factorization_constant=k_const,
-            k=int(obj["k"]),
+            k=len(factors),
             source_degree=int(obj["source_degree"]),
             stored_constant=float(obj.get("stored_K", 1.0)),
         )

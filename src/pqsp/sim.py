@@ -22,18 +22,17 @@ D x D matrix formed.  parallel_qsp_runs evaluates a stage, a factor table
 and an index of its runs (layout_table builds both from thread layouts), in
 one array pass, and spectral_hadamard_test reads tr(sigma p(rho)) the same
 way.
-"circuit" builds each thread's flag-zero block B_j as a D x D matrix
-(P_j(rho) in rho's eigenbasis for the oracle encoding, the average of the
-two qubitized sequences' top-left blocks for the phase route) and reads the
-joint outcome probabilities through the literal cyclic-shift permutation,
-as a correctness witness independent of direct mode's closed form.
+"circuit" reads the same factor table through _thread_values and builds
+one D x D flag-zero block B per distinct factor (P(rho) in rho's eigenbasis
+for the oracle encoding, the average of the two qubitized sequences'
+top-left blocks for the phase route).  It reads the joint outcome
+probabilities through the literal cyclic-shift permutation, as a
+correctness witness independent of direct mode's closed form.
 Post-selecting every flag register on zero commutes with the shift, which
 moves system registers only, and leaves the tensor product of the outputs
 B_j rho B_j^dagger; that block is all the swap test reads, so it is
 evaluated on the D^k-dimensional success subspace, in O(k D^3 + D^(2k))
-work.  The caps (D <= 4, k <= 3, a register of at most 1024 amplitudes)
-still apply, sized by the register the circuit would need: (2D)^k for the
-oracle encoding, (4D)^k for the phase route's two sequences.
+work, with D^k capped at 1024.
 """
 
 from __future__ import annotations
@@ -64,6 +63,11 @@ __all__ = [
 ]
 
 ShotSpec = int | Literal["exact"]
+
+# Caps D^k, the side of circuit mode's post-selected state.  One BLAS thread,
+# 2-vCPU Xeon VM: oracle runs at D = 32, k = 2 and D = 2, k = 10 take 64 and
+# 81 ms at 64 MB peak (tracemalloc); D = 16, k = 3 took 2.9 s and 1.07 GB.
+_CIRCUIT_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -157,16 +161,16 @@ def _readout(value: float, shots: ShotSpec, sampler: "ShotSampler | None") -> Es
 class DensityMatrix:
     """A trace-one positive semidefinite Hermitian matrix with its spectrum.
 
-    Construction validates Hermiticity (1e-10 entrywise) and unit trace
-    (1e-10), then runs eigvalsh, which checks that the spectrum is >= -1e-10;
-    the eigenvalues are stored read-only beside the matrix and never change
-    afterwards.  Direct simulation needs nothing more.  The eigenvectors are
-    computed on the first call to eigh() or spectral_operator (circuit mode)
-    and kept; every function of rho is then
-    f(rho) = V diag(f(w)) V^dagger.  At D = 64 with one BLAS thread on a
-    2-vCPU Xeon VM, construction takes about 0.6 ms (1.2 ms when it ran the
-    full eigh) and the first eigh() call about 1 ms more.  Direct
-    simulation paths are sized for dimensions up to 64.
+    Construction rejects an empty or non-finite matrix, validates Hermiticity
+    (1e-10 entrywise) and unit trace (1e-10), then runs eigvalsh, which
+    checks that the spectrum is >= -1e-10; the eigenvalues are stored
+    read-only beside the matrix and never change afterwards.  Direct
+    simulation needs nothing more.  The eigenvectors are computed on the
+    first call to eigh() or spectral_operator (circuit mode) and kept; every
+    function of rho is then f(rho) = V diag(f(w)) V^dagger.  At D = 64 with
+    one BLAS thread on a 2-vCPU Xeon VM, construction takes about 0.6 ms
+    (1.2 ms when it ran the full eigh) and the first eigh() call about 1 ms
+    more.  Direct simulation paths are sized for dimensions up to 64.
     """
 
     # _v (the eigenvector columns) is filled on first request, like
@@ -177,6 +181,8 @@ class DensityMatrix:
         arr = np.array(matrix, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise InputError("density matrix must be square")
+        if not arr.size or not np.isfinite(arr).all():
+            raise InputError("density matrix must be non-empty with finite entries")
         if float(np.max(np.abs(arr - arr.conj().T))) > 1e-10:
             raise InputError("density matrix must be Hermitian")
         if abs(np.trace(arr) - 1.0) > 1e-10:
@@ -227,7 +233,7 @@ class DensityMatrix:
     @classmethod
     def diagonal(cls, probs: Sequence[float]) -> "DensityMatrix":
         p = np.asarray(probs, dtype=float)
-        if p.min() < -1e-12:
+        if (p < -1e-12).any():
             raise InputError("probabilities must be non-negative")
         total = p.sum()
         if abs(total - 1.0) > 1e-6:
@@ -343,16 +349,25 @@ def _qsp_block(phases: QspPhases, rho: DensityMatrix) -> np.ndarray:
 
 
 def _thread_values(
-    factors: Sequence[Polynomial], w: np.ndarray, encode: str
+    table: Sequence[Polynomial], index: np.ndarray, rho: DensityMatrix, encode: str
 ) -> tuple[np.ndarray | list[np.ndarray], list[QspPhases] | None]:
-    """Each thread block's eigenvalues on rho's spectrum w, plus the phases if any.
+    """Block eigenvalues on rho's spectrum of factor rows 1.., plus the phases if any.
 
-    Every block is a function of rho, so rho's eigenbasis diagonalizes them
-    all.  Oracle encoding reproduces the factors exactly, in one Clenshaw
-    pass over their zero-padded series (leading zeros change no step's
-    value); the phase route realizes Re(P) = factor to phase finding's
-    tolerance.
+    table and index are a stage's, as parallel_qsp_runs takes them; entry
+    r - 1 belongs to row r.  Each row is checked against sup norm 1 once,
+    and one above it raises naming its first run and thread.  Every block is
+    a function of rho, so rho's eigenbasis diagonalizes them all.  Oracle
+    encoding reproduces the factors exactly, in one Clenshaw pass over their
+    zero-padded series (leading zeros change no step's value); the phase
+    route realizes Re(P) = factor to phase finding's tolerance, one phase
+    solve per row.
     """
+    factors = table[1:]
+    over = [r for r, f in enumerate(factors, 1) if sup_norm(f) > 1.0 + 1e-9]
+    if over:
+        i, j = np.argwhere(np.isin(index, over))[0]
+        raise InputError(f"apply rescale_factors: layout {i}, factor {j} has sup norm above 1")
+    w = rho.eigenvalues()
     if encode == "oracle":
         n = max((len(f.cheb) for f in factors), default=1)
         series = np.array([(*f.cheb, *(0j,) * (n - len(f.cheb))) for f in factors], complex)
@@ -400,9 +415,9 @@ def _joint_probabilities_circuit(
 @functools.lru_cache(maxsize=16)
 def _shift_permutation(d: int, k: int) -> np.ndarray:
     """Read-only row order of the shift moving digit j-1 of k D-level digits
-    to j, thread 0 most significant."""
-    shape = (d,) * k
-    perm = np.ravel_multi_index(np.roll(np.indices(shape).reshape(k, -1), 1, axis=0), shape)
+    to j, thread 0 most significant: the last digit moves to the front."""
+    t = np.arange(d ** k)
+    perm = (t % d) * d ** (k - 1) + t // d
     perm.flags.writeable = False
     return perm
 
@@ -435,15 +450,11 @@ def parallel_qsp_runs(
     has k_i threads, its nonzero entries.  q[i] is run i's post-selection
     probability prod_j q_j and z[i] = tr(rho^k_i * prod_j |P_j(rho)|^2).
     Each table row is checked against sup norm 1 and evaluated on rho's
-    eigenvalues once.  A factor above norm 1 or a thread that cannot succeed
-    raises naming its first run and thread.
+    eigenvalues once, by _thread_values.  A factor above norm 1 or a thread
+    that cannot succeed raises naming its first run and thread.
     """
-    over = [r for r, f in enumerate(table[1:], 1) if sup_norm(f) > 1.0 + 1e-9]
-    if over:
-        i, j = np.argwhere(np.isin(index, over))[0]
-        raise InputError(f"apply rescale_factors: layout {i}, factor {j} has sup norm above 1")
     w = rho.eigenvalues()
-    values, _ = _thread_values(table[1:], w, encode)
+    values, _ = _thread_values(table, index, rho, encode)
     weights = np.ones((len(table), len(w)))
     weights[1:] = np.abs(values) ** 2
     # thread j post-selects with q_j = tr(B_j rho B_j^dagger) = sum_i w_i |b_ij|^2
@@ -522,40 +533,27 @@ def parallel_qsp_run(
     first; every call checks, reading each factor's memoized norm).  Each
     shot lands in one of three categories, success with control 0 (+1),
     success with control 1 (-1), or a failed post-selection (0), and the
-    category mean estimates z without conditioning on success.  Direct mode
-    is the one-layout case of parallel_qsp_runs.  Circuit mode checks its
-    caps before any phase finding, then builds each thread's D x D
-    flag-zero block, which is all the success-subspace swap test reads.
-    Both modes read out through joint_readout.
+    category mean estimates z without conditioning on success.  Both modes
+    build the run's factor table once and read out through joint_readout:
+    direct mode is its one-layout case of parallel_qsp_runs; circuit mode
+    checks D^k against its cap before any phase finding, then builds one
+    D x D flag-zero block per distinct factor, all the success-subspace
+    swap test reads.
     """
-    k = len(factors)
-    if k < 1:
-        raise InputError("need at least one factor polynomial")
     if mode not in ("direct", "circuit"):
         raise InputError(f"unknown mode {mode!r}; expected 'direct' or 'circuit'")
+    table, index = layout_table([factors])
     if mode == "direct":
-        q, z = parallel_qsp_runs(*layout_table([factors]), rho, encode)
+        q, z = parallel_qsp_runs(table, index, rho, encode)
         return joint_readout(q, z, shots, sampler)
-    if rho.dim > 4 or k > 3:
-        raise InputError("circuit mode supports dimensions up to 4 and k up to 3")
-    # a thread is the qubitized flag and the averaging ancilla (qsp) or one
-    # flag qubit (oracle) over the system register; an unknown encode passes
-    # here and is named by _thread_values
-    nt = ((4 if encode == "qsp" else 2) * rho.dim) ** k
-    if nt > 1024:
-        raise InputError(
-            f"circuit mode register dimension {nt} exceeds the 1024 cap; "
-            "use direct mode or smaller instances"
-        )
-    for j, f in enumerate(factors):
-        if sup_norm(f) > 1.0 + 1e-9:
-            raise InputError(f"apply rescale_factors: factor {j} has sup norm above 1")
-    values, phases = _thread_values(factors, rho.eigenvalues(), encode)
+    if rho.dim ** len(factors) > _CIRCUIT_CAP:
+        raise InputError(f"circuit mode caps D^k at {_CIRCUIT_CAP}, got {rho.dim}^{len(factors)}")
+    values, phases = _thread_values(table, index, rho, encode)
     if phases is None:
-        blocks = [rho.spectral_operator(b) for b in values]
+        rows = [rho.spectral_operator(v) for v in values]
     else:
-        blocks = [_qsp_block(ph, rho) for ph in phases]
-    q, z = _joint_probabilities_circuit(blocks, rho)
+        rows = [_qsp_block(ph, rho) for ph in phases]
+    q, z = _joint_probabilities_circuit([rows[r - 1] for r in index[0]], rho)
     if q <= 1e-14:
         raise PostSelectionError("post-selection impossible: joint success probability ~0")
     return joint_readout([q], [z], shots, sampler)

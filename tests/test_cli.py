@@ -344,6 +344,29 @@ class TestEstimateCommand:
         # identical runs modulo wall-clock duration in the last column
         assert lines[1].rsplit(",", 1)[0] == lines[2].rsplit(",", 1)[0]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--property", "trace", "--poly", None, "--k", "2"],
+            ["--property", "partition", "--beta", "1"],
+            ["--property", "renyi", "--alpha", "2"],
+        ],
+        ids=["trace", "partition", "renyi"],
+    )
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["off-diagonal", "diagonal"])
+    def test_nan_state_file_exits_2(self, runner, tmp_path, args, diagonal):
+        # Python's json reads NaN; a NaN entry must not reach an estimator
+        nan = [math.nan, 0.0]
+        half = [0.5, 0.0]
+        zero = [0.0, 0.0]
+        matrix = [[nan, zero], [zero, half]] if diagonal else [[half, nan], [nan, half]]
+        state = tmp_path / "nan.json"
+        state.write_text(json.dumps({"dim": 2, "matrix": matrix}))
+        args = [write_poly(tmp_path / "x2.json", [0, 0, 1]) if a is None else a for a in args]
+        result = runner.invoke(main, ["estimate", "--state", str(state), *args])
+        assert result.exit_code == 2, result.output
+        assert "finite" in result.stderr
+
     def test_partition_huge_beta_exits_3(self, runner):
         result = runner.invoke(
             main,
@@ -407,12 +430,32 @@ class TestSimulateCommand:
         poly = write_poly(tmp_path / "x4.json", [0, 0, 0, 0, 1])
         plan_path = tmp_path / "plan.json"
         runner.invoke(main, ["factor", poly, "--k", "2", "--out", str(plan_path)])
+        args = ["simulate", "--plan", str(plan_path), "--state"]
+        result = runner.invoke(main, args + ["maximally_mixed:64", "--mode", "circuit"])
+        assert result.exit_code == 2
+        assert "caps D^k at 1024, got 64^2" in result.stderr
+        # D^k = 64 is within the cap and agrees with direct mode
+        payloads = []
+        for mode in ("circuit", "direct"):
+            result = runner.invoke(main, args + ["maximally_mixed:8", "--mode", mode])
+            assert result.exit_code == 0, result.output
+            payloads.append(json_tail(result.stdout))
+        assert payloads[0]["value"] == pytest.approx(payloads[1]["value"], abs=1e-15)
+        assert payloads[0]["value"] == pytest.approx(8 ** -5, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_plan_k_mismatch_exits_2(self, runner, tmp_path, k):
+        poly = write_poly(tmp_path / "x4.json", [0, 0, 0, 0, 1])
+        plan_path = tmp_path / "plan.json"
+        runner.invoke(main, ["factor", poly, "--k", "2", "--out", str(plan_path)])
+        plan = json.loads(plan_path.read_text())
+        plan["k"] = k
+        plan_path.write_text(json.dumps(plan))
         result = runner.invoke(
-            main,
-            ["simulate", "--state", "maximally_mixed:8", "--plan", str(plan_path),
-             "--mode", "circuit"],
+            main, ["simulate", "--state", "diag:0.75,0.25", "--plan", str(plan_path)]
         )
         assert result.exit_code == 2
+        assert f"plan k {k}" in result.stderr
 
 
 class TestValidateCommand:

@@ -273,6 +273,20 @@ class TestRescale:
         with pytest.raises(InputError, match=field):
             FactorizationPlan.from_dict(obj)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_loaded_k_must_match_factor_count(self, k):
+        rng = np.random.default_rng(24)
+        obj = rescale_factors(factorize_nonneg(random_nonneg(rng, 3), 2)).to_dict()
+        obj["k"] = k
+        with pytest.raises(InputError, match=f"plan k {k} needs k >= 1 factors, got 2"):
+            FactorizationPlan.from_dict(obj)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_loaded_plan_needs_factors(self, k):
+        obj = {"k": k, "source_degree": 0, "factors": [], "norms": [], "K": 1.0}
+        with pytest.raises(InputError, match="got 0"):
+            FactorizationPlan.from_dict(obj)
+
 
 def _even_tail(rng, half_degree):
     """Random even polynomial playing the role of a high-part tail."""

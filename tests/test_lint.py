@@ -307,6 +307,42 @@ def test_plumbing_scan_fails_a_copy_that_builds_its_own_sampler():
     ]
 
 
+def _norm_checks(source: str) -> list[str]:
+    """Top-level definitions that compare a sup_norm(...) call against a bound.
+
+    sim.py checks factor norms in one place, _thread_values, which direct
+    and circuit mode both run.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Call)
+                and getattr(side.func, "id", getattr(side.func, "attr", None)) == "sup_norm"
+                for side in (node.left, *node.comparators)
+            ):
+                found.append(getattr(top, "name", "<module>"))
+    return sorted(found)
+
+
+def test_norm_check_only_in_thread_values():
+    assert _norm_checks((SRC / "sim.py").read_text()) == ["_thread_values"]
+
+
+def test_norm_scan_fails_a_copy_with_its_own_norm_loop():
+    source = (SRC / "sim.py").read_text()
+    mutated, added = re.subn(
+        r"\n    table, index = layout_table\(\[factors\]\)\n",
+        "\n    for j, f in enumerate(factors):\n        if sup_norm(f) > 1.0 + 1e-9:\n"
+        "            raise InputError(f'factor {j} has sup norm above 1')\n"
+        "    table, index = layout_table([factors])\n",
+        source,
+    )
+    assert added == 1
+    assert _norm_checks(mutated) == ["_thread_values", "parallel_qsp_run"]
+    assert _norm_checks("def f(p):\n    return 1.0 < poly.sup_norm(p)\n") == ["f"]
+
+
 def _third_party_imports(source: str) -> set[str]:
     """Top-level packages of the absolute, non-stdlib imports in a source.
 

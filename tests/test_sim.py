@@ -234,6 +234,37 @@ class TestDensityMatrix:
         again = DensityMatrix.from_dict(rho.to_dict())
         assert np.allclose(again.matrix, rho.matrix, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DensityMatrix([[0.5, np.nan], [np.nan, 0.5]]),
+            lambda: DensityMatrix([[np.nan, 0.0], [0.0, 0.5]]),
+            lambda: DensityMatrix([[0.5, np.inf], [np.inf, 0.5]]),
+            lambda: DensityMatrix.diagonal([0.5, np.nan]),
+            lambda: DensityMatrix.from_dict(
+                {"dim": 2, "matrix": [[[0.5, 0], [math.nan, 0]], [[math.nan, 0], [0.5, 0]]]}
+            ),
+        ],
+        ids=["nan-off-diagonal", "nan-diagonal", "inf", "diagonal-nan", "from-dict"],
+    )
+    def test_rejects_non_finite_entries(self, build):
+        # every later check is a comparison, and each is False for NaN
+        with pytest.raises(InputError, match="finite"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DensityMatrix(np.zeros((0, 0))),
+            lambda: DensityMatrix.maximally_mixed(0),
+            lambda: DensityMatrix.diagonal([]),
+        ],
+        ids=["matrix", "maximally-mixed", "diagonal"],
+    )
+    def test_rejects_empty(self, build):
+        with pytest.raises(InputError):
+            build()
+
 
 class TestBlockEncodings:
     def test_oracle_encoding_block(self):
@@ -353,11 +384,7 @@ class TestParallelRun:
             chebyshev_factors = [chebyshev_polynomial(j + 2) for j in range(k)]
             for rho in states:
                 plan = rescale_factors(factorize_nonneg(random_nonneg(rng, 3), k))
-                cases = [(plan.factors, "oracle")]
-                # the phase route's 4D-dimensional threads must fit the register cap
-                if (4 * rho.dim) ** k <= 1024:
-                    cases.append((chebyshev_factors, "qsp"))
-                for factors, encode in cases:
+                for factors, encode in ((plan.factors, "oracle"), (chebyshev_factors, "qsp")):
                     direct = parallel_qsp_run(factors, rho, mode="direct", encode=encode)
                     circuit = parallel_qsp_run(factors, rho, mode="circuit", encode=encode)
                     assert abs(direct.value - circuit.value) <= 1e-8
@@ -415,31 +442,68 @@ class TestParallelRun:
             parallel_qsp_run([Polynomial([-0.5, 0.5])], rho)
 
     def test_circuit_caps(self):
-        big = DensityMatrix.maximally_mixed(8)
-        factors = [Polynomial([0, 1])] * 2
-        with pytest.raises(InputError, match="circuit mode"):
-            parallel_qsp_run(factors, big, mode="circuit")
-        small = DensityMatrix.maximally_mixed(2)
-        with pytest.raises(InputError, match="circuit mode"):
-            parallel_qsp_run([Polynomial([0, 1])] * 4, small, mode="circuit")
+        # one cap, on the D^k side of the post-selected state
+        x = Polynomial([0, 1])
+        for rho, k in ((DensityMatrix.maximally_mixed(8), 2), (DensityMatrix.pure(2), 4)):
+            direct = parallel_qsp_run([x] * k, rho)
+            assert parallel_qsp_run([x] * k, rho, mode="circuit").value == pytest.approx(
+                direct.value, abs=1e-14
+            )
+        # D = 1 fits any k: the shift permutation needs no k-dimensional index grid
+        assert parallel_qsp_run([x] * 80, DensityMatrix.pure(1), mode="circuit").value == 1.0
+        for dim, k in ((64, 2), (2, 11), (4, 6), (33, 2)):
+            rho = DensityMatrix.maximally_mixed(dim)
+            with pytest.raises(InputError, match=f"caps D\\^k at 1024, got {dim}\\^{k}"):
+                parallel_qsp_run([x] * k, rho, mode="circuit")
 
     def test_circuit_register_cap_qsp_encode(self):
+        # D^k = 64 is within the cap, though the phase route's threads are 4D-dimensional
         rho = DensityMatrix.random_seeded(4, 7)
         factors = [Polynomial([0, 0.5])] * 3
-        with pytest.raises(InputError, match="1024"):
-            parallel_qsp_run(factors, rho, mode="circuit", encode="qsp")
+        circuit = parallel_qsp_run(factors, rho, mode="circuit", encode="qsp")
+        direct = parallel_qsp_run(factors, rho, encode="qsp")
+        assert circuit.value == pytest.approx(direct.value, abs=1e-14)
 
     def test_circuit_register_cap_before_phase_finding(self, monkeypatch):
         def refuse(f):
-            raise AssertionError("the register cap is sized from the encoding alone")
+            raise AssertionError("the cap is checked before any phase finding")
 
         monkeypatch.setattr(sim, "find_phases", refuse)
         rho = DensityMatrix.random_seeded(4, 7)
-        factors = [chebyshev_polynomial(n) for n in (1, 2, 3)]
-        with pytest.raises(InputError, match="register dimension 4096 exceeds the 1024 cap"):
+        factors = [chebyshev_polynomial(n) for n in range(1, 7)]
+        with pytest.raises(InputError, match="caps D\\^k at 1024, got 4\\^6"):
             parallel_qsp_run(factors, rho, mode="circuit", encode="qsp")
         with pytest.raises(InputError, match="unknown encode mode 'fancy'"):
-            parallel_qsp_run(factors, rho, mode="circuit", encode="fancy")
+            parallel_qsp_run(factors[:3], rho, mode="circuit", encode="fancy")
+
+    @pytest.mark.parametrize("encode", ["oracle", "qsp"])
+    @pytest.mark.parametrize("dim, k", [(8, 2), (16, 2), (32, 2), (8, 3), (4, 4)])
+    def test_circuit_matches_direct_at_kernel_sized_caps(self, dim, k, encode):
+        rng = np.random.default_rng(10 * dim + k)
+        rho = DensityMatrix.random_seeded(dim, 90 + dim + k)
+        if encode == "oracle":
+            factors = rescale_factors(factorize_nonneg(random_nonneg(rng, 2 * k), k)).factors
+        else:
+            factors = [random_parity_target(rng, int(rng.integers(1, 41))) for _ in range(k)]
+        direct = parallel_qsp_run(factors, rho, encode=encode)
+        circuit = parallel_qsp_run(factors, rho, mode="circuit", encode=encode)
+        assert circuit.value == pytest.approx(direct.value, abs=1e-12)
+
+    def test_circuit_finds_phases_once_per_distinct_factor(self, monkeypatch):
+        solved = []
+        find = sim.find_phases
+        monkeypatch.setattr(sim, "find_phases", lambda f: solved.append(f) or find(f))
+        rho = DensityMatrix.random_seeded(2, 5)
+        t2, t3 = chebyshev_polynomial(2), chebyshev_polynomial(3)
+        parallel_qsp_run([t3] * 3, rho, mode="circuit", encode="qsp")
+        assert solved == [t3]
+        solved.clear()
+        parallel_qsp_run([t3, t2, t3], rho, mode="circuit", encode="qsp")
+        assert solved == [t3, t2]
+
+    def test_circuit_norm_error_names_layout_and_thread(self, rho_34):
+        with pytest.raises(InputError, match="layout 0, factor 1 has sup norm above 1"):
+            parallel_qsp_run([Polynomial([0, 1]), Polynomial([0, 0, 1.5])], rho_34, mode="circuit")
 
     def test_unknown_mode(self, rho_34):
         with pytest.raises(InputError, match="mode"):
@@ -557,6 +621,19 @@ class TestCircuitKernel:
         # one 512 x 512 complex matrix of the full register is 4 MiB
         assert peak < 2 ** 20
 
+    def test_largest_state_stays_below_80_mb(self):
+        # D^k = 1024, the cap: the state and its shifted copies, 16 MiB each
+        rho = DensityMatrix.random_seeded(32, 4)
+        factors = [Polynomial([0, 0.5]), Polynomial([0.2, 0, 0.7])]
+        parallel_qsp_run(factors, rho, mode="circuit")
+        tracemalloc.start()
+        try:
+            parallel_qsp_run(factors, rho, mode="circuit")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2 ** 20
+
 
 class TestBatchedRuns:
     @staticmethod
@@ -611,15 +688,18 @@ class TestBatchedRuns:
     def test_stacked_values_match_per_factor_bits(self):
         rng = np.random.default_rng(600)
         for _ in range(200):
-            table = []
+            table = [Polynomial.one()]
             for _ in range(int(rng.integers(1, 12))):
                 c = rng.normal(size=int(rng.integers(1, 14)))
                 if rng.random() < 0.5:
                     c = c + 1j * rng.normal(size=c.size)
-                table.append(Polynomial.from_cheb(c))
-            w = np.linalg.eigvalsh(DensityMatrix.random_seeded(int(rng.integers(1, 33)), 3).matrix)
-            values, _ = sim._thread_values(table, w, "oracle")
-            for row, f in zip(values, table):
+                # sum |c_j| bounds the sup norm, so every row passes the norm check
+                table.append(Polynomial.from_cheb(c / np.abs(c).sum()))
+            index = np.arange(1, len(table))[None, :]
+            rho = DensityMatrix.random_seeded(int(rng.integers(1, 33)), 3)
+            values, _ = sim._thread_values(table, index, rho, "oracle")
+            w = rho.eigenvalues()
+            for row, f in zip(values, table[1:], strict=True):
                 assert row.tobytes() == f(w).tobytes()
 
     def test_each_distinct_factor_checked_once(self, rho_34, monkeypatch):
