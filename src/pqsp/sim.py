@@ -22,17 +22,16 @@ D x D matrix formed.  parallel_qsp_runs evaluates a stage, a factor table
 and an index of its runs (layout_table builds both from thread layouts), in
 one array pass, and spectral_hadamard_test reads tr(sigma p(rho)) the same
 way.
-"circuit" reads the same factor table through _thread_values and builds
-one D x D flag-zero block B per distinct factor (P(rho) in rho's eigenbasis
-for the oracle encoding, the average of the two qubitized sequences'
-top-left blocks for the phase route).  It reads the joint outcome
-probabilities through the literal cyclic-shift permutation, as a
-correctness witness independent of direct mode's closed form.
-Post-selecting every flag register on zero commutes with the shift, which
-moves system registers only, and leaves the tensor product of the outputs
-B_j rho B_j^dagger; that block is all the swap test reads, so it is
-evaluated on the D^k-dimensional success subspace, in O(k D^3 + D^(2k))
-work, with D^k capped at 1024.
+"circuit" reads the same factor table through _thread_values and, whatever
+the encoding, builds one D x D flag-zero block B = V diag(values) V^dagger
+per distinct factor, V rho's eigenvectors: by qubitization each thread's
+block is that function of rho.  The joint outcome probabilities come from
+the literal cyclic-shift permutation, a correctness witness independent of
+direct mode's closed form.  Post-selecting every flag register on zero
+commutes with the shift, which moves system registers only, and leaves the
+tensor product of the outputs B_j rho B_j^dagger; that block is all the
+swap test reads, so it is evaluated on the D^k-dimensional success
+subspace, in O(k D^3 + D^(2k)) work, with D^k capped at 1024.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import numpy as np
 
 from .errors import InputError, PostSelectionError
 from .poly import Parity, Polynomial, _clenshaw, sup_norm
-from .qsp import QspPhases, find_phases, realized_value
+from .qsp import find_phases, realized_value
 
 __all__ = [
     "DensityMatrix",
@@ -143,6 +142,13 @@ def _check_shots(shots, stages: int = 1) -> int:
     return int(shots)
 
 
+def _integer(value, name: str, low: int = 0) -> int:
+    """An integer (numpy's too, not bool) of at least low, else InputError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _readout(value: float, shots: ShotSpec, sampler: "ShotSampler | None") -> Estimate:
     """The exact value, or Bernoulli shots of a one-ancilla read-out of it.
 
@@ -165,16 +171,15 @@ class DensityMatrix:
     (1e-10 entrywise) and unit trace (1e-10), then runs eigvalsh, which
     checks that the spectrum is >= -1e-10; the eigenvalues are stored
     read-only beside the matrix and never change afterwards.  Direct
-    simulation needs nothing more.  The eigenvectors are computed on the
-    first call to eigh() or spectral_operator (circuit mode) and kept; every
-    function of rho is then f(rho) = V diag(f(w)) V^dagger.  At D = 64 with
-    one BLAS thread on a 2-vCPU Xeon VM, construction takes about 0.6 ms
-    (1.2 ms when it ran the full eigh) and the first eigh() call about 1 ms
-    more.  Direct simulation paths are sized for dimensions up to 64.
+    simulation needs nothing more.  The eigenvector columns _v are computed
+    on the first call to spectral_operator (circuit mode) or eigh() and
+    kept, like Polynomial._norm; every function of rho is then
+    f(rho) = V diag(f(w)) V^dagger.  At D = 64 with one BLAS thread on a
+    2-vCPU Xeon VM, construction takes about 0.6 ms and the eigenvectors
+    about 1 ms more.  Direct simulation paths are sized for dimensions up
+    to 64.
     """
 
-    # _v (the eigenvector columns) is filled on first request, like
-    # Polynomial._norm
     __slots__ = ("matrix", "_w", "_v")
 
     def __init__(self, matrix):
@@ -222,13 +227,13 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, dim: int, index: int = 0) -> "DensityMatrix":
-        m = np.zeros((dim, dim), dtype=complex)
-        m[index, index] = 1.0
-        return cls(m)
+        if _integer(index, "pure state index") >= _integer(dim, "dimension", 1):
+            raise InputError(f"pure state index {index} lies outside [0, {dim})")
+        return cls.diagonal(np.arange(dim) == index)
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim) / dim)
+        return cls(np.eye(_integer(dim, "dimension", 1)) / dim)
 
     @classmethod
     def diagonal(cls, probs: Sequence[float]) -> "DensityMatrix":
@@ -242,6 +247,7 @@ class DensityMatrix:
 
     @classmethod
     def random_seeded(cls, dim: int, seed: int) -> "DensityMatrix":
+        _integer(dim, "dimension", 1)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = g @ g.conj().T
@@ -259,28 +265,6 @@ class DensityMatrix:
     def from_dict(cls, obj: dict) -> "DensityMatrix":
         rows = obj["matrix"]
         return cls([[complex(v[0], v[1]) for v in row] for row in rows])
-
-
-def _qubitized_step(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """W[A] = [[A, i sqrt(I-A^2)], [i sqrt(I-A^2), A]] for Hermitian A = V diag(w) V^dagger."""
-    if float(np.max(np.abs(w))) > 1.0 + 1e-9:
-        raise InputError("rescale first: encoded operator has spectrum outside [-1, 1]")
-    w = np.clip(w, -1.0, 1.0)
-    s = (v * np.sqrt(1.0 - w * w)) @ v.conj().T
-    return np.block([[a, 1j * s], [1j * s, a]])
-
-
-def _phase_block(phi: float, d: int) -> np.ndarray:
-    e = np.exp(1j * phi)
-    return np.diag(np.concatenate([np.full(d, e), np.full(d, np.conj(e))]))
-
-
-def _qsp_sequence_unitary(phases: Sequence[float], step: np.ndarray) -> np.ndarray:
-    d = step.shape[0] // 2
-    u = _phase_block(phases[0], d)
-    for phi in phases[1:]:
-        u = u @ step @ _phase_block(phi, d)
-    return u
 
 
 def spectral_hadamard_test(
@@ -334,44 +318,35 @@ def generalized_swap_expectation(
     return _readout(float(np.real(np.trace(prod))), shots, sampler)
 
 
-def _qsp_block(phases: QspPhases, rho: DensityMatrix) -> np.ndarray:
-    """Flag-zero block of the one-ancilla average of the sequences for phi and -phi.
-
-    The sequence for the negated phases has <0|U|0> = conj(P), so the block
-    (U_phi[:D, :D] + U_-phi[:D, :D]) / 2 is Re(P)(rho), P the polynomial the
-    phases generate.
-    """
-    d = rho.dim
-    step = _qubitized_step(rho.matrix, *rho.eigh())
-    u_plus = _qsp_sequence_unitary(phases.phases, step)
-    u_minus = _qsp_sequence_unitary([-p for p in phases.phases], step)
-    return 0.5 * (u_plus[:d, :d] + u_minus[:d, :d])
-
-
 def _thread_values(
     table: Sequence[Polynomial], index: np.ndarray, rho: DensityMatrix, encode: str
-) -> tuple[np.ndarray | list[np.ndarray], list[QspPhases] | None]:
-    """Block eigenvalues on rho's spectrum of factor rows 1.., plus the phases if any.
+) -> np.ndarray | list[np.ndarray]:
+    """Block eigenvalues on rho's spectrum of factor rows 1.., entry r - 1 for row r.
 
-    table and index are a stage's, as parallel_qsp_runs takes them; entry
-    r - 1 belongs to row r.  Each row is checked against sup norm 1 once,
-    and one above it raises naming its first run and thread.  Every block is
-    a function of rho, so rho's eigenbasis diagonalizes them all.  Oracle
-    encoding reproduces the factors exactly, in one Clenshaw pass over their
-    zero-padded series (leading zeros change no step's value); the phase
-    route realizes Re(P) = factor to phase finding's tolerance, one phase
-    solve per row.
+    table and index are a stage's, as parallel_qsp_runs takes them.  Each
+    row is checked against sup norm 1 once; one above it raises naming its
+    first run and thread, or its row if no run applies it.  Oracle encoding
+    reproduces the factors exactly, in one Clenshaw pass over their
+    zero-padded series (leading zeros change no step's value).  The phase
+    route solves phases once per row and returns Re P, P the polynomial
+    they generate; by qubitization that is the averaged flag-zero block of
+    the sequences for phi and -phi, and it matches the factor to phase
+    finding's tolerance.
     """
+    valid = isinstance(index, np.ndarray) and index.ndim == 2 and index.dtype.kind in "iu"
+    if not valid or index.size and not 0 <= index.min() <= index.max() < len(table):
+        raise InputError(f"index must be a 2-D integer array with entries in [0, {len(table)})")
     factors = table[1:]
     over = [r for r, f in enumerate(factors, 1) if sup_norm(f) > 1.0 + 1e-9]
     if over:
-        i, j = np.argwhere(np.isin(index, over))[0]
-        raise InputError(f"apply rescale_factors: layout {i}, factor {j} has sup norm above 1")
+        hits = np.argwhere(np.isin(index, over))
+        where = "layout {}, factor {}".format(*hits[0]) if len(hits) else f"table row {over[0]}"
+        raise InputError(f"apply rescale_factors: {where} has sup norm above 1")
     w = rho.eigenvalues()
     if encode == "oracle":
         n = max((len(f.cheb) for f in factors), default=1)
         series = np.array([(*f.cheb, *(0j,) * (n - len(f.cheb))) for f in factors], complex)
-        return _clenshaw(series.reshape(-1, n).T[:, :, None], w), None
+        return _clenshaw(series.reshape(-1, n).T[:, :, None], w)
     if encode != "qsp":
         raise InputError(f"unknown encode mode {encode!r}")
     if any(f.max_imag() > 1e-10 or f.parity is Parity.INDEFINITE for f in factors):
@@ -379,8 +354,7 @@ def _thread_values(
             "phase-based encoding needs real definite-parity factors; "
             "use the oracle encoding for complex or mixed-parity factors"
         )
-    phases = [find_phases(f) for f in factors]
-    return [realized_value(ph, w) for ph in phases], phases
+    return [realized_value(find_phases(f), w) for f in factors]
 
 
 def _joint_probabilities_circuit(
@@ -454,7 +428,7 @@ def parallel_qsp_runs(
     that cannot succeed raises naming its first run and thread.
     """
     w = rho.eigenvalues()
-    values, _ = _thread_values(table, index, rho, encode)
+    values = _thread_values(table, index, rho, encode)
     weights = np.ones((len(table), len(w)))
     weights[1:] = np.abs(values) ** 2
     # thread j post-selects with q_j = tr(B_j rho B_j^dagger) = sum_i w_i |b_ij|^2
@@ -536,9 +510,9 @@ def parallel_qsp_run(
     category mean estimates z without conditioning on success.  Both modes
     build the run's factor table once and read out through joint_readout:
     direct mode is its one-layout case of parallel_qsp_runs; circuit mode
-    checks D^k against its cap before any phase finding, then builds one
-    D x D flag-zero block per distinct factor, all the success-subspace
-    swap test reads.
+    checks D^k against its cap before any phase finding, then builds each
+    distinct factor's flag-zero block from the values direct mode reads,
+    all the success-subspace swap test reads.
     """
     if mode not in ("direct", "circuit"):
         raise InputError(f"unknown mode {mode!r}; expected 'direct' or 'circuit'")
@@ -548,11 +522,7 @@ def parallel_qsp_run(
         return joint_readout(q, z, shots, sampler)
     if rho.dim ** len(factors) > _CIRCUIT_CAP:
         raise InputError(f"circuit mode caps D^k at {_CIRCUIT_CAP}, got {rho.dim}^{len(factors)}")
-    values, phases = _thread_values(table, index, rho, encode)
-    if phases is None:
-        rows = [rho.spectral_operator(v) for v in values]
-    else:
-        rows = [_qsp_block(ph, rho) for ph in phases]
+    rows = [rho.spectral_operator(v) for v in _thread_values(table, index, rho, encode)]
     q, z = _joint_probabilities_circuit([rows[r - 1] for r in index[0]], rho)
     if q <= 1e-14:
         raise PostSelectionError("post-selection impossible: joint success probability ~0")

@@ -367,6 +367,14 @@ class TestEstimateCommand:
         assert result.exit_code == 2, result.output
         assert "finite" in result.stderr
 
+    @pytest.mark.parametrize("state", ["pure:0", "maximally_mixed:-1", "random:-1:1"])
+    def test_empty_or_negative_state_dimension_exits_2(self, runner, state):
+        result = runner.invoke(
+            main, ["estimate", "--property", "renyi", "--alpha", "2", "--state", state]
+        )
+        assert result.exit_code == 2, result.output
+        assert "dimension must be an integer >= 1" in result.stderr
+
     def test_partition_huge_beta_exits_3(self, runner):
         result = runner.invoke(
             main,

@@ -343,6 +343,48 @@ def test_norm_scan_fails_a_copy_with_its_own_norm_loop():
     assert _norm_checks("def f(p):\n    return 1.0 < poly.sup_norm(p)\n") == ["f"]
 
 
+def _phase_route_calls(source: str) -> list[str]:
+    """find_phases, realized_value and np.block calls, by top-level definition.
+
+    sim.py turns QSP phases into block eigenvalues in one place,
+    _thread_values, and builds every circuit block from those values, so it
+    multiplies out no block matrix of a qubitized sequence.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name == "np.block" or name.split(".")[-1] in ("find_phases", "realized_value"):
+                    found.append(f"{name} in {getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_phase_route_only_in_thread_values():
+    assert _phase_route_calls((SRC / "sim.py").read_text()) == [
+        "find_phases in _thread_values", "realized_value in _thread_values",
+    ]
+
+
+def test_phase_route_scan_fails_a_copy_with_a_block_builder():
+    source = (SRC / "sim.py").read_text()
+    mutated, added = re.subn(
+        r"\ndef spectral_hadamard_test\(",
+        "\ndef _qubitized_step(a, s):\n    return np.block([[a, 1j * s], [1j * s, a]])\n\n"
+        "\ndef spectral_hadamard_test(",
+        source,
+    )
+    assert added == 1
+    assert _phase_route_calls(mutated) == [
+        "find_phases in _thread_values",
+        "np.block in _qubitized_step",
+        "realized_value in _thread_values",
+    ]
+    assert _phase_route_calls("def f(p, x):\n    return qsp.realized_value(find_phases(p), x)\n") == [
+        "find_phases in f", "qsp.realized_value in f",
+    ]
+
+
 def _third_party_imports(source: str) -> set[str]:
     """Top-level packages of the absolute, non-stdlib imports in a source.
 

@@ -16,6 +16,7 @@ from pqsp import (
     chebyshev_parallel_terms,
     chebyshev_polynomial,
     factorize_nonneg,
+    find_phases,
     generalized_swap_expectation,
     joint_readout,
     layout_table,
@@ -144,14 +145,36 @@ def oracle_dilation(m):
     )
 
 
+def qubitized_sequence(phases, rho):
+    """Reference 2D x 2D QSP sequence S(phi_0) W S(phi_1) ... W S(phi_d) on rho.
+
+    W = [[rho, i sqrt(I - rho^2)], [i sqrt(I - rho^2), rho]] is the qubitized
+    signal step and S(phi) = diag(e^{i phi} I, e^{-i phi} I) the flag phase,
+    multiplied out as matrices.
+    """
+    d = rho.dim
+    w, v = rho.eigh()
+    s = (v * np.sqrt(1.0 - np.clip(w, -1.0, 1.0) ** 2)) @ v.conj().T
+    step = np.block([[rho.matrix, 1j * s], [1j * s, rho.matrix]])
+
+    def phase(phi):
+        e = np.exp(1j * phi)
+        return np.diag(np.repeat([e, np.conj(e)], d))
+
+    u = phase(phases[0])
+    for phi in phases[1:]:
+        u = u @ step @ phase(phi)
+    return u
+
+
 def qsp_average_unitary(phases, rho):
     """Reference 4D x 4D unitary of the phase route: an ancilla in |+> selects
     the qubitized sequence for phi or (conjugated by Z on the flag) for -phi,
-    and is read in the Hadamard basis."""
+    and is read in the Hadamard basis.  Its top-left D x D block is
+    (U_phi + U_-phi)[:D, :D] / 2 = Re P(rho)."""
     d = rho.dim
-    step = sim._qubitized_step(rho.matrix, *rho.eigh())
-    u_plus = sim._qsp_sequence_unitary(phases.phases, step)
-    u_minus = sim._qsp_sequence_unitary([-p for p in phases.phases], step)
+    u_plus = qubitized_sequence(phases.phases, rho)
+    u_minus = qubitized_sequence([-p for p in phases.phases], rho)
     zc = np.diag(np.concatenate([np.ones(d), -np.ones(d)]))
     v = np.zeros((4 * d, 4 * d), dtype=complex)
     v[: 2 * d, : 2 * d] = u_plus
@@ -175,6 +198,8 @@ class TestDensityMatrix:
         lams = rho.eigenvalues()
         assert lams.max() == pytest.approx(1.0)
         assert np.sum(lams > 1e-12) == 1
+        assert np.array_equal(rho.matrix, np.diag([0, 1.0 + 0j, 0, 0]))
+        assert np.array_equal(DensityMatrix.pure(np.int64(2)).matrix, np.diag([1.0 + 0j, 0]))
 
     def test_maximally_mixed(self):
         rho = DensityMatrix.maximally_mixed(3)
@@ -263,6 +288,21 @@ class TestDensityMatrix:
     )
     def test_rejects_empty(self, build):
         with pytest.raises(InputError):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DensityMatrix.pure(0), "dimension must be an integer >= 1, got 0"),
+            (lambda: DensityMatrix.pure(2, 5), "index 5 lies outside \\[0, 2\\)"),
+            (lambda: DensityMatrix.pure(2, -1), "index must be an integer >= 0, got -1"),
+            (lambda: DensityMatrix.maximally_mixed(-1), "dimension must be an integer >= 1"),
+            (lambda: DensityMatrix.random_seeded(-1, 1), "dimension must be an integer >= 1"),
+        ],
+        ids=["pure-empty", "pure-index-high", "pure-index-negative", "mixed", "random"],
+    )
+    def test_generators_validate_before_indexing(self, build, message):
+        with pytest.raises(InputError, match=message):
             build()
 
 
@@ -592,11 +632,10 @@ class TestCircuitKernel:
         else:
             factors = [chebyshev_polynomial(n) for n in (1, 2, 3)]
         parallel_qsp_run(factors, rho, mode="circuit", encode=encode)
-        values, phases = seen["values"]
         if encode == "oracle":
-            unitaries = [oracle_dilation(rho.spectral_operator(v)) for v in values]
+            unitaries = [oracle_dilation(rho.spectral_operator(v)) for v in seen["values"]]
         else:
-            unitaries = [qsp_average_unitary(ph, rho) for ph in phases]
+            unitaries = [qsp_average_unitary(find_phases(f), rho) for f in factors]
         assert math.prod(u.shape[0] for u in unitaries) == 512
         for u, b in zip(unitaries, seen["blocks"], strict=True):
             assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-12
@@ -606,6 +645,26 @@ class TestCircuitKernel:
                 assert np.max(np.abs(u[:dim, :dim] - b)) <= 1e-14
         got = kernel(seen["blocks"], rho)
         assert got == pytest.approx(full_register_probabilities(unitaries, rho), abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [8, 16, 32])
+    def test_qsp_blocks_match_the_qubitized_sequences(self, monkeypatch, dim):
+        # circuit mode's blocks against the literal sequences' averaged top-left block
+        seen = []
+        kernel = sim._joint_probabilities_circuit
+        monkeypatch.setattr(
+            sim, "_joint_probabilities_circuit", lambda bs, rho: seen.extend(bs) or kernel(bs, rho)
+        )
+        rng = np.random.default_rng(dim)
+        rho = DensityMatrix.random_seeded(dim, 30 + dim)
+        for factors in (
+            [chebyshev_polynomial(36), 0.9 * chebyshev_polynomial(35)],
+            [random_parity_target(rng, int(rng.integers(1, 37))) for _ in range(2)],
+        ):
+            seen.clear()
+            parallel_qsp_run(factors, rho, mode="circuit", encode="qsp")
+            for f, b in zip(factors, seen, strict=True):
+                want = qsp_average_unitary(find_phases(f), rho)[:dim, :dim]
+                assert np.max(np.abs(b - want)) <= 1e-13, f.degree
 
     def test_largest_oracle_run_stays_small(self):
         rng = np.random.default_rng(13)
@@ -697,7 +756,7 @@ class TestBatchedRuns:
                 table.append(Polynomial.from_cheb(c / np.abs(c).sum()))
             index = np.arange(1, len(table))[None, :]
             rho = DensityMatrix.random_seeded(int(rng.integers(1, 33)), 3)
-            values, _ = sim._thread_values(table, index, rho, "oracle")
+            values = sim._thread_values(table, index, rho, "oracle")
             w = rho.eigenvalues()
             for row, f in zip(values, table[1:], strict=True):
                 assert row.tobytes() == f(w).tobytes()
@@ -720,6 +779,21 @@ class TestBatchedRuns:
             parallel_qsp_runs(*layout_table([[ok], [Polynomial([0, 0, 1.5])]]), rho)
         with pytest.raises(InputError, match="layout 0 needs at least one"):
             layout_table([[]])
+
+    @pytest.mark.parametrize(
+        "index",
+        [np.array([[-1]]), np.array([[3]]), np.array([1]), np.array([[1.0]]), [[1]]],
+        ids=["negative", "past-the-table", "one-dimensional", "float", "list"],
+    )
+    def test_rejects_malformed_index(self, index):
+        table = (Polynomial.one(), Polynomial([0, 1]))
+        with pytest.raises(InputError, match="2-D integer array with entries in \\[0, 2\\)"):
+            parallel_qsp_runs(table, index, DensityMatrix.pure(2))
+
+    def test_rejects_over_norm_row_that_no_run_uses(self):
+        table = (Polynomial.one(), Polynomial([0, 0, 1.5]))
+        with pytest.raises(InputError, match="table row 1 has sup norm above 1"):
+            parallel_qsp_runs(table, np.zeros((1, 1), np.intp), DensityMatrix.pure(2))
 
 
 class TestJointReadout:
