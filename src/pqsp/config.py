@@ -108,6 +108,8 @@ def resolve_state(spec: str) -> DensityMatrix:
         if head == "random":
             dim_s, _, seed_s = rest.partition(":")
             return DensityMatrix.random_seeded(int(dim_s), int(seed_s or 0))
+    except InputError:
+        raise  # a generator's own message names what it rejects; InputError is a ValueError
     except ValueError as exc:
         raise InputError(f"malformed state spec {spec!r}: {exc}") from exc
     try:

@@ -107,6 +107,42 @@ def _poly2cheb(mono: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(res)
 
 
+def _cheb2poly(cheb: Sequence[complex]) -> tuple[complex, ...]:
+    """Chebyshev to monomial coefficients: numpy's cheb2poly, step for step.
+
+    The recurrence c0, c1 <- c[i-2] - c1, c0 + 2x c1 from the top, finished
+    by c0 + x c1, with polyadd's, polysub's and polymulx's padding, operand
+    order and exact-zero trimming, so the result has numpy's bits on plain
+    complex lists.
+    """
+
+    def trim(c: list) -> list:
+        while len(c) > 1 and c[-1] == 0:
+            c.pop()
+        return c
+
+    def mulx(c: list) -> list:
+        return c if len(c) == 1 and c[0] == 0 else [c[0] * 0, *c]
+
+    def add(a: list, b: list) -> list:
+        long, short = (a, b) if len(a) > len(b) else (b, a)
+        return trim([x + y for x, y in zip(long, short)] + long[len(short):])
+
+    def sub(a: list, b: list) -> list:
+        if len(a) > len(b):
+            return trim([x - y for x, y in zip(a, b)] + a[len(b):])
+        neg = [-y for y in b]
+        return trim([y + x for y, x in zip(neg, a)] + neg[len(a):])
+
+    c = trim([complex(z) for z in cheb])
+    if len(c) < 3:
+        return tuple(c)
+    c0, c1 = [c[-2]], [c[-1]]
+    for i in range(len(c) - 1, 1, -1):
+        c0, c1 = sub([c[i - 2]], c1), add(c0, [z * 2 for z in mulx(c1)])
+    return tuple(add(c0, mulx(c1)))
+
+
 def _parse_pairs(items) -> list[complex]:
     out = []
     for item in items:
@@ -146,8 +182,7 @@ class Polynomial:
     def coeffs(self) -> tuple[complex, ...]:
         """Monomial coefficients, lowest power first: as given, or converted once."""
         if not hasattr(self, "_mono"):
-            mono = tuple(complex(c) for c in npcheb.cheb2poly(self.cheb))
-            object.__setattr__(self, "_mono", mono)
+            object.__setattr__(self, "_mono", _cheb2poly(self.cheb))
         return self._mono
 
     @property

@@ -375,6 +375,32 @@ class TestEstimateCommand:
         assert result.exit_code == 2, result.output
         assert "dimension must be an integer >= 1" in result.stderr
 
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            ("diag:0.5,0.6", "probabilities sum to 1.1, expected 1"),
+            ("pure:0", "dimension must be an integer >= 1, got 0"),
+            ("random:-1:1", "dimension must be an integer >= 1, got -1"),
+        ],
+    )
+    def test_rejected_generator_argument_prints_the_generators_message(
+        self, runner, state, message
+    ):
+        result = runner.invoke(
+            main, ["estimate", "--property", "renyi", "--alpha", "2", "--state", state]
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.stderr
+        assert "malformed" not in result.stderr
+
+    @pytest.mark.parametrize("state", ["pure:x", "random:2:x", "diag:a,b"])
+    def test_unparsable_state_number_reads_malformed(self, runner, state):
+        result = runner.invoke(
+            main, ["estimate", "--property", "renyi", "--alpha", "2", "--state", state]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"malformed state spec {state!r}" in result.stderr
+
     def test_partition_huge_beta_exits_3(self, runner):
         result = runner.invoke(
             main,

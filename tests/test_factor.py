@@ -1,10 +1,16 @@
+import itertools
 import math
+import re
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import chebyshev as npcheb
 
-from pqsp import factor
+from pqsp import factor, poly
 from pqsp import (
     ConvergenceError,
     FactorizationPlan,
@@ -224,6 +230,178 @@ class TestFactorizeNonneg:
         cap = math.ceil(d / (2 * k))
         assert all(f.degree <= cap for f in plan.factors)
         assert verify_factorization(plan, source) <= 1e-6
+
+
+def grouping_sources(seed, count):
+    """Seeded prod_j |x - z_j|^2 at sup norm 1, for k = 2-4 and 2-8 pairs: even
+    draws take benchmark-style roots (Re in [-1.2, 1.2], Im in [0.15, 1]),
+    odd ones roots near the interval (Re = cos t, Im in [0.01, 0.3])."""
+    rng = np.random.default_rng(seed)
+    sources = []
+    for i in range(count):
+        k, pairs = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+        if i % 2:
+            z = np.cos(rng.uniform(0, np.pi, pairs)) + 1j * rng.uniform(0.01, 0.3, pairs)
+        else:
+            z = rng.uniform(-1.2, 1.2, pairs) + 1j * rng.uniform(0.15, 1.0, pairs)
+        p = Polynomial.from_cheb(npcheb.chebfromroots(np.concatenate([z, z.conj()])).real)
+        sources.append((p * (1.0 / sup_norm(p)), k))
+    return sources
+
+
+def grouping_K(ordered, groups, scale):
+    """K of the factors scale * prod_{i in g} (x - ordered[i]), one per group."""
+    return math.prod(
+        sup_norm(Polynomial.from_roots([ordered[i] for i in g], scale=scale)) for g in groups
+    )
+
+
+def exhaustive_K(ordered, k, scale):
+    """The smallest K over every grouping with round robin's group sizes."""
+    n = len(ordered)
+    sizes = [len(range(j, n, k)) for j in range(k)]
+    norms = {}
+
+    def norm(g):
+        if g not in norms:
+            norms[g] = sup_norm(Polynomial.from_roots([ordered[i] for i in g], scale=scale))
+        return norms[g]
+
+    def best(left, j):
+        if j == k:
+            return 1.0
+        return min(
+            norm(g) * best(tuple(i for i in left if i not in g), j + 1)
+            for g in itertools.combinations(left, sizes[j])
+        )
+
+    return best(tuple(range(n)), 0)
+
+
+@pytest.fixture(scope="module")
+def grouped():
+    """(source, k, sorted half-roots, scale, plan) per source; a source whose
+    half-roots cannot be found carries the error in place of the rest."""
+    sources = grouping_sources(20, 520)
+    sources += [(Polynomial.monomial(12), k) for k in (2, 3, 4)]
+    sources += [(split_constituents(0.9 * chebyshev_polynomial(6), 2)[1], k) for k in (2, 3)]
+    sources += [(0.9 * (chebyshev_polynomial(6) + Polynomial.one()), k) for k in (2, 3)]
+    out = []
+    for R, k in sources:
+        try:
+            half = factor._half_root_multiset(R, find_roots(R))
+        except (ConvergenceError, InputError) as exc:
+            out.append((R, k, exc, None, None))
+            continue
+        ordered = sorted(half, key=lambda z: (z.real, z.imag))
+        scale = (R.cheb[-1].real * 2.0 ** (R.degree - 1)) ** (1.0 / (2 * k))
+        out.append((R, k, ordered, scale, factorize_nonneg(R, k)))
+    return out
+
+
+class TestRootGrouping:
+    def test_never_worse_than_round_robin(self, grouped):
+        moved = unfound = 0
+        for R, k, ordered, scale, plan in grouped:
+            if isinstance(ordered, Exception):
+                # root finding near the interval fails typed, before any grouping
+                with pytest.raises(type(ordered)):
+                    factorize_nonneg(R, k)
+                unfound += 1
+                continue
+            n = len(ordered)
+            K = plan.factorization_constant
+            rr_K = grouping_K(ordered, [range(j, n, k) for j in range(k)], scale)
+            assert K <= rr_K * (1 + 1e-12)
+            assert K == pytest.approx(math.prod(plan.factor_norms), rel=1e-15)
+            moved += K < rr_K
+            sizes = [len(range(j, n, k)) for j in range(k)]
+            assert [f.degree for f in plan.factors] == sizes
+            assert max(sizes) <= math.ceil(R.degree / (2 * k))
+            residual = verify_factorization(plan, R)
+            if residual > 1e-8:
+                # the half-roots themselves are off: round robin's factors miss as far
+                rr = tuple(Polynomial.from_roots(ordered[j::k], scale=scale) for j in range(k))
+                rr_plan = FactorizationPlan(rr, tuple(map(sup_norm, rr)), rr_K, k, R.degree)
+                assert residual <= 1.01 * verify_factorization(rr_plan, R)
+                unfound += 1
+            assert factorize_nonneg(R, k).factors == plan.factors
+        assert len(grouped) >= 500 and unfound <= 10
+        assert moved >= len(grouped) // 5
+
+    def test_descent_reaches_the_exhaustive_optimum(self, grouped):
+        excess = [
+            (plan.factorization_constant / exhaustive_K(ordered, k, scale)) ** 4
+            for _, k, ordered, scale, plan in grouped
+            if plan is not None and len(ordered) <= 6
+        ]
+        assert len(excess) >= 300
+        assert sum(e <= 1 + 1e-9 for e in excess) >= 0.9 * len(excess)
+        assert max(excess) <= 1.25
+
+    def test_roots_on_the_score_grid_score_finite(self):
+        # x^12's half-roots and T_3's double roots sit on (or next to) grid points
+        on_grid = [complex(x) for x in factor._SCORE_GRID[[0, 0, 32, 64, 64, 96, 128]]]
+        with np.errstate(all="raise"):
+            labels = factor._swap_descent(on_grid, np.arange(7) % 3)
+        assert np.bincount(labels).tolist() == [3, 2, 2]
+        t3_squared = 0.9 * (chebyshev_polynomial(6) + Polynomial.one())  # 1.8 T_3^2
+        for R, k in [(Polynomial.monomial(12), 4), (t3_squared, 2)]:
+            with np.errstate(all="raise"):
+                plan = factorize_nonneg(R, k)
+            assert verify_factorization(plan, R) <= 1e-12
+
+    def test_few_roots_skip_the_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched a grouping of at most k half-roots")
+
+        monkeypatch.setattr(factor, "_swap_descent", no_search)
+        square = Polynomial([1, 0, 1]) * Polynomial([1, 0, 1])
+        for R, k in [(Polynomial([0, 0, 1]), 3), (square, 2)]:
+            assert verify_factorization(factorize_nonneg(R, k), R) <= 1e-8
+
+
+def _kernel_batches(module, monkeypatch, sources):
+    """The batch size of each poly._colleague_norms call, per module.factorize_nonneg call."""
+    batches = []
+    kernel = poly._colleague_norms
+
+    def counting(series):
+        batches[-1].append(len(series))
+        return kernel(series)
+
+    monkeypatch.setattr(poly, "_colleague_norms", counting)
+    for R, k in sources:
+        batches.append([])
+        module.factorize_nonneg(R, k)
+    return batches
+
+
+class TestOneNormBatch:
+    """Both candidate groupings are normed in one kernel call."""
+
+    SOURCES = grouping_sources(21, 40)
+
+    def test_one_kernel_call_per_factorization(self, monkeypatch):
+        batches = _kernel_batches(factor, monkeypatch, self.SOURCES)
+        assert all(len(calls) == 1 for calls in batches)
+        # sources whose grouping moved norm round robin's k factors alongside
+        assert {calls[0] // k for calls, (_, k) in zip(batches, self.SOURCES)} == {1, 2}
+
+    def test_fails_a_copy_that_norms_each_candidate(self, monkeypatch):
+        source = Path(factor.__file__).read_text()
+        mutated, swapped = re.subn(
+            r"_sup_norms\(\[f for factors in candidates for f in factors\]\)",
+            "tuple(sup_norm(f) for factors in candidates for f in factors)",
+            source,
+        )
+        assert swapped == 1
+        copy = types.ModuleType("pqsp._factor_copy")
+        copy.__package__ = "pqsp"
+        monkeypatch.setitem(sys.modules, copy.__name__, copy)  # dataclasses look it up
+        exec(compile(mutated, "factor_copy.py", "exec"), copy.__dict__)
+        batches = _kernel_batches(copy, monkeypatch, self.SOURCES)
+        assert min(len(calls) for calls in batches) >= 2
 
 
 class TestRescale:

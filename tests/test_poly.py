@@ -242,6 +242,24 @@ def test_monomial_conversion_matches_numpy_exactly():
         assert poly._poly2cheb(mono) == want
 
 
+def test_chebyshev_conversion_matches_numpy_bytes():
+    # 2,000 real and complex series of degree 0-60 with exact and signed
+    # zeros: every bit, the zeros' signs included, is numpy's cheb2poly's
+    rng = np.random.default_rng(36)
+    for trial in range(2000):
+        n = int(rng.integers(1, 62))
+        cs = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7, size=n)
+        if trial % 2:
+            cs = cs + 1j * rng.normal(size=n)
+        cs[rng.random(n) < 0.3] = 0.0
+        cs[rng.random(n) < 0.1] *= -0.0
+        series = tuple(complex(c) for c in cs)
+        want = np.array(np.polynomial.chebyshev.cheb2poly(series), dtype=complex)
+        assert np.array(poly._cheb2poly(series), dtype=complex).tobytes() == want.tobytes()
+    p = Polynomial.from_cheb(series)
+    assert p.coeffs == poly._cheb2poly(p.cheb)
+
+
 def test_chebyshev_polynomial_values():
     T6 = chebyshev_polynomial(6)
     assert complex(T6(0.75)).real == pytest.approx(-0.3671875, abs=1e-12)
