@@ -22,6 +22,13 @@ to 1.250 and 21% of the groupings moved; one source needs 125x fewer shots.
 On the 382 sources with at most six half-roots in tests/test_factor.py the
 descent reached the optimum of an exhaustive search every time.
 
+The series on this path are short (2 to 9 terms in the benchmark's plans),
+and numpy's fixed cost per call outweighs their arithmetic.  So candidate
+factors are built on plain lists (Polynomial.from_roots, in chebfromroots'
+pairwise order), and the sign check on 2001 points is one matrix-vector
+product against a module-level table of T_n on that grid, grown by
+recurrence to the largest degree seen.
+
 Parity-structured sources skip root finding entirely: an even-parity tail
 polynomial rewrites into products of Chebyshev polynomials whose sup norms
 are all 1, which pins K = 1 at the cost of a coefficient one-norm that the
@@ -54,6 +61,8 @@ from .poly import (
 VERIFY_GRID = 500
 _SIGN_GRID = np.linspace(-1.0, 1.0, 2001)  # where factorize_nonneg checks the sign
 _SIGN_GRID.flags.writeable = False
+_sign_table = np.stack([np.ones_like(_SIGN_GRID), _SIGN_GRID])  # row n: T_n on _SIGN_GRID
+_sign_table.flags.writeable = False
 _SCORE_GRID = np.cos(np.pi * np.arange(129) / 128)  # where a grouping's factors are scored
 _SCORE_GRID.flags.writeable = False
 _DISTANCE_FLOOR = 1e-12  # real half-roots can sit on the score grid
@@ -105,7 +114,7 @@ class FactorizationPlan:
         if not factors or int(obj["k"]) != len(factors):
             raise InputError(f"plan k {obj['k']} needs k >= 1 factors, got {len(factors)}")
         norms = _sup_norms(factors)
-        k_const = float(np.prod(norms))
+        k_const = math.prod(norms)
         stored = [float(n) for n in obj["norms"]]
         if len(stored) != len(norms) or not all(
             math.isclose(a, b, rel_tol=1e-9) for a, b in zip(stored, norms)
@@ -126,7 +135,7 @@ class FactorizationPlan:
 def _cluster_roots(raw: np.ndarray, tol: float) -> list[tuple[complex, int]]:
     """Greedy clusters in (real, imag) order, each with its running sum and count."""
     clusters: list[list] = []
-    for z in raw[np.lexsort((raw.imag, raw.real))].tolist():
+    for z in sorted(raw.tolist(), key=lambda z: (z.real, z.imag)):
         for cl in clusters:
             if abs(z - cl[0] / cl[1]) <= tol:
                 cl[0] += z
@@ -141,22 +150,24 @@ def _newton_polish(mono: tuple[complex, ...], z: complex, mult: int) -> complex:
     """Multiplicity-aware Newton steps, p and p' by Horner's rule on the
     monomial coefficients that the companion eigenproblem also reads.
 
-    At a multiple root p and p' are both round-off noise, and steps taken on
-    them walk the root away (a double real root off the real line), so there
-    a step that does not lower |p| is undone and ends the polish."""
+    Once |p| is down to round-off noise, further steps only wander (at a
+    multiple root, where p' is noise too, they walk a double real root off
+    the real line), so a step that does not lower |p| is undone and ends the
+    polish, which returns the best iterate."""
     z = complex(z)
-    last = None  # a multiple root's iterate and |p| before the step just taken
+    last = None  # the iterate and |p| before the step just taken
     for _ in range(60):
         pz = dz = 0j
         for c in reversed(mono):
             dz = dz * z + pz
             pz = pz * z + c
-        if last is not None and abs(pz) >= last[1]:
+        size = abs(pz)
+        if last is not None and size >= last[1]:
             return last[0]
         if abs(dz) < 1e-300:
             break
         step = mult * pz / dz
-        last = (z, abs(pz)) if mult > 1 else None
+        last = (z, size)
         z = z - step
         if abs(step) <= 1e-15 * (1.0 + abs(z)):
             break
@@ -181,25 +192,33 @@ def find_roots(p: Polynomial) -> tuple[tuple[complex, int], ...]:
     mono = p.coeffs
     if abs(mono[-1]) <= 1e-12:
         raise InputError("leading coefficient vanishes")
-    c = np.array(mono)
-    kept = c[int(np.flatnonzero(c)[0]) :]
-    raw = np.zeros(p.degree, dtype=complex)  # the exact zero roots come last
-    companion = np.eye(len(kept) - 1, k=-1, dtype=complex)
+    zeros = next(i for i, c in enumerate(mono) if c != 0)  # exact zero roots
+    n = p.degree - zeros
+    kept = np.array(mono[zeros:])
+    companion = np.zeros((n, n), dtype=complex)
+    companion.reshape(-1)[n :: n + 1] = 1.0  # the subdiagonal
     companion[:1] = -kept[-2::-1] / kept[-1]
-    raw[: len(kept) - 1] = np.linalg.eigvals(companion)
+    raw = np.concatenate([np.linalg.eigvals(companion), np.zeros(zeros)])
     clusters = _cluster_roots(raw, tol=1e-7)
-    polished = np.array([_newton_polish(mono, z, m) for z, m in clusters])
+    polished = [_newton_polish(mono, z, m) for z, m in clusters]
 
-    scale = np.abs(polished)[:, None] ** np.arange(len(mono)) @ np.abs(c)
-    backward = np.abs(p(polished)) / np.maximum(scale, 1e-300)
-    backward[(polished == 0) & (c[0] == 0)] = 0.0  # the series' p(0) is round-off, not 0
+    weights = [abs(c) for c in reversed(mono)]
+    backward = []
+    for z in polished:
+        if z == 0 and mono[0] == 0:  # the series' p(0) is round-off, not 0
+            backward.append(0.0)
+            continue
+        r, scale = abs(z), 0.0
+        for w in weights:  # sum_i |c_i| |z|^i by Horner's rule
+            scale = scale * r + w
+        backward.append(abs(_clenshaw(p.cheb, z)) / max(scale, 1e-300))
     worst = float(np.max(backward))
     if not worst <= 1e-10:
         raise ConvergenceError(
             f"root polishing stalled: worst backward error {worst:.3e} exceeds 1e-10",
             best_residual=worst,
         )
-    return tuple(zip(polished.tolist(), (m for _, m in clusters)))
+    return tuple(zip(polished, (m for _, m in clusters)))
 
 
 def _half_root_multiset(
@@ -246,7 +265,7 @@ def _half_root_multiset(
     for z, m in plus:
         hit = None
         for i, (w, mw) in enumerate(unmatched):
-            if abs(np.conj(w) - z) <= 1e-6 * (1.0 + abs(z)) and mw == m:
+            if abs(w.conjugate() - z) <= 1e-6 * (1.0 + abs(z)) and mw == m:
                 hit = i
                 break
         if hit is None:
@@ -265,9 +284,10 @@ def _swap_descent(ordered: list[complex], labels: np.ndarray) -> np.ndarray:
     _SCORE_GRID, the log of its K up to the shared scale and the grid's
     resolution.  Each sweep scores every swap of two roots in different
     groups in one array pass and applies the best one that lowers the score,
-    the first in index order on a tie; the group sizes never change.  The
-    labels passed in come back as they are, the same array, when no swap
-    lowers the score.
+    the first in index order among those within _SCORE_TOL of the best, so
+    round-off in the scores does not pick the swap; the group sizes never
+    change.  The labels passed in come back as they are, the same array,
+    when no swap lowers the score.
     """
     logs = np.log(np.maximum(np.abs(_SCORE_GRID - np.array(ordered)[:, None]), _DISTANCE_FLOOR))
     while True:
@@ -276,14 +296,31 @@ def _swap_descent(ordered: list[complex], labels: np.ndarray) -> np.ndarray:
         rise = ((own - logs)[:, None, :] + logs).max(axis=2) - own.max(axis=1)[:, None]
         # swapping i and m changes the score by rise[i, m] + rise[m, i]; within one
         # group that is never negative (max u + max v >= max(u + v)), and the sum is
-        # symmetric, so the first minimum in row-major order has i < m
+        # symmetric, so the first near-minimum in row-major order has i < m
         change = rise + rise.T
-        best = int(change.argmin())
-        if not change.flat[best] < -_SCORE_TOL:
+        low = change.min()
+        if not low < -_SCORE_TOL:
             return labels
-        i, m = divmod(best, len(ordered))
+        i, m = divmod(int((change <= low + _SCORE_TOL).argmax()), len(ordered))
         labels = labels.copy()
         labels[[i, m]] = labels[[m, i]]
+
+
+def _chebyshev_rows(d: int) -> np.ndarray:
+    """T_0 .. T_d on _SIGN_GRID: rows of one table, grown by the three-term
+    recurrence to the largest degree asked for and sliced per call.  Row n
+    depends only on rows n - 1 and n - 2, so the table's bits do not depend
+    on the order in which degrees are asked for."""
+    global _sign_table
+    have = len(_sign_table)
+    if have <= d:
+        rows = np.empty((d + 1, _SIGN_GRID.size))
+        rows[:have] = _sign_table
+        for n in range(have, d + 1):
+            rows[n] = 2.0 * _SIGN_GRID * rows[n - 1] - rows[n - 2]
+        rows.flags.writeable = False
+        _sign_table = rows
+    return _sign_table[: d + 1]
 
 
 def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
@@ -312,11 +349,11 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
             f"non-negative polynomial must have even degree, not odd degree {d}; "
             "estimate_chebyshev takes any bounded polynomial"
         )
-    vals = _clenshaw([c.real for c in R.cheb], _SIGN_GRID)
-    scale = max(1e-30, float(np.abs(vals).max()))
-    if float(vals.min()) < -1e-9 * scale:
+    vals = np.array([c.real for c in R.cheb]) @ _chebyshev_rows(d)
+    low = float(vals.min())
+    if low < -1e-9 * max(1e-30, float(vals.max()), -low):
         raise NotNonNegativeError(
-            f"polynomial is negative on [-1, 1] (min {vals.min():.3e}); only "
+            f"polynomial is negative on [-1, 1] (min {low:.3e}); only "
             "non-negative sources factor into squared moduli, and estimate_chebyshev "
             "takes any bounded polynomial"
         )
@@ -348,7 +385,7 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
             for j in range(k)
         ))
     all_norms = _sup_norms([f for factors in candidates for f in factors])
-    constants = [float(np.prod(all_norms[i * k : (i + 1) * k])) for i in range(len(candidates))]
+    constants = [math.prod(all_norms[i * k : (i + 1) * k]) for i in range(len(candidates))]
     best = int(np.argmin(constants))  # round robin on a tie
     return FactorizationPlan(
         factors=candidates[best],
@@ -375,10 +412,10 @@ def rescale_factors(plan: FactorizationPlan) -> FactorizationPlan:
     return FactorizationPlan(
         factors=factors,
         factor_norms=norms,
-        factorization_constant=float(np.prod(norms)),
+        factorization_constant=math.prod(norms),
         k=plan.k,
         source_degree=plan.source_degree,
-        stored_constant=plan.stored_constant * float(np.prod(plan.factor_norms)),
+        stored_constant=plan.stored_constant * math.prod(plan.factor_norms),
     )
 
 

@@ -143,6 +143,22 @@ def _cheb2poly(cheb: Sequence[complex]) -> tuple[complex, ...]:
     return tuple(add(c0, mulx(c1)))
 
 
+def _cheb_mul(c1: list[complex], c2: list[complex]) -> list[complex]:
+    """The product of two Chebyshev series as numpy's chebmul forms it: the
+    convolution of their z-series (c_n / 2 on both sides of c_0), each term
+    summed in np.convolve's order, then folded back.  Halving and doubling
+    are exact, so only the order of the sums can differ from numpy's."""
+    zs = [[*(x / 2 for x in c[:0:-1]), c[0], *(x / 2 for x in c[1:])] for c in (c1, c2)]
+    a, v = sorted(zs, key=len, reverse=True)  # np.convolve slides the shorter one
+    folded = []
+    for m in range(len(c1) + len(c2) - 2, len(a) + len(v) - 1):
+        s = 0j
+        for i in range(max(0, m - len(v) + 1), min(len(a), m + 1)):
+            s += a[i] * v[m - i]
+        folded.append(s if not folded else 2 * s)
+    return folded
+
+
 def _parse_pairs(items) -> list[complex]:
     out = []
     for item in items:
@@ -261,7 +277,21 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex], scale: complex = 1.0) -> "Polynomial":
-        return cls.from_cheb(npcheb.chebfromroots(np.array(roots, dtype=complex)) * scale)
+        """scale * prod_z (x - z), built as numpy's chebfromroots builds it.
+
+        The factors T_1 - z, in sorted order, are multiplied pairwise in
+        chebfromroots' tree, so the result matches it to round-off; plain
+        complex lists avoid its per-call array overhead, which dominates at
+        the degrees used here.
+        """
+        ps = [[-z, 1 + 0j] for z in sorted(map(complex, roots), key=lambda z: (z.real, z.imag))]
+        while len(ps) > 1:
+            m = len(ps) // 2
+            tmp = [_cheb_mul(ps[i], ps[i + m]) for i in range(m)]
+            if len(ps) % 2:
+                tmp[0] = _cheb_mul(tmp[0], ps[-1])
+            ps = tmp
+        return cls.from_cheb([c * scale for c in ps[0]] if ps else [scale])
 
     def to_dict(self) -> dict:
         return {"basis": "monomial", "coeffs": [[c.real, c.imag] for c in self.coeffs]}
@@ -305,13 +335,18 @@ def _sup_norms(polys: Sequence[Polynomial]) -> tuple[float, ...]:
 
 
 def _colleague_norms(series: Sequence[Sequence[complex]]) -> list[float]:
-    """max |p| on [-1, 1] of each Chebyshev series.  Real and complex series
-    form one zero-padded stack each (padding adds exact zeros, so a norm does
-    not depend on the batch); a stack's slopes of one degree share one eigvals call."""
+    """max |p| on [-1, 1] of each Chebyshev series.  A linear p takes the
+    larger end, as |p|^2 is convex.  Longer real and complex series form one
+    zero-padded stack each (padding adds exact zeros, so a norm does not
+    depend on the batch); a stack's slopes of one degree share one eigvals call."""
     norms = [abs(c[0]) for c in series]
-    for real in (True, False):
-        rows = [i for i, c in enumerate(series)
-                if len(c) > 1 and all(z.imag == 0 for z in c) is real]
+    stacks: dict[bool, list[int]] = {True: [], False: []}
+    for i, c in enumerate(series):
+        if len(c) == 2:
+            norms[i] = max(abs(c[0] + c[1]), abs(c[0] - c[1]))
+        elif len(c) > 2:
+            stacks[all(z.imag == 0 for z in c)].append(i)
+    for real, rows in stacks.items():
         if not rows:
             continue
         m, n = len(rows), max(len(series[i]) for i in rows) - 1
@@ -323,26 +358,30 @@ def _colleague_norms(series: Sequence[Sequence[complex]]) -> list[float]:
             base = (2 * n + 1) * np.arange(m)[:, None, None]
             q = np.bincount((base + i + j).ravel(), w, m * (2 * n + 1))
             q = (q + np.bincount((base + abs(i - j)).ravel(), w, len(q))).reshape(m, -1)
-        # (q')_k sums 2 j q_j over j = k+1, k+3, ... (halved at k = 0)
-        terms = q[:, :0:-1] * np.arange(2 * q.shape[1] - 2, 0, -2)
-        slopes = np.empty_like(terms)
-        slopes[:, 0::2], slopes[:, 1::2] = terms[:, 0::2].cumsum(1), terms[:, 1::2].cumsum(1)
-        slopes = slopes[:, ::-1]
+        # (q')_k sums 2 j q_j over j = k+1, k+3, ... (halved at k = 0): the
+        # terms of each parity accumulate down one column of a (pairs, 2) view
+        top = q.shape[1] - 1
+        terms = np.zeros((m, top + top % 2))
+        np.multiply(q[:, :0:-1], np.arange(2 * top, 0, -2), out=terms[:, :top])
+        slopes = terms.reshape(m, -1, 2).cumsum(1).reshape(m, -1)[:, top - 1 :: -1]
         slopes[:, 0] *= 0.5
-        xs = np.full((m, slopes.shape[1] + 1), -1.0)  # both ends, roots, repeats of -1
+        xs = np.full((m, top + 1), -1.0)  # both ends, roots, repeats of -1
         xs[:, 1] = 1.0
         degree = [len(series[i]) - 2 if real else 2 * len(series[i]) - 3 for i in rows]
-        for d in set(degree):
-            at = [r for r, e in enumerate(degree) if e == d]
+        degrees = set(degree)
+        for d in degrees:  # a stack of one degree is sliced, not gathered
+            at = [r for r, e in enumerate(degree) if e == d] if len(degrees) > 1 else slice(None)
             s = slopes[at, : d + 1]
             if d < 2:
                 xs[at, 2 : 2 + d] = -s[:, :d] / s[:, d:]
                 continue
-            # numpy's chebcompanion, rotated as chebroots does
-            mats, k = np.zeros((len(at), d, d)), np.arange(d - 1)
-            mats[:, k, k + 1] = mats[:, k + 1, k] = [math.sqrt(0.5)] + [0.5] * (d - 2)
-            scl = np.array([1.0] + [math.sqrt(0.5)] * (d - 1))
-            mats[:, :, -1] -= (s[:, :-1] / s[:, -1:]) * (scl / scl[-1]) * 0.5
+            # numpy's chebcompanion, rotated as chebroots does; the off-diagonals
+            # are strided slices of each flattened matrix
+            mats = np.zeros((len(s), d, d))
+            flat = mats.reshape(len(s), -1)
+            flat[:, 1 :: d + 1] = flat[:, d :: d + 1] = [math.sqrt(0.5)] + [0.5] * (d - 2)
+            scl = [0.5 / math.sqrt(0.5)] + [0.5] * (d - 1)  # chebcompanion's scl / scl[-1] / 2
+            mats[:, :, -1] -= (s[:, :-1] / s[:, -1:]) * scl
             xs[at, 2 : 2 + d] = np.linalg.eigvals(mats[:, ::-1, ::-1]).real
         xs = np.minimum(np.maximum(xs, -1.0), 1.0)
         vals = np.abs(_clenshaw(cs.T[:, :, None], xs)).max(axis=1)

@@ -27,7 +27,7 @@ from pqsp import (
     term_layout,
     verify_factorization,
 )
-from conftest import random_nonneg
+from conftest import dense_sup_norm, random_nonneg
 
 
 class TestFindRoots:
@@ -165,6 +165,29 @@ class TestLeanRoots:
             sizes = {2 * f.degree - 1 for f in plan.factors if f.degree > 1}
             assert len(calls) == 1 + len(sizes), (seed, calls)
 
+    def test_polish_stops_at_round_off(self):
+        # benchmark-style sources with 3-4 root pairs: simple roots whose |p| is
+        # round-off from the first step on ran to the 60-step cap before
+        rng = np.random.default_rng(42)
+        passes = []
+        for i in range(200):
+            z = rng.uniform(-1.2, 1.2, 3 + i % 2) + 1j * rng.uniform(0.15, 1.0, 3 + i % 2)
+            mono = np.polynomial.polynomial.polyfromroots(np.concatenate([z, z.conj()])).real
+            coeffs = HornerCount(Polynomial(mono).coeffs)
+            for z0, m in factor._cluster_roots(np.roots(mono[::-1]), 1e-7):
+                coeffs.passes = 0
+                factor._newton_polish(coeffs, z0, m)
+                passes.append(coeffs.passes)
+        assert len(passes) == 1400 and max(passes) <= 8
+
+
+class HornerCount(tuple):
+    """Monomial coefficients that count the Horner passes run over them."""
+
+    def __reversed__(self):
+        self.passes += 1
+        return reversed(tuple(self))
+
 
 class TestFactorizeNonneg:
     def test_square_single_thread(self):
@@ -218,6 +241,60 @@ class TestFactorizeNonneg:
         a = factorize_nonneg(source, 2)
         b = factorize_nonneg(source, 2)
         assert a.factors == b.factors
+
+    def test_sign_table_verdict_matches_clenshaw(self):
+        # sources shifted to within 1e-12 of the -1e-9 * scale threshold, on
+        # both sides: the tabled check and Clenshaw's values agree on each
+        rng = np.random.default_rng(43)
+        verdicts = []
+        for trial in range(120):
+            c = np.array(random_nonneg(rng, int(rng.integers(1, 11))).cheb).real
+            vals = npcheb.chebval(factor._SIGN_GRID, c)
+            off = (1 if trial % 2 else -1) * 10.0 ** rng.uniform(-13, -12)
+            c[0] += (off - 1e-9 * vals.max() - vals.min()) / (1 + 1e-9)
+            vals = npcheb.chebval(factor._SIGN_GRID, c)
+            scale = np.abs(vals).max()
+            assert abs(vals.min() + 1e-9 * scale) <= 1e-12
+            negative = vals.min() < -1e-9 * scale
+            R = Polynomial.from_cheb(c)
+            assert R.degree == len(c) - 1
+            try:
+                factorize_nonneg(R, 2)
+                tabled = False
+            except (NotNonNegativeError, ConvergenceError, InputError) as exc:
+                tabled = "is negative on [-1, 1]" in str(exc)
+            assert tabled == negative, trial
+            verdicts.append(negative)
+        assert 40 <= sum(verdicts) <= 80
+
+    def test_K_matches_a_numpy_built_reference(self):
+        # sources of degree 20-40, beyond the benchmark's 6-8: both candidate
+        # groupings rebuilt by chebfromroots and normed on a dense grid
+        rng = np.random.default_rng(44)
+        checked = 0
+        for _ in range(40):
+            pairs, k = int(rng.integers(10, 21)), int(rng.integers(2, 5))
+            z = rng.uniform(-1.2, 1.2, pairs) + 1j * rng.uniform(0.15, 1.0, pairs)
+            cheb = npcheb.chebfromroots(np.concatenate([z, z.conj()])).real
+            R = Polynomial.from_cheb(cheb / dense_sup_norm(cheb))
+            try:
+                plan = factorize_nonneg(R, k)
+            except (ConvergenceError, NotNonNegativeError):
+                continue  # the direct route's known failures above degree 30
+            half = factor._half_root_multiset(R, find_roots(R))
+            ordered = np.array(sorted(half, key=lambda z: (z.real, z.imag)))
+            scale = (R.cheb[-1].real * 2.0 ** (R.degree - 1)) ** (1.0 / (2 * k))
+            dealt = np.arange(len(ordered)) % k
+            norms = [
+                [dense_sup_norm(scale * npcheb.chebfromroots(ordered[labels == j]))
+                 for j in range(k)]
+                for labels in (dealt, factor._swap_descent(ordered.tolist(), dealt))
+            ]
+            want = min(norms, key=math.prod)
+            assert plan.factor_norms == pytest.approx(want, rel=1e-9)
+            assert plan.factorization_constant == pytest.approx(math.prod(want), rel=1e-9)
+            checked += 1
+        assert checked >= 25
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=5))
     @settings(max_examples=40, deadline=None)
@@ -350,6 +427,23 @@ class TestRootGrouping:
             with np.errstate(all="raise"):
                 plan = factorize_nonneg(R, k)
             assert verify_factorization(plan, R) <= 1e-12
+
+    def test_tied_swaps_do_not_turn_on_round_off(self):
+        # a benchmark-style k = 3 draw whose two best swaps leave every group
+        # peaking at x = -1, so they tie up to round-off; a one-ulp move of a
+        # root used to flip the labels between [0 1 0 2] and [0 0 2 1]
+        rng = np.random.default_rng(5)
+        for _ in range(1975):
+            re, im = rng.uniform(-1.2, 1.2, 4), rng.uniform(0.15, 1.0, 4)
+        ordered = sorted((re + 1j * im).tolist(), key=lambda z: (z.real, z.imag))
+        dealt = np.arange(4) % 3
+        assert factor._swap_descent(ordered, dealt).tolist() == [0, 0, 2, 1]
+        for i, way in itertools.product(range(4), (np.inf, -np.inf)):
+            z = ordered[i]
+            for moved in (complex(np.nextafter(z.real, way), z.imag),
+                          complex(z.real, np.nextafter(z.imag, way))):
+                roots = ordered[:i] + [moved] + ordered[i + 1 :]
+                assert factor._swap_descent(roots, dealt).tolist() == [0, 0, 2, 1]
 
     def test_few_roots_skip_the_search(self, monkeypatch):
         def no_search(*args):

@@ -387,6 +387,91 @@ def test_phase_route_scan_fails_a_copy_with_a_block_builder():
     ]
 
 
+# The factor path per module: functions, and Class.method for methods;
+# factor.py reaches poly.py's norm kernel through _sup_norms.
+FACTOR_PATH = {
+    "factor.py": ("find_roots", "factorize_nonneg", "rescale_factors"),
+    "poly.py": ("Polynomial.from_roots", "_sup_norms"),
+}
+
+
+def _numpy_polynomial_uses(source: str, names: tuple[str, ...]) -> list[str]:
+    """numpy.polynomial references in the named definitions and in the
+    module's functions that they call, directly or in turn.
+
+    The factor path builds its series on plain lists and checks signs with
+    one table, because numpy.polynomial's per-call array overhead costs more
+    than the arithmetic on series of a few terms.
+    """
+    tree = ast.parse(source)
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.polynomial"):
+            aliases.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update(
+                alias.asname for alias in node.names
+                if alias.name.startswith("numpy.polynomial") and alias.asname
+            )
+    defs = {}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            defs[top.name] = top
+        elif isinstance(top, ast.ClassDef):
+            methods = [f for f in top.body if isinstance(f, ast.FunctionDef)]
+            defs.update((f"{top.name}.{f.name}", f) for f in methods)
+    found, seen, todo = [], set(), list(names)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in defs:
+                todo.append(node.func.id)
+            if (isinstance(node, ast.Name) and node.id in aliases) or (
+                isinstance(node, ast.Attribute) and node.attr == "polynomial"
+            ):
+                found.append(f"{ast.unparse(node)} in {name} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", sorted(FACTOR_PATH))
+def test_factor_path_avoids_numpy_polynomial(module):
+    assert _numpy_polynomial_uses((SRC / module).read_text(), FACTOR_PATH[module]) == []
+
+
+def test_numpy_polynomial_scan_fails_copies_that_call_it():
+    poly_src = (SRC / "poly.py").read_text()
+    mutated, swapped = re.subn(
+        r"return cls\.from_cheb\(\[c \* scale for c in ps\[0\]\] if ps else \[scale\]\)",
+        "return cls.from_cheb(npcheb.chebfromroots(np.array(roots, dtype=complex)) * scale)",
+        poly_src,
+    )
+    assert swapped == 1
+    line = mutated[: mutated.index("npcheb.chebfromroots")].count("\n") + 1
+    assert _numpy_polynomial_uses(mutated, FACTOR_PATH["poly.py"]) == [
+        f"npcheb in Polynomial.from_roots (line {line})",
+    ]
+    factor_src = (SRC / "factor.py").read_text()
+    mutated, swapped = re.subn(
+        r"\n    global _sign_table\n",
+        "\n    global _sign_table\n    np.polynomial.chebyshev.chebvander(_SIGN_GRID, d)\n",
+        factor_src,
+    )
+    assert swapped == 1
+    line = mutated[: mutated.index("np.polynomial.chebyshev")].count("\n") + 1
+    assert _numpy_polynomial_uses(mutated, FACTOR_PATH["factor.py"]) == [
+        f"np.polynomial in _chebyshev_rows (line {line})",
+    ]
+    assert _numpy_polynomial_uses(
+        "from numpy.polynomial.chebyshev import chebval\nimport numpy.polynomial as P\n"
+        "def f(c):\n    return chebval(0.5, c) + P.chebyshev.chebval(0.5, c)\n"
+        "def g(c):\n    return chebval(0.5, c)\n",
+        ("f",),
+    ) == ["P in f (line 4)", "chebval in f (line 4)"]
+
+
 def _third_party_imports(source: str) -> set[str]:
     """Top-level packages of the absolute, non-stdlib imports in a source.
 
