@@ -225,9 +225,16 @@ def importance_sample(
 
 
 def _check_target(p: Polynomial) -> None:
+    """Reject a target with complex coefficients or with sup norm above 1 + 1e-9.
+
+    |T_n| <= 1 on [-1, 1], so a Chebyshev 1-norm sum |c_n| <= 1 certifies
+    the bound without the sup norm, with the whole 1e-9 to spare for the
+    round-off of either sum; only a target above that pays for its exact
+    norm.  The verdict is the exact norm's either way.
+    """
     if p.max_imag() > 1e-10:
         raise InputError("target polynomial must have real coefficients")
-    if sup_norm(p) > 1.0 + 1e-9:
+    if sum(map(abs, p.cheb)) > 1.0 and sup_norm(p) > 1.0 + 1e-9:
         raise InputError("target polynomial must have sup norm at most 1; rescale it")
 
 

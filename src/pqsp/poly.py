@@ -14,15 +14,20 @@ changes happen in this module only.  Trailing coefficients at or below 1e-12
 in magnitude are trimmed in the basis they are given in, so ``degree`` is
 always the index of the last coefficient that actually matters.
 
-The [-1, 1] sup norm comes from the colleague matrix (Battles and Trefethen,
-SIAM J. Sci. Comput. 25, 2004): |p| is evaluated at both ends and at the
-stationary points of |p|^2, for a batch of polynomials at once.  It is
-computed once per polynomial and kept on it, scalar multiples carry it
-along, and layout builders share their instances.
+The [-1, 1] sup norm evaluates |p| at both ends and at the stationary points
+of |p|^2.  A series whose slope has degree at most 3 (real of degree 2-4,
+complex of degree 2) takes them in closed form, by the quadratic formula or
+Cardano's; longer ones from the colleague matrix (Battles and Trefethen,
+SIAM J. Sci. Comput. 25, 2004), for a batch of polynomials at once.  Each
+series is first scaled by the power of two nearest its largest |c_n|, which
+is exact, so |p|^2 neither under- nor overflows.  The norm is computed once
+per polynomial and kept on it, scalar multiples carry it along, and layout
+builders share their instances.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from enum import Enum
@@ -76,8 +81,15 @@ class Parity(Enum):
         return Parity.EVEN
 
 
+def _check_finite(cs: list[complex]) -> None:
+    if not all(map(cmath.isfinite, cs)):
+        n = next(n for n, c in enumerate(cs) if not cmath.isfinite(c))
+        raise InputError(f"coefficient {n} is not finite: {cs[n]}")
+
+
 def _trim(coeffs: Iterable[complex]) -> tuple[complex, ...]:
     cs = [complex(c) for c in coeffs]
+    _check_finite(cs)
     if not cs:
         cs = [0j]
     while len(cs) > 1 and abs(cs[-1]) <= TRIM_TOL:
@@ -246,7 +258,9 @@ class Polynomial:
     def _scaled(cheb: list[complex], norm: float | None) -> "Polynomial":
         """A scalar multiple or a product, with its norm if known.  Only exact
         zeros are trimmed: the degree stays however small the top coefficient
-        gets, and a zero scale gives the zero polynomial."""
+        gets, and a zero scale gives the zero polynomial.  A non-finite
+        scale or an overflow is rejected as a constructor rejects it."""
+        _check_finite(cheb)
         while len(cheb) > 1 and cheb[-1] == 0:
             cheb.pop()
         p = Polynomial.__new__(Polynomial)
@@ -319,9 +333,8 @@ def sup_norm(p: Polynomial) -> float:
     """max |p(x)| over [-1, 1], computed on first request and kept on p.
 
     |p|^2 is extremal at the ends and at the real roots of its slope, the
-    derivative of |p|^2 (of p when p is real); the eigenvalues of the slope's
-    colleague matrix give those roots, and |p| is evaluated at both ends and
-    at the real part of every root, clipped into the interval.
+    derivative of |p|^2 (of p when p is real); |p| is evaluated at both ends
+    and at the real part of every root, clipped into the interval.
     """
     return p._norm if hasattr(p, "_norm") else _sup_norms((p,))[0]
 
@@ -334,24 +347,38 @@ def _sup_norms(polys: Sequence[Polynomial]) -> tuple[float, ...]:
     return tuple(p._norm for p in polys)
 
 
+def _binade(c: Sequence[complex]) -> int:
+    """e with max |c_n| in [2^(e-1), 2^e), kept where 2^e and 2^-e are normal."""
+    return min(max(math.frexp(max(map(abs, c)))[1], -1021), 1021)
+
+
 def _colleague_norms(series: Sequence[Sequence[complex]]) -> list[float]:
     """max |p| on [-1, 1] of each Chebyshev series.  A linear p takes the
-    larger end, as |p|^2 is convex.  Longer real and complex series form one
-    zero-padded stack each (padding adds exact zeros, so a norm does not
-    depend on the batch); a stack's slopes of one degree share one eigvals call."""
+    larger end, as |p|^2 is convex.  Any other series is scaled by 2^-e (see
+    _binade) before |p|^2 is formed, and its norm by 2^e after: exact for
+    normal numbers, so no norm moves by a bit.  One whose slope has degree
+    at most 3 takes its roots in closed form (_short_norm).  Longer real and
+    complex series form one zero-padded stack each (padding adds exact
+    zeros, so a norm does not depend on the batch); a stack's slopes of one
+    degree share one eigvals call."""
     norms = [abs(c[0]) for c in series]
     stacks: dict[bool, list[int]] = {True: [], False: []}
     for i, c in enumerate(series):
         if len(c) == 2:
             norms[i] = max(abs(c[0] + c[1]), abs(c[0] - c[1]))
         elif len(c) > 2:
-            stacks[all(z.imag == 0 for z in c)].append(i)
+            real = all(z.imag == 0 for z in c)
+            if len(c) <= (5 if real else 3):
+                norms[i] = _short_norm(c, real)
+            else:
+                stacks[real].append(i)
     for real, rows in stacks.items():
         if not rows:
             continue
         m, n = len(rows), max(len(series[i]) for i in rows) - 1
+        exps = [_binade(series[i]) for i in rows]
         cs = np.array([(*series[i], *(0j,) * (n + 1 - len(series[i]))) for i in rows])
-        cs = q = cs.real if real else cs
+        cs = q = (cs.real if real else cs) * np.array([2.0 ** -e for e in exps])[:, None]
         if not real:  # 2|p|^2, as T_i T_j = (T_{i+j} + T_{|i-j|}) / 2 fills two bins per term
             w = (cs[:, :, None] * cs.conj()[:, None, :]).real.ravel()
             i, j = np.arange(n + 1)[:, None], np.arange(n + 1)
@@ -372,9 +399,6 @@ def _colleague_norms(series: Sequence[Sequence[complex]]) -> list[float]:
         for d in degrees:  # a stack of one degree is sliced, not gathered
             at = [r for r, e in enumerate(degree) if e == d] if len(degrees) > 1 else slice(None)
             s = slopes[at, : d + 1]
-            if d < 2:
-                xs[at, 2 : 2 + d] = -s[:, :d] / s[:, d:]
-                continue
             # numpy's chebcompanion, rotated as chebroots does; the off-diagonals
             # are strided slices of each flattened matrix
             mats = np.zeros((len(s), d, d))
@@ -385,9 +409,72 @@ def _colleague_norms(series: Sequence[Sequence[complex]]) -> list[float]:
             xs[at, 2 : 2 + d] = np.linalg.eigvals(mats[:, ::-1, ::-1]).real
         xs = np.minimum(np.maximum(xs, -1.0), 1.0)
         vals = np.abs(_clenshaw(cs.T[:, :, None], xs)).max(axis=1)
-        for i, v in zip(rows, vals.tolist()):
-            norms[i] = v
+        for i, e, v in zip(rows, exps, vals.tolist()):
+            norms[i] = v * 2.0**e
     return norms
+
+
+def _short_norm(c: Sequence[complex], real: bool) -> float:
+    """_colleague_norms for one series whose slope has degree 1 to 3, scaled
+    the same way.  The slope is formed in monomial form, p' for a real p and
+    Re(p' conj p) = (|p|^2)' / 2 for a complex p of degree 2 (w_ij is
+    Re c_i conj c_j), and its roots are found in closed form."""
+    e = _binade(c)
+    if real:
+        c = [z.real * 2.0**-e for z in c]
+        c1, c2, c3, c4 = (*c[1:], 0.0, 0.0)[:4]
+        slope = [c1 - 3 * c3, 4 * c2 - 16 * c4, 12 * c3, 32 * c4]
+    else:
+        c = [z * 2.0**-e for z in c]
+        (a0, b0), (a1, b1), (a2, b2) = ((z.real, z.imag) for z in c)
+        w01, w12, w22 = a0 * a1 + b0 * b1, a1 * a2 + b1 * b2, a2 * a2 + b2 * b2
+        w02, w11 = a0 * a2 + b0 * b2, a1 * a1 + b1 * b1
+        slope = [w01 - w12, 4 * w02 + w11 - 4 * w22, 6 * w12, 8 * w22]
+    xs = {-1.0, 1.0, *(min(max(x, -1.0), 1.0) for x in _root_real_parts(slope))}
+    return max(abs(_clenshaw(c, x)) for x in xs) * 2.0**e
+
+
+def _root_real_parts(m: list[float]) -> list[float]:
+    """Real parts of the roots of sum_k m_k x^k, of degree at most 3.
+
+    Top coefficients at most 2^-52 of the largest are dropped: the roots
+    this removes lie so far out that clipping takes them to the ends.  A
+    cubic takes one real root (with three, the largest, by the trigonometric
+    form; else Cardano's) and divides it out, from the constant end if it is
+    the largest and from the top if not; the quadratic left gives the rest,
+    whichever branch round-off picks.
+    """
+    big = max(map(abs, m))
+    while m and abs(m[-1]) <= 2.0**-52 * big:
+        m.pop()
+    if len(m) < 3:
+        return [-m[0] / m[1]] if len(m) == 2 else []
+    if len(m) == 3:
+        return _quadratic_real_parts(m[2], m[1], m[0])
+    a, b, c = m[2] / m[3], m[1] / m[3], m[0] / m[3]  # x^3 + a x^2 + b x + c
+    q, r = (a * a - 3 * b) / 9, (a * (2 * a * a - 9 * b) + 27 * c) / 54
+    if r * r < q**3:
+        t = math.acos(max(-1.0, min(1.0, r / math.sqrt(q**3))))
+        x = max((-2 * math.sqrt(q) * math.cos((t + u) / 3) - a / 3
+                 for u in (0.0, 2 * math.pi, -2 * math.pi)), key=abs)
+    else:
+        u = -math.copysign(math.cbrt(abs(r) + math.sqrt(r * r - q**3)), r)
+        x = u + (q / u if u else 0.0) - a / 3
+    # (x - root)(x^2 + b x + c) is what is left
+    if abs(x) ** 3 > abs(c):
+        b, c = (-c / x - b) / x, -c / x
+    else:
+        b, c = a + x, b + x * (a + x)
+    return [x, *_quadratic_real_parts(1.0, b, c)]
+
+
+def _quadratic_real_parts(a: float, b: float, c: float) -> list[float]:
+    """Real parts of the roots of a x^2 + b x + c, a != 0, without cancellation."""
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return [-b / (2 * a)]
+    h = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [h / a, c / h] if h else [0.0]
 
 
 def chebyshev_polynomial(n: int) -> Polynomial:

@@ -132,6 +132,17 @@ class TestEstimateCommand:
         assert "value: 0.3203125" in value_line(result.stdout)
         assert json.loads(out.read_text())["report"]["breakdown"]["route"] == "direct"
 
+    def test_non_finite_coefficient_exits_2(self, runner, tmp_path):
+        poly = tmp_path / "nan.json"
+        poly.write_text('{"basis": "monomial", "coeffs": [0.1, 0, NaN, 0.2]}')
+        result = runner.invoke(
+            main,
+            ["estimate", "--property", "trace", "--state", "diag:0.75,0.25",
+             "--poly", str(poly), "--k", "2"],
+        )
+        assert result.exit_code == 2
+        assert "coefficient 2 is not finite" in result.output
+
     def test_trace_chebyshev_fallback(self, runner, tmp_path):
         # T_6's high part at k=2 is 2 (4x^2 - 3)^2 >= 0, so the direct route
         # takes it; the fallback itself is covered below

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_sup_norm, random_parity_target
-from pqsp import estimate, sim
+from pqsp import estimate, poly, sim
 from pqsp import (
     ConvergenceError,
     CostModel,
@@ -236,6 +236,69 @@ class TestEstimateDirect:
         a = estimate_direct(p, rho_34, 2, shots=5000, mode="sampled", seed=12)
         b = estimate_direct(p, rho_34, 2, shots=5000, mode="sampled", seed=12)
         assert a.value == b.value and a.std_error == b.std_error
+
+
+class TestTargetCheck:
+    """A Chebyshev 1-norm at most 1 certifies the target; above it, the exact norm decides."""
+
+    @pytest.fixture
+    def normed(self, monkeypatch):
+        seen = []
+        kernel = poly._colleague_norms
+
+        def counting(series):
+            seen.extend(tuple(c) for c in series)
+            return kernel(series)
+
+        monkeypatch.setattr(poly, "_colleague_norms", counting)
+        return seen
+
+    @staticmethod
+    def exact_verdict(cheb) -> bool:
+        return sup_norm(Polynomial.from_cheb(cheb)) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("edge", [1.0, 1.0 + 1e-9])
+    def test_verdict_at_the_edges_matches_the_exact_norm(self, edge):
+        # non-negative coefficients: the sup norm is the 1-norm, reached at x = 1;
+        # at 1 + 1e-9, sum() reads this one's 1-norm up to 2 ulps below Clenshaw's
+        # value at x = 1, so a certificate with no slack would flip verdicts
+        base = np.array([0.002738500170148095, 0.8574042765875693, 0.033585575305464355,
+                         0.7296554464299441, 0.17565562060255901, 0.8631789223498866,
+                         0.5414612202490917, 0.2997118905373848])
+        verdicts = set()
+        for steps in range(-6, 7):
+            target = edge
+            for _ in range(abs(steps)):
+                target = math.nextafter(target, math.copysign(math.inf, steps))
+            cheb = base * (target / base.sum())
+            accepted = self.exact_verdict(cheb)
+            verdicts.add(accepted)
+            if accepted:
+                estimate._check_target(Polynomial.from_cheb(cheb))
+            else:
+                with pytest.raises(InputError, match="sup norm at most 1; rescale it"):
+                    estimate._check_target(Polynomial.from_cheb(cheb))
+        assert verdicts == ({True} if edge == 1.0 else {True, False})
+
+    def test_one_norm_above_one_takes_the_exact_norm(self, normed):
+        p = Polynomial.from_cheb([0, 0.6, 0, -0.6])  # 1-norm 1.2, sup norm 0.924
+        estimate._check_target(p)
+        assert normed == [p.cheb]
+        assert sup_norm(p) == pytest.approx(1.6 / math.sqrt(3), rel=1e-12)
+
+    def test_sup_norm_above_one_rejected(self, rho_34):
+        p = Polynomial.from_cheb([0.1, 0.6, 0, -0.6])  # sup norm 1.024 at x = 1/sqrt(3)
+        with pytest.raises(InputError, match="sup norm at most 1; rescale it"):
+            estimate._check_target(p)
+        with pytest.raises(InputError, match="sup norm at most 1; rescale it"):
+            estimate_direct(Polynomial([0, 0, 1.5]), rho_34, 1)
+
+    def test_certified_target_is_never_normed(self, rho_34, normed):
+        p = Polynomial([0.1, -0.2, 0.3, 0, 0.2])  # Chebyshev 1-norm 0.8
+        assert sum(map(abs, p.cheb)) < 1.0
+        rep = estimate_direct(p, rho_34, 2)
+        assert rep.value == pytest.approx(sum(p(lam).real for lam in (0.75, 0.25)), abs=1e-10)
+        assert normed and p.cheb not in normed
 
 
 class TestEstimateChebyshev:

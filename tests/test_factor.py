@@ -157,13 +157,25 @@ class TestLeanRoots:
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
-        for seed, half, k in [(8, 6, 3), (9, 7, 3), (10, 8, 2), (11, 5, 4)]:
+        counted = 0
+        for seed, half, k in [(8, 6, 3), (9, 7, 3), (10, 8, 2), (11, 5, 4), (12, 9, 2)]:
             source = random_nonneg(np.random.default_rng(seed), half)
             calls.clear()
             plan = factorize_nonneg(source, k)
-            # each factor's slope is (|R_j|^2)', of degree 2 deg(R_j) - 1
-            sizes = {2 * f.degree - 1 for f in plan.factors if f.degree > 1}
+            # each factor's slope is (|R_j|^2)', of degree 2 deg(R_j) - 1;
+            # slopes of degree at most 3 take their roots in closed form
+            sizes = {2 * f.degree - 1 for f in plan.factors if 2 * f.degree - 1 > 3}
             assert len(calls) == 1 + len(sizes), (seed, calls)
+            counted += len(sizes)
+        assert counted >= 2
+        # phase-circuit plans: k + 1 root pairs over k threads, so every
+        # factor is short and the companion matrix is the only eigvals call
+        for seed, k in [(13, 2), (14, 3), (15, 2), (16, 3)]:
+            source = random_nonneg(np.random.default_rng(seed), k + 1)
+            calls.clear()
+            plan = factorize_nonneg(source, k)
+            assert max(f.degree for f in plan.factors) <= 2
+            assert calls == [(2 * k + 2, 2 * k + 2)], (seed, calls)
 
     def test_polish_stops_at_round_off(self):
         # benchmark-style sources with 3-4 root pairs: simple roots whose |p| is

@@ -185,6 +185,156 @@ class TestSupNorm:
             assert sup_norm(p) == pytest.approx(dense_sup_norm(c), rel=1e-9), d
 
 
+def chebroots_norm(c) -> float:
+    """Reference max |p| on [-1, 1] from numpy: the roots of the same slope,
+    (|p|^2)' or p', by chebroots, and |p| at the ends and their clipped real parts."""
+    c = np.asarray(c, dtype=complex)
+    q = npcheb.chebmul(c, c.conj()).real if c.imag.any() else c.real
+    xs = np.clip(npcheb.chebroots(npcheb.chebder(q)).real, -1.0, 1.0)
+    return float(np.abs(npcheb.chebval(np.concatenate(([-1.0, 1.0], xs)), c)).max())
+
+
+def short_series(rng, count):
+    """count series whose slope has degree 1-3: real of degree 2-4 and
+    complex of degree 2, with coefficients over six decades of scale."""
+    series = []
+    for i in range(count):
+        d = (2, 3, 4, 2)[i % 4]
+        c = rng.normal(size=d + 1) / (1.0 + np.arange(d + 1)) ** rng.uniform(0, 3)
+        if i % 4 == 3:
+            c = c + 1j * rng.normal(size=d + 1)
+        series.append(tuple(complex(z) for z in c * 10.0 ** rng.uniform(-3, 3)))
+    return series
+
+
+class TestShortNorms:
+    """Series whose slope has degree at most 3 take its roots in closed form."""
+
+    def test_closed_form_matches_references(self):
+        # every series against numpy's roots of the same slope; every fifth
+        # also against the dense grid, which costs 4x as much
+        series = short_series(np.random.default_rng(2024), 20_000)
+        for i, (c, norm) in enumerate(zip(series, poly._colleague_norms(series))):
+            for ref in (chebroots_norm(c), *([dense_sup_norm(c)] if i % 5 == 0 else [])):
+                assert abs(norm - ref) <= 1e-12 * ref, (c, norm, ref)
+
+    @pytest.mark.parametrize("cheb, exact", [
+        ((0, -2.25, 0, 0.25), 2.0),  # x^3 - 3x: stationary exactly at +-1
+        ((1.5 + 0.5j, -2, 0.5), math.sqrt(16.25)),  # (x - 1)^2 + i/2: triple slope root at 1
+        ((0.375, 0, 0.5, 0, 0.125), 1.0),  # x^4: slope root x^3
+        ((0.34375, 0, 0.375, 0, 0.03125), 0.75),  # x^4/4 + x^2/2: slope x^3 + x, real root 0
+        (tuple(npcheb.poly2cheb(np.poly([0.3] * 4)[::-1])), 1.3**4),  # (x - 0.3)^4
+        (tuple(npcheb.poly2cheb([0, 0.09, -0.255, 0.4 / 3, 0.25])), None),  # slope (x-0.3)^2 (x+1)
+        ((0, 1e3, 1e2, 5e2, 1e-10), None),  # top slope coefficient 5e-13 of the rest
+        ((0, 0.6, 0, -0.6, 1e-13), None),  # ... and an interior maximum, 0.924
+        ((0, 1e3, 1e2, 1e-10), None),
+        ((1, 0.5 + 0.2j, 3e-7 - 1e-7j), None),
+        ((1, 1e-7j, 1e-7), None),  # complex p with nearly constant |p|
+        ((0.6, 0.8j, 1e-9), None),
+    ])
+    def test_edge_cases(self, cheb, exact):
+        norm = poly._colleague_norms([tuple(map(complex, cheb))])[0]
+        assert norm == pytest.approx(chebroots_norm(cheb), rel=1e-12)
+        assert norm == pytest.approx(dense_sup_norm(cheb), rel=1e-12)
+        if exact is not None:
+            assert norm == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("base", [
+        (0, 0.6, 0, -0.6),  # slope roots +-1/sqrt(3), midpoint 0, where |p| is 0
+        (0.1, 0.6, 0.2, -0.6),
+        (0, 0.3, 0.4, 0.1),
+        (0.2, -0.5, 0.1, 0.3),
+    ])
+    def test_small_top_coefficient_sweep(self, base):
+        # a c_4 from 1e-15 to 1e-7 of the rest puts a slope root far out, and
+        # q^3 - r^2 under round-off, so either cubic branch may be taken; the
+        # two moderate roots must come out of both
+        for eps in np.logspace(-15, -7, 33):
+            for c in ((*base, eps), (*base, -eps)):
+                norm = poly._colleague_norms([tuple(map(complex, c))])[0]
+                assert norm == pytest.approx(chebroots_norm(c), rel=1e-12), c
+                assert norm == pytest.approx(dense_sup_norm(c), rel=1e-12), c
+
+    def test_slopes_with_far_roots(self):
+        # real p of degree 4 whose slope has one root near [-1, 1] and a
+        # complex pair of size up to 1e8, or two near and one that far
+        rng = np.random.default_rng(5)
+        for i in range(600):
+            far = 10.0 ** rng.uniform(0, 8)
+            near = rng.uniform(-1.2, 1.2, size=2)
+            if i % 2:
+                roots = [near[0], near[1], far * rng.choice([-1, 1])]
+            else:
+                roots = [near[0], far * np.exp(1j * rng.uniform(0, np.pi))]
+                roots.append(roots[1].conjugate())
+            slope = np.polynomial.polynomial.polyfromroots(roots).real / far
+            c = npcheb.poly2cheb(np.polynomial.polynomial.polyint(slope, k=rng.normal()))
+            c = tuple(map(complex, c / np.abs(c).max()))
+            norm = poly._colleague_norms([c])[0]
+            assert norm == pytest.approx(chebroots_norm(c), rel=1e-12), c
+            if i % 10 == 0:
+                assert norm == pytest.approx(dense_sup_norm(c), rel=1e-12), c
+
+    @pytest.mark.parametrize("cheb", [
+        (0.5, 0.3j, 0.2),
+        (0.6, 0.1j, -0.4),  # |p| peaks at x = 0
+        (0.1, -0.7, 0.2, 0.05),
+        tuple(0.5 / (1 + n) + 0.3j / (2 + n) for n in range(9)),
+        tuple(0.5 / (1 + n) for n in range(12)),
+    ])
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**500])
+    def test_power_of_two_scaling_is_exact(self, cheb, scale):
+        # |c_2|^2 of an unscaled 2^-600 complex series underflows to 0 (numpy's
+        # LinAlgError before). p * scale keeps every coefficient (only from_cheb
+        # trims); p is scaled before it is normed, so the product carries no norm
+        p = Polynomial.from_cheb(cheb)
+        scaled = p * scale
+        assert sup_norm(scaled) == sup_norm(p) * scale
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_constructors_name_the_coefficient(self, bad):
+        for build in (Polynomial, Polynomial.from_cheb):
+            with pytest.raises(InputError, match="coefficient 1 is not finite"):
+                build([0.5, bad, 0.25])
+        with pytest.raises(InputError, match="coefficient 2 is not finite"):
+            Polynomial.from_dict(
+                {"basis": "chebyshev", "coeffs": [0.5, 0.1, [bad.real, bad.imag]]}
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_entry_point_raises_input_error(self, bad, rho_34):
+        from pqsp import (estimate_chebyshev, estimate_direct, find_phases,
+                          monomial_poly_trace, parallel_qsp_run)
+
+        calls = {
+            "sup_norm": lambda c: sup_norm(Polynomial.from_cheb(c)),
+            "estimate_direct": lambda c: estimate_direct(Polynomial(c), rho_34, 2),
+            "estimate_chebyshev": lambda c: estimate_chebyshev(Polynomial.from_cheb(c), rho_34, 2),
+            "monomial_poly_trace": lambda c: monomial_poly_trace(Polynomial(c), rho_34, 2),
+            "factorize_nonneg": lambda c: factorize_nonneg(Polynomial(c), 1),
+            "find_phases": lambda c: find_phases(Polynomial.from_cheb(c)),
+            "parallel_qsp_run": lambda c: parallel_qsp_run([Polynomial(c)], rho_34),
+        }
+        for call in calls.values():
+            with pytest.raises(InputError, match="not finite"):
+                call([0.1, 0.0, bad * 0.5, 0.1])
+
+
+    @pytest.mark.parametrize("build", [
+        lambda p: p * math.nan,
+        lambda p: p * complex(0, math.nan),
+        lambda p: p / math.nan,
+        lambda p: p * 1e300 * 1e300,  # overflows to inf
+        lambda p: (p * 1e200) * (p * 1e200),
+    ])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_scaled_and_products_raise_input_error(self, build):
+        with pytest.raises(InputError, match="not finite"):
+            sup_norm(build(Polynomial([0.1, 0.2, 0.3, 0.1, 0.2])))
+
+
 class TestNormMemo:
     @pytest.fixture
     def scans(self, monkeypatch):
