@@ -251,6 +251,13 @@ def estimate(
     click.echo(f"value: {value:.9g} +/- {err:.3g}")
     click.echo(f"depth: {report.query_depth}  width: {report.width}")
     click.echo(f"shots: used {report.shots_used}, predicted {report.predicted_shots}")
+    if report.breakdown.get("stage_shots"):
+        parts = [
+            f"{s['pilot']}+{s['main']}"
+            + ("" if s["spread"] is None else f" (spread {s['spread']:.3g})")
+            for s in report.breakdown["stage_shots"]
+        ]
+        click.echo(f"stage shots (pilot+main): {', '.join(parts)}", err=True)
 
     snapshot = dataclasses.asdict(cfg)
     record = RunRecord(

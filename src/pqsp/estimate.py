@@ -12,12 +12,14 @@ ln(s)/(1 - alpha) transform).
 
 Each estimator plans its stages and _run_stages, the one place that splits
 a budget and builds samplers, runs them.  A stage is a bound read-out, its
-scale, its count of budget slots and its ShotSampler child path.  Exact mode
-gives every stage "exact"; a sampled budget needs an integer of at least one
-shot per slot and splits evenly (the first `budget mod slots` slots take one
-more).  estimate_chebyshev gives each parity part two slots, both to one
-stage when the other does not run.  An estimator's `seed` keys one
-ShotSampler, and each stage draws from its own child stream.
+scale and its ShotSampler child path.  Exact mode gives every stage "exact";
+a sampled budget needs an integer of at least one shot per stage.  One
+stage takes it whole.  Two or more first draw a pilot of ceil(sqrt(budget))
+shots each, charged to the budget but not pooled, and split the rest in
+proportion to each stage's pilot-measured per-shot spread times its scale
+(Neyman allocation), at least one shot each; a budget too small for the
+pilot splits evenly.  An estimator's `seed` keys one ShotSampler, and each
+stage draws both its pilot and its main shots from its own child stream.
 
 Reports also carry the closed-form predicted shot count for the chosen
 route (unit leading constant; these are order-of-magnitude planners, not
@@ -36,7 +38,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -67,6 +69,7 @@ from .sim import (
     parallel_qsp_run,
     parallel_qsp_runs,
     query_depth_report,
+    redraw,
     spectral_hadamard_test,
 )
 
@@ -241,46 +244,88 @@ def _check_target(p: Polynomial) -> None:
 @dataclass(frozen=True)
 class _Stage:
     """One read-out of a plan: read(shots, sampler=) returns its Estimate,
-    scale maps that to the trace it measures, shares is its count of budget
-    slots and stream its ShotSampler child path."""
+    scale maps that to the trace it measures and stream is its ShotSampler
+    child path."""
 
     read: Callable[..., Estimate]
     scale: float = 1.0
-    shares: int = 1
     stream: tuple[int, ...] = ()
 
 
-def _hadamard_stage(
-    p: Polynomial, rho: DensityMatrix, stream: tuple[int, ...], shares: int = 1
-) -> _Stage:
+def _hadamard_stage(p: Polynomial, rho: DensityMatrix, stream: tuple[int, ...]) -> _Stage:
     """tr(p(rho)) as D * ||p|| * Re tr((I/D) * p(rho)/||p||), a Hadamard test."""
-    return _Stage(
-        partial(spectral_hadamard_test, p, rho, "mixed"), rho.dim * sup_norm(p), shares, stream
-    )
+    return _Stage(partial(spectral_hadamard_test, p, rho, "mixed"), rho.dim * sup_norm(p), stream)
 
 
 def _run_stages(
-    stages: Sequence[_Stage], shots: ShotPolicy, mode: Mode, seed: int | None
+    stages: Sequence[_Stage],
+    shots: ShotPolicy,
+    mode: Mode,
+    seed: int | None,
+    breakdown: dict | None = None,
 ) -> list[Estimate]:
     """Each stage's scaled Estimate, read on its own child of one ShotSampler.
 
     Exact mode reads every stage "exact".  Otherwise the budget must be an
-    integer of at least the total slot count; it splits evenly over the
-    slots (the first `budget mod slots` take one more), and each stage
-    takes the sum of its `shares` consecutive slots.
+    integer of at least the stage count, and one stage reads it whole.  Two
+    or more first read a pilot of ceil(sqrt(budget)) shots each.  The pilot
+    is charged to the stage's shots_used, but its outcomes are not pooled:
+    they only set the stage's spread, |scale| times _pilot_spread.  The rest
+    of the budget splits in proportion to the spreads, at least one shot
+    each (_neyman_split), and each stage redraws its main shots from its
+    pilot's source, the outcome law its read-out computed once, on the same
+    stream; a read-out without a source is read again.  A budget below
+    stages * (pilot + 1) splits evenly (the first `budget mod stages` take
+    one more).  Given a breakdown, a sampled run of two or more stages
+    records each stage's pilot shots, main shots and spread (None without a
+    pilot) as stage_shots, in stage order.
     """
-    slots = sum(s.shares for s in stages)
-    if mode == "exact":
-        counts = ["exact"] * len(stages)
-    else:
-        base, rem = divmod(_check_shots(shots, slots), max(slots, 1))
-        split = iter([base + (i < rem) for i in range(slots)])
-        counts = [sum(islice(split, s.shares)) for s in stages]
     root = ShotSampler(seed)
-    return [
-        s.scale * s.read(n, sampler=reduce(ShotSampler.child, s.stream, root))
-        for s, n in zip(stages, counts)
-    ]
+    samplers = [reduce(ShotSampler.child, s.stream, root) for s in stages]
+    if mode == "exact":
+        return [s.scale * s.read("exact", sampler=smp) for s, smp in zip(stages, samplers)]
+    budget = _check_shots(shots, len(stages))
+    pilot = math.isqrt(max(budget - 1, 0)) + 1  # ceil(sqrt(budget)) for budget >= 1
+    if len(stages) < 2 or len(stages) * (pilot + 1) > budget:
+        base, rem = divmod(budget, max(len(stages), 1))
+        mains = [base + (i < rem) for i in range(len(stages))]
+        ests = [s.scale * s.read(n, sampler=smp) for s, smp, n in zip(stages, samplers, mains)]
+        pilot, spreads = 0, [None] * len(stages)
+    else:
+        firsts = [s.read(pilot, sampler=smp) for s, smp in zip(stages, samplers)]
+        spreads = [abs(s.scale) * _pilot_spread(f, pilot) for s, f in zip(stages, firsts)]
+        mains = _neyman_split(budget - len(stages) * pilot, spreads)
+        ests = []
+        for s, smp, first, n in zip(stages, samplers, firsts, mains):
+            est = redraw(first, n) if first.source else s.read(n, sampler=smp)
+            ests.append(s.scale * Estimate(est.value, est.std_error, pilot + est.shots_used))
+    if breakdown is not None and len(stages) > 1:
+        breakdown["stage_shots"] = [
+            {"pilot": pilot, "main": n, "spread": sp} for n, sp in zip(mains, spreads)
+        ]
+    return ests
+
+
+def _pilot_spread(first: Estimate, pilot: int) -> float:
+    """The per-shot standard deviation a pilot of `pilot` shots measured.
+
+    It is floored at one outcome's worth, source.worth / sqrt(pilot), the
+    spread the pilot would show had one of its shots read one worth away from
+    the rest, so a stage whose pilot saw no spread still gets its share.
+    """
+    floor = first.source.worth / math.sqrt(pilot) if first.source else 0.0
+    return max(first.std_error * math.sqrt(pilot), floor)
+
+
+def _neyman_split(total: int, weights: Sequence[float]) -> list[int]:
+    """total shots in proportion to weights, at least one each; all-zero weights
+    split evenly.  The spare shots are cut at the floors of their cumulative
+    weighted shares, so the counts sum to total exactly."""
+    weights = weights if any(weights) else [1.0] * len(weights)
+    spare, w_sum = total - len(weights), sum(weights)
+    cuts = [min(spare, math.floor(spare * (acc / w_sum))) for acc in accumulate(weights[:-1])]
+    cuts.append(spare)
+    return [1 + b - a for a, b in zip([0, *cuts], cuts)]
 
 
 def _report(est: Estimate, **fields) -> EstimationReport:
@@ -303,10 +348,11 @@ def estimate_direct(
     Splits P = P_low + x^k * P_high; the low part goes through a sequential
     Hadamard test, the high part is factorized into k threads, rescaled, and
     run in parallel, with the squared factorization constant undoing the
-    rescale attenuation.  Sampled mode divides the shot budget evenly
-    between the two branches.  A high constituent that is not non-negative
-    on the real line raises NotNonNegativeError; estimate_chebyshev takes
-    any bounded P.
+    rescale attenuation.  Sampled mode splits the shot budget between the
+    two branches by a pilot's measured spread (see _run_stages) and records
+    the split as breakdown["stage_shots"].  A high constituent that is not
+    non-negative on the real line raises NotNonNegativeError;
+    estimate_chebyshev takes any bounded P.
     """
     _check_target(p)
     if k < 1:
@@ -329,7 +375,7 @@ def estimate_direct(
         plan = rescale_factors(factorize_nonneg(p_high, k))
         factors = list(plan.factors)
         read = partial(parallel_qsp_run, factors, rho)
-        stages["w_high"] = _Stage(read, plan.stored_constant ** 2, 1, (1,))
+        stages["w_high"] = _Stage(read, plan.stored_constant ** 2, (1,))
         parallel_depth, threads = query_depth_report(factors)
         width = max(threads, k)
         breakdown.update(
@@ -339,7 +385,7 @@ def estimate_direct(
         )
 
     # every stage is planned, so a rejected high part fails before any read-out
-    ests = _run_stages(list(stages.values()), shots, mode, seed)
+    ests = _run_stages(list(stages.values()), shots, mode, seed, breakdown)
     breakdown.update(zip(stages, (est.value for est in ests)))
     model = CostModel(
         epsilon=epsilon,
@@ -365,30 +411,28 @@ def _chebyshev_part(
     count) run the whole part sequentially; otherwise the low constituent is
     read sequentially and the high constituent goes through the basis-product
     term decomposition, all terms in one batch of parallel runs.  Part i
-    owns two budget slots and streams 2i (low) and 2i + 1 (high); a stage
-    whose partner does not run takes both slots.  stages are keyed by the
+    reads on streams 2i (low) and 2i + 1 (high).  stages are keyed by the
     info entry their value fills, which info holds as None until then.
     """
     d_part = part.degree
     if k_part < 1 or d_part <= k_part:
         info = {"sequential": True, "depth": query_depth_report([part])[0], "w": None}
-        return {"w": _hadamard_stage(part, rho, (2 * i,), 2)}, info
+        return {"w": _hadamard_stage(part, rho, (2 * i,))}, info
 
     p_low, p_high = split_constituents(part, k_part)
     terms = chebyshev_parallel_terms(p_high, k_part, d_part)
     table, index = term_layout(terms, k_part)
-    shares = 1 if not p_low.is_zero() and len(terms.coeff) else 2
     stages: dict[str, _Stage] = {}
     info: dict = {"sequential": False, "k_part": k_part}
     if not p_low.is_zero():
-        stages["w_low"] = _hadamard_stage(p_low, rho, (2 * i,), shares)
+        stages["w_low"] = _hadamard_stage(p_low, rho, (2 * i,))
         info.update(w_low=None, low_depth=query_depth_report([p_low])[0])
     info["term_count"] = len(terms.coeff)
     info["term_one_norm"] = terms.one_norm
     info["parallel_depth"] = query_depth_report(table)[0]
     if len(terms.coeff):
         read = partial(importance_sample, terms.coeff, table, index, rho)
-        stages["w_high"] = _Stage(read, 1.0, shares, (2 * i + 1,))
+        stages["w_high"] = _Stage(read, 1.0, (2 * i + 1,))
         info["w_high"] = None
     return stages, info
 
@@ -407,7 +451,9 @@ def estimate_chebyshev(
     P splits into parity parts; each part gets the thread count of matching
     parity (k or k-1) so its high constituent is expressible as products of
     bounded basis polynomials, which never need a factorization constant.
-    Terms are recombined exactly or by importance sampling.
+    Terms are recombined exactly or by importance sampling.  Sampled mode
+    splits the budget over all parts' stages by a pilot's measured spread
+    (see _run_stages) and records the split as breakdown["stage_shots"].
     """
     _check_target(p)
     if k < 1:
@@ -422,9 +468,11 @@ def estimate_chebyshev(
     ]
 
     plans = [_chebyshev_part(part, kp, rho, i) for i, (_, part, kp) in enumerate(jobs)]
-    ests = iter(_run_stages([s for st, _ in plans for s in st.values()], shots, mode, seed))
-    total = Estimate(0.0, 0.0)
     breakdown: dict = {}
+    ests = iter(
+        _run_stages([s for st, _ in plans for s in st.values()], shots, mode, seed, breakdown)
+    )
+    total = Estimate(0.0, 0.0)
     actual_depth = 0
     actual_width = 0
     for (name, _, kp), (stages, info) in zip(jobs, plans):
@@ -784,11 +832,17 @@ def _entropy_from_poly_trace(
     q is fitted on [delta, 1] to the error budget/(2*dim), or budget/(2*rank)
     on the rank route, shrunk below unit norm, traced by estimate_chebyshev
     and scaled back.  Auto shots and predicted_shots quote `route` for
-    `model` at the approximant's degree.
+    `model` at the approximant's degree.  The certificate covers eigenvalues
+    in [delta, 1] only: the breakdown records the spectral mass of rho's
+    nonzero eigenvalues below delta as mass_below_delta (0.0 on the spectrum
+    route), and a notice when it is positive, since the error there is not
+    bounded.
     """
     if k < 1:
         raise InputError(f"thread count must be at least 1, got {k}")
     dval, droute = _resolve_delta(rho, delta, rank)
+    w = rho.eigenvalues()
+    mass = float(w[(w > 1e-12) & (w < dval)].sum())
     eps_prime = budget / (2.0 * rank if droute == "rank" else 2.0 * rho.dim)
     poly, deg, cert = _fit_odd_approximant(f, dval, eps_prime)
     predicted = predict_cost(replace(model, d=deg), route)
@@ -798,6 +852,10 @@ def _entropy_from_poly_trace(
         poly * shrink, rho, k, shots=predicted if auto else shots, mode=mode,
         epsilon=model.epsilon, seed=seed,
     )
+    notice = {} if mass <= 0.0 else {
+        "notice": f"spectral mass {mass:.3g} lies below delta = {dval:.3g}, outside the "
+        "approximant's certificate on [delta, 1]; the error bound does not cover it"
+    }
     return replace(
         sub,
         value=sub.value / shrink,
@@ -811,6 +869,8 @@ def _entropy_from_poly_trace(
             approximant_degree=deg,
             approximant_error=cert,
             eps_prime=eps_prime,
+            mass_below_delta=mass,
+            **notice,
         ),
     )
 

@@ -12,7 +12,9 @@ without ever renormalizing by the success probability.  The two one-ancilla
 read-outs share _readout: the exact value, or Bernoulli shots drawn from the
 caller's ShotSampler.  joint_readout is the one place that draws
 (+1, -1, discard) shots of parallel runs: one multinomial draw per stage,
-however many coefficient-weighted runs it pools.
+however many coefficient-weighted runs it pools.  Each read-out computes its
+outcome law once; a sampled Estimate keeps it as `source`, and redraw draws
+more shots of the same law on the same stream without computing it again.
 
 Two execution modes exist.  "direct" works on rho's eigenvalues w_i alone:
 every thread block P_j(rho) is a function of rho, so one eigenbasis
@@ -39,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -57,6 +59,7 @@ __all__ = [
     "layout_table",
     "parallel_qsp_runs",
     "joint_readout",
+    "redraw",
     "parallel_qsp_run",
     "query_depth_report",
 ]
@@ -75,12 +78,17 @@ class Estimate:
 
     Estimators assemble their stages arithmetically: a + b is the sum of two
     independent stages (variances and shots add) and c * est rescales a
-    stage by a known constant.
+    stage by a known constant.  A read-out's sampled Estimate keeps its
+    outcome law as source, for redraw.  Exact values, sums and rescaled
+    estimates have none.
     """
 
     value: float
     std_error: float
     shots_used: int = 0
+    source: "_AncillaShots | _JointShots | None" = field(
+        default=None, compare=False, repr=False
+    )
 
     def __add__(self, other: "Estimate") -> "Estimate":
         return Estimate(
@@ -149,19 +157,45 @@ def _integer(value, name: str, low: int = 0) -> int:
     return int(value)
 
 
-def _readout(value: float, shots: ShotSpec, sampler: "ShotSampler | None") -> Estimate:
-    """The exact value, or Bernoulli shots of a one-ancilla read-out of it.
+class _AncillaShots:
+    """The outcome law of a one-ancilla read-out of value, on one stream.
 
-    The ancilla reads 0 with probability p = 1/2 + value/2; sampled mode
-    returns 2*p_hat - 1 with standard error 2*sqrt(p_hat(1-p_hat)/shots).
+    The ancilla reads 0 with probability p = 1/2 + value/2, and each shot is
+    worth +1 or -1.  Calling it with n draws n shots and returns 2*p_hat - 1
+    with standard error 2*sqrt(p_hat(1-p_hat)/n).
     """
+
+    __slots__ = ("p", "sampler")
+    worth = 1.0
+
+    def __init__(self, value: float, sampler: ShotSampler):
+        self.p = 0.5 + 0.5 * min(1.0, max(-1.0, value))
+        self.sampler = sampler
+
+    def __call__(self, n: int) -> Estimate:
+        p_hat = self.sampler.bernoulli_count(self.p, n) / n
+        se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+        return Estimate(2.0 * p_hat - 1.0, 2.0 * se, n, self)
+
+
+def _readout(value: float, shots: ShotSpec, sampler: "ShotSampler | None") -> Estimate:
+    """The exact value, or Bernoulli shots of a one-ancilla read-out of it."""
     if shots == "exact":
         return Estimate(value=float(value), std_error=0.0, shots_used=0)
     n = _check_shots(shots)
-    p = 0.5 + 0.5 * min(1.0, max(-1.0, value))
-    p_hat = _as_sampler(sampler).bernoulli_count(p, n) / n
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
-    return Estimate(value=2.0 * p_hat - 1.0, std_error=2.0 * se, shots_used=n)
+    return _AncillaShots(value, _as_sampler(sampler))(n)
+
+
+def redraw(est: Estimate, shots: int) -> Estimate:
+    """shots fresh shots of the sampled read-out behind est, alone.
+
+    They come from the outcome law the read-out computed once, est.source,
+    on the same ShotSampler stream, so nothing is evaluated again.  An
+    Estimate without a source (exact, summed or rescaled) raises InputError.
+    """
+    if est.source is None:
+        raise InputError("only a sampled read-out's own Estimate can be redrawn")
+    return est.source(_check_shots(shots))
 
 
 class DensityMatrix:
@@ -462,6 +496,8 @@ def joint_readout(
     run with no coefficients that is multinomial(n, [p+, p-, 1 - q]).  The
     value ||c||_1 sum_j sign(c_j)(n_{j+} - n_{j-})/n is unbiased, and its
     standard error comes from the pooled second moment, corrected by n/(n-1).
+    The cell probabilities are computed once, and the Estimate's source
+    draws more shots from them.
     """
     q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
     c = np.ones(z.shape) if coeffs is None else np.asarray(coeffs, dtype=float)
@@ -481,16 +517,32 @@ def joint_readout(
         [q * 0.5 * (1.0 + z_cond), q * 0.5 * (1.0 - z_cond), np.maximum(0.0, 1.0 - q)], axis=1
     )
     pvals = (np.abs(c) / one_norm)[:, None] * cells
-    counts = _as_sampler(sampler).multinomial(n, pvals.ravel())
-    n_plus, n_minus = counts[0::3], counts[1::3]
-    mean = float(np.dot(np.sign(c), n_plus - n_minus)) / n
-    second_moment = float(np.sum(n_plus + n_minus)) / n
-    var = max(second_moment - mean * mean, 0.0)
-    if n > 1:
-        var *= n / (n - 1)
-    return Estimate(
-        value=one_norm * mean, std_error=one_norm * math.sqrt(var / n), shots_used=n
-    )
+    return _JointShots(pvals.ravel(), np.sign(c), one_norm, _as_sampler(sampler))(n)
+
+
+class _JointShots:
+    """The outcome law of coefficient-weighted parallel runs, on one stream.
+
+    pvals are joint_readout's 3T cell probabilities, run by run in the order
+    (+1, -1, discard), and each shot is worth sign(c_j) * (+-worth) or 0,
+    worth = ||c||_1.  Calling it with n makes one multinomial draw of n shots
+    and returns the pooled mean with its n/(n-1)-corrected standard error.
+    """
+
+    __slots__ = ("pvals", "sign", "worth", "sampler")
+
+    def __init__(self, pvals: np.ndarray, sign: np.ndarray, worth: float, sampler: ShotSampler):
+        self.pvals, self.sign, self.worth, self.sampler = pvals, sign, worth, sampler
+
+    def __call__(self, n: int) -> Estimate:
+        counts = self.sampler.multinomial(n, self.pvals)
+        n_plus, n_minus = counts[0::3], counts[1::3]
+        mean = float(np.dot(self.sign, n_plus - n_minus)) / n
+        second_moment = float(np.sum(n_plus + n_minus)) / n
+        var = max(second_moment - mean * mean, 0.0)
+        if n > 1:
+            var *= n / (n - 1)
+        return Estimate(self.worth * mean, self.worth * math.sqrt(var / n), n, self)
 
 
 def parallel_qsp_run(

@@ -278,6 +278,32 @@ class TestEstimateCommand:
         assert a.exit_code == b.exit_code == 0
         assert value_line(a.stdout) == value_line(b.stdout)
 
+    def test_sampled_split_on_one_stderr_line(self, runner, tmp_path):
+        # a low and a high stage: each line entry is pilot+main (spread)
+        poly = write_poly(tmp_path / "p.json", [0.1, -0.2, 0.3, 0, 0.2])
+        out = tmp_path / "run.json"
+        result = runner.invoke(
+            main,
+            ["estimate", "--property", "trace", "--state", "diag:0.75,0.25", "--poly", poly,
+             "--k", "2", "--mode", "sampled", "--shots", "20000", "--seed", "7",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        split = json.loads(out.read_text())["report"]["breakdown"]["stage_shots"]
+        lines = [ln for ln in result.stderr.splitlines() if ln.startswith("stage shots")]
+        assert lines == [
+            "stage shots (pilot+main): "
+            + ", ".join(f"{s['pilot']}+{s['main']} (spread {s['spread']:.3g})" for s in split)
+        ]
+        assert sum(s["pilot"] + s["main"] for s in split) == 20000
+        assert "stage shots" not in result.stdout
+        single = runner.invoke(
+            main,
+            ["estimate", "--property", "renyi", "--state", "diag:0.75,0.25", "--alpha", "6",
+             "--k", "2", "--mode", "sampled", "--shots", "20000", "--seed", "7"],
+        )
+        assert "stage shots" not in single.stderr
+
     def test_seed_envvar(self, runner):
         args = ["estimate", "--property", "renyi", "--state", "diag:0.75,0.25",
                 "--alpha", "6", "--k", "2", "--mode", "sampled", "--shots", "20000"]

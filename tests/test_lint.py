@@ -309,6 +309,63 @@ def test_plumbing_scan_fails_a_copy_that_builds_its_own_sampler():
     ]
 
 
+def _side_draws(source: str) -> list[str]:
+    """.binomial( and .multinomial( calls that bypass the ShotSampler.
+
+    Inside a ShotSampler method a draw is made on its generator, self.rng;
+    anywhere else it must call a ShotSampler's own method, on a receiver
+    named sampler (or self.sampler).  So a stage's pilot and main draws both
+    come from the sampler stream the executor gave it, never from a side
+    generator.  Each flagged call reads "<method> in <definition>".
+    """
+    found = []
+
+    def visit(node, where, in_sampler):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = child.name if where is None else f"{where}.{child.name}"
+                visit(child, name, in_sampler or (isinstance(child, ast.ClassDef)
+                                                  and child.name == "ShotSampler"))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("binomial", "multinomial")
+            ):
+                receiver = ast.unparse(child.func.value)
+                allowed = ("self.rng",) if in_sampler else ("sampler", "self.sampler")
+                if receiver not in allowed:
+                    found.append(f"{child.func.attr} in {where or '<module>'}")
+            visit(child, where, in_sampler)
+
+    visit(ast.parse(source), None, False)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", ["sim.py", "estimate.py"])
+def test_every_draw_goes_through_the_sampler(module):
+    assert _side_draws((SRC / module).read_text()) == []
+
+
+def test_draw_scan_fails_a_copy_with_a_side_generator():
+    source = (SRC / "sim.py").read_text()
+    mutated, added = re.subn(
+        r"\n    return _JointShots\(",
+        "\n    counts = np.random.default_rng(0).multinomial(n, pvals.ravel())"
+        "\n    return _JointShots(",
+        source,
+    )
+    assert added == 1
+    assert _side_draws(mutated) == ["multinomial in joint_readout"]
+    assert _side_draws(
+        "class ShotSampler:\n"
+        "    def ok(self, n, p):\n        return self.rng.binomial(n, p)\n"
+        "    def side(self, n, p):\n        return np.random.default_rng().binomial(n, p)\n"
+        "def through(sampler, n, p):\n    return sampler.multinomial(n, p)\n"
+        "def own(rng, n, p):\n    return rng.multinomial(n, p)\n"
+    ) == ["binomial in ShotSampler.side", "multinomial in own"]
+
+
 def _norm_checks(source: str) -> list[str]:
     """Top-level definitions that compare a sup_norm(...) call against a bound.
 

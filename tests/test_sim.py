@@ -23,6 +23,7 @@ from pqsp import (
     parallel_qsp_run,
     parallel_qsp_runs,
     query_depth_report,
+    redraw,
     rescale_factors,
     spectral_hadamard_test,
     split_constituents,
@@ -821,6 +822,31 @@ class TestJointReadout:
         assert abs(vals.mean() - exact) <= 5 * spread / math.sqrt(len(vals))
         assert float(np.mean([e.std_error for e in ests])) == pytest.approx(spread, rel=0.15)
         assert all(e.shots_used == 2000 for e in ests)
+
+    def test_redraw_continues_the_stream_without_recomputing(self, rho_34, monkeypatch):
+        # a redraw is the next draw of the same law on the same sampler
+        q, z = parallel_qsp_runs(*layout_table([(Polynomial([0, 1]),)] * 2), rho_34)
+        c = [0.7, -0.3]
+        again = ShotSampler(4)
+        joint_readout(q, z, 100, again, coeffs=c)
+        want = joint_readout(q, z, 900, again, coeffs=c)
+        first = joint_readout(q, z, 100, ShotSampler(4), coeffs=c)
+        monkeypatch.setattr(np, "stack", None)  # the cell probabilities are not rebuilt
+        assert redraw(first, 900) == want and redraw(first, 900).shots_used == 900
+        p = Polynomial([0.2, 0.5])
+        flip = spectral_hadamard_test(p, rho_34, shots=50, sampler=ShotSampler(2))
+        twice = ShotSampler(2)
+        spectral_hadamard_test(p, rho_34, shots=50, sampler=twice)
+        assert redraw(flip, 70) == spectral_hadamard_test(p, rho_34, shots=70, sampler=twice)
+
+    def test_redraw_needs_a_sampled_read_out(self, rho_34):
+        exact = joint_readout([0.5], [0.1])
+        sampled = joint_readout([0.5], [0.1], 10, ShotSampler(1))
+        for est in (exact, 2.0 * sampled, sampled + sampled):
+            with pytest.raises(InputError, match="redrawn"):
+                redraw(est, 10)
+        with pytest.raises(InputError, match="integer shot count"):
+            redraw(sampled, 2.5)
 
     def test_shape_and_coefficient_checks(self):
         with pytest.raises(InputError, match="one q, z and coefficient per run"):
