@@ -254,7 +254,7 @@ class _Stage:
 
 def _hadamard_stage(p: Polynomial, rho: DensityMatrix, stream: tuple[int, ...]) -> _Stage:
     """tr(p(rho)) as D * ||p|| * Re tr((I/D) * p(rho)/||p||), a Hadamard test."""
-    return _Stage(partial(spectral_hadamard_test, p, rho, "mixed"), rho.dim * sup_norm(p), stream)
+    return _Stage(partial(spectral_hadamard_test, p, rho), rho.dim * sup_norm(p), stream)
 
 
 def _run_stages(
@@ -366,18 +366,17 @@ def estimate_direct(
 
     stages: dict[str, _Stage] = {}
     breakdown: dict = {"w_low": 0.0, "w_high": 0.0, "K": 1.0}
-    low_depth = parallel_depth = 0
-    width = k
+    low_depth = parallel_depth = width = 0
     if not p_low.is_zero():
         stages["w_low"] = _hadamard_stage(p_low, rho, (0,))
         breakdown["low_branch_depth"] = low_depth = query_depth_report([p_low])[0]
+        width = 1
     if not p_high.is_zero():
         plan = rescale_factors(factorize_nonneg(p_high, k))
         factors = list(plan.factors)
         read = partial(parallel_qsp_run, factors, rho)
         stages["w_high"] = _Stage(read, plan.stored_constant ** 2, (1,))
-        parallel_depth, threads = query_depth_report(factors)
-        width = max(threads, k)
+        parallel_depth, width = query_depth_report(factors)
         breakdown.update(
             K=plan.stored_constant,
             factor_degrees=[f.degree for f in factors],
@@ -554,6 +553,13 @@ def _monomial_factors(n: int, k: int) -> list[Polynomial]:
     return factors
 
 
+def _monomial_depth(n: int, k: int) -> int:
+    """The closed-form query depth quoted for tr(rho^n) read with k threads:
+    floor(floor((n-k)/2)/k) + 1, which can exceed the degree of
+    _monomial_factors(n, k) by one, and 0 below n = k."""
+    return max(0, ((n - k) // 2) // k + 1)
+
+
 def renyi_integer(
     rho: DensityMatrix,
     alpha: int,
@@ -565,32 +571,24 @@ def renyi_integer(
 ) -> EstimationReport:
     """Integer-order Renyi entropy ln(tr(rho^alpha))/(1-alpha).
 
-    With alpha > k, tr(rho^alpha) comes from one parallel run over monomial
-    threads; the reported depth quotes the closed form
-    floor(floor((alpha-k)/2)/k) + 1, which can exceed the constructed
-    factors' degree (that actual degree sits in the breakdown).  alpha <= k
-    has nothing to parallelize and falls back to one sequential Hadamard
-    test, noted in the breakdown.  Auto shot selection runs the same stage
-    as a 1000-shot pilot to seed the trace-dependent count.
+    tr(rho^alpha) comes from one parallel run over the threads of
+    _monomial_factors(alpha, k), the generalized swap test on alpha bare
+    registers when alpha <= k.  The reported depth quotes the closed form
+    _monomial_depth(alpha, k), so it never rises with k; the constructed
+    factors' degrees and actual depth sit in the breakdown.  Auto shot
+    selection runs the same stage as a 1000-shot pilot to seed the
+    trace-dependent count.
     """
     if int(alpha) != alpha or alpha < 2:
         raise InputError(f"alpha must be an integer >= 2, got {alpha!r}")
     alpha = int(alpha)
     if k < 1:
         raise InputError(f"thread count must be at least 1, got {k}")
-    breakdown: dict = {"params": {"alpha": float(alpha)}}
+    factors = _monomial_factors(alpha, k)
+    breakdown: dict = {"params": {"alpha": float(alpha)}, "exponents": [f.degree for f in factors]}
+    breakdown["actual_depth"], width = query_depth_report(factors)
+    read = partial(parallel_qsp_run, factors, rho)
     pilot_used = 0
-
-    if alpha <= k:
-        breakdown["notice"] = "alpha <= k leaves nothing to parallelize; sequential path used"
-        read = partial(spectral_hadamard_test, _shared_polynomial("x", alpha - 1), rho, "rho")
-        depth, width = alpha - 1, 1
-    else:
-        factors = _monomial_factors(alpha, k)
-        depth = ((alpha - k) // 2) // k + 1
-        breakdown["exponents"] = [f.degree for f in factors]
-        breakdown["actual_depth"], width = query_depth_report(factors)
-        read = partial(parallel_qsp_run, factors, rho)
     if mode != "exact" and shots in ("auto", None):
         (pilot,) = _run_stages([_Stage(read, stream=(0,))], 1000, mode, seed)
         pilot_used = pilot.shots_used
@@ -612,7 +610,7 @@ def renyi_integer(
         std_error=entropy.std_error,
         shots_used=entropy.shots_used + pilot_used,
         predicted_shots=predicted,
-        query_depth=depth,
+        query_depth=_monomial_depth(alpha, k),
         width=width,
         breakdown=breakdown,
     )
@@ -670,8 +668,6 @@ def monomial_poly_trace(
     stages = [_Stage(read)] if tail else []
     total = sum(_run_stages(stages, shots, mode, seed), Estimate(c0 * dim, 0.0))
 
-    d = p.degree
-    depth = max(0, ((d - k) // 2) // k + 1) if d >= 1 else 0
     width = max((len(layouts[n]) for n, _ in tail), default=0)
     predicted = predict_cost(CostModel(epsilon=epsilon, one_norm=one_norm), "theorem8")
     breakdown = {
@@ -683,7 +679,7 @@ def monomial_poly_trace(
     return _report(
         total,
         predicted_shots=predicted,
-        query_depth=depth,
+        query_depth=_monomial_depth(p.degree, k),
         width=width,
         breakdown=breakdown,
     )

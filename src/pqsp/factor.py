@@ -176,23 +176,26 @@ def _newton_polish(mono: tuple[complex, ...], z: complex, mult: int) -> complex:
 
 def find_roots(p: Polynomial) -> tuple[tuple[complex, int], ...]:
     """All complex roots of p, as (root, multiplicity) pairs: the eigenvalues
-    of np.roots' companion matrix, plus an exact zero per zero low-order term.
+    of np.roots' companion matrix, plus an exact zero per zero low-order term
+    (one within 1e-15 of the coefficient 1-norm is basis-change round-off).
 
     Nearby eigenvalues (within 1e-7) are merged into one root of higher
     multiplicity, then each cluster center is polished by multiplicity-aware
     Newton steps.  Residuals are judged in backward-error form,
     |p(z)| / sum_i |c_i| |z|^i, so roots far outside the unit disk are held
-    to the same relative standard as interior ones (an exact zero root of a
-    source with c_0 = 0 is exact).  A polished root whose backward error
-    exceeds 1e-10 indicates the eigensolver output could not be rescued,
-    and the call fails with the worst residual attached.
+    to the same relative standard as interior ones (an exact zero root is
+    exact).  A polished root whose backward error exceeds 1e-10 indicates
+    the eigensolver output could not be rescued, and the call fails with the
+    worst residual attached.
     """
     if p.degree < 1:
         raise InputError("constant polynomial has no roots to find")
     mono = p.coeffs
     if abs(mono[-1]) <= 1e-12:
         raise InputError("leading coefficient vanishes")
-    zeros = next(i for i, c in enumerate(mono) if c != 0)  # exact zero roots
+    weights = [abs(c) for c in reversed(mono)]
+    tiny = 1e-15 * sum(weights)
+    zeros = next(i for i, c in enumerate(mono) if abs(c) > tiny)  # exact zero roots
     n = p.degree - zeros
     kept = np.array(mono[zeros:])
     companion = np.zeros((n, n), dtype=complex)
@@ -202,10 +205,9 @@ def find_roots(p: Polynomial) -> tuple[tuple[complex, int], ...]:
     clusters = _cluster_roots(raw, tol=1e-7)
     polished = [_newton_polish(mono, z, m) for z, m in clusters]
 
-    weights = [abs(c) for c in reversed(mono)]
     backward = []
     for z in polished:
-        if z == 0 and mono[0] == 0:  # the series' p(0) is round-off, not 0
+        if z == 0 and zeros:  # the series' p(0) is round-off, not 0
             backward.append(0.0)
             continue
         r, scale = abs(z), 0.0

@@ -1,7 +1,7 @@
 """Density matrices, block encodings, and measurement simulation.
 
 Estimation has three read-outs.  spectral_hadamard_test is the Hadamard
-test of Re tr(sigma * p(rho)/||p||) for sigma = I/D or rho;
+test of Re tr((I/D) * p(rho)/||p||), the read-out of a sequential stage;
 generalized_swap_expectation is the generalized swap test, which turns a
 cyclic shift over k registers into tr(rho_1 ... rho_k); and parallel_qsp_run
 is the paper's parallel circuit: k threads each apply a factor polynomial to
@@ -22,8 +22,8 @@ diagonalizes them all, thread j post-selects with probability
 q_j = sum_i w_i |P_j(w_i)|^2 and z = sum_i w_i^k prod_j |P_j(w_i)|^2, with no
 D x D matrix formed.  parallel_qsp_runs evaluates a stage, a factor table
 and an index of its runs (layout_table builds both from thread layouts), in
-one array pass, and spectral_hadamard_test reads tr(sigma p(rho)) the same
-way.
+one array pass, and spectral_hadamard_test reads the mean of p(w_i)/||p||
+the same way.
 "circuit" reads the same factor table through _thread_values and, whatever
 the encoding, builds one D x D flag-zero block B = V diag(values) V^dagger
 per distinct factor, V rho's eigenvectors: by qubitization each thread's
@@ -304,27 +304,21 @@ class DensityMatrix:
 def spectral_hadamard_test(
     p: Polynomial,
     rho: DensityMatrix,
-    sigma: Literal["mixed", "rho"] = "mixed",
     shots: ShotSpec = "exact",
     sampler: ShotSampler | None = None,
 ) -> Estimate:
-    """Hadamard test of Re tr(sigma * p(rho)/||p||), read from rho's eigenvalues.
+    """Hadamard test of Re tr((I/D) * p(rho)/||p||), read from rho's eigenvalues.
 
-    sigma is I/D ("mixed") or rho itself ("rho").  The block p(rho)/||p|| is
-    a function of rho, so the trace is a weighted mean of p(w_i)/||p|| over
-    the eigenvalues w_i, clipped to [-1, 1], and lies in [-1, 1] without any
-    encoding being built.  The zero polynomial has no such block and raises
-    InputError.  Sampled mode draws through _readout.
+    The block p(rho)/||p|| is a function of rho, so the trace is the mean of
+    p(w_i)/||p|| over the eigenvalues w_i, clipped to [-1, 1], and lies in
+    [-1, 1] without any encoding being built.  The zero polynomial has no
+    such block and raises InputError.  Sampled mode draws through _readout.
     """
-    if sigma not in ("mixed", "rho"):
-        raise InputError(f"sigma must be 'mixed' or 'rho', got {sigma!r}")
     norm = sup_norm(p)
     if norm == 0.0:
         raise InputError("the zero polynomial has no block p/||p|| to encode")
-    w = rho.eigenvalues()
-    values = np.real(p(np.clip(w, -1.0, 1.0))) / norm
-    t = float(np.mean(values)) if sigma == "mixed" else float(np.dot(w, values))
-    return _readout(t, shots, sampler)
+    values = np.real(p(np.clip(rho.eigenvalues(), -1.0, 1.0))) / norm
+    return _readout(float(np.mean(values)), shots, sampler)
 
 
 def generalized_swap_expectation(
@@ -467,16 +461,16 @@ def parallel_qsp_runs(
     weights[1:] = np.abs(values) ** 2
     # thread j post-selects with q_j = tr(B_j rho B_j^dagger) = sum_i w_i |b_ij|^2
     q_threads = (weights @ w)[index]
-    failed = np.argwhere(q_threads <= 1e-14)
-    if failed.size:
-        i, j = failed[0]
+    failed = q_threads <= 1e-14
+    if failed.any():
+        i, j = np.argwhere(failed)[0]
         raise PostSelectionError(
             f"post-selection impossible: layout {i}, thread {j} succeeds with "
             f"probability {q_threads[i, j]:.3e}"
         )
     powers = w ** np.count_nonzero(index, axis=1)[:, None]
-    z = np.einsum("ij,ij->i", powers, np.prod(weights[index], axis=1))
-    return np.prod(q_threads, axis=1), z
+    z = np.einsum("ij,ij->i", powers, weights[index].prod(axis=1))
+    return q_threads.prod(axis=1), z
 
 
 def joint_readout(

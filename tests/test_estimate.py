@@ -198,6 +198,23 @@ class TestEstimateDirect:
             estimate_direct(p, rho_34, 2)
         assert calls == []
 
+    @pytest.mark.parametrize("coeffs", [
+        [0, 0, 0, 0, 0.3], [0.3, 0, 0, 0, 0.3], [0.3, 0, 0, 0, 0.2, 0, 0.1],
+    ])
+    def test_round_off_constant_in_high_part(self, rho_34, coeffs):
+        # the split leaves the high part's constant at +-2.8e-17, not 0; read
+        # as a root pair near 0 it stalled root polishing
+        p = Polynomial(coeffs)
+        want = sum(float(np.real(p(lam))) for lam in (0.75, 0.25))
+        assert estimate_direct(p, rho_34, 2).value == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("coeffs, k, width", [
+        ([0.1, 0.2, 0.3], 5, 1),  # k beyond the degree: the low stage alone
+        ([0.0], 3, 0),
+    ])
+    def test_width_counts_the_stages_that_run(self, rho_34, coeffs, k, width):
+        assert estimate_direct(Polynomial(coeffs), rho_34, k).width == width
+
     def test_threads_beyond_high_degree_pad_with_constants(self, rho_34):
         # k = 4 leaves the high part 0.5 + 0.25x^2: one half-root, four threads
         rep = estimate_direct(Polynomial([0, 0, 0, 0, 0.5, 0, 0.25]), rho_34, 4)
@@ -395,11 +412,33 @@ class TestRenyiInteger:
         want = math.log(0.75 ** 7 + 0.25 ** 7) / (1 - 7)
         assert rep.value == pytest.approx(want, abs=1e-12)
 
-    def test_alpha_at_most_k_goes_sequential(self, rho_34):
-        rep = renyi_integer(rho_34, 2, 3)
-        assert "sequential" in rep.breakdown["notice"]
-        assert rep.query_depth == 1
-        assert rep.value == pytest.approx(-math.log(0.625), abs=1e-10)
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32])
+    def test_one_route_table(self, dim):
+        # alpha <= k reads the swap test on alpha bare registers, so every
+        # order's depth falls with k and its width stays at most k + 1
+        rho = DensityMatrix.random_seeded(dim, 5)
+        w = rho.eigenvalues()
+        for alpha in range(2, 9):
+            want = math.log(float(np.sum(w ** alpha))) / (1 - alpha)
+            depths = []
+            for k in range(1, 9):
+                rep = renyi_integer(rho, alpha, k)
+                assert rep.value == pytest.approx(want, abs=1e-12)
+                assert rep.width == len(estimate._monomial_factors(alpha, k)) <= k + 1
+                assert "notice" not in rep.breakdown
+                depths.append(rep.query_depth)
+            assert depths == sorted(depths, reverse=True), (alpha, depths)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bare_registers_are_the_swap_test(self, dim, n):
+        rho = DensityMatrix.random_seeded(dim, 17)
+        bare = estimate._monomial_factors(n, n)
+        want = sim.generalized_swap_expectation([rho] * n).value
+        assert parallel_qsp_run(bare, rho).value == pytest.approx(want, abs=1e-12)
+        if dim ** n <= 1024:
+            got = parallel_qsp_run(bare, rho, mode="circuit").value
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_invalid_alpha(self, rho_34):
         with pytest.raises(InputError, match="alpha"):
@@ -413,7 +452,7 @@ class TestRenyiInteger:
         assert "auto_shots" in rep.breakdown
         assert abs(rep.value - S6_EXACT) <= 5 * rep.std_error
 
-    def test_sequential_auto_shots_follow_epsilon(self, rho_34):
+    def test_bare_swap_auto_shots_follow_epsilon(self, rho_34):
         # alpha <= k sizes its budget from the pilot as alpha > k does; a flat
         # 1000 shots left std_error at 3.9 epsilon for epsilon = 0.01
         reps = [

@@ -129,6 +129,13 @@ class TestLeanRoots:
         assert (0j, 2) in roots
         assert sum(m for _, m in roots) == 4
 
+    def test_round_off_low_coefficient_is_zero(self):
+        # a basis change leaves x^2's constant at -2.8e-17: a double zero, not a
+        # root pair near +-1e-8 that polishing cannot certify
+        p = Polynomial.from_cheb([0.14999999999999997, 0.0, 0.15])
+        assert p.coeffs[0] != 0
+        assert find_roots(p) == ((0j, 2),)
+
     def test_zero_root_family_solves(self):
         # 42 of these 333 sources raised ConvergenceError when p(0)'s round-off
         # was judged against the zero scale sum_i |c_i| 0^i = c_0

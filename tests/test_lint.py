@@ -309,6 +309,50 @@ def test_plumbing_scan_fails_a_copy_that_builds_its_own_sampler():
     ]
 
 
+def _stray_hadamard_readouts(source: str) -> list[str]:
+    """Hadamard read-outs outside their stage builder, by top-level definition.
+
+    estimate.py names spectral_hadamard_test in _hadamard_stage alone, which
+    every sequential stage is built by, and renyi_integer reads its trace
+    through the swap test only, so it names neither.  Each flagged name reads
+    "<name> in <definition>".
+    """
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and (
+                (node.id == "spectral_hadamard_test" and where != "_hadamard_stage")
+                or (node.id == "_hadamard_stage" and where == "renyi_integer")
+            ):
+                found.append(f"{node.id} in {where}")
+    return sorted(found)
+
+
+def test_hadamard_readout_only_in_its_stage():
+    assert _stray_hadamard_readouts((SRC / "estimate.py").read_text()) == []
+
+
+def test_hadamard_scan_fails_a_copy_with_a_sequential_renyi_branch():
+    source = (SRC / "estimate.py").read_text()
+    mutated, added = re.subn(
+        r"\(trace,\) = _run_stages\(",
+        'read = partial(spectral_hadamard_test, _shared_polynomial("x", alpha - 1), rho)\n'
+        "    stage = _hadamard_stage(Polynomial.one(), rho, (1,))\n"
+        "    (trace,) = _run_stages(",
+        source,
+    )
+    assert added == 1
+    assert _stray_hadamard_readouts(mutated) == [
+        "_hadamard_stage in renyi_integer", "spectral_hadamard_test in renyi_integer",
+    ]
+    assert _stray_hadamard_readouts(
+        "from .sim import spectral_hadamard_test\n"
+        "def _hadamard_stage(p, rho):\n    return partial(spectral_hadamard_test, p, rho)\n"
+        "def f(p, rho):\n    return spectral_hadamard_test(p, rho)\n"
+    ) == ["spectral_hadamard_test in f"]
+
+
 def _side_draws(source: str) -> list[str]:
     """.binomial( and .multinomial( calls that bypass the ShotSampler.
 

@@ -322,46 +322,47 @@ class TestBlockEncodings:
 
 class TestSpectralHadamard:
     @pytest.mark.parametrize("dim", [8, 16, 32, 64])
-    @pytest.mark.parametrize("sigma", ["mixed", "rho"])
-    def test_matches_encoded_hadamard_test(self, sigma, dim):
-        # reference: Re tr(sigma B) for the block B of the oracle dilation of p(rho)/||p||
-        rho = DensityMatrix.random_seeded(dim, 12)
+    @pytest.mark.parametrize("state", ["mixed", "rho"])
+    def test_matches_encoded_hadamard_test(self, state, dim):
+        # reference: Re tr((I/D) B) for the block B of the oracle dilation of
+        # p(rho)/||p||, on a degenerate spectrum (rho = I/D) and a generic one
+        if state == "mixed":
+            rho = DensityMatrix.maximally_mixed(dim)
+        else:
+            rho = DensityMatrix.random_seeded(dim, 12)
         p = Polynomial([0.3, -0.5, 0.0, 0.9])
         values = np.real(p(rho.eigenvalues())) / poly.sup_norm(p)
         block = oracle_dilation(rho.spectral_operator(values))[:dim, :dim]
-        state = DensityMatrix.maximally_mixed(dim) if sigma == "mixed" else rho
-        want = float(np.real(np.trace(state.matrix @ block)))
-        assert spectral_hadamard_test(p, rho, sigma).value == pytest.approx(want, abs=1e-14)
+        want = float(np.real(np.trace(block))) / dim
+        assert spectral_hadamard_test(p, rho).value == pytest.approx(want, abs=1e-14)
 
     @pytest.mark.parametrize("shots", ["exact", 100])
     def test_zero_polynomial_rejected(self, rho_34, shots):
         with pytest.raises(InputError, match="zero polynomial"):
-            spectral_hadamard_test(Polynomial([0.0]), rho_34, "rho", shots=shots)
+            spectral_hadamard_test(Polynomial([0.0]), rho_34, shots=shots)
 
     def test_sampled_reads_through_readout(self, rho_34):
         est = spectral_hadamard_test(
-            chebyshev_polynomial(2), rho_34, "rho", shots=4096, sampler=ShotSampler(3)
+            chebyshev_polynomial(2), rho_34, shots=4096, sampler=ShotSampler(3)
         )
         assert est.shots_used == 4096
         assert -1.0 <= est.value <= 1.0
 
-    def test_unknown_sigma(self, rho_34):
-        with pytest.raises(InputError, match="sigma"):
-            spectral_hadamard_test(Polynomial([0, 1]), rho_34, "pure")
-
 
 class TestSampledReadoutPins:
-    """Sampled read-outs of tr(rho^3) on diag(0.75, 0.25), with 4096 shots and
-    ShotSampler(3), recorded before the read-outs shared one Bernoulli path
-    (the Hadamard case on the oracle dilation of rho^2); exact equality
-    guards the draw and the error formula."""
+    """Sampled one-ancilla read-outs on diag(0.75, 0.25), with 4096 shots and
+    ShotSampler(3); exact equality guards the draw and the error formula.
+    The swap case reads tr(rho^3) = 0.4375 and was recorded before the
+    read-outs shared one Bernoulli path; the Hadamard case reads
+    tr(rho^2)/2 = 0.3125 and was recorded before its sigma option was
+    removed."""
 
     CASES = {
         "hadamard_real": (
             lambda rho, smp: spectral_hadamard_test(
-                Polynomial([0, 0, 1]), rho, "rho", shots=4096, sampler=smp
+                Polynomial([0, 0, 1]), rho, shots=4096, sampler=smp
             ),
-            (0.439453125, 0.01403539880659226),
+            (0.314453125, 0.01483239065502902),
         ),
         "swap": (
             lambda rho, smp: generalized_swap_expectation([rho] * 3, shots=4096, sampler=smp),
