@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from pqsp import DensityMatrix, Polynomial, sup_norm
+from pqsp import DensityMatrix, Polynomial, estimate, sup_norm
+
+
+@pytest.fixture(autouse=True)
+def cold_approximant_memo():
+    """Every test starts from an empty entropy approximant memo, so no test
+    depends on which fits the tests before it ran."""
+    estimate._approximant.cache_clear()
 
 
 @pytest.fixture

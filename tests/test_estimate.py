@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -543,9 +544,30 @@ class TestRenyiNonInteger:
         with pytest.raises(InputError, match="renyi_integer"):
             renyi_noninteger(rho_34, 3.0, 2)
 
+    def test_bad_alpha_or_epsilon_fails_before_fitting(self, rho_34):
+        for alpha in (math.nan, math.inf, -0.5):
+            with pytest.raises(InputError, match="alpha"):
+                renyi_noninteger(rho_34, alpha, 2)
+        for run in (partial(renyi_noninteger, rho_34, 0.5, 2), partial(von_neumann, rho_34, 2)):
+            for epsilon in (0.0, -0.05, math.nan):
+                with pytest.raises(InputError, match="epsilon"):
+                    run(epsilon=epsilon)
+        assert estimate._approximant.cache_info().misses == 0
+
     def test_bad_delta(self, rho_34):
         with pytest.raises(InputError, match="delta"):
             renyi_noninteger(rho_34, 0.5, 2, delta=1.0)
+        # both key the approximant memo, so neither falls back to another route
+        for run in (partial(renyi_noninteger, rho_34, 0.5, 2), partial(von_neumann, rho_34, 2)):
+            for bad in ("bogus", True, None, "0.1"):
+                with pytest.raises(InputError, match="delta"):
+                    run(delta=bad)
+            for bad in (2.5, True, "2", 0):
+                with pytest.raises(InputError, match="rank"):
+                    run(rank=bad)
+                with pytest.raises(InputError, match="rank"):
+                    run(delta=0.1, rank=bad)
+        assert renyi_noninteger(rho_34, 0.5, 2, rank=np.int64(2)).breakdown["delta_route"] == "rank"
 
     def test_rank_route(self, rho_34):
         rep = renyi_noninteger(rho_34, 0.5, 2, rank=2)
@@ -628,8 +650,8 @@ class TestEntropyApproximants:
     def _fit_vn_4_7():
         rho = DensityMatrix.random_seeded(4, 7)
         delta, _ = estimate._resolve_delta(rho, "auto", None)
-        poly, degree, _ = estimate._fit_odd_approximant(
-            lambda x: -x * np.log(np.abs(x)), delta, 0.05 / (2 * rho.dim)
+        poly, degree, _ = estimate._approximant(
+            "von_neumann", delta, 0.05 / (2 * rho.dim), estimate.MAX_APPROXIMANT_DEGREE
         )
         return poly, degree
 
@@ -659,6 +681,64 @@ class TestEntropyApproximants:
         xs = np.linspace(-1.0, 1.0, 201)
         gap = np.max(np.abs(low(xs) + xs ** k * high(xs) - poly(xs)))
         assert gap <= 1e-11 * max(1.0, sup_norm(high))
+
+
+class TestApproximantMemo:
+    """renyi_noninteger and von_neumann fit each (target, delta, eps', cap)
+    once; a replay, whatever its k, reports exactly what a fresh fit does."""
+
+    @staticmethod
+    def _outcome(run, k):
+        try:
+            return repr(run(k))
+        except ConvergenceError as exc:
+            return f"{type(exc).__name__}: {exc} (best_residual={exc.best_residual!r})"
+
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    @pytest.mark.parametrize("alpha", [None, 1.5, 2.5], ids=["von-neumann", "renyi-1.5", "renyi-2.5"])
+    def test_warm_reports_are_bit_identical(self, alpha, dim):
+        rho = DensityMatrix.random_seeded(dim, 3)
+        run = partial(von_neumann, rho) if alpha is None else partial(renyi_noninteger, rho, alpha)
+        ks = (1, 2, 3, 4)
+        cold = []
+        for k in ks:
+            estimate._approximant.cache_clear()
+            cold.append(self._outcome(run, k))
+        # the memo now holds the k = 4 fit, which every k replays
+        warm = [self._outcome(run, k) for k in ks]
+        assert warm == cold
+        info = estimate._approximant.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (len(ks), 1, 1)
+
+    def test_failure_replays_as_a_new_error(self, monkeypatch, rho_34):
+        monkeypatch.setattr(estimate, "MAX_APPROXIMANT_DEGREE", 5)
+        errors = []
+        for k in (2, 2, 3):
+            with pytest.raises(ConvergenceError, match="degree <= 5") as info:
+                von_neumann(rho_34, k)
+            errors.append(info.value)
+        assert len({id(e) for e in errors}) == 3
+        assert len({str(e) for e in errors}) == 1
+        assert len({e.best_residual for e in errors}) == 1 and errors[0].best_residual > 0
+        assert estimate._approximant.cache_info().hits == 2
+
+    def test_degree_cap_is_part_of_the_key(self, monkeypatch, rho_34):
+        degree = von_neumann(rho_34, 2).breakdown["approximant_degree"]
+        assert degree > 3
+        monkeypatch.setattr(estimate, "MAX_APPROXIMANT_DEGREE", degree - 2)
+        with pytest.raises(ConvergenceError, match=f"degree <= {degree - 2}"):
+            von_neumann(rho_34, 2)
+        monkeypatch.undo()
+        assert von_neumann(rho_34, 3).breakdown["approximant_degree"] == degree
+        info = estimate._approximant.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+    def test_user_delta_fits_once_across_states(self):
+        states = [DensityMatrix.random_seeded(8, seed) for seed in range(3)]
+        reps = [von_neumann(rho, 2, delta=0.1) for rho in states]
+        assert len({rep.breakdown["approximant_degree"] for rep in reps}) == 1
+        info = estimate._approximant.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
 
 
 class TestLargerStates:
@@ -1088,6 +1168,17 @@ class TestReportPlumbing:
         rep = renyi_integer(rho_34, 6, 2)
         text = json.dumps(rep.to_dict())
         assert "s_alpha" in text
+        # booleans round-trip as JSON booleans, numpy's included
+        seq = json.loads(json.dumps(estimate_chebyshev(Polynomial([0, 1]), rho_34, 1).to_dict()))
+        assert seq["breakdown"]["odd"]["sequential"] is True
+        rep = estimate_chebyshev(Polynomial([0, 0, 0, 0, 0.5, 0.5]), rho_34, 2)
+        record = json.loads(json.dumps(rep.to_dict()))
+        assert record == rep.to_dict()
+        assert record["breakdown"]["depth_formula_discrepancy"] is True
+        flags = replace(rep, breakdown={"flag": np.bool_(True), "flags": np.array([False])})
+        assert json.loads(json.dumps(flags.to_dict()))["breakdown"] == {
+            "flag": True, "flags": [False],
+        }
 
 
 class TestSamplingStatistics:

@@ -185,6 +185,55 @@ def test_cache_scan_fails_a_copy_with_functools_cache():
     assert _unbounded_caches(mutated) == [f"cache (line {line})"]
 
 
+def _approximant_search_refs(source: str) -> list[str]:
+    """Top-level definitions that refer to the approximant search, marked
+    "(memo)" where an lru_cache call decorates them.
+
+    estimate.py reaches _fit_odd_approximant through its memo alone, so a
+    k sweep, or one user-given delta across states, fits once.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        if any(
+            (isinstance(node, ast.Name) and node.id == "_fit_odd_approximant")
+            or (isinstance(node, ast.Attribute) and node.attr == "_fit_odd_approximant")
+            or (isinstance(node, ast.alias) and node.name == "_fit_odd_approximant")
+            for node in ast.walk(top)
+        ):
+            memo = any(
+                isinstance(dec, ast.Call) and ast.unparse(dec.func).endswith("lru_cache")
+                for dec in getattr(top, "decorator_list", ())
+            )
+            found.append(getattr(top, "name", "<module>") + (" (memo)" if memo else ""))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_approximant_search_only_behind_its_memo(path):
+    want = ["_approximant (memo)"] if path.name == "estimate.py" else []
+    assert _approximant_search_refs(path.read_text()) == want
+
+
+def test_memo_scan_fails_copies_that_bypass_or_drop_the_memo():
+    source = (SRC / "estimate.py").read_text()
+    bypass, swapped = re.subn(
+        r"= _approximant\(tag, ",
+        "= _fit_odd_approximant(_von_neumann_target, ",
+        source,
+    )
+    assert swapped == 1
+    assert _approximant_search_refs(bypass) == ["_approximant (memo)", "_entropy_from_poly_trace"]
+    uncached, dropped = re.subn(
+        r"@lru_cache\(maxsize=\d+\)\ndef _approximant\(", "def _approximant(", source
+    )
+    assert dropped == 1
+    assert _approximant_search_refs(uncached) == ["_approximant"]
+    assert _approximant_search_refs(
+        "from .estimate import _fit_odd_approximant\n"
+        "fit = partial(estimate._fit_odd_approximant, f)\n"
+    ) == ["<module>", "<module>"]
+
+
 def _stale_exports(source: str) -> list[str]:
     """Names in a module's __all__ that no module-level statement binds.
 
