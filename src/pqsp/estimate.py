@@ -3,12 +3,12 @@
 Every estimator here reduces tr(f(rho)) to a combination of three runs: a
 sequential Hadamard test for the low-degree remainder, parallel runs of
 factor polynomials for the high-degree part, and an importance sampler that
-recombines coefficient-weighted term estimates in one multinomial draw over
-all of a stage's thread layouts.  Each run is one stage Estimate: c * stage
-scales it back to the trace it measures (D times the norm for a Hadamard
-test, K^2 for a factorized run), a + b adds independent stages, and a
-report's value, standard error and shots are their sum (for entropies, its
-ln(s)/(1 - alpha) transform).
+recombines coefficient-weighted term estimates in one draw over all of a
+stage's thread layouts, stratified by layout.  Each run is one stage
+Estimate: c * stage scales it back to the trace it measures (D times the
+norm for a Hadamard test, K^2 for a factorized run), a + b adds independent
+stages, and a report's value, standard error and shots are their sum (for
+entropies, its ln(s)/(1 - alpha) transform).
 
 Each estimator plans its stages and _run_stages, the one place that splits
 a budget and builds samplers, runs them.  A stage is a bound read-out, its
@@ -39,7 +39,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -65,6 +65,8 @@ from .sim import (
     Estimate,
     ShotSampler,
     _check_shots,
+    _neyman_split,
+    _pilot_shots,
     joint_readout,
     layout_table,
     parallel_qsp_run,
@@ -181,8 +183,8 @@ def _require(model: CostModel, route: str, *names: str) -> list:
 def predict_cost(model: CostModel, route: str) -> int:
     """Closed-form shot count for a route, unit leading constant, ceil, >= 1."""
     eps = model.epsilon
-    if eps is None or eps <= 0:
-        raise InputError("epsilon must be positive")
+    if eps is None or not eps > 0:  # NaN fails it too
+        raise InputError(f"epsilon must be positive, got {eps}")
     e2 = eps * eps
     if route == "theorem3":
         (k_const,) = _require(model, route, "K")
@@ -224,11 +226,13 @@ def importance_sample(
 ) -> Estimate:
     """Coefficient-weighted sum of a stage's run traces by one importance draw.
 
-    Each shot picks run j of the (table, index) stage with probability
-    |c_j|/||c||_1 and measures it; sign(c_j) flips the outcome, so ||c||_1
-    times the pooled mean is unbiased for sum_j c_j z_j.  All runs are
-    evaluated in one parallel_qsp_runs pass and all shots drawn by one
-    joint_readout, which returns sum_j c_j z_j itself for "exact".
+    All runs are evaluated in one parallel_qsp_runs pass and all shots drawn
+    by one joint_readout, which returns sum_j c_j z_j itself for "exact".
+    Two or more runs are stratified when the budget has room: a ceil(sqrt(n))
+    pilot split by |c_j| measures each run's per-shot spread s_j, the rest
+    split by |c_j| s_j (Neyman allocation), and sum_j c_j times each run's
+    main-shot mean is unbiased.  Otherwise each shot picks run j with
+    probability |c_j|/||c||_1, and ||c||_1 times the signed pooled mean is.
     """
     q, z = parallel_qsp_runs(table, index, rho)
     return joint_readout(q, z, total_shots, sampler, coeffs=coeffs)
@@ -251,12 +255,13 @@ def _check_target(p: Polynomial) -> None:
 @dataclass(frozen=True)
 class _Stage:
     """One read-out of a plan: read(shots, sampler=) returns its Estimate,
-    scale maps that to the trace it measures and stream is its ShotSampler
-    child path."""
+    scale maps that to the trace it measures, stream is its ShotSampler
+    child path and record, for an importance stage, its draw's dict."""
 
     read: Callable[..., Estimate]
     scale: float = 1.0
     stream: tuple[int, ...] = ()
+    record: dict | None = None
 
 
 def _hadamard_stage(p: Polynomial, rho: DensityMatrix, stream: tuple[int, ...]) -> _Stage:
@@ -285,32 +290,39 @@ def _run_stages(
     stages * (pilot + 1) splits evenly (the first `budget mod stages` take
     one more).  Given a breakdown, a sampled run of two or more stages
     records each stage's pilot shots, main shots and spread (None without a
-    pilot) as stage_shots, in stage order.
+    pilot) as stage_shots, in stage order.  A sampled stage with a record
+    gets its main read's draw (_JointShots.split) as record["importance"].
     """
     root = ShotSampler(seed)
     samplers = [reduce(ShotSampler.child, s.stream, root) for s in stages]
     if mode == "exact":
         return [s.scale * s.read("exact", sampler=smp) for s, smp in zip(stages, samplers)]
     budget = _check_shots(shots, len(stages))
-    pilot = math.isqrt(max(budget - 1, 0)) + 1  # ceil(sqrt(budget)) for budget >= 1
+    pilot = _pilot_shots(budget)
     if len(stages) < 2 or len(stages) * (pilot + 1) > budget:
         base, rem = divmod(budget, max(len(stages), 1))
         mains = [base + (i < rem) for i in range(len(stages))]
-        ests = [s.scale * s.read(n, sampler=smp) for s, smp, n in zip(stages, samplers, mains)]
+        reads = [s.read(n, sampler=smp) for s, smp, n in zip(stages, samplers, mains)]
         pilot, spreads = 0, [None] * len(stages)
     else:
         firsts = [s.read(pilot, sampler=smp) for s, smp in zip(stages, samplers)]
         spreads = [abs(s.scale) * _pilot_spread(f, pilot) for s, f in zip(stages, firsts)]
-        mains = _neyman_split(budget - len(stages) * pilot, spreads)
-        ests = []
-        for s, smp, first, n in zip(stages, samplers, firsts, mains):
-            est = redraw(first, n) if first.source else s.read(n, sampler=smp)
-            ests.append(s.scale * Estimate(est.value, est.std_error, pilot + est.shots_used))
+        mains = _neyman_split(budget - len(stages) * pilot, spreads).tolist()
+        reads = [
+            redraw(first, n) if first.source else s.read(n, sampler=smp)
+            for s, smp, first, n in zip(stages, samplers, firsts, mains)
+        ]
     if breakdown is not None and len(stages) > 1:
         breakdown["stage_shots"] = [
             {"pilot": pilot, "main": n, "spread": sp} for n, sp in zip(mains, spreads)
         ]
-    return ests
+    for s, est in zip(stages, reads):
+        if s.record is not None and est.source is not None:
+            s.record["importance"] = est.source.split(est.shots_used)
+    return [
+        s.scale * Estimate(est.value, est.std_error, pilot + est.shots_used)
+        for s, est in zip(stages, reads)
+    ]
 
 
 def _pilot_spread(first: Estimate, pilot: int) -> float:
@@ -322,17 +334,6 @@ def _pilot_spread(first: Estimate, pilot: int) -> float:
     """
     floor = first.source.worth / math.sqrt(pilot) if first.source else 0.0
     return max(first.std_error * math.sqrt(pilot), floor)
-
-
-def _neyman_split(total: int, weights: Sequence[float]) -> list[int]:
-    """total shots in proportion to weights, at least one each; all-zero weights
-    split evenly.  The spare shots are cut at the floors of their cumulative
-    weighted shares, so the counts sum to total exactly."""
-    weights = weights if any(weights) else [1.0] * len(weights)
-    spare, w_sum = total - len(weights), sum(weights)
-    cuts = [min(spare, math.floor(spare * (acc / w_sum))) for acc in accumulate(weights[:-1])]
-    cuts.append(spare)
-    return [1 + b - a for a, b in zip([0, *cuts], cuts)]
 
 
 def _report(est: Estimate, **fields) -> EstimationReport:
@@ -438,7 +439,7 @@ def _chebyshev_part(
     info["parallel_depth"] = query_depth_report(table)[0]
     if len(terms.coeff):
         read = partial(importance_sample, terms.coeff, table, index, rho)
-        stages["w_high"] = _Stage(read, 1.0, (2 * i + 1,))
+        stages["w_high"] = _Stage(read, 1.0, (2 * i + 1,), info)
         info["w_high"] = None
     return stages, info
 
@@ -671,18 +672,18 @@ def monomial_poly_trace(
     layouts = {n: _monomial_factors(n, k) for n, _ in tail}
     table, index = layout_table([layouts[n] for n, _ in tail])
 
-    read = partial(importance_sample, [c for _, c in tail], table, index, rho)
-    stages = [_Stage(read)] if tail else []
-    total = sum(_run_stages(stages, shots, mode, seed), Estimate(c0 * dim, 0.0))
-
-    width = max((len(layouts[n]) for n, _ in tail), default=0)
-    predicted = predict_cost(CostModel(epsilon=epsilon, one_norm=one_norm), "theorem8")
     breakdown = {
         "constant_term": c0 * dim,
         "one_norm": one_norm,
         "active_exponents": [n for n, _ in tail],
         "actual_depth": query_depth_report(table)[0],
     }
+    read = partial(importance_sample, [c for _, c in tail], table, index, rho)
+    stages = [_Stage(read, record=breakdown)] if tail else []
+    total = sum(_run_stages(stages, shots, mode, seed), Estimate(c0 * dim, 0.0))
+
+    width = max((len(layouts[n]) for n, _ in tail), default=0)
+    predicted = predict_cost(CostModel(epsilon=epsilon, one_norm=one_norm), "theorem8")
     return _report(
         total,
         predicted_shots=predicted,
@@ -710,8 +711,8 @@ def partition_function(
     """
     if beta < 0:
         raise InputError(f"inverse temperature must be non-negative, got {beta}")
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    if not epsilon > 0:
+        raise InputError(f"epsilon must be positive, got {epsilon}")
     dim = rho.dim
     target = epsilon / (2.0 * dim)
 

@@ -11,10 +11,11 @@ z = tr(rho^k * prod_j |P_j(rho)|^2) through the joint outcome statistics,
 without ever renormalizing by the success probability.  The two one-ancilla
 read-outs share _readout: the exact value, or Bernoulli shots drawn from the
 caller's ShotSampler.  joint_readout is the one place that draws
-(+1, -1, discard) shots of parallel runs: one multinomial draw per stage,
-however many coefficient-weighted runs it pools.  Each read-out computes its
-outcome law once; a sampled Estimate keeps it as `source`, and redraw draws
-more shots of the same law on the same stream without computing it again.
+(+1, -1, discard) shots of parallel runs: one multinomial for one run, and
+a pilot and a main row-wise multinomial, stratified by run, for weighted
+runs.  Each read-out computes its outcome law once; a sampled Estimate
+keeps it as `source`, and redraw draws more shots of the same law on the
+same stream without computing it again.
 
 Two execution modes exist.  "direct" works on rho's eigenvalues w_i alone:
 every thread block P_j(rho) is a function of rho, so one eigenbasis
@@ -133,6 +134,11 @@ class ShotSampler:
         p = p / p.sum()
         return self.rng.multinomial(shots, p)
 
+    def multinomial_rows(self, shots: Sequence[int], pvals: np.ndarray) -> np.ndarray:
+        """One multinomial of shots[i] shots over each row i of pvals, in one draw."""
+        p = np.maximum(pvals, 0.0)
+        return self.rng.multinomial(shots, p / p.sum(axis=1, keepdims=True))
+
     def __repr__(self) -> str:
         return f"ShotSampler(seed={self.seed}, path={self.path})"
 
@@ -148,6 +154,23 @@ def _check_shots(shots, stages: int = 1) -> int:
     if shots < stages:
         raise InputError(f"sampled shot budget {shots} is below the stage count {stages}")
     return int(shots)
+
+
+def _pilot_shots(n: int) -> int:
+    """ceil(sqrt(n)), the pilot of a budget of n >= 1 shots."""
+    return math.isqrt(max(n - 1, 0)) + 1
+
+
+def _neyman_split(total: int, weights: Sequence[float]) -> np.ndarray:
+    """total shots in proportion to non-negative weights, at least one each;
+    all-zero weights split evenly.  The spare shots are cut at the floors of
+    their cumulative weighted shares (the last share is 1, and none exceeds
+    it), so the counts sum to total exactly."""
+    acc = np.add.accumulate(np.asarray(weights, dtype=float))
+    acc = acc if acc[-1] else np.arange(1.0, len(acc) + 1)
+    cuts = np.floor((total - len(acc)) * (acc / acc[-1]))
+    cuts[1:] -= cuts[:-1]
+    return cuts.astype(np.int64) + 1
 
 
 def _integer(value, name: str, low: int = 0) -> int:
@@ -484,14 +507,11 @@ def joint_readout(
 
     Run j succeeds with probability q_j, and a success reads +1 with
     probability (1 + z_j/q_j)/2 and -1 otherwise; c defaults to all ones.
-    Exact mode returns sum_j c_j z_j.  Sampled mode makes one multinomial
-    draw of n shots over the 3T cells (run j, outcome o) with probabilities
-    (|c_j|/||c||_1) p_{j,o}, so the cost is O(runs) whatever n is; for one
-    run with no coefficients that is multinomial(n, [p+, p-, 1 - q]).  The
-    value ||c||_1 sum_j sign(c_j)(n_{j+} - n_{j-})/n is unbiased, and its
-    standard error comes from the pooled second moment, corrected by n/(n-1).
-    The cell probabilities are computed once, and the Estimate's source
-    draws more shots from them.
+    Exact mode returns sum_j c_j z_j.  Sampled mode computes each run's three
+    cell probabilities once and draws n shots of them through _JointShots,
+    in O(runs) work whatever n is: one run is multinomial(n, [p+, p-, 1 - q]),
+    and two or more runs are stratified by run when n has room for it.  The
+    Estimate's source draws more shots from the same cells.
     """
     q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
     c = np.ones(z.shape) if coeffs is None else np.asarray(coeffs, dtype=float)
@@ -510,33 +530,64 @@ def joint_readout(
     cells = np.stack(
         [q * 0.5 * (1.0 + z_cond), q * 0.5 * (1.0 - z_cond), np.maximum(0.0, 1.0 - q)], axis=1
     )
-    pvals = (np.abs(c) / one_norm)[:, None] * cells
-    return _JointShots(pvals.ravel(), np.sign(c), one_norm, _as_sampler(sampler))(n)
+    return _JointShots(cells, np.abs(c) / one_norm, np.sign(c), one_norm, _as_sampler(sampler))(n)
 
 
 class _JointShots:
     """The outcome law of coefficient-weighted parallel runs, on one stream.
 
-    pvals are joint_readout's 3T cell probabilities, run by run in the order
-    (+1, -1, discard), and each shot is worth sign(c_j) * (+-worth) or 0,
-    worth = ||c||_1.  Calling it with n makes one multinomial draw of n shots
-    and returns the pooled mean with its n/(n-1)-corrected standard error.
+    cells holds each run's (+1, -1, discard) probabilities, one row per run,
+    and share its |c_j|/||c||_1; worth = ||c||_1.  Calling it with n draws n
+    shots.  One run, or an n without room for a ceil(sqrt(n)) pilot and a
+    main shot per run (split), is one multinomial over the 3T cells weighted
+    by share (pvals): worth times the signed pooled mean, n/(n-1)-corrected.
+    Else the draw is stratified by run: the pilot splits by share, at least
+    one shot each, and measures each run's spread, floored at 1/sqrt(its
+    pilot shots); the rest split by share times spread (_neyman_split); the
+    value is sum_j c_j (n+_j - n-_j)/n_j over those main shots, each run's
+    variance n_j/(n_j - 1)-corrected, or the bound 1 for one shot.  The pilot
+    is charged to shots_used but not pooled; the split reads only its counts.
     """
 
-    __slots__ = ("pvals", "sign", "worth", "sampler")
+    __slots__ = ("cells", "share", "pvals", "sign", "worth", "sampler")
 
-    def __init__(self, pvals: np.ndarray, sign: np.ndarray, worth: float, sampler: ShotSampler):
-        self.pvals, self.sign, self.worth, self.sampler = pvals, sign, worth, sampler
+    def __init__(self, cells, share, sign, worth: float, sampler: ShotSampler):
+        self.cells, self.share, self.sign, self.worth = cells, share, sign, worth
+        self.pvals, self.sampler = (share[:, None] * cells).ravel(), sampler
+
+    def split(self, n: int) -> dict:
+        """An n-shot call's run count, pilot and main shots; pilot 0 for one multinomial."""
+        runs, pilot = len(self.share), _pilot_shots(n)
+        pilot = pilot if 2 <= runs <= min(pilot, n - pilot) else 0
+        return {"runs": runs, "pilot": pilot, "main": n - pilot}
 
     def __call__(self, n: int) -> Estimate:
-        counts = self.sampler.multinomial(n, self.pvals)
-        n_plus, n_minus = counts[0::3], counts[1::3]
-        mean = float(np.dot(self.sign, n_plus - n_minus)) / n
-        second_moment = float(np.sum(n_plus + n_minus)) / n
-        var = max(second_moment - mean * mean, 0.0)
-        if n > 1:
-            var *= n / (n - 1)
-        return Estimate(self.worth * mean, self.worth * math.sqrt(var / n), n, self)
+        pilot = self.split(n)["pilot"]
+        if not pilot:
+            counts = self.sampler.multinomial(n, self.pvals)
+            n_plus, n_minus = counts[0::3], counts[1::3]
+            mean = float(np.dot(self.sign, n_plus - n_minus)) / n
+            second_moment = float(np.sum(n_plus + n_minus)) / n
+            var = max(second_moment - mean * mean, 0.0)
+            if n > 1:
+                var *= n / (n - 1)
+            return Estimate(self.worth * mean, self.worth * math.sqrt(var / n), n, self)
+        firsts = _neyman_split(pilot, self.share)
+        spread = np.sqrt(np.maximum(self._strata(firsts)[1], 1.0 / firsts))
+        mains = _neyman_split(n - pilot, self.share * spread)
+        mean, var = self._strata(mains)
+        var[mains == 1] = 1.0
+        value = float((self.sign * self.share) @ mean)
+        se = math.sqrt(float((self.share * self.share / mains) @ var))
+        return Estimate(self.worth * value, self.worth * se, n, self)
+
+    def _strata(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each run's mean and n_j/(n_j - 1)-corrected variance over counts[j]
+        shots; (n+ + n-) - (n+ - n-) * mean is never negative in floating point."""
+        n_plus, n_minus, _ = self.sampler.multinomial_rows(counts, self.cells).T
+        diff = n_plus - n_minus
+        mean = diff / counts
+        return mean, (n_plus + n_minus - diff * mean) / np.maximum(counts - 1, 1)
 
 
 def parallel_qsp_run(

@@ -304,6 +304,33 @@ class TestEstimateCommand:
         )
         assert "stage shots" not in single.stderr
 
+    def test_importance_draws_on_the_stderr_line(self, runner, tmp_path):
+        # each importance draw prints as [part] runs pilot+main, after any stage shots
+        poly = write_poly(tmp_path / "p.json", [0.1, 0.2, -0.3, 0, 0.25, 0.1])
+        out = tmp_path / "run.json"
+        result = runner.invoke(
+            main,
+            ["estimate", "--property", "trace", "--state", "diag:0.75,0.25", "--poly", poly,
+             "--k", "2", "--mode", "sampled", "--shots", "20000", "--seed", "7",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        breakdown = json.loads(out.read_text())["report"]["breakdown"]
+        (line,) = [ln for ln in result.stderr.splitlines() if ln.startswith("stage shots")]
+        draws = ", ".join(
+            f"{name} {d['runs']} runs {d['pilot']}+{d['main']}"
+            for name in ("even", "odd") for d in [breakdown[name]["importance"]]
+        )
+        assert line.endswith(f"; importance draws (pilot+main): {draws}")
+        single = runner.invoke(
+            main,
+            ["estimate", "--property", "partition", "--state", "diag:0.75,0.25", "--beta", "1",
+             "--k", "2", "--epsilon", "0.01", "--mode", "sampled", "--auto-shots", "--seed", "7"],
+        )
+        assert single.exit_code == 0, single.output
+        assert "importance draws (pilot+main): 6 runs 272+73619" in single.stderr.splitlines()
+        assert "importance" not in single.stdout
+
     def test_seed_envvar(self, runner):
         args = ["estimate", "--property", "renyi", "--state", "diag:0.75,0.25",
                 "--alpha", "6", "--k", "2", "--mode", "sampled", "--shots", "20000"]

@@ -72,11 +72,28 @@ class TestPredictCost:
             predict_cost(CostModel(epsilon=0.1), "theorem99")
 
     def test_bad_epsilon(self):
-        with pytest.raises(InputError, match="epsilon"):
-            predict_cost(CostModel(epsilon=0.0, K=1.0), "theorem3")
+        for eps in (0.0, -1.0, math.nan):
+            with pytest.raises(InputError, match="epsilon"):
+                predict_cost(CostModel(epsilon=eps, K=1.0), "theorem3")
 
     def test_floor_of_one(self):
         assert predict_cost(CostModel(epsilon=100.0, K=0.01), "theorem3") == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda rho, **kw: renyi_integer(rho, 3, 2, **kw),
+        lambda rho, **kw: partition_function(rho, 1.0, 2, **kw),
+        lambda rho, **kw: estimate_direct(Polynomial([0.1, -0.2, 0.3, 0, 0.2]), rho, 2, **kw),
+    ],
+    ids=["renyi_integer", "partition_function", "estimate_direct"],
+)
+def test_nan_epsilon_is_a_typed_error(rho_34, run, mode):
+    kwargs = {"shots": 2000, "seed": 1} if mode == "sampled" else {}
+    with pytest.raises(InputError, match="epsilon must be positive, got nan"):
+        run(rho_34, epsilon=math.nan, mode=mode, **kwargs)
 
 
 class TestImportanceSample:
@@ -774,7 +791,12 @@ class TestSeededPins:
     direct, chebyshev and chebyshev_pooled were re-recorded when the budget
     split moved from even to pilot-measured spread (exact values 0.25156,
     0.31641 and 0.2125; the draws sit 0.31, 0.37 and 0.27 standard errors
-    away); the single-stage cases did not move."""
+    away); the single-stage cases did not move.  chebyshev, monomial and
+    partition_auto were re-recorded when an importance draw over two or more
+    runs began splitting its shots by run from a pilot's measured spread:
+    their standard errors fell from 0.1187, 0.004479 and 0.005623 to 0.08278,
+    0.002498 and 0.002258, and the draws sit 0.84, 1.73 and 1.05 standard
+    errors from the exact values."""
 
     CASES = {
         "direct": (
@@ -791,7 +813,7 @@ class TestSeededPins:
             ),
             # three stages: the even part's low and high, and the odd part's high
             # (k_odd = 1 leaves it no low stage)
-            (0.27249534133599573, 0.11873808666575092, 20000),
+            (0.24673375549351625, 0.08277519345066912, 20000),
         ),
         "chebyshev_pooled": (
             lambda rho: estimate_chebyshev(
@@ -805,7 +827,7 @@ class TestSeededPins:
                 Polynomial([0.2, 0.5, 0.3, -0.1]), rho, 2,
                 shots=20000, mode="sampled", seed=7,
             ),
-            (1.03936, 0.004479055996203983, 20000),
+            (1.0480560173862483, 0.002498070320169919, 20000),
         ),
         "renyi_auto": (
             lambda rho: renyi_integer(rho, 6, 2, mode="sampled", seed=8),
@@ -813,7 +835,7 @@ class TestSeededPins:
         ),
         "partition_auto": (
             lambda rho: partition_function(rho, 1.0, 2, epsilon=0.01, mode="sampled", seed=7),
-            (1.2487067286799325, 0.005622804811552754, 73891),
+            (1.248824795661077, 0.0022580248722944194, 73891),
         ),
     }
 
@@ -1022,6 +1044,25 @@ class TestPilotSplit:
         )
         assert "stage_shots" not in rep.breakdown and rep.shots_used == 500
 
+    def test_importance_draws_are_recorded(self, rho_34):
+        # a single-stage report records its draw at the top level
+        mono = Polynomial([0.2, 0.5, 0.3, -0.1])
+        rep = monomial_poly_trace(mono, rho_34, 2, shots=500, mode="sampled", seed=2)
+        assert rep.breakdown["importance"] == {"runs": 3, "pilot": 23, "main": 477}
+        assert "importance" not in monomial_poly_trace(mono, rho_34, 2).breakdown
+        part = partition_function(rho_34, 1.0, 2, epsilon=0.01, mode="sampled", seed=7)
+        assert part.breakdown["importance"] == {"runs": 6, "pilot": 272, "main": 73619}
+        # a part's high stage records the draw of its main read in its info
+        p = Polynomial([0.1, 0.2, -0.3, 0, 0.25, 0.1])
+        rep = estimate_chebyshev(p, rho_34, 2, shots=20000, mode="sampled", seed=7)
+        stages = rep.breakdown["stage_shots"]  # even low, even high, odd high
+        for name, stage in (("even", stages[1]), ("odd", stages[2])):
+            draw = rep.breakdown[name]["importance"]
+            assert draw["pilot"] + draw["main"] == stage["main"]
+            assert draw["runs"] == rep.breakdown[name]["term_count"]
+        assert all("importance" not in v for v in estimate_chebyshev(p, rho_34, 2).breakdown.values()
+                   if isinstance(v, dict))
+
 
 def _degree_24_target() -> Polynomial:
     rng = np.random.default_rng(24)
@@ -1060,6 +1101,47 @@ class TestSplitStatistics:
         assert abs(values.mean() - exact) <= 4 * sd / math.sqrt(len(values))
         assert abs(sd / np.mean([r.std_error for r in reps]) - 1.0) <= 0.15
         assert sd <= 0.85 * even_sd
+
+
+def _degree_10_target() -> Polynomial:
+    rng = np.random.default_rng(10)
+    return 0.5 * (random_parity_target(rng, 10) + random_parity_target(rng, 9))
+
+
+class TestCalibrationBeyondSmallStates:
+    """Sampled importance estimators on random D = 8, 16 and 32 states over
+    200 seeds: the mean sits within 5 SEM of the exact value, the mean
+    std_error within 15% of the measured spread, and at least 93% of seeds
+    within 2 std_error of it.  Every importance draw here is stratified by
+    run (its record shows a pilot).  Over 2000 seeds, the chebyshev case at
+    D = 16 reads a mean std_error 0.986 times the spread and 95.1% of seeds
+    inside 2 std_error, so the 200-seed bounds test the draw, not chance."""
+
+    RUNS = {
+        "monomial": lambda rho, **kw: monomial_poly_trace(
+            Polynomial([0.2, 0.5, 0.3, -0.1, 0.2, -0.15]), rho, 2, **kw
+        ),
+        "partition": lambda rho, **kw: partition_function(rho, 1.0, 2, epsilon=0.01, **kw),
+        "chebyshev": lambda rho, **kw: estimate_chebyshev(_degree_10_target(), rho, 3, **kw),
+    }
+
+    @pytest.mark.parametrize("dim", [8, 16, 32])
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_calibrated(self, name, dim):
+        run, rho = self.RUNS[name], DensityMatrix.random_seeded(dim, dim)
+        exact = run(rho).value
+        shots = {} if name == "partition" else {"shots": 20000}
+        reps = [run(rho, mode="sampled", seed=s, **shots) for s in range(200)]
+        records = [reps[0].breakdown] + [reps[0].breakdown[p] for p in ("even", "odd")
+                                         if p in reps[0].breakdown]
+        assert all(r["importance"]["pilot"] > 0 for r in records if "importance" in r)
+        assert any("importance" in r for r in records)
+        values = np.array([r.value for r in reps])
+        errors = np.array([r.std_error for r in reps])
+        spread = float(np.std(values, ddof=1))
+        assert abs(values.mean() - exact) <= 5 * spread / math.sqrt(len(values))
+        assert errors.mean() == pytest.approx(spread, rel=0.15)
+        assert np.mean(np.abs(values - exact) <= 2 * errors) >= 0.93
 
 
 class TestBatchedStages:

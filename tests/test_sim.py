@@ -798,6 +798,46 @@ class TestBatchedRuns:
             parallel_qsp_runs(table, np.zeros((1, 1), np.intp), DensityMatrix.pure(2))
 
 
+class _RecordingSampler(ShotSampler):
+    """A ShotSampler that keeps each row-wise draw's (shots, counts); a script
+    replaces the first draw's counts."""
+
+    def __init__(self, seed, script=None):
+        super().__init__(seed)
+        self.rows, self.script = [], script
+
+    def multinomial_rows(self, shots, pvals):
+        counts = super().multinomial_rows(shots, pvals)
+        if self.script is not None and not self.rows:
+            counts = np.array(self.script)
+        self.rows.append((np.asarray(shots), counts))
+        return counts
+
+
+def _cumulative_floor_split(total, weights):
+    """A loop reference: one shot each, the spare cut at floors of cumulative
+    shares; all-zero weights split evenly."""
+    weights = weights if any(weights) else [1.0] * len(weights)
+    spare, acc, cut, out = total - len(weights), 0.0, 0, []
+    for w in weights:
+        acc += w
+        nxt = min(spare, math.floor(spare * (acc / sum(weights))))
+        out.append(1 + nxt - cut)
+        cut = nxt
+    out[-1] += spare - cut
+    return out
+
+
+def test_neyman_split_matches_the_loop_reference():
+    rng = np.random.default_rng(3)
+    for trial in range(2000):
+        runs = int(rng.integers(1, 80))
+        w = rng.random(runs) * 10.0 ** rng.integers(-6, 4, runs)
+        w[(rng.random(runs) < 0.2) | (trial % 20 == 0)] = 0.0
+        total = runs + int(rng.integers(0, 10 ** int(rng.integers(1, 9))))
+        assert sim._neyman_split(total, w).tolist() == _cumulative_floor_split(total, w.tolist())
+
+
 class TestJointReadout:
     def test_one_run_is_the_single_multinomial(self, rho_34):
         factors = (Polynomial([0, 1]), Polynomial([0.5, 0, 0.5]))
@@ -823,6 +863,60 @@ class TestJointReadout:
         assert abs(vals.mean() - exact) <= 5 * spread / math.sqrt(len(vals))
         assert float(np.mean([e.std_error for e in ests])) == pytest.approx(spread, rel=0.15)
         assert all(e.shots_used == 2000 for e in ests)
+
+    def test_stratified_draw_matches_a_per_run_reference(self, rho_34):
+        # eight runs at 50 shots: a pilot of ceil(sqrt(50)) = 8 shots, one per
+        # run, then 42 main shots; at 49 the pilot of 7 cannot cover 8 runs
+        layouts = [(Polynomial([0, 1]),) * j for j in range(1, 9)]
+        q, z = parallel_qsp_runs(*layout_table(layouts), rho_34)
+        c = np.array([0.5, -0.3, 0.25, 0.2, -0.15, 0.1, 0.05, -0.05])
+        for n in (50, 400, 10 ** 5):
+            sampler = _RecordingSampler(3)
+            est = joint_readout(q, z, n, sampler, coeffs=c)
+            (pilot, first), (main, counts) = sampler.rows
+            assert est.shots_used == n and pilot.sum() == math.ceil(math.sqrt(n))
+            assert est.source.split(n) == {"runs": 8, "pilot": pilot.sum(), "main": n - pilot.sum()}
+            share = np.abs(c) / np.abs(c).sum()
+            assert pilot.tolist() == _cumulative_floor_split(pilot.sum(), share)
+            spreads = []
+            for m, (plus, minus, _) in zip(pilot, first):
+                var = 0.0 if m == 1 else ((plus + minus) / m - ((plus - minus) / m) ** 2) * m / (m - 1)
+                spreads.append(max(math.sqrt(max(var, 0.0)), 1.0 / math.sqrt(m)))
+            assert main.tolist() == _cumulative_floor_split(n - pilot.sum(), share * spreads)
+            value = var_sum = 0.0
+            for cj, m, (plus, minus, _) in zip(c, main, counts):
+                mean = (plus - minus) / m
+                var = 1.0 if m == 1 else ((plus + minus) / m - mean ** 2) * m / (m - 1)
+                value, var_sum = value + cj * mean, var_sum + cj * cj * var / m
+            assert est.value == pytest.approx(value, rel=1e-12, abs=1e-15)
+            assert est.std_error == pytest.approx(math.sqrt(var_sum), rel=1e-12)
+        assert joint_readout(q, z, 49, ShotSampler(3), coeffs=c).source.split(49)["pilot"] == 0
+        single = _RecordingSampler(3)
+        joint_readout(q, z, 49, single, coeffs=c)
+        assert single.rows == []
+
+    def test_split_follows_the_pilot_counts_not_the_law(self, rho_34):
+        # two identical runs: the exact law splits them evenly, a pilot that
+        # saw no spread on run 0 and the widest on run 1 does not
+        q, z = parallel_qsp_runs(*layout_table([(Polynomial([0, 1]),)] * 2), rho_34)
+        sampler = _RecordingSampler(1, script=[[50, 0, 0], [25, 25, 0]])
+        est = joint_readout(q, z, 10 ** 4, sampler, coeffs=[1.0, 1.0])
+        (pilot, _), (main, _) = sampler.rows
+        assert pilot.tolist() == [50, 50] and sum(main) == 10 ** 4 - 100
+        # spreads: the floor 1/sqrt(50) against sqrt(50/49): a 1:7.1 split
+        assert main[1] / main[0] == pytest.approx(math.sqrt(50 / 49) * math.sqrt(50), rel=1e-2)
+        assert est.shots_used == 10 ** 4
+
+    def test_one_main_shot_is_charged_the_bound(self, rho_34):
+        # the tiny coefficient's run, first so that no rounding spare lands on
+        # it, gets one pilot and one main shot
+        q, z = parallel_qsp_runs(*layout_table([(Polynomial.one(),)] * 2), rho_34)
+        sampler = _RecordingSampler(2)
+        est = joint_readout(q, z, 400, sampler, coeffs=[1e-9, 1.0])
+        (pilot, _), (main, _) = sampler.rows
+        assert pilot[0] == main[0] == 1 and est.value == pytest.approx(1.0 + 1e-9, rel=1e-12)
+        # a bare register reads +1 on every shot: only the bound is charged
+        assert est.std_error == pytest.approx(1e-9, rel=1e-12)
 
     def test_redraw_continues_the_stream_without_recomputing(self, rho_34, monkeypatch):
         # a redraw is the next draw of the same law on the same sampler
@@ -903,6 +997,12 @@ class TestShotSampler:
     def test_multinomial_total(self):
         counts = ShotSampler(7).multinomial(1000, [0.2, 0.3, 0.5])
         assert counts.sum() == 1000
+
+    def test_multinomial_rows_clip_and_normalize_each_row(self):
+        pvals = np.array([[0.2, 0.3, 0.5], [2.0, -1e-17, 2.0], [0.0, 0.0, 1.0]])
+        counts = ShotSampler(7).multinomial_rows([100, 40, 9], pvals)
+        assert counts.sum(axis=1).tolist() == [100, 40, 9]
+        assert counts[1, 1] == 0 and counts[2].tolist() == [0, 0, 9]
 
     @given(st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=20, deadline=None)
