@@ -10,16 +10,18 @@ norm for a Hadamard test, K^2 for a factorized run), a + b adds independent
 stages, and a report's value, standard error and shots are their sum (for
 entropies, its ln(s)/(1 - alpha) transform).
 
-Each estimator plans its stages and _run_stages, the one place that splits
-a budget and builds samplers, runs them.  A stage is a bound read-out, its
-scale and its ShotSampler child path.  Exact mode gives every stage "exact";
-a sampled budget needs an integer of at least one shot per stage.  One
-stage takes it whole.  Two or more first draw a pilot of ceil(sqrt(budget))
-shots each, charged to the budget but not pooled, and split the rest in
-proportion to each stage's pilot-measured per-shot spread times its scale
-(Neyman allocation), at least one shot each; a budget too small for the
-pilot splits evenly.  An estimator's `seed` keys one ShotSampler, and each
-stage draws both its pilot and its main shots from its own child stream.
+Each estimator builds one _Plan of stages (a bound read-out, its scale and
+ShotSampler child path) and hands it to _execute, the one place that reads
+stages or builds a report; nested estimators compose plans, not reports.
+_run_stages, which _execute reads through, splits the budget and builds the
+samplers.  Exact mode reads every stage "exact"; a sampled budget needs an
+integer of at least one shot per stage.  One stage takes it whole.  Two or
+more first draw a pilot of ceil(sqrt(budget)) shots each, charged to the
+budget but not pooled, and split the rest in proportion to each stage's
+pilot-measured per-shot spread times its scale (Neyman allocation), at
+least one shot each; a budget too small for the pilot splits evenly.  An
+estimator's `seed` keys one ShotSampler, and each stage draws both its
+pilot and its main shots from its own child stream.
 
 Reports also carry the closed-form predicted shot count for the chosen
 route (unit leading constant; these are order-of-magnitude planners, not
@@ -38,7 +40,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce, wraps
 from itertools import islice
 from typing import Callable, Literal, Sequence
 
@@ -65,6 +67,7 @@ from .sim import (
     Estimate,
     ShotSampler,
     _check_shots,
+    _integer,
     _neyman_split,
     _pilot_shots,
     joint_readout,
@@ -336,9 +339,52 @@ def _pilot_spread(first: Estimate, pilot: int) -> float:
     return max(first.std_error * math.sqrt(pilot), floor)
 
 
-def _report(est: Estimate, **fields) -> EstimationReport:
+@dataclass
+class _Plan:
+    """An estimator's stages and the report fields known before any read.
+    finish maps the stages' scaled Estimates to the report's Estimate, filling
+    breakdown with what the reads measured; predict then quotes
+    predicted_shots (theorems 7 and 10 at the measured trace), so a nested
+    plan replaces the inner quote without computing it.  auto is the budget
+    a sampled shots="auto" (or None) spends: a shot count, a rule on a
+    1000-shot pilot of the first stage on stream (0,), or None, which leaves
+    "auto" to _check_shots to reject."""
+
+    stages: list[_Stage]
+    query_depth: int
+    width: int
+    breakdown: dict
+    finish: Callable[[list[Estimate]], Estimate]
+    predict: Callable[[], int]
+    auto: int | Callable[[Estimate], int] | None = None
+
+
+def _threaded(build: Callable[..., _Plan]) -> Callable[..., _Plan]:
+    """A plan builder that first checks its first argument, the thread count k."""
+    return wraps(build)(lambda k, *args: build(_integer(k, "thread count", 1), *args))
+
+
+def _execute(plan: _Plan, shots: ShotPolicy, mode: Mode, seed: int | None) -> EstimationReport:
+    """Read a plan's stages and build its report: the one place either happens.
+
+    A mode other than "exact" or "sampled" fails before any read-out.  A rule's
+    pilot is charged to shots_used and recorded as breakdown["pilot_estimate"],
+    with the budget the rule chose as breakdown["auto_shots"]."""
+    if mode not in ("exact", "sampled"):
+        raise InputError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    pilot_used = 0
+    if mode == "sampled" and shots in ("auto", None) and plan.auto is not None:
+        shots = plan.auto
+        if callable(shots):
+            first = replace(plan.stages[0], stream=(0,))
+            (pilot,) = _run_stages([first], 1000, mode, seed)
+            shots, pilot_used = plan.auto(pilot), pilot.shots_used
+            plan.breakdown.update(pilot_estimate=pilot.value, auto_shots=shots)
+    est = plan.finish(_run_stages(plan.stages, shots, mode, seed, plan.breakdown))
     return EstimationReport(
-        value=est.value, std_error=est.std_error, shots_used=est.shots_used, **fields
+        value=est.value, std_error=est.std_error, shots_used=est.shots_used + pilot_used,
+        predicted_shots=plan.predict(), query_depth=plan.query_depth, width=plan.width,
+        breakdown=plan.breakdown,
     )
 
 
@@ -363,15 +409,13 @@ def estimate_direct(
     estimate_chebyshev takes any bounded P.
     """
     _check_target(p)
-    if k < 1:
-        raise InputError(f"thread count must be at least 1, got {k}")
-    if p.is_zero():
-        p_low, p_high = Polynomial([]), Polynomial([])
-    elif k > p.degree:
-        p_low, p_high = p, Polynomial([])
-    else:
-        p_low, p_high = split_constituents(p, k)
+    return _execute(_direct_plan(k, p, rho, epsilon), shots, mode, seed)
 
+
+@_threaded
+def _direct_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) -> _Plan:
+    """estimate_direct's plan; a rejected high part fails before any read-out."""
+    p_low, p_high = _constituents(p, k)
     stages: dict[str, _Stage] = {}
     breakdown: dict = {"w_low": 0.0, "w_high": 0.0, "K": 1.0}
     low_depth = parallel_depth = width = 0
@@ -380,33 +424,34 @@ def estimate_direct(
         breakdown["low_branch_depth"] = low_depth = query_depth_report([p_low])[0]
         width = 1
     if not p_high.is_zero():
-        plan = rescale_factors(factorize_nonneg(p_high, k))
-        factors = list(plan.factors)
+        rescaled = rescale_factors(factorize_nonneg(p_high, k))
+        factors = list(rescaled.factors)
         read = partial(parallel_qsp_run, factors, rho)
-        stages["w_high"] = _Stage(read, plan.stored_constant ** 2, (1,))
+        stages["w_high"] = _Stage(read, rescaled.stored_constant ** 2, (1,))
         parallel_depth, width = query_depth_report(factors)
         breakdown.update(
-            K=plan.stored_constant,
+            K=rescaled.stored_constant,
             factor_degrees=[f.degree for f in factors],
             parallel_depth=parallel_depth,
         )
 
-    # every stage is planned, so a rejected high part fails before any read-out
-    ests = _run_stages(list(stages.values()), shots, mode, seed, breakdown)
-    breakdown.update(zip(stages, (est.value for est in ests)))
-    model = CostModel(
-        epsilon=epsilon,
-        K=breakdown["K"],
-        norm_low=0.0 if p_low.is_zero() else sup_norm(p_low),
-    )
-    predicted = predict_cost(model, "theorem4")
-    return _report(
-        sum(ests, Estimate(0.0, 0.0)),
-        predicted_shots=predicted,
-        query_depth=max(low_depth, parallel_depth),
-        width=width,
-        breakdown=breakdown,
-    )
+    def finish(ests: list[Estimate]) -> Estimate:
+        breakdown.update(zip(stages, (est.value for est in ests)))
+        return sum(ests, Estimate(0.0, 0.0))
+
+    model = CostModel(epsilon=epsilon, K=breakdown["K"], norm_low=_norm(p_low))
+    predict = partial(predict_cost, model, "theorem4")
+    depth = max(low_depth, parallel_depth)
+    return _Plan(list(stages.values()), depth, width, breakdown, finish, predict)
+
+
+def _constituents(p: Polynomial, k: int) -> tuple[Polynomial, Polynomial]:
+    """split_constituents(p, k), or (p, 0) when p is zero or k exceeds its degree."""
+    return (p, Polynomial([])) if p.is_zero() or k > p.degree else split_constituents(p, k)
+
+
+def _norm(p: Polynomial) -> float:
+    return 0.0 if p.is_zero() else sup_norm(p)
 
 
 def _chebyshev_part(
@@ -463,8 +508,12 @@ def estimate_chebyshev(
     (see _run_stages) and records the split as breakdown["stage_shots"].
     """
     _check_target(p)
-    if k < 1:
-        raise InputError(f"thread count must be at least 1, got {k}")
+    return _execute(_chebyshev_plan(k, p, rho, epsilon), shots, mode, seed)
+
+
+@_threaded
+def _chebyshev_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) -> _Plan:
+    """estimate_chebyshev's plan: every part's stages, in part order."""
     p_even, p_odd = parity_split(p)
     k_even = k if k % 2 == 0 else k - 1
     k_odd = k if k % 2 == 1 else k - 1
@@ -474,19 +523,10 @@ def estimate_chebyshev(
         if not part.is_zero()
     ]
 
-    plans = [_chebyshev_part(part, kp, rho, i) for i, (_, part, kp) in enumerate(jobs)]
+    parts = [_chebyshev_part(part, kp, rho, i) for i, (_, part, kp) in enumerate(jobs)]
     breakdown: dict = {}
-    ests = iter(
-        _run_stages([s for st, _ in plans for s in st.values()], shots, mode, seed, breakdown)
-    )
-    total = Estimate(0.0, 0.0)
-    actual_depth = 0
-    actual_width = 0
-    for (name, _, kp), (stages, info) in zip(jobs, plans):
-        # sum each part's stages, then the parts: a flat sum moves last bits
-        part_ests = list(islice(ests, len(stages)))
-        info.update(zip(stages, (est.value for est in part_ests)))
-        total += sum(part_ests, Estimate(0.0, 0.0))
+    actual_depth = actual_width = 0
+    for (name, _, kp), (_, info) in zip(jobs, parts):
         breakdown[name] = info
         if info["sequential"]:
             actual_depth = max(actual_depth, info["depth"])
@@ -520,25 +560,23 @@ def estimate_chebyshev(
         width = actual_width
     breakdown["actual_depth"] = actual_depth
 
-    if p.is_zero() or k > p.degree:
-        norm_low, norm_high = (0.0 if p.is_zero() else sup_norm(p)), 0.0
-    else:
-        lo, hi = split_constituents(p, k)
-        norm_low = 0.0 if lo.is_zero() else sup_norm(lo)
-        norm_high = 0.0 if hi.is_zero() else sup_norm(hi)
-    predicted = predict_cost(
-        CostModel(
-            epsilon=epsilon, norm_low=norm_low, norm_high=norm_high, d=max(d, 1), k=k
-        ),
-        "theorem5",
-    )
-    return _report(
-        total,
-        predicted_shots=predicted,
-        query_depth=depth,
-        width=width,
-        breakdown=breakdown,
-    )
+    def finish(ests: list[Estimate]) -> Estimate:
+        ests = iter(ests)
+        total = Estimate(0.0, 0.0)
+        for stages, info in parts:
+            # sum each part's stages, then the parts: a flat sum moves last bits
+            part_ests = list(islice(ests, len(stages)))
+            info.update(zip(stages, (est.value for est in part_ests)))
+            total += sum(part_ests, Estimate(0.0, 0.0))
+        return total
+
+    def predict() -> int:
+        lo, hi = _constituents(p, k)
+        model = CostModel(epsilon, norm_low=_norm(lo), norm_high=_norm(hi), d=max(d, 1), k=k)
+        return predict_cost(model, "theorem5")
+
+    stages = [s for st, _ in parts for s in st.values()]
+    return _Plan(stages, depth, width, breakdown, finish, predict)
 
 
 def _monomial_factors(n: int, k: int) -> list[Polynomial]:
@@ -589,42 +627,36 @@ def renyi_integer(
     """
     if int(alpha) != alpha or alpha < 2:
         raise InputError(f"alpha must be an integer >= 2, got {alpha!r}")
-    alpha = int(alpha)
-    if k < 1:
-        raise InputError(f"thread count must be at least 1, got {k}")
+    return _execute(_renyi_integer_plan(k, rho, int(alpha), epsilon), shots, mode, seed)
+
+
+@_threaded
+def _renyi_integer_plan(k: int, rho: DensityMatrix, alpha: int, epsilon: float) -> _Plan:
+    """renyi_integer's plan: one swap-test stage on stream (1,), and an auto
+    rule quoting theorem 7 at the pilot's trace, clipped to [D^(1-alpha), 1]."""
     factors = _monomial_factors(alpha, k)
     breakdown: dict = {"params": {"alpha": float(alpha)}, "exponents": [f.degree for f in factors]}
     breakdown["actual_depth"], width = query_depth_report(factors)
-    read = partial(parallel_qsp_run, factors, rho)
-    pilot_used = 0
-    if mode != "exact" and shots in ("auto", None):
-        (pilot,) = _run_stages([_Stage(read, stream=(0,))], 1000, mode, seed)
-        pilot_used = pilot.shots_used
-        s_guess = min(1.0, max(pilot.value, rho.dim ** (1 - alpha)))
-        shots = predict_cost(
-            CostModel(epsilon=epsilon, s_alpha=s_guess, alpha=float(alpha)), "theorem7"
-        )
-        breakdown["pilot_estimate"] = pilot.value
-        breakdown["auto_shots"] = shots
-    (trace,) = _run_stages([_Stage(read, stream=(1,))], shots, mode, seed)
 
-    entropy = _renyi_transform(trace, alpha)
-    breakdown["s_alpha"] = trace.value
-    predicted = predict_cost(
-        CostModel(epsilon=epsilon, s_alpha=trace.value, alpha=float(alpha)), "theorem7"
-    )
-    return EstimationReport(
-        value=entropy.value,
-        std_error=entropy.std_error,
-        shots_used=entropy.shots_used + pilot_used,
-        predicted_shots=predicted,
-        query_depth=_monomial_depth(alpha, k),
-        width=width,
-        breakdown=breakdown,
-    )
+    def theorem7(s_alpha: float) -> int:
+        return predict_cost(CostModel(epsilon, s_alpha=s_alpha, alpha=float(alpha)), "theorem7")
+
+    def finish(ests: list[Estimate]) -> Estimate:
+        (trace,) = ests
+        breakdown["s_alpha"] = trace.value
+        return _renyi_transform(trace, alpha)
+
+    def predict() -> int:
+        return theorem7(breakdown["s_alpha"])
+
+    def auto(pilot: Estimate) -> int:
+        return theorem7(min(1.0, max(pilot.value, rho.dim ** (1 - alpha))))
+
+    stage = _Stage(partial(parallel_qsp_run, factors, rho), stream=(1,))
+    return _Plan([stage], _monomial_depth(alpha, k), width, breakdown, finish, predict, auto)
 
 
-def _renyi_transform(trace: Estimate | EstimationReport, alpha: float) -> Estimate:
+def _renyi_transform(trace: Estimate, alpha: float) -> Estimate:
     """ln(s)/(1 - alpha) of a trace estimate s, error propagated to first order."""
     s = trace.value
     if s <= 0.0:
@@ -657,15 +689,19 @@ def monomial_poly_trace(
     """
     if p.max_imag() > 1e-10:
         raise InputError("polynomial must have real coefficients")
-    if k < 1:
-        raise InputError(f"thread count must be at least 1, got {k}")
+    return _execute(_monomial_plan(k, p, rho, epsilon), shots, mode, seed)
+
+
+@_threaded
+def _monomial_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) -> _Plan:
+    """monomial_poly_trace's plan: one importance stage, none for a constant P."""
     dim = rho.dim
     coeffs = [float(c.real) for c in p.coeffs]
     one_norm = sum(abs(c) for c in coeffs)
-    if one_norm > 1e6:
+    if one_norm > 1e6:  # stacklevel 4 is past _threaded, at the estimator's caller
         warnings.warn(
             f"coefficient 1-norm {one_norm:.3e} makes sampling costs prohibitive",
-            stacklevel=2,
+            stacklevel=4,
         )
     c0 = coeffs[0] if coeffs else 0.0
     tail = [(n, c) for n, c in enumerate(coeffs) if n >= 1 and c != 0.0]
@@ -679,18 +715,12 @@ def monomial_poly_trace(
         "actual_depth": query_depth_report(table)[0],
     }
     read = partial(importance_sample, [c for _, c in tail], table, index, rho)
-    stages = [_Stage(read, record=breakdown)] if tail else []
-    total = sum(_run_stages(stages, shots, mode, seed), Estimate(c0 * dim, 0.0))
 
+    stages = [_Stage(read, record=breakdown)] if tail else []
     width = max((len(layouts[n]) for n, _ in tail), default=0)
-    predicted = predict_cost(CostModel(epsilon=epsilon, one_norm=one_norm), "theorem8")
-    return _report(
-        total,
-        predicted_shots=predicted,
-        query_depth=_monomial_depth(p.degree, k),
-        width=width,
-        breakdown=breakdown,
-    )
+    finish = partial(sum, start=Estimate(c0 * dim, 0.0))
+    predict = partial(predict_cost, CostModel(epsilon=epsilon, one_norm=one_norm), "theorem8")
+    return _Plan(stages, _monomial_depth(p.degree, k), width, breakdown, finish, predict)
 
 
 def partition_function(
@@ -706,8 +736,9 @@ def partition_function(
 
     The degree is the smallest d whose Taylor remainder certificate
     exp(beta) * beta^(d+1)/(d+1)! clears epsilon/(2*dim); the series then
-    routes through the monomial estimator.  The coefficient 1-norm is
-    certified below exp(beta).
+    routes through the monomial estimator's plan.  The coefficient 1-norm is
+    certified below exp(beta), and theorem 9 sets both the auto budget and
+    predicted_shots.
     """
     if beta < 0:
         raise InputError(f"inverse temperature must be non-negative, got {beta}")
@@ -728,23 +759,14 @@ def partition_function(
         if d > 400:
             raise ConvergenceError("series degree exceeded 400 without certification")
     coeffs = [(-beta) ** n / math.factorial(n) for n in range(d + 1)]
-    series = Polynomial(coeffs)
     predicted = predict_cost(CostModel(epsilon=epsilon, beta=beta), "theorem9")
-    auto = mode == "sampled" and shots in ("auto", None)
-    sub = monomial_poly_trace(
-        series, rho, k, shots=predicted if auto else shots, mode=mode, epsilon=epsilon, seed=seed
+    plan = _monomial_plan(k, Polynomial(coeffs), rho, epsilon)
+    plan.breakdown.update(
+        series_degree=d, remainder_bound=math.exp(log_remainder(d)),
+        one_norm_certificate=math.exp(beta), params={"beta": beta},
     )
-    return replace(
-        sub,
-        predicted_shots=predicted,
-        breakdown=dict(
-            sub.breakdown,
-            series_degree=d,
-            remainder_bound=math.exp(log_remainder(d)),
-            one_norm_certificate=math.exp(beta),
-            params={"beta": beta},
-        ),
-    )
+    plan = replace(plan, predict=lambda: predicted, auto=predicted)
+    return _execute(plan, shots, mode, seed)
 
 
 def _von_neumann_target(x: np.ndarray) -> np.ndarray:
@@ -835,33 +857,21 @@ def _resolve_delta(
     return min(float(nonzero.min()), 1.0 - 1e-9), "spectrum"
 
 
-def _entropy_from_poly_trace(
-    tag: str | tuple[str, float],
-    budget: float,
-    model: CostModel,
-    route: str,
-    rho: DensityMatrix,
-    k: int,
-    delta: float | Literal["auto"],
-    rank: int | None,
-    shots: ShotPolicy,
-    mode: Mode,
-    seed: int | None,
-) -> EstimationReport:
-    """tr(q(rho)) for a certified odd approximant q to the tagged target: the
-    shared pipeline.
+@_threaded
+def _entropy_plan(
+    k: int, tag: str | tuple[str, float], budget: float, model: CostModel, route: str,
+    rho: DensityMatrix, delta: float | Literal["auto"], rank: int | None,
+) -> _Plan:
+    """The shared entropy pipeline: estimate_chebyshev's plan for tr(q(rho)),
+    q a certified odd approximant to the tagged target.
 
     q is fitted on [delta, 1] to the error budget/(2*dim), or budget/(2*rank)
-    on the rank route, or replayed from the memo (see _approximant); it is
-    shrunk below unit norm, traced by estimate_chebyshev and scaled back.
-    Auto shots and predicted_shots quote `route` for `model` at the
-    approximant's degree.  The certificate covers eigenvalues in [delta, 1]
-    only: the breakdown records the spectral mass of rho's nonzero
-    eigenvalues below delta as mass_below_delta (0.0 on the spectrum route),
-    and a notice when it is positive, since the error there is not bounded.
-    """
-    if k < 1:
-        raise InputError(f"thread count must be at least 1, got {k}")
+    on the rank route, or replayed from the memo (see _approximant), and
+    shrunk below unit norm; finish scales the trace back.  The auto budget
+    and predicted_shots quote `route` for `model` at q's degree.  The
+    certificate covers [delta, 1] only: breakdown records the spectral mass
+    of rho's nonzero eigenvalues below delta as mass_below_delta (0.0 on the
+    spectrum route), and a notice when it is positive."""
     if not model.epsilon > 0:
         raise InputError(f"epsilon must be positive, got {model.epsilon}")
     dval, droute = _resolve_delta(rho, delta, rank)
@@ -877,32 +887,23 @@ def _entropy_from_poly_trace(
         )
     predicted = predict_cost(replace(model, d=deg), route)
     shrink = min(1.0, (1.0 - 1e-9) / sup_norm(poly))
-    auto = mode == "sampled" and shots in ("auto", None)
-    sub = estimate_chebyshev(
-        poly * shrink, rho, k, shots=predicted if auto else shots, mode=mode,
-        epsilon=model.epsilon, seed=seed,
-    )
+    # poly * shrink is real with sup norm below 1, so it needs no _check_target
+    plan = _chebyshev_plan(k, poly * shrink, rho, model.epsilon)
     notice = {} if mass <= 0.0 else {
         "notice": f"spectral mass {mass:.3g} lies below delta = {dval:.3g}, outside the "
         "approximant's certificate on [delta, 1]; the error bound does not cover it"
     }
-    return replace(
-        sub,
-        value=sub.value / shrink,
-        std_error=sub.std_error / shrink,
-        predicted_shots=predicted,
-        breakdown=dict(
-            sub.breakdown,
-            shrink=shrink,
-            params={"delta": dval} if rank is None else {"delta": dval, "rank": rank},
-            delta_route=droute,
-            approximant_degree=deg,
-            approximant_error=cert,
-            eps_prime=eps_prime,
-            mass_below_delta=mass,
-            **notice,
-        ),
+    plan.breakdown.update(
+        shrink=shrink, params={"delta": dval} if rank is None else {"delta": dval, "rank": rank},
+        delta_route=droute, approximant_degree=deg, approximant_error=cert,
+        eps_prime=eps_prime, mass_below_delta=mass, **notice,
     )
+
+    def finish(ests: list[Estimate]) -> Estimate:
+        trace = plan.finish(ests)
+        return Estimate(trace.value / shrink, trace.std_error / shrink, trace.shots_used)
+
+    return replace(plan, finish=finish, predict=lambda: predicted, auto=predicted)
 
 
 def renyi_noninteger(
@@ -921,7 +922,8 @@ def renyi_noninteger(
     The approximant is certified on [delta, 1] to the error that keeps the
     final entropy within epsilon after the logarithm's slope is
     accounted for; the trace of the approximant then routes through the
-    basis-product estimator, and the entropy transform propagates the error.
+    basis-product estimator's plan, and the entropy transform propagates the
+    error.
     """
     if not 0 < alpha < math.inf or float(alpha).is_integer():
         raise InputError(
@@ -930,24 +932,22 @@ def renyi_noninteger(
         )
     s_floor = rho.dim ** (1.0 - alpha) if alpha > 1 else 1.0
     model = CostModel(epsilon=epsilon, k=k, alpha=alpha, s_alpha=s_floor)
-    trace = _entropy_from_poly_trace(
-        ("renyi", float(alpha)), s_floor * epsilon * abs(alpha - 1.0),
-        model, "theorem10", rho, k, delta, rank, shots, mode, seed,
-    )
-    entropy = _renyi_transform(trace, alpha)
-    s_val = trace.value
-    deg = trace.breakdown["approximant_degree"]
-    return replace(
-        trace,
-        value=entropy.value,
-        std_error=entropy.std_error,
-        predicted_shots=predict_cost(replace(model, d=deg, s_alpha=s_val), "theorem10"),
-        breakdown=dict(
-            trace.breakdown,
-            params={"alpha": alpha, **trace.breakdown["params"], "s_alpha": s_val},
-            s_alpha=s_val,
-        ),
-    )
+    budget = s_floor * epsilon * abs(alpha - 1.0)
+    plan = _entropy_plan(k, ("renyi", float(alpha)), budget, model, "theorem10", rho, delta, rank)
+    breakdown = plan.breakdown
+
+    def finish(ests: list[Estimate]) -> Estimate:
+        trace = plan.finish(ests)
+        entropy, s_val = _renyi_transform(trace, alpha), trace.value
+        breakdown["params"] = {"alpha": alpha, **breakdown["params"], "s_alpha": s_val}
+        breakdown["s_alpha"] = s_val
+        return entropy
+
+    def predict() -> int:
+        deg, s_val = breakdown["approximant_degree"], breakdown["s_alpha"]
+        return predict_cost(replace(model, d=deg, s_alpha=s_val), "theorem10")
+
+    return _execute(replace(plan, finish=finish, predict=predict), shots, mode, seed)
 
 
 def von_neumann(
@@ -966,7 +966,6 @@ def von_neumann(
     follows, so the certified polynomial error epsilon/(2*dim) (or the rank
     variant) is the whole budget.
     """
-    return _entropy_from_poly_trace(
-        "von_neumann", epsilon, CostModel(epsilon=epsilon, k=k), "theorem11",
-        rho, k, delta, rank, shots, mode, seed,
-    )
+    model = CostModel(epsilon=epsilon, k=k)
+    plan = _entropy_plan(k, "von_neumann", epsilon, model, "theorem11", rho, delta, rank)
+    return _execute(plan, shots, mode, seed)

@@ -107,15 +107,15 @@ class Estimate:
 class ShotSampler:
     """Deterministic counter-based randomness for measurement simulation.
 
-    Wraps a Philox generator keyed by (seed, spawn path; a seed of None is
-    0), built on the first draw, so exact runs build none.  The same seed
-    and request sequence reproduce identical draws, and child(i) yields an
-    independent stream, so multi-stage estimators can hand each stage its
-    own sampler without coupling their consumption.
+    Wraps a Philox generator keyed by (seed, spawn path; a seed is None, read
+    as 0, or an integer >= 0), built on the first draw, so exact runs build
+    none.  The same seed and request sequence reproduce identical draws, and
+    child(i) yields an independent stream, so multi-stage estimators can hand
+    each stage its own sampler without coupling their consumption.
     """
 
     def __init__(self, seed: int | None, _path: tuple[int, ...] = ()):
-        self.seed = 0 if seed is None else int(seed)
+        self.seed = 0 if seed is None else _integer(seed, "seed")
         self.path = tuple(_path)
 
     @functools.cached_property
@@ -175,7 +175,8 @@ def _neyman_split(total: int, weights: Sequence[float]) -> np.ndarray:
 
 def _integer(value, name: str, low: int = 0) -> int:
     """An integer (numpy's too, not bool) of at least low, else InputError naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+    ok = type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    if not ok or value < low:
         raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 

@@ -10,6 +10,12 @@ case pins value, std_error and shots_used, and for a report the digest of
 its breakdown's key paths, so a key added to these reports shows too; the
 one key a sampled importance stage adds, its draw's record, is left out of
 the digest and must show a pilot of 0, the one multinomial.
+
+A second table pins the reads that go through nested or auto-budget paths
+(partition_function on the monomial estimator, the entropies on the
+Chebyshev one, an auto budget) and a stratified Chebyshev read, with their
+predicted shots, stage splits and importance draws.  Its values were
+computed before the estimators composed plans rather than reports.
 """
 
 import hashlib
@@ -150,3 +156,56 @@ def test_unchanged(name):
     records = _draw_records(getattr(out, "breakdown", {}))
     assert all(r["pilot"] == 0 for r in records)
     assert bool(records) == name.startswith(("monomial", "chebyshev"))
+
+
+NESTED_CASES = {
+    "partition-auto": lambda: partition_function(_rho4(), 1.0, 2, seed=1, **SAMPLED),
+    "von-neumann-auto-d2": lambda: von_neumann(
+        DensityMatrix.random_seeded(2, 1), 1, seed=2, **SAMPLED
+    ),
+    "von-neumann-50000": lambda: von_neumann(_rho4(), 2, shots=50000, seed=3, **SAMPLED),
+    "renyi-noninteger-rank-50000": lambda: renyi_noninteger(
+        _rho4(), 1.5, 2, rank=4, shots=50000, seed=4, **SAMPLED
+    ),
+    "chebyshev-200000": lambda: estimate_chebyshev(
+        _degree_12_target(), _rho8(), 2, shots=200000, seed=5, **SAMPLED
+    ),
+}
+
+# (value, std_error, shots_used, key digest, predicted_shots,
+#  (pilot, main) per stage_shots entry, (runs, pilot, main) per importance draw)
+NESTED_PINS = {
+    "partition-auto": (
+        3.157895975974808, 0.00024408063843098034, 7389057, "1a8ccd53fac5", 7389057,
+        [], [(7, 2719, 7386338)],
+    ),
+    "von-neumann-auto-d2": (
+        0.2664838313995046, 1.1492410397158527e-05, 180108854100, "3c8e7d83eede",
+        180108854100, [], [(44, 424393, 180108429707)],
+    ),
+    "von-neumann-50000": (
+        1.1869408384417135, 0.04696937183768744, 50000, "3c8e7d83eede", 18332019954456292,
+        [], [(108, 224, 49776)],
+    ),
+    "renyi-noninteger-rank-50000": (
+        1.068357193952879, 0.023909870090514686, 50000, "91759744d639", 152511743769,
+        [], [(24, 224, 49776)],
+    ),
+    "chebyshev-200000": (
+        1.9996271924079327, 0.6329050319663394, 200000, "a67af13caffa", 975630923516,
+        [(448, 40), (448, 184391), (448, 14225)], [(36, 430, 183961), (24, 120, 14105)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTED_CASES))
+def test_nested_and_auto_paths_unchanged(name):
+    out = NESTED_CASES[name]()
+    value, std_error, shots_used, digest = _summary(out)
+    want = NESTED_PINS[name]
+    assert value == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+    assert std_error == pytest.approx(want[1], rel=1e-12, abs=1e-15)
+    assert (shots_used, digest, out.predicted_shots) == want[2:5]
+    splits = [(s["pilot"], s["main"]) for s in out.breakdown.get("stage_shots", [])]
+    draws = [(r["runs"], r["pilot"], r["main"]) for r in _draw_records(out.breakdown)]
+    assert (splits, draws) == want[5:]

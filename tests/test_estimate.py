@@ -1263,6 +1263,55 @@ class TestReportPlumbing:
         }
 
 
+def _seven_estimators(rho) -> dict:
+    """Each estimator bound to valid inputs on rho, called as f(k, **keywords)."""
+    return {
+        "estimate_direct": partial(estimate_direct, Polynomial([0.5, 0, 0.5]), rho),
+        "estimate_chebyshev": partial(estimate_chebyshev, chebyshev_polynomial(6), rho),
+        "monomial_poly_trace": partial(monomial_poly_trace, Polynomial([0.2, 0.5, 0.3]), rho),
+        "partition_function": partial(partition_function, rho, 1.0),
+        "renyi_integer": partial(renyi_integer, rho, 3),
+        "renyi_noninteger": partial(renyi_noninteger, rho, 1.5),
+        "von_neumann": partial(von_neumann, rho),
+    }
+
+
+class TestExecutorChecks:
+    """The checks every estimator shares: mode, thread count and seed."""
+
+    @pytest.mark.parametrize("name", sorted(_seven_estimators(None)))
+    @pytest.mark.parametrize("mode", ["Exact", "sample", None])
+    def test_misspelt_mode_fails_before_any_read(self, rho_34, monkeypatch, name, mode):
+        def no_read(*args, **kwargs):
+            raise AssertionError("a stage was read")
+
+        monkeypatch.setattr(estimate, "_run_stages", no_read)
+        with pytest.raises(InputError, match="mode must be 'exact' or 'sampled'"):
+            _seven_estimators(rho_34)[name](2, shots=100, mode=mode)
+
+    @pytest.mark.parametrize("name", sorted(_seven_estimators(None)))
+    @pytest.mark.parametrize("k", [0, 2.5, True, "2", math.nan], ids=repr)
+    def test_bad_thread_count(self, rho_34, name, k):
+        with pytest.raises(InputError, match="thread count"):
+            _seven_estimators(rho_34)[name](k)
+
+    @pytest.mark.parametrize("name", sorted(_seven_estimators(None)))
+    def test_numpy_thread_count(self, rho_34, name):
+        est = _seven_estimators(rho_34)[name]
+        assert est(np.int64(2)).to_dict() == est(2).to_dict()
+        sampled = dict(mode="sampled", shots=400, seed=3)
+        assert est(np.int64(2), **sampled).to_dict() == est(2, **sampled).to_dict()
+
+    @pytest.mark.parametrize("seed", [1.5, "x", -1, True, np.float64(2.0)], ids=repr)
+    def test_bad_seed_is_named_in_either_mode(self, rho_34, seed):
+        p = Polynomial([0.5, 0, 0.5])
+        with pytest.raises(InputError, match="seed"):
+            estimate_direct(p, rho_34, 2, shots=100, mode="sampled", seed=seed)
+        # exact mode builds the root sampler too, so it rejects the seed as well
+        with pytest.raises(InputError, match="seed"):
+            estimate_direct(p, rho_34, 2, seed=seed)
+
+
 class TestSamplingStatistics:
     def test_stderr_ratio_tracks_shot_growth(self, rho_34):
         t6 = chebyshev_polynomial(6)

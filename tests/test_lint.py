@@ -222,7 +222,7 @@ def test_memo_scan_fails_copies_that_bypass_or_drop_the_memo():
         source,
     )
     assert swapped == 1
-    assert _approximant_search_refs(bypass) == ["_approximant (memo)", "_entropy_from_poly_trace"]
+    assert _approximant_search_refs(bypass) == ["_approximant (memo)", "_entropy_plan"]
     uncached, dropped = re.subn(
         r"@lru_cache\(maxsize=\d+\)\ndef _approximant\(", "def _approximant(", source
     )
@@ -348,8 +348,8 @@ def test_shot_plumbing_only_in_the_stage_executor():
 def test_plumbing_scan_fails_a_copy_that_builds_its_own_sampler():
     source = (SRC / "estimate.py").read_text()
     mutated, added = re.subn(
-        r"\(trace,\) = _run_stages\(",
-        "smp = ShotSampler(seed)\n    (trace,) = _run_stages(",
+        r"return _execute\(_renyi_integer_plan\(",
+        "smp = ShotSampler(seed)\n    return _execute(_renyi_integer_plan(",
         source,
     )
     assert added == 1
@@ -358,13 +358,69 @@ def test_plumbing_scan_fails_a_copy_that_builds_its_own_sampler():
     ]
 
 
+# set on an EstimationReport only, never on a _Plan, _Stage or CostModel
+REPORT_ONLY_FIELDS = {"value", "std_error", "shots_used", "predicted_shots"}
+
+
+def _report_builders(source: str) -> list[str]:
+    """Where a source reads stages or builds or rewraps a report, by top-level
+    definition: each call of _run_stages or EstimationReport, and each
+    replace() that sets a field only a report has.
+
+    estimate.py does all three in _execute alone: every estimator hands it
+    one plan, and a nested estimator composes the plan it builds on, never
+    the report.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            name = node.func.id
+            if name == "replace" and REPORT_ONLY_FIELDS & {kw.arg for kw in node.keywords}:
+                name = "replace(report)"
+            elif name not in ("_run_stages", "EstimationReport"):
+                continue
+            found.append(f"{name} in {getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_stages_read_and_reports_built_only_in_the_executor():
+    assert _report_builders((SRC / "estimate.py").read_text()) == [
+        "EstimationReport in _execute", "_run_stages in _execute", "_run_stages in _execute",
+    ]
+
+
+def test_executor_scan_fails_copies_that_read_or_rewrap_elsewhere():
+    source = (SRC / "estimate.py").read_text()
+    mutated, added = re.subn(
+        r"return _execute\(_renyi_integer_plan\(",
+        "(trace,) = _run_stages([_Stage(read, stream=(1,))], shots, mode, seed)\n"
+        "    return _execute(_renyi_integer_plan(",
+        source,
+    )
+    assert added == 1
+    assert _report_builders(mutated) == [
+        "EstimationReport in _execute", "_run_stages in _execute", "_run_stages in _execute",
+        "_run_stages in renyi_integer",
+    ]
+    assert _report_builders(
+        "def partition_function():\n    sub = monomial_poly_trace()\n"
+        "    return replace(sub, predicted_shots=1, breakdown={})\n"
+        "def von_neumann():\n    return replace(plan, finish=f, auto=2)\n"
+    ) == ["replace(report) in partition_function"]
+
+
+RENYI_INTEGER = ("renyi_integer", "_renyi_integer_plan")
+
+
 def _stray_hadamard_readouts(source: str) -> list[str]:
     """Hadamard read-outs outside their stage builder, by top-level definition.
 
     estimate.py names spectral_hadamard_test in _hadamard_stage alone, which
-    every sequential stage is built by, and renyi_integer reads its trace
-    through the swap test only, so it names neither.  Each flagged name reads
-    "<name> in <definition>".
+    every sequential stage is built by, and renyi_integer and its plan read
+    the trace through the swap test only, so they name neither.  Each
+    flagged name reads "<name> in <definition>".
     """
     found = []
     for top in ast.parse(source).body:
@@ -372,7 +428,7 @@ def _stray_hadamard_readouts(source: str) -> list[str]:
         for node in ast.walk(top):
             if isinstance(node, ast.Name) and (
                 (node.id == "spectral_hadamard_test" and where != "_hadamard_stage")
-                or (node.id == "_hadamard_stage" and where == "renyi_integer")
+                or (node.id == "_hadamard_stage" and where in RENYI_INTEGER)
             ):
                 found.append(f"{node.id} in {where}")
     return sorted(found)
@@ -385,16 +441,23 @@ def test_hadamard_readout_only_in_its_stage():
 def test_hadamard_scan_fails_a_copy_with_a_sequential_renyi_branch():
     source = (SRC / "estimate.py").read_text()
     mutated, added = re.subn(
-        r"\(trace,\) = _run_stages\(",
+        r"return _execute\(_renyi_integer_plan\(",
         'read = partial(spectral_hadamard_test, _shared_polynomial("x", alpha - 1), rho)\n'
         "    stage = _hadamard_stage(Polynomial.one(), rho, (1,))\n"
-        "    (trace,) = _run_stages(",
+        "    return _execute(_renyi_integer_plan(",
         source,
     )
     assert added == 1
     assert _stray_hadamard_readouts(mutated) == [
         "_hadamard_stage in renyi_integer", "spectral_hadamard_test in renyi_integer",
     ]
+    in_plan, added = re.subn(
+        r"\n    stage = _Stage\(partial\(parallel_qsp_run, factors, rho\), stream=\(1,\)\)",
+        "\n    stage = _hadamard_stage(_shared_polynomial(\"x\", alpha), rho, (1,))",
+        source,
+    )
+    assert added == 1
+    assert _stray_hadamard_readouts(in_plan) == ["_hadamard_stage in _renyi_integer_plan"]
     assert _stray_hadamard_readouts(
         "from .sim import spectral_hadamard_test\n"
         "def _hadamard_stage(p, rho):\n    return partial(spectral_hadamard_test, p, rho)\n"

@@ -1004,6 +1004,17 @@ class TestShotSampler:
         assert counts.sum(axis=1).tolist() == [100, 40, 9]
         assert counts[1, 1] == 0 and counts[2].tolist() == [0, 0, 9]
 
+    @pytest.mark.parametrize("seed", [1.5, "x", -1, True, np.float64(2.0), [1]], ids=repr)
+    def test_bad_seed_is_a_typed_error(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            ShotSampler(seed)
+
+    def test_numpy_and_none_seeds(self):
+        assert ShotSampler(np.int64(3)).seed == 3
+        assert ShotSampler(None).seed == 0
+        draw = ShotSampler(np.uint32(3)).bernoulli_count(0.4, 1000)
+        assert draw == ShotSampler(3).bernoulli_count(0.4, 1000)
+
     @given(st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=20, deadline=None)
     def test_repr_mentions_seed(self, seed):
