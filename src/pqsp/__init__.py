@@ -35,7 +35,6 @@ from .sim import (
     parallel_qsp_run,
     parallel_qsp_runs,
     query_depth_report,
-    redraw,
     spectral_hadamard_test,
 )
 from .estimate import (

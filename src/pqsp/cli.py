@@ -251,21 +251,9 @@ def estimate(
     click.echo(f"value: {value:.9g} +/- {err:.3g}")
     click.echo(f"depth: {report.query_depth}  width: {report.width}")
     click.echo(f"shots: used {report.shots_used}, predicted {report.predicted_shots}")
-    shares, breakdown = [], report.breakdown
-    if breakdown.get("stage_shots"):
-        parts = [
-            f"{s['pilot']}+{s['main']}"
-            + ("" if s["spread"] is None else f" (spread {s['spread']:.3g})")
-            for s in breakdown["stage_shots"]
-        ]
-        shares.append(f"stage shots (pilot+main): {', '.join(parts)}")
-    where = [("", breakdown), *((f"{k} ", v) for k, v in breakdown.items() if isinstance(v, dict))]
-    draws = [f"{name}{d['runs']} runs {d['pilot']}+{d['main']}"
-             for name, part in where if (d := part.get("importance"))]
-    if draws:
-        shares.append(f"importance draws (pilot+main): {', '.join(draws)}")
-    if shares:
-        click.echo("; ".join(shares), err=True)
+    if report.breakdown.get("stage_shots"):
+        parts = [f"{s['runs']}: {s['pilot']}+{s['main']}" for s in report.breakdown["stage_shots"]]
+        click.echo(f"stage shots (runs: pilot+main): {', '.join(parts)}", err=True)
 
     snapshot = dataclasses.asdict(cfg)
     record = RunRecord(

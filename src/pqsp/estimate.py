@@ -13,15 +13,18 @@ entropies, its ln(s)/(1 - alpha) transform).
 Each estimator builds one _Plan of stages (a bound read-out, its scale and
 ShotSampler child path) and hands it to _execute, the one place that reads
 stages or builds a report; nested estimators compose plans, not reports.
-_run_stages, which _execute reads through, splits the budget and builds the
-samplers.  Exact mode reads every stage "exact"; a sampled budget needs an
-integer of at least one shot per stage.  One stage takes it whole.  Two or
-more first draw a pilot of ceil(sqrt(budget)) shots each, charged to the
-budget but not pooled, and split the rest in proportion to each stage's
-pilot-measured per-shot spread times its scale (Neyman allocation), at
-least one shot each; a budget too small for the pilot splits evenly.  An
-estimator's `seed` keys one ShotSampler, and each stage draws both its
-pilot and its main shots from its own child stream.
+_execute reads every stage exactly, once.  Exact mode scales and sums those
+reads.  Sampled mode needs an integer budget of at least one shot per stage
+and spends it in one joint_readout over all the plan's runs (q_j, z_j),
+weighted by c_j times their stage's scale: a Hadamard stage is one run that
+always succeeds, a factorized run is its one run and an importance stage is
+its term runs.  With room, that draw reads a pilot of ceil(sqrt(budget))
+shots per stage, charged to the budget but not pooled, split over all runs
+by |weight|, and splits the rest by |weight| times each run's
+pilot-measured spread (Neyman allocation); a smaller budget gives each
+stage a fixed share by its weights' 1-norm.  Either way the stages'
+Estimates are independent.  An estimator's `seed` keys one ShotSampler, and
+the draw runs on the child stream of the plan's first stage.
 
 Reports also carry the closed-form predicted shot count for the chosen
 route (unit leading constant; these are order-of-magnitude planners, not
@@ -68,14 +71,11 @@ from .sim import (
     ShotSampler,
     _check_shots,
     _integer,
-    _neyman_split,
-    _pilot_shots,
     joint_readout,
     layout_table,
     parallel_qsp_run,
     parallel_qsp_runs,
     query_depth_report,
-    redraw,
     spectral_hadamard_test,
 )
 
@@ -257,14 +257,13 @@ def _check_target(p: Polynomial) -> None:
 
 @dataclass(frozen=True)
 class _Stage:
-    """One read-out of a plan: read(shots, sampler=) returns its Estimate,
-    scale maps that to the trace it measures, stream is its ShotSampler
-    child path and record, for an importance stage, its draw's dict."""
+    """One read-out of a plan: read("exact") returns its Estimate with the
+    law it read, scale maps that to the trace it measures, and stream is the
+    ShotSampler child path a plan led by this stage draws on."""
 
     read: Callable[..., Estimate]
     scale: float = 1.0
     stream: tuple[int, ...] = ()
-    record: dict | None = None
 
 
 def _hadamard_stage(p: Polynomial, rho: DensityMatrix, stream: tuple[int, ...]) -> _Stage:
@@ -272,83 +271,17 @@ def _hadamard_stage(p: Polynomial, rho: DensityMatrix, stream: tuple[int, ...]) 
     return _Stage(partial(spectral_hadamard_test, p, rho), rho.dim * sup_norm(p), stream)
 
 
-def _run_stages(
-    stages: Sequence[_Stage],
-    shots: ShotPolicy,
-    mode: Mode,
-    seed: int | None,
-    breakdown: dict | None = None,
-) -> list[Estimate]:
-    """Each stage's scaled Estimate, read on its own child of one ShotSampler.
-
-    Exact mode reads every stage "exact".  Otherwise the budget must be an
-    integer of at least the stage count, and one stage reads it whole.  Two
-    or more first read a pilot of ceil(sqrt(budget)) shots each.  The pilot
-    is charged to the stage's shots_used, but its outcomes are not pooled:
-    they only set the stage's spread, |scale| times _pilot_spread.  The rest
-    of the budget splits in proportion to the spreads, at least one shot
-    each (_neyman_split), and each stage redraws its main shots from its
-    pilot's source, the outcome law its read-out computed once, on the same
-    stream; a read-out without a source is read again.  A budget below
-    stages * (pilot + 1) splits evenly (the first `budget mod stages` take
-    one more).  Given a breakdown, a sampled run of two or more stages
-    records each stage's pilot shots, main shots and spread (None without a
-    pilot) as stage_shots, in stage order.  A sampled stage with a record
-    gets its main read's draw (_JointShots.split) as record["importance"].
-    """
-    root = ShotSampler(seed)
-    samplers = [reduce(ShotSampler.child, s.stream, root) for s in stages]
-    if mode == "exact":
-        return [s.scale * s.read("exact", sampler=smp) for s, smp in zip(stages, samplers)]
-    budget = _check_shots(shots, len(stages))
-    pilot = _pilot_shots(budget)
-    if len(stages) < 2 or len(stages) * (pilot + 1) > budget:
-        base, rem = divmod(budget, max(len(stages), 1))
-        mains = [base + (i < rem) for i in range(len(stages))]
-        reads = [s.read(n, sampler=smp) for s, smp, n in zip(stages, samplers, mains)]
-        pilot, spreads = 0, [None] * len(stages)
-    else:
-        firsts = [s.read(pilot, sampler=smp) for s, smp in zip(stages, samplers)]
-        spreads = [abs(s.scale) * _pilot_spread(f, pilot) for s, f in zip(stages, firsts)]
-        mains = _neyman_split(budget - len(stages) * pilot, spreads).tolist()
-        reads = [
-            redraw(first, n) if first.source else s.read(n, sampler=smp)
-            for s, smp, first, n in zip(stages, samplers, firsts, mains)
-        ]
-    if breakdown is not None and len(stages) > 1:
-        breakdown["stage_shots"] = [
-            {"pilot": pilot, "main": n, "spread": sp} for n, sp in zip(mains, spreads)
-        ]
-    for s, est in zip(stages, reads):
-        if s.record is not None and est.source is not None:
-            s.record["importance"] = est.source.split(est.shots_used)
-    return [
-        s.scale * Estimate(est.value, est.std_error, pilot + est.shots_used)
-        for s, est in zip(stages, reads)
-    ]
-
-
-def _pilot_spread(first: Estimate, pilot: int) -> float:
-    """The per-shot standard deviation a pilot of `pilot` shots measured.
-
-    It is floored at one outcome's worth, source.worth / sqrt(pilot), the
-    spread the pilot would show had one of its shots read one worth away from
-    the rest, so a stage whose pilot saw no spread still gets its share.
-    """
-    floor = first.source.worth / math.sqrt(pilot) if first.source else 0.0
-    return max(first.std_error * math.sqrt(pilot), floor)
-
-
 @dataclass
 class _Plan:
     """An estimator's stages and the report fields known before any read.
-    finish maps the stages' scaled Estimates to the report's Estimate, filling
-    breakdown with what the reads measured; predict then quotes
-    predicted_shots (theorems 7 and 10 at the measured trace), so a nested
-    plan replaces the inner quote without computing it.  auto is the budget
-    a sampled shots="auto" (or None) spends: a shot count, a rule on a
-    1000-shot pilot of the first stage on stream (0,), or None, which leaves
-    "auto" to _check_shots to reject."""
+    _execute draws all the stages' runs of a sampled plan in one draw, and
+    finish maps the stages' scaled Estimates, independent of each other, to
+    the report's Estimate, filling breakdown with what the reads measured;
+    predict then quotes predicted_shots (theorems 7 and 10 at the measured
+    trace), so a nested plan replaces the inner quote without computing it.
+    auto is the budget a sampled shots="auto" (or None) spends: a shot count,
+    a rule on a 1000-shot pilot of the first stage on stream (0,), or None,
+    which leaves "auto" to _check_shots to reject."""
 
     stages: list[_Stage]
     query_depth: int
@@ -367,20 +300,42 @@ def _threaded(build: Callable[..., _Plan]) -> Callable[..., _Plan]:
 def _execute(plan: _Plan, shots: ShotPolicy, mode: Mode, seed: int | None) -> EstimationReport:
     """Read a plan's stages and build its report: the one place either happens.
 
-    A mode other than "exact" or "sampled" fails before any read-out.  A rule's
-    pilot is charged to shots_used and recorded as breakdown["pilot_estimate"],
-    with the budget the rule chose as breakdown["auto_shots"]."""
+    A mode other than "exact" or "sampled" fails before any read-out, and a
+    sampled budget is checked before one too.  Each stage is read exactly,
+    once; sampled mode then draws the whole budget in one joint_readout on
+    the first stage's stream and records each stage's runs, pilot and main
+    shots as breakdown["stage_shots"] (a plan without stages draws nothing).
+    Each stage's run weights are its coefficients times its scale, so the
+    parts the draw returns are the scaled stage Estimates finish sums.  An
+    auto rule first draws a 1000-shot pilot of the first stage alone, on
+    stream (0,); it is charged to shots_used and recorded as
+    breakdown["pilot_estimate"], with the budget the rule chose as
+    breakdown["auto_shots"]."""
     if mode not in ("exact", "sampled"):
         raise InputError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    pilot_used = 0
+    root, stages = ShotSampler(seed), plan.stages
     if mode == "sampled" and shots in ("auto", None) and plan.auto is not None:
         shots = plan.auto
+    if mode == "sampled" and not callable(shots):
+        shots = _check_shots(shots, len(stages))
+    reads = [s.read("exact") for s in stages]
+    pilot_used = 0
+    if mode == "exact" or not stages:
+        ests = [s.scale * r for s, r in zip(stages, reads)]
+    else:
+        laws = [(r.law[0], r.law[1], s.scale * r.law[2]) for s, r in zip(stages, reads)]
+        q, z, w = map(np.concatenate, zip(*laws))
+        sizes = [len(law[1]) for law in laws]
         if callable(shots):
-            first = replace(plan.stages[0], stream=(0,))
-            (pilot,) = _run_stages([first], 1000, mode, seed)
+            head = slice(0, sizes[0])
+            pilot = joint_readout(q[head], z[head], 1000, root.child(0), coeffs=w[head])
             shots, pilot_used = plan.auto(pilot), pilot.shots_used
             plan.breakdown.update(pilot_estimate=pilot.value, auto_shots=shots)
-    est = plan.finish(_run_stages(plan.stages, shots, mode, seed, plan.breakdown))
+        sampler = reduce(ShotSampler.child, stages[0].stream, root)
+        parts = joint_readout(q, z, shots, sampler, coeffs=w, stages=sizes).parts
+        ests = [est for est, _ in parts]
+        plan.breakdown["stage_shots"] = [record for _, record in parts]
+    est = plan.finish(ests)
     return EstimationReport(
         value=est.value, std_error=est.std_error, shots_used=est.shots_used + pilot_used,
         predicted_shots=plan.predict(), query_depth=plan.query_depth, width=plan.width,
@@ -402,9 +357,9 @@ def estimate_direct(
     Splits P = P_low + x^k * P_high; the low part goes through a sequential
     Hadamard test, the high part is factorized into k threads, rescaled, and
     run in parallel, with the squared factorization constant undoing the
-    rescale attenuation.  Sampled mode splits the shot budget between the
-    two branches by a pilot's measured spread (see _run_stages) and records
-    the split as breakdown["stage_shots"].  A high constituent that is not
+    rescale attenuation.  Sampled mode draws both branches' runs in one
+    stratified draw (see _execute) and records each branch's shots as
+    breakdown["stage_shots"].  A high constituent that is not
     non-negative on the real line raises NotNonNegativeError;
     estimate_chebyshev takes any bounded P.
     """
@@ -484,7 +439,7 @@ def _chebyshev_part(
     info["parallel_depth"] = query_depth_report(table)[0]
     if len(terms.coeff):
         read = partial(importance_sample, terms.coeff, table, index, rho)
-        stages["w_high"] = _Stage(read, 1.0, (2 * i + 1,), info)
+        stages["w_high"] = _Stage(read, 1.0, (2 * i + 1,))
         info["w_high"] = None
     return stages, info
 
@@ -504,8 +459,8 @@ def estimate_chebyshev(
     parity (k or k-1) so its high constituent is expressible as products of
     bounded basis polynomials, which never need a factorization constant.
     Terms are recombined exactly or by importance sampling.  Sampled mode
-    splits the budget over all parts' stages by a pilot's measured spread
-    (see _run_stages) and records the split as breakdown["stage_shots"].
+    draws all parts' stages in one draw, stratified by run (see _execute),
+    and records each stage's shots as breakdown["stage_shots"].
     """
     _check_target(p)
     return _execute(_chebyshev_plan(k, p, rho, epsilon), shots, mode, seed)
@@ -625,7 +580,7 @@ def renyi_integer(
     selection runs the same stage as a 1000-shot pilot to seed the
     trace-dependent count.
     """
-    if int(alpha) != alpha or alpha < 2:
+    if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha) and int(alpha) == alpha >= 2):
         raise InputError(f"alpha must be an integer >= 2, got {alpha!r}")
     return _execute(_renyi_integer_plan(k, rho, int(alpha), epsilon), shots, mode, seed)
 
@@ -716,7 +671,7 @@ def _monomial_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) ->
     }
     read = partial(importance_sample, [c for _, c in tail], table, index, rho)
 
-    stages = [_Stage(read, record=breakdown)] if tail else []
+    stages = [_Stage(read)] if tail else []
     width = max((len(layouts[n]) for n, _ in tail), default=0)
     finish = partial(sum, start=Estimate(c0 * dim, 0.0))
     predict = partial(predict_cost, CostModel(epsilon=epsilon, one_norm=one_norm), "theorem8")
@@ -742,6 +697,8 @@ def partition_function(
     """
     if beta < 0:
         raise InputError(f"inverse temperature must be non-negative, got {beta}")
+    if not beta < math.inf:  # NaN fails it too
+        raise InputError(f"inverse temperature must be finite, got {beta}")
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
     dim = rho.dim

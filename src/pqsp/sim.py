@@ -8,14 +8,14 @@ is the paper's parallel circuit: k threads each apply a factor polynomial to
 a copy of rho, post-select on their encoding flags, and a
 Hadamard-conjugated controlled cyclic shift reads out
 z = tr(rho^k * prod_j |P_j(rho)|^2) through the joint outcome statistics,
-without ever renormalizing by the success probability.  The two one-ancilla
-read-outs share _readout: the exact value, or Bernoulli shots drawn from the
-caller's ShotSampler.  joint_readout is the one place that draws
-(+1, -1, discard) shots of parallel runs: one multinomial for one run, and
-a pilot and a main row-wise multinomial, stratified by run, for weighted
-runs.  Each read-out computes its outcome law once; a sampled Estimate
-keeps it as `source`, and redraw draws more shots of the same law on the
-same stream without computing it again.
+without ever renormalizing by the success probability.  joint_readout is
+the one read-out law and the one place that draws shots: every read-out is
+a list of runs (q_j, z_j) with coefficients c_j, each shot landing on
+(+1, -1, discard) of one run; the Hadamard and swap tests are one run that
+always succeeds.  An exact read keeps its runs on the Estimate as its law,
+so an estimator can read every stage exactly and then draw all of a plan's
+runs at once: one multinomial per stage when the budget is small, else a
+pilot and a main row-wise multinomial stratified by run across all stages.
 
 Two execution modes exist.  "direct" works on rho's eigenvalues w_i alone:
 every thread block P_j(rho) is a function of rho, so one eigenbasis
@@ -40,6 +40,7 @@ subspace, in O(k D^3 + D^(2k)) work, with D^k capped at 1024.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -60,7 +61,6 @@ __all__ = [
     "layout_table",
     "parallel_qsp_runs",
     "joint_readout",
-    "redraw",
     "parallel_qsp_run",
     "query_depth_report",
 ]
@@ -79,17 +79,20 @@ class Estimate:
 
     Estimators assemble their stages arithmetically: a + b is the sum of two
     independent stages (variances and shots add) and c * est rescales a
-    stage by a known constant.  A read-out's sampled Estimate keeps its
-    outcome law as source, for redraw.  Exact values, sums and rescaled
-    estimates have none.
+    stage by a known constant.  An exact read-out keeps the law it read as
+    law, its runs' (q, z, c), so a caller can draw shots of several
+    read-outs at once through joint_readout; a sampled joint_readout keeps
+    each stage's Estimate and draw record as parts.  Sums and rescaled
+    estimates keep neither.
     """
 
     value: float
     std_error: float
     shots_used: int = 0
-    source: "_AncillaShots | _JointShots | None" = field(
+    law: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, compare=False, repr=False
     )
+    parts: tuple[tuple["Estimate", dict], ...] = field(default=(), compare=False, repr=False)
 
     def __add__(self, other: "Estimate") -> "Estimate":
         return Estimate(
@@ -110,8 +113,8 @@ class ShotSampler:
     Wraps a Philox generator keyed by (seed, spawn path; a seed is None, read
     as 0, or an integer >= 0), built on the first draw, so exact runs build
     none.  The same seed and request sequence reproduce identical draws, and
-    child(i) yields an independent stream, so multi-stage estimators can hand
-    each stage its own sampler without coupling their consumption.
+    child(i) yields an independent stream, so an estimator's auto-budget
+    pilot and its main draw do not couple their consumption.
     """
 
     def __init__(self, seed: int | None, _path: tuple[int, ...] = ()):
@@ -126,11 +129,8 @@ class ShotSampler:
     def child(self, index: int) -> "ShotSampler":
         return ShotSampler(self.seed, self.path + (int(index),))
 
-    def bernoulli_count(self, p: float, shots: int) -> int:
-        return int(self.rng.binomial(shots, min(1.0, max(0.0, p))))
-
     def multinomial(self, shots: int, pvals: Sequence[float]) -> np.ndarray:
-        p = np.clip(np.asarray(pvals, dtype=float), 0.0, None)
+        p = np.maximum(np.asarray(pvals, dtype=float), 0.0)
         p = p / p.sum()
         return self.rng.multinomial(shots, p)
 
@@ -164,13 +164,16 @@ def _pilot_shots(n: int) -> int:
 def _neyman_split(total: int, weights: Sequence[float]) -> np.ndarray:
     """total shots in proportion to non-negative weights, at least one each;
     all-zero weights split evenly.  The spare shots are cut at the floors of
-    their cumulative weighted shares (the last share is 1, and none exceeds
-    it), so the counts sum to total exactly."""
+    their cumulative weighted shares, the last being all of them, so the
+    counts sum to total exactly.  A total past int64 raises numpy's
+    OverflowError, as a draw of that many shots would."""
     acc = np.add.accumulate(np.asarray(weights, dtype=float))
     acc = acc if acc[-1] else np.arange(1.0, len(acc) + 1)
-    cuts = np.floor((total - len(acc)) * (acc / acc[-1]))
+    spare = np.int64(total - len(acc))
+    cuts = np.minimum(np.floor(spare * (acc / acc[-1])).astype(np.int64), spare)
+    cuts[-1] = spare  # the float product rounds past 2^53
     cuts[1:] -= cuts[:-1]
-    return cuts.astype(np.int64) + 1
+    return cuts + 1
 
 
 def _integer(value, name: str, low: int = 0) -> int:
@@ -179,47 +182,6 @@ def _integer(value, name: str, low: int = 0) -> int:
     if not ok or value < low:
         raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
-
-
-class _AncillaShots:
-    """The outcome law of a one-ancilla read-out of value, on one stream.
-
-    The ancilla reads 0 with probability p = 1/2 + value/2, and each shot is
-    worth +1 or -1.  Calling it with n draws n shots and returns 2*p_hat - 1
-    with standard error 2*sqrt(p_hat(1-p_hat)/n).
-    """
-
-    __slots__ = ("p", "sampler")
-    worth = 1.0
-
-    def __init__(self, value: float, sampler: ShotSampler):
-        self.p = 0.5 + 0.5 * min(1.0, max(-1.0, value))
-        self.sampler = sampler
-
-    def __call__(self, n: int) -> Estimate:
-        p_hat = self.sampler.bernoulli_count(self.p, n) / n
-        se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
-        return Estimate(2.0 * p_hat - 1.0, 2.0 * se, n, self)
-
-
-def _readout(value: float, shots: ShotSpec, sampler: "ShotSampler | None") -> Estimate:
-    """The exact value, or Bernoulli shots of a one-ancilla read-out of it."""
-    if shots == "exact":
-        return Estimate(value=float(value), std_error=0.0, shots_used=0)
-    n = _check_shots(shots)
-    return _AncillaShots(value, _as_sampler(sampler))(n)
-
-
-def redraw(est: Estimate, shots: int) -> Estimate:
-    """shots fresh shots of the sampled read-out behind est, alone.
-
-    They come from the outcome law the read-out computed once, est.source,
-    on the same ShotSampler stream, so nothing is evaluated again.  An
-    Estimate without a source (exact, summed or rescaled) raises InputError.
-    """
-    if est.source is None:
-        raise InputError("only a sampled read-out's own Estimate can be redrawn")
-    return est.source(_check_shots(shots))
 
 
 class DensityMatrix:
@@ -336,13 +298,14 @@ def spectral_hadamard_test(
     The block p(rho)/||p|| is a function of rho, so the trace is the mean of
     p(w_i)/||p|| over the eigenvalues w_i, clipped to [-1, 1], and lies in
     [-1, 1] without any encoding being built.  The zero polynomial has no
-    such block and raises InputError.  Sampled mode draws through _readout.
+    such block and raises InputError.  It reads out as one run that always
+    succeeds, through joint_readout.
     """
     norm = sup_norm(p)
     if norm == 0.0:
         raise InputError("the zero polynomial has no block p/||p|| to encode")
     values = np.real(p(np.clip(rho.eigenvalues(), -1.0, 1.0))) / norm
-    return _readout(float(np.mean(values)), shots, sampler)
+    return joint_readout([1.0], [float(np.mean(values))], shots, sampler)
 
 
 def generalized_swap_expectation(
@@ -353,8 +316,8 @@ def generalized_swap_expectation(
     """Re tr(rho_1 rho_2 ... rho_k) via the cyclic-shift test on k registers.
 
     Exact mode multiplies the states out directly (k <= 6); sampled mode
-    draws from the ancilla probability p = (1 + Re tr(prod rho_j))/2 and
-    inverts, estimating the real part.
+    reads the ancilla as one run that always succeeds, through joint_readout:
+    +1 with probability (1 + Re tr(prod rho_j))/2, estimating the real part.
     """
     k = len(states)
     if k < 1:
@@ -367,7 +330,7 @@ def generalized_swap_expectation(
     prod = states[0].matrix
     for s in states[1:]:
         prod = prod @ s.matrix
-    return _readout(float(np.real(np.trace(prod))), shots, sampler)
+    return joint_readout([1.0], [float(np.real(np.trace(prod)))], shots, sampler)
 
 
 def _thread_values(
@@ -503,16 +466,19 @@ def joint_readout(
     shots: ShotSpec = "exact",
     sampler: ShotSampler | None = None,
     coeffs: Sequence[float] | None = None,
+    stages: Sequence[int] | None = None,
 ) -> Estimate:
     """sum_j c_j z_j from the (+1, -1, discard) shots of parallel runs (q_j, z_j).
 
     Run j succeeds with probability q_j, and a success reads +1 with
     probability (1 + z_j/q_j)/2 and -1 otherwise; c defaults to all ones.
-    Exact mode returns sum_j c_j z_j.  Sampled mode computes each run's three
-    cell probabilities once and draws n shots of them through _JointShots,
-    in O(runs) work whatever n is: one run is multinomial(n, [p+, p-, 1 - q]),
-    and two or more runs are stratified by run when n has room for it.  The
-    Estimate's source draws more shots from the same cells.
+    Exact mode returns sum_j c_j z_j and keeps (q, z, c) as the Estimate's
+    law.  stages counts the runs of each stage, in run order (all runs are
+    one stage by default); no stage may have all-zero coefficients.  Sampled
+    mode computes each run's three cell probabilities once and draws n shots
+    of all stages in one _draw, in O(runs) work whatever n is.  The Estimate
+    is the sum of the stages' independent Estimates, which it keeps as parts,
+    each with its draw record {"runs", "pilot", "main"}.
     """
     q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
     c = np.ones(z.shape) if coeffs is None else np.asarray(coeffs, dtype=float)
@@ -521,74 +487,100 @@ def joint_readout(
             f"one q, z and coefficient per run is required, got shapes "
             f"{q.shape}, {z.shape} and {c.shape}"
         )
-    one_norm = float(np.abs(c).sum())
-    if one_norm <= 0.0:
+    sizes = [len(z)] if stages is None else [_integer(s, "stage run count", 1) for s in stages]
+    if sum(sizes) != len(z):
+        raise InputError(f"stage run counts {sizes} do not add up to the {len(z)} runs")
+    ends = list(itertools.accumulate(sizes))
+    bounds = list(zip([0, *ends[:-1]], ends))
+    norms = [float(np.abs(c[a:b]).sum()) for a, b in bounds]
+    if not all(norms):
         raise InputError("all-zero coefficients: nothing to sample")
     if shots == "exact":
-        return Estimate(value=float(np.dot(c, z)), std_error=0.0, shots_used=0)
-    n = _check_shots(shots)
-    z_cond = np.clip(z / q, -1.0, 1.0)
-    cells = np.stack(
-        [q * 0.5 * (1.0 + z_cond), q * 0.5 * (1.0 - z_cond), np.maximum(0.0, 1.0 - q)], axis=1
-    )
-    return _JointShots(cells, np.abs(c) / one_norm, np.sign(c), one_norm, _as_sampler(sampler))(n)
+        return Estimate(value=float(np.dot(c, z)), std_error=0.0, shots_used=0, law=(q, z, c))
+    n = _check_shots(shots, len(sizes))
+    z_cond = np.minimum(np.maximum(z / q, -1.0), 1.0)
+    cells = np.empty((len(z), 3))  # filled column by column: np.stack costs ~10 us
+    cells[:, 0], cells[:, 1] = q * 0.5 * (1.0 + z_cond), q * 0.5 * (1.0 - z_cond)
+    cells[:, 2] = np.maximum(0.0, 1.0 - q)
+    parts = _draw(cells, c, bounds, norms, n, _as_sampler(sampler))
+    total = functools.reduce(Estimate.__add__, (est for est, _ in parts))
+    return Estimate(total.value, total.std_error, total.shots_used, parts=tuple(parts))
 
 
-class _JointShots:
-    """The outcome law of coefficient-weighted parallel runs, on one stream.
+def _draw(
+    cells: np.ndarray,
+    c: np.ndarray,
+    bounds: list[tuple[int, int]],
+    norms: list[float],
+    n: int,
+    sampler: ShotSampler,
+) -> list[tuple[Estimate, dict]]:
+    """n shots of coefficient-weighted runs: each stage's Estimate and record.
 
-    cells holds each run's (+1, -1, discard) probabilities, one row per run,
-    and share its |c_j|/||c||_1; worth = ||c||_1.  Calling it with n draws n
-    shots.  One run, or an n without room for a ceil(sqrt(n)) pilot and a
-    main shot per run (split), is one multinomial over the 3T cells weighted
-    by share (pvals): worth times the signed pooled mean, n/(n-1)-corrected.
-    Else the draw is stratified by run: the pilot splits by share, at least
-    one shot each, and measures each run's spread, floored at 1/sqrt(its
-    pilot shots); the rest split by share times spread (_neyman_split); the
-    value is sum_j c_j (n+_j - n-_j)/n_j over those main shots, each run's
-    variance n_j/(n_j - 1)-corrected, or the bound 1 for one shot.  The pilot
-    is charged to shots_used but not pooled; the split reads only its counts.
+    cells holds each run's (+1, -1, discard) probabilities, one row per run;
+    stage g is runs bounds[g] = (a, b), of coefficient 1-norm norms[g].  The
+    pilot is ceil(sqrt(n)) shots per stage.  With two or more runs and room
+    for that pilot and a main shot per run, the draw is stratified by run:
+    the pilot splits by |c_j|, at least one shot each, and measures each
+    run's spread, floored at 1/sqrt(its pilot shots); the rest split by
+    |c_j| times spread (_neyman_split); stage g reads
+    sum_(j in g) c_j (n+_j - n-_j)/n_j over those main shots, each run's
+    variance n_j/(n_j - 1)-corrected, or the bound 1 for one shot.  The
+    pilot is charged to its stage's shots but not pooled; the split reads
+    only its counts.  Otherwise each stage gets a fixed share of n by its
+    1-norm, at least one shot, and one stage all of n (_pooled).  Either way
+    the stages' Estimates are independent.
     """
+    pilot = len(bounds) * _pilot_shots(n)
+    if not 2 <= len(c) <= min(pilot, n - pilot):
+        shares = _neyman_split(n, norms).tolist() if len(norms) > 1 else [n]
+        return [
+            _pooled(cells[a:b], c[a:b], norm, m, sampler)
+            for (a, b), norm, m in zip(bounds, norms, shares)
+        ]
+    worth = float(np.abs(c).sum())
+    share = np.abs(c) / worth
+    firsts = _neyman_split(pilot, share)
+    spread = np.sqrt(np.maximum(_strata(cells, firsts, sampler)[1], 1.0 / firsts))
+    mains = _neyman_split(n - pilot, share * spread)
+    mean, var = _strata(cells, mains, sampler)
+    var[mains == 1] = 1.0
+    signed, weights = np.sign(c) * share, share * share / mains
+    parts = []
+    for a, b in bounds:
+        record = {"runs": b - a, "pilot": int(firsts[a:b].sum()), "main": int(mains[a:b].sum())}
+        value = worth * float(signed[a:b] @ mean[a:b])
+        se = worth * math.sqrt(float(weights[a:b] @ var[a:b]))
+        parts.append((Estimate(value, se, record["pilot"] + record["main"]), record))
+    return parts
 
-    __slots__ = ("cells", "share", "pvals", "sign", "worth", "sampler")
 
-    def __init__(self, cells, share, sign, worth: float, sampler: ShotSampler):
-        self.cells, self.share, self.sign, self.worth = cells, share, sign, worth
-        self.pvals, self.sampler = (share[:, None] * cells).ravel(), sampler
+def _pooled(
+    cells: np.ndarray, c: np.ndarray, norm: float, m: int, sampler: ShotSampler
+) -> tuple[Estimate, dict]:
+    """One stage's m shots as one multinomial over its runs' cells, run j
+    weighted by |c_j|/norm: norm times the signed pooled mean."""
+    counts = sampler.multinomial(m, ((np.abs(c) / norm)[:, None] * cells).ravel())
+    n_plus, n_minus = counts[0::3], counts[1::3]
+    mean = float(np.dot(np.sign(c), n_plus - n_minus)) / m
+    second_moment = float(np.sum(n_plus + n_minus)) / m
+    var = max(second_moment - mean * mean, 0.0)
+    if m > 1:
+        var *= m / (m - 1)
+    return Estimate(norm * mean, norm * math.sqrt(var / m), m), {
+        "runs": len(c), "pilot": 0, "main": m,
+    }
 
-    def split(self, n: int) -> dict:
-        """An n-shot call's run count, pilot and main shots; pilot 0 for one multinomial."""
-        runs, pilot = len(self.share), _pilot_shots(n)
-        pilot = pilot if 2 <= runs <= min(pilot, n - pilot) else 0
-        return {"runs": runs, "pilot": pilot, "main": n - pilot}
 
-    def __call__(self, n: int) -> Estimate:
-        pilot = self.split(n)["pilot"]
-        if not pilot:
-            counts = self.sampler.multinomial(n, self.pvals)
-            n_plus, n_minus = counts[0::3], counts[1::3]
-            mean = float(np.dot(self.sign, n_plus - n_minus)) / n
-            second_moment = float(np.sum(n_plus + n_minus)) / n
-            var = max(second_moment - mean * mean, 0.0)
-            if n > 1:
-                var *= n / (n - 1)
-            return Estimate(self.worth * mean, self.worth * math.sqrt(var / n), n, self)
-        firsts = _neyman_split(pilot, self.share)
-        spread = np.sqrt(np.maximum(self._strata(firsts)[1], 1.0 / firsts))
-        mains = _neyman_split(n - pilot, self.share * spread)
-        mean, var = self._strata(mains)
-        var[mains == 1] = 1.0
-        value = float((self.sign * self.share) @ mean)
-        se = math.sqrt(float((self.share * self.share / mains) @ var))
-        return Estimate(self.worth * value, self.worth * se, n, self)
-
-    def _strata(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each run's mean and n_j/(n_j - 1)-corrected variance over counts[j]
-        shots; (n+ + n-) - (n+ - n-) * mean is never negative in floating point."""
-        n_plus, n_minus, _ = self.sampler.multinomial_rows(counts, self.cells).T
-        diff = n_plus - n_minus
-        mean = diff / counts
-        return mean, (n_plus + n_minus - diff * mean) / np.maximum(counts - 1, 1)
+def _strata(
+    cells: np.ndarray, counts: np.ndarray, sampler: ShotSampler
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's mean and n_j/(n_j - 1)-corrected variance over counts[j]
+    shots; (n+ + n-) - (n+ - n-) * mean is never negative in floating point."""
+    n_plus, n_minus, _ = sampler.multinomial_rows(counts, cells).T
+    diff = n_plus - n_minus
+    mean = diff / counts
+    return mean, (n_plus + n_minus - diff * mean) / np.maximum(counts - 1, 1)
 
 
 def parallel_qsp_run(

@@ -279,7 +279,7 @@ class TestEstimateCommand:
         assert value_line(a.stdout) == value_line(b.stdout)
 
     def test_sampled_split_on_one_stderr_line(self, runner, tmp_path):
-        # a low and a high stage: each line entry is pilot+main (spread)
+        # a low and a high stage: each line entry is runs: pilot+main
         poly = write_poly(tmp_path / "p.json", [0.1, -0.2, 0.3, 0, 0.2])
         out = tmp_path / "run.json"
         result = runner.invoke(
@@ -292,20 +292,20 @@ class TestEstimateCommand:
         split = json.loads(out.read_text())["report"]["breakdown"]["stage_shots"]
         lines = [ln for ln in result.stderr.splitlines() if ln.startswith("stage shots")]
         assert lines == [
-            "stage shots (pilot+main): "
-            + ", ".join(f"{s['pilot']}+{s['main']} (spread {s['spread']:.3g})" for s in split)
+            "stage shots (runs: pilot+main): "
+            + ", ".join(f"{s['runs']}: {s['pilot']}+{s['main']}" for s in split)
         ]
         assert sum(s["pilot"] + s["main"] for s in split) == 20000
         assert "stage shots" not in result.stdout
-        single = runner.invoke(
-            main,
-            ["estimate", "--property", "renyi", "--state", "diag:0.75,0.25", "--alpha", "6",
-             "--k", "2", "--mode", "sampled", "--shots", "20000", "--seed", "7"],
-        )
-        assert "stage shots" not in single.stderr
+        # a single stage prints its one record too; an exact run prints none
+        args = ["estimate", "--property", "renyi", "--state", "diag:0.75,0.25", "--alpha", "6",
+                "--k", "2"]
+        single = runner.invoke(main, args + ["--mode", "sampled", "--shots", "20000", "--seed", "7"])
+        assert "stage shots (runs: pilot+main): 1: 0+20000" in single.stderr.splitlines()
+        assert "stage shots" not in runner.invoke(main, args).stderr
 
     def test_importance_draws_on_the_stderr_line(self, runner, tmp_path):
-        # each importance draw prints as [part] runs pilot+main, after any stage shots
+        # an importance stage prints its run count beside its pilot and main shots
         poly = write_poly(tmp_path / "p.json", [0.1, 0.2, -0.3, 0, 0.25, 0.1])
         out = tmp_path / "run.json"
         result = runner.invoke(
@@ -317,19 +317,16 @@ class TestEstimateCommand:
         assert result.exit_code == 0, result.output
         breakdown = json.loads(out.read_text())["report"]["breakdown"]
         (line,) = [ln for ln in result.stderr.splitlines() if ln.startswith("stage shots")]
-        draws = ", ".join(
-            f"{name} {d['runs']} runs {d['pilot']}+{d['main']}"
-            for name in ("even", "odd") for d in [breakdown[name]["importance"]]
-        )
-        assert line.endswith(f"; importance draws (pilot+main): {draws}")
+        runs = [int(entry.split(":")[0]) for entry in line.split("): ", 1)[1].split(", ")]
+        assert runs == [1, breakdown["even"]["term_count"], breakdown["odd"]["term_count"]]
         single = runner.invoke(
             main,
             ["estimate", "--property", "partition", "--state", "diag:0.75,0.25", "--beta", "1",
              "--k", "2", "--epsilon", "0.01", "--mode", "sampled", "--auto-shots", "--seed", "7"],
         )
         assert single.exit_code == 0, single.output
-        assert "importance draws (pilot+main): 6 runs 272+73619" in single.stderr.splitlines()
-        assert "importance" not in single.stdout
+        assert "stage shots (runs: pilot+main): 6: 272+73619" in single.stderr.splitlines()
+        assert "stage shots" not in single.stdout
 
     def test_seed_envvar(self, runner):
         args = ["estimate", "--property", "renyi", "--state", "diag:0.75,0.25",

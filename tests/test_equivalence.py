@@ -1,24 +1,44 @@
-"""Reads that the stratified importance draw must leave bit for bit.
+"""Reads that the one stratified draw per sampled plan must leave bit for bit.
 
-A stratified draw only replaces the one multinomial of a read over two or
-more runs whose budget has room for a pilot and a main shot per run.  Every
-other read keeps the old draw: one-run reads (estimate_direct's parallel
-stage, renyi_integer, parallel_qsp_run, the generalized swap test), reads of
-several runs at a budget too small to stratify, and every exact report.
-The values below were computed before the stratified draw existed.  Each
-case pins value, std_error and shots_used, and for a report the digest of
-its breakdown's key paths, so a key added to these reports shows too; the
-one key a sampled importance stage adds, its draw's record, is left out of
-the digest and must show a pilot of 0, the one multinomial.
+A sampled plan draws all its stages' runs at once.  A plan of one stage
+whose runs come from a factorized run or an importance draw keeps the draw
+it had, value, std_error and shots; so do the reads outside the
+estimators (parallel_qsp_run in either mode) and every exact report.  The
+values below were computed before the stratified importance draw existed,
+unless a note says otherwise.  Each case pins value, std_error and
+shots_used, and for a report the digest of its breakdown's key paths, so a
+key added to these reports shows too; the one key every sampled report
+carries, its stage_shots draw record, is left out of the digest and checked
+on its own: these budgets are too small for a pilot, so it shows none,
+except in the one two-stage plan.
+
+Re-pinned when a sampled plan began drawing all its stages at once:
+direct-two-stages (0.6791471416195151, 0.03532161199872117) and
+chebyshev-60-shots (-89.43250214690362, 71.42434133500365), a two- and a
+three-stage plan, now sit 0.39 and 0.37 standard errors below their exact
+values 0.67237 and 1.48203 (0.19 above and 1.27 below before); their key
+digests also moved, because stage_shots, which a multi-stage report carried
+before, is now left out.  The swap test now reads out through joint_readout
+as one run that always succeeds: its value did not move, and its standard
+error, 0.019774932009996898 before, takes the sample variance's
+n/(n - 1) correction (0.35 standard errors from tr(rho^3) = 0.14273).
 
 A second table pins the reads that go through nested or auto-budget paths
 (partition_function on the monomial estimator, the entropies on the
 Chebyshev one, an auto budget) and a stratified Chebyshev read, with their
-predicted shots, stage splits and importance draws.  Its values were
-computed before the estimators composed plans rather than reports.
+predicted shots and each stage's draw record.  Its values were computed
+before the estimators composed plans rather than reports.  The Chebyshev
+read was re-pinned with the one draw: (1.9996271924079327,
+0.6329050319663394), 0.82 standard errors above the exact value 1.48203,
+became (0.530855275132782, 0.6099688340003122), 1.56 below.  A third table
+pins the whole JSON report of each exact case, which covers all seven
+estimators, a Chebyshev target with both parity parts and both entropies;
+a fourth, one-stage reads with room for a stratified draw.  Both were
+computed before the one draw per plan.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -63,13 +83,8 @@ def _key_paths(obj, prefix="") -> list[str]:
     if not isinstance(obj, dict):
         return [prefix]
     return [
-        p for k, v in obj.items() if k != "importance" for p in _key_paths(v, f"{prefix}/{k}")
+        p for k, v in obj.items() if k != "stage_shots" for p in _key_paths(v, f"{prefix}/{k}")
     ]
-
-
-def _draw_records(breakdown: dict) -> list[dict]:
-    parts = [breakdown] + [v for v in breakdown.values() if isinstance(v, dict)]
-    return [part["importance"] for part in parts if "importance" in part]
 
 
 def _summary(out) -> tuple:
@@ -123,9 +138,9 @@ CASES = {
 }
 
 PINS = {
-    'chebyshev-60-shots': (-89.43250214690362, 71.42434133500365, 60, 'a67af13caffa'),
+    'chebyshev-60-shots': (-15.404136309335833, 46.2205086703519, 60, '2558bc7aa3e3'),
     'direct-power': (0.006333333333333333, 0.002378062521623127, 3000, '26fb7d843f98'),
-    'direct-two-stages': (0.6791471416195151, 0.03532161199872117, 6000, '8414f6a50404'),
+    'direct-two-stages': (0.6584761020034262, 0.035541274752325366, 6000, '60666994f7c8'),
     'exact-chebyshev': (1.4820334592689635, 0.0, 0, 'c94ae731cb69'),
     'exact-direct': (0.6723743274393151, 0.0, 0, '60666994f7c8'),
     'exact-monomial': (0.14216110308505667, 0.0, 0, '7b256ed91e2b'),
@@ -141,7 +156,7 @@ PINS = {
     'renyi-a3-k2': (1.416806712038778, 0.1200601925271944, 5000, 'c1c14b430e66'),
     'renyi-auto-a4-k2': (1.011224424901591, 0.03890485743051373, 5217, '397539982904'),
     'renyi-swap-a2-k3': (1.487220279709851, 0.06816031270573265, 4000, 'c1c14b430e66'),
-    'swap-test': (0.14959999999999996, 0.019774932009996898, 2500, None),
+    'swap-test': (0.14959999999999996, 0.019778888183290457, 2500, None),
 }
 
 
@@ -153,9 +168,10 @@ def test_unchanged(name):
     assert value == pytest.approx(want_value, rel=1e-12, abs=1e-15)
     assert std_error == pytest.approx(want_se, rel=1e-12, abs=1e-15)
     assert (shots_used, digest) == (want_shots, want_digest)
-    records = _draw_records(getattr(out, "breakdown", {}))
-    assert all(r["pilot"] == 0 for r in records)
-    assert bool(records) == name.startswith(("monomial", "chebyshev"))
+    records = getattr(out, "breakdown", {}).get("stage_shots", [])
+    # only direct-two-stages, two one-run stages at 6000 shots, has room for a pilot
+    assert all(r["pilot"] == 0 for r in records) == (name != "direct-two-stages")
+    assert bool(records) == (hasattr(out, "breakdown") and not name.startswith("exact"))
 
 
 NESTED_CASES = {
@@ -173,27 +189,27 @@ NESTED_CASES = {
 }
 
 # (value, std_error, shots_used, key digest, predicted_shots,
-#  (pilot, main) per stage_shots entry, (runs, pilot, main) per importance draw)
+#  (runs, pilot, main) per stage_shots entry)
 NESTED_PINS = {
     "partition-auto": (
         3.157895975974808, 0.00024408063843098034, 7389057, "1a8ccd53fac5", 7389057,
-        [], [(7, 2719, 7386338)],
+        [(7, 2719, 7386338)],
     ),
     "von-neumann-auto-d2": (
         0.2664838313995046, 1.1492410397158527e-05, 180108854100, "3c8e7d83eede",
-        180108854100, [], [(44, 424393, 180108429707)],
+        180108854100, [(44, 424393, 180108429707)],
     ),
     "von-neumann-50000": (
         1.1869408384417135, 0.04696937183768744, 50000, "3c8e7d83eede", 18332019954456292,
-        [], [(108, 224, 49776)],
+        [(108, 224, 49776)],
     ),
     "renyi-noninteger-rank-50000": (
         1.068357193952879, 0.023909870090514686, 50000, "91759744d639", 152511743769,
-        [], [(24, 224, 49776)],
+        [(24, 224, 49776)],
     ),
     "chebyshev-200000": (
-        1.9996271924079327, 0.6329050319663394, 200000, "a67af13caffa", 975630923516,
-        [(448, 40), (448, 184391), (448, 14225)], [(36, 430, 183961), (24, 120, 14105)],
+        0.530855275132782, 0.6099688340003122, 200000, "2558bc7aa3e3", 975630923516,
+        [(1, 4, 585), (36, 1248, 185951), (24, 92, 12120)],
     ),
 }
 
@@ -206,6 +222,63 @@ def test_nested_and_auto_paths_unchanged(name):
     assert value == pytest.approx(want[0], rel=1e-12, abs=1e-15)
     assert std_error == pytest.approx(want[1], rel=1e-12, abs=1e-15)
     assert (shots_used, digest, out.predicted_shots) == want[2:5]
-    splits = [(s["pilot"], s["main"]) for s in out.breakdown.get("stage_shots", [])]
-    draws = [(r["runs"], r["pilot"], r["main"]) for r in _draw_records(out.breakdown)]
-    assert (splits, draws) == want[5:]
+    assert [(s["runs"], s["pilot"], s["main"]) for s in out.breakdown["stage_shots"]] == want[5]
+
+
+def _report_digest(report) -> str:
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# digests of the whole JSON report of each exact case above: all seven
+# estimators, the Chebyshev target with both parity parts, both entropies
+EXACT_DIGESTS = {
+    "exact-chebyshev": "7fc3f6ea76278fe4",
+    "exact-direct": "df4f0f7d994e3248",
+    "exact-monomial": "e08d8b19793aca57",
+    "exact-partition": "3c61ea90e2362e48",
+    "exact-renyi-integer": "9f929639b2a81fd2",
+    "exact-renyi-noninteger": "1f6e521a66cafd13",
+    "exact-von-neumann": "c8a59ffe032dafdb",
+    "exact-von-neumann-user-delta": "993c9eb5df712bfa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_DIGESTS))
+def test_exact_reports_are_byte_identical(name):
+    assert _report_digest(CASES[name]()) == EXACT_DIGESTS[name]
+
+
+# one-stage sampled reads with room for a stratified draw, or a one-run read
+STRATIFIED_CASES = {
+    "monomial-8-runs-20000-shots": lambda: monomial_poly_trace(
+        MONO8, _rho4(), 3, shots=20000, seed=2, **SAMPLED
+    ),
+    "partition-30000-shots": lambda: partition_function(
+        _rho8(), 1.0, 2, shots=30000, seed=3, **SAMPLED
+    ),
+    "chebyshev-high-only-20000-shots": lambda: estimate_chebyshev(
+        Polynomial([0, 0, 0, 0, 0, 0, 0.5]), _rho8(), 2, shots=20000, seed=3, **SAMPLED
+    ),
+    "direct-power-100000-shots": lambda: estimate_direct(
+        Polynomial([0, 0, 0, 0, 0, 0, 1]), _rho4(), 2, shots=100000, seed=4, **SAMPLED
+    ),
+    "renyi-auto-a2-k3": lambda: renyi_integer(_rho8(), 2, 3, seed=5, **SAMPLED),
+}
+
+STRATIFIED_PINS = {
+    "chebyshev-high-only-20000-shots": (-0.15286839090353882, 0.11910283705060963, 20000),
+    "direct-power-100000-shots": (0.01159, 0.0004438002800662544, 100000),
+    "monomial-8-runs-20000-shots": (0.16826489796406793, 0.004146710779646521, 20000),
+    "partition-30000-shots": (7.110830148846705, 0.004171055428279937, 30000),
+    "renyi-auto-a2-k3": (1.288530192353999, 0.09066802121527742, 2480),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATIFIED_CASES))
+def test_one_stage_draws_unchanged(name):
+    out = STRATIFIED_CASES[name]()
+    assert (out.value, out.std_error, out.shots_used) == STRATIFIED_PINS[name]
+    (record,) = out.breakdown["stage_shots"]
+    # an auto budget's 1000-shot pilot is charged on top of the stage's draw
+    assert record["pilot"] + record["main"] == out.breakdown.get("auto_shots", out.shots_used)

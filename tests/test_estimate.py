@@ -459,10 +459,12 @@ class TestRenyiInteger:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_invalid_alpha(self, rho_34):
-        with pytest.raises(InputError, match="alpha"):
-            renyi_integer(rho_34, 1, 2)
-        with pytest.raises(InputError, match="alpha"):
-            renyi_integer(rho_34, 2.5, 2)
+        for alpha in (1, 2.5, math.nan, math.inf, -math.inf, None, "3", 2 + 0j):
+            with pytest.raises(InputError, match="alpha must be an integer >= 2"):
+                renyi_integer(rho_34, alpha, 2)
+        # an integral float or a numpy integer is an integer order
+        assert renyi_integer(rho_34, 2.0, 2).to_dict() == renyi_integer(rho_34, 2, 2).to_dict()
+        assert renyi_integer(rho_34, np.int64(3), 2).value == renyi_integer(rho_34, 3, 2).value
 
     def test_sampled_auto_budget(self, rho_34):
         rep = renyi_integer(rho_34, 6, 2, mode="sampled", seed=8)
@@ -537,6 +539,10 @@ class TestPartitionFunction:
     def test_negative_beta_rejected(self, rho_34):
         with pytest.raises(InputError, match="non-negative"):
             partition_function(rho_34, -1.0, 1)
+        # a NaN or infinite beta fails before the degree loop, not in it
+        for beta in (math.nan, math.inf):
+            with pytest.raises(InputError, match=f"must be finite, got {beta}"):
+                partition_function(rho_34, beta, 1)
 
     def test_huge_beta_fails_certification(self, rho_34):
         with pytest.raises(ConvergenceError, match="400"):
@@ -796,7 +802,12 @@ class TestSeededPins:
     runs began splitting its shots by run from a pilot's measured spread:
     their standard errors fell from 0.1187, 0.004479 and 0.005623 to 0.08278,
     0.002498 and 0.002258, and the draws sit 0.84, 1.73 and 1.05 standard
-    errors from the exact values."""
+    errors from the exact values.  direct, chebyshev and chebyshev_pooled
+    were re-recorded when a sampled plan began drawing all its stages' runs
+    in one draw, stratified by run: (0.25369, 0.006840), (0.24673, 0.08278)
+    and (0.21105, 0.005321) became (0.25310, 0.006864), (0.17998, 0.08376)
+    and (0.20916, 0.005319), 0.22, 1.63 and 0.63 standard errors from the
+    exact values; the single-stage cases did not move."""
 
     CASES = {
         "direct": (
@@ -804,7 +815,7 @@ class TestSeededPins:
                 Polynomial([0.1, -0.2, 0.3, 0, 0.2]), rho, 2,
                 shots=20000, mode="sampled", seed=7,
             ),
-            (0.2536908940007803, 0.006840039085120241, 20000),
+            (0.25309981094256007, 0.006863861780651543, 20000),
         ),
         "chebyshev": (
             lambda rho: estimate_chebyshev(
@@ -813,14 +824,14 @@ class TestSeededPins:
             ),
             # three stages: the even part's low and high, and the odd part's high
             # (k_odd = 1 leaves it no low stage)
-            (0.24673375549351625, 0.08277519345066912, 20000),
+            (0.1799818115464002, 0.08375644096152793, 20000),
         ),
         "chebyshev_pooled": (
             lambda rho: estimate_chebyshev(
                 Polynomial([0.1, 0.2, -0.3]), rho, 3, shots=20000, mode="sampled", seed=7,
             ),
             # both parts run sequentially, one stage each
-            (0.21105389786908751, 0.0053211305799442405, 20000),
+            (0.20915803464225552, 0.005318833421350938, 20000),
         ),
         "monomial": (
             lambda rho: monomial_poly_trace(
@@ -849,175 +860,189 @@ class TestSeededPins:
 
 
 class TestStageExecutor:
-    """estimate._run_stages' split, read back from stub stages.
+    """estimate._execute's one draw, read back from stub stages.
 
-    A stub reads per-shot spread sd: its Estimate's std_error is
-    sd / sqrt(n), and it keeps no source, so the executor reads it again for
-    its main shots."""
+    A stub stage's runs always succeed and read z_j on average, with
+    coefficients c_j; the draw weights run j by c_j times its stage's scale."""
 
     @staticmethod
-    def _stages(spreads, scales=None):
-        scales = scales or [1.0] * len(spreads)
+    def _plan(laws, scales=None, streams=None, reads=None):
+        scales = scales or [1.0] * len(laws)
+        streams = streams or [(i,) for i in range(len(laws))]
 
-        def read(n, sampler, sd):
-            return Estimate(0.0, 0.0 if n == "exact" else sd / math.sqrt(n), n)
+        def read(shots, z, c):
+            if reads is not None:
+                reads.append(shots)
+            return joint_readout(np.ones(len(z)), z, coeffs=c)
 
-        return [
-            estimate._Stage(partial(read, sd=sd), scale, (i,))
-            for i, (sd, scale) in enumerate(zip(spreads, scales))
+        stages = [
+            estimate._Stage(partial(read, z=z, c=c), scale, stream)
+            for (z, c), scale, stream in zip(laws, scales, streams)
         ]
+        return estimate._Plan(
+            stages, 0, 1, {}, partial(sum, start=Estimate(0.0, 0.0)), lambda: 1
+        )
 
     @classmethod
-    def _run(cls, spreads, shots, mode, scales=None, breakdown=None):
-        """Each stage's shots, read back through shots_used."""
-        stages = cls._stages(spreads, scales)
-        ests = estimate._run_stages(stages, shots, mode, 0, breakdown)
-        return [est.shots_used for est in ests]
+    def _run(cls, laws, shots, mode, scales=None):
+        return estimate._execute(cls._plan(laws, scales), shots, mode, 0)
 
     def test_split_matches_reference(self):
-        # the reference is the split's defining properties: a pilot of
-        # ceil(sqrt(budget)) per stage when every stage can also get one main
-        # shot, else an even split; main shots within one of 1 + their quota of
-        # the rest in proportion to |scale| * spread; all of the budget spent
+        # the reference is the draw's defining properties: a pilot of
+        # ceil(sqrt(budget)) per stage when every run can also get a pilot
+        # and a main shot, split over all runs by |c_j * scale|, and at least
+        # one main shot per run; else each stage its share of the budget by
+        # the 1-norm of its weights; all of the budget spent either way
         rng = np.random.default_rng(17)
-        for trial in range(400):
+        for trial in range(300):
             stages = int(rng.integers(1, 5))
-            spreads = [0.0 if rng.random() < 0.2 else float(rng.random()) for _ in range(stages)]
-            scales = [float(rng.choice([-1, 1]) * rng.uniform(0.1, 10)) for _ in range(stages)]
+            sizes = rng.integers(1, 5, stages).tolist()
+            laws = [(rng.uniform(-1, 1, m), rng.choice([-1, 1], m) * rng.uniform(0.1, 2, m))
+                    for m in sizes]
+            scales = [float(rng.uniform(0.1, 10)) for _ in range(stages)]
             shots = int(rng.integers(1, 30) if trial % 4 == 0 else rng.integers(1, 10 ** 6 + 1))
             if shots < stages:
                 with pytest.raises(InputError, match=f"budget {shots} is below the stage count"):
-                    self._run(spreads, shots, "sampled", scales)
+                    self._run(laws, shots, "sampled", scales)
                 continue
-            record = {}
-            used = self._run(spreads, shots, "sampled", scales, record)
-            assert sum(used) == shots
-            assert self._run(spreads, shots, "exact", scales) == ["exact"] * stages
-            pilot = math.ceil(math.sqrt(shots))
-            if stages == 1:
-                assert used == [shots] and record == {}
-                continue
-            split = record["stage_shots"]
-            if stages * (pilot + 1) > shots:
+            rep = self._run(laws, shots, "sampled", scales)
+            split = rep.breakdown["stage_shots"]
+            assert rep.shots_used == shots == sum(s["pilot"] + s["main"] for s in split)
+            assert [s["runs"] for s in split] == sizes
+            exact = self._run(laws, shots, "exact", scales)
+            want = sum(s * float(np.dot(c, z)) for (z, c), s in zip(laws, scales))
+            assert exact.value == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert exact.shots_used == 0 and "stage_shots" not in exact.breakdown
+            weights = np.abs(np.concatenate([s * c for (_, c), s in zip(laws, scales)]))
+            ends = np.cumsum(sizes).tolist()
+            per_stage = lambda counts: [int(counts[e - m:e].sum()) for e, m in zip(ends, sizes)]
+            pilot = stages * math.ceil(math.sqrt(shots))
+            if not 2 <= sum(sizes) <= min(pilot, shots - pilot):
+                norms = [float(weights[e - m:e].sum()) for e, m in zip(ends, sizes)]
                 assert [s["pilot"] for s in split] == [0] * stages
-                assert max(used) - min(used) <= 1 and used == sorted(used, reverse=True)
+                assert [s["main"] for s in split] == sim._neyman_split(shots, norms).tolist()
                 continue
-            weights = [abs(c) * sd for c, sd in zip(scales, spreads)]
-            weights = weights if any(weights) else [1.0] * stages
-            spare = shots - stages * (pilot + 1)
-            for s, n, w in zip(split, used, weights):
-                assert s["pilot"] == pilot and n == pilot + s["main"] and s["main"] >= 1
-                assert abs(s["main"] - 1 - spare * w / sum(weights)) < 1 + 1e-9
+            firsts = sim._neyman_split(pilot, weights / weights.sum())
+            assert [s["pilot"] for s in split] == per_stage(firsts)
+            assert all(s["main"] >= s["runs"] for s in split)
 
     @pytest.mark.parametrize("shots", [None, 2.5, True, "auto"])
     def test_non_integer_budget_rejected(self, shots):
+        laws = [([0.1], [1.0]), ([0.2, -0.3], [0.5, 0.5])]
         with pytest.raises(InputError, match="needs an integer shot count"):
-            self._run([0.1, 0.2], shots, "sampled")
-        assert self._run([0.1, 0.2], shots, "exact") == ["exact", "exact"]
+            self._run(laws, shots, "sampled")
+        assert self._run(laws, shots, "exact").shots_used == 0
 
     def test_budget_below_stage_count_rejected(self):
         with pytest.raises(InputError, match="budget 2 is below the stage count 3"):
-            self._run([0.1, 0.2, 0.3], 2, "sampled")
+            self._run([([0.1], [1.0])] * 3, 2, "sampled")
 
-    def test_each_stage_reads_its_own_stream(self):
-        seen = []
+    def test_plan_draws_on_its_first_stage_stream(self, monkeypatch):
+        # each stage is read once, exactly, and the one draw of every stage's
+        # runs is made on the first stage's child of the seed's sampler, with
+        # or without room for a pilot
+        draws, draw = [], estimate.joint_readout
 
-        def read(n, sampler):
-            seen.append((sampler.seed, sampler.path))
-            return Estimate(0.0, 0.0, n)
+        def recording(q, z, shots, sampler, **kwargs):
+            draws.append((len(z), shots, sampler.seed, sampler.path))
+            return draw(q, z, shots, sampler, **kwargs)
 
-        streams = [(), (0,), (3,), (1, 2)]
-        stages = [estimate._Stage(read, 1.0, s) for s in streams]
-        estimate._run_stages(stages, 8, "sampled", 5)
-        assert seen == [(5, s) for s in streams]
-        # with a pilot, a stage that keeps no source reads again on its stream
-        seen.clear()
-        estimate._run_stages(stages, 10 ** 4, "sampled", 5)
-        assert seen == [(5, s) for s in streams] * 2
+        monkeypatch.setattr(estimate, "joint_readout", recording)
+        laws = [([0.1, 0.2], [1.0, -0.5])] + [([0.3], [1.0])] * 3
+        for shots in (8, 10 ** 4):
+            draws.clear()
+            reads = []
+            plan = self._plan(laws, streams=[(3,), (), (0,), (1, 2)], reads=reads)
+            estimate._execute(plan, shots, "sampled", 5)
+            assert reads == ["exact"] * 4
+            assert draws == [(5, shots, 5, (3,))]
 
 
 class _ScriptedSampler(ShotSampler):
-    """A ShotSampler whose first draw on a scripted stream returns scripted counts.
+    """A ShotSampler whose first row-wise draw, a stratified draw's pilot,
+    returns SCRIPT(pilot shots per run); every other draw is the real one."""
 
-    SCRIPT maps a stream path to a function of the shot count; every other
-    draw is the real sampler's."""
-
-    SCRIPT: dict = {}
+    SCRIPT = None
 
     def child(self, index):
         return type(self)(self.seed, self.path + (int(index),))
 
-    def _scripted(self, shots):
-        script = self.SCRIPT.get(self.path)
-        if script is None or getattr(self, "drawn", False):
-            return None
+    def multinomial_rows(self, shots, pvals):
+        if getattr(self, "drawn", False):
+            return super().multinomial_rows(shots, pvals)
         self.drawn = True
-        return script(shots)
-
-    def bernoulli_count(self, p, shots):
-        counts = self._scripted(shots)
-        return super().bernoulli_count(p, shots) if counts is None else counts
-
-    def multinomial(self, shots, pvals):
-        counts = self._scripted(shots)
-        return super().multinomial(shots, pvals) if counts is None else np.array(counts)
+        return np.array(self.SCRIPT(np.asarray(shots)))
 
 
 class TestPilotSplit:
     """The split follows what the pilot measured, never the simulator's exact values.
 
     estimate_direct on diag(0.75, 0.25) with p = 0.1 - 0.2x + 0.3x^2 + 0.2x^4
-    at k = 2 has a Hadamard stage (stream 0, scale D * ||p_low||) and a
-    parallel-run stage (stream 1, scale K^2)."""
+    at k = 2 has a Hadamard stage (scale D * ||p_low||) and a parallel-run
+    stage (scale K^2), one run each, so the pilot's counts per run are each
+    stage's."""
 
     P = Polynomial([0.1, -0.2, 0.3, 0, 0.2])
     BUDGET = 20000
     PILOT = 142  # ceil(sqrt(20000))
 
-    def _scripted(self, rho, monkeypatch, low, high):
+    @staticmethod
+    def _cells(n, wide):
+        # +1 and -1 in equal parts (the widest spread), or +1 alone (none)
+        return [n // 2, n - n // 2, 0] if wide else [n, 0, 0]
+
+    def _scripted(self, rho, monkeypatch, low_wide, high_wide):
+        script = lambda n: [self._cells(n[0], low_wide), self._cells(n[1], high_wide)]
         monkeypatch.setattr(estimate, "ShotSampler", _ScriptedSampler)
-        monkeypatch.setattr(_ScriptedSampler, "SCRIPT", {(0,): low, (1,): high})
+        monkeypatch.setattr(_ScriptedSampler, "SCRIPT", staticmethod(script))
         rep = estimate_direct(self.P, rho, 2, shots=self.BUDGET, mode="sampled", seed=1)
-        return rep, rep.breakdown["stage_shots"]
+        return rep, rep.breakdown["stage_shots"], script
+
+    def _reference(self, rep, script, floor=True):
+        """Each stage's (pilot, main) from the scripted pilot counts alone."""
+        scales = np.array([2 * sup_norm(split_constituents(self.P, 2)[0]), rep.breakdown["K"] ** 2])
+        share = scales / scales.sum()
+        firsts = sim._neyman_split(2 * self.PILOT, share)
+        n_plus, n_minus, _ = np.array(script(firsts), dtype=float).T
+        mean = (n_plus - n_minus) / firsts
+        var = (n_plus + n_minus - (n_plus - n_minus) * mean) / np.maximum(firsts - 1, 1)
+        spread = np.sqrt(np.maximum(var, 1.0 / firsts) if floor else var)
+        mains = sim._neyman_split(self.BUDGET - firsts.sum(), share * spread)
+        return list(zip(firsts.tolist(), mains.tolist()))
 
     def test_split_follows_scripted_pilot_counts(self, rho_34, monkeypatch):
         unscripted = estimate_direct(self.P, rho_34, 2, shots=self.BUDGET, mode="sampled", seed=1)
-        half = lambda n: n // 2  # the widest Bernoulli spread
-        flat = lambda n: n  # every shot reads 0: no spread
-        half_cells = lambda n: [n // 2, n - n // 2, 0]  # +1 and -1 in equal parts
-        flat_cells = lambda n: [n, 0, 0]
-        wide_low, low_share = self._scripted(rho_34, monkeypatch, half, flat_cells)
-        wide_high, high_share = self._scripted(rho_34, monkeypatch, flat, half_cells)
-        # the same exact values, opposite splits
+        wide_low, low_share, low_script = self._scripted(rho_34, monkeypatch, True, False)
+        wide_high, high_share, high_script = self._scripted(rho_34, monkeypatch, False, True)
+        # the same exact values, opposite splits, each the scripted pilot's
         assert low_share[0]["main"] > 5 * low_share[1]["main"]
         assert high_share[1]["main"] > 5 * high_share[0]["main"]
-        # the recorded spreads are the scripted pilots', not the exact ones
-        scale_low = 2 * sup_norm(split_constituents(self.P, 2)[0])
-        k_sq = wide_low.breakdown["K"] ** 2
-        assert low_share[0]["spread"] == pytest.approx(scale_low * 1.0, rel=1e-12)
-        assert high_share[1]["spread"] == pytest.approx(k_sq * 1.0, rel=1e-2)
-        for rep, split in ((wide_low, low_share), (wide_high, high_share)):
+        for rep, split, script in ((wide_low, low_share, low_script),
+                                   (wide_high, high_share, high_script)):
+            assert [(s["pilot"], s["main"]) for s in split] == self._reference(rep, script)
             assert rep.shots_used == self.BUDGET
             assert sum(s["pilot"] + s["main"] for s in split) == self.BUDGET
         assert unscripted.breakdown["stage_shots"] not in (low_share, high_share)
 
     def test_zero_spread_pilot_keeps_a_floor(self, rho_34, monkeypatch):
         # a scripted pilot with no spread on a stage whose shots do spread
-        _, split = self._scripted(rho_34, monkeypatch, lambda n: n // 2, lambda n: [n, 0, 0])
-        floor = split[1]["spread"]
-        assert floor > 0.0 and split[1]["main"] >= 1
-        spare = self.BUDGET - 2 * (self.PILOT + 1)
-        share = spare * floor / (floor + split[0]["spread"])
-        assert abs(split[1]["main"] - 1 - share) < 1 + 1e-9
+        rep, split, script = self._scripted(rho_34, monkeypatch, True, False)
+        assert [(s["pilot"], s["main"]) for s in split] == self._reference(rep, script)
+        # without the floor of 1/sqrt(its pilot shots) it would get one main shot
+        assert self._reference(rep, script, floor=False)[1][1] == 1 < split[1]["main"]
 
     def test_constant_stage_is_never_starved(self, rho_34):
-        # the low part 0.3 reads 0 on every Hadamard shot: its spread is zero
-        # in truth, so it keeps one outcome's worth, 1/sqrt(pilot) times D * 0.3
+        # the low part 0.3 reads +1 on every Hadamard shot: its spread is zero
+        # in truth, so it keeps one outcome's worth, 1/sqrt(its pilot shots),
+        # and its main shots read the constant exactly
         p = Polynomial([0.3, 0, 0.2, 0, 0.1])
         rep = estimate_direct(p, rho_34, 2, shots=self.BUDGET, mode="sampled", seed=3)
         low, high = rep.breakdown["stage_shots"]
-        assert low["spread"] == pytest.approx(0.6 / math.sqrt(self.PILOT), rel=1e-12)
-        assert low["main"] >= 1 and high["main"] >= 1
+        assert low["pilot"] >= 1 and low["main"] >= 1 and high["main"] >= 1
+        scales = np.array([0.6, rep.breakdown["K"] ** 2])
+        assert [low["pilot"], high["pilot"]] == sim._neyman_split(
+            2 * self.PILOT, scales / scales.sum()
+        ).tolist()
         assert rep.breakdown["w_low"] == pytest.approx(0.6, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -1025,43 +1050,58 @@ class TestPilotSplit:
         [(3, 0), (11, 0), (12, 0), (15, 4), (16, 4), (17, 0), (400, 20), (20000, 142)],
     )
     def test_spends_the_budget_and_reproduces(self, rho_34, shots, pilot):
-        # three stages: a budget below 3 (ceil(sqrt(shots)) + 1) splits evenly
-        p = Polynomial([0.1, -0.2, 0.3, 0, 0.2])
+        # three one-run Hadamard stages: a budget without room for a pilot of
+        # ceil(sqrt(shots)) per stage and a main shot per run gives each stage
+        # its share by scale, in one multinomial each
+        polys = [Polynomial([0.1, -0.2]), Polynomial([0, 0, 0.3]), Polynomial([0.2, 0, 0, 0.2])]
+        stages = [estimate._hadamard_stage(p, rho_34, (i,)) for i, p in enumerate(polys)]
         runs = [
-            estimate_chebyshev(p, rho_34, 3, shots=shots, mode="sampled", seed=11)
+            estimate._execute(
+                estimate._Plan(stages, 0, 1, {}, partial(sum, start=Estimate(0.0, 0.0)),
+                               lambda: 1),
+                shots, "sampled", 11,
+            )
             for _ in range(2)
         ]
         assert runs[0].shots_used == shots
         split = runs[0].breakdown["stage_shots"]
-        assert [s["pilot"] for s in split] == [pilot] * 3
+        assert sum(s["pilot"] for s in split) == 3 * pilot
+        assert [s["pilot"] >= 1 for s in split] == [pilot > 0] * 3
         assert sum(s["pilot"] + s["main"] for s in split) == shots
         assert all(s["main"] >= 1 for s in split)
         assert json.dumps(runs[0].to_dict()) == json.dumps(runs[1].to_dict())
+        # the three-stage Chebyshev plan of 14 runs spends and reproduces too
+        p = Polynomial([0.1, -0.2, 0.3, 0, 0.2])
+        reps = [estimate_chebyshev(p, rho_34, 3, shots=shots, mode="sampled", seed=11)
+                for _ in range(2)]
+        assert reps[0].shots_used == shots
+        assert json.dumps(reps[0].to_dict()) == json.dumps(reps[1].to_dict())
 
     def test_single_stage_reports_no_split(self, rho_34):
+        # one stage takes the whole budget; its record is the stage's draw
         rep = monomial_poly_trace(
             Polynomial([0.2, 0.5, 0.3]), rho_34, 2, shots=500, mode="sampled", seed=2
         )
-        assert "stage_shots" not in rep.breakdown and rep.shots_used == 500
+        (stage,) = rep.breakdown["stage_shots"]
+        assert stage["pilot"] + stage["main"] == rep.shots_used == 500
 
     def test_importance_draws_are_recorded(self, rho_34):
-        # a single-stage report records its draw at the top level
+        # every sampled report records each stage's runs, pilot and main shots
         mono = Polynomial([0.2, 0.5, 0.3, -0.1])
         rep = monomial_poly_trace(mono, rho_34, 2, shots=500, mode="sampled", seed=2)
-        assert rep.breakdown["importance"] == {"runs": 3, "pilot": 23, "main": 477}
-        assert "importance" not in monomial_poly_trace(mono, rho_34, 2).breakdown
+        assert rep.breakdown["stage_shots"] == [{"runs": 3, "pilot": 23, "main": 477}]
+        assert "stage_shots" not in monomial_poly_trace(mono, rho_34, 2).breakdown
         part = partition_function(rho_34, 1.0, 2, epsilon=0.01, mode="sampled", seed=7)
-        assert part.breakdown["importance"] == {"runs": 6, "pilot": 272, "main": 73619}
-        # a part's high stage records the draw of its main read in its info
+        assert part.breakdown["stage_shots"] == [{"runs": 6, "pilot": 272, "main": 73619}]
+        # a Chebyshev plan's stages: even low, even high, odd high
         p = Polynomial([0.1, 0.2, -0.3, 0, 0.25, 0.1])
         rep = estimate_chebyshev(p, rho_34, 2, shots=20000, mode="sampled", seed=7)
-        stages = rep.breakdown["stage_shots"]  # even low, even high, odd high
-        for name, stage in (("even", stages[1]), ("odd", stages[2])):
-            draw = rep.breakdown[name]["importance"]
-            assert draw["pilot"] + draw["main"] == stage["main"]
-            assert draw["runs"] == rep.breakdown[name]["term_count"]
-        assert all("importance" not in v for v in estimate_chebyshev(p, rho_34, 2).breakdown.values()
-                   if isinstance(v, dict))
+        stages = rep.breakdown["stage_shots"]
+        assert [s["runs"] for s in stages] == [
+            1, rep.breakdown["even"]["term_count"], rep.breakdown["odd"]["term_count"]
+        ]
+        assert sum(s["pilot"] for s in stages) == 3 * self.PILOT
+        assert "stage_shots" not in estimate_chebyshev(p, rho_34, 2).breakdown
 
 
 def _degree_24_target() -> Polynomial:
@@ -1109,13 +1149,15 @@ def _degree_10_target() -> Polynomial:
 
 
 class TestCalibrationBeyondSmallStates:
-    """Sampled importance estimators on random D = 8, 16 and 32 states over
-    200 seeds: the mean sits within 5 SEM of the exact value, the mean
-    std_error within 15% of the measured spread, and at least 93% of seeds
-    within 2 std_error of it.  Every importance draw here is stratified by
-    run (its record shows a pilot).  Over 2000 seeds, the chebyshev case at
-    D = 16 reads a mean std_error 0.986 times the spread and 95.1% of seeds
-    inside 2 std_error, so the 200-seed bounds test the draw, not chance."""
+    """Sampled estimators on random D = 8, 16 and 32 states over 200 seeds:
+    the mean sits within 5 SEM of the exact value, the mean std_error within
+    15% of the measured spread, and at least 93% of seeds within 2 std_error
+    of it.  Every draw here is stratified by run (each stage's record shows a
+    pilot), including estimate_direct's, whose low Hadamard stage is a run
+    that always succeeds beside the high parallel run.  Over 2000 seeds, the
+    chebyshev case at D = 16 reads a mean std_error 0.986 times the spread
+    and 95.1% of seeds inside 2 std_error, so the 200-seed bounds test the
+    draw, not chance."""
 
     RUNS = {
         "monomial": lambda rho, **kw: monomial_poly_trace(
@@ -1123,6 +1165,9 @@ class TestCalibrationBeyondSmallStates:
         ),
         "partition": lambda rho, **kw: partition_function(rho, 1.0, 2, epsilon=0.01, **kw),
         "chebyshev": lambda rho, **kw: estimate_chebyshev(_degree_10_target(), rho, 3, **kw),
+        "direct": lambda rho, **kw: estimate_direct(
+            Polynomial([0.1, -0.2, 0.3, 0, 0.2]), rho, 2, **kw
+        ),
     }
 
     @pytest.mark.parametrize("dim", [8, 16, 32])
@@ -1132,10 +1177,9 @@ class TestCalibrationBeyondSmallStates:
         exact = run(rho).value
         shots = {} if name == "partition" else {"shots": 20000}
         reps = [run(rho, mode="sampled", seed=s, **shots) for s in range(200)]
-        records = [reps[0].breakdown] + [reps[0].breakdown[p] for p in ("even", "odd")
-                                         if p in reps[0].breakdown]
-        assert all(r["importance"]["pilot"] > 0 for r in records if "importance" in r)
-        assert any("importance" in r for r in records)
+        assert all(s["pilot"] > 0 for r in reps for s in r.breakdown["stage_shots"])
+        if name == "direct":  # the Hadamard stage and the parallel run, one run each
+            assert [s["runs"] for s in reps[0].breakdown["stage_shots"]] == [1, 1]
         values = np.array([r.value for r in reps])
         errors = np.array([r.std_error for r in reps])
         spread = float(np.std(values, ddof=1))
@@ -1145,19 +1189,30 @@ class TestCalibrationBeyondSmallStates:
 
 
 class TestBatchedStages:
-    """Each sampled stage is one array pass and one draw, however many terms.
+    """Each stage is one array pass, however many terms, and a sampled plan
+    is one draw, however many stages: one pilot and one main row-wise
+    multinomial over all its runs.
 
     Wall-clock is too noisy to guard in tier-1, so these count calls.
     """
 
     @staticmethod
     def _count_degree40(monkeypatch) -> tuple[dict, int, int]:
-        counts = {"samplers": 0, "runs": 0}
+        counts = {"samplers": 0, "runs": 0, "multinomial_rows": 0, "multinomial": 0}
         init = ShotSampler.__init__
 
         def counting_init(self, *args, **kwargs):
             counts["samplers"] += 1
             init(self, *args, **kwargs)
+
+        def counting(name):
+            method = getattr(ShotSampler, name)
+
+            def counted(self, *args, **kwargs):
+                counts[name] += 1
+                return method(self, *args, **kwargs)
+
+            return counted
 
         runs = estimate.parallel_qsp_runs
 
@@ -1166,35 +1221,46 @@ class TestBatchedStages:
             return runs(*args, **kwargs)
 
         monkeypatch.setattr(ShotSampler, "__init__", counting_init)
+        for name in ("multinomial_rows", "multinomial"):
+            monkeypatch.setattr(ShotSampler, name, counting(name))
         monkeypatch.setattr(estimate, "parallel_qsp_runs", counting_runs)
         rng = np.random.default_rng(40)
         p = 0.5 * (random_parity_target(rng, 40) + random_parity_target(rng, 39))
         rho = DensityMatrix.random_seeded(4, 3)
         rep = estimate_chebyshev(p, rho, 3, shots=10 ** 5, mode="sampled", seed=1)
         parts = [rep.breakdown[name] for name in ("even", "odd")]
+        assert len(rep.breakdown["stage_shots"]) > 2
         return counts, len(parts), sum(part["term_count"] for part in parts)
 
     def test_one_run_batch_and_draw_per_stage(self, monkeypatch):
         counts, parts, terms = self._count_degree40(monkeypatch)
         assert terms > 10 * parts
-        assert counts["samplers"] <= 2 * parts + 1
+        # the seed's sampler and the first stage's child stream
+        assert counts["samplers"] <= 2
         assert counts["runs"] <= parts
+        assert (counts["multinomial_rows"], counts["multinomial"]) == (2, 0)
 
     def test_guard_fails_a_per_term_loop(self, monkeypatch):
         def per_term(coeffs, table, index, rho, total_shots, sampler=None):
-            c = np.asarray(coeffs)
-            split = sampler.multinomial(total_shots, np.abs(c) / np.abs(c).sum())
-            total = Estimate(0.0, 0.0)
-            for j, n_j in enumerate(split):
-                if n_j:
-                    q, z = estimate.parallel_qsp_runs(table, index[j : j + 1], rho)
-                    total += c[j] * joint_readout(q, z, int(n_j), sampler.child(j))
-            return total
+            q, z = zip(*(estimate.parallel_qsp_runs(table, index[j : j + 1], rho)
+                         for j in range(len(index))))
+            return joint_readout(np.concatenate(q), np.concatenate(z), total_shots, sampler,
+                                 coeffs=coeffs)
+
+        draw = sim._draw
+
+        def per_stage(cells, c, bounds, norms, n, sampler):
+            shares = sim._neyman_split(n, norms).tolist()
+            return [
+                part for (a, b), norm, m in zip(bounds, norms, shares)
+                for part in draw(cells[a:b], c[a:b], [(0, b - a)], [norm], m, sampler)
+            ]
 
         monkeypatch.setattr(estimate, "importance_sample", per_term)
+        monkeypatch.setattr(sim, "_draw", per_stage)
         counts, parts, _ = self._count_degree40(monkeypatch)
-        assert counts["samplers"] > 2 * parts + 1
         assert counts["runs"] > parts
+        assert counts["multinomial_rows"] + counts["multinomial"] > 2
 
     def test_exact_stage_is_one_table_call_and_draws_nothing(self, monkeypatch):
         counts = {"clenshaw": 0, "philox": 0}
@@ -1285,7 +1351,9 @@ class TestExecutorChecks:
         def no_read(*args, **kwargs):
             raise AssertionError("a stage was read")
 
-        monkeypatch.setattr(estimate, "_run_stages", no_read)
+        # every read-out, exact or sampled, goes through joint_readout
+        monkeypatch.setattr(sim, "joint_readout", no_read)
+        monkeypatch.setattr(estimate, "joint_readout", no_read)
         with pytest.raises(InputError, match="mode must be 'exact' or 'sampled'"):
             _seven_estimators(rho_34)[name](2, shots=100, mode=mode)
 

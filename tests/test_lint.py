@@ -324,8 +324,8 @@ def test_basis_scan_fails_a_copy_that_converts():
 def _shot_plumbing(source: str) -> list[str]:
     """Where a source builds a ShotSampler or checks a sampled budget.
 
-    estimate.py does each once, in its stage executor, so every estimator
-    shares one budget split and one set of sampler streams.
+    estimate.py does each once, in its executor, so every estimator shares
+    one draw and one set of sampler streams.
     """
     found = []
     for top in ast.parse(source).body:
@@ -341,7 +341,7 @@ def _shot_plumbing(source: str) -> list[str]:
 
 def test_shot_plumbing_only_in_the_stage_executor():
     assert _shot_plumbing((SRC / "estimate.py").read_text()) == [
-        "ShotSampler in _run_stages", "_check_shots in _run_stages",
+        "ShotSampler in _execute", "_check_shots in _execute",
     ]
 
 
@@ -354,7 +354,7 @@ def test_plumbing_scan_fails_a_copy_that_builds_its_own_sampler():
     )
     assert added == 1
     assert _shot_plumbing(mutated) == [
-        "ShotSampler in _run_stages", "ShotSampler in renyi_integer", "_check_shots in _run_stages",
+        "ShotSampler in _execute", "ShotSampler in renyi_integer", "_check_shots in _execute",
     ]
 
 
@@ -363,13 +363,15 @@ REPORT_ONLY_FIELDS = {"value", "std_error", "shots_used", "predicted_shots"}
 
 
 def _report_builders(source: str) -> list[str]:
-    """Where a source reads stages or builds or rewraps a report, by top-level
-    definition: each call of _run_stages or EstimationReport, and each
+    """Where a source draws shots or builds or rewraps a report, by top-level
+    definition: each call of joint_readout or EstimationReport, and each
     replace() that sets a field only a report has.
 
-    estimate.py does all three in _execute alone: every estimator hands it
-    one plan, and a nested estimator composes the plan it builds on, never
-    the report.
+    estimate.py does all three in _execute alone (an auto pilot and the one
+    draw of a plan's stages), apart from importance_sample, the read-out an
+    importance stage is read through: every estimator hands _execute one
+    plan, and a nested estimator composes the plan it builds on, never the
+    report.
     """
     found = []
     for top in ast.parse(source).body:
@@ -379,36 +381,76 @@ def _report_builders(source: str) -> list[str]:
             name = node.func.id
             if name == "replace" and REPORT_ONLY_FIELDS & {kw.arg for kw in node.keywords}:
                 name = "replace(report)"
-            elif name not in ("_run_stages", "EstimationReport"):
+            elif name not in ("joint_readout", "EstimationReport"):
                 continue
             found.append(f"{name} in {getattr(top, 'name', '<module>')}")
     return sorted(found)
 
 
+EXECUTOR_CALLS = [
+    "EstimationReport in _execute", "joint_readout in _execute", "joint_readout in _execute",
+    "joint_readout in importance_sample",
+]
+
+
 def test_stages_read_and_reports_built_only_in_the_executor():
-    assert _report_builders((SRC / "estimate.py").read_text()) == [
-        "EstimationReport in _execute", "_run_stages in _execute", "_run_stages in _execute",
-    ]
+    assert _report_builders((SRC / "estimate.py").read_text()) == EXECUTOR_CALLS
 
 
 def test_executor_scan_fails_copies_that_read_or_rewrap_elsewhere():
     source = (SRC / "estimate.py").read_text()
     mutated, added = re.subn(
         r"return _execute\(_renyi_integer_plan\(",
-        "(trace,) = _run_stages([_Stage(read, stream=(1,))], shots, mode, seed)\n"
+        "trace = joint_readout([1.0], [0.5], shots, ShotSampler(seed))\n"
         "    return _execute(_renyi_integer_plan(",
         source,
     )
     assert added == 1
-    assert _report_builders(mutated) == [
-        "EstimationReport in _execute", "_run_stages in _execute", "_run_stages in _execute",
-        "_run_stages in renyi_integer",
-    ]
+    assert _report_builders(mutated) == sorted(EXECUTOR_CALLS + ["joint_readout in renyi_integer"])
     assert _report_builders(
         "def partition_function():\n    sub = monomial_poly_trace()\n"
         "    return replace(sub, predicted_shots=1, breakdown={})\n"
         "def von_neumann():\n    return replace(plan, finish=f, auto=2)\n"
     ) == ["replace(report) in partition_function"]
+
+
+def _sampled_stage_reads(source: str) -> list[str]:
+    """Stage reads that ask for shots, by top-level definition.
+
+    A stage's read is called as read("exact") and nothing else, so only the
+    executor's one joint_readout of the plan draws shots.  Each flagged call
+    reads "read in <definition>".
+    """
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "read"
+                and [ast.unparse(a) for a in node.args] != ["'exact'"]
+            ):
+                found.append(f"read in {getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_stages_are_read_exactly():
+    assert _sampled_stage_reads((SRC / "estimate.py").read_text()) == []
+
+
+def test_read_scan_fails_copies_that_read_a_stage_with_shots():
+    source = (SRC / "estimate.py").read_text()
+    mutated, added = re.subn(
+        r"return _execute\(_renyi_integer_plan\(",
+        "first = plan.stages[0].read(1000, sampler=ShotSampler(seed))\n"
+        "    return _execute(_renyi_integer_plan(",
+        source,
+    )
+    assert added == 1
+    assert _sampled_stage_reads(mutated) == ["read in renyi_integer"]
+    mutated, swapped = re.subn(r'\.read\("exact"\)', ".read(shots)", source)
+    assert swapped == 1
+    assert _sampled_stage_reads(mutated) == ["read in _execute"]
 
 
 RENYI_INTEGER = ("renyi_integer", "_renyi_integer_plan")
@@ -470,9 +512,9 @@ def _side_draws(source: str) -> list[str]:
 
     Inside a ShotSampler method a draw is made on its generator, self.rng;
     anywhere else it must call a ShotSampler's own method, on a receiver
-    named sampler (or self.sampler).  So a stage's pilot and main draws both
-    come from the sampler stream the executor gave it, never from a side
-    generator.  Each flagged call reads "<method> in <definition>".
+    named sampler (or self.sampler).  So a plan's pilot and main draws both
+    come from the sampler stream the executor gave its draw, never from a
+    side generator.  Each flagged call reads "<method> in <definition>".
     """
     found = []
 
@@ -506,9 +548,9 @@ def test_every_draw_goes_through_the_sampler(module):
 def test_draw_scan_fails_a_copy_with_a_side_generator():
     source = (SRC / "sim.py").read_text()
     mutated, added = re.subn(
-        r"\n    return _JointShots\(",
-        "\n    counts = np.random.default_rng(0).multinomial(n, pvals.ravel())"
-        "\n    return _JointShots(",
+        r"\n    parts = _draw\(",
+        "\n    counts = np.random.default_rng(0).multinomial(n, cells.ravel())"
+        "\n    parts = _draw(",
         source,
     )
     assert added == 1

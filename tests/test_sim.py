@@ -23,7 +23,6 @@ from pqsp import (
     parallel_qsp_run,
     parallel_qsp_runs,
     query_depth_report,
-    redraw,
     rescale_factors,
     spectral_hadamard_test,
     split_constituents,
@@ -352,21 +351,24 @@ class TestSpectralHadamard:
 class TestSampledReadoutPins:
     """Sampled one-ancilla read-outs on diag(0.75, 0.25), with 4096 shots and
     ShotSampler(3); exact equality guards the draw and the error formula.
-    The swap case reads tr(rho^3) = 0.4375 and was recorded before the
-    read-outs shared one Bernoulli path; the Hadamard case reads
-    tr(rho^2)/2 = 0.3125 and was recorded before its sigma option was
-    removed."""
+    The swap case reads tr(rho^3) = 0.4375 and the Hadamard case
+    tr(rho^2)/2 = 0.3125.  Both were re-recorded when they began reading out
+    through joint_readout as one run that always succeeds: the values did not
+    move, and the standard errors grew by sqrt(4096/4095), the sample
+    variance's n/(n - 1) correction (0.01483239065502902 and
+    0.01403539880659226 before); the draws sit 0.13 and 0.14 standard errors
+    from the exact values."""
 
     CASES = {
         "hadamard_real": (
             lambda rho, smp: spectral_hadamard_test(
                 Polynomial([0, 0, 1]), rho, shots=4096, sampler=smp
             ),
-            (0.314453125, 0.01483239065502902),
+            (0.314453125, 0.01483420158118863),
         ),
         "swap": (
             lambda rho, smp: generalized_swap_expectation([rho] * 3, shots=4096, sampler=smp),
-            (0.439453125, 0.01403539880659226),
+            (0.439453125, 0.01403711242589009),
         ),
     }
 
@@ -875,7 +877,9 @@ class TestJointReadout:
             est = joint_readout(q, z, n, sampler, coeffs=c)
             (pilot, first), (main, counts) = sampler.rows
             assert est.shots_used == n and pilot.sum() == math.ceil(math.sqrt(n))
-            assert est.source.split(n) == {"runs": 8, "pilot": pilot.sum(), "main": n - pilot.sum()}
+            assert [record for _, record in est.parts] == [
+                {"runs": 8, "pilot": pilot.sum(), "main": n - pilot.sum()}
+            ]
             share = np.abs(c) / np.abs(c).sum()
             assert pilot.tolist() == _cumulative_floor_split(pilot.sum(), share)
             spreads = []
@@ -890,7 +894,7 @@ class TestJointReadout:
                 value, var_sum = value + cj * mean, var_sum + cj * cj * var / m
             assert est.value == pytest.approx(value, rel=1e-12, abs=1e-15)
             assert est.std_error == pytest.approx(math.sqrt(var_sum), rel=1e-12)
-        assert joint_readout(q, z, 49, ShotSampler(3), coeffs=c).source.split(49)["pilot"] == 0
+        assert joint_readout(q, z, 49, ShotSampler(3), coeffs=c).parts[0][1]["pilot"] == 0
         single = _RecordingSampler(3)
         joint_readout(q, z, 49, single, coeffs=c)
         assert single.rows == []
@@ -918,30 +922,77 @@ class TestJointReadout:
         # a bare register reads +1 on every shot: only the bound is charged
         assert est.std_error == pytest.approx(1e-9, rel=1e-12)
 
-    def test_redraw_continues_the_stream_without_recomputing(self, rho_34, monkeypatch):
-        # a redraw is the next draw of the same law on the same sampler
-        q, z = parallel_qsp_runs(*layout_table([(Polynomial([0, 1]),)] * 2), rho_34)
-        c = [0.7, -0.3]
-        again = ShotSampler(4)
-        joint_readout(q, z, 100, again, coeffs=c)
-        want = joint_readout(q, z, 900, again, coeffs=c)
-        first = joint_readout(q, z, 100, ShotSampler(4), coeffs=c)
-        monkeypatch.setattr(np, "stack", None)  # the cell probabilities are not rebuilt
-        assert redraw(first, 900) == want and redraw(first, 900).shots_used == 900
+    def test_exact_law_draws_what_a_sampled_read_draws(self, rho_34):
+        # an exact read keeps its runs; drawing them later on a stream is the
+        # sampled read on that stream
         p = Polynomial([0.2, 0.5])
-        flip = spectral_hadamard_test(p, rho_34, shots=50, sampler=ShotSampler(2))
-        twice = ShotSampler(2)
-        spectral_hadamard_test(p, rho_34, shots=50, sampler=twice)
-        assert redraw(flip, 70) == spectral_hadamard_test(p, rho_34, shots=70, sampler=twice)
+        exact = spectral_hadamard_test(p, rho_34)
+        q, z, c = exact.law
+        assert (q.tolist(), z.tolist(), c.tolist()) == ([1.0], [exact.value], [1.0])
+        drawn = joint_readout(q, z, 70, ShotSampler(2), coeffs=c)
+        assert drawn == spectral_hadamard_test(p, rho_34, shots=70, sampler=ShotSampler(2))
+        runs = parallel_qsp_runs(*layout_table([(Polynomial([0, 1]),)] * 2), rho_34)
+        q, z, c = joint_readout(*runs, coeffs=[0.7, -0.3]).law
+        assert joint_readout(q, z, 900, ShotSampler(4), coeffs=c) == joint_readout(
+            *runs, 900, ShotSampler(4), coeffs=[0.7, -0.3]
+        )
 
-    def test_redraw_needs_a_sampled_read_out(self, rho_34):
+    def test_only_exact_read_outs_keep_their_law(self, rho_34):
         exact = joint_readout([0.5], [0.1])
         sampled = joint_readout([0.5], [0.1], 10, ShotSampler(1))
-        for est in (exact, 2.0 * sampled, sampled + sampled):
-            with pytest.raises(InputError, match="redrawn"):
-                redraw(est, 10)
+        assert exact.law is not None and exact.parts == ()
+        assert sampled.law is None and [e for e, _ in sampled.parts] == [sampled]
+        for est in (2.0 * exact, exact + exact, 2.0 * sampled, sampled + sampled):
+            assert est.law is None and est.parts == ()
         with pytest.raises(InputError, match="integer shot count"):
-            redraw(sampled, 2.5)
+            joint_readout([0.5], [0.1], 2.5, ShotSampler(1))
+
+    def test_stages_share_one_draw(self, rho_34):
+        # two stages of 3 and 5 runs: with room, one pilot of 2 ceil(sqrt(n))
+        # shots and one main draw over all 8 runs, each stage its own sum
+        layouts = [(Polynomial([0, 1]),) * j for j in range(1, 9)]
+        q, z = parallel_qsp_runs(*layout_table(layouts), rho_34)
+        c = np.array([0.5, -0.3, 0.25, 0.2, -0.15, 0.1, 0.05, -0.05])
+        sampler = _RecordingSampler(3)
+        est = joint_readout(q, z, 10 ** 4, sampler, coeffs=c, stages=[3, 5])
+        (pilot, _), (main, counts) = sampler.rows
+        assert pilot.sum() == 2 * 100 and pilot.sum() + main.sum() == 10 ** 4
+        assert [r for _, r in est.parts] == [
+            {"runs": 3, "pilot": pilot[:3].sum(), "main": main[:3].sum()},
+            {"runs": 5, "pilot": pilot[3:].sum(), "main": main[3:].sum()},
+        ]
+        for (part, _), a, b in zip(est.parts, (0, 3), (3, 8)):
+            plus, minus = counts[a:b, 0], counts[a:b, 1]
+            assert part.value == pytest.approx(float(np.dot(c[a:b], (plus - minus) / main[a:b])),
+                                               rel=1e-12)
+        total = est.parts[0][0] + est.parts[1][0]
+        assert (est.value, est.std_error, est.shots_used) == (
+            total.value, total.std_error, total.shots_used
+        )
+        # without room, each stage gets its share by 1-norm in one multinomial
+        # over its runs' cells, in stage order on the same stream
+        small = joint_readout(q, z, 12, ShotSampler(5), coeffs=c, stages=[3, 5])
+        norms = [float(np.abs(c[:3]).sum()), float(np.abs(c[3:]).sum())]
+        shares = sim._neyman_split(12, norms).tolist()
+        z_cond = np.clip(z / q, -1.0, 1.0)
+        cells = np.stack([q * (1 + z_cond) / 2, q * (1 - z_cond) / 2, 1 - q], axis=1)
+        alone = ShotSampler(5)
+        for (part, record), a, b, norm, m in zip(small.parts, (0, 3), (3, 8), norms, shares):
+            counts = alone.multinomial(m, (np.abs(c[a:b])[:, None] / norm * cells[a:b]).ravel())
+            mean = float(np.dot(np.sign(c[a:b]), counts[0::3] - counts[1::3])) / m
+            assert part.value == pytest.approx(norm * mean, rel=1e-12, abs=1e-15)
+            assert record == {"runs": b - a, "pilot": 0, "main": m}
+
+    def test_stage_counts_are_checked(self):
+        q, z = [0.5, 0.5, 0.5], [0.1, 0.2, 0.3]
+        with pytest.raises(InputError, match="do not add up to the 3 runs"):
+            joint_readout(q, z, 10, stages=[1, 1])
+        with pytest.raises(InputError, match="stage run count"):
+            joint_readout(q, z, 10, stages=[3, 0])
+        with pytest.raises(InputError, match="all-zero"):
+            joint_readout(q, z, 10, coeffs=[1.0, 0.0, 0.0], stages=[1, 2])
+        with pytest.raises(InputError, match="budget 1 is below the stage count 2"):
+            joint_readout(q, z, 1, coeffs=[1.0, 1.0, 1.0], stages=[1, 2])
 
     def test_shape_and_coefficient_checks(self):
         with pytest.raises(InputError, match="one q, z and coefficient per run"):
@@ -982,15 +1033,15 @@ class TestQueryDepthReport:
 
 class TestShotSampler:
     def test_same_seed_same_draws(self):
-        a = ShotSampler(42).bernoulli_count(0.37, 10 ** 4)
-        b = ShotSampler(42).bernoulli_count(0.37, 10 ** 4)
-        assert a == b
+        a = ShotSampler(42).multinomial(10 ** 4, [0.37, 0.63])
+        b = ShotSampler(42).multinomial(10 ** 4, [0.37, 0.63])
+        assert a.tolist() == b.tolist()
 
     def test_child_streams_are_independent(self):
         parent = ShotSampler(42)
-        c0 = parent.child(0).bernoulli_count(0.5, 10 ** 4)
-        c1 = parent.child(1).bernoulli_count(0.5, 10 ** 4)
-        again = ShotSampler(42).child(0).bernoulli_count(0.5, 10 ** 4)
+        c0 = parent.child(0).multinomial(10 ** 4, [0.5, 0.5])[0]
+        c1 = parent.child(1).multinomial(10 ** 4, [0.5, 0.5])[0]
+        again = ShotSampler(42).child(0).multinomial(10 ** 4, [0.5, 0.5])[0]
         assert c0 == again
         assert c0 != c1  # astronomically unlikely to collide
 
@@ -1012,8 +1063,8 @@ class TestShotSampler:
     def test_numpy_and_none_seeds(self):
         assert ShotSampler(np.int64(3)).seed == 3
         assert ShotSampler(None).seed == 0
-        draw = ShotSampler(np.uint32(3)).bernoulli_count(0.4, 1000)
-        assert draw == ShotSampler(3).bernoulli_count(0.4, 1000)
+        draw = ShotSampler(np.uint32(3)).multinomial(1000, [0.4, 0.6])
+        assert draw.tolist() == ShotSampler(3).multinomial(1000, [0.4, 0.6]).tolist()
 
     @given(st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=20, deadline=None)
