@@ -42,7 +42,6 @@ from .estimate import (
     EstimationReport,
     estimate_chebyshev,
     estimate_direct,
-    importance_sample,
     monomial_poly_trace,
     partition_function,
     predict_cost,

@@ -234,7 +234,6 @@ def estimate(
         property=property_, state=state, poly=poly, alpha=alpha, beta=beta,
         k=k, epsilon=epsilon, shots="auto" if auto_shots else shots, mode=mode,
         seed=seed, delta=delta_val, rank=rank, log2=log2,
-        out=out, csv=csv_path,
     )
     rho = resolve_state(cfg.state)
     started = time.perf_counter()

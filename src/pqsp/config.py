@@ -67,8 +67,6 @@ class ExperimentConfig:
     delta: Union[float, Literal["auto"]] = "auto"
     rank: Optional[int] = None
     log2: bool = False
-    out: Optional[str] = None
-    csv: Optional[str] = None
 
     def __post_init__(self):
         _conform_fields(self)

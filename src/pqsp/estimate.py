@@ -1,30 +1,30 @@
 """Trace and entropy estimators built on the parallel factorized circuits.
 
-Every estimator here reduces tr(f(rho)) to a combination of three runs: a
-sequential Hadamard test for the low-degree remainder, parallel runs of
-factor polynomials for the high-degree part, and an importance sampler that
-recombines coefficient-weighted term estimates in one draw over all of a
-stage's thread layouts, stratified by layout.  Each run is one stage
-Estimate: c * stage scales it back to the trace it measures (D times the
-norm for a Hadamard test, K^2 for a factorized run), a + b adds independent
-stages, and a report's value, standard error and shots are their sum (for
-entropies, its ln(s)/(1 - alpha) transform).
+Every estimator here reduces tr(f(rho)) to a combination of three kinds of
+stage: a sequential Hadamard test for the low-degree remainder, a parallel
+run of factor polynomials for the high-degree part, and an importance stage
+of coefficient-weighted term runs, all of a stage's thread layouts
+evaluated in one pass.  Each stage is one Estimate: c * stage scales it
+back to the trace it measures (D times the norm for a Hadamard test, K^2
+for a factorized run), a + b adds independent stages, and a report's value,
+standard error and shots are their sum (for entropies, its ln(s)/(1 - alpha)
+transform).
 
-Each estimator builds one _Plan of stages (a bound read-out, its scale and
-ShotSampler child path) and hands it to _execute, the one place that reads
-stages or builds a report; nested estimators compose plans, not reports.
-_execute reads every stage exactly, once.  Exact mode scales and sums those
-reads.  Sampled mode needs an integer budget of at least one shot per stage
-and spends it in one joint_readout over all the plan's runs (q_j, z_j),
-weighted by c_j times their stage's scale: a Hadamard stage is one run that
-always succeeds, a factorized run is its one run and an importance stage is
-its term runs.  With room, that draw reads a pilot of ceil(sqrt(budget))
-shots per stage, charged to the budget but not pooled, split over all runs
-by |weight|, and splits the rest by |weight| times each run's
-pilot-measured spread (Neyman allocation); a smaller budget gives each
-stage a fixed share by its weights' 1-norm.  Either way the stages'
-Estimates are independent.  An estimator's `seed` keys one ShotSampler, and
-the draw runs on the child stream of the plan's first stage.
+Each estimator builds one _Plan of stages (an exact read-out and its scale)
+and hands it to _execute, the one place that reads stages or builds a
+report; nested estimators compose plans, not reports.  _execute reads every
+stage exactly, once.  Exact mode scales and sums those reads.  Sampled mode
+needs an integer budget of at least one shot per stage and spends it in one
+joint_readout over all the plan's runs (q_j, z_j), weighted by c_j times
+their stage's scale: a Hadamard stage is one run that always succeeds, a
+factorized run is its one run and an importance stage is its term runs.
+With room, that draw reads a pilot of ceil(sqrt(budget)) shots per stage,
+charged to the budget but not pooled, split over all runs by |weight|, and
+splits the rest by |weight| times each run's pilot-measured spread (Neyman
+allocation); a smaller budget gives each stage a fixed share by its
+weights' 1-norm.  Either way the stages' Estimates are independent.  An
+estimator's `seed` keys one ShotSampler, and the draw runs on the child
+stream the plan names.
 
 Reports also carry the closed-form predicted shot count for the chosen
 route (unit leading constant; these are order-of-magnitude planners, not
@@ -83,7 +83,6 @@ __all__ = [
     "EstimationReport",
     "CostModel",
     "predict_cost",
-    "importance_sample",
     "estimate_direct",
     "estimate_chebyshev",
     "renyi_integer",
@@ -123,15 +122,8 @@ class EstimationReport:
     breakdown: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "shots_used": self.shots_used,
-            "predicted_shots": self.predicted_shots,
-            "query_depth": self.query_depth,
-            "width": self.width,
-            "breakdown": _jsonable(self.breakdown),
-        }
+        """The fields in order, breakdown made JSON-ready."""
+        return dict(vars(self), breakdown=_jsonable(self.breakdown))
 
 
 def _jsonable(obj):
@@ -158,7 +150,7 @@ class CostModel:
     """Inputs to the closed-form shot-count predictions.
 
     Only the fields a route consumes need to be populated; predict_cost
-    rejects a route whose fields are missing.
+    rejects a route whose fields are missing.  epsilon must be positive.
     """
 
     epsilon: float
@@ -171,6 +163,10 @@ class CostModel:
     alpha: float | None = None
     s_alpha: float | None = None
     beta: float | None = None
+
+    def __post_init__(self):
+        if self.epsilon is None or not self.epsilon > 0:  # NaN fails it too
+            raise InputError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def _require(model: CostModel, route: str, *names: str) -> list:
@@ -185,10 +181,7 @@ def _require(model: CostModel, route: str, *names: str) -> list:
 
 def predict_cost(model: CostModel, route: str) -> int:
     """Closed-form shot count for a route, unit leading constant, ceil, >= 1."""
-    eps = model.epsilon
-    if eps is None or not eps > 0:  # NaN fails it too
-        raise InputError(f"epsilon must be positive, got {eps}")
-    e2 = eps * eps
+    e2 = model.epsilon * model.epsilon
     if route == "theorem3":
         (k_const,) = _require(model, route, "K")
         raw = k_const ** 4 / e2
@@ -219,28 +212,6 @@ def predict_cost(model: CostModel, route: str) -> int:
     return max(1, math.ceil(raw))
 
 
-def importance_sample(
-    coeffs: Sequence[float],
-    table: Sequence[Polynomial],
-    index: np.ndarray,
-    rho: DensityMatrix,
-    total_shots: int | Literal["exact"],
-    sampler: ShotSampler | None = None,
-) -> Estimate:
-    """Coefficient-weighted sum of a stage's run traces by one importance draw.
-
-    All runs are evaluated in one parallel_qsp_runs pass and all shots drawn
-    by one joint_readout, which returns sum_j c_j z_j itself for "exact".
-    Two or more runs are stratified when the budget has room: a ceil(sqrt(n))
-    pilot split by |c_j| measures each run's per-shot spread s_j, the rest
-    split by |c_j| s_j (Neyman allocation), and sum_j c_j times each run's
-    main-shot mean is unbiased.  Otherwise each shot picks run j with
-    probability |c_j|/||c||_1, and ||c||_1 times the signed pooled mean is.
-    """
-    q, z = parallel_qsp_runs(table, index, rho)
-    return joint_readout(q, z, total_shots, sampler, coeffs=coeffs)
-
-
 def _check_target(p: Polynomial) -> None:
     """Reject a target with complex coefficients or with sup norm above 1 + 1e-9.
 
@@ -257,18 +228,24 @@ def _check_target(p: Polynomial) -> None:
 
 @dataclass(frozen=True)
 class _Stage:
-    """One read-out of a plan: read("exact") returns its Estimate with the
-    law it read, scale maps that to the trace it measures, and stream is the
-    ShotSampler child path a plan led by this stage draws on."""
+    """One read-out of a plan: read() returns its exact Estimate with the law
+    it read, and scale maps that to the trace it measures."""
 
-    read: Callable[..., Estimate]
+    read: Callable[[], Estimate]
     scale: float = 1.0
-    stream: tuple[int, ...] = ()
 
 
-def _hadamard_stage(p: Polynomial, rho: DensityMatrix, stream: tuple[int, ...]) -> _Stage:
+def _hadamard_stage(p: Polynomial, rho: DensityMatrix) -> _Stage:
     """tr(p(rho)) as D * ||p|| * Re tr((I/D) * p(rho)/||p||), a Hadamard test."""
-    return _Stage(partial(spectral_hadamard_test, p, rho), rho.dim * sup_norm(p), stream)
+    return _Stage(partial(spectral_hadamard_test, p, rho), rho.dim * sup_norm(p))
+
+
+def _term_stage(
+    coeffs: Sequence[float], table: Sequence[Polynomial], index: np.ndarray, rho: DensityMatrix
+) -> _Stage:
+    """sum_j c_j tr(run j), an importance stage: every run of the factor table
+    and index is evaluated in one parallel_qsp_runs pass."""
+    return _Stage(lambda: joint_readout(*parallel_qsp_runs(table, index, rho), coeffs=coeffs))
 
 
 @dataclass
@@ -281,7 +258,8 @@ class _Plan:
     trace), so a nested plan replaces the inner quote without computing it.
     auto is the budget a sampled shots="auto" (or None) spends: a shot count,
     a rule on a 1000-shot pilot of the first stage on stream (0,), or None,
-    which leaves "auto" to _check_shots to reject."""
+    which leaves "auto" to _check_shots to reject.  stream is the ShotSampler
+    child path of the plan's one draw."""
 
     stages: list[_Stage]
     query_depth: int
@@ -290,6 +268,7 @@ class _Plan:
     finish: Callable[[list[Estimate]], Estimate]
     predict: Callable[[], int]
     auto: int | Callable[[Estimate], int] | None = None
+    stream: tuple[int, ...] = ()
 
 
 def _threaded(build: Callable[..., _Plan]) -> Callable[..., _Plan]:
@@ -303,7 +282,7 @@ def _execute(plan: _Plan, shots: ShotPolicy, mode: Mode, seed: int | None) -> Es
     A mode other than "exact" or "sampled" fails before any read-out, and a
     sampled budget is checked before one too.  Each stage is read exactly,
     once; sampled mode then draws the whole budget in one joint_readout on
-    the first stage's stream and records each stage's runs, pilot and main
+    the plan's stream and records each stage's runs, pilot and main
     shots as breakdown["stage_shots"] (a plan without stages draws nothing).
     Each stage's run weights are its coefficients times its scale, so the
     parts the draw returns are the scaled stage Estimates finish sums.  An
@@ -318,7 +297,7 @@ def _execute(plan: _Plan, shots: ShotPolicy, mode: Mode, seed: int | None) -> Es
         shots = plan.auto
     if mode == "sampled" and not callable(shots):
         shots = _check_shots(shots, len(stages))
-    reads = [s.read("exact") for s in stages]
+    reads = [s.read() for s in stages]
     pilot_used = 0
     if mode == "exact" or not stages:
         ests = [s.scale * r for s, r in zip(stages, reads)]
@@ -331,7 +310,7 @@ def _execute(plan: _Plan, shots: ShotPolicy, mode: Mode, seed: int | None) -> Es
             pilot = joint_readout(q[head], z[head], 1000, root.child(0), coeffs=w[head])
             shots, pilot_used = plan.auto(pilot), pilot.shots_used
             plan.breakdown.update(pilot_estimate=pilot.value, auto_shots=shots)
-        sampler = reduce(ShotSampler.child, stages[0].stream, root)
+        sampler = reduce(ShotSampler.child, plan.stream, root)
         parts = joint_readout(q, z, shots, sampler, coeffs=w, stages=sizes).parts
         ests = [est for est, _ in parts]
         plan.breakdown["stage_shots"] = [record for _, record in parts]
@@ -369,20 +348,21 @@ def estimate_direct(
 
 @_threaded
 def _direct_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) -> _Plan:
-    """estimate_direct's plan; a rejected high part fails before any read-out."""
+    """estimate_direct's plan, drawn on stream (0,), or (1,) without a low
+    stage; a rejected high part fails before any read-out."""
     p_low, p_high = _constituents(p, k)
     stages: dict[str, _Stage] = {}
     breakdown: dict = {"w_low": 0.0, "w_high": 0.0, "K": 1.0}
     low_depth = parallel_depth = width = 0
     if not p_low.is_zero():
-        stages["w_low"] = _hadamard_stage(p_low, rho, (0,))
+        stages["w_low"] = _hadamard_stage(p_low, rho)
         breakdown["low_branch_depth"] = low_depth = query_depth_report([p_low])[0]
         width = 1
     if not p_high.is_zero():
         rescaled = rescale_factors(factorize_nonneg(p_high, k))
         factors = list(rescaled.factors)
         read = partial(parallel_qsp_run, factors, rho)
-        stages["w_high"] = _Stage(read, rescaled.stored_constant ** 2, (1,))
+        stages["w_high"] = _Stage(read, rescaled.stored_constant ** 2)
         parallel_depth, width = query_depth_report(factors)
         breakdown.update(
             K=rescaled.stored_constant,
@@ -396,8 +376,8 @@ def _direct_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) -> _
 
     model = CostModel(epsilon=epsilon, K=breakdown["K"], norm_low=_norm(p_low))
     predict = partial(predict_cost, model, "theorem4")
-    depth = max(low_depth, parallel_depth)
-    return _Plan(list(stages.values()), depth, width, breakdown, finish, predict)
+    depth, stream = max(low_depth, parallel_depth), (0,) if "w_low" in stages else (1,)
+    return _Plan(list(stages.values()), depth, width, breakdown, finish, predict, stream=stream)
 
 
 def _constituents(p: Polynomial, k: int) -> tuple[Polynomial, Polynomial]:
@@ -410,21 +390,21 @@ def _norm(p: Polynomial) -> float:
 
 
 def _chebyshev_part(
-    part: Polynomial, k_part: int, rho: DensityMatrix, i: int
+    part: Polynomial, k_part: int, rho: DensityMatrix
 ) -> tuple[dict[str, _Stage], dict]:
     """Plan tr(part(rho)) for one definite-parity part: (stages, info).
 
     Degenerate layouts (no threads to fill, or degree at most the thread
     count) run the whole part sequentially; otherwise the low constituent is
     read sequentially and the high constituent goes through the basis-product
-    term decomposition, all terms in one batch of parallel runs.  Part i
-    reads on streams 2i (low) and 2i + 1 (high).  stages are keyed by the
-    info entry their value fills, which info holds as None until then.
+    term decomposition, all terms in one batch of parallel runs.  stages are
+    keyed by the info entry their value fills, which info holds as None
+    until then.
     """
     d_part = part.degree
     if k_part < 1 or d_part <= k_part:
         info = {"sequential": True, "depth": query_depth_report([part])[0], "w": None}
-        return {"w": _hadamard_stage(part, rho, (2 * i,))}, info
+        return {"w": _hadamard_stage(part, rho)}, info
 
     p_low, p_high = split_constituents(part, k_part)
     terms = chebyshev_parallel_terms(p_high, k_part, d_part)
@@ -432,14 +412,13 @@ def _chebyshev_part(
     stages: dict[str, _Stage] = {}
     info: dict = {"sequential": False, "k_part": k_part}
     if not p_low.is_zero():
-        stages["w_low"] = _hadamard_stage(p_low, rho, (2 * i,))
+        stages["w_low"] = _hadamard_stage(p_low, rho)
         info.update(w_low=None, low_depth=query_depth_report([p_low])[0])
     info["term_count"] = len(terms.coeff)
     info["term_one_norm"] = terms.one_norm
     info["parallel_depth"] = query_depth_report(table)[0]
     if len(terms.coeff):
-        read = partial(importance_sample, terms.coeff, table, index, rho)
-        stages["w_high"] = _Stage(read, 1.0, (2 * i + 1,))
+        stages["w_high"] = _term_stage(terms.coeff, table, index, rho)
         info["w_high"] = None
     return stages, info
 
@@ -468,7 +447,9 @@ def estimate_chebyshev(
 
 @_threaded
 def _chebyshev_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) -> _Plan:
-    """estimate_chebyshev's plan: every part's stages, in part order."""
+    """estimate_chebyshev's plan: every part's stages, in part order, drawn
+    on stream 2i, or 2i + 1 if the first part i with stages has no low one."""
+    model = CostModel(epsilon, d=max(p.degree, 1), k=k)
     p_even, p_odd = parity_split(p)
     k_even = k if k % 2 == 0 else k - 1
     k_odd = k if k % 2 == 1 else k - 1
@@ -478,7 +459,7 @@ def _chebyshev_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) -
         if not part.is_zero()
     ]
 
-    parts = [_chebyshev_part(part, kp, rho, i) for i, (_, part, kp) in enumerate(jobs)]
+    parts = [_chebyshev_part(part, kp, rho) for _, part, kp in jobs]
     breakdown: dict = {}
     actual_depth = actual_width = 0
     for (name, _, kp), (_, info) in zip(jobs, parts):
@@ -527,11 +508,12 @@ def _chebyshev_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) -
 
     def predict() -> int:
         lo, hi = _constituents(p, k)
-        model = CostModel(epsilon, norm_low=_norm(lo), norm_high=_norm(hi), d=max(d, 1), k=k)
-        return predict_cost(model, "theorem5")
+        return predict_cost(replace(model, norm_low=_norm(lo), norm_high=_norm(hi)), "theorem5")
 
     stages = [s for st, _ in parts for s in st.values()]
-    return _Plan(stages, depth, width, breakdown, finish, predict)
+    leads = [2 * i + (key == "w_high") for i, (st, _) in enumerate(parts) for key in st]
+    stream = tuple(leads[:1])
+    return _Plan(stages, depth, width, breakdown, finish, predict, stream=stream)
 
 
 def _monomial_factors(n: int, k: int) -> list[Polynomial]:
@@ -589,12 +571,13 @@ def renyi_integer(
 def _renyi_integer_plan(k: int, rho: DensityMatrix, alpha: int, epsilon: float) -> _Plan:
     """renyi_integer's plan: one swap-test stage on stream (1,), and an auto
     rule quoting theorem 7 at the pilot's trace, clipped to [D^(1-alpha), 1]."""
+    model = CostModel(epsilon, alpha=float(alpha))
     factors = _monomial_factors(alpha, k)
     breakdown: dict = {"params": {"alpha": float(alpha)}, "exponents": [f.degree for f in factors]}
     breakdown["actual_depth"], width = query_depth_report(factors)
 
     def theorem7(s_alpha: float) -> int:
-        return predict_cost(CostModel(epsilon, s_alpha=s_alpha, alpha=float(alpha)), "theorem7")
+        return predict_cost(replace(model, s_alpha=s_alpha), "theorem7")
 
     def finish(ests: list[Estimate]) -> Estimate:
         (trace,) = ests
@@ -607,8 +590,9 @@ def _renyi_integer_plan(k: int, rho: DensityMatrix, alpha: int, epsilon: float) 
     def auto(pilot: Estimate) -> int:
         return theorem7(min(1.0, max(pilot.value, rho.dim ** (1 - alpha))))
 
-    stage = _Stage(partial(parallel_qsp_run, factors, rho), stream=(1,))
-    return _Plan([stage], _monomial_depth(alpha, k), width, breakdown, finish, predict, auto)
+    stage = _Stage(partial(parallel_qsp_run, factors, rho))
+    depth = _monomial_depth(alpha, k)
+    return _Plan([stage], depth, width, breakdown, finish, predict, auto, stream=(1,))
 
 
 def _renyi_transform(trace: Estimate, alpha: float) -> Estimate:
@@ -649,7 +633,8 @@ def monomial_poly_trace(
 
 @_threaded
 def _monomial_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) -> _Plan:
-    """monomial_poly_trace's plan: one importance stage, none for a constant P."""
+    """monomial_poly_trace's plan: one importance stage on the root stream,
+    none for a constant P."""
     dim = rho.dim
     coeffs = [float(c.real) for c in p.coeffs]
     one_norm = sum(abs(c) for c in coeffs)
@@ -669,9 +654,7 @@ def _monomial_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) ->
         "active_exponents": [n for n, _ in tail],
         "actual_depth": query_depth_report(table)[0],
     }
-    read = partial(importance_sample, [c for _, c in tail], table, index, rho)
-
-    stages = [_Stage(read)] if tail else []
+    stages = [_term_stage([c for _, c in tail], table, index, rho)] if tail else []
     width = max((len(layouts[n]) for n, _ in tail), default=0)
     finish = partial(sum, start=Estimate(c0 * dim, 0.0))
     predict = partial(predict_cost, CostModel(epsilon=epsilon, one_norm=one_norm), "theorem8")
@@ -699,8 +682,7 @@ def partition_function(
         raise InputError(f"inverse temperature must be non-negative, got {beta}")
     if not beta < math.inf:  # NaN fails it too
         raise InputError(f"inverse temperature must be finite, got {beta}")
-    if not epsilon > 0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
+    model = CostModel(epsilon=epsilon, beta=beta)
     dim = rho.dim
     target = epsilon / (2.0 * dim)
 
@@ -716,7 +698,7 @@ def partition_function(
         if d > 400:
             raise ConvergenceError("series degree exceeded 400 without certification")
     coeffs = [(-beta) ** n / math.factorial(n) for n in range(d + 1)]
-    predicted = predict_cost(CostModel(epsilon=epsilon, beta=beta), "theorem9")
+    predicted = predict_cost(model, "theorem9")
     plan = _monomial_plan(k, Polynomial(coeffs), rho, epsilon)
     plan.breakdown.update(
         series_degree=d, remainder_bound=math.exp(log_remainder(d)),
@@ -829,8 +811,6 @@ def _entropy_plan(
     certificate covers [delta, 1] only: breakdown records the spectral mass
     of rho's nonzero eigenvalues below delta as mass_below_delta (0.0 on the
     spectrum route), and a notice when it is positive."""
-    if not model.epsilon > 0:
-        raise InputError(f"epsilon must be positive, got {model.epsilon}")
     dval, droute = _resolve_delta(rho, delta, rank)
     w = rho.eigenvalues()
     mass = float(w[(w > 1e-12) & (w < dval)].sum())

@@ -22,7 +22,7 @@ Im P into the "wx_pp" read-out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,15 +30,12 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 from .poly import Parity, Polynomial, sup_norm
 
-CONVENTIONS = ("wx_pp",)
-
 # Newton steps allowed per solve.  From the zero start the residual reaches
 # round-off in under 10 steps at sup norm 0.99 or less and in about 30 at
 # exactly 1, where the convergence turns linear.
 MAX_NEWTON_STEPS = 100
 
 __all__ = [
-    "CONVENTIONS",
     "QspPhases",
     "find_phases",
     "realized_value",
@@ -53,14 +50,15 @@ def _fold(phi: float) -> float:
 
 @dataclass(frozen=True)
 class QspPhases:
-    """A phase list plus the convention naming its read-out."""
+    """A phase list, read out as Re <+|U|+>, which files name "wx_pp".  The
+    convention argument is checked, not stored: it accepts that name alone."""
 
     phases: tuple[float, ...]
-    convention: str = "wx_pp"
+    convention: InitVar[str] = "wx_pp"
 
-    def __post_init__(self):
-        if self.convention not in CONVENTIONS:
-            raise InputError(f"unknown convention {self.convention!r}")
+    def __post_init__(self, convention: str):
+        if convention != "wx_pp":
+            raise InputError(f"unknown convention {convention!r}")
         if len(self.phases) < 1:
             raise InputError("need at least one phase")
         object.__setattr__(self, "phases", tuple(_fold(p) for p in self.phases))
@@ -70,7 +68,7 @@ class QspPhases:
         return len(self.phases) - 1
 
     def to_dict(self) -> dict:
-        return {"convention": self.convention, "phases": list(self.phases)}
+        return {"convention": "wx_pp", "phases": list(self.phases)}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "QspPhases":

@@ -9,13 +9,14 @@ a copy of rho, post-select on their encoding flags, and a
 Hadamard-conjugated controlled cyclic shift reads out
 z = tr(rho^k * prod_j |P_j(rho)|^2) through the joint outcome statistics,
 without ever renormalizing by the success probability.  joint_readout is
-the one read-out law and the one place that draws shots: every read-out is
+the one read-out law and the one call that draws shots: every read-out is
 a list of runs (q_j, z_j) with coefficients c_j, each shot landing on
-(+1, -1, discard) of one run; the Hadamard and swap tests are one run that
-always succeeds.  An exact read keeps its runs on the Estimate as its law,
-so an estimator can read every stage exactly and then draw all of a plan's
-runs at once: one multinomial per stage when the budget is small, else a
-pilot and a main row-wise multinomial stratified by run across all stages.
+(+1, -1, discard) of one run; the Hadamard and swap tests, which read
+exactly, are one run that always succeeds.  An exact read keeps its runs on
+the Estimate as its law, so an estimator can read every stage exactly and
+then draw all of a plan's runs at once: one multinomial per stage when the
+budget is small, else a pilot and a main row-wise multinomial stratified by
+run across all stages.
 
 Two execution modes exist.  "direct" works on rho's eigenvalues w_i alone:
 every thread block P_j(rho) is a function of rho, so one eigenbasis
@@ -71,6 +72,10 @@ ShotSpec = int | Literal["exact"]
 # 2-vCPU Xeon VM: oracle runs at D = 32, k = 2 and D = 2, k = 10 take 64 and
 # 81 ms at 64 MB peak (tracemalloc); D = 16, k = 3 took 2.9 s and 1.07 GB.
 _CIRCUIT_CAP = 1024
+
+# Largest q a draw accepts: factors pass the norm check up to 1 + 1e-9, so a
+# k-thread run's q can reach (1 + 1e-9)^(2k); this covers 500 threads.
+_Q_MAX = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -129,11 +134,6 @@ class ShotSampler:
     def child(self, index: int) -> "ShotSampler":
         return ShotSampler(self.seed, self.path + (int(index),))
 
-    def multinomial(self, shots: int, pvals: Sequence[float]) -> np.ndarray:
-        p = np.maximum(np.asarray(pvals, dtype=float), 0.0)
-        p = p / p.sum()
-        return self.rng.multinomial(shots, p)
-
     def multinomial_rows(self, shots: Sequence[int], pvals: np.ndarray) -> np.ndarray:
         """One multinomial of shots[i] shots over each row i of pvals, in one draw."""
         p = np.maximum(pvals, 0.0)
@@ -141,10 +141,6 @@ class ShotSampler:
 
     def __repr__(self) -> str:
         return f"ShotSampler(seed={self.seed}, path={self.path})"
-
-
-def _as_sampler(sampler: "ShotSampler | None") -> "ShotSampler":
-    return ShotSampler(None) if sampler is None else sampler
 
 
 def _check_shots(shots, stages: int = 1) -> int:
@@ -287,37 +283,29 @@ class DensityMatrix:
         return cls([[complex(v[0], v[1]) for v in row] for row in rows])
 
 
-def spectral_hadamard_test(
-    p: Polynomial,
-    rho: DensityMatrix,
-    shots: ShotSpec = "exact",
-    sampler: ShotSampler | None = None,
-) -> Estimate:
+def spectral_hadamard_test(p: Polynomial, rho: DensityMatrix) -> Estimate:
     """Hadamard test of Re tr((I/D) * p(rho)/||p||), read from rho's eigenvalues.
 
     The block p(rho)/||p|| is a function of rho, so the trace is the mean of
     p(w_i)/||p|| over the eigenvalues w_i, clipped to [-1, 1], and lies in
     [-1, 1] without any encoding being built.  The zero polynomial has no
-    such block and raises InputError.  It reads out as one run that always
-    succeeds, through joint_readout.
+    such block and raises InputError.  The exact Estimate keeps the law of
+    one run that always succeeds; joint_readout draws shots of it.
     """
     norm = sup_norm(p)
     if norm == 0.0:
         raise InputError("the zero polynomial has no block p/||p|| to encode")
     values = np.real(p(np.clip(rho.eigenvalues(), -1.0, 1.0))) / norm
-    return joint_readout([1.0], [float(np.mean(values))], shots, sampler)
+    return joint_readout([1.0], [float(np.mean(values))])
 
 
-def generalized_swap_expectation(
-    states: Sequence[DensityMatrix],
-    shots: ShotSpec = "exact",
-    sampler: ShotSampler | None = None,
-) -> Estimate:
+def generalized_swap_expectation(states: Sequence[DensityMatrix]) -> Estimate:
     """Re tr(rho_1 rho_2 ... rho_k) via the cyclic-shift test on k registers.
 
-    Exact mode multiplies the states out directly (k <= 6); sampled mode
-    reads the ancilla as one run that always succeeds, through joint_readout:
-    +1 with probability (1 + Re tr(prod rho_j))/2, estimating the real part.
+    The states are multiplied out directly (k <= 6).  The exact Estimate
+    keeps the law of the ancilla, one run that always succeeds: drawn
+    through joint_readout, a shot reads +1 with probability
+    (1 + Re tr(prod rho_j))/2, estimating the real part.
     """
     k = len(states)
     if k < 1:
@@ -330,7 +318,7 @@ def generalized_swap_expectation(
     prod = states[0].matrix
     for s in states[1:]:
         prod = prod @ s.matrix
-    return joint_readout([1.0], [float(np.real(np.trace(prod)))], shots, sampler)
+    return joint_readout([1.0], [float(np.real(np.trace(prod)))])
 
 
 def _thread_values(
@@ -475,10 +463,11 @@ def joint_readout(
     Exact mode returns sum_j c_j z_j and keeps (q, z, c) as the Estimate's
     law.  stages counts the runs of each stage, in run order (all runs are
     one stage by default); no stage may have all-zero coefficients.  Sampled
-    mode computes each run's three cell probabilities once and draws n shots
-    of all stages in one _draw, in O(runs) work whatever n is.  The Estimate
-    is the sum of the stages' independent Estimates, which it keeps as parts,
-    each with its draw record {"runs", "pilot", "main"}.
+    mode rejects a non-finite z or c and a q outside (0, _Q_MAX], computes
+    each run's three cell probabilities once and draws n shots of all stages
+    in one _draw, in O(runs) work whatever n is.  The Estimate is the sum of
+    the stages' independent Estimates, kept as parts with their draw
+    records {"runs", "pilot", "main"}.
     """
     q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
     c = np.ones(z.shape) if coeffs is None else np.asarray(coeffs, dtype=float)
@@ -498,11 +487,17 @@ def joint_readout(
     if shots == "exact":
         return Estimate(value=float(np.dot(c, z)), std_error=0.0, shots_used=0, law=(q, z, c))
     n = _check_shots(shots, len(sizes))
+    if not (np.isfinite(z).all() and np.isfinite(c).all()):
+        raise InputError("a sampled read-out needs finite z values and coefficients")
+    outside = ~((q > 0.0) & (q <= _Q_MAX))  # NaN is outside too
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise InputError(f"run {j} succeeds with probability {float(q[j])}, outside (0, 1]")
     z_cond = np.minimum(np.maximum(z / q, -1.0), 1.0)
     cells = np.empty((len(z), 3))  # filled column by column: np.stack costs ~10 us
     cells[:, 0], cells[:, 1] = q * 0.5 * (1.0 + z_cond), q * 0.5 * (1.0 - z_cond)
     cells[:, 2] = np.maximum(0.0, 1.0 - q)
-    parts = _draw(cells, c, bounds, norms, n, _as_sampler(sampler))
+    parts = _draw(cells, c, bounds, norms, n, sampler or ShotSampler(None))
     total = functools.reduce(Estimate.__add__, (est for est, _ in parts))
     return Estimate(total.value, total.std_error, total.shots_used, parts=tuple(parts))
 
@@ -560,7 +555,8 @@ def _pooled(
 ) -> tuple[Estimate, dict]:
     """One stage's m shots as one multinomial over its runs' cells, run j
     weighted by |c_j|/norm: norm times the signed pooled mean."""
-    counts = sampler.multinomial(m, ((np.abs(c) / norm)[:, None] * cells).ravel())
+    pvals = ((np.abs(c) / norm)[:, None] * cells).reshape(1, -1)
+    counts = sampler.multinomial_rows([m], pvals)[0]
     n_plus, n_minus = counts[0::3], counts[1::3]
     mean = float(np.dot(np.sign(c), n_plus - n_minus)) / m
     second_moment = float(np.sum(n_plus + n_minus)) / m

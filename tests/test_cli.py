@@ -393,6 +393,21 @@ class TestEstimateCommand:
         a.pop("duration_s"), b.pop("duration_s")
         assert a == b
 
+    def test_output_paths_leave_the_hash_alone(self, runner, tmp_path):
+        # where a record is written is not an input: two paths, one hash
+        base = ["estimate", "--property", "renyi", "--alpha", "2", "--state", "random:4:1",
+                "--k", "2"]
+        records = []
+        for name in ("a", "b"):
+            out, csv_path = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            args = [*base, "--out", str(out), "--csv", str(csv_path)]
+            assert runner.invoke(main, args).exit_code == 0
+            records.append(RunRecord.from_json(out.read_text()))
+        first, second = records
+        assert first.input_hash == second.input_hash == config_hash(first.config)
+        assert first.replay_equal(second)
+        assert not {"out", "csv"} & set(first.config)
+
     def test_csv_accumulates_rows(self, runner, tmp_path):
         csv_path = tmp_path / "runs.csv"
         args = ["estimate", "--property", "renyi", "--state", "diag:0.75,0.25",

@@ -22,6 +22,9 @@ before, is now left out.  The swap test now reads out through joint_readout
 as one run that always succeeds: its value did not move, and its standard
 error, 0.019774932009996898 before, takes the sample variance's
 n/(n - 1) correction (0.35 standard errors from tr(rho^3) = 0.14273).
+Since the swap test reads exactly and joint_readout alone draws, the pin
+is a joint_readout draw of the swap test's law on the same sampler, with
+the same numbers.
 
 A second table pins the reads that go through nested or auto-budget paths
 (partition_function on the monomial estimator, the entropies on the
@@ -51,6 +54,7 @@ from pqsp import (
     estimate_chebyshev,
     estimate_direct,
     generalized_swap_expectation,
+    joint_readout,
     monomial_poly_trace,
     parallel_qsp_run,
     partition_function,
@@ -113,8 +117,8 @@ CASES = {
     "parallel-circuit": lambda: parallel_qsp_run(
         THREADS, _rho4(), shots=7000, mode="circuit", sampler=ShotSampler(9)
     ),
-    "swap-test": lambda: generalized_swap_expectation(
-        [_rho4()] * 3, shots=2500, sampler=ShotSampler(4)
+    "swap-test": lambda: joint_readout(
+        *generalized_swap_expectation([_rho4()] * 3).law[:2], 2500, ShotSampler(4)
     ),
     # several runs, a budget too small for a pilot and a main shot per run
     "monomial-3-runs-5-shots": lambda: monomial_poly_trace(

@@ -21,11 +21,11 @@ from pqsp import (
     chebyshev_polynomial,
     estimate_chebyshev,
     estimate_direct,
-    importance_sample,
     joint_readout,
     layout_table,
     monomial_poly_trace,
     parallel_qsp_run,
+    parallel_qsp_runs,
     partition_function,
     predict_cost,
     renyi_integer,
@@ -97,13 +97,15 @@ def test_nan_epsilon_is_a_typed_error(rho_34, run, mode):
 
 
 class TestImportanceSample:
-    """importance_sample(coeffs, table, index, rho, shots, sampler): one draw over all runs."""
+    """An importance stage's runs, evaluated in one parallel_qsp_runs pass and
+    drawn by one joint_readout."""
 
     ONE = [Polynomial.one()]
 
     @staticmethod
     def sample(coeffs, layouts, rho, shots, sampler=None):
-        return importance_sample(coeffs, *layout_table(layouts), rho, shots, sampler)
+        runs = parallel_qsp_runs(*layout_table(layouts), rho)
+        return joint_readout(*runs, shots, sampler, coeffs=coeffs)
 
     def test_constant_terms_pool_exactly(self, rho_34):
         # a bare register reads tr(rho) = 1 on every shot
@@ -866,21 +868,19 @@ class TestStageExecutor:
     coefficients c_j; the draw weights run j by c_j times its stage's scale."""
 
     @staticmethod
-    def _plan(laws, scales=None, streams=None, reads=None):
+    def _plan(laws, scales=None, stream=(), reads=None):
         scales = scales or [1.0] * len(laws)
-        streams = streams or [(i,) for i in range(len(laws))]
 
-        def read(shots, z, c):
+        def read(z, c):
             if reads is not None:
-                reads.append(shots)
+                reads.append(len(z))
             return joint_readout(np.ones(len(z)), z, coeffs=c)
 
         stages = [
-            estimate._Stage(partial(read, z=z, c=c), scale, stream)
-            for (z, c), scale, stream in zip(laws, scales, streams)
+            estimate._Stage(partial(read, z=z, c=c), scale) for (z, c), scale in zip(laws, scales)
         ]
         return estimate._Plan(
-            stages, 0, 1, {}, partial(sum, start=Estimate(0.0, 0.0)), lambda: 1
+            stages, 0, 1, {}, partial(sum, start=Estimate(0.0, 0.0)), lambda: 1, stream=stream
         )
 
     @classmethod
@@ -939,8 +939,8 @@ class TestStageExecutor:
 
     def test_plan_draws_on_its_first_stage_stream(self, monkeypatch):
         # each stage is read once, exactly, and the one draw of every stage's
-        # runs is made on the first stage's child of the seed's sampler, with
-        # or without room for a pilot
+        # runs is made on the plan's child of the seed's sampler, with or
+        # without room for a pilot
         draws, draw = [], estimate.joint_readout
 
         def recording(q, z, shots, sampler, **kwargs):
@@ -952,10 +952,24 @@ class TestStageExecutor:
         for shots in (8, 10 ** 4):
             draws.clear()
             reads = []
-            plan = self._plan(laws, streams=[(3,), (), (0,), (1, 2)], reads=reads)
-            estimate._execute(plan, shots, "sampled", 5)
-            assert reads == ["exact"] * 4
+            estimate._execute(self._plan(laws, stream=(3,), reads=reads), shots, "sampled", 5)
+            assert reads == [2, 1, 1, 1]
             assert draws == [(5, shots, 5, (3,))]
+        # each builder names the stream its first stage was drawn on when every
+        # stage carried one: a Hadamard stage of part i (2i), else its
+        # factorized or term run (2i + 1), renyi_integer's swap test (1,), and
+        # the root for the monomial estimator
+        rho = DensityMatrix.diagonal([0.75, 0.25])
+        cases = [
+            (estimate._direct_plan(2, Polynomial([0.1, 0, 0.3, 0, 0.2]), rho, 0.1), (0,)),
+            (estimate._direct_plan(2, Polynomial([0, 0, 0.3, 0, 0.2]), rho, 0.1), (1,)),
+            (estimate._chebyshev_plan(2, Polynomial([0.1, 0.2, -0.3, 0, 0.25]), rho, 0.1), (0,)),
+            (estimate._chebyshev_plan(2, Polynomial([0, 0.2, 0, 0.3]), rho, 0.1), (1,)),
+            (estimate._chebyshev_plan(2, Polynomial([0, 0, 0, 0, 0.5]), rho, 0.1), (1,)),
+            (estimate._renyi_integer_plan(2, rho, 3, 0.1), (1,)),
+            (estimate._monomial_plan(2, Polynomial([0.2, 0.5]), rho, 0.1), ()),
+        ]
+        assert [plan.stream for plan, _ in cases] == [stream for _, stream in cases]
 
 
 class _ScriptedSampler(ShotSampler):
@@ -1054,11 +1068,11 @@ class TestPilotSplit:
         # ceil(sqrt(shots)) per stage and a main shot per run gives each stage
         # its share by scale, in one multinomial each
         polys = [Polynomial([0.1, -0.2]), Polynomial([0, 0, 0.3]), Polynomial([0.2, 0, 0, 0.2])]
-        stages = [estimate._hadamard_stage(p, rho_34, (i,)) for i, p in enumerate(polys)]
+        stages = [estimate._hadamard_stage(p, rho_34) for p in polys]
         runs = [
             estimate._execute(
                 estimate._Plan(stages, 0, 1, {}, partial(sum, start=Estimate(0.0, 0.0)),
-                               lambda: 1),
+                               lambda: 1, stream=(0,)),
                 shots, "sampled", 11,
             )
             for _ in range(2)
@@ -1198,7 +1212,7 @@ class TestBatchedStages:
 
     @staticmethod
     def _count_degree40(monkeypatch) -> tuple[dict, int, int]:
-        counts = {"samplers": 0, "runs": 0, "multinomial_rows": 0, "multinomial": 0}
+        counts = {"samplers": 0, "runs": 0, "multinomial_rows": 0}
         init = ShotSampler.__init__
 
         def counting_init(self, *args, **kwargs):
@@ -1221,8 +1235,7 @@ class TestBatchedStages:
             return runs(*args, **kwargs)
 
         monkeypatch.setattr(ShotSampler, "__init__", counting_init)
-        for name in ("multinomial_rows", "multinomial"):
-            monkeypatch.setattr(ShotSampler, name, counting(name))
+        monkeypatch.setattr(ShotSampler, "multinomial_rows", counting("multinomial_rows"))
         monkeypatch.setattr(estimate, "parallel_qsp_runs", counting_runs)
         rng = np.random.default_rng(40)
         p = 0.5 * (random_parity_target(rng, 40) + random_parity_target(rng, 39))
@@ -1235,17 +1248,19 @@ class TestBatchedStages:
     def test_one_run_batch_and_draw_per_stage(self, monkeypatch):
         counts, parts, terms = self._count_degree40(monkeypatch)
         assert terms > 10 * parts
-        # the seed's sampler and the first stage's child stream
+        # the seed's sampler and the plan's child stream
         assert counts["samplers"] <= 2
         assert counts["runs"] <= parts
-        assert (counts["multinomial_rows"], counts["multinomial"]) == (2, 0)
+        assert counts["multinomial_rows"] == 2
 
     def test_guard_fails_a_per_term_loop(self, monkeypatch):
-        def per_term(coeffs, table, index, rho, total_shots, sampler=None):
-            q, z = zip(*(estimate.parallel_qsp_runs(table, index[j : j + 1], rho)
-                         for j in range(len(index))))
-            return joint_readout(np.concatenate(q), np.concatenate(z), total_shots, sampler,
-                                 coeffs=coeffs)
+        def per_term(coeffs, table, index, rho):
+            def read():
+                q, z = zip(*(estimate.parallel_qsp_runs(table, index[j : j + 1], rho)
+                             for j in range(len(index))))
+                return joint_readout(np.concatenate(q), np.concatenate(z), coeffs=coeffs)
+
+            return estimate._Stage(read)
 
         draw = sim._draw
 
@@ -1256,11 +1271,11 @@ class TestBatchedStages:
                 for part in draw(cells[a:b], c[a:b], [(0, b - a)], [norm], m, sampler)
             ]
 
-        monkeypatch.setattr(estimate, "importance_sample", per_term)
+        monkeypatch.setattr(estimate, "_term_stage", per_term)
         monkeypatch.setattr(sim, "_draw", per_stage)
         counts, parts, _ = self._count_degree40(monkeypatch)
         assert counts["runs"] > parts
-        assert counts["multinomial_rows"] + counts["multinomial"] > 2
+        assert counts["multinomial_rows"] > 2
 
     def test_exact_stage_is_one_table_call_and_draws_nothing(self, monkeypatch):
         counts = {"clenshaw": 0, "philox": 0}
@@ -1356,6 +1371,18 @@ class TestExecutorChecks:
         monkeypatch.setattr(estimate, "joint_readout", no_read)
         with pytest.raises(InputError, match="mode must be 'exact' or 'sampled'"):
             _seven_estimators(rho_34)[name](2, shots=100, mode=mode)
+
+    @pytest.mark.parametrize("name", sorted(_seven_estimators(None)))
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan], ids=repr)
+    def test_bad_epsilon_fails_before_any_read(self, rho_34, monkeypatch, name, mode, epsilon):
+        def no_read(*args, **kwargs):
+            raise AssertionError("a stage was read")
+
+        monkeypatch.setattr(sim, "joint_readout", no_read)
+        monkeypatch.setattr(estimate, "joint_readout", no_read)
+        with pytest.raises(InputError, match=f"epsilon must be positive, got {epsilon}"):
+            _seven_estimators(rho_34)[name](2, epsilon=epsilon, shots=100, mode=mode, seed=1)
 
     @pytest.mark.parametrize("name", sorted(_seven_estimators(None)))
     @pytest.mark.parametrize("k", [0, 2.5, True, "2", math.nan], ids=repr)

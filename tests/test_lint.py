@@ -72,8 +72,9 @@ def _unreferenced_private(sources: dict[str, str]) -> list[str]:
 def _seed_and_sampler(source: str) -> list[str]:
     """Public functions taking both a `seed` and a `sampler` parameter.
 
-    One call has one source of randomness: estimators take a seed, the
-    read-out primitives and importance_sample take a ShotSampler.
+    One call has one source of randomness: estimators take a seed, and
+    joint_readout and parallel_qsp_run, the two calls that draw, take a
+    ShotSampler.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -155,6 +156,57 @@ def test_scan_flags_seed_and_sampler():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_takes_seed_and_sampler(path):
     assert _seed_and_sampler(path.read_text()) == []
+
+
+BUDGETED_READOUTS = {"joint_readout", "parallel_qsp_run"}
+
+
+def _budgeted_readouts(source: str) -> list[str]:
+    """Read-outs, functions annotated to return an Estimate, that take a
+    shot budget or a sampler: a parameter named sampler or ending in shots.
+
+    joint_readout is the one call that draws shots, and parallel_qsp_run
+    forwards a budget to it; every other read-out, a stage's included, reads
+    exactly and leaves the draw to joint_readout.  Estimators return an
+    EstimationReport and take a shots policy with a seed, and the draw's
+    private helpers return its parts, so neither is a read-out here.  Each
+    flagged read-out reads "<name> (line <n>)".
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.returns is not None:
+            returns = ast.unparse(node.returns).strip("'\"")
+            a = node.args
+            names = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+            if returns == "Estimate" and any(n == "sampler" or n.endswith("shots") for n in names):
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", ["sim.py", "estimate.py"])
+def test_only_joint_readout_and_parallel_run_take_a_budget(module):
+    flagged = _budgeted_readouts((SRC / module).read_text())
+    assert [f for f in flagged if f.split()[0] not in BUDGETED_READOUTS] == []
+
+
+def test_budget_scan_fails_copies_that_give_a_read_out_shots():
+    source = (SRC / "sim.py").read_text()
+    assert [f.split()[0] for f in _budgeted_readouts(source)] == [
+        "joint_readout", "parallel_qsp_run",
+    ]
+    mutated, added = re.subn(
+        r"def generalized_swap_expectation\(states: Sequence\[DensityMatrix\]\) -> Estimate:",
+        "def generalized_swap_expectation(\n    states, shots=\"exact\", sampler=None\n) -> Estimate:",
+        source,
+    )
+    assert added == 1
+    assert "generalized_swap_expectation" in {f.split()[0] for f in _budgeted_readouts(mutated)}
+    assert _budgeted_readouts(
+        "def importance_sample(coeffs, rho, total_shots, sampler=None) -> Estimate: ...\n"
+        "def _stage(p, *, sampler) -> 'Estimate': ...\n"
+        "def estimate_direct(p, shots=None, seed=None) -> EstimationReport: ...\n"
+        "def exact(p) -> Estimate: ...\n"
+    ) == ["importance_sample (line 1)", "_stage (line 2)"]
 
 
 def test_scan_flags_unbounded_caches():
@@ -368,10 +420,9 @@ def _report_builders(source: str) -> list[str]:
     replace() that sets a field only a report has.
 
     estimate.py does all three in _execute alone (an auto pilot and the one
-    draw of a plan's stages), apart from importance_sample, the read-out an
-    importance stage is read through: every estimator hands _execute one
-    plan, and a nested estimator composes the plan it builds on, never the
-    report.
+    draw of a plan's stages), apart from the exact read an importance stage
+    built by _term_stage makes: every estimator hands _execute one plan, and
+    a nested estimator composes the plan it builds on, never the report.
     """
     found = []
     for top in ast.parse(source).body:
@@ -389,7 +440,7 @@ def _report_builders(source: str) -> list[str]:
 
 EXECUTOR_CALLS = [
     "EstimationReport in _execute", "joint_readout in _execute", "joint_readout in _execute",
-    "joint_readout in importance_sample",
+    "joint_readout in _term_stage",
 ]
 
 
@@ -417,7 +468,7 @@ def test_executor_scan_fails_copies_that_read_or_rewrap_elsewhere():
 def _sampled_stage_reads(source: str) -> list[str]:
     """Stage reads that ask for shots, by top-level definition.
 
-    A stage's read is called as read("exact") and nothing else, so only the
+    A stage's read is called as read(), with no argument, so only the
     executor's one joint_readout of the plan draws shots.  Each flagged call
     reads "read in <definition>".
     """
@@ -428,7 +479,7 @@ def _sampled_stage_reads(source: str) -> list[str]:
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "read"
-                and [ast.unparse(a) for a in node.args] != ["'exact'"]
+                and (node.args or node.keywords)
             ):
                 found.append(f"read in {getattr(top, 'name', '<module>')}")
     return sorted(found)
@@ -448,7 +499,7 @@ def test_read_scan_fails_copies_that_read_a_stage_with_shots():
     )
     assert added == 1
     assert _sampled_stage_reads(mutated) == ["read in renyi_integer"]
-    mutated, swapped = re.subn(r'\.read\("exact"\)', ".read(shots)", source)
+    mutated, swapped = re.subn(r"\.read\(\)", ".read(shots)", source)
     assert swapped == 1
     assert _sampled_stage_reads(mutated) == ["read in _execute"]
 
@@ -485,7 +536,7 @@ def test_hadamard_scan_fails_a_copy_with_a_sequential_renyi_branch():
     mutated, added = re.subn(
         r"return _execute\(_renyi_integer_plan\(",
         'read = partial(spectral_hadamard_test, _shared_polynomial("x", alpha - 1), rho)\n'
-        "    stage = _hadamard_stage(Polynomial.one(), rho, (1,))\n"
+        "    stage = _hadamard_stage(Polynomial.one(), rho)\n"
         "    return _execute(_renyi_integer_plan(",
         source,
     )
@@ -494,8 +545,8 @@ def test_hadamard_scan_fails_a_copy_with_a_sequential_renyi_branch():
         "_hadamard_stage in renyi_integer", "spectral_hadamard_test in renyi_integer",
     ]
     in_plan, added = re.subn(
-        r"\n    stage = _Stage\(partial\(parallel_qsp_run, factors, rho\), stream=\(1,\)\)",
-        "\n    stage = _hadamard_stage(_shared_polynomial(\"x\", alpha), rho, (1,))",
+        r"\n    stage = _Stage\(partial\(parallel_qsp_run, factors, rho\)\)",
+        "\n    stage = _hadamard_stage(_shared_polynomial(\"x\", alpha), rho)",
         source,
     )
     assert added == 1
@@ -508,7 +559,8 @@ def test_hadamard_scan_fails_a_copy_with_a_sequential_renyi_branch():
 
 
 def _side_draws(source: str) -> list[str]:
-    """.binomial( and .multinomial( calls that bypass the ShotSampler.
+    """.binomial(, .multinomial( and .multinomial_rows( calls that bypass
+    the ShotSampler.
 
     Inside a ShotSampler method a draw is made on its generator, self.rng;
     anywhere else it must call a ShotSampler's own method, on a receiver
@@ -528,7 +580,7 @@ def _side_draws(source: str) -> list[str]:
             if (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
-                and child.func.attr in ("binomial", "multinomial")
+                and child.func.attr in ("binomial", "multinomial", "multinomial_rows")
             ):
                 receiver = ast.unparse(child.func.value)
                 allowed = ("self.rng",) if in_sampler else ("sampler", "self.sampler")
@@ -559,9 +611,10 @@ def test_draw_scan_fails_a_copy_with_a_side_generator():
         "class ShotSampler:\n"
         "    def ok(self, n, p):\n        return self.rng.binomial(n, p)\n"
         "    def side(self, n, p):\n        return np.random.default_rng().binomial(n, p)\n"
-        "def through(sampler, n, p):\n    return sampler.multinomial(n, p)\n"
+        "def through(sampler, n, p):\n    return sampler.multinomial_rows([n], [p])\n"
         "def own(rng, n, p):\n    return rng.multinomial(n, p)\n"
-    ) == ["binomial in ShotSampler.side", "multinomial in own"]
+        "def rows(smp, n, p):\n    return smp.multinomial_rows([n], [p])\n"
+    ) == ["binomial in ShotSampler.side", "multinomial in own", "multinomial_rows in rows"]
 
 
 def _norm_checks(source: str) -> list[str]:

@@ -83,7 +83,7 @@ class TestQspPhasesContainer:
 class TestFindPhases:
     def test_identity_is_exact(self):
         phases = find_phases(Polynomial([0, 1]))
-        assert phases.convention == "wx_pp"
+        assert phases.to_dict()["convention"] == "wx_pp"
         for x in np.linspace(-1, 1, 25):
             assert abs(realized_value(phases, float(x)) - x) <= 1e-10
 

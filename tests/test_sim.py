@@ -337,13 +337,17 @@ class TestSpectralHadamard:
 
     @pytest.mark.parametrize("shots", ["exact", 100])
     def test_zero_polynomial_rejected(self, rho_34, shots):
+        # rejected before any read, exact or drawn through joint_readout
         with pytest.raises(InputError, match="zero polynomial"):
-            spectral_hadamard_test(Polynomial([0.0]), rho_34, shots=shots)
+            est = spectral_hadamard_test(Polynomial([0.0]), rho_34)
+            if shots != "exact":
+                q, z, c = est.law
+                joint_readout(q, z, shots, ShotSampler(3), coeffs=c)
 
     def test_sampled_reads_through_readout(self, rho_34):
-        est = spectral_hadamard_test(
-            chebyshev_polynomial(2), rho_34, shots=4096, sampler=ShotSampler(3)
-        )
+        # the read is exact; joint_readout draws its one-run law
+        q, z, c = spectral_hadamard_test(chebyshev_polynomial(2), rho_34).law
+        est = joint_readout(q, z, 4096, ShotSampler(3), coeffs=c)
         assert est.shots_used == 4096
         assert -1.0 <= est.value <= 1.0
 
@@ -357,25 +361,26 @@ class TestSampledReadoutPins:
     move, and the standard errors grew by sqrt(4096/4095), the sample
     variance's n/(n - 1) correction (0.01483239065502902 and
     0.01403539880659226 before); the draws sit 0.13 and 0.14 standard errors
-    from the exact values."""
+    from the exact values.  Both read-outs now read exactly, and each case
+    draws its law through joint_readout on the same sampler, with the same
+    numbers."""
 
     CASES = {
         "hadamard_real": (
-            lambda rho, smp: spectral_hadamard_test(
-                Polynomial([0, 0, 1]), rho, shots=4096, sampler=smp
-            ),
+            lambda rho: spectral_hadamard_test(Polynomial([0, 0, 1]), rho),
             (0.314453125, 0.01483420158118863),
         ),
         "swap": (
-            lambda rho, smp: generalized_swap_expectation([rho] * 3, shots=4096, sampler=smp),
+            lambda rho: generalized_swap_expectation([rho] * 3),
             (0.439453125, 0.01403711242589009),
         ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_pinned(self, rho_34, name):
-        run, pinned = self.CASES[name]
-        est = run(rho_34, ShotSampler(3))
+        read, pinned = self.CASES[name]
+        q, z, c = read(rho_34).law
+        est = joint_readout(q, z, 4096, ShotSampler(3), coeffs=c)
         assert (est.value, est.std_error) == pinned
         assert est.shots_used == 4096
 
@@ -402,7 +407,8 @@ class TestSwapExpectation:
 
     def test_sampled(self):
         rho = DensityMatrix.diagonal([0.7, 0.3])
-        est = generalized_swap_expectation([rho] * 2, shots=20000, sampler=ShotSampler(1))
+        q, z, c = generalized_swap_expectation([rho] * 2).law
+        est = joint_readout(q, z, 20000, ShotSampler(1), coeffs=c)
         assert abs(est.value - 0.58) <= 5 * est.std_error
 
 
@@ -846,7 +852,7 @@ class TestJointReadout:
         q, z = parallel_qsp_runs(*layout_table([factors]), rho_34)
         z_cond = min(1.0, max(-1.0, z[0] / q[0]))
         pvals = [q[0] * 0.5 * (1.0 + z_cond), q[0] * 0.5 * (1.0 - z_cond), 1.0 - q[0]]
-        n_plus, n_minus, _ = ShotSampler(4).multinomial(5000, pvals)
+        n_plus, n_minus, _ = ShotSampler(4).multinomial_rows([5000], [pvals])[0]
         est = joint_readout(q, z, 5000, ShotSampler(4))
         assert est.value == (n_plus - n_minus) / 5000
         assert est == parallel_qsp_run(factors, rho_34, shots=5000, sampler=ShotSampler(4))
@@ -895,9 +901,10 @@ class TestJointReadout:
             assert est.value == pytest.approx(value, rel=1e-12, abs=1e-15)
             assert est.std_error == pytest.approx(math.sqrt(var_sum), rel=1e-12)
         assert joint_readout(q, z, 49, ShotSampler(3), coeffs=c).parts[0][1]["pilot"] == 0
+        # one pooled multinomial of all 49 shots over the 8 runs' 24 cells
         single = _RecordingSampler(3)
         joint_readout(q, z, 49, single, coeffs=c)
-        assert single.rows == []
+        assert [(n.tolist(), counts.shape) for n, counts in single.rows] == [([49], (1, 24))]
 
     def test_split_follows_the_pilot_counts_not_the_law(self, rho_34):
         # two identical runs: the exact law splits them evenly, a pilot that
@@ -925,12 +932,13 @@ class TestJointReadout:
     def test_exact_law_draws_what_a_sampled_read_draws(self, rho_34):
         # an exact read keeps its runs; drawing them later on a stream is the
         # sampled read on that stream
-        p = Polynomial([0.2, 0.5])
-        exact = spectral_hadamard_test(p, rho_34)
+        exact = spectral_hadamard_test(Polynomial([0.2, 0.5]), rho_34)
         q, z, c = exact.law
         assert (q.tolist(), z.tolist(), c.tolist()) == ([1.0], [exact.value], [1.0])
+        factors = (Polynomial([0, 1]), Polynomial([0.5, 0, 0.5]))
+        q, z, c = parallel_qsp_run(factors, rho_34).law
         drawn = joint_readout(q, z, 70, ShotSampler(2), coeffs=c)
-        assert drawn == spectral_hadamard_test(p, rho_34, shots=70, sampler=ShotSampler(2))
+        assert drawn == parallel_qsp_run(factors, rho_34, shots=70, sampler=ShotSampler(2))
         runs = parallel_qsp_runs(*layout_table([(Polynomial([0, 1]),)] * 2), rho_34)
         q, z, c = joint_readout(*runs, coeffs=[0.7, -0.3]).law
         assert joint_readout(q, z, 900, ShotSampler(4), coeffs=c) == joint_readout(
@@ -978,7 +986,8 @@ class TestJointReadout:
         cells = np.stack([q * (1 + z_cond) / 2, q * (1 - z_cond) / 2, 1 - q], axis=1)
         alone = ShotSampler(5)
         for (part, record), a, b, norm, m in zip(small.parts, (0, 3), (3, 8), norms, shares):
-            counts = alone.multinomial(m, (np.abs(c[a:b])[:, None] / norm * cells[a:b]).ravel())
+            pvals = (np.abs(c[a:b])[:, None] / norm * cells[a:b]).reshape(1, -1)
+            counts = alone.multinomial_rows([m], pvals)[0]
             mean = float(np.dot(np.sign(c[a:b]), counts[0::3] - counts[1::3])) / m
             assert part.value == pytest.approx(norm * mean, rel=1e-12, abs=1e-15)
             assert record == {"runs": b - a, "pilot": 0, "main": m}
@@ -993,6 +1002,27 @@ class TestJointReadout:
             joint_readout(q, z, 10, coeffs=[1.0, 0.0, 0.0], stages=[1, 2])
         with pytest.raises(InputError, match="budget 1 is below the stage count 2"):
             joint_readout(q, z, 1, coeffs=[1.0, 1.0, 1.0], stages=[1, 2])
+
+    @pytest.mark.parametrize("q, z, c, match", [
+        (1.5, 0.2, 1.0, "outside"), (-0.2, 0.1, 1.0, "outside"), (0.0, 0.0, 1.0, "outside"),
+        (math.nan, 0.1, 1.0, "outside"), (math.inf, 0.1, 1.0, "outside"),
+        (1.0 + 2e-6, 0.1, 1.0, "outside"), (0.5, math.nan, 1.0, "finite"),
+        (0.5, -math.inf, 1.0, "finite"), (0.5, 0.1, math.nan, "finite"),
+        (0.5, 0.1, math.inf, "finite"),
+    ], ids=repr)
+    def test_draw_rejects_a_law_it_cannot_sample(self, q, z, c, match):
+        # a q outside (0, 1] or a non-finite z or c has no outcome law; the
+        # first run is valid, so the message names the second
+        with pytest.raises(InputError, match=match) as info:
+            joint_readout([1.0, q], [0.5, z], 100, ShotSampler(1), coeffs=[1.0, c])
+        assert match == "finite" or "run 1 succeeds with probability" in str(info.value)
+
+    def test_draw_accepts_round_off_above_one(self):
+        # factors pass the norm check up to 1 + 1e-9, so a k-thread run's q
+        # can exceed 1 by about 2k * 1e-9
+        q = [(1.0 + 1e-9) ** 8, 1.0, 1e-300]
+        est = joint_readout(q, [0.5, -0.25, 0.0], 300, ShotSampler(1))
+        assert est.shots_used == 300 and math.isfinite(est.value)
 
     def test_shape_and_coefficient_checks(self):
         with pytest.raises(InputError, match="one q, z and coefficient per run"):
@@ -1033,20 +1063,20 @@ class TestQueryDepthReport:
 
 class TestShotSampler:
     def test_same_seed_same_draws(self):
-        a = ShotSampler(42).multinomial(10 ** 4, [0.37, 0.63])
-        b = ShotSampler(42).multinomial(10 ** 4, [0.37, 0.63])
+        a = ShotSampler(42).multinomial_rows([10 ** 4], [[0.37, 0.63]])
+        b = ShotSampler(42).multinomial_rows([10 ** 4], [[0.37, 0.63]])
         assert a.tolist() == b.tolist()
 
     def test_child_streams_are_independent(self):
         parent = ShotSampler(42)
-        c0 = parent.child(0).multinomial(10 ** 4, [0.5, 0.5])[0]
-        c1 = parent.child(1).multinomial(10 ** 4, [0.5, 0.5])[0]
-        again = ShotSampler(42).child(0).multinomial(10 ** 4, [0.5, 0.5])[0]
+        c0 = parent.child(0).multinomial_rows([10 ** 4], [[0.5, 0.5]])[0, 0]
+        c1 = parent.child(1).multinomial_rows([10 ** 4], [[0.5, 0.5]])[0, 0]
+        again = ShotSampler(42).child(0).multinomial_rows([10 ** 4], [[0.5, 0.5]])[0, 0]
         assert c0 == again
         assert c0 != c1  # astronomically unlikely to collide
 
     def test_multinomial_total(self):
-        counts = ShotSampler(7).multinomial(1000, [0.2, 0.3, 0.5])
+        counts = ShotSampler(7).multinomial_rows([1000], [[0.2, 0.3, 0.5]])
         assert counts.sum() == 1000
 
     def test_multinomial_rows_clip_and_normalize_each_row(self):
@@ -1063,8 +1093,8 @@ class TestShotSampler:
     def test_numpy_and_none_seeds(self):
         assert ShotSampler(np.int64(3)).seed == 3
         assert ShotSampler(None).seed == 0
-        draw = ShotSampler(np.uint32(3)).multinomial(1000, [0.4, 0.6])
-        assert draw.tolist() == ShotSampler(3).multinomial(1000, [0.4, 0.6]).tolist()
+        draw = ShotSampler(np.uint32(3)).multinomial_rows([1000], [[0.4, 0.6]])
+        assert draw.tolist() == ShotSampler(3).multinomial_rows([1000], [[0.4, 0.6]]).tolist()
 
     @given(st.integers(min_value=0, max_value=2 ** 31))
     @settings(max_examples=20, deadline=None)
