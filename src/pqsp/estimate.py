@@ -60,6 +60,7 @@ from .factor import (
 from .poly import (
     Parity,
     Polynomial,
+    _norms_exceed,
     _shared_polynomial,
     parity_split,
     split_constituents,
@@ -217,12 +218,16 @@ def _check_target(p: Polynomial) -> None:
 
     |T_n| <= 1 on [-1, 1], so a Chebyshev 1-norm sum |c_n| <= 1 certifies
     the bound without the sup norm, with the whole 1e-9 to spare for the
-    round-off of either sum; only a target above that pays for its exact
-    norm.  The verdict is the exact norm's either way.
+    round-off of either sum.  A target above that is read on poly's grid of
+    N + 1 Chebyshev extreme points, N at least 64 times its degree, whose
+    largest |p| M certifies M <= ||p|| <= M sec(pi d / 2N); only a target
+    whose interval holds 1 + 1e-9 (within 1e-12) pays for its exact norm,
+    polished from the grid's peaks or, if a polish fails, from the
+    colleague-matrix eigensolve.  The verdict is the exact norm's either way.
     """
     if p.max_imag() > 1e-10:
         raise InputError("target polynomial must have real coefficients")
-    if sum(map(abs, p.cheb)) > 1.0 and sup_norm(p) > 1.0 + 1e-9:
+    if sum(map(abs, p.cheb)) > 1.0 and _norms_exceed([p], 1.0 + 1e-9)[0]:
         raise InputError("target polynomial must have sup norm at most 1; rescale it")
 
 

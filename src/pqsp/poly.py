@@ -17,12 +17,20 @@ always the index of the last coefficient that actually matters.
 The [-1, 1] sup norm evaluates |p| at both ends and at the stationary points
 of |p|^2.  A series whose slope has degree at most 3 (real of degree 2-4,
 complex of degree 2) takes them in closed form, by the quadratic formula or
-Cardano's; longer ones from the colleague matrix (Battles and Trefethen,
-SIAM J. Sci. Comput. 25, 2004), for a batch of polynomials at once.  Each
-series is first scaled by the power of two nearest its largest |c_n|, which
-is exact, so |p|^2 neither under- nor overflows.  The norm is computed once
-per polynomial and kept on it, scalar multiples carry it along, and layout
-builders share their instances.
+Cardano's.  A longer one is read on the N + 1 Chebyshev extreme points
+cos(j pi / N), N at least 64 times the degree of p (of |p|^2 if complex),
+by one real FFT per series length.  The grid's largest |p|, M, certifies
+M <= ||p|| <= M sec(pi d / 2N) (Ehlich and Zeller, Math. Z. 86, 1964), and
+threshold verdicts (_norms_exceed) decide from that interval.  The exact
+norm polishes each grid peak that could hold the maximum by Newton's method
+inside its grid cell, O(d log d) in all; a slope shorter than _GRID_SLOPE,
+or a polish that leaves its cell or stalls, takes the colleague-matrix
+eigensolve instead (Battles and Trefethen, SIAM J. Sci. Comput. 25, 2004),
+O(d^3), for a batch of polynomials at once.  Each series is first scaled
+by the power of two nearest its largest |c_n|, which is exact, so |p|^2
+neither under- nor overflows.  The norm is computed once per polynomial and
+kept on it, scalar multiples carry it along, and layout builders share
+their instances; a bound is never kept.
 """
 
 from __future__ import annotations
@@ -329,12 +337,32 @@ def _clenshaw(c, x):
     return c0 + c1 * x
 
 
+# The grid holds N + 1 points for a p (or |p|^2, if complex) of degree n, N
+# at least 64 n and 2^a, 3 * 2^a or 5 * 2^a: its bound is then within
+# sec(pi / 128) - 1 = 3.0e-4 of M.  An FFT of a length with a large prime
+# factor costs more: 2N = 128 * 1187 took 38 ms against 4.1 ms at 2^18
+# (one core).
+_GRID = 64
+# Slopes of a lower degree keep the eigensolve for exact norms.  A lone series
+# polished costs 120-220 us up to slope degree 40; the eigensolve grows from
+# 80 us at slope degree 4 and passes it at slope degree 16-20, real or
+# complex (one core; the table is in CHANGES.md).
+_GRID_SLOPE = 18
+# Newton steps a peak may take; from the parabola's vertex one or two converge.
+_POLISH_STEPS = 8
+
+
 def sup_norm(p: Polynomial) -> float:
     """max |p(x)| over [-1, 1], computed on first request and kept on p.
 
-    |p|^2 is extremal at the ends and at the real roots of its slope, the
-    derivative of |p|^2 (of p when p is real); |p| is evaluated at both ends
-    and at the real part of every root, clipped into the interval.
+    |p| is read on the N + 1 Chebyshev extreme points cos(j pi / N) by one
+    FFT (see _grid).  Every grid peak within the Ehlich-Zeller factor of the
+    largest is polished by Newton on (|p|^2)' (zero at the peaks of |p|
+    where p' is, for a real p) inside its own grid cell, and |p| is
+    evaluated there and at both ends by Clenshaw's recurrence.  A polish that leaves its cell or stalls
+    sends its series to the colleague-matrix eigensolve, which also takes
+    every slope of degree below _GRID_SLOPE; _short_norm's closed forms take
+    the slopes of degree at most 3.
     """
     return p._norm if hasattr(p, "_norm") else _sup_norms((p,))[0]
 
@@ -342,9 +370,160 @@ def sup_norm(p: Polynomial) -> float:
 def _sup_norms(polys: Sequence[Polynomial]) -> tuple[float, ...]:
     """sup_norm of each polynomial; the ones not yet known share one kernel call."""
     todo = [p for p in polys if not hasattr(p, "_norm")]
-    for p, norm in zip(todo, _colleague_norms([p.cheb for p in todo])):
+    for p, norm in zip(todo, _exact_norms([p.cheb for p in todo])):
         object.__setattr__(p, "_norm", norm)
     return tuple(p._norm for p in polys)
+
+
+def _norms_exceed(polys: Sequence[Polynomial], limit: float) -> list[bool]:
+    """sup_norm(p) > limit for each p, read from the certified interval
+    [M, M s] of _grid where it decides.
+
+    A norm already known, or in closed form, is compared as it is.  A longer
+    series whose interval, widened by 1e-12 of limit and by the FFT's
+    round-off (2^-44 of the Chebyshev 1-norm), still holds limit takes its
+    exact norm, kept on p; those share one kernel call.  A polished norm
+    and the eigensolve's round |p| at different points, up to 160 ulps
+    apart (see CHANGES.md), so one within 2^-44 of limit is replaced by the
+    eigensolve's, whose verdict earlier releases gave.  No bound is kept.
+    """
+    fresh = [i for i, p in enumerate(polys) if not hasattr(p, "_norm")]
+    if not fresh:
+        return [p._norm > limit for p in polys]
+    verdicts: dict[int, bool] = {}
+    for rows, cs, real, exps in _stacks([polys[i].cheb for i in fresh], 4):
+        g, s = _grid(cs, real)
+        scales = [2.0**-e for e in exps]
+        for r, m, one, scale in zip(rows, g.max(1).tolist(), np.abs(cs).sum(1).tolist(), scales):
+            slack = 1e-12 * limit * scale + 2.0**-44 * one
+            if not m - slack <= limit * scale <= m * s + slack:
+                verdicts[fresh[r]] = m > limit * scale
+    todo = [p for i, p in enumerate(polys) if i not in verdicts and not hasattr(p, "_norm")]
+    norms = _exact_norms([p.cheb for p in todo])
+    near = [j for j, norm in enumerate(norms) if abs(norm - limit) <= 2.0**-44 * limit]
+    for j, norm in zip(near, _colleague_norms([todo[j].cheb for j in near]) if near else ()):
+        norms[j] = norm
+    for p, norm in zip(todo, norms):
+        object.__setattr__(p, "_norm", norm)
+    return [verdicts[i] if i in verdicts else p._norm > limit for i, p in enumerate(polys)]
+
+
+def _stacks(series: Sequence[Sequence[complex]], min_slope: int):
+    """The series whose slope, p' or (|p|^2)', has degree at least
+    min_slope, in stacks of one length and kind: (their indices, rows scaled
+    by 2^-e as _colleague_norms scales them, real, e of each row)."""
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for i, c in enumerate(series):
+        if 2 * len(c) - 3 < min_slope:  # too short, even if complex
+            continue
+        real = all(z.imag == 0 for z in c)
+        if (len(c) - 2 if real else 2 * len(c) - 3) >= min_slope:
+            groups.setdefault((len(c), real), []).append(i)
+    for (_, real), rows in groups.items():
+        exps = [_binade(series[i]) for i in rows]
+        cs = np.array([series[i] for i in rows])
+        cs = (cs.real if real else cs) * np.array([2.0**-e for e in exps])[:, None]
+        yield rows, cs, real, exps
+
+
+def _grid_size(n: int) -> int:
+    """N for degree n: the smallest 2^a, 3 * 2^a or 5 * 2^a at least _GRID * n."""
+    return min(m << (-(-_GRID * n // m) - 1).bit_length() for m in (1, 3, 5))
+
+
+def _grid(cs: np.ndarray, real: bool) -> tuple[np.ndarray, float]:
+    """|p| on the N + 1 points cos(j pi / N), j = 0..N, of each row of a
+    stack of one length, and s with ||p|| <= M s for M the row's largest.
+
+    p(cos(j pi / N)) = sum_k c_k cos(pi j k / N) is the real part of one
+    real FFT of length 2N per row.  For p real of degree n < N, Ehlich and
+    Zeller (Math. Z. 86, 1964) give M <= ||p|| <= M sec(pi n / 2N); a
+    complex p takes the bound of |p|^2, of degree n = 2d, from its real and
+    imaginary rows, so s is that secant's square root.  N depends on the
+    row's length only, so no value depends on the batch.
+    """
+    n = (cs.shape[1] - 1) * (1 if real else 2)
+    size = _grid_size(n)
+    rows = cs if real else np.concatenate((cs.real, cs.imag))
+    v = np.fft.rfft(rows, 2 * size)[:, : size + 1].real
+    g = np.abs(v) if real else np.hypot(v[: len(cs)], v[len(cs) :])
+    sec = 1.0 / math.cos(math.pi * n / (2 * size))
+    return g, sec if real else math.sqrt(sec)
+
+
+def _exact_norms(series: Sequence[Sequence[complex]]) -> list[float]:
+    """max |p| on [-1, 1] of each Chebyshev series: polished from the grid
+    (_polished) from slope degree _GRID_SLOPE up, from _colleague_norms
+    below it and wherever a polish fails."""
+    if all(2 * len(c) - 3 < _GRID_SLOPE for c in series):  # none long enough, even if complex
+        return _colleague_norms(series)
+    norms: list[float | None] = [None] * len(series)
+    for rows, cs, real, exps in _stacks(series, _GRID_SLOPE):
+        for r, e, norm in zip(rows, exps, _polished(cs, real)):
+            if norm is not None:
+                norms[r] = norm * 2.0**e
+    rest = [i for i, norm in enumerate(norms) if norm is None]
+    for i, norm in zip(rest, _colleague_norms([series[i] for i in rest]) if rest else ()):
+        norms[i] = norm
+    return norms
+
+
+def _polished(cs: np.ndarray, real: bool) -> list[float | None]:
+    """max |p| of each row of a scaled stack, or None where a polish fails.
+
+    The peaks of the grid (ends included, as |p(cos t)| is even in t) that
+    reach M / s are candidates: no other cell can hold the maximum.  Each
+    starts at the vertex of the parabola through its three grid values and
+    takes Newton steps on d|p|^2/dt, in t = arccos x, from sums of c_k
+    cos(kt) and c_k sin(kt); a t = 0 or pi end has zero slope and stays.
+    Taylor's theorem with Bernstein's bound on the third derivative bounds
+    the distance a step leaves to the peak, and a peak converges, at a
+    maximum of |p|^2, once that distance moves |p|^2 by under 2^-60 of its
+    norm.  One that does not within _POLISH_STEPS, or that ends more than a
+    cell from its grid point, fails its row.  |p| is evaluated by Clenshaw's
+    recurrence, as _colleague_norms evaluates it, at cos t of each converged
+    peak and at both ends, one point at a time on plain floats, which costs
+    less for a few points than L array steps.  Each peak is polished on its
+    own, so a norm does not depend on the batch.
+    """
+    g, s = _grid(cs, real)
+    h = math.pi / (g.shape[1] - 1)
+    pad = np.concatenate((g[:, 1:2], g, g[:, -2:-1]), axis=1)
+    a, b, c = pad[:, :-2], g, pad[:, 2:]
+    top = g.max(1, keepdims=True)
+    rows, js = np.nonzero((b >= a) & (b >= c) & (b * s >= top))
+    a, b, c = a[rows, js], b[rows, js], c[rows, js]
+    curve = a - 2 * b + c
+    t = h * (js + np.divide(a - c, 2 * curve, out=np.zeros_like(curve), where=curve < 0))
+    k = np.arange(cs.shape[1])
+    n = 2 * k[-1]  # the degree of |p(cos t)|^2 in t
+    cap = n**3 * (top[rows, 0] * s) ** 2 / 4  # bounds |d^3 |p|^2 / dt^3| / 4 (Bernstein)
+    coef = cs[rows]
+    ok = np.zeros(len(rows), bool)
+    todo = np.arange(len(rows))
+    for _ in range(_POLISH_STEPS):
+        cf = coef[todo]
+        kt = np.multiply.outer(t[todo], k)
+        even, odd = cf * np.cos(kt), cf * k * np.sin(kt)
+        p0, p1, p2 = even.sum(1), -odd.sum(1), -(even * (k * k)).sum(1)
+        slope = (p0.conj() * p1).real  # half of d|p|^2/dt, and then its slope
+        curv = (p1.conj() * p1).real + (p0.conj() * p2).real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = slope / curv
+        t[todo] -= step
+        err = cap[todo] * step * step / np.abs(curv)  # bounds the distance left to the peak
+        done = (n * err) ** 2 <= 2.0**-59  # which moves |p|^2 by under 2^-60 of its norm
+        ok[todo[done & (curv < 0)]] = True
+        todo = todo[~done]
+        if not len(todo):
+            break
+    ok &= np.abs(t - h * js) <= h
+    series = cs.tolist()
+    best = [max(abs(_clenshaw(c, -1.0)), abs(_clenshaw(c, 1.0))) for c in series]
+    for r, x in zip(rows[ok].tolist(), np.cos(t[ok]).tolist()):
+        best[r] = max(best[r], abs(_clenshaw(series[r], x)))
+    failed = set(rows[~ok].tolist())
+    return [None if r in failed else norm for r, norm in enumerate(best)]
 
 
 def _binade(c: Sequence[complex]) -> int:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .poly import Parity, Polynomial, sup_norm
+from .poly import Parity, Polynomial, _norms_exceed, sup_norm
 
 # Newton steps allowed per solve.  From the zero start the residual reaches
 # round-off in under 10 steps at sup norm 0.99 or less and in about 30 at
@@ -166,6 +166,13 @@ def find_phases(target: Polynomial, tol: float = 1e-4) -> QspPhases:
     -i, so Re P, the real part of <+|U|+>, becomes the target.  The result
     must reach max error <= tol on 4(d+1) (at least 32) Chebyshev nodes;
     otherwise the failure carries the error it reached.
+
+    The target's sup norm must be at most 1 + 1e-9.  Past poly's closed
+    forms the check reads the target on N + 1 Chebyshev extreme points, N at
+    least 64 d, whose largest |p| M certifies M <= ||p|| <= M sec(pi d / 2N);
+    the exact norm, polished from the grid's peaks by Newton's method (the
+    eigensolve if a polish fails), is taken only when 1 + 1e-9 lies within
+    1e-12 of that interval, or for the message of a rejection.
     """
     scale = max(1.0, max(abs(c) for c in target.cheb))
     if target.max_imag() > 1e-10 * scale:
@@ -175,9 +182,8 @@ def find_phases(target: Polynomial, tol: float = 1e-4) -> QspPhases:
     d = target.degree
     if d > 40:
         raise InputError("degree cap for phase finding is 40; use the oracle encoding instead")
-    norm = sup_norm(target)
-    if norm > 1.0 + 1e-9:
-        raise InputError(f"rescale the target: sup norm {norm:.6g} exceeds 1")
+    if _norms_exceed([target], 1.0 + 1e-9)[0]:
+        raise InputError(f"rescale the target: sup norm {sup_norm(target):.6g} exceeds 1")
 
     phis = least_squares(target)
     phis[0] -= math.pi / 4

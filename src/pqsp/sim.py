@@ -50,7 +50,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import InputError, PostSelectionError
-from .poly import Parity, Polynomial, _clenshaw, sup_norm
+from .poly import Parity, Polynomial, _clenshaw, _norms_exceed, sup_norm
 from .qsp import find_phases, realized_value
 
 __all__ = [
@@ -340,7 +340,7 @@ def _thread_values(
     if not valid or index.size and not 0 <= index.min() <= index.max() < len(table):
         raise InputError(f"index must be a 2-D integer array with entries in [0, {len(table)})")
     factors = table[1:]
-    over = [r for r, f in enumerate(factors, 1) if sup_norm(f) > 1.0 + 1e-9]
+    over = [r for r, big in enumerate(_norms_exceed(factors, 1.0 + 1e-9), 1) if big]
     if over:
         hits = np.argwhere(np.isin(index, over))
         where = "layout {}, factor {}".format(*hits[0]) if len(hits) else f"table row {over[0]}"

@@ -21,6 +21,7 @@ from pqsp import (
     chebyshev_polynomial,
     estimate_chebyshev,
     estimate_direct,
+    find_phases,
     joint_readout,
     layout_table,
     monomial_poly_trace,
@@ -787,6 +788,90 @@ class TestLargerStates:
         rep = estimator(Polynomial(coeffs), rho, k)
         assert rep.shots_used == 0 and rep.std_error == 0.0
         assert abs(rep.value - want) <= 1e-12
+
+
+class TestNormVerdicts:
+    """Norm checks read poly's certified grid bound [M, M sec(pi d / 2N)]
+    and take the exact norm only when 1 + 1e-9 lies within 1e-12 of it."""
+
+    # target sup norm -> the check's verdict
+    SCALES = {
+        (1 + 1e-9) * (1 + 1e-12): "rejected",
+        (1 + 1e-9) * (1 - 1e-12): "accepted",
+        1 - 1e-12: "accepted",
+        0.9: "accepted",
+    }
+    MESSAGES = {
+        "estimate_chebyshev": "target polynomial must have sup norm at most 1; rescale it",
+        "estimate_direct": "target polynomial must have sup norm at most 1; rescale it",
+        "find_phases": "rescale the target: sup norm 1 exceeds 1",
+        "parallel_qsp_run": "apply rescale_factors: layout 0, factor 0 has sup norm above 1",
+    }
+
+    @staticmethod
+    def scaled(degree: int, norm: float) -> Polynomial:
+        """An even series with Chebyshev 1-norm above 1, scaled by its
+        eigensolved norm to the given sup norm."""
+        rng = np.random.default_rng(degree)
+        c = np.zeros(degree + 1)
+        c[::2] = rng.normal(size=degree // 2 + 1) / (1.0 + np.arange(0, degree + 1, 2))
+        c *= norm / poly._colleague_norms([tuple(map(complex, c))])[0]
+        assert np.abs(c).sum() > 1.0
+        return Polynomial.from_cheb(c)
+
+    @staticmethod
+    def verdict(call) -> str:
+        try:
+            call()
+        except NotNonNegativeError:  # past the norm check
+            pass
+        except InputError as err:
+            return str(err)
+        except ConvergenceError:
+            pass
+        return "accepted"
+
+    @pytest.mark.parametrize("degree", [6, 40])
+    @pytest.mark.parametrize("norm", sorted(SCALES))
+    def test_same_verdict_and_message(self, degree, norm, rho_34):
+        calls = {
+            "estimate_chebyshev": lambda p: estimate_chebyshev(p, rho_34, 2),
+            "estimate_direct": lambda p: estimate_direct(p, rho_34, 2),
+            "find_phases": find_phases,
+            "parallel_qsp_run": lambda p: parallel_qsp_run([p], rho_34),
+        }
+        for name, call in calls.items():
+            got = self.verdict(partial(call, self.scaled(degree, norm)))
+            want = self.SCALES[norm]
+            assert got == (self.MESSAGES[name] if want == "rejected" else want), name
+
+    @pytest.mark.parametrize("degree", [6, 40])
+    def test_exact_norm_only_near_the_limit(self, degree):
+        # the grid decides 0.9; the other three need the exact norm, which is
+        # kept on the target; no bound ever is
+        for norm in self.SCALES:
+            p = self.scaled(degree, norm)
+            self.verdict(partial(estimate._check_target, p))
+            assert hasattr(p, "_norm") == (norm != 0.9), norm
+            if norm != 0.9:
+                assert sup_norm(p) == pytest.approx(norm, rel=1e-14)
+
+    def test_no_eigensolve_at_d64(self, monkeypatch):
+        # a degree-593 target at D = 64: the verdict reads the grid, the
+        # norms of the plan are polished, and no series reaches eigvals
+        rng = np.random.default_rng(593)
+        c = rng.normal(size=594) / (1.0 + np.arange(594))
+        c *= 0.9 / dense_sup_norm(c)
+        p = Polynomial.from_cheb(c)
+        assert np.abs(c).sum() > 1.0
+        rho = DensityMatrix.random_seeded(64, 7)
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        rep = estimate_chebyshev(p, rho, 3)
+        assert calls == []
+        want = float(np.sum(np.polynomial.chebyshev.chebval(np.linalg.eigvalsh(rho.matrix), c)))
+        assert rep.shots_used == 0 and abs(rep.value - want) <= 1e-9
 
 
 class TestSeededPins:

@@ -617,8 +617,15 @@ def test_draw_scan_fails_a_copy_with_a_side_generator():
     ) == ["binomial in ShotSampler.side", "multinomial in own", "multinomial_rows in rows"]
 
 
+def _call_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
 def _norm_checks(source: str) -> list[str]:
-    """Top-level definitions that compare a sup_norm(...) call against a bound.
+    """Top-level definitions that call the norm verdict _norms_exceed, or
+    that compare a sup_norm(...) call against a bound.
 
     sim.py checks factor norms in one place, _thread_values, which direct
     and circuit mode both run.
@@ -626,10 +633,8 @@ def _norm_checks(source: str) -> list[str]:
     found = []
     for top in ast.parse(source).body:
         for node in ast.walk(top):
-            if isinstance(node, ast.Compare) and any(
-                isinstance(side, ast.Call)
-                and getattr(side.func, "id", getattr(side.func, "attr", None)) == "sup_norm"
-                for side in (node.left, *node.comparators)
+            if _call_name(node) == "_norms_exceed" or isinstance(node, ast.Compare) and any(
+                _call_name(side) == "sup_norm" for side in (node.left, *node.comparators)
             ):
                 found.append(getattr(top, "name", "<module>"))
     return sorted(found)
@@ -650,7 +655,57 @@ def test_norm_scan_fails_a_copy_with_its_own_norm_loop():
     )
     assert added == 1
     assert _norm_checks(mutated) == ["_thread_values", "parallel_qsp_run"]
+    verdict, added = re.subn(
+        r"\n    table, index = layout_table\(\[factors\]\)\n",
+        "\n    if any(_norms_exceed(factors, 1.0 + 1e-9)):\n"
+        "        raise InputError('a factor has sup norm above 1')\n"
+        "    table, index = layout_table([factors])\n",
+        source,
+    )
+    assert added == 1
+    assert _norm_checks(verdict) == ["_thread_values", "parallel_qsp_run"]
     assert _norm_checks("def f(p):\n    return 1.0 < poly.sup_norm(p)\n") == ["f"]
+    assert _norm_checks("def f(p):\n    return poly._norms_exceed([p], 1.0)[0]\n") == ["f"]
+
+
+def _eigensolves(source: str) -> list[str]:
+    """eigvals calls, by top-level definition.
+
+    Roots come from one companion eigensolve, in factor.find_roots.  Sup
+    norms come from poly's Chebyshev grid; the colleague eigensolve in
+    _colleague_norms is the fallback, and takes the slopes too short for
+    the grid to win.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if _call_name(node) == "eigvals":
+                found.append(f"{ast.unparse(node.func)} in {getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_eigensolves_only_in_find_roots_and_the_norm_fallback():
+    found = {p.name: _eigensolves(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "factor.py": ["np.linalg.eigvals in find_roots"],
+        "poly.py": ["np.linalg.eigvals in _colleague_norms"],
+    }
+
+
+def test_eigensolve_scan_fails_a_copy_that_solves_for_a_norm():
+    source = (SRC / "poly.py").read_text()
+    mutated, added = re.subn(
+        r"\n    g, s = _grid\(cs, real\)\n    h = ",
+        "\n    g, s = _grid(cs, real)\n    np.linalg.eigvals(np.diag(cs[0]))\n    h = ",
+        source,
+    )
+    assert added == 1
+    assert _eigensolves(mutated) == [
+        "np.linalg.eigvals in _colleague_norms", "np.linalg.eigvals in _polished",
+    ]
+    assert _eigensolves("from numpy.linalg import eigvals\ndef f(a):\n    return eigvals(a)\n") == [
+        "eigvals in f",
+    ]
 
 
 def _phase_route_calls(source: str) -> list[str]:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -183,6 +184,104 @@ class TestSupNorm:
                 c = c + 1j * rng.normal(size=d + 1) / (1.0 + np.arange(d + 1))
             p = Polynomial.from_cheb(c)
             assert sup_norm(p) == pytest.approx(dense_sup_norm(c), rel=1e-9), d
+
+
+def seeded_series(rng, d: int, complex_coeffs: bool) -> tuple[complex, ...]:
+    decay = 1.0 + np.arange(d + 1)
+    c = rng.normal(size=d + 1) / decay
+    if complex_coeffs:
+        c = c + 1j * rng.normal(size=d + 1) / decay
+    return tuple(map(complex, c))
+
+
+class TestGridNorms:
+    """Norms past the closed forms come from one Chebyshev-grid FFT: a
+    certified bound for verdicts, polished grid peaks for exact norms, and
+    the colleague eigensolve as the fallback."""
+
+    # (degree, series) per kind.  Few above degree 300: the eigensolves they
+    # are checked against take 0.2-1.4 s each, and a complex one of degree
+    # 600 or 1,200 takes 1.2 or 8 s, so complex series stop at 300
+    COUNTS = {
+        False: [(5, 40), (8, 40), (16, 40), (29, 30), (40, 30), (80, 10), (150, 4),
+                (300, 2), (600, 1), (1200, 1)],
+        True: [(3, 40), (5, 40), (8, 40), (15, 30), (20, 30), (40, 10), (80, 4), (150, 2),
+               (300, 1)],
+    }
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        seen = []
+        kernel = poly._colleague_norms
+        monkeypatch.setattr(
+            poly, "_colleague_norms", lambda series: seen.extend(series) or kernel(series)
+        )
+        return seen
+
+    @pytest.mark.parametrize("complex_coeffs", [False, True])
+    def test_bound_brackets_and_polish_matches_the_eigensolve(self, complex_coeffs, monkeypatch):
+        # every series polished, short ones too.  The eigensolve's norm lies in
+        # [M, M s] up to the FFT's round-off.  The two norms evaluate |p| by
+        # Clenshaw's recurrence at peaks found two ways, so they differ by that
+        # recurrence's round-off: a few ulps, more where a peak sits near an end
+        monkeypatch.setattr(poly, "_GRID_SLOPE", 4)
+        rng = np.random.default_rng(30 + complex_coeffs)
+        within4 = total = 0
+        for d, count in self.COUNTS[complex_coeffs]:
+            series = [seeded_series(rng, d, complex_coeffs) for _ in range(count)]
+            for c, eig, norm in zip(series, poly._colleague_norms(series), poly._exact_norms(series)):
+                row = np.array([c])
+                g, s = poly._grid(row if complex_coeffs else row.real, not complex_coeffs)
+                slack = 2.0**-44 * sum(map(abs, c))
+                assert g.max() - slack <= eig <= g.max() * s + slack, (d, c)
+                ulps = abs(norm - eig) / math.ulp(eig)
+                assert ulps <= (4 if d <= 16 else 32), (d, c)
+                within4 += ulps <= 4
+                total += 1
+        assert within4 >= 0.95 * total
+
+    def test_one_batch_of_mixed_sizes_polished(self):
+        # degrees 0-80, real and complex, in one call: polished norms, bit for
+        # bit the series normed alone
+        rng = np.random.default_rng(18)
+        series = [seeded_series(rng, d, cplx) for d in range(81) for cplx in (False, True)]
+        norms = poly._exact_norms(series)
+        for c, norm in zip(series, norms):
+            assert norm == poly._exact_norms([c])[0]
+
+    @staticmethod
+    def below_grid(c) -> bool:
+        slope = len(c) - 2 if all(z.imag == 0 for z in c) else 2 * len(c) - 3
+        return slope < poly._GRID_SLOPE
+
+    @pytest.mark.parametrize("phase", [1.0, cmath.exp(0.3j)])
+    def test_fresh_chebyshev_polishes_every_equal_peak(self, phase, fallbacks):
+        # a fresh T_n, times a unit phase, peaks at all n + 1 points cos(j pi / n);
+        # only the slopes too short for the grid reach the eigensolve
+        series = [(0j,) * n + (complex(phase),) for n in (8, 15, 29, 30, 41, 64, 121, 200)]
+        for c in series:
+            assert poly._exact_norms([c])[0] == pytest.approx(1.0, rel=1e-14), len(c)
+        assert fallbacks == [c for c in series if self.below_grid(c)]
+        assert len(fallbacks) == (2 if phase == 1.0 else 1)
+
+    @pytest.mark.parametrize("phase", [0.5, 0.5 * cmath.exp(0.3j)])
+    def test_flat_maximum_polished(self, phase, fallbacks):
+        # (1 - x^2)^m: one maximum at 0, flatter as m grows, and zeros of order m at the ends
+        p, series = Polynomial([1, 0, -1]) * phase, []
+        for m in range(2, 61):
+            p = p * Polynomial([1, 0, -1])
+            series.append(p.cheb)
+            assert poly._exact_norms([p.cheb])[0] == pytest.approx(0.5, rel=1e-13), m
+        assert fallbacks == [c for c in series if self.below_grid(c)]
+        assert len(fallbacks) < 15
+
+    def test_a_stalled_polish_falls_back_bit_for_bit(self, monkeypatch, fallbacks):
+        monkeypatch.setattr(poly, "_POLISH_STEPS", 0)
+        rng = np.random.default_rng(19)
+        series = [seeded_series(rng, d, cplx) for d in (30, 64) for cplx in (False, True)]
+        norms = poly._exact_norms(series)
+        assert fallbacks == series
+        assert norms == [poly._colleague_norms([c])[0] for c in series]
 
 
 def chebroots_norm(c) -> float:

@@ -773,8 +773,10 @@ class TestBatchedRuns:
 
     def test_each_distinct_factor_checked_once(self, rho_34, monkeypatch):
         checked = []
-        norm = sim.sup_norm
-        monkeypatch.setattr(sim, "sup_norm", lambda f: checked.append(f) or norm(f))
+        verdicts = sim._norms_exceed
+        monkeypatch.setattr(
+            sim, "_norms_exceed", lambda fs, limit: checked.extend(fs) or verdicts(fs, limit)
+        )
         layouts = self.layouts()
         parallel_qsp_runs(*layout_table(layouts), rho_34)
         distinct = {id(f) for fl in layouts for f in fl}
