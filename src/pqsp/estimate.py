@@ -4,27 +4,35 @@ Every estimator here reduces tr(f(rho)) to a combination of three kinds of
 stage: a sequential Hadamard test for the low-degree remainder, a parallel
 run of factor polynomials for the high-degree part, and an importance stage
 of coefficient-weighted term runs, all of a stage's thread layouts
-evaluated in one pass.  Each stage is one Estimate: c * stage scales it
-back to the trace it measures (D times the norm for a Hadamard test, K^2
-for a factorized run), a + b adds independent stages, and a report's value,
-standard error and shots are their sum (for entropies, its ln(s)/(1 - alpha)
+evaluated in one pass.  A stage is a law and its scale: its read returns
+the exact Estimate of runs (q_j, z_j) with coefficients c_j, keeping that
+law, and its scale maps the read to the trace it measures (D times the norm
+for a Hadamard test, K^2 for a factorized run).  c * stage scales an
+Estimate, a + b adds independent stages, and a report's value, standard
+error and shots are their sum (for entropies, its ln(s)/(1 - alpha)
 transform).
 
-Each estimator builds one _Plan of stages (an exact read-out and its scale)
-and hands it to _execute, the one place that reads stages or builds a
-report; nested estimators compose plans, not reports.  _execute reads every
-stage exactly, once.  Exact mode scales and sums those reads.  Sampled mode
-needs an integer budget of at least one shot per stage and spends it in one
-joint_readout over all the plan's runs (q_j, z_j), weighted by c_j times
-their stage's scale: a Hadamard stage is one run that always succeeds, a
-factorized run is its one run and an importance stage is its term runs.
-With room, that draw reads a pilot of ceil(sqrt(budget)) shots per stage,
-charged to the budget but not pooled, split over all runs by |weight|, and
-splits the rest by |weight| times each run's pilot-measured spread (Neyman
-allocation); a smaller budget gives each stage a fixed share by its
-weights' 1-norm.  Either way the stages' Estimates are independent.  An
-estimator's `seed` keys one ShotSampler, and the draw runs on the child
-stream the plan names.
+A plan builds and checks what its stages read once: a Hadamard stage's law,
+a layout checked by sim._checked_layout (swap-test layouts come from the
+_swap_layout memo, one per (exponents, k)), or the fresh factors of
+estimate_direct's factorized run, which parallel_qsp_run checks.  Stage
+reads hand their laws to sim._read, the one reader, which checks nothing
+again.
+
+Each estimator builds one _Plan of stages and hands it to _execute, the one
+place that reads stages or builds a report; nested estimators compose
+plans, not reports.  _execute reads every stage exactly, once.  Exact mode
+scales and sums those reads.  Sampled mode needs an integer budget of at
+least one shot per stage and spends it in one joint_readout over all the
+plan's runs (q_j, z_j), weighted by c_j times their stage's scale: a
+Hadamard stage is one run that always succeeds, a factorized run is its one
+run and an importance stage is its term runs.  With room, that draw reads a
+pilot of ceil(sqrt(budget)) shots per stage, charged to the budget but not
+pooled, split over all runs by |weight|, and splits the rest by |weight|
+times each run's pilot-measured spread (Neyman allocation); a smaller
+budget gives each stage a fixed share by its weights' 1-norm.  Either way
+the stages' Estimates are independent.  An estimator's `seed` keys one
+ShotSampler, and the draw runs on the child stream the plan names.
 
 Reports also carry the closed-form predicted shot count for the chosen
 route (unit leading constant; these are order-of-magnitude planners, not
@@ -45,7 +53,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial, reduce, wraps
 from itertools import islice
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
@@ -67,17 +75,21 @@ from .poly import (
     sup_norm,
 )
 from .sim import (
+    _ONE,
     DensityMatrix,
     Estimate,
     ShotSampler,
     _check_shots,
+    _checked_layout,
+    _hadamard_law,
     _integer,
+    _Layout,
+    _layout_runs,
+    _read,
     joint_readout,
     layout_table,
     parallel_qsp_run,
-    parallel_qsp_runs,
     query_depth_report,
-    spectral_hadamard_test,
 )
 
 __all__ = [
@@ -146,12 +158,32 @@ def _jsonable(obj):
     return str(obj)
 
 
+# What each optional CostModel field must be when given, and its test; d and
+# k, None here, must be integers >= 1
+_NON_NEGATIVE = ("finite and >= 0", lambda v: 0 <= v < math.inf)
+_COST_FIELDS = {
+    "K": _NON_NEGATIVE,
+    "norm_low": _NON_NEGATIVE,
+    "norm_high": _NON_NEGATIVE,
+    "one_norm": _NON_NEGATIVE,
+    "d": None,
+    "k": None,
+    "alpha": ("finite", lambda v: -math.inf < v < math.inf),
+    "s_alpha": ("finite and > 0", lambda v: 0 < v < math.inf),
+    "beta": _NON_NEGATIVE,
+}
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Inputs to the closed-form shot-count predictions.
 
     Only the fields a route consumes need to be populated; predict_cost
-    rejects a route whose fields are missing.  epsilon must be positive.
+    rejects a route whose fields are missing.  Construction checks every
+    given field and raises InputError naming the first bad one: epsilon
+    must be finite and positive, K and the norms finite and >= 0, d and k
+    integers >= 1, alpha finite, s_alpha finite and positive and beta finite
+    and >= 0.
     """
 
     epsilon: float
@@ -168,6 +200,16 @@ class CostModel:
     def __post_init__(self):
         if self.epsilon is None or not self.epsilon > 0:  # NaN fails it too
             raise InputError(f"epsilon must be positive, got {self.epsilon}")
+        if self.epsilon == math.inf:
+            raise InputError(f"epsilon must be finite, got {self.epsilon}")
+        for name, value in vars(self).items():
+            if value is None or name == "epsilon":
+                continue
+            rule = _COST_FIELDS[name]
+            if rule is None:
+                _integer(value, name, 1)
+            elif not rule[1](value):
+                raise InputError(f"{name} must be {rule[0]}, got {value!r}")
 
 
 def _require(model: CostModel, route: str, *names: str) -> list:
@@ -194,6 +236,8 @@ def predict_cost(model: CostModel, route: str) -> int:
         raw = (nl ** 2 + nh ** 2 * d ** 4 * SQRT2P1 ** (4 * k) / k ** 2) / e2
     elif route == "theorem7":
         s, a = _require(model, route, "s_alpha", "alpha")
+        if a == 0:
+            raise InputError("route theorem7 needs alpha != 0")
         raw = 1.0 / (s ** 2 * a ** 2 * e2)
     elif route == "theorem8":
         (c1,) = _require(model, route, "one_norm")
@@ -203,6 +247,8 @@ def predict_cost(model: CostModel, route: str) -> int:
         raw = math.exp(2.0 * beta) / e2
     elif route == "theorem10":
         d, k, a, s = _require(model, route, "d", "k", "alpha", "s_alpha")
+        if a == 1:
+            raise InputError("route theorem10 needs alpha != 1")
         lead = (d ** (k + 2) / math.factorial(k + 1)) ** 2 * (d / k)
         raw = lead / (s ** 2 * e2 * (a - 1.0) ** 2)
     elif route == "theorem11":
@@ -231,8 +277,7 @@ def _check_target(p: Polynomial) -> None:
         raise InputError("target polynomial must have sup norm at most 1; rescale it")
 
 
-@dataclass(frozen=True)
-class _Stage:
+class _Stage(NamedTuple):
     """One read-out of a plan: read() returns its exact Estimate with the law
     it read, and scale maps that to the trace it measures."""
 
@@ -242,15 +287,14 @@ class _Stage:
 
 def _hadamard_stage(p: Polynomial, rho: DensityMatrix) -> _Stage:
     """tr(p(rho)) as D * ||p|| * Re tr((I/D) * p(rho)/||p||), a Hadamard test."""
-    return _Stage(partial(spectral_hadamard_test, p, rho), rho.dim * sup_norm(p))
+    return _Stage(lambda: _read(*_hadamard_law(p, rho)), rho.dim * sup_norm(p))
 
 
-def _term_stage(
-    coeffs: Sequence[float], table: Sequence[Polynomial], index: np.ndarray, rho: DensityMatrix
-) -> _Stage:
-    """sum_j c_j tr(run j), an importance stage: every run of the factor table
-    and index is evaluated in one parallel_qsp_runs pass."""
-    return _Stage(lambda: joint_readout(*parallel_qsp_runs(table, index, rho), coeffs=coeffs))
+def _term_stage(coeffs: np.ndarray, layout: _Layout, rho: DensityMatrix) -> _Stage:
+    """sum_j c_j tr(run j) over the runs of a checked layout, c a float array:
+    a swap test or an importance stage, every run evaluated in one
+    _layout_runs pass and read by _read, without re-checking the layout."""
+    return _Stage(lambda: _read(*_layout_runs(layout, rho), coeffs))
 
 
 @dataclass
@@ -294,7 +338,9 @@ def _execute(plan: _Plan, shots: ShotPolicy, mode: Mode, seed: int | None) -> Es
     auto rule first draws a 1000-shot pilot of the first stage alone, on
     stream (0,); it is charged to shots_used and recorded as
     breakdown["pilot_estimate"], with the budget the rule chose as
-    breakdown["auto_shots"]."""
+    breakdown["auto_shots"].  Both draws go through joint_readout, sim's
+    public drawing call, so whatever watches that boundary sees every shot
+    drawn; the stage reads go straight to sim._read."""
     if mode not in ("exact", "sampled"):
         raise InputError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     root, stages = ShotSampler(seed), plan.stages
@@ -366,8 +412,10 @@ def _direct_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) -> _
     if not p_high.is_zero():
         rescaled = rescale_factors(factorize_nonneg(p_high, k))
         factors = list(rescaled.factors)
-        read = partial(parallel_qsp_run, factors, rho)
-        stages["w_high"] = _Stage(read, rescaled.stored_constant ** 2)
+        # fresh factors, checked once by parallel_qsp_run
+        stages["w_high"] = _Stage(
+            partial(parallel_qsp_run, factors, rho), rescaled.stored_constant ** 2
+        )
         parallel_depth, width = query_depth_report(factors)
         breakdown.update(
             K=rescaled.stored_constant,
@@ -423,7 +471,7 @@ def _chebyshev_part(
     info["term_one_norm"] = terms.one_norm
     info["parallel_depth"] = query_depth_report(table)[0]
     if len(terms.coeff):
-        stages["w_high"] = _term_stage(terms.coeff, table, index, rho)
+        stages["w_high"] = _term_stage(terms.coeff, _checked_layout(table, index), rho)
         info["w_high"] = None
     return stages, info
 
@@ -513,7 +561,10 @@ def _chebyshev_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) -
 
     def predict() -> int:
         lo, hi = _constituents(p, k)
-        return predict_cost(replace(model, norm_low=_norm(lo), norm_high=_norm(hi)), "theorem5")
+        quote = CostModel(
+            model.epsilon, norm_low=_norm(lo), norm_high=_norm(hi), d=model.d, k=model.k
+        )
+        return predict_cost(quote, "theorem5")
 
     stages = [s for st, _ in parts for s in st.values()]
     leads = [2 * i + (key == "w_high") for i, (st, _) in enumerate(parts) for key in st]
@@ -541,6 +592,22 @@ def _monomial_factors(n: int, k: int) -> list[Polynomial]:
     return factors
 
 
+@lru_cache(maxsize=128)
+def _swap_layout(exponents: tuple[int, ...], k: int) -> tuple[tuple, _Layout, int, int]:
+    """(factor table, checked layout, depth, width) of the runs that read
+    tr(rho^n) with k threads, one run of _monomial_factors(n, k) per n in
+    exponents, built and checked once per (exponents, k).
+
+    depth is query_depth_report's for the table and width the most threads
+    a run has.  An entry holds no state, so every state reads the same one:
+    renyi_integer asks for (alpha,) at each order and thread count, and the
+    monomial estimator for the active exponents of its polynomial, which
+    partition_function's series repeat at each degree.
+    """
+    table, index = layout_table([_monomial_factors(n, k) for n in exponents])
+    return table, _checked_layout(table, index), query_depth_report(table)[0], index.shape[1]
+
+
 def _monomial_depth(n: int, k: int) -> int:
     """The closed-form query depth quoted for tr(rho^n) read with k threads:
     floor(floor((n-k)/2)/k) + 1, which can exceed the degree of
@@ -561,7 +628,8 @@ def renyi_integer(
 
     tr(rho^alpha) comes from one parallel run over the threads of
     _monomial_factors(alpha, k), the generalized swap test on alpha bare
-    registers when alpha <= k.  The reported depth quotes the closed form
+    registers when alpha <= k, on a layout built once per (alpha, k)
+    (_swap_layout).  The reported depth quotes the closed form
     _monomial_depth(alpha, k), so it never rises with k; the constructed
     factors' degrees and actual depth sit in the breakdown.  Auto shot
     selection runs the same stage as a 1000-shot pilot to seed the
@@ -577,12 +645,16 @@ def _renyi_integer_plan(k: int, rho: DensityMatrix, alpha: int, epsilon: float) 
     """renyi_integer's plan: one swap-test stage on stream (1,), and an auto
     rule quoting theorem 7 at the pilot's trace, clipped to [D^(1-alpha), 1]."""
     model = CostModel(epsilon, alpha=float(alpha))
-    factors = _monomial_factors(alpha, k)
-    breakdown: dict = {"params": {"alpha": float(alpha)}, "exponents": [f.degree for f in factors]}
-    breakdown["actual_depth"], width = query_depth_report(factors)
+    table, layout, actual_depth, width = _swap_layout((alpha,), k)
+    breakdown: dict = {
+        "params": {"alpha": float(alpha)},
+        "exponents": [table[r].degree for r in layout.index[0].tolist()],
+        "actual_depth": actual_depth,
+    }
 
     def theorem7(s_alpha: float) -> int:
-        return predict_cost(replace(model, s_alpha=s_alpha), "theorem7")
+        quote = CostModel(model.epsilon, alpha=model.alpha, s_alpha=s_alpha)
+        return predict_cost(quote, "theorem7")
 
     def finish(ests: list[Estimate]) -> Estimate:
         (trace,) = ests
@@ -595,7 +667,7 @@ def _renyi_integer_plan(k: int, rho: DensityMatrix, alpha: int, epsilon: float) 
     def auto(pilot: Estimate) -> int:
         return theorem7(min(1.0, max(pilot.value, rho.dim ** (1 - alpha))))
 
-    stage = _Stage(partial(parallel_qsp_run, factors, rho))
+    stage = _term_stage(_ONE, layout, rho)
     depth = _monomial_depth(alpha, k)
     return _Plan([stage], depth, width, breakdown, finish, predict, auto, stream=(1,))
 
@@ -650,17 +722,16 @@ def _monomial_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) ->
         )
     c0 = coeffs[0] if coeffs else 0.0
     tail = [(n, c) for n, c in enumerate(coeffs) if n >= 1 and c != 0.0]
-    layouts = {n: _monomial_factors(n, k) for n, _ in tail}
-    table, index = layout_table([layouts[n] for n, _ in tail])
+    exponents = tuple(n for n, _ in tail)
+    _, layout, actual_depth, width = _swap_layout(exponents, k)
 
     breakdown = {
         "constant_term": c0 * dim,
         "one_norm": one_norm,
-        "active_exponents": [n for n, _ in tail],
-        "actual_depth": query_depth_report(table)[0],
+        "active_exponents": list(exponents),
+        "actual_depth": actual_depth,
     }
-    stages = [_term_stage([c for _, c in tail], table, index, rho)] if tail else []
-    width = max((len(layouts[n]) for n, _ in tail), default=0)
+    stages = [_term_stage(np.array([c for _, c in tail]), layout, rho)] if tail else []
     finish = partial(sum, start=Estimate(c0 * dim, 0.0))
     predict = partial(predict_cost, CostModel(epsilon=epsilon, one_norm=one_norm), "theorem8")
     return _Plan(stages, _monomial_depth(p.degree, k), width, breakdown, finish, predict)
@@ -709,7 +780,7 @@ def partition_function(
         series_degree=d, remainder_bound=math.exp(log_remainder(d)),
         one_norm_certificate=math.exp(beta), params={"beta": beta},
     )
-    plan = replace(plan, predict=lambda: predicted, auto=predicted)
+    plan.predict, plan.auto = (lambda: predicted), predicted
     return _execute(plan, shots, mode, seed)
 
 
@@ -803,8 +874,9 @@ def _resolve_delta(
 
 @_threaded
 def _entropy_plan(
-    k: int, tag: str | tuple[str, float], budget: float, model: CostModel, route: str,
-    rho: DensityMatrix, delta: float | Literal["auto"], rank: int | None,
+    k: int, tag: str | tuple[str, float], budget: float, epsilon: float,
+    quote: Callable[[int, int], int], rho: DensityMatrix, delta: float | Literal["auto"],
+    rank: int | None,
 ) -> _Plan:
     """The shared entropy pipeline: estimate_chebyshev's plan for tr(q(rho)),
     q a certified odd approximant to the tagged target.
@@ -812,7 +884,7 @@ def _entropy_plan(
     q is fitted on [delta, 1] to the error budget/(2*dim), or budget/(2*rank)
     on the rank route, or replayed from the memo (see _approximant), and
     shrunk below unit norm; finish scales the trace back.  The auto budget
-    and predicted_shots quote `route` for `model` at q's degree.  The
+    and predicted_shots are quote(k, q's degree).  The
     certificate covers [delta, 1] only: breakdown records the spectral mass
     of rho's nonzero eigenvalues below delta as mass_below_delta (0.0 on the
     spectrum route), and a notice when it is positive."""
@@ -827,10 +899,10 @@ def _entropy_plan(
             f"{eps_prime:.3e} (best {cert:.3e} at degree {deg})",
             best_residual=cert,
         )
-    predicted = predict_cost(replace(model, d=deg), route)
+    predicted = quote(k, deg)
     shrink = min(1.0, (1.0 - 1e-9) / sup_norm(poly))
     # poly * shrink is real with sup norm below 1, so it needs no _check_target
-    plan = _chebyshev_plan(k, poly * shrink, rho, model.epsilon)
+    plan = _chebyshev_plan(k, poly * shrink, rho, epsilon)
     notice = {} if mass <= 0.0 else {
         "notice": f"spectral mass {mass:.3g} lies below delta = {dval:.3g}, outside the "
         "approximant's certificate on [delta, 1]; the error bound does not cover it"
@@ -872,10 +944,15 @@ def renyi_noninteger(
             f"alpha must be positive, finite and non-integer, got {alpha!r}; "
             "integer orders go through renyi_integer"
         )
+    CostModel(epsilon, alpha=alpha)  # a bad epsilon fails before any read
     s_floor = rho.dim ** (1.0 - alpha) if alpha > 1 else 1.0
-    model = CostModel(epsilon=epsilon, k=k, alpha=alpha, s_alpha=s_floor)
     budget = s_floor * epsilon * abs(alpha - 1.0)
-    plan = _entropy_plan(k, ("renyi", float(alpha)), budget, model, "theorem10", rho, delta, rank)
+
+    def quote(k: int, degree: int, s_alpha: float = s_floor) -> int:
+        model = CostModel(epsilon, d=degree, k=k, alpha=alpha, s_alpha=s_alpha)
+        return predict_cost(model, "theorem10")
+
+    plan = _entropy_plan(k, ("renyi", float(alpha)), budget, epsilon, quote, rho, delta, rank)
     breakdown = plan.breakdown
 
     def finish(ests: list[Estimate]) -> Estimate:
@@ -886,8 +963,7 @@ def renyi_noninteger(
         return entropy
 
     def predict() -> int:
-        deg, s_val = breakdown["approximant_degree"], breakdown["s_alpha"]
-        return predict_cost(replace(model, d=deg, s_alpha=s_val), "theorem10")
+        return quote(k, breakdown["approximant_degree"], breakdown["s_alpha"])
 
     return _execute(replace(plan, finish=finish, predict=predict), shots, mode, seed)
 
@@ -908,6 +984,10 @@ def von_neumann(
     follows, so the certified polynomial error epsilon/(2*dim) (or the rank
     variant) is the whole budget.
     """
-    model = CostModel(epsilon=epsilon, k=k)
-    plan = _entropy_plan(k, "von_neumann", epsilon, model, "theorem11", rho, delta, rank)
+    CostModel(epsilon)  # a bad epsilon fails before any read
+
+    def quote(k: int, degree: int) -> int:
+        return predict_cost(CostModel(epsilon, d=degree, k=k), "theorem11")
+
+    plan = _entropy_plan(k, "von_neumann", epsilon, epsilon, quote, rho, delta, rank)
     return _execute(plan, shots, mode, seed)

@@ -8,15 +8,17 @@ is the paper's parallel circuit: k threads each apply a factor polynomial to
 a copy of rho, post-select on their encoding flags, and a
 Hadamard-conjugated controlled cyclic shift reads out
 z = tr(rho^k * prod_j |P_j(rho)|^2) through the joint outcome statistics,
-without ever renormalizing by the success probability.  joint_readout is
-the one read-out law and the one call that draws shots: every read-out is
-a list of runs (q_j, z_j) with coefficients c_j, each shot landing on
-(+1, -1, discard) of one run; the Hadamard and swap tests, which read
-exactly, are one run that always succeeds.  An exact read keeps its runs on
-the Estimate as its law, so an estimator can read every stage exactly and
-then draw all of a plan's runs at once: one multinomial per stage when the
-budget is small, else a pilot and a main row-wise multinomial stratified by
-run across all stages.
+without ever renormalizing by the success probability.  Every read-out is
+one law, a list of runs (q_j, z_j) with coefficients c_j, each shot landing
+on (+1, -1, discard) of one run; the Hadamard and swap tests, which read
+exactly, are one run that always succeeds.  _read is the one reader of a
+law, exact or drawn, and checks nothing: joint_readout, the public drawing
+call, checks a caller's law first, and every other law is checked where it
+is built (a plan's layouts once, by _checked_layout).  An exact read keeps
+its runs on the Estimate as its law, so an estimator can read every stage
+exactly and then draw all of a plan's runs at once: one multinomial per
+stage when the budget is small, else a pilot and a main row-wise
+multinomial stratified by run across all stages.
 
 Two execution modes exist.  "direct" works on rho's eigenvalues w_i alone:
 every thread block P_j(rho) is a function of rho, so one eigenbasis
@@ -45,7 +47,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,6 +78,10 @@ _CIRCUIT_CAP = 1024
 # Largest q a draw accepts: factors pass the norm check up to 1 + 1e-9, so a
 # k-thread run's q can reach (1 + 1e-9)^(2k); this covers 500 threads.
 _Q_MAX = 1.0 + 1e-6
+
+# q and c of a one-run law that always succeeds, shared read-only
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -290,13 +296,20 @@ def spectral_hadamard_test(p: Polynomial, rho: DensityMatrix) -> Estimate:
     p(w_i)/||p|| over the eigenvalues w_i, clipped to [-1, 1], and lies in
     [-1, 1] without any encoding being built.  The zero polynomial has no
     such block and raises InputError.  The exact Estimate keeps the law of
-    one run that always succeeds; joint_readout draws shots of it.
+    one run that always succeeds, _hadamard_law; joint_readout draws shots
+    of it.
     """
+    return _read(*_hadamard_law(p, rho))
+
+
+def _hadamard_law(p: Polynomial, rho: DensityMatrix) -> tuple[np.ndarray, ...]:
+    """spectral_hadamard_test's law (q, z, c), checked: one run of
+    z = mean_i p(w_i)/||p||, finite, that always succeeds."""
     norm = sup_norm(p)
     if norm == 0.0:
         raise InputError("the zero polynomial has no block p/||p|| to encode")
     values = np.real(p(np.clip(rho.eigenvalues(), -1.0, 1.0))) / norm
-    return joint_readout([1.0], [float(np.mean(values))])
+    return _ONE, np.array([float(np.mean(values))]), _ONE
 
 
 def generalized_swap_expectation(states: Sequence[DensityMatrix]) -> Estimate:
@@ -318,7 +331,32 @@ def generalized_swap_expectation(states: Sequence[DensityMatrix]) -> Estimate:
     prod = states[0].matrix
     for s in states[1:]:
         prod = prod @ s.matrix
-    return joint_readout([1.0], [float(np.real(np.trace(prod)))])
+    return _read(_ONE, np.array([float(np.real(np.trace(prod)))]), _ONE)
+
+
+def _check_rows(table: Sequence[Polynomial], index: np.ndarray) -> None:
+    """Reject a stage's index or factor rows: the one factor norm check.
+
+    index must be a 2-D integer array of table rows.  Each row is checked
+    against sup norm 1 once; one above it raises naming its first run and
+    thread, or its row if no run applies it.
+    """
+    valid = isinstance(index, np.ndarray) and index.ndim == 2 and index.dtype.kind in "iu"
+    if not valid or index.size and not 0 <= index.min() <= index.max() < len(table):
+        raise InputError(f"index must be a 2-D integer array with entries in [0, {len(table)})")
+    over = [r for r, big in enumerate(_norms_exceed(table[1:], 1.0 + 1e-9), 1) if big]
+    if over:
+        hits = np.argwhere(np.isin(index, over))
+        where = "layout {}, factor {}".format(*hits[0]) if len(hits) else f"table row {over[0]}"
+        raise InputError(f"apply rescale_factors: {where} has sup norm above 1")
+
+
+def _series(factors: Sequence[Polynomial]) -> np.ndarray:
+    """The factors' Chebyshev series zero-padded to one length, one column
+    per factor, shaped for _clenshaw (leading zeros change no step's value)."""
+    n = max((len(f.cheb) for f in factors), default=1)
+    series = np.array([(*f.cheb, *(0j,) * (n - len(f.cheb))) for f in factors], complex)
+    return series.reshape(-1, n).T[:, :, None]
 
 
 def _thread_values(
@@ -326,30 +364,18 @@ def _thread_values(
 ) -> np.ndarray | list[np.ndarray]:
     """Block eigenvalues on rho's spectrum of factor rows 1.., entry r - 1 for row r.
 
-    table and index are a stage's, as parallel_qsp_runs takes them.  Each
-    row is checked against sup norm 1 once; one above it raises naming its
-    first run and thread, or its row if no run applies it.  Oracle encoding
-    reproduces the factors exactly, in one Clenshaw pass over their
-    zero-padded series (leading zeros change no step's value).  The phase
-    route solves phases once per row and returns Re P, P the polynomial
-    they generate; by qubitization that is the averaged flag-zero block of
-    the sequences for phi and -phi, and it matches the factor to phase
-    finding's tolerance.
+    table and index are a stage's, as parallel_qsp_runs takes them, and are
+    checked by _check_rows first.  Oracle encoding reproduces the factors
+    exactly, in one Clenshaw pass over their _series.  The phase route
+    solves phases once per row and returns Re P, P the polynomial they
+    generate; by qubitization that is the averaged flag-zero block of the
+    sequences for phi and -phi, and it matches the factor to phase finding's
+    tolerance.
     """
-    valid = isinstance(index, np.ndarray) and index.ndim == 2 and index.dtype.kind in "iu"
-    if not valid or index.size and not 0 <= index.min() <= index.max() < len(table):
-        raise InputError(f"index must be a 2-D integer array with entries in [0, {len(table)})")
-    factors = table[1:]
-    over = [r for r, big in enumerate(_norms_exceed(factors, 1.0 + 1e-9), 1) if big]
-    if over:
-        hits = np.argwhere(np.isin(index, over))
-        where = "layout {}, factor {}".format(*hits[0]) if len(hits) else f"table row {over[0]}"
-        raise InputError(f"apply rescale_factors: {where} has sup norm above 1")
-    w = rho.eigenvalues()
+    _check_rows(table, index)
+    factors, w = table[1:], rho.eigenvalues()
     if encode == "oracle":
-        n = max((len(f.cheb) for f in factors), default=1)
-        series = np.array([(*f.cheb, *(0j,) * (n - len(f.cheb))) for f in factors], complex)
-        return _clenshaw(series.reshape(-1, n).T[:, :, None], w)
+        return _clenshaw(_series(factors), w)
     if encode != "qsp":
         raise InputError(f"unknown encode mode {encode!r}")
     if any(f.max_imag() > 1e-10 or f.parity is Parity.INDEFINITE for f in factors):
@@ -430,22 +456,53 @@ def parallel_qsp_runs(
     eigenvalues once, by _thread_values.  A factor above norm 1 or a thread
     that cannot succeed raises naming its first run and thread.
     """
-    w = rho.eigenvalues()
     values = _thread_values(table, index, rho, encode)
-    weights = np.ones((len(table), len(w)))
+    return _runs(values, index, np.count_nonzero(index, axis=1)[:, None], rho.eigenvalues())
+
+
+class _Layout(NamedTuple):
+    """A stage's runs, checked once: the _series of its factor rows 1.., the
+    run index and each run's thread count, all read-only.  It holds no
+    state, so one layout reads any rho."""
+
+    series: np.ndarray
+    index: np.ndarray
+    threads: np.ndarray
+
+
+def _checked_layout(table: Sequence[Polynomial], index: np.ndarray) -> _Layout:
+    """The _Layout of a factor table and index, which _check_rows accepts."""
+    _check_rows(table, index)
+    arrays = _series(table[1:]), index.copy(), np.count_nonzero(index, axis=1)[:, None]
+    for a in arrays:
+        a.flags.writeable = False
+    return _Layout(*arrays)
+
+
+def _layout_runs(layout: _Layout, rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """parallel_qsp_runs of a checked layout, oracle-encoded, without its checks."""
+    w = rho.eigenvalues()
+    return _runs(_clenshaw(layout.series, w), layout.index, layout.threads, w)
+
+
+def _runs(
+    values: np.ndarray | list[np.ndarray], index: np.ndarray, threads: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(q, z) of every run from its rows' block eigenvalues on rho's spectrum
+    w; a thread that cannot succeed raises naming its run and thread."""
+    weights = np.ones((len(values) + 1, len(w)))
     weights[1:] = np.abs(values) ** 2
     # thread j post-selects with q_j = tr(B_j rho B_j^dagger) = sum_i w_i |b_ij|^2
     q_threads = (weights @ w)[index]
-    failed = q_threads <= 1e-14
-    if failed.any():
-        i, j = np.argwhere(failed)[0]
+    if q_threads.size and q_threads.min() <= 1e-14:
+        i, j = np.argwhere(q_threads <= 1e-14)[0]
         raise PostSelectionError(
             f"post-selection impossible: layout {i}, thread {j} succeeds with "
             f"probability {q_threads[i, j]:.3e}"
         )
-    powers = w ** np.count_nonzero(index, axis=1)[:, None]
-    z = np.einsum("ij,ij->i", powers, weights[index].prod(axis=1))
-    return q_threads.prod(axis=1), z
+    # multiply.reduce is prod without its wrapper
+    z = np.einsum("ij,ij->i", w ** threads, np.multiply.reduce(weights[index], axis=1))
+    return np.multiply.reduce(q_threads, axis=1), z
 
 
 def joint_readout(
@@ -460,14 +517,13 @@ def joint_readout(
 
     Run j succeeds with probability q_j, and a success reads +1 with
     probability (1 + z_j/q_j)/2 and -1 otherwise; c defaults to all ones.
-    Exact mode returns sum_j c_j z_j and keeps (q, z, c) as the Estimate's
-    law.  stages counts the runs of each stage, in run order (all runs are
-    one stage by default); no stage may have all-zero coefficients.  Sampled
-    mode rejects a non-finite z or c and a q outside (0, _Q_MAX], computes
-    each run's three cell probabilities once and draws n shots of all stages
-    in one _draw, in O(runs) work whatever n is.  The Estimate is the sum of
-    the stages' independent Estimates, kept as parts with their draw
-    records {"runs", "pilot", "main"}.
+    stages counts the runs of each stage, in run order (all runs are one
+    stage by default); no stage may have all-zero coefficients.  Sampled
+    mode needs an integer budget of at least one shot per stage.  Either
+    mode then rejects a law that cannot be drawn, a non-finite z or c or a
+    q outside (0, _Q_MAX], and hands the law to _read: exact mode returns
+    sum_j c_j z_j and keeps (q, z, c) as the Estimate's law; sampled mode
+    draws n shots of all stages at once.
     """
     q, z = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
     c = np.ones(z.shape) if coeffs is None else np.asarray(coeffs, dtype=float)
@@ -479,25 +535,56 @@ def joint_readout(
     sizes = [len(z)] if stages is None else [_integer(s, "stage run count", 1) for s in stages]
     if sum(sizes) != len(z):
         raise InputError(f"stage run counts {sizes} do not add up to the {len(z)} runs")
-    ends = list(itertools.accumulate(sizes))
-    bounds = list(zip([0, *ends[:-1]], ends))
-    norms = [float(np.abs(c[a:b]).sum()) for a, b in bounds]
-    if not all(norms):
+    if not all(c[a:b].any() for a, b in _bounds(sizes)):
         raise InputError("all-zero coefficients: nothing to sample")
-    if shots == "exact":
-        return Estimate(value=float(np.dot(c, z)), std_error=0.0, shots_used=0, law=(q, z, c))
-    n = _check_shots(shots, len(sizes))
+    if shots != "exact":
+        shots = _check_shots(shots, len(sizes))
     if not (np.isfinite(z).all() and np.isfinite(c).all()):
         raise InputError("a sampled read-out needs finite z values and coefficients")
-    outside = ~((q > 0.0) & (q <= _Q_MAX))  # NaN is outside too
-    if outside.any():
-        j = int(np.argmax(outside))
+    inside = (q > 0.0) & (q <= _Q_MAX)  # NaN is outside
+    if not inside.all():
+        j = int(np.argmin(inside))
         raise InputError(f"run {j} succeeds with probability {float(q[j])}, outside (0, 1]")
+    return _read(q, z, c, shots, sampler, sizes)
+
+
+def _bounds(sizes: Sequence[int]) -> list[tuple[int, int]]:
+    """Each stage's (first, past-last) run from the stages' run counts."""
+    ends = list(itertools.accumulate(sizes))
+    return list(zip([0, *ends[:-1]], ends))
+
+
+def _read(
+    q: np.ndarray,
+    z: np.ndarray,
+    c: np.ndarray,
+    shots: ShotSpec = "exact",
+    sampler: ShotSampler | None = None,
+    sizes: Sequence[int] | None = None,
+) -> Estimate:
+    """The one reader: a law (q, z, c) of runs, read exactly or drawn.
+
+    The law must already be checked, as joint_readout checks a caller's and
+    as a plan builds its stages' from checked layouts and inputs: float
+    arrays of one length, every stage's coefficients nonzero, z and c
+    finite and each q in (0, _Q_MAX]; shots is "exact" or a checked budget
+    of at least one shot per stage, sizes the stages' run counts (one stage
+    by default).  Exact reads return sum_j c_j z_j as float(np.dot(c, z))
+    and keep (q, z, c) as the Estimate's law.  Sampled reads compute each
+    run's three cell probabilities once and draw all n shots in one _draw,
+    in O(runs) work whatever n is; the Estimate is the sum of the stages'
+    independent Estimates, kept as parts with their draw records
+    {"runs", "pilot", "main"}.
+    """
+    if shots == "exact":
+        return Estimate(value=float(np.dot(c, z)), std_error=0.0, shots_used=0, law=(q, z, c))
+    bounds = _bounds([len(z)] if sizes is None else sizes)
+    norms = [float(np.abs(c[a:b]).sum()) for a, b in bounds]
     z_cond = np.minimum(np.maximum(z / q, -1.0), 1.0)
     cells = np.empty((len(z), 3))  # filled column by column: np.stack costs ~10 us
     cells[:, 0], cells[:, 1] = q * 0.5 * (1.0 + z_cond), q * 0.5 * (1.0 - z_cond)
     cells[:, 2] = np.maximum(0.0, 1.0 - q)
-    parts = _draw(cells, c, bounds, norms, n, sampler or ShotSampler(None))
+    parts = _draw(cells, c, bounds, norms, shots, sampler or ShotSampler(None))
     total = functools.reduce(Estimate.__add__, (est for est, _ in parts))
     return Estimate(total.value, total.std_error, total.shots_used, parts=tuple(parts))
 

@@ -633,6 +633,28 @@ class TestCostCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--route", "theorem10", "--epsilon", "0.1", "--d", "10", "--k", "2",
+              "--alpha", "1", "--s-alpha", "0.5"], "route theorem10 needs alpha != 1"),
+            (["--route", "theorem7", "--epsilon", "0.1", "--alpha", "2", "--s-alpha", "0"],
+             "s_alpha must be finite and > 0, got 0.0"),
+            (["--route", "theorem3", "--epsilon", "0.1", "--K", "nan"],
+             "K must be finite and >= 0, got nan"),
+            (["--route", "theorem3", "--epsilon", "0.1", "--K", "-2"],
+             "K must be finite and >= 0, got -2.0"),
+            (["--route", "theorem3", "--epsilon", "inf", "--K", "1"],
+             "epsilon must be finite, got inf"),
+            (["--route", "theorem11", "--epsilon", "0.1", "--d", "10", "--k", "-1"],
+             "k must be an integer >= 1, got -1"),
+        ],
+    )
+    def test_bad_field_exits_2_naming_it(self, runner, args, message):
+        result = runner.invoke(main, ["cost", *args])
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}" in result.stderr
+
 
 class TestConfigPlumbing:
     def test_unknown_field_rejected(self):

@@ -42,6 +42,7 @@ computed before the one draw per plan.
 
 import hashlib
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -286,3 +287,124 @@ def test_one_stage_draws_unchanged(name):
     (record,) = out.breakdown["stage_shots"]
     # an auto budget's 1000-shot pilot is charged on top of the stage's draw
     assert record["pilot"] + record["main"] == out.breakdown.get("auto_shots", out.shots_used)
+
+
+# Swap-test reads at D = 16-64, the dimensions the benchmark states reach.
+# Each key pins one digest over a family's calls at one dimension (and, for
+# renyi_integer, one order alpha, over k = 1-4): the JSON report of each
+# call, or its error's type and message, so a raised error is pinned too.
+# The pins were computed before each (exponents, k) layout was built once
+# and before plan-built laws were read without re-validation.
+LARGE_DIMS = (16, 32, 64)
+POLY_BETAS = (0.5, 2.0)
+
+
+def _outcome(call) -> str:
+    try:
+        return json.dumps(call().to_dict(), sort_keys=True)
+    except Exception as exc:  # an error is an outcome like any other
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _large_state(dim: int) -> DensityMatrix:
+    return DensityMatrix.random_seeded(dim, dim + 1)
+
+
+def _large_calls(key: str) -> list:
+    family, dim, rest = key.split("/")
+    rho = _large_state(int(dim[1:]))
+    if family == "renyi-exact":
+        alpha = int(rest[1:])
+        return [partial(renyi_integer, rho, alpha, k) for k in range(1, 5)]
+    if family == "renyi-sampled":
+        alpha = int(rest[1:])
+        return [
+            partial(renyi_integer, rho, alpha, k, shots=20000, seed=alpha + k, **SAMPLED)
+            for k in range(1, 5)
+        ]
+    if family == "partition":
+        return [
+            partial(partition_function, rho, beta, k, mode=mode, seed=k)
+            for beta in POLY_BETAS for k in (2, 3) for mode in ("exact", "sampled")
+        ]
+    return [
+        partial(monomial_poly_trace, MONO8, rho, k, mode=mode, shots=shots, seed=k)
+        for k in range(1, 5) for mode, shots in (("exact", None), ("sampled", 20000))
+    ]
+
+
+LARGE_KEYS = [
+    f"{family}/D{dim}/a{alpha}"
+    for family in ("renyi-exact", "renyi-sampled")
+    for dim in LARGE_DIMS
+    for alpha in range(2, 11)
+] + [f"{family}/D{dim}/-" for family in ("partition", "monomial") for dim in LARGE_DIMS]
+
+LARGE_PINS = {
+    'renyi-exact/D16/a2': 'f325da5547eca34a',
+    'renyi-exact/D16/a3': '0eebbe5cd3957301',
+    'renyi-exact/D16/a4': '03a85eec56bff02c',
+    'renyi-exact/D16/a5': 'dd70e050bf178f64',
+    'renyi-exact/D16/a6': '83566233f63eb999',
+    'renyi-exact/D16/a7': 'c7baf3867d65f071',
+    'renyi-exact/D16/a8': 'bd3f9cf688b93e42',
+    'renyi-exact/D16/a9': 'e0925ce0f5e37bbc',
+    'renyi-exact/D16/a10': 'e826e1d3e58956be',
+    'renyi-exact/D32/a2': 'b87b58dfd4a1e5e5',
+    'renyi-exact/D32/a3': 'aaa4fac69cab98af',
+    'renyi-exact/D32/a4': '7573a23d46ee8a7e',
+    'renyi-exact/D32/a5': 'e2a21269b5869fbf',
+    'renyi-exact/D32/a6': 'a2481358607b401e',
+    'renyi-exact/D32/a7': '82a4259c29742585',
+    'renyi-exact/D32/a8': '6e04b4c904a7fddc',
+    'renyi-exact/D32/a9': 'e8c5a1f0cadc7fb6',
+    'renyi-exact/D32/a10': '3828a63946602681',
+    'renyi-exact/D64/a2': 'ac332dba5a3373e4',
+    'renyi-exact/D64/a3': 'c08453f28632a132',
+    'renyi-exact/D64/a4': 'b8f4df0294207984',
+    'renyi-exact/D64/a5': 'd16f367f8f8241bc',
+    'renyi-exact/D64/a6': '8d047aa3a7ac71b9',
+    'renyi-exact/D64/a7': '464e88770948ec9a',
+    'renyi-exact/D64/a8': 'd4a195b783dbb1b5',
+    'renyi-exact/D64/a9': 'dcdf89a8f5ff76ec',
+    'renyi-exact/D64/a10': '22afaba8addfa13a',
+    'renyi-sampled/D16/a2': '1a793694a6f086f1',
+    'renyi-sampled/D16/a3': '1db4db1716c8c868',
+    'renyi-sampled/D16/a4': '03ce0c8c51df2347',
+    'renyi-sampled/D16/a5': '056d763b6cf847d7',
+    'renyi-sampled/D16/a6': '80d4d27977695713',
+    'renyi-sampled/D16/a7': '74c1c12ee1f8750b',
+    'renyi-sampled/D16/a8': '54917ae6c425ece4',
+    'renyi-sampled/D16/a9': '0bcd236733b6e875',
+    'renyi-sampled/D16/a10': '0b0d3185387e8fcd',
+    'renyi-sampled/D32/a2': '304562072b253b2e',
+    'renyi-sampled/D32/a3': 'eab5c19d9b374434',
+    'renyi-sampled/D32/a4': 'dd1e67061dd751b9',
+    'renyi-sampled/D32/a5': 'fc2b98a20bcb5e08',
+    'renyi-sampled/D32/a6': 'bcacb16b2b98ad20',
+    'renyi-sampled/D32/a7': '15337074925a5dc4',
+    'renyi-sampled/D32/a8': 'ab824018da83ba57',
+    'renyi-sampled/D32/a9': 'ab824018da83ba57',
+    'renyi-sampled/D32/a10': 'ab824018da83ba57',
+    'renyi-sampled/D64/a2': 'd4673abf422d1fd8',
+    'renyi-sampled/D64/a3': '907c6a295b9e6137',
+    'renyi-sampled/D64/a4': '2fcef760cc2a991a',
+    'renyi-sampled/D64/a5': '7c57c97fdb14b6d5',
+    'renyi-sampled/D64/a6': 'f88ebcc0f574f72b',
+    'renyi-sampled/D64/a7': '9df5a5d0ee87fd46',
+    'renyi-sampled/D64/a8': 'ab824018da83ba57',
+    'renyi-sampled/D64/a9': 'ab824018da83ba57',
+    'renyi-sampled/D64/a10': 'ab824018da83ba57',
+    'partition/D16/-': '0833119d0d885430',
+    'partition/D32/-': '2c2c6f4364c082d3',
+    'partition/D64/-': '2881962da3a75a52',
+    'monomial/D16/-': 'f93be5dcaa949933',
+    'monomial/D32/-': 'ea0f3c75cc66967c',
+    'monomial/D64/-': '1bd11711a6ca8b22',
+}
+
+
+@pytest.mark.parametrize("key", LARGE_KEYS)
+def test_large_dimension_reads_unchanged(key):
+    text = "\n".join(_outcome(call) for call in _large_calls(key))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == LARGE_PINS[key]

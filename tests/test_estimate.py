@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -79,6 +81,48 @@ class TestPredictCost:
 
     def test_floor_of_one(self):
         assert predict_cost(CostModel(epsilon=100.0, K=0.01), "theorem3") == 1
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(epsilon=math.inf), "epsilon must be finite, got inf"),
+            (dict(K=math.nan), "K must be finite and >= 0, got nan"),
+            (dict(K=-2.0), "K must be finite and >= 0, got -2.0"),
+            (dict(norm_low=math.inf), "norm_low must be finite and >= 0, got inf"),
+            (dict(norm_high=-1.0), "norm_high must be finite and >= 0, got -1.0"),
+            (dict(one_norm=math.nan), "one_norm must be finite and >= 0, got nan"),
+            (dict(d=0), "d must be an integer >= 1, got 0"),
+            (dict(d=2.5), "d must be an integer >= 1, got 2.5"),
+            (dict(k=0), "k must be an integer >= 1, got 0"),
+            (dict(k=-1), "k must be an integer >= 1, got -1"),
+            (dict(k=True), "k must be an integer >= 1, got True"),
+            (dict(alpha=math.inf), "alpha must be finite, got inf"),
+            (dict(alpha=math.nan), "alpha must be finite, got nan"),
+            (dict(s_alpha=0.0), "s_alpha must be finite and > 0, got 0.0"),
+            (dict(s_alpha=math.inf), "s_alpha must be finite and > 0, got inf"),
+            (dict(beta=-0.5), "beta must be finite and >= 0, got -0.5"),
+            (dict(beta=math.nan), "beta must be finite and >= 0, got nan"),
+            # the first bad field in field order is the one named
+            (dict(K=-1.0, beta=-1.0), "K must be finite"),
+        ],
+    )
+    def test_every_field_checked_when_built(self, fields, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            CostModel(**{"epsilon": 0.1, **fields})
+
+    def test_boundary_values_accepted(self):
+        model = CostModel(0.1, K=0.0, norm_low=0.0, norm_high=0.0, one_norm=0.0, d=1, k=1,
+                          alpha=-2.0, s_alpha=1e-300, beta=0.0)
+        assert predict_cost(model, "theorem3") == 1
+        assert CostModel(0.1, d=np.int64(3), k=np.int64(2)).k == 2
+
+    def test_alpha_poles_rejected(self):
+        # theorem 10 divides by (alpha - 1)^2 and theorem 7 by alpha^2
+        with pytest.raises(InputError, match="theorem10 needs alpha != 1"):
+            predict_cost(CostModel(0.1, d=10, k=2, alpha=1.0, s_alpha=0.5), "theorem10")
+        with pytest.raises(InputError, match="theorem7 needs alpha != 0"):
+            predict_cost(CostModel(0.1, alpha=0.0, s_alpha=0.5), "theorem7")
+        assert predict_cost(CostModel(0.1, d=10, k=2, alpha=2.0, s_alpha=0.5), "theorem10") > 1
 
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
@@ -208,10 +252,10 @@ class TestEstimateDirect:
         # high part 0.5 - 0.2x^2 at k=2 is positive on [-1, 1], so only the
         # factorization rejects it; the low branch must not run first
         calls = []
-        run_low = estimate.spectral_hadamard_test
+        run_low = estimate._hadamard_law
         monkeypatch.setattr(
             estimate,
-            "spectral_hadamard_test",
+            "_hadamard_law",
             lambda *a, **kw: calls.append(a) or run_low(*a, **kw),
         )
         p = Polynomial([0.1, 0.1, 0.5, 0, -0.2])
@@ -493,6 +537,49 @@ class TestRenyiInteger:
         sigma = rep.std_error * s * 5  # invert the reported propagation
         jump = abs(math.log(s + sigma) - math.log(s)) / 5
         assert jump == pytest.approx(rep.std_error, rel=0.05)
+
+
+class TestSwapLayoutCache:
+    """Each (exponents, k) swap-test layout is built and checked once, and
+    every state reads the same entry."""
+
+    @staticmethod
+    def _leaves(obj):
+        if isinstance(obj, (tuple, list)):
+            return [leaf for item in obj for leaf in TestSwapLayoutCache._leaves(item)]
+        return [obj]
+
+    def test_one_stateless_entry_serves_every_state(self):
+        estimate._swap_layout.cache_clear()
+        states = [DensityMatrix.random_seeded(d, s) for d, s in ((16, 1), (16, 2), (64, 3))]
+        reports = [renyi_integer(rho, 5, 2) for rho in states]
+        info = estimate._swap_layout.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        table, layout, depth, width = estimate._swap_layout((5,), 2)
+        leaves = self._leaves(estimate._swap_layout((5,), 2))
+        assert not any(isinstance(leaf, DensityMatrix) for leaf in leaves)
+        assert all(isinstance(leaf, (Polynomial, np.ndarray, int)) for leaf in leaves)
+        assert not any(a.flags.writeable for a in layout)
+        assert (depth, width) == (1, 3)
+        for rho, rep in zip(states, reports):
+            want = math.log(float(np.sum(rho.eigenvalues() ** 5))) / (1 - 5)
+            assert rep.value == pytest.approx(want, rel=1e-12)
+        assert len({rep.value for rep in reports}) == 3
+
+    def test_partition_series_and_monomial_trace_share_an_entry(self):
+        estimate._swap_layout.cache_clear()
+        rho, other = DensityMatrix.random_seeded(8, 1), DensityMatrix.random_seeded(4, 2)
+        degree = partition_function(rho, 1.0, 3).breakdown["series_degree"]
+        rep = monomial_poly_trace(Polynomial([0.5] + [0.5 / degree] * degree), other, 3)
+        assert rep.breakdown["active_exponents"] == list(range(1, degree + 1))
+        info = estimate._swap_layout.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_bad_layout_is_never_cached(self):
+        estimate._swap_layout.cache_clear()
+        with pytest.raises(InputError, match="thread count"):
+            renyi_integer(DensityMatrix.random_seeded(4, 1), 3, 0)
+        assert estimate._swap_layout.cache_info().currsize == 0
 
 
 class TestMonomialPolyTrace:
@@ -1313,7 +1400,7 @@ class TestBatchedStages:
 
             return counted
 
-        runs = estimate.parallel_qsp_runs
+        runs = estimate._layout_runs
 
         def counting_runs(*args, **kwargs):
             counts["runs"] += 1
@@ -1321,7 +1408,7 @@ class TestBatchedStages:
 
         monkeypatch.setattr(ShotSampler, "__init__", counting_init)
         monkeypatch.setattr(ShotSampler, "multinomial_rows", counting("multinomial_rows"))
-        monkeypatch.setattr(estimate, "parallel_qsp_runs", counting_runs)
+        monkeypatch.setattr(estimate, "_layout_runs", counting_runs)
         rng = np.random.default_rng(40)
         p = 0.5 * (random_parity_target(rng, 40) + random_parity_target(rng, 39))
         rho = DensityMatrix.random_seeded(4, 3)
@@ -1339,10 +1426,12 @@ class TestBatchedStages:
         assert counts["multinomial_rows"] == 2
 
     def test_guard_fails_a_per_term_loop(self, monkeypatch):
-        def per_term(coeffs, table, index, rho):
+        def per_term(coeffs, layout, rho):
             def read():
-                q, z = zip(*(estimate.parallel_qsp_runs(table, index[j : j + 1], rho)
-                             for j in range(len(index))))
+                q, z = zip(*(
+                    estimate._layout_runs(sim._Layout(layout.series, *rows), rho)
+                    for rows in zip(layout.index[:, None], layout.threads[:, None])
+                ))
                 return joint_readout(np.concatenate(q), np.concatenate(z), coeffs=coeffs)
 
             return estimate._Stage(read)
@@ -1451,9 +1540,10 @@ class TestExecutorChecks:
         def no_read(*args, **kwargs):
             raise AssertionError("a stage was read")
 
-        # every read-out, exact or sampled, goes through joint_readout
-        monkeypatch.setattr(sim, "joint_readout", no_read)
-        monkeypatch.setattr(estimate, "joint_readout", no_read)
+        # every read-out, exact or sampled, goes through _read, the stage
+        # reads directly and the executor's draw through joint_readout
+        for module, reader in itertools.product((sim, estimate), ("joint_readout", "_read")):
+            monkeypatch.setattr(module, reader, no_read)
         with pytest.raises(InputError, match="mode must be 'exact' or 'sampled'"):
             _seven_estimators(rho_34)[name](2, shots=100, mode=mode)
 
@@ -1464,8 +1554,8 @@ class TestExecutorChecks:
         def no_read(*args, **kwargs):
             raise AssertionError("a stage was read")
 
-        monkeypatch.setattr(sim, "joint_readout", no_read)
-        monkeypatch.setattr(estimate, "joint_readout", no_read)
+        for module, reader in itertools.product((sim, estimate), ("joint_readout", "_read")):
+            monkeypatch.setattr(module, reader, no_read)
         with pytest.raises(InputError, match=f"epsilon must be positive, got {epsilon}"):
             _seven_estimators(rho_34)[name](2, epsilon=epsilon, shots=100, mode=mode, seed=1)
 

@@ -158,19 +158,21 @@ def test_no_function_takes_seed_and_sampler(path):
     assert _seed_and_sampler(path.read_text()) == []
 
 
-BUDGETED_READOUTS = {"joint_readout", "parallel_qsp_run"}
+BUDGETED_READOUTS = {"joint_readout", "_read", "parallel_qsp_run"}
 
 
 def _budgeted_readouts(source: str) -> list[str]:
     """Read-outs, functions annotated to return an Estimate, that take a
     shot budget or a sampler: a parameter named sampler or ending in shots.
 
-    joint_readout is the one call that draws shots, and parallel_qsp_run
-    forwards a budget to it; every other read-out, a stage's included, reads
-    exactly and leaves the draw to joint_readout.  Estimators return an
-    EstimationReport and take a shots policy with a seed, and the draw's
-    private helpers return its parts, so neither is a read-out here.  Each
-    flagged read-out reads "<name> (line <n>)".
+    _read is the one reader that draws shots, joint_readout the public
+    drawing call that checks a law and hands it to _read, and
+    parallel_qsp_run forwards a budget to joint_readout; every other
+    read-out, a stage's included, reads exactly and leaves the draw to
+    joint_readout.  Estimators return an EstimationReport and take a shots
+    policy with a seed, and the draw's private helpers return its parts, so
+    neither is a read-out here.  Each flagged read-out reads
+    "<name> (line <n>)".
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -192,7 +194,7 @@ def test_only_joint_readout_and_parallel_run_take_a_budget(module):
 def test_budget_scan_fails_copies_that_give_a_read_out_shots():
     source = (SRC / "sim.py").read_text()
     assert [f.split()[0] for f in _budgeted_readouts(source)] == [
-        "joint_readout", "parallel_qsp_run",
+        "joint_readout", "_read", "parallel_qsp_run",
     ]
     mutated, added = re.subn(
         r"def generalized_swap_expectation\(states: Sequence\[DensityMatrix\]\) -> Estimate:",
@@ -415,14 +417,15 @@ REPORT_ONLY_FIELDS = {"value", "std_error", "shots_used", "predicted_shots"}
 
 
 def _report_builders(source: str) -> list[str]:
-    """Where a source draws shots or builds or rewraps a report, by top-level
-    definition: each call of joint_readout or EstimationReport, and each
-    replace() that sets a field only a report has.
+    """Where a source reads or draws shots or builds or rewraps a report, by
+    top-level definition: each call of _read, joint_readout or
+    EstimationReport, and each replace() that sets a field only a report has.
 
     estimate.py does all three in _execute alone (an auto pilot and the one
-    draw of a plan's stages), apart from the exact read an importance stage
-    built by _term_stage makes: every estimator hands _execute one plan, and
-    a nested estimator composes the plan it builds on, never the report.
+    draw of a plan's stages), apart from the exact reads of the stages that
+    _hadamard_stage and _term_stage build: every estimator hands _execute
+    one plan, and a nested estimator composes the plan it builds on, never
+    the report.
     """
     found = []
     for top in ast.parse(source).body:
@@ -432,15 +435,15 @@ def _report_builders(source: str) -> list[str]:
             name = node.func.id
             if name == "replace" and REPORT_ONLY_FIELDS & {kw.arg for kw in node.keywords}:
                 name = "replace(report)"
-            elif name not in ("joint_readout", "EstimationReport"):
+            elif name not in ("_read", "joint_readout", "EstimationReport"):
                 continue
             found.append(f"{name} in {getattr(top, 'name', '<module>')}")
     return sorted(found)
 
 
 EXECUTOR_CALLS = [
-    "EstimationReport in _execute", "joint_readout in _execute", "joint_readout in _execute",
-    "joint_readout in _term_stage",
+    "EstimationReport in _execute", "_read in _hadamard_stage", "_read in _term_stage",
+    "joint_readout in _execute", "joint_readout in _execute",
 ]
 
 
@@ -504,15 +507,86 @@ def test_read_scan_fails_copies_that_read_a_stage_with_shots():
     assert _sampled_stage_reads(mutated) == ["read in _execute"]
 
 
+# sim's read-outs, the functions that turn runs into an Estimate or into
+# the (q, z) a read-out reads
+READ_OUTS = {
+    "_read", "joint_readout", "parallel_qsp_run", "parallel_qsp_runs",
+    "spectral_hadamard_test", "generalized_swap_expectation",
+}
+
+
+def _stage_reads(source: str) -> list[str]:
+    """The read-outs each stage's read calls, by top-level definition.
+
+    A stage's read is the first argument of a _Stage(...) call: the
+    read-outs a lambda calls, or the function a partial binds; any other
+    read is flagged by its own name, since the scan cannot see what it
+    reads.  estimate.py reads every stage through _read, which checks
+    nothing: its layouts and laws were checked when the plan built them.
+    The one exception is estimate_direct's factorized run, whose factors
+    are new to each plan: parallel_qsp_run checks them once, and the
+    benchmark's tracer counts that call.  Each entry reads
+    "<read-out> in <definition>".
+    """
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and _call_name(node) == "_Stage" and node.args):
+                continue
+            read = node.args[0]
+            if isinstance(read, ast.Lambda):
+                names = [_call_name(n) for n in ast.walk(read.body) if isinstance(n, ast.Call)]
+                names = [n for n in names if n in READ_OUTS]
+            elif _call_name(read) == "partial" and read.args:
+                names = [ast.unparse(read.args[0])]
+            else:
+                names = [ast.unparse(read)]
+            found += [f"{name} in {where}" for name in names]
+    return sorted(found)
+
+
+def test_stages_read_only_through_the_reader():
+    reads = _stage_reads((SRC / "estimate.py").read_text())
+    assert reads == [
+        "_read in _hadamard_stage", "_read in _term_stage", "parallel_qsp_run in _direct_plan",
+    ]
+
+
+def test_stage_read_scan_fails_copies_that_read_through_a_checked_call():
+    source = (SRC / "estimate.py").read_text()
+    mutated, added = re.subn(
+        r"\n    stage = _term_stage\(_ONE, layout, rho\)",
+        "\n    stage = _Stage(partial(parallel_qsp_run, _monomial_factors(alpha, k), rho))",
+        source,
+    )
+    assert added == 1
+    assert "parallel_qsp_run in _renyi_integer_plan" in _stage_reads(mutated)
+    rechecked, added = re.subn(
+        r"lambda: _read\(\*_layout_runs\(layout, rho\), coeffs\)",
+        "lambda: joint_readout(*parallel_qsp_runs(table, index, rho), coeffs=coeffs)",
+        source,
+    )
+    assert added == 1
+    assert [r for r in _stage_reads(rechecked) if r.endswith("_term_stage")] == [
+        "joint_readout in _term_stage", "parallel_qsp_runs in _term_stage",
+    ]
+    assert _stage_reads(
+        "def f(rho):\n    read = partial(parallel_qsp_run, fs, rho)\n    return _Stage(read)\n"
+        "def g(p, rho):\n    return _Stage(lambda: _read(*_hadamard_law(p, rho)), 2.0)\n"
+    ) == ["_read in g", "read in f"]
+
+
 RENYI_INTEGER = ("renyi_integer", "_renyi_integer_plan")
 
 
 def _stray_hadamard_readouts(source: str) -> list[str]:
     """Hadamard read-outs outside their stage builder, by top-level definition.
 
-    estimate.py names spectral_hadamard_test in _hadamard_stage alone, which
-    every sequential stage is built by, and renyi_integer and its plan read
-    the trace through the swap test only, so they name neither.  Each
+    estimate.py may name spectral_hadamard_test in _hadamard_stage alone,
+    which every sequential stage is built by (it reads the test's law
+    through _read), and renyi_integer and its plan read the trace through
+    the swap test only, so they name neither.  Each
     flagged name reads "<name> in <definition>".
     """
     found = []
@@ -545,7 +619,7 @@ def test_hadamard_scan_fails_a_copy_with_a_sequential_renyi_branch():
         "_hadamard_stage in renyi_integer", "spectral_hadamard_test in renyi_integer",
     ]
     in_plan, added = re.subn(
-        r"\n    stage = _Stage\(partial\(parallel_qsp_run, factors, rho\)\)",
+        r"\n    stage = _term_stage\(_ONE, layout, rho\)",
         "\n    stage = _hadamard_stage(_shared_polynomial(\"x\", alpha), rho)",
         source,
     )
@@ -606,7 +680,7 @@ def test_draw_scan_fails_a_copy_with_a_side_generator():
         source,
     )
     assert added == 1
-    assert _side_draws(mutated) == ["multinomial in joint_readout"]
+    assert _side_draws(mutated) == ["multinomial in _read"]
     assert _side_draws(
         "class ShotSampler:\n"
         "    def ok(self, n, p):\n        return self.rng.binomial(n, p)\n"
@@ -627,8 +701,9 @@ def _norm_checks(source: str) -> list[str]:
     """Top-level definitions that call the norm verdict _norms_exceed, or
     that compare a sup_norm(...) call against a bound.
 
-    sim.py checks factor norms in one place, _thread_values, which direct
-    and circuit mode both run.
+    sim.py checks factor norms in one place, _check_rows, which direct and
+    circuit mode both run through _thread_values and a plan's layouts run
+    once, when _checked_layout builds them.
     """
     found = []
     for top in ast.parse(source).body:
@@ -641,7 +716,7 @@ def _norm_checks(source: str) -> list[str]:
 
 
 def test_norm_check_only_in_thread_values():
-    assert _norm_checks((SRC / "sim.py").read_text()) == ["_thread_values"]
+    assert _norm_checks((SRC / "sim.py").read_text()) == ["_check_rows"]
 
 
 def test_norm_scan_fails_a_copy_with_its_own_norm_loop():
@@ -654,7 +729,7 @@ def test_norm_scan_fails_a_copy_with_its_own_norm_loop():
         source,
     )
     assert added == 1
-    assert _norm_checks(mutated) == ["_thread_values", "parallel_qsp_run"]
+    assert _norm_checks(mutated) == ["_check_rows", "parallel_qsp_run"]
     verdict, added = re.subn(
         r"\n    table, index = layout_table\(\[factors\]\)\n",
         "\n    if any(_norms_exceed(factors, 1.0 + 1e-9)):\n"
@@ -663,7 +738,7 @@ def test_norm_scan_fails_a_copy_with_its_own_norm_loop():
         source,
     )
     assert added == 1
-    assert _norm_checks(verdict) == ["_thread_values", "parallel_qsp_run"]
+    assert _norm_checks(verdict) == ["_check_rows", "parallel_qsp_run"]
     assert _norm_checks("def f(p):\n    return 1.0 < poly.sup_norm(p)\n") == ["f"]
     assert _norm_checks("def f(p):\n    return poly._norms_exceed([p], 1.0)[0]\n") == ["f"]
 

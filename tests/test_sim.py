@@ -849,6 +849,23 @@ def test_neyman_split_matches_the_loop_reference():
 
 
 class TestJointReadout:
+    @pytest.mark.parametrize(
+        "q, z, coeffs, message",
+        [
+            ([0.5], [math.nan], None, "a sampled read-out needs finite z values and coefficients"),
+            ([0.5], [math.inf], None, "a sampled read-out needs finite z values and coefficients"),
+            ([0.5], [0.1], [math.inf], "a sampled read-out needs finite z values and coefficients"),
+            ([2.0], [0.1], None, "run 0 succeeds with probability 2.0, outside (0, 1]"),
+            ([math.nan], [0.1], None, "run 0 succeeds with probability nan, outside (0, 1]"),
+            ([0.5, -0.1], [0.1, 0.0], None, "run 1 succeeds with probability -0.1, outside (0, 1]"),
+        ],
+    )
+    def test_exact_mode_rejects_a_law_as_a_draw_does(self, q, z, coeffs, message):
+        for shots in ("exact", 100):
+            with pytest.raises(InputError) as caught:
+                joint_readout(q, z, shots, ShotSampler(1), coeffs=coeffs)
+            assert str(caught.value) == message
+
     def test_one_run_is_the_single_multinomial(self, rho_34):
         factors = (Polynomial([0, 1]), Polynomial([0.5, 0, 0.5]))
         q, z = parallel_qsp_runs(*layout_table([factors]), rho_34)
@@ -1102,3 +1119,217 @@ class TestShotSampler:
     @settings(max_examples=20, deadline=None)
     def test_repr_mentions_seed(self, seed):
         assert str(seed) in repr(ShotSampler(seed))
+
+
+# Bad inputs the public readers reject, each with the error type and message
+# they raised before plan-built laws skipped re-validation.  Cases with two
+# faults pin which check runs first.
+_OK, _BIG, _ZERO = Polynomial([0, 1]), Polynomial([0, 0, 1.5]), Polynomial([0, 0, 0.0])
+_PAIR = (Polynomial.one(), Polynomial([0, 0.5]))
+BAD_READS = {
+    "joint-shape-q": lambda: joint_readout([0.5, 0.5], [0.1]),
+    "joint-shape-2d": lambda: joint_readout([[0.5]], [[0.1]]),
+    "joint-shape-coeffs": lambda: joint_readout([0.5], [0.1], coeffs=[1.0, 2.0]),
+    "joint-not-a-number": lambda: joint_readout(["a"], [0.1]),
+    "joint-stages-sum": lambda: joint_readout([0.5], [0.1], stages=[2]),
+    "joint-stages-zero": lambda: joint_readout([0.5], [0.1], stages=[0, 1]),
+    "joint-stages-float": lambda: joint_readout([0.5], [0.1], stages=[1.5]),
+    "joint-stages-bool": lambda: joint_readout([0.5], [0.1], stages=[True]),
+    "joint-zero-coeffs": lambda: joint_readout([0.5], [0.1], coeffs=[0.0]),
+    "joint-zero-stage": lambda: joint_readout(
+        [0.5, 0.5], [0.1, 0.1], coeffs=[1.0, 0.0], stages=[1, 1]
+    ),
+    "joint-shots-zero": lambda: joint_readout([0.5], [0.1], 0),
+    "joint-shots-float": lambda: joint_readout([0.5], [0.1], 2.5),
+    "joint-shots-bool": lambda: joint_readout([0.5], [0.1], True),
+    "joint-shots-auto": lambda: joint_readout([0.5], [0.1], "auto"),
+    "joint-shots-below-stages": lambda: joint_readout([0.5, 0.5], [0.1, 0.1], 1, stages=[1, 1]),
+    "joint-sampled-nan-z": lambda: joint_readout([0.5], [math.nan], 10),
+    "joint-sampled-inf-coeff": lambda: joint_readout([0.5], [0.1], 10, coeffs=[math.inf]),
+    "joint-sampled-q-above-1": lambda: joint_readout([2.0], [0.1], 10),
+    "joint-sampled-q-zero": lambda: joint_readout([0.5, 0.0], [0.1, 0.0], 10),
+    "joint-sampled-q-nan": lambda: joint_readout([math.nan], [0.1], 10),
+    "joint-zero-coeffs-before-shots": lambda: joint_readout([0.5], [0.1], 0, coeffs=[0.0]),
+    "joint-shots-before-nan": lambda: joint_readout([0.5], [math.nan], 0),
+    "layout-empty": lambda: layout_table([[]]),
+    "layout-second-empty": lambda: layout_table([[_OK], []]),
+    "runs-index-list": lambda: parallel_qsp_runs(_PAIR, [[1]], DensityMatrix.pure(2)),
+    "runs-index-float": lambda: parallel_qsp_runs(_PAIR, np.array([[1.0]]), DensityMatrix.pure(2)),
+    "runs-index-1d": lambda: parallel_qsp_runs(_PAIR, np.array([1]), DensityMatrix.pure(2)),
+    "runs-index-negative": lambda: parallel_qsp_runs(
+        _PAIR, np.array([[-1]]), DensityMatrix.pure(2)
+    ),
+    "runs-index-past-table": lambda: parallel_qsp_runs(
+        _PAIR, np.array([[2]]), DensityMatrix.pure(2)
+    ),
+    "runs-over-norm": lambda: parallel_qsp_runs(
+        *layout_table([[_OK], [_OK, _BIG]]), DensityMatrix.pure(2)
+    ),
+    "runs-over-norm-unused": lambda: parallel_qsp_runs(
+        (Polynomial.one(), _BIG), np.zeros((1, 1), np.intp), DensityMatrix.pure(2)
+    ),
+    "runs-encode": lambda: parallel_qsp_runs(*layout_table([[_OK]]), DensityMatrix.pure(2), "x"),
+    "runs-index-before-encode": lambda: parallel_qsp_runs(
+        _PAIR, np.array([[5]]), DensityMatrix.pure(2), "x"
+    ),
+    "runs-qsp-complex": lambda: parallel_qsp_runs(
+        *layout_table([[Polynomial([0, 0.5j])]]), DensityMatrix.pure(2), "qsp"
+    ),
+    "runs-qsp-mixed-parity": lambda: parallel_qsp_runs(
+        *layout_table([[Polynomial([0.2, 0.5])]]), DensityMatrix.pure(2), "qsp"
+    ),
+    "runs-post-selection": lambda: parallel_qsp_runs(
+        *layout_table([[_OK], [_OK, _ZERO]]), DensityMatrix.pure(2)
+    ),
+    "run-mode": lambda: parallel_qsp_run([_OK], DensityMatrix.pure(2), mode="x"),
+    "run-mode-before-empty": lambda: parallel_qsp_run([], DensityMatrix.pure(2), mode="x"),
+    "run-empty": lambda: parallel_qsp_run([], DensityMatrix.pure(2)),
+    "run-over-norm": lambda: parallel_qsp_run([_OK, _BIG], DensityMatrix.pure(2)),
+    "run-over-norm-before-shots": lambda: parallel_qsp_run([_BIG], DensityMatrix.pure(2), 0),
+    "run-encode": lambda: parallel_qsp_run([_OK], DensityMatrix.pure(2), encode="x"),
+    "run-post-selection": lambda: parallel_qsp_run([_ZERO], DensityMatrix.pure(2)),
+    "run-shots-zero": lambda: parallel_qsp_run([_OK], DensityMatrix.pure(2), 0),
+    "run-shots-float": lambda: parallel_qsp_run([_OK], DensityMatrix.pure(2), 2.5),
+    "run-shots-auto": lambda: parallel_qsp_run([_OK], DensityMatrix.pure(2), "auto"),
+    "run-circuit-cap": lambda: parallel_qsp_run([_OK] * 6, DensityMatrix.pure(4), mode="circuit"),
+    "run-circuit-over-norm": lambda: parallel_qsp_run(
+        [_BIG], DensityMatrix.pure(2), mode="circuit"
+    ),
+    "run-circuit-post-selection": lambda: parallel_qsp_run(
+        [_ZERO], DensityMatrix.pure(2), mode="circuit"
+    ),
+    "run-circuit-encode": lambda: parallel_qsp_run(
+        [_OK], DensityMatrix.pure(2), mode="circuit", encode="x"
+    ),
+    "run-circuit-shots": lambda: parallel_qsp_run(
+        [_OK], DensityMatrix.pure(2), 0, mode="circuit"
+    ),
+    "run-circuit-qsp-mixed-parity": lambda: parallel_qsp_run(
+        [Polynomial([0.2, 0.5])], DensityMatrix.pure(2), mode="circuit", encode="qsp"
+    ),
+}
+
+BAD_READ_ERRORS = {
+    'joint-not-a-number': ('ValueError', "could not convert string to float: 'a'"),
+    'joint-sampled-inf-coeff': (
+        'InputError',
+        'a sampled read-out needs finite z values and coefficients',
+    ),
+    'joint-sampled-nan-z': (
+        'InputError',
+        'a sampled read-out needs finite z values and coefficients',
+    ),
+    'joint-sampled-q-above-1': (
+        'InputError',
+        'run 0 succeeds with probability 2.0, outside (0, 1]',
+    ),
+    'joint-sampled-q-nan': ('InputError', 'run 0 succeeds with probability nan, outside (0, 1]'),
+    'joint-sampled-q-zero': ('InputError', 'run 1 succeeds with probability 0.0, outside (0, 1]'),
+    'joint-shape-2d': (
+        'InputError',
+        'one q, z and coefficient per run is required, got shapes (1, 1), (1, 1) and (1, 1)',
+    ),
+    'joint-shape-coeffs': (
+        'InputError',
+        'one q, z and coefficient per run is required, got shapes (1,), (1,) and (2,)',
+    ),
+    'joint-shape-q': (
+        'InputError',
+        'one q, z and coefficient per run is required, got shapes (2,), (1,) and (1,)',
+    ),
+    'joint-shots-auto': ('InputError', "sampled mode needs an integer shot count, got 'auto'"),
+    'joint-shots-before-nan': ('InputError', 'sampled shot budget 0 is below the stage count 1'),
+    'joint-shots-below-stages': ('InputError', 'sampled shot budget 1 is below the stage count 2'),
+    'joint-shots-bool': ('InputError', 'sampled mode needs an integer shot count, got True'),
+    'joint-shots-float': ('InputError', 'sampled mode needs an integer shot count, got 2.5'),
+    'joint-shots-zero': ('InputError', 'sampled shot budget 0 is below the stage count 1'),
+    'joint-stages-bool': ('InputError', 'stage run count must be an integer >= 1, got True'),
+    'joint-stages-float': ('InputError', 'stage run count must be an integer >= 1, got 1.5'),
+    'joint-stages-sum': ('InputError', 'stage run counts [2] do not add up to the 1 runs'),
+    'joint-stages-zero': ('InputError', 'stage run count must be an integer >= 1, got 0'),
+    'joint-zero-coeffs': ('InputError', 'all-zero coefficients: nothing to sample'),
+    'joint-zero-coeffs-before-shots': ('InputError', 'all-zero coefficients: nothing to sample'),
+    'joint-zero-stage': ('InputError', 'all-zero coefficients: nothing to sample'),
+    'layout-empty': ('InputError', 'layout 0 needs at least one factor polynomial'),
+    'layout-second-empty': ('InputError', 'layout 1 needs at least one factor polynomial'),
+    'run-circuit-cap': ('InputError', 'circuit mode caps D^k at 1024, got 4^6'),
+    'run-circuit-encode': ('InputError', "unknown encode mode 'x'"),
+    'run-circuit-over-norm': (
+        'InputError',
+        'apply rescale_factors: layout 0, factor 0 has sup norm above 1',
+    ),
+    'run-circuit-post-selection': (
+        'PostSelectionError',
+        'post-selection impossible: joint success probability ~0',
+    ),
+    'run-circuit-qsp-mixed-parity': (
+        'InputError',
+        'phase-based encoding needs real definite-parity factors; use the oracle encoding for '
+        'complex or mixed-parity factors',
+    ),
+    'run-circuit-shots': ('InputError', 'sampled shot budget 0 is below the stage count 1'),
+    'run-empty': ('InputError', 'layout 0 needs at least one factor polynomial'),
+    'run-encode': ('InputError', "unknown encode mode 'x'"),
+    'run-mode': ('InputError', "unknown mode 'x'; expected 'direct' or 'circuit'"),
+    'run-mode-before-empty': ('InputError', "unknown mode 'x'; expected 'direct' or 'circuit'"),
+    'run-over-norm': (
+        'InputError',
+        'apply rescale_factors: layout 0, factor 1 has sup norm above 1',
+    ),
+    'run-over-norm-before-shots': (
+        'InputError',
+        'apply rescale_factors: layout 0, factor 0 has sup norm above 1',
+    ),
+    'run-post-selection': (
+        'PostSelectionError',
+        'post-selection impossible: layout 0, thread 0 succeeds with probability 0.000e+00',
+    ),
+    'run-shots-auto': ('InputError', "sampled mode needs an integer shot count, got 'auto'"),
+    'run-shots-float': ('InputError', 'sampled mode needs an integer shot count, got 2.5'),
+    'run-shots-zero': ('InputError', 'sampled shot budget 0 is below the stage count 1'),
+    'runs-encode': ('InputError', "unknown encode mode 'x'"),
+    'runs-index-1d': ('InputError', 'index must be a 2-D integer array with entries in [0, 2)'),
+    'runs-index-before-encode': (
+        'InputError',
+        'index must be a 2-D integer array with entries in [0, 2)',
+    ),
+    'runs-index-float': ('InputError', 'index must be a 2-D integer array with entries in [0, 2)'),
+    'runs-index-list': ('InputError', 'index must be a 2-D integer array with entries in [0, 2)'),
+    'runs-index-negative': (
+        'InputError',
+        'index must be a 2-D integer array with entries in [0, 2)',
+    ),
+    'runs-index-past-table': (
+        'InputError',
+        'index must be a 2-D integer array with entries in [0, 2)',
+    ),
+    'runs-over-norm': (
+        'InputError',
+        'apply rescale_factors: layout 1, factor 1 has sup norm above 1',
+    ),
+    'runs-over-norm-unused': (
+        'InputError',
+        'apply rescale_factors: table row 1 has sup norm above 1',
+    ),
+    'runs-post-selection': (
+        'PostSelectionError',
+        'post-selection impossible: layout 1, thread 1 succeeds with probability 0.000e+00',
+    ),
+    'runs-qsp-complex': (
+        'InputError',
+        'phase-based encoding needs real definite-parity factors; use the oracle encoding for '
+        'complex or mixed-parity factors',
+    ),
+    'runs-qsp-mixed-parity': (
+        'InputError',
+        'phase-based encoding needs real definite-parity factors; use the oracle encoding for '
+        'complex or mixed-parity factors',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_READS))
+def test_public_readers_reject_as_before(name):
+    with pytest.raises(Exception) as caught:
+        BAD_READS[name]()
+    assert (type(caught.value).__name__, str(caught.value)) == BAD_READ_ERRORS[name]
