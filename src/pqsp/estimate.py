@@ -66,6 +66,7 @@ from .factor import (
     term_layout,
 )
 from .poly import (
+    TRIM_TOL,
     Parity,
     Polynomial,
     _norms_exceed,
@@ -705,15 +706,16 @@ def monomial_poly_trace(
     """
     if p.max_imag() > 1e-10:
         raise InputError("polynomial must have real coefficients")
-    return _execute(_monomial_plan(k, p, rho, epsilon), shots, mode, seed)
+    coeffs = [float(c.real) for c in p.coeffs]
+    return _execute(_monomial_plan(k, coeffs, rho, epsilon), shots, mode, seed)
 
 
 @_threaded
-def _monomial_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) -> _Plan:
-    """monomial_poly_trace's plan: one importance stage on the root stream,
-    none for a constant P."""
+def _monomial_plan(k: int, coeffs: list[float], rho: DensityMatrix, epsilon: float) -> _Plan:
+    """monomial_poly_trace's plan for the real monomial coefficients of a P
+    (top one nonzero): one importance stage on the root stream, none for a
+    constant P."""
     dim = rho.dim
-    coeffs = [float(c.real) for c in p.coeffs]
     one_norm = sum(abs(c) for c in coeffs)
     if one_norm > 1e6:  # stacklevel 4 is past _threaded, at the estimator's caller
         warnings.warn(
@@ -734,7 +736,7 @@ def _monomial_plan(k: int, p: Polynomial, rho: DensityMatrix, epsilon: float) ->
     stages = [_term_stage(np.array([c for _, c in tail]), layout, rho)] if tail else []
     finish = partial(sum, start=Estimate(c0 * dim, 0.0))
     predict = partial(predict_cost, CostModel(epsilon=epsilon, one_norm=one_norm), "theorem8")
-    return _Plan(stages, _monomial_depth(p.degree, k), width, breakdown, finish, predict)
+    return _Plan(stages, _monomial_depth(len(coeffs) - 1, k), width, breakdown, finish, predict)
 
 
 def partition_function(
@@ -774,8 +776,10 @@ def partition_function(
         if d > 400:
             raise ConvergenceError("series degree exceeded 400 without certification")
     coeffs = [(-beta) ** n / math.factorial(n) for n in range(d + 1)]
+    while len(coeffs) > 1 and abs(coeffs[-1]) <= TRIM_TOL:  # as Polynomial(coeffs) trims
+        coeffs.pop()
     predicted = predict_cost(model, "theorem9")
-    plan = _monomial_plan(k, Polynomial(coeffs), rho, epsilon)
+    plan = _monomial_plan(k, coeffs, rho, epsilon)
     plan.breakdown.update(
         series_degree=d, remainder_bound=math.exp(log_remainder(d)),
         one_norm_certificate=math.exp(beta), params={"beta": beta},

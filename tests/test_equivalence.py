@@ -38,6 +38,11 @@ pins the whole JSON report of each exact case, which covers all seven
 estimators, a Chebyshev target with both parity parts and both entropies;
 a fourth, one-stage reads with room for a stratified draw.  Both were
 computed before the one draw per plan.
+
+chebyshev-60-shots gives its low stage one shot.  Its std_error was
+re-pinned when a pooled stage of one shot began to report the variance
+bound 1 instead of 0: 46.2205086703519 became 46.25196634236358; value,
+shots and draw records did not move.
 """
 
 import hashlib
@@ -54,6 +59,7 @@ from pqsp import (
     ShotSampler,
     estimate_chebyshev,
     estimate_direct,
+    factorize_nonneg,
     generalized_swap_expectation,
     joint_readout,
     monomial_poly_trace,
@@ -61,6 +67,7 @@ from pqsp import (
     partition_function,
     renyi_integer,
     renyi_noninteger,
+    rescale_factors,
     von_neumann,
 )
 
@@ -143,7 +150,7 @@ CASES = {
 }
 
 PINS = {
-    'chebyshev-60-shots': (-15.404136309335833, 46.2205086703519, 60, '2558bc7aa3e3'),
+    'chebyshev-60-shots': (-15.404136309335833, 46.25196634236358, 60, '2558bc7aa3e3'),
     'direct-power': (0.006333333333333333, 0.002378062521623127, 3000, '26fb7d843f98'),
     'direct-two-stages': (0.6584761020034262, 0.035541274752325366, 6000, '60666994f7c8'),
     'exact-chebyshev': (1.4820334592689635, 0.0, 0, 'c94ae731cb69'),
@@ -408,3 +415,144 @@ LARGE_PINS = {
 def test_large_dimension_reads_unchanged(key):
     text = "\n".join(_outcome(call) for call in _large_calls(key))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == LARGE_PINS[key]
+
+
+# Benchmark-shaped reads: estimate_direct's factorized run and its
+# stratified two-stage draw at 100,000 shots, the one-run pooled draw of
+# parallel_qsp_run at 1,000 shots, a many-run Chebyshev draw, and the
+# factorization plans of 200 benchmark-like sources.  Each case pins value,
+# std_error, shots_used, predicted_shots and K (or the error's type and
+# message).  The pins were computed before find_roots, the grouping and the
+# draw were made cheaper per call.
+BENCH_SHOTS = 100_000
+
+
+def _root_pairs(rng: np.random.Generator, pairs: int) -> np.ndarray:
+    """Monomial coefficients of prod_j |x - z_j|^2, Re z in [-1.2, 1.2], Im z in [0.15, 1]."""
+    re, im = rng.uniform(-1.2, 1.2, pairs), rng.uniform(0.15, 1.0, pairs)
+    out = np.array([1.0])
+    for a, b in zip(re, im):
+        out = np.polynomial.polynomial.polymul(out, [a * a + b * b, -2.0 * a, 1.0])
+    return out
+
+
+def _bench_direct_target(dim: int, k: int) -> Polynomial:
+    """P_low + x^k R with R >= 0 of 2 + (dim + k) % 5 root pairs, at sup norm 0.9 on a grid."""
+    rng = np.random.default_rng([dim, k])
+    c = np.concatenate([rng.normal(size=k) * 0.3, _root_pairs(rng, 2 + (dim + k) % 5)])
+    peak = np.max(np.abs(np.polynomial.polynomial.polyval(np.linspace(-1, 1, 2001), c)))
+    return Polynomial([float(x) for x in c * (0.9 / peak)])
+
+
+def _bench_plan_factors(dim: int, k: int) -> list[Polynomial]:
+    """The rescaled factors of a phase-circuit-like source of k + 1 root pairs."""
+    R = _root_pairs(np.random.default_rng([dim, k, 1]), k + 1)
+    peak = np.max(np.abs(np.polynomial.polynomial.polyval(np.linspace(-1, 1, 2001), R)))
+    return list(rescale_factors(factorize_nonneg(Polynomial(R / peak), k)).factors)
+
+
+def _fields(call) -> tuple | str:
+    try:
+        out = call()
+    except Exception as exc:  # an error is an outcome like any other
+        return f"{type(exc).__name__}: {exc}"
+    breakdown = getattr(out, "breakdown", {})
+    return (out.value, out.std_error, out.shots_used, getattr(out, "predicted_shots", None),
+            breakdown.get("K"))
+
+
+BENCH_CASES = {
+    f"direct-D{dim}-k{k}-{mode}": partial(
+        lambda dim, k, mode: estimate_direct(
+            _bench_direct_target(dim, k), DensityMatrix.random_seeded(dim, dim + k), k,
+            shots=BENCH_SHOTS if mode == "sampled" else None, mode=mode, seed=dim * k,
+        ), dim, k, mode,
+    )
+    for dim in (4, 16, 32) for k in (2, 3, 4) for mode in ("exact", "sampled")
+}
+BENCH_CASES.update({
+    f"run-{mode}-D{dim}-k{k}": partial(
+        lambda dim, k, mode: parallel_qsp_run(
+            _bench_plan_factors(dim, k), DensityMatrix.random_seeded(dim, 7), shots=1000,
+            mode=mode, sampler=ShotSampler(dim + k),
+        ), dim, k, mode,
+    )
+    for dim, k in ((2, 2), (2, 3), (4, 2), (4, 3)) for mode in ("direct", "circuit")
+})
+BENCH_CASES.update({
+    f"chebyshev-D{dim}-k{k}-d{d}": partial(
+        lambda dim, k, d: estimate_chebyshev(
+            0.9 * random_parity_target(np.random.default_rng(d), d),
+            DensityMatrix.random_seeded(dim, d), k, shots=BENCH_SHOTS, seed=k, **SAMPLED,
+        ), dim, k, d,
+    )
+    for dim, k, d in ((4, 2, 8), (16, 3, 20), (32, 4, 16))
+})
+
+BENCH_PINS = {
+    'chebyshev-D16-k3-d20': (-6.85645319637653, 3.6501842844301877, 100000, 10232347232770188, None),
+    'chebyshev-D32-k4-d16': (968.9700519693631, 1743.170860582239, 100000, 577965895137718656, None),
+    'chebyshev-D4-k2-d8': (0.255016393037824, 0.9426172613937238, 100000, 43738709295, None),
+    'direct-D16-k2-exact': (-0.4380653513471464, 0.0, 0, 342, 0.9612242781090637),
+    'direct-D16-k2-sampled': (-0.43744851261293694, 0.0007830364534291227, 100000, 342, 0.9612242781090637),
+    'direct-D16-k3-exact': (-0.14114668233195107, 0.0, 0, 326, 0.949669507266693),
+    'direct-D16-k3-sampled': (-0.14135301411808734, 0.0003319159955172399, 100000, 326, 0.949669507266693),
+    'direct-D16-k4-exact': (-0.17112619721368108, 0.0, 0, 347, 0.9647195902232434),
+    'direct-D16-k4-sampled': (-0.16758284890155326, 0.0023236252053474788, 100000, 347, 0.9647195902232434),
+    'direct-D32-k2-exact': (0.001997529674552977, 0.0, 0, 324, 0.948600764902775),
+    'direct-D32-k2-sampled': (0.0020404415084623135, 6.544247801068025e-05, 100000, 324, 0.948600764902775),
+    'direct-D32-k3-exact': (0.5019366828420264, 0.0, 0, 279, 0.9116518624724903),
+    'direct-D32-k3-sampled': (0.500601870671169, 0.007617111474596352, 100000, 279, 0.9116518624724903),
+    'direct-D32-k4-exact': (0.345498727379138, 0.0, 0, 2388, 1.5629549551372641),
+    'direct-D32-k4-sampled': (0.3342274706801213, 0.0060275010007300655, 100000, 2388, 1.5629549551372641),
+    'direct-D4-k2-exact': (-0.5831946757619101, 0.0, 0, 558, 1.0736614625474228),
+    'direct-D4-k2-sampled': (-0.578488591748937, 0.003302554748781122, 100000, 558, 1.0736614625474228),
+    'direct-D4-k3-exact': (-0.011898983679297207, 0.0, 0, 324, 0.9481766577025543),
+    'direct-D4-k3-sampled': (-0.011453664383379853, 0.00023829133454155628, 100000, 324, 0.9481766577025543),
+    'direct-D4-k4-exact': (-0.035409502135512, 0.0, 0, 2654, 1.604795556603103),
+    'direct-D4-k4-sampled': (-0.034766445702361204, 0.0010568938770356702, 100000, 2654, 1.604795556603103),
+    'run-circuit-D2-k2': (0.566, 0.01939123564964389, 1000, None, None),
+    'run-circuit-D2-k3': (0.003, 0.0038737586406494156, 1000, None, None),
+    'run-circuit-D4-k2': (0.164, 0.0177600512223197, 1000, None, None),
+    'run-circuit-D4-k3': (0.006, 0.004897753361285968, 1000, None, None),
+    'run-direct-D2-k2': (0.566, 0.01939123564964389, 1000, None, None),
+    'run-direct-D2-k3': (0.003, 0.0038737586406494156, 1000, None, None),
+    'run-direct-D4-k2': (0.164, 0.0177600512223197, 1000, None, None),
+    'run-direct-D4-k3': (0.006, 0.004897753361285968, 1000, None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_CASES))
+def test_benchmark_shaped_reads_unchanged(name):
+    assert _fields(BENCH_CASES[name]) == BENCH_PINS[name]
+
+
+def _plan_outcomes() -> list[str]:
+    """factorize_nonneg then rescale_factors on 200 seeded sources of 2-6
+    root pairs at k = 2-4: each plan's factors, norms and constants, by repr."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for i in range(200):
+        R = Polynomial(_root_pairs(rng, 2 + i % 5))
+        k = 2 + i % 3
+        try:
+            plans = [factorize_nonneg(R, k)]
+            plans.append(rescale_factors(plans[0]))
+        except Exception as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+            continue
+        out.append(repr([
+            ([f.cheb for f in plan.factors], plan.factor_norms, plan.factorization_constant,
+             plan.stored_constant)
+            for plan in plans
+        ]))
+    return out
+
+
+BENCH_PLAN_DIGEST = '4f7aceb87a19a0dd'
+
+
+def test_factorization_plans_unchanged():
+    digest = hashlib.sha256("\n".join(_plan_outcomes()).encode()).hexdigest()[:16]
+    assert digest == BENCH_PLAN_DIGEST
+

@@ -1139,7 +1139,7 @@ class TestStageExecutor:
             (estimate._chebyshev_plan(2, Polynomial([0, 0.2, 0, 0.3]), rho, 0.1), (1,)),
             (estimate._chebyshev_plan(2, Polynomial([0, 0, 0, 0, 0.5]), rho, 0.1), (1,)),
             (estimate._renyi_integer_plan(2, rho, 3, 0.1), (1,)),
-            (estimate._monomial_plan(2, Polynomial([0.2, 0.5]), rho, 0.1), ()),
+            (estimate._monomial_plan(2, [0.2, 0.5], rho, 0.1), ()),
         ]
         assert [plan.stream for plan, _ in cases] == [stream for _, stream in cases]
 
@@ -1609,3 +1609,19 @@ class TestSamplingStatistics:
         mean = float(np.mean(vals))
         sem = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         assert abs(mean - (-0.421875)) <= 5 * sem
+
+
+def test_one_shot_stages_report_their_variance_bounds():
+    # two stages of one shot each: each stage's standard error is its
+    # weight (D ||P_low|| = 1.2 and K^2 = 0.5), not 0
+    rep = estimate_direct(
+        Polynomial([0.1, 0.2, 0.3, 0, 0.2]), DensityMatrix.random_seeded(4, 1), 2,
+        shots=2, mode="sampled", seed=1,
+    )
+    assert [(s["pilot"], s["main"]) for s in rep.breakdown["stage_shots"]] == [(0, 1), (0, 1)]
+    assert rep.value == pytest.approx(1.7, abs=1e-12)
+    assert rep.std_error == pytest.approx(math.hypot(1.2, 0.5), rel=1e-12)
+    exact = estimate_direct(
+        Polynomial([0.1, 0.2, 0.3, 0, 0.2]), DensityMatrix.random_seeded(4, 1), 2
+    )
+    assert abs(rep.value - exact.value) < rep.std_error

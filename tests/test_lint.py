@@ -691,6 +691,47 @@ def test_draw_scan_fails_a_copy_with_a_side_generator():
     ) == ["binomial in ShotSampler.side", "multinomial in own", "multinomial_rows in rows"]
 
 
+def _row_draws(source: str) -> list[str]:
+    """multinomial_rows calls, by the top-level definition they sit in.
+
+    A sampled read draws its shots in the one _draw: each pooled stage
+    through _pooled and the stratified pilot and main draws through
+    _strata.  A draw path beside them, say one specialised to few runs or
+    few shots, would call the sampler from its own definition and show here.
+    """
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _call_name(node) == "multinomial_rows":
+                found.append(f"multinomial_rows in {getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_only_the_pooled_and_stratified_draws_call_the_sampler():
+    found = {p.name: _row_draws(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "sim.py": ["multinomial_rows in _pooled", "multinomial_rows in _strata"],
+    }
+
+
+def test_row_draw_scan_fails_a_copy_with_a_forked_draw():
+    source = (SRC / "sim.py").read_text()
+    mutated, added = re.subn(
+        r"\ndef _pooled\(",
+        "\ndef _one_run(cells, n, sampler):\n    return sampler.multinomial_rows([n], cells)\n\n"
+        "\ndef _pooled(",
+        source,
+    )
+    assert added == 1
+    assert _row_draws(mutated) == [
+        "multinomial_rows in _one_run",
+        "multinomial_rows in _pooled",
+        "multinomial_rows in _strata",
+    ]
+    method = "class S:\n    def f(self, n, p):\n        return self.multinomial_rows(n, p)\n"
+    assert _row_draws(method) == ["multinomial_rows in S"]
+
+
 def _call_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Call):
         return getattr(node.func, "id", getattr(node.func, "attr", None))

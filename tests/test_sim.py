@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqsp import estimate, poly, sim
+from pqsp import estimate, poly, qsp, sim
 from pqsp import (
     DensityMatrix,
     Estimate,
@@ -1333,3 +1333,37 @@ def test_public_readers_reject_as_before(name):
     with pytest.raises(Exception) as caught:
         BAD_READS[name]()
     assert (type(caught.value).__name__, str(caught.value)) == BAD_READ_ERRORS[name]
+
+
+def test_one_shot_pooled_stage_reports_the_variance_bound():
+    # one shot has no sample variance; its stage takes the bound 1, as a
+    # stratified run of one main shot does, not a standard error of 0
+    est = joint_readout([1.0], [0.2], shots=1, sampler=ShotSampler(0))
+    assert (est.value, est.std_error, est.shots_used) == (1.0, 1.0, 1)
+
+
+def test_phase_route_grids_a_fresh_factor_once(monkeypatch):
+    # the check's grid interval is kept on a fresh factor, so find_phases'
+    # own verdict reads it instead of a second grid; phases are solved anew
+    # on every run
+    counts = {"grid": 0, "solve": 0}
+    grid, solve = poly._grid, qsp.least_squares
+
+    def counted_grid(cs, real):
+        counts["grid"] += 1
+        return grid(cs, real)
+
+    def counted_solve(target):
+        counts["solve"] += 1
+        return solve(target)
+
+    monkeypatch.setattr(poly, "_grid", counted_grid)
+    monkeypatch.setattr(qsp, "least_squares", counted_solve)
+    c = np.zeros(12)
+    c[1::2] = np.random.default_rng(1).normal(size=6) / np.arange(1, 7)
+    fresh = Polynomial.from_cheb(c * 0.9 / np.abs(c).sum())  # degree 11, odd
+    rho = DensityMatrix.random_seeded(4, 2)
+    first = parallel_qsp_run([fresh], rho, encode="qsp")
+    assert counts == {"grid": 1, "solve": 1}
+    assert parallel_qsp_run([fresh], rho, encode="qsp") == first
+    assert counts == {"grid": 1, "solve": 2}
