@@ -14,10 +14,11 @@ transform).
 
 A plan builds and checks what its stages read once: a Hadamard stage's law,
 a layout checked by sim._checked_layout (swap-test layouts come from the
-_swap_layout memo, one per (exponents, k)), or the fresh factors of
-estimate_direct's factorized run, which parallel_qsp_run checks.  Stage
-reads hand their laws to sim._read, the one reader, which checks nothing
-again.
+_swap_layout memo, one per (exponents, k), and Chebyshev term layouts from
+the _term_layout memo, one per (k, sorted ctilde keys)), or the fresh
+factors of estimate_direct's factorized run, which parallel_qsp_run checks.
+Stage reads hand their laws to sim._read, the one reader, which checks
+nothing again.
 
 Each estimator builds one _Plan of stages and hands it to _execute, the one
 place that reads stages or builds a report; nested estimators compose
@@ -60,7 +61,10 @@ import numpy.polynomial.chebyshev as npcheb
 
 from .errors import ConvergenceError, InputError
 from .factor import (
-    chebyshev_parallel_terms,
+    _one_norm,
+    _tail_ctilde,
+    _term_coefficients,
+    _term_grid,
     factorize_nonneg,
     rescale_factors,
     term_layout,
@@ -461,20 +465,36 @@ def _chebyshev_part(
         return {"w": _hadamard_stage(part, rho)}, info
 
     p_low, p_high = split_constituents(part, k_part)
-    terms = chebyshev_parallel_terms(p_high, k_part, d_part)
-    table, index = term_layout(terms, k_part)
+    ctilde = _tail_ctilde(p_high, k_part, d_part)
+    coeff = _term_coefficients(ctilde, k_part)
+    _, layout, depth = _term_layout(k_part, tuple(sorted(ctilde)))
     stages: dict[str, _Stage] = {}
     info: dict = {"sequential": False, "k_part": k_part}
     if not p_low.is_zero():
         stages["w_low"] = _hadamard_stage(p_low, rho)
         info.update(w_low=None, low_depth=query_depth_report([p_low])[0])
-    info["term_count"] = len(terms.coeff)
-    info["term_one_norm"] = terms.one_norm
-    info["parallel_depth"] = query_depth_report(table)[0]
-    if len(terms.coeff):
-        stages["w_high"] = _term_stage(terms.coeff, _checked_layout(table, index), rho)
+    info["term_count"] = len(coeff)
+    info["term_one_norm"] = _one_norm(coeff)
+    info["parallel_depth"] = depth
+    if len(coeff):
+        stages["w_high"] = _term_stage(coeff, layout, rho)
         info["w_high"] = None
     return stages, info
+
+
+# Tail shapes the term-layout memo keeps: trace-mix's 34, which recur every
+# pass, and room to spare.  entropy-spectrum reads about 27 shapes every pass
+# and 2-8 new ones (per-state approximant degrees), so the oldest of those go
+# first.  Full, it held 1.0 MB (tracemalloc, entropy-spectrum seed 1).
+@lru_cache(maxsize=40)
+def _term_layout(k: int, keys: tuple[int, ...]) -> tuple[tuple, _Layout, int]:
+    """(factor table, checked layout, depth) of the term runs of a tail whose
+    ctilde has the sorted keys, read on k threads: built and checked once
+    per (k, keys), as no part of it depends on ctilde's values or the
+    state.  depth is query_depth_report's for the table.  The term grid the
+    table is built from is not kept: the layout's index carries it."""
+    table, index = term_layout(_term_grid(k, keys), k)
+    return table, _checked_layout(table, index), query_depth_report(table)[0]
 
 
 def estimate_chebyshev(

@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -461,7 +462,7 @@ class ParallelTermList:
 
     @property
     def one_norm(self) -> float:
-        return float(sum(np.abs(self.coeff).tolist()))
+        return _one_norm(self.coeff)
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
@@ -470,6 +471,10 @@ class ParallelTermList:
         powers = tvals[self.a] ** (2 * self.j[:, None]) * tvals[self.b] ** (2 * self.l[:, None])
         acc = (self.coeff @ powers).reshape(xs.shape)
         return float(acc) if acc.ndim == 0 else acc
+
+
+def _one_norm(coeff: np.ndarray) -> float:
+    return float(sum(np.abs(coeff).tolist()))
 
 
 @functools.lru_cache(maxsize=16)
@@ -486,9 +491,19 @@ def chebyshev_parallel_terms(p_high: Polynomial, k: int, d: int) -> ParallelTerm
     using T_{a*2k + 2b} = 2 T_{a*2k} T_{2b} - T_{(a-1)*2k + 2(k-b)}.  The
     surviving coefficients ctilde multiply T_{2k}(T_a) and T_2(T_b)
     expansions, giving terms in powers T_a^{2j} T_b^{2l} whose factor
-    polynomials all have sup norm 1.  Terms with a zero coefficient are
-    dropped.
+    polynomials all have sup norm 1.  No term coefficient is zero: ctilde
+    holds nonzero entries only, and every t_{2k,2j} and t_{2,2l} is a
+    nonzero integer.  Which terms appear depends on k and ctilde's keys
+    alone (_term_grid).
     """
+    ctilde = _tail_ctilde(p_high, k, d)
+    grid = _term_grid(k, tuple(sorted(ctilde)))
+    return ParallelTermList(_term_coefficients(ctilde, k), *grid, ctilde)
+
+
+def _tail_ctilde(p_high: Polynomial, k: int, d: int) -> dict[int, float]:
+    """The nonzero ctilde of chebyshev_parallel_terms, by even index, after
+    checking the tail's parity, reality and degree against k and d."""
     if k < 1:
         raise InputError("thread count k must be at least 1")
     if (d - k) % 2 or p_high.degree > max(d - k, 0):
@@ -525,17 +540,35 @@ def chebyshev_parallel_terms(p_high: Polynomial, k: int, d: int) -> ParallelTerm
         val = work.get(b, 0.0)
         if val != 0.0:
             ctilde[2 * b] = val
-
-    idx = np.array(sorted(ctilde), dtype=np.intp)
-    ct = np.array([ctilde[i] for i in idx.tolist()], dtype=float)
-    # (index, j, l) grids in term order; C = (ctilde * t_{2k,2j}) * t_{2,2l}
-    coeff = ct[:, None, None] * np.array(_t2k_row(k))[:, None] * np.array([-1.0, 2.0])
-    kept = coeff != 0.0
-    ii, j, l = (grid[kept] for grid in np.indices(coeff.shape))
-    return ParallelTermList(coeff[kept], idx[ii] // (2 * k), idx[ii] % (2 * k) // 2, j, l, ctilde)
+    return ctilde
 
 
-def term_layout(terms: ParallelTermList, k: int) -> tuple[tuple[Polynomial, ...], np.ndarray]:
+class _TermGrid(NamedTuple):
+    """Term i's T_a[i]^{2 j[i]} T_b[i]^{2 l[i]}, as arrays."""
+
+    a: np.ndarray
+    b: np.ndarray
+    j: np.ndarray
+    l: np.ndarray
+
+
+def _term_grid(k: int, keys: tuple[int, ...]) -> _TermGrid:
+    """The terms of a tail whose ctilde has the sorted keys, in term order:
+    for each key a*2k + 2b, j = 0..k, then l = 0, 1."""
+    idx = np.repeat(np.array(keys, dtype=np.intp), 2 * (k + 1))
+    j = np.tile(np.arange(k + 1).repeat(2), len(keys))
+    return _TermGrid(idx // (2 * k), idx % (2 * k) // 2, j, np.tile(np.arange(2), len(j) // 2))
+
+
+def _term_coefficients(ctilde: dict[int, float], k: int) -> np.ndarray:
+    """C = (ctilde * t_{2k,2j}) * t_{2,2l}, in _term_grid's term order."""
+    ct = np.array([ctilde[i] for i in sorted(ctilde)], dtype=float)
+    return (ct[:, None, None] * np.array(_t2k_row(k))[:, None] * np.array([-1.0, 2.0])).ravel()
+
+
+def term_layout(
+    terms: ParallelTermList | _TermGrid, k: int
+) -> tuple[tuple[Polynomial, ...], np.ndarray]:
     """The factor table and (terms x k) index of the terms' runs on k threads.
 
     The squared moduli of run i's k factors multiply to T_a^{2j} T_b^{2l}:

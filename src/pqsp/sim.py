@@ -480,9 +480,17 @@ class _Layout(NamedTuple):
 
 
 def _checked_layout(table: Sequence[Polynomial], index: np.ndarray) -> _Layout:
-    """The _Layout of a factor table and index, which _check_rows accepts."""
+    """The _Layout of a factor table and index, which _check_rows accepts.
+
+    A table of real rows (every term and swap-test table) keeps a float64
+    series, half the complex one's bytes: _runs reads |v|^2 alone, which the
+    real recurrence gives bit for bit.
+    """
     _check_rows(table, index)
-    arrays = _series(table[1:]), index.copy(), _thread_counts(index)
+    series = _series(table[1:])
+    if not np.logical_or.reduce(series.imag, axis=None):
+        series = np.ascontiguousarray(series.real)
+    arrays = series, index.copy(), _thread_counts(index)
     for a in arrays:
         a.flags.writeable = False
     return _Layout(*arrays)

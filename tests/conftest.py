@@ -5,10 +5,12 @@ from pqsp import DensityMatrix, Polynomial, estimate, sup_norm
 
 
 @pytest.fixture(autouse=True)
-def cold_approximant_memo():
-    """Every test starts from an empty entropy approximant memo, so no test
-    depends on which fits the tests before it ran."""
-    estimate._approximant.cache_clear()
+def cold_estimate_memos():
+    """Every test starts from empty estimate memos (entropy approximants,
+    swap-test and Chebyshev term layouts), so no test depends on which fits
+    or layouts the tests before it built."""
+    for memo in (estimate._approximant, estimate._swap_layout, estimate._term_layout):
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -53,6 +53,7 @@ import numpy as np
 import pytest
 
 from conftest import random_parity_target
+from pqsp import estimate
 from pqsp import (
     DensityMatrix,
     Polynomial,
@@ -556,3 +557,60 @@ def test_factorization_plans_unchanged():
     digest = hashlib.sha256("\n".join(_plan_outcomes()).encode()).hexdigest()[:16]
     assert digest == BENCH_PLAN_DIGEST
 
+
+
+# Cold against warm term layouts: every Chebyshev read above, and the
+# entropies, whose approximants go through estimate_chebyshev's plan, at
+# D = 4-16 and k = 2-4 (von Neumann at D = 16 on the rank route, as its
+# auto fit fails there).  Each runs from empty memos (conftest), then again
+# on the layouts its first run built; both reports must agree byte for byte.
+WARM_CASES = {
+    name: call
+    for table in (CASES, NESTED_CASES, STRATIFIED_CASES, BENCH_CASES)
+    for name, call in table.items()
+    if "chebyshev" in name
+}
+WARM_CASES.update({
+    f"{name}-D{dim}-k{k}": partial(
+        lambda fn, dim, k: fn(DensityMatrix.random_seeded(dim, dim + k), k), fn, dim, k
+    )
+    for name, fn in (
+        ("von-neumann", lambda rho, k: von_neumann(rho, k, rank=16 if rho.dim == 16 else None)),
+        ("renyi-1.5", lambda rho, k: renyi_noninteger(rho, 1.5, k)),
+    )
+    for dim in (4, 8, 16) for k in (2, 3, 4)
+})
+
+
+def _report_text(call) -> str:
+    return json.dumps(call().to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(WARM_CASES))
+def test_warm_term_layouts_keep_every_byte(name):
+    memo = estimate._term_layout
+    cold = _report_text(WARM_CASES[name])
+    built = memo.cache_info().misses
+    warm = _report_text(WARM_CASES[name])
+    info = memo.cache_info()
+    assert built > 0 and info.misses == built and info.hits >= built
+    assert warm == cold
+
+
+def test_tails_of_one_shape_get_their_own_layouts():
+    """x^2 times a dense degree-12 tail and x^2 times 0.9 T_12: their tails
+    share (degree, k) but not their ctilde keys, so each reads its own entry."""
+    rho, x2 = _rho8(), Polynomial([0, 0, 1])
+    tails = [0.9 * random_parity_target(np.random.default_rng(12), 12),
+             Polynomial.from_cheb([0.0] * 12 + [0.9])]
+    calls = [partial(estimate_chebyshev, x2 * tail, rho, 2) for tail in tails]
+    memo = estimate._term_layout
+    cold = []
+    for call in calls:
+        memo.cache_clear()
+        cold.append(_report_text(call))
+    memo.cache_clear()
+    warm = [_report_text(call) for call in calls * 2]
+    info = memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    assert warm == cold * 2

@@ -20,6 +20,7 @@ from pqsp import (
     NotNonNegativeError,
     Polynomial,
     ShotSampler,
+    chebyshev_parallel_terms,
     chebyshev_polynomial,
     estimate_chebyshev,
     estimate_direct,
@@ -580,6 +581,29 @@ class TestSwapLayoutCache:
         with pytest.raises(InputError, match="thread count"):
             renyi_integer(DensityMatrix.random_seeded(4, 1), 3, 0)
         assert estimate._swap_layout.cache_info().currsize == 0
+
+
+class TestTermLayoutCache:
+    """Each (k, ctilde keys) term layout is built and checked once, and
+    every state and every tail of that shape reads the same entry."""
+
+    def test_one_stateless_entry_serves_every_tail_and_state(self):
+        rng = np.random.default_rng(7)
+        targets = [0.9 * random_parity_target(rng, 16) for _ in range(3)]
+        states = [DensityMatrix.random_seeded(d, s) for d, s in ((4, 1), (16, 2), (64, 3))]
+        reports = [estimate_chebyshev(p, rho, 2) for p, rho in zip(targets, states)]
+        info = estimate._term_layout.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        part = reports[0].breakdown["even"]
+        ctilde = chebyshev_parallel_terms(split_constituents(targets[0], 2)[1], 2, 16).ctilde
+        table, layout, depth = estimate._term_layout(2, tuple(sorted(ctilde)))
+        assert estimate._term_layout.cache_info().hits == 3
+        assert all(isinstance(f, Polynomial) for f in table)
+        assert not any(a.flags.writeable for a in layout)
+        assert depth == part["parallel_depth"]
+        for p, rho, rep in zip(targets, states, reports):
+            want = float(np.sum(np.real(p(rho.eigenvalues()))))
+            assert rep.value == pytest.approx(want, abs=1e-10)
 
 
 class TestMonomialPolyTrace:

@@ -239,19 +239,21 @@ def test_cache_scan_fails_a_copy_with_functools_cache():
     assert _unbounded_caches(mutated) == [f"cache (line {line})"]
 
 
-def _approximant_search_refs(source: str) -> list[str]:
-    """Top-level definitions that refer to the approximant search, marked
-    "(memo)" where an lru_cache call decorates them.
+def _memo_refs(source: str, name: str) -> list[str]:
+    """Top-level definitions that refer to name, marked "(memo)" where an
+    lru_cache call decorates them; an import of it counts as "<module>".
 
     estimate.py reaches _fit_odd_approximant through its memo alone, so a
-    k sweep, or one user-given delta across states, fits once.
+    k sweep, or one user-given delta across states, fits once; and it builds
+    and checks term layouts (term_layout, _checked_layout) in its layout
+    memos alone, so a tail shape is laid out once.
     """
     found = []
     for top in ast.parse(source).body:
         if any(
-            (isinstance(node, ast.Name) and node.id == "_fit_odd_approximant")
-            or (isinstance(node, ast.Attribute) and node.attr == "_fit_odd_approximant")
-            or (isinstance(node, ast.alias) and node.name == "_fit_odd_approximant")
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name)
             for node in ast.walk(top)
         ):
             memo = any(
@@ -265,7 +267,7 @@ def _approximant_search_refs(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_approximant_search_only_behind_its_memo(path):
     want = ["_approximant (memo)"] if path.name == "estimate.py" else []
-    assert _approximant_search_refs(path.read_text()) == want
+    assert _memo_refs(path.read_text(), "_fit_odd_approximant") == want
 
 
 def test_memo_scan_fails_copies_that_bypass_or_drop_the_memo():
@@ -276,16 +278,47 @@ def test_memo_scan_fails_copies_that_bypass_or_drop_the_memo():
         source,
     )
     assert swapped == 1
-    assert _approximant_search_refs(bypass) == ["_approximant (memo)", "_entropy_plan"]
+    assert _memo_refs(bypass, "_fit_odd_approximant") == ["_approximant (memo)", "_entropy_plan"]
     uncached, dropped = re.subn(
         r"@lru_cache\(maxsize=\d+\)\ndef _approximant\(", "def _approximant(", source
     )
     assert dropped == 1
-    assert _approximant_search_refs(uncached) == ["_approximant"]
-    assert _approximant_search_refs(
+    assert _memo_refs(uncached, "_fit_odd_approximant") == ["_approximant"]
+    assert _memo_refs(
         "from .estimate import _fit_odd_approximant\n"
-        "fit = partial(estimate._fit_odd_approximant, f)\n"
+        "fit = partial(estimate._fit_odd_approximant, f)\n",
+        "_fit_odd_approximant",
     ) == ["<module>", "<module>"]
+
+
+TERM_LAYOUT_REFS = {
+    "term_layout": ["<module>", "_term_layout (memo)"],
+    "_checked_layout": ["<module>", "_swap_layout (memo)", "_term_layout (memo)"],
+}
+
+
+def test_term_layouts_only_behind_their_memo():
+    source = (SRC / "estimate.py").read_text()
+    assert {name: _memo_refs(source, name) for name in TERM_LAYOUT_REFS} == TERM_LAYOUT_REFS
+
+
+def test_term_layout_scan_fails_a_copy_that_bypasses_the_memo():
+    source = (SRC / "estimate.py").read_text()
+    bypass, swapped = re.subn(
+        r"\n    _, layout, depth = _term_layout\(k_part, tuple\(sorted\(ctilde\)\)\)\n",
+        "\n    table, index = term_layout(_term_grid(k_part, tuple(sorted(ctilde))), k_part)\n"
+        "    layout, depth = _checked_layout(table, index), query_depth_report(table)[0]\n",
+        source,
+    )
+    assert swapped == 1
+    assert {name: _memo_refs(bypass, name) for name in TERM_LAYOUT_REFS} == {
+        name: sorted([*refs, "_chebyshev_part"]) for name, refs in TERM_LAYOUT_REFS.items()
+    }
+    uncached, dropped = re.subn(
+        r"@lru_cache\(maxsize=\d+\)\ndef _term_layout\(", "def _term_layout(", source
+    )
+    assert dropped == 1
+    assert _memo_refs(uncached, "term_layout") == ["<module>", "_term_layout"]
 
 
 def _stale_exports(source: str) -> list[str]:

@@ -771,6 +771,41 @@ class TestBatchedRuns:
             for row, f in zip(values, table[1:], strict=True):
                 assert row.tobytes() == f(w).tobytes()
 
+    @staticmethod
+    def real_layouts():
+        """(table, checked layout) of term layouts of random even tails and of
+        swap-test layouts of tr(rho^n), n = 1-10, at k = 2-4."""
+        rng = np.random.default_rng(33)
+        out = []
+        for k in (2, 3, 4):
+            for degree in (k + 12, k + 30):
+                high = split_constituents(random_parity_target(rng, degree), k)[1]
+                ctilde = chebyshev_parallel_terms(high, k, degree).ctilde
+                out.append(estimate._term_layout(k, tuple(sorted(ctilde)))[:2])
+            out.append(estimate._swap_layout(tuple(range(1, 11)), k)[:2])
+        return out
+
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_real_tables_keep_float_series_with_the_complex_bits(self, dim):
+        rho = DensityMatrix.random_seeded(dim, dim + 1)
+        for table, layout in self.real_layouts():
+            assert layout.series.dtype == np.float64 and not layout.series.flags.writeable
+            widened = sim._Layout(sim._series(table[1:]), layout.index, layout.threads)
+            assert widened.series.dtype == np.complex128
+            for got, want in zip(sim._layout_runs(layout, rho), sim._layout_runs(widened, rho)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_complex_tables_keep_complex_series(self, rho_34):
+        factors = rescale_factors(factorize_nonneg(random_nonneg(np.random.default_rng(5), 4), 2))
+        assert any(f.max_imag() > 0 for f in factors.factors)
+        table, index = layout_table([list(factors.factors)])
+        layout = sim._checked_layout(table, index)
+        assert layout.series.dtype == np.complex128
+        q, z = sim._layout_runs(layout, rho_34)
+        want_q, want_z = parallel_qsp_runs(table, index, rho_34)
+        assert (q.tobytes(), z.tobytes()) == (want_q.tobytes(), want_z.tobytes())
+
     def test_each_distinct_factor_checked_once(self, rho_34, monkeypatch):
         checked = []
         verdicts = sim._norms_exceed
