@@ -85,8 +85,7 @@ def _mapped_errors(fn):
 
 def _load_poly(path: str) -> Polynomial:
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return Polynomial.from_dict(obj)
+        return Polynomial.from_dict(json.load(fh))
 
 
 def _emit_json(obj: dict, out: str | None):

@@ -24,9 +24,9 @@ PropertyName = Literal["trace", "renyi", "von-neumann", "partition"]
 
 
 def _conform(name: str, value, hint):
-    """value as its annotated type; numbers are coerced, nothing else is."""
+    """value as its annotated type: numbers are coerced, nothing else is; a bool fits bool only."""
     kinds = get_args(hint) if get_origin(hint) is Union else (hint,)
-    for kind in kinds:
+    for kind in kinds if bool in kinds or not isinstance(value, bool) else ():
         if get_origin(kind) is Literal:
             if value in get_args(kind):
                 return value
@@ -117,7 +117,7 @@ def resolve_state(spec: str) -> DensityMatrix:
         raise InputError(
             f"state {spec!r} is neither a known generator nor a readable file"
         ) from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except json.JSONDecodeError as exc:
         raise InputError(f"malformed density-matrix file {spec!r}: {exc}") from exc
 
 

@@ -73,6 +73,7 @@ from .poly import (
     TRIM_TOL,
     Parity,
     Polynomial,
+    _integer,
     _norms_exceed,
     _shared_polynomial,
     parity_split,
@@ -87,7 +88,6 @@ from .sim import (
     _check_shots,
     _checked_layout,
     _hadamard_law,
-    _integer,
     _Layout,
     _layout_runs,
     _read,

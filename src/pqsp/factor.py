@@ -14,16 +14,15 @@ from position j.  That fixes each group's size, so every factor degree stays
 at most ceil(d / 2k) and the width at k.  A pairwise-swap descent then lowers
 the grid score sum_j max_x sum_{z in group j} log|x - z| on 129 Chebyshev
 points, log K read off the grid less the shared scale C^(1/2k); swaps keep
-the group sizes.  Both groupings' factors are normed exactly in one
-colleague batch and the one with the smaller K is kept, so K never exceeds
-round robin's.  On the high parts of 720 of the benchmark's direct targets
-(2-6 random root pairs, k = 2-4), the geometric mean of K fell from 1.344
-to 1.250 and 21% of the groupings moved; one source needs 125x fewer shots.
-On the 382 sources with at most six half-roots in tests/test_factor.py the
-descent reached the optimum of an exhaustive search every time.
+the group sizes.  The plan keeps the descended grouping and norms its k
+factors in one batch.  On the high parts of 720 of the benchmark's direct
+targets (2-6 random root pairs, k = 2-4), the geometric mean of K fell from
+1.344 to 1.250 and 21% of the groupings moved; one source needs 125x fewer
+shots.  On the 382 sources with at most six half-roots in tests/test_factor.py
+the descent reached the optimum of an exhaustive search every time.
 
 The series on this path are short (2 to 9 terms in the benchmark's plans),
-and numpy's fixed cost per call outweighs their arithmetic.  So candidate
+and numpy's fixed cost per call outweighs their arithmetic.  So the
 factors are built on plain lists (Polynomial.from_roots, in chebfromroots'
 pairwise order), and the sign check on 2001 points is one matrix-vector
 product against a module-level table of T_n on that grid, grown by
@@ -31,7 +30,7 @@ recurrence to the largest degree seen.  What is left is mostly fixed cost
 per call (one BLAS thread, 2-vCPU Xeon VM): factorize_nonneg takes about
 190-440 us at 3-6 root pairs and k = 2-4, about half of it in find_roots
 and most of the rest in the swap descent's one sweep and the batch of
-candidate factor norms.
+factor norms.
 
 Parity-structured sources skip root finding entirely: an even-parity tail
 polynomial rewrites into products of Chebyshev polynomials whose sup norms
@@ -54,6 +53,7 @@ from .poly import (
     Parity,
     Polynomial,
     _clenshaw,
+    _entry,
     _shared_polynomial,
     _sup_norms,
     chebyshev_coefficient,
@@ -114,26 +114,28 @@ class FactorizationPlan:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "FactorizationPlan":
-        """Load a plan, rejecting a k, stored norms or K that its factors do not have."""
-        factors = tuple(Polynomial.from_dict(f) for f in obj["factors"])
-        if not factors or int(obj["k"]) != len(factors):
-            raise InputError(f"plan k {obj['k']} needs k >= 1 factors, got {len(factors)}")
+        """Load a plan, rejecting a missing or mistyped entry and a k, stored
+        norms or K that its factors do not have."""
+        factors = tuple(Polynomial.from_dict(f) for f in _entry(obj, "factors", list))
+        k = _entry(obj, "k", int)
+        if not factors or k != len(factors):
+            raise InputError(f"plan k {k} needs k >= 1 factors, got {len(factors)}")
         norms = _sup_norms(factors)
         k_const = math.prod(norms)
-        stored = [float(n) for n in obj["norms"]]
+        stored = [n for n in _entry(obj, "norms", list) if isinstance(n, (int, float))]
         if len(stored) != len(norms) or not all(
             math.isclose(a, b, rel_tol=1e-9) for a, b in zip(stored, norms)
         ):
-            raise InputError(f"plan norms {stored} differ from the factors' norms {list(norms)}")
-        if not math.isclose(float(obj["K"]), k_const, rel_tol=1e-9):
+            raise InputError(f"plan norms {obj['norms']} differ from the factors' {list(norms)}")
+        if not math.isclose(_entry(obj, "K", (int, float)), k_const, rel_tol=1e-9):
             raise InputError(f"plan K {obj['K']} differs from the factors' K {k_const}")
         return cls(
             factors=factors,
             factor_norms=norms,
             factorization_constant=k_const,
             k=len(factors),
-            source_degree=int(obj["source_degree"]),
-            stored_constant=float(obj.get("stored_K", 1.0)),
+            source_degree=_entry(obj, "source_degree", int),
+            stored_constant=float(_entry(obj, "stored_K", (int, float), 1.0)),
         )
 
 
@@ -299,8 +301,7 @@ def _swap_descent(ordered: list[complex], labels: np.ndarray) -> np.ndarray:
     groups in one array pass and applies the best one that lowers the score,
     the first in index order among those within _SCORE_TOL of the best, so
     round-off in the scores does not pick the swap; the group sizes never
-    change.  The labels passed in come back as they are, the same array,
-    when no swap lowers the score.
+    change.
     """
     logs = np.log(np.maximum(np.abs(_SCORE_GRID - np.array(ordered)[:, None]), _DISTANCE_FLOOR))
     while True:
@@ -345,13 +346,11 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
     the extra root); with more half-roots than groups, _swap_descent then
     regroups them at those sizes to lower the grid score.  Every factor is
     scaled by C^(1/2k), with C the leading coefficient, so that
-    prod_j |R_j|^2 reproduces R.  The factor norms of round robin's grouping
-    and, if the search moved it, of the searched one are found in one batch,
-    and the plan takes the smaller K (round robin's on a tie).  With fewer
-    half-roots than groups the trailing factors are constants, which is how
-    tails like x^2 split across k=2 threads.  A complex source raises
-    InputError, before any sign check; a real one that is not non-negative
-    on the real line raises NotNonNegativeError.
+    prod_j |R_j|^2 reproduces R; the k factor norms are found in one batch.
+    With fewer half-roots than groups the trailing factors are constants,
+    which is how tails like x^2 split across k=2 threads.  A complex source
+    raises InputError, before any sign check; a real one that is not
+    non-negative on the real line raises NotNonNegativeError.
     """
     if k < 1:
         raise InputError("thread count k must be at least 1")
@@ -378,10 +377,7 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
             "leading coefficient must be positive for a non-negative source"
         )
 
-    if d == 0:
-        half: list[complex] = []
-    else:
-        half = _half_root_multiset(R, find_roots(R))
+    half = _half_root_multiset(R, find_roots(R)) if d else []
     if len(half) != d // 2:
         raise ConvergenceError(
             f"half-root multiset has {len(half)} entries, expected {d // 2}"
@@ -389,26 +385,14 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
 
     scale_j = C ** (1.0 / (2 * k))
     ordered = sorted(half, key=lambda z: (z.real, z.imag))
-    dealt = np.arange(len(ordered)) % k
-    searched = dealt if len(ordered) <= k else _swap_descent(ordered, dealt)
-    candidates = []
-    for labels in [dealt] if searched is dealt else [dealt, searched]:
-        groups = labels.tolist()
-        candidates.append(tuple(
-            Polynomial.from_roots([z for z, g in zip(ordered, groups) if g == j], scale=scale_j)
-            for j in range(k)
-        ))
-    all_norms = _sup_norms([f for factors in candidates for f in factors])
-    constants = [math.prod(all_norms[i * k : (i + 1) * k]) for i in range(len(candidates))]
-    best = constants.index(min(constants))  # round robin on a tie
-    return FactorizationPlan(
-        factors=candidates[best],
-        factor_norms=all_norms[best * k : (best + 1) * k],
-        factorization_constant=constants[best],
-        k=k,
-        source_degree=d,
-        stored_constant=1.0,
+    labels = np.arange(len(ordered)) % k
+    groups = (labels if len(ordered) <= k else _swap_descent(ordered, labels)).tolist()
+    factors = tuple(
+        Polynomial.from_roots([z for z, g in zip(ordered, groups) if g == j], scale=scale_j)
+        for j in range(k)
     )
+    norms = _sup_norms(factors)
+    return FactorizationPlan(factors, norms, math.prod(norms), k, d)
 
 
 def rescale_factors(plan: FactorizationPlan) -> FactorizationPlan:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -177,15 +178,29 @@ def _cheb_mul(c1: list[complex], c2: list[complex]) -> list[complex]:
     return folded
 
 
-def _parse_pairs(items) -> list[complex]:
-    out = []
-    for item in items:
-        if isinstance(item, (int, float)):
-            out.append(complex(item))
-        else:
-            re, im = item
-            out.append(complex(re, im))
-    return out
+def _integer(value, name: str, low: int = 0) -> int:
+    """An integer (numpy's too, not bool) of at least low, else InputError naming it."""
+    ok = type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    if not ok or value < low:
+        raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _entry(obj, key: str, kind, default=None):
+    """obj[key] (default if absent) of type kind, not bool, else InputError naming key."""
+    value = obj.get(key, default) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        kind = getattr(kind, "__name__", "a number")
+        raise InputError(f"entry {key!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _complex_pair(v, name: str) -> complex:
+    """A JSON [re, im] pair of numbers as a complex number, else InputError naming it."""
+    pair = isinstance(v, (list, tuple)) and len(v) == 2
+    if not pair or not all(isinstance(x, (int, float)) for x in v):
+        raise InputError(f"{name} must be a [re, im] pair of numbers, got {v!r}")
+    return complex(*v)
 
 
 class Polynomial:
@@ -290,7 +305,7 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, n: int, coeff: complex = 1.0) -> "Polynomial":
-        return cls([0] * n + [coeff])
+        return cls([0] * _integer(n, "monomial exponent") + [coeff])
 
     @classmethod
     def one(cls) -> "Polynomial":
@@ -319,11 +334,13 @@ class Polynomial:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Polynomial":
-        """Parse the JSON form, whose coefficients are in either basis."""
+        """Parse the JSON form, whose coefficients, numbers or [re, im] pairs,
+        are in either basis; a malformed one raises InputError naming the entry."""
+        coeffs = [c if isinstance(c, (int, float)) else _complex_pair(c, f"coefficient {n}")
+                  for n, c in enumerate(_entry(obj, "coeffs", list))]
         basis = obj.get("basis", "monomial")
         if basis not in ("monomial", "chebyshev"):
             raise InputError(f"unknown basis {basis!r}")
-        coeffs = _parse_pairs(obj["coeffs"])
         return cls(coeffs) if basis == "monomial" else cls.from_cheb(coeffs)
 
 

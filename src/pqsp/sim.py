@@ -52,7 +52,9 @@ from typing import Literal, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError, PostSelectionError
-from .poly import Parity, Polynomial, _clenshaw, _norms_exceed, sup_norm
+from .poly import (
+    Parity, Polynomial, _clenshaw, _complex_pair, _entry, _integer, _norms_exceed, sup_norm
+)
 from .qsp import find_phases, realized_value
 
 __all__ = [
@@ -183,14 +185,6 @@ def _neyman_split(total: int, weights: Sequence[float]) -> np.ndarray:
     return cuts
 
 
-def _integer(value, name: str, low: int = 0) -> int:
-    """An integer (numpy's too, not bool) of at least low, else InputError naming it."""
-    ok = type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)
-    if not ok or value < low:
-        raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
 class DensityMatrix:
     """A trace-one positive semidefinite Hermitian matrix with its spectrum.
 
@@ -275,7 +269,7 @@ class DensityMatrix:
     @classmethod
     def random_seeded(cls, dim: int, seed: int) -> "DensityMatrix":
         _integer(dim, "dimension", 1)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_integer(seed, "seed"))))
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = g @ g.conj().T
         return cls(m / np.trace(m))
@@ -290,8 +284,13 @@ class DensityMatrix:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DensityMatrix":
-        rows = obj["matrix"]
-        return cls([[complex(v[0], v[1]) for v in row] for row in rows])
+        """Parse the JSON form, a square "matrix" of [re, im] pairs; a malformed
+        one raises InputError naming the entry."""
+        rows = _entry(obj, "matrix", list)
+        if any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
+            raise InputError(f"entry 'matrix' must be square, got rows of {[len(r) for r in rows]}")
+        return cls([[_complex_pair(v, f"matrix entry ({i}, {j})") for j, v in enumerate(row)]
+                    for i, row in enumerate(rows)])
 
 
 def spectral_hadamard_test(p: Polynomial, rho: DensityMatrix) -> Estimate:

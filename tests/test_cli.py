@@ -93,6 +93,23 @@ class TestFactorCommand:
         assert result.exit_code == 2
         assert "even degree" in result.stderr
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({"coeffs": [[1, 2, 3]]}, "coefficient 0 must be a [re, im] pair of numbers"),
+            ([0, 0, 1], "entry 'coeffs' must be list, got None"),
+        ],
+        ids=["triple", "not-an-object"],
+    )
+    def test_malformed_polynomial_file_exits_2_naming_the_entry(
+        self, runner, tmp_path, content, message
+    ):
+        poly = tmp_path / "bad.json"
+        poly.write_text(json.dumps(content))
+        result = runner.invoke(main, ["factor", str(poly), "--k", "2"])
+        assert result.exit_code == 2, result.output
+        assert f"error: {message}" in result.stderr
+
 
 class TestPhasesCommand:
     def test_identity_target(self, runner, tmp_path):
@@ -477,6 +494,36 @@ class TestEstimateCommand:
         assert result.exit_code == 2, result.output
         assert f"malformed state spec {state!r}" in result.stderr
 
+    def test_non_integer_renyi_takes_the_fitted_route(self, runner, tmp_path):
+        want = math.log(0.75 ** 1.5 + 0.25 ** 1.5) / (1 - 1.5)
+        args = ["estimate", "--property", "renyi", "--alpha", "1.5", "--state", "diag:0.75,0.25"]
+        for delta, extra in ((None, []), (0.05, ["--delta", "0.05"])):
+            out = tmp_path / "record.json"
+            result = runner.invoke(main, args + extra + ["--out", str(out)])
+            assert result.exit_code == 0, result.output
+            record = json.loads(out.read_text())
+            assert record["config"]["delta"] == ("auto" if delta is None else delta)
+            assert abs(float(value_line(result.stdout).split()[1]) - want) <= 0.05
+
+    def test_unparsable_delta_exits_2(self, runner):
+        result = runner.invoke(
+            main, ["estimate", "--property", "von-neumann", "--state", "diag:0.75,0.25",
+                   "--delta", "tiny"],
+        )
+        assert result.exit_code == 2, result.output
+        assert "error: --delta expects a number or 'auto', got 'tiny'" in result.stderr
+
+    def test_malformed_state_file_exits_2_naming_the_entry(self, runner, tmp_path):
+        state = tmp_path / "bad.json"
+        state.write_text(json.dumps({"matrix": [[[1]]]}))
+        result = runner.invoke(
+            main, ["estimate", "--property", "renyi", "--alpha", "2", "--state", str(state)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "error: matrix entry (0, 0) must be a [re, im] pair of numbers, got [1]" in (
+            result.stderr
+        )
+
     def test_partition_huge_beta_exits_3(self, runner):
         result = runner.invoke(
             main,
@@ -504,6 +551,19 @@ class TestSimulateCommand:
         payload = json_tail(result.stdout)
         want = 0.75 ** 15 + 0.25 ** 15
         assert payload["breakdown"]["source_value"] == pytest.approx(want, abs=1e-10)
+
+    def test_integer_shots_draw_and_bad_shots_exit_2(self, runner, tmp_path):
+        poly = write_poly(tmp_path / "x4.json", [0, 0, 0, 0, 1])
+        plan_path = tmp_path / "plan.json"
+        runner.invoke(main, ["factor", poly, "--k", "2", "--rescaled", "--out", str(plan_path)])
+        args = ["simulate", "--state", "diag:0.75,0.25", "--plan", str(plan_path), "--seed", "3"]
+        result = runner.invoke(main, args + ["--shots", "1000"])
+        assert result.exit_code == 0, result.output
+        payload = json_tail(result.stdout)
+        assert payload["shots_used"] == 1000 and payload["std_error"] > 0
+        result = runner.invoke(main, args + ["--shots", "many"])
+        assert result.exit_code == 2, result.output
+        assert "error: --shots expects an integer or 'exact', got 'many'" in result.stderr
 
     def test_dead_plan_exits_4(self, runner, tmp_path):
         plan = {
@@ -576,6 +636,14 @@ class TestValidateCommand:
         assert summary["checks"] > 0
         assert summary["failures"] == []
 
+    def test_listed_dims_and_empty_range(self, runner):
+        result = runner.invoke(main, ["validate", "--suite", "swap", "--dims", "2,4", "--k", "2..3"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["checks"] == 4
+        result = runner.invoke(main, ["validate", "--suite", "swap", "--dims", "5..2"])
+        assert result.exit_code == 2, result.output
+        assert "error: empty range '5..2'" in result.stderr
+
     def test_injected_fault_caught(self, runner, monkeypatch):
         swap = cli.generalized_swap_expectation
 
@@ -621,6 +689,13 @@ class TestCostCommand:
         assert result.exit_code == 0
         assert "auto norms" in result.stderr
 
+    def test_auto_bounds_needs_d_and_k(self, runner):
+        result = runner.invoke(
+            main, ["cost", "--route", "theorem5", "--epsilon", "0.1", "--k", "2", "--auto-bounds"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "error: --auto-bounds needs --d and --k" in result.stderr
+
     def test_missing_field_exits_2(self, runner):
         result = runner.invoke(
             main, ["cost", "--route", "theorem5", "--epsilon", "0.1"]
@@ -664,6 +739,24 @@ class TestConfigPlumbing:
     def test_trace_needs_poly(self):
         with pytest.raises(InputError, match="poly"):
             ExperimentConfig(property="trace", state="pure:2")
+
+    @pytest.mark.parametrize("prop, field", [("renyi", "alpha"), ("partition", "beta")])
+    def test_property_needs_its_parameter(self, prop, field):
+        with pytest.raises(InputError, match=f"property '{prop}' needs --{field}"):
+            ExperimentConfig(property=prop, state="pure:2")
+
+    @pytest.mark.parametrize(
+        "field", ["k", "shots", "seed", "epsilon", "alpha", "beta", "rank", "delta"]
+    )
+    def test_bool_in_a_numeric_field_rejected(self, field):
+        base = dict(property="renyi", state="random:4:1", alpha=2, mode="sampled", shots=10)
+        with pytest.raises(InputError, match=f"^{field} must be .*, got True$"):
+            ExperimentConfig(**dict(base, **{field: True}))
+        assert ExperimentConfig(**base, log2=True).log2 is True
+
+    def test_bool_duration_rejected(self):
+        with pytest.raises(InputError, match="^duration_s must be float, got True$"):
+            RunRecord(config={}, report={}, duration_s=True, version="0.1.0", input_hash="")
 
     def test_sampled_needs_shots(self):
         with pytest.raises(InputError, match="shots"):
@@ -721,6 +814,12 @@ class TestConfigPlumbing:
             resolve_state("diag:a,b")
         with pytest.raises(InputError, match="neither"):
             resolve_state("no_such_file.json")
+
+    def test_resolve_malformed_file(self, tmp_path):
+        path = tmp_path / "rho.json"
+        path.write_text('{"matrix": [[')
+        with pytest.raises(InputError, match="malformed density-matrix file"):
+            resolve_state(str(path))
 
     def test_config_hash_key_order_invariant(self):
         a = config_hash({"x": 1, "y": [1, 2]})

@@ -376,6 +376,11 @@ class TestTargetCheck:
         with pytest.raises(InputError, match="sup norm at most 1; rescale it"):
             estimate_direct(Polynomial([0, 0, 1.5]), rho_34, 1)
 
+    @pytest.mark.parametrize("run", [estimate_direct, estimate_chebyshev])
+    def test_complex_target_rejected(self, rho_34, run):
+        with pytest.raises(InputError, match="^target polynomial must have real coefficients$"):
+            run(Polynomial([0, 0, 0.5j]), rho_34, 2)
+
     def test_certified_target_is_never_normed(self, rho_34, normed):
         p = Polynomial([0.1, -0.2, 0.3, 0, 0.2])  # Chebyshev 1-norm 0.8
         assert sum(map(abs, p.cheb)) < 1.0
@@ -394,6 +399,12 @@ class TestEstimateChebyshev:
         even = rep.breakdown["even"]
         assert even["w_low"] == pytest.approx(-2.0, abs=1e-10)
         assert even["w_high"] == pytest.approx(1.578125, abs=1e-10)
+
+    @pytest.mark.parametrize("mode, shots", [("exact", None), ("sampled", 1000)])
+    def test_zero_target_reads_zero_and_draws_nothing(self, rho_34, mode, shots):
+        rep = estimate_chebyshev(Polynomial([0]), rho_34, 2, mode=mode, shots=shots, seed=3)
+        assert (rep.value, rep.std_error, rep.shots_used) == (0.0, 0.0, 0)
+        assert (rep.query_depth, rep.width) == (0, 0)
 
     def test_low_degree_runs_sequentially(self, rho_34):
         rep = estimate_chebyshev(Polynomial([0, 1]), rho_34, 1)

@@ -474,16 +474,18 @@ class TestRootGrouping:
             assert verify_factorization(factorize_nonneg(R, k), R) <= 1e-8
 
 
-def _kernel_batches(module, monkeypatch, sources):
-    """The batch size of each poly._colleague_norms call, per module.factorize_nonneg call."""
+def _norm_batches(module, monkeypatch, sources):
+    """The size of each _sup_norms call, per module.factorize_nonneg call; a
+    sup_norm call reaches poly._sup_norms as a batch of one."""
     batches = []
-    kernel = poly._colleague_norms
+    batched = poly._sup_norms
 
-    def counting(series):
-        batches[-1].append(len(series))
-        return kernel(series)
+    def counting(polys):
+        batches[-1].append(len(polys))
+        return batched(polys)
 
-    monkeypatch.setattr(poly, "_colleague_norms", counting)
+    monkeypatch.setattr(poly, "_sup_norms", counting)
+    monkeypatch.setattr(module, "_sup_norms", counting)
     for R, k in sources:
         batches.append([])
         module.factorize_nonneg(R, k)
@@ -491,21 +493,19 @@ def _kernel_batches(module, monkeypatch, sources):
 
 
 class TestOneNormBatch:
-    """Both candidate groupings are normed in one kernel call."""
+    """A factorization norms its k factors in one _sup_norms call."""
 
     SOURCES = grouping_sources(21, 40)
 
     def test_one_kernel_call_per_factorization(self, monkeypatch):
-        batches = _kernel_batches(factor, monkeypatch, self.SOURCES)
-        assert all(len(calls) == 1 for calls in batches)
-        # sources whose grouping moved norm round robin's k factors alongside
-        assert {calls[0] // k for calls, (_, k) in zip(batches, self.SOURCES)} == {1, 2}
+        batches = _norm_batches(factor, monkeypatch, self.SOURCES)
+        assert batches == [[k] for _, k in self.SOURCES]
 
-    def test_fails_a_copy_that_norms_each_candidate(self, monkeypatch):
+    def test_fails_a_copy_that_norms_each_factor(self, monkeypatch):
         source = Path(factor.__file__).read_text()
         mutated, swapped = re.subn(
-            r"_sup_norms\(\[f for factors in candidates for f in factors\]\)",
-            "tuple(sup_norm(f) for factors in candidates for f in factors)",
+            r"_sup_norms\(factors\)(?=\n    return FactorizationPlan\(factors)",
+            "tuple(sup_norm(f) for f in factors)",
             source,
         )
         assert swapped == 1
@@ -513,8 +513,8 @@ class TestOneNormBatch:
         copy.__package__ = "pqsp"
         monkeypatch.setitem(sys.modules, copy.__name__, copy)  # dataclasses look it up
         exec(compile(mutated, "factor_copy.py", "exec"), copy.__dict__)
-        batches = _kernel_batches(copy, monkeypatch, self.SOURCES)
-        assert min(len(calls) for calls in batches) >= 2
+        batches = _norm_batches(copy, monkeypatch, self.SOURCES)
+        assert batches == [[1] * k for _, k in self.SOURCES]
 
 
 class TestRescale:
@@ -577,6 +577,57 @@ class TestRescale:
         obj = {"k": k, "source_degree": 0, "factors": [], "norms": [], "K": 1.0}
         with pytest.raises(InputError, match="got 0"):
             FactorizationPlan.from_dict(obj)
+
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj.pop("norms"), "entry 'norms' must be list, got None"),
+            (lambda obj: obj.pop("K"), "entry 'K' must be a number, got None"),
+            (lambda obj: obj.update(k="2"), "entry 'k' must be int, got '2'"),
+            (lambda obj: obj.update(k=True), "entry 'k' must be int, got True"),
+            (lambda obj: obj.update(source_degree=6.0), "entry 'source_degree' must be int, got 6.0"),
+            (lambda obj: obj.update(factors={"coeffs": [1]}),
+             "entry 'factors' must be list, got {'coeffs': [1]}"),
+            (lambda obj: obj.update(stored_K=[1.0]), "entry 'stored_K' must be a number, got [1.0]"),
+            (lambda obj: obj["factors"][1].update(coeffs=[[1]]),
+             "coefficient 0 must be a [re, im] pair of numbers, got [1]"),
+            (lambda obj: obj["norms"].__setitem__(0, "1.0"), "plan norms ['1.0', "),
+            (lambda obj: obj.clear(), "entry 'factors' must be list, got None"),
+        ],
+        ids=["no-norms", "no-K", "string-k", "bool-k", "float-degree", "factors-not-a-list",
+             "list-stored-K", "short-pair", "string-norm", "empty"],
+    )
+    def test_malformed_plan_names_the_bad_entry(self, edit, message):
+        rng = np.random.default_rng(24)
+        obj = rescale_factors(factorize_nonneg(random_nonneg(rng, 3), 2)).to_dict()
+        edit(obj)
+        with pytest.raises(InputError, match="^" + re.escape(message)):
+            FactorizationPlan.from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: find_roots(Polynomial.one()), "constant polynomial has no roots to find"),
+        (lambda: find_roots(Polynomial([0, 1]) * 1e-13), "leading coefficient vanishes"),
+        (lambda: factorize_nonneg(Polynomial([1, 0, 1]), 0), "thread count k must be at least 1"),
+        (lambda: rescale_factors(FactorizationPlan((Polynomial([0]),), (0.0,), 0.0, 1, 0)),
+         "factor 0 has degenerate norm 0.0; cannot rescale"),
+        (lambda: chebyshev_parallel_terms(chebyshev_polynomial(2), 0, 4),
+         "thread count k must be at least 1"),
+        (lambda: chebyshev_parallel_terms(Polynomial.from_cheb([1, 0, 1j]), 2, 4),
+         "expected real coefficients"),
+        (lambda: chebyshev_parallel_terms(Polynomial.from_cheb([0, 1]), 2, 4),
+         "tail polynomial must have even parity"),
+    ],
+    ids=["constant-roots", "vanishing-leading", "factor-k-zero", "degenerate-norm",
+         "terms-k-zero", "complex-tail", "odd-tail"],
+)
+def test_bad_input_raises_its_message(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def _even_tail(rng, half_degree):

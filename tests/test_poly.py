@@ -126,6 +126,30 @@ class TestPolynomial:
         with pytest.raises(InputError):
             Polynomial.from_dict({"basis": "legendre", "coeffs": [[1, 0]]})
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"coeffs": [[1, 2, 3]]}, "coefficient 0 must be a [re, im] pair of numbers, got [1, 2, 3]"),
+            ({"coeffs": [0.5, "x"]}, "coefficient 1 must be a [re, im] pair of numbers, got 'x'"),
+            ({"coeffs": [0.5, [1, None]]},
+             "coefficient 1 must be a [re, im] pair of numbers, got [1, None]"),
+            ({"basis": "monomial"}, "entry 'coeffs' must be list, got None"),
+            ({"coeffs": 3}, "entry 'coeffs' must be list, got 3"),
+            ([0, 1], "entry 'coeffs' must be list, got None"),
+        ],
+        ids=["triple", "string", "none-part", "no-coeffs", "number-coeffs", "not-an-object"],
+    )
+    def test_from_dict_names_the_bad_entry(self, obj, message):
+        with pytest.raises(InputError) as info:
+            Polynomial.from_dict(obj)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n", [-2, -1, True, 2.0, "3"])
+    def test_monomial_takes_an_integer_exponent(self, n):
+        with pytest.raises(InputError, match=f"^monomial exponent must be an integer >= 0, got {n!r}$"):
+            Polynomial.monomial(n)
+        assert Polynomial.monomial(np.int64(3)) == Polynomial([0, 0, 0, 1])
+
     def test_chebyshev_constructor(self):
         p = Polynomial.from_cheb([0.5, 0.25, 0, 0])
         assert p.cheb == (0.5, 0.25) and p.degree == 1
@@ -593,6 +617,30 @@ class TestChebyshevCoefficients:
         assert chebyshev_coeff_1norm(1) == pytest.approx(3.0, rel=1e-12)
         # T_4: |1| + |-8| + |8| = 17
         assert chebyshev_coeff_1norm(2) == pytest.approx(17.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: chebyshev_polynomial(-1), "order must be non-negative"),
+        (lambda: split_constituents(Polynomial([1, 2, 3]), 0),
+         "constituent order k must be at least 1"),
+        (lambda: split_constituents(Polynomial([1, 2, 3]), 3),
+         "nothing to parallelize: k=3 exceeds the polynomial degree 2"),
+        (lambda: chebyshev_coefficient(0, 0), "degree must be at least 1"),
+        (lambda: chebyshev_coefficient(4, 5), "coefficient index n=5 out of range for degree 4"),
+        (lambda: chebyshev_coeff_bound(4, 1),
+         "bound defined for parity-matched indices only (d=4, n=1)"),
+        (lambda: chebyshev_coeff_1norm(-1), "order must be non-negative"),
+        (lambda: constituent_norm_bounds(4, 5), "need 1 <= k <= d (got k=5, d=4)"),
+    ],
+    ids=["chebyshev-order", "split-k-zero", "split-k-above-degree", "coefficient-degree",
+         "coefficient-index", "bound-parity", "one-norm-order", "constituent-bounds-k"],
+)
+def test_bad_index_raises_its_message(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_constituent_norm_bounds_monotone_and_positive():

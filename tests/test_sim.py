@@ -298,12 +298,50 @@ class TestDensityMatrix:
             (lambda: DensityMatrix.pure(2, -1), "index must be an integer >= 0, got -1"),
             (lambda: DensityMatrix.maximally_mixed(-1), "dimension must be an integer >= 1"),
             (lambda: DensityMatrix.random_seeded(-1, 1), "dimension must be an integer >= 1"),
+            (lambda: DensityMatrix.random_seeded(4, -1), "seed must be an integer >= 0, got -1$"),
+            (lambda: DensityMatrix.random_seeded(4, True), "seed must be an integer >= 0, got True"),
+            (lambda: DensityMatrix.random_seeded(4, None), "seed must be an integer >= 0, got None"),
         ],
-        ids=["pure-empty", "pure-index-high", "pure-index-negative", "mixed", "random"],
+        ids=["pure-empty", "pure-index-high", "pure-index-negative", "mixed", "random",
+             "random-seed-negative", "random-seed-bool", "random-seed-none"],
     )
     def test_generators_validate_before_indexing(self, build, message):
         with pytest.raises(InputError, match=message):
             build()
+
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DensityMatrix(np.eye(2)[:1]), "density matrix must be square"),
+            (lambda: DensityMatrix.diagonal([1.5, -0.5]), "probabilities must be non-negative"),
+            (lambda: generalized_swap_expectation([]), "need at least one state"),
+        ],
+        ids=["not-square", "negative-probability", "no-states"],
+    )
+    def test_shape_errors(self, build, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"matrix": [[[1]]]}, "matrix entry (0, 0) must be a [re, im] pair of numbers, got [1]"),
+            ({"matrix": [[1]]}, "matrix entry (0, 0) must be a [re, im] pair of numbers, got 1"),
+            ({"matrix": [[[1, 0], [0, "0"]], [[0, 0], [0, 0]]]},
+             "matrix entry (0, 1) must be a [re, im] pair of numbers, got [0, '0']"),
+            ({"dim": 1}, "entry 'matrix' must be list, got None"),
+            ([[[1, 0]]], "entry 'matrix' must be list, got None"),
+            ({"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}, "entry 'matrix' must be square, got rows of [2, 1]"),
+            ({"matrix": [[1, 0], [0, 0]]}, "matrix entry (0, 0) must be a [re, im] pair of numbers, got 1"),
+        ],
+        ids=["short-pair", "bare-number", "string-part", "no-matrix", "not-an-object",
+             "ragged", "real-rows"],
+    )
+    def test_from_dict_names_the_bad_entry(self, obj, message):
+        with pytest.raises(InputError) as info:
+            DensityMatrix.from_dict(obj)
+        assert str(info.value) == message
 
 
 class TestBlockEncodings:
