@@ -178,11 +178,13 @@ def _cheb_mul(c1: list[complex], c2: list[complex]) -> list[complex]:
     return folded
 
 
-def _integer(value, name: str, low: int = 0) -> int:
-    """An integer (numpy's too, not bool) of at least low, else InputError naming it."""
+def _integer(value, name: str, low: int | None = 0) -> int:
+    """An integer (numpy's too, not bool) of at least low, else InputError naming
+    it; low=None checks the type only, for callers with their own range message."""
     ok = type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral)
-    if not ok or value < low:
-        raise InputError(f"{name} must be an integer >= {low}, got {value!r}")
+    if not ok or low is not None and value < low:
+        bound = "" if low is None else f" >= {low}"
+        raise InputError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
@@ -679,6 +681,7 @@ def _quadratic_real_parts(a: float, b: float, c: float) -> list[float]:
 
 def chebyshev_polynomial(n: int) -> Polynomial:
     """T_n, one shared instance per order."""
+    n = _integer(n, "order", None)
     if n < 0:
         raise InputError("order must be non-negative")
     return _shared_polynomial("T", n)
@@ -708,6 +711,7 @@ def split_constituents(p: Polynomial, k: int) -> tuple[Polynomial, Polynomial]:
     that value is divided by x.  Requires 1 <= k <= degree(p); a k beyond
     the degree leaves nothing to parallelize and is rejected.
     """
+    k = _integer(k, "constituent order k", None)
     if k < 1:
         raise InputError("constituent order k must be at least 1")
     if k > p.degree:
@@ -733,12 +737,14 @@ def parity_split(p: Polynomial) -> tuple[Polynomial, Polynomial]:
     return Polynomial.from_cheb(even), Polynomial.from_cheb(odd)
 
 
-def _check_index_pair(d: int, n: int) -> bool:
+def _index_pair(d: int, n: int) -> tuple[int, int, bool]:
+    """(d, n) as ints after their range checks, and whether their parities match."""
+    d, n = _integer(d, "degree", None), _integer(n, "coefficient index n", None)
     if d < 1:
         raise InputError("degree must be at least 1")
     if not 0 <= n <= d:
         raise InputError(f"coefficient index n={n} out of range for degree {d}")
-    return (d - n) % 2 == 0
+    return d, n, (d - n) % 2 == 0
 
 
 def chebyshev_coefficient(d: int, n: int) -> int:
@@ -748,7 +754,8 @@ def chebyshev_coefficient(d: int, n: int) -> int:
 
     An index of the wrong parity has no term in T_d and raises InputError.
     """
-    if not _check_index_pair(d, n):
+    d, n, matched = _index_pair(d, n)
+    if not matched:
         raise InputError(f"T_{d} has no x^{n} term (parity mismatch)")
     num = d * math.factorial((d + n) // 2 - 1) * (1 << n)
     den = 2 * math.factorial((d - n) // 2) * math.factorial(n)
@@ -758,13 +765,15 @@ def chebyshev_coefficient(d: int, n: int) -> int:
 
 def chebyshev_coeff_bound(d: int, n: int) -> float:
     """Upper bound (d+n)^n / n! on |t_{d,n}|, valid for parity-matched indices."""
-    if not _check_index_pair(d, n):
+    d, n, matched = _index_pair(d, n)
+    if not matched:
         raise InputError(f"bound defined for parity-matched indices only (d={d}, n={n})")
     return float((d + n) ** n) / math.factorial(n)
 
 
 def chebyshev_coeff_1norm(n: int) -> float:
     """sum_j |t_{2n,2j}| in closed form: ((1+sqrt2)^{2n} + (1-sqrt2)^{2n}) / 2."""
+    n = _integer(n, "order", None)
     if n < 0:
         raise InputError("order must be non-negative")
     r = 1.0 + math.sqrt(2.0)
@@ -778,6 +787,7 @@ def constituent_norm_bounds(d: int, k: int) -> tuple[float, float]:
     bound_low  = sum_{n=0}^{k-1} (d+n)^n / n!          covers ||p_low||
     bound_high = sqrt(2) * sqrt( sum_{n=k}^{d} ((n+k)^k / k!)^2 )   covers ||p_high||
     """
+    d, k = _integer(d, "degree d", None), _integer(k, "k", None)
     if not 1 <= k <= d:
         raise InputError(f"need 1 <= k <= d (got k={k}, d={d})")
     low = sum(float((d + n) ** n) / math.factorial(n) for n in range(k))

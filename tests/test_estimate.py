@@ -889,6 +889,110 @@ class TestApproximantMemo:
         assert (info.hits, info.misses) == (2, 1)
 
 
+def _reference_fit(f, delta, eps_prime, max_degree):
+    """The approximant scan as numpy.polynomial writes it: a chebvander
+    matrix, the same lstsq, a Polynomial per degree, checked in complex
+    arithmetic.  _fit_odd_approximant must match it bit for bit."""
+    best_res, best = math.inf, None
+    for d in range(1, max_degree + 1, 2):
+        n_nodes = 4 * (d + 1)
+        theta = (np.arange(n_nodes) + 0.5) * math.pi / n_nodes
+        nodes = (1.0 + delta) / 2.0 + (1.0 - delta) / 2.0 * np.cos(theta)
+        vander = np.polynomial.chebyshev.chebvander(nodes, d)[:, 1::2]
+        coef, *_ = np.linalg.lstsq(vander, f(nodes), rcond=None)
+        full = np.zeros(d + 1)
+        full[1::2] = coef
+        poly = Polynomial.from_cheb(full)
+        grid = np.linspace(delta, 1.0, max(10 * d, 50))
+        err = float(np.max(np.abs(np.real(poly(grid)) - f(grid))))
+        if err <= eps_prime:
+            return poly, d, err
+        if err < best_res:
+            best_res, best = err, d
+    return None, best, best_res
+
+
+class _FitCalled(Exception):
+    pass
+
+
+class TestFitKernel:
+    """The real-arithmetic fit kernel keeps every bit of the reference scan:
+    coefficients, accepted degree and certified error, or a failure's best
+    degree and error, on the (target, delta, eps', cap) the estimators hand
+    it: spectrum and user deltas, D = 2-64, two scans failing at the cap."""
+
+    CASES = {
+        "vn-2-1": ("vn", 2, 1, "auto"),
+        "vn-4-3": ("vn", 4, 3, "auto"),
+        "vn-8-3": ("vn", 8, 3, "auto"),
+        "vn-16-0-fails": ("vn", 16, 0, "auto"),
+        "vn-8-0-delta-0.1": ("vn", 8, 0, 0.1),
+        "vn-64-0-delta-0.5": ("vn", 64, 0, 0.5),
+        "renyi-0.5-2-0": (0.5, 2, 0, "auto"),
+        "renyi-0.5-4-1": (0.5, 4, 1, "auto"),
+        "renyi-0.5-4-0-delta-0.5": (0.5, 4, 0, 0.5),
+        "renyi-1.5-8-0": (1.5, 8, 0, "auto"),
+        "renyi-1.5-16-0": (1.5, 16, 0, "auto"),
+        "renyi-1.5-32-0-fails": (1.5, 32, 0, "auto"),
+        "renyi-1.5-16-1-delta-0.05": (1.5, 16, 1, 0.05),
+        "renyi-2.5-2-0": (2.5, 2, 0, "auto"),
+        "renyi-2.5-32-0": (2.5, 32, 0, "auto"),
+        "renyi-2.5-64-0": (2.5, 64, 0, "auto"),
+        "renyi-2.5-8-2-delta-0.05": (2.5, 8, 2, 0.05),
+    }
+
+    @staticmethod
+    def _fit_args(monkeypatch, target, dim, seed, delta):
+        """The arguments the estimator hands the fit, caught before it runs."""
+        seen = []
+
+        def catch(*args):
+            seen.append(args)
+            raise _FitCalled
+
+        monkeypatch.setattr(estimate, "_fit_odd_approximant", catch)
+        rho = DensityMatrix.random_seeded(dim, seed)
+        with pytest.raises(_FitCalled):
+            if target == "vn":
+                von_neumann(rho, 2, delta=delta)
+            else:
+                renyi_noninteger(rho, target, 2, delta=delta)
+        monkeypatch.undo()
+        return seen[0]
+
+    @staticmethod
+    def _outcome(fit):
+        poly, degree, err = fit
+        return (None if poly is None else poly.cheb), degree, err
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_reference_scan(self, monkeypatch, case):
+        args = self._fit_args(monkeypatch, *self.CASES[case])
+        assert args[3] == estimate.MAX_APPROXIMANT_DEGREE
+        got = self._outcome(estimate._fit_odd_approximant(*args))
+        assert got == self._outcome(_reference_fit(*args))
+        assert (got[0] is None) == case.endswith("-fails")
+        if got[0] is None:
+            assert got[1] == 199 and got[2] > args[2]
+
+    def test_non_finite_coefficient_raises_as_the_reference(self, monkeypatch):
+        lstsq = np.linalg.lstsq
+
+        def poisoned(a, b, rcond):
+            coef, *rest = lstsq(a, b, rcond=rcond)
+            coef[-1] = np.nan
+            return coef, *rest
+
+        monkeypatch.setattr(np.linalg, "lstsq", poisoned)
+        messages = []
+        for fit in (estimate._fit_odd_approximant, _reference_fit):
+            with pytest.raises(InputError) as info:
+                fit(estimate._von_neumann_target, 0.25, 1e-3, 9)
+            messages.append(str(info.value))
+        assert messages == ["coefficient 1 is not finite: (nan+0j)"] * 2
+
+
 class TestLargerStates:
     """Exact trace estimators against sum_i p(lambda_i) beyond the D = 2-8 above.
 

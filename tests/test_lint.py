@@ -900,8 +900,11 @@ def test_phase_route_scan_fails_a_copy_with_a_block_builder():
 
 
 # The factor path per module: functions, and Class.method for methods;
-# factor.py reaches poly.py's norm kernel through _sup_norms.
+# factor.py reaches poly.py's norm kernel through _sup_norms.  The entropy
+# approximant scan keeps to the same rule: its per-degree kernel recurs its
+# own Chebyshev rows and checks them with poly._clenshaw.
 FACTOR_PATH = {
+    "estimate.py": ("_fit_odd_approximant",),
     "factor.py": ("find_roots", "factorize_nonneg", "rescale_factors"),
     "poly.py": ("Polynomial.from_roots", "_sup_norms"),
 }
@@ -975,6 +978,19 @@ def test_numpy_polynomial_scan_fails_copies_that_call_it():
     line = mutated[: mutated.index("np.polynomial.chebyshev")].count("\n") + 1
     assert _numpy_polynomial_uses(mutated, FACTOR_PATH["factor.py"]) == [
         f"np.polynomial in _chebyshev_rows (line {line})",
+    ]
+    estimate_src = (SRC / "estimate.py").read_text()
+    mutated, swapped = re.subn(
+        r"\nimport numpy as np\n(.*)np\.linalg\.lstsq\(rows\[1::2\]\.T, ",
+        "\nimport numpy as np\nimport numpy.polynomial.chebyshev as npcheb\n"
+        "\\1np.linalg.lstsq(npcheb.chebvander(nodes, d)[:, 1::2], ",
+        estimate_src,
+        flags=re.DOTALL,
+    )
+    assert swapped == 1
+    line = mutated[: mutated.index("npcheb.chebvander")].count("\n") + 1
+    assert _numpy_polynomial_uses(mutated, FACTOR_PATH["estimate.py"]) == [
+        f"npcheb in _fit_odd_approximant (line {line})",
     ]
     assert _numpy_polynomial_uses(
         "from numpy.polynomial.chebyshev import chebval\nimport numpy.polynomial as P\n"

@@ -633,14 +633,40 @@ class TestChebyshevCoefficients:
          "bound defined for parity-matched indices only (d=4, n=1)"),
         (lambda: chebyshev_coeff_1norm(-1), "order must be non-negative"),
         (lambda: constituent_norm_bounds(4, 5), "need 1 <= k <= d (got k=5, d=4)"),
+        (lambda: chebyshev_polynomial(2.0), "order must be an integer, got 2.0"),
+        (lambda: chebyshev_polynomial(True), "order must be an integer, got True"),
+        (lambda: split_constituents(Polynomial([1, 2, 3]), 1.5),
+         "constituent order k must be an integer, got 1.5"),
+        (lambda: split_constituents(Polynomial([1, 2, 3]), True),
+         "constituent order k must be an integer, got True"),
+        (lambda: chebyshev_coefficient(4.0, 2), "degree must be an integer, got 4.0"),
+        (lambda: chebyshev_coefficient(4, 2.0), "coefficient index n must be an integer, got 2.0"),
+        (lambda: chebyshev_coeff_bound(4.0, 2), "degree must be an integer, got 4.0"),
+        (lambda: chebyshev_coeff_bound(4, False), "coefficient index n must be an integer, got False"),
+        (lambda: chebyshev_coeff_1norm(2.5), "order must be an integer, got 2.5"),
+        (lambda: constituent_norm_bounds(4.0, 2), "degree d must be an integer, got 4.0"),
+        (lambda: constituent_norm_bounds(4, True), "k must be an integer, got True"),
     ],
     ids=["chebyshev-order", "split-k-zero", "split-k-above-degree", "coefficient-degree",
-         "coefficient-index", "bound-parity", "one-norm-order", "constituent-bounds-k"],
+         "coefficient-index", "bound-parity", "one-norm-order", "constituent-bounds-k",
+         "chebyshev-float", "chebyshev-bool", "split-float", "split-bool", "coefficient-float-d",
+         "coefficient-float-n", "bound-float-d", "bound-bool-n", "one-norm-float",
+         "constituent-bounds-float-d", "constituent-bounds-bool-k"],
 )
 def test_bad_index_raises_its_message(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_numpy_integer_indices_act_as_ints():
+    p = Polynomial([1, 2, 3])
+    assert chebyshev_polynomial(np.int64(3)) is chebyshev_polynomial(3)
+    assert split_constituents(p, np.int32(1)) == split_constituents(p, 1)
+    assert chebyshev_coefficient(np.int64(40), np.int64(2)) == chebyshev_coefficient(40, 2) == -800
+    assert chebyshev_coeff_bound(np.int64(4), np.int16(2)) == chebyshev_coeff_bound(4, 2)
+    assert chebyshev_coeff_1norm(np.uint8(2)) == chebyshev_coeff_1norm(2)
+    assert constituent_norm_bounds(np.int64(4), np.int64(2)) == constituent_norm_bounds(4, 2)
 
 
 def test_constituent_norm_bounds_monotone_and_positive():
