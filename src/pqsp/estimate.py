@@ -116,9 +116,11 @@ Mode = Literal["exact", "sampled"]
 
 SQRT2P1 = 1.0 + math.sqrt(2.0)
 # Highest degree _fit_odd_approximant tries before giving up; it keys the
-# approximant memo too.  A failed search fits every odd degree up to it:
-# 0.16-0.17 s for von_neumann on random:16:7 or random:32:7 (2 shared vCPUs,
-# one BLAS thread), the dearest outcome the memo replays.
+# approximant memo too.  A success fits about 2 log2(d) degrees (10 ms at
+# degree 79, 25 ms at 139 for von_neumann on random:4:7 and random:8:3, 2
+# shared vCPUs, one BLAS thread); a failed search fits every odd degree up to
+# the cap once: 0.20-0.21 s for von_neumann on random:16:7, the dearest
+# outcome the memo replays.
 MAX_APPROXIMANT_DEGREE = 200
 
 
@@ -796,7 +798,14 @@ def partition_function(
         d += 1
         if d > 400:
             raise ConvergenceError("series degree exceeded 400 without certification")
-    coeffs = [(-beta) ** n / math.factorial(n) for n in range(d + 1)]
+    def taylor(n: int) -> float:
+        # (-beta)^n / n!; past float range beta^n or n! overflows, the quotient does not
+        try:
+            return (-beta) ** n / math.factorial(n)
+        except OverflowError:
+            return (-1.0) ** n * math.exp(n * math.log(beta) - math.lgamma(n + 1))
+
+    coeffs = [taylor(n) for n in range(d + 1)]
     while len(coeffs) > 1 and abs(coeffs[-1]) <= TRIM_TOL:  # as Polynomial(coeffs) trims
         coeffs.pop()
     predicted = predict_cost(model, "theorem9")
@@ -847,41 +856,83 @@ def _fit_odd_approximant(
 
     Least-squares in the odd basis on scaled nodes of [delta, 1]; oddness
     extends validity to [-1, -delta] for free.  The accepted degree is the
-    first whose measured sup error on an independent uniform grid clears
-    eps_prime: (poly, degree, error).  Past max_degree it gives up with
-    (None, best degree, best error).
+    first odd one whose measured sup error on an independent uniform grid
+    clears eps_prime, as a scan from degree 1 up finds it: (poly, degree,
+    error).  Past max_degree it gives up with (None, best degree, best
+    error), the minimum over every odd degree up to it.
 
-    Per degree, one real kernel keeps the bits of numpy.polynomial's complex
-    scan: rows T_i(nodes) recurred into one buffer as chebvander does, lstsq
-    on the odd rows, Clenshaw on the trimmed coefficients over the grid.  A
-    failed scan to degree 199 (168 ms, 2 shared vCPUs, one BLAS thread) is
+    The search gallops over the odd degrees 1, 3, 7, 15, ... (2d + 1, capped
+    at the top odd degree) to the first that clears, then bisects the odd
+    degrees between the last failing probe and it.  When no probe clears,
+    it scans every odd degree from 1 up, replaying the probes, so a failure
+    names the scan's best degree and error.  Each degree is fitted once
+    (see _fit_degree).  The outcome is the scan's whenever no degree the
+    bisection skips below the accepted one clears eps_prime, as on every
+    fit compared.  On 2 shared vCPUs with one BLAS thread, von_neumann's
+    fit on random:4:7 accepts degree 79 in 10 ms, where the scan took 20 ms;
+    its failure at the cap on random:16:7 costs what the scan's did, 0.21 s.
+    """
+    fits: dict[int, tuple[np.ndarray, float]] = {}
+
+    def error(d: int) -> float:
+        if d not in fits:
+            fits[d] = _fit_degree(f, delta, d)
+        return fits[d][1]
+
+    top = max_degree - 1 + max_degree % 2  # the highest odd degree up to the cap
+    failed, probe = -1, 1
+    while probe < top and error(probe) > eps_prime:
+        failed, probe = probe, min(2 * probe + 1, top)
+    if probe <= top and error(probe) <= eps_prime:
+        while probe - failed > 2:
+            mid = failed + 2 * ((probe - failed) // 4)
+            if error(mid) <= eps_prime:
+                probe = mid
+            else:
+                failed = mid
+        accepted = probe
+    else:  # no probe clears: the scan from degree 1, replaying the probes
+        accepted = next((d for d in range(1, top + 1, 2) if error(d) <= eps_prime), None)
+    if accepted is None:
+        best_res, best = math.inf, None
+        for d in range(1, top + 1, 2):
+            if error(d) < best_res:
+                best_res, best = error(d), d
+        return None, best, best_res
+    full, err = fits[accepted]
+    return Polynomial.from_cheb(full), accepted, err
+
+
+def _fit_degree(
+    f: Callable[[np.ndarray], np.ndarray], delta: float, d: int
+) -> tuple[np.ndarray, float]:
+    """The degree-d odd least-squares fit of f on [delta, 1]: its Chebyshev
+    coefficients and its sup error on a uniform grid of max(10 d, 50) points.
+
+    One real kernel keeps the bits of numpy.polynomial's complex arithmetic:
+    rows T_i(nodes) recurred into one buffer as chebvander does, lstsq on the
+    odd rows, Clenshaw on the trimmed coefficients over the grid.  The fits
+    of a failed search to degree 199 (2 shared vCPUs, one BLAS thread) are
     61% lstsq, 24% check and 13% rows.
     """
-    best_res, best = math.inf, None
-    for d in range(1, max_degree + 1, 2):
-        n_nodes = 4 * (d + 1)
-        theta = (np.arange(n_nodes) + 0.5) * math.pi / n_nodes
-        nodes = (1.0 + delta) / 2.0 + (1.0 - delta) / 2.0 * np.cos(theta)
-        rows = np.empty((d + 1, n_nodes))  # rows[i] = T_i(nodes), as chebvander recurs
-        rows[0], rows[1], x2 = 1.0, nodes, 2 * nodes
-        for a, b, c in zip(rows, rows[1:], rows[2:]):
-            np.multiply(b, x2, out=c)
-            c -= a
-        coef, *_ = np.linalg.lstsq(rows[1::2].T, f(nodes), rcond=None)
-        full = np.zeros(d + 1)
-        full[1::2] = coef
-        if not np.isfinite(coef).all():
-            _check_finite(list(map(complex, full)))  # raises from_cheb's InputError
-        n = d + 1
-        while n > 1 and abs(full[n - 1]) <= TRIM_TOL:  # as Polynomial.from_cheb trims
-            n -= 1
-        grid = np.linspace(delta, 1.0, max(10 * d, 50))
-        err = float(np.max(np.abs(_clenshaw(full[:n].tolist(), grid) - f(grid))))
-        if err <= eps_prime:
-            return Polynomial.from_cheb(full), d, err
-        if err < best_res:
-            best_res, best = err, d
-    return None, best, best_res
+    n_nodes = 4 * (d + 1)
+    theta = (np.arange(n_nodes) + 0.5) * math.pi / n_nodes
+    nodes = (1.0 + delta) / 2.0 + (1.0 - delta) / 2.0 * np.cos(theta)
+    rows = np.empty((d + 1, n_nodes))  # rows[i] = T_i(nodes), as chebvander recurs
+    rows[0], rows[1], x2 = 1.0, nodes, 2 * nodes
+    for a, b, c in zip(rows, rows[1:], rows[2:]):
+        np.multiply(b, x2, out=c)
+        c -= a
+    coef, *_ = np.linalg.lstsq(rows[1::2].T, f(nodes), rcond=None)
+    full = np.zeros(d + 1)
+    full[1::2] = coef
+    if not np.isfinite(coef).all():
+        _check_finite(list(map(complex, full)))  # raises from_cheb's InputError
+    n = d + 1
+    while n > 1 and abs(full[n - 1]) <= TRIM_TOL:  # as Polynomial.from_cheb trims
+        n -= 1
+    grid = np.linspace(delta, 1.0, max(10 * d, 50))
+    return full, float(np.max(np.abs(_clenshaw(full[:n].tolist(), grid) - f(grid))))
 
 
 def _resolve_delta(
@@ -939,7 +990,8 @@ def _entropy_plan(
             best_residual=cert,
         )
     predicted = quote(k, deg)
-    shrink = min(1.0, (1.0 - 1e-9) / sup_norm(poly))
+    norm = sup_norm(poly)  # 0 when the fit trims to the zero polynomial, a valid certificate
+    shrink = min(1.0, (1.0 - 1e-9) / norm) if norm > 0.0 else 1.0
     # poly * shrink is real with sup norm below 1, so it needs no _check_target
     plan = _chebyshev_plan(k, poly * shrink, rho, epsilon)
     notice = {} if mass <= 0.0 else {

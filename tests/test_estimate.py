@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from dataclasses import replace
 from functools import partial
 
@@ -19,6 +20,7 @@ from pqsp import (
     InputError,
     NotNonNegativeError,
     Polynomial,
+    PostSelectionError,
     ShotSampler,
     chebyshev_parallel_terms,
     chebyshev_polynomial,
@@ -673,6 +675,34 @@ class TestPartitionFunction:
         with pytest.raises(ConvergenceError, match="400"):
             partition_function(rho_34, 500.0, 2)
 
+    @pytest.mark.parametrize("beta", [45.0, 50.0, 100.0])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_large_beta_ends_typed(self, beta, k):
+        # beta^n or n! leaves float range in the series from beta = 50 on;
+        # the coefficients do not, and the run fails on post-selection as at 45
+        with pytest.warns(UserWarning, match="1-norm"), pytest.raises(PostSelectionError):
+            partition_function(DensityMatrix.random_seeded(4, 3), beta, k)
+
+    @pytest.mark.parametrize("beta", [50.0, 100.0])
+    def test_series_coefficients_stay_in_float_range(self, monkeypatch, beta):
+        seen = []
+
+        class Caught(Exception):
+            pass
+
+        def catch(k, coeffs, rho, epsilon):
+            seen.append(coeffs)
+            raise Caught
+
+        monkeypatch.setattr(estimate, "_monomial_plan", catch)
+        with pytest.raises(Caught):
+            partition_function(DensityMatrix.random_seeded(4, 3), beta, 1)
+        for n, c in enumerate(seen[0]):
+            exact = float(Fraction(-beta) ** n / math.factorial(n))
+            if n < 171 and n * math.log10(beta) < 308:  # the direct form keeps its bits
+                assert c == (-beta) ** n / math.factorial(n)
+            assert c == pytest.approx(exact, rel=1e-12, abs=0.0)
+
 
 class TestRenyiNonInteger:
     def test_half_order(self, rho_34):
@@ -750,6 +780,22 @@ class TestVonNeumann:
         # to the high stage instead of going unspent
         rep = von_neumann(rho_34, 2, mode="sampled", shots=20000, seed=7)
         assert rep.shots_used == 20000
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_zero_approximant_reads_zero(self, mode):
+        # -x ln x < 1e-11 on [delta, 1], so the fit trims to the zero
+        # polynomial; it certifies as it stands, and its plan draws no shots
+        rho = DensityMatrix.random_seeded(4, 3)
+        rep = von_neumann(rho, 2, delta=1 - 1e-12, mode=mode, seed=1)
+        assert (rep.value, rep.std_error, rep.shots_used) == (0.0, 0.0, 0)
+        assert rep.breakdown["shrink"] == 1.0 and rep.breakdown["approximant_degree"] == 1
+        assert rep.breakdown["mass_below_delta"] > 0.99 and "notice" in rep.breakdown
+        # a degree-1 fit that does not trim keeps its bits
+        kept = von_neumann(rho, 2, delta=1 - 1e-10, mode=mode, seed=1)
+        assert kept.breakdown["approximant_degree"] == 1
+        assert kept.breakdown["approximant_error"] == 5.0000004137643556e-11
+        if mode == "exact":
+            assert kept.value == 5.000000413639355e-11
 
 
 class TestSpectralCertificate:
@@ -917,29 +963,46 @@ class _FitCalled(Exception):
 
 
 class TestFitKernel:
-    """The real-arithmetic fit kernel keeps every bit of the reference scan:
-    coefficients, accepted degree and certified error, or a failure's best
-    degree and error, on the (target, delta, eps', cap) the estimators hand
-    it: spectrum and user deltas, D = 2-64, two scans failing at the cap."""
+    """The degree search keeps every bit of the reference scan: coefficients,
+    accepted degree and certified error, or a failure's best degree and
+    error, on the (target, delta, eps', cap) the estimators hand it: spectrum
+    and user deltas, D = 2-64, degrees just above a gallop probe (9, 17, 33,
+    65, 67) and between the last probe, 127, and the cap, and scans failing
+    at the cap."""
 
     CASES = {
         "vn-2-1": ("vn", 2, 1, "auto"),
+        "vn-3-5": ("vn", 3, 5, "auto"),
         "vn-4-3": ("vn", 4, 3, "auto"),
+        "vn-8-0": ("vn", 8, 0, "auto"),
         "vn-8-3": ("vn", 8, 3, "auto"),
         "vn-16-0-fails": ("vn", 16, 0, "auto"),
+        "vn-2-0-delta-0.1": ("vn", 2, 0, 0.1),
         "vn-8-0-delta-0.1": ("vn", 8, 0, 0.1),
+        "vn-16-0-delta-0.1": ("vn", 16, 0, 0.1),
+        "vn-32-0-delta-0.05": ("vn", 32, 0, 0.05),
         "vn-64-0-delta-0.5": ("vn", 64, 0, 0.5),
         "renyi-0.5-2-0": (0.5, 2, 0, "auto"),
+        "renyi-0.5-3-1": (0.5, 3, 1, "auto"),
         "renyi-0.5-4-1": (0.5, 4, 1, "auto"),
+        "renyi-0.5-4-2": (0.5, 4, 2, "auto"),
         "renyi-0.5-4-0-delta-0.5": (0.5, 4, 0, 0.5),
         "renyi-1.5-8-0": (1.5, 8, 0, "auto"),
         "renyi-1.5-16-0": (1.5, 16, 0, "auto"),
         "renyi-1.5-32-0-fails": (1.5, 32, 0, "auto"),
         "renyi-1.5-16-1-delta-0.05": (1.5, 16, 1, 0.05),
+        "renyi-1.5-32-0-delta-0.05": (1.5, 32, 0, 0.05),
         "renyi-2.5-2-0": (2.5, 2, 0, "auto"),
+        "renyi-2.5-3-1": (2.5, 3, 1, "auto"),
         "renyi-2.5-32-0": (2.5, 32, 0, "auto"),
         "renyi-2.5-64-0": (2.5, 64, 0, "auto"),
         "renyi-2.5-8-2-delta-0.05": (2.5, 8, 2, 0.05),
+    }
+    # accepted degrees just above a gallop probe (7, 15, 31, 63) or above the last, 127
+    EDGE_DEGREES = {
+        "renyi-2.5-3-1": 9, "vn-2-0-delta-0.1": 17, "vn-3-5": 33, "vn-16-0-delta-0.1": 33,
+        "renyi-1.5-32-0-delta-0.05": 65, "vn-32-0-delta-0.05": 67, "vn-8-3": 139, "vn-8-0": 147,
+        "renyi-2.5-64-0": 163, "renyi-0.5-3-1": 171, "renyi-0.5-4-2": 191,
     }
 
     @staticmethod
@@ -951,20 +1014,34 @@ class TestFitKernel:
             seen.append(args)
             raise _FitCalled
 
-        monkeypatch.setattr(estimate, "_fit_odd_approximant", catch)
-        rho = DensityMatrix.random_seeded(dim, seed)
-        with pytest.raises(_FitCalled):
-            if target == "vn":
-                von_neumann(rho, 2, delta=delta)
-            else:
-                renyi_noninteger(rho, target, 2, delta=delta)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(estimate, "_fit_odd_approximant", catch)
+            rho = DensityMatrix.random_seeded(dim, seed)
+            with pytest.raises(_FitCalled):
+                if target == "vn":
+                    von_neumann(rho, 2, delta=delta)
+                else:
+                    renyi_noninteger(rho, target, 2, delta=delta)
         return seen[0]
 
     @staticmethod
     def _outcome(fit):
         poly, degree, err = fit
         return (None if poly is None else poly.cheb), degree, err
+
+    @staticmethod
+    def _fitted_degrees(monkeypatch, fit, args):
+        """The degree of each lstsq solve that fit makes on args, in order."""
+        lstsq, degrees = np.linalg.lstsq, []
+
+        def counted(a, b, rcond):
+            degrees.append(2 * a.shape[1] - 1)  # the odd rows T_1, T_3, ..., T_d
+            return lstsq(a, b, rcond=rcond)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "lstsq", counted)
+            outcome = fit(*args)
+        return outcome, degrees
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_the_reference_scan(self, monkeypatch, case):
@@ -975,6 +1052,60 @@ class TestFitKernel:
         assert (got[0] is None) == case.endswith("-fails")
         if got[0] is None:
             assert got[1] == 199 and got[2] > args[2]
+        assert got[1] == self.EDGE_DEGREES.get(case, got[1])
+
+    @pytest.mark.parametrize("cap", [5, 6, 64, 65])
+    @pytest.mark.parametrize(
+        "case", ["renyi-2.5-2-0", "vn-2-1", "vn-4-3", "renyi-1.5-32-0-delta-0.05", "vn-32-0-delta-0.05"]
+    )
+    def test_matches_the_reference_scan_under_a_lower_cap(self, monkeypatch, case, cap):
+        monkeypatch.setattr(estimate, "MAX_APPROXIMANT_DEGREE", cap)
+        args = self._fit_args(monkeypatch, *self.CASES[case])
+        assert args[3] == cap
+        got = self._outcome(estimate._fit_odd_approximant(*args))
+        assert got == self._outcome(_reference_fit(*args))
+        if got[0] is None:
+            assert got[1] <= cap
+
+    @pytest.mark.parametrize("case", ["vn-2-1", "vn-8-0", "vn-32-0-delta-0.05", "renyi-2.5-64-0"])
+    def test_a_success_fits_fewer_degrees_than_the_scan(self, monkeypatch, case):
+        args = self._fit_args(monkeypatch, *self.CASES[case])
+        (poly, degree, _), fitted = self._fitted_degrees(
+            monkeypatch, estimate._fit_odd_approximant, args
+        )
+        _, scanned = self._fitted_degrees(monkeypatch, _reference_fit, args)
+        assert poly is not None and scanned == list(range(1, degree + 1, 2))
+        assert len(set(fitted)) == len(fitted) < len(scanned)
+        assert degree in fitted and max(fitted) < 2 * degree + 1
+
+    @pytest.mark.parametrize("cap", [5, 6, 64, 65, estimate.MAX_APPROXIMANT_DEGREE])
+    def test_a_failure_fits_each_odd_degree_once(self, monkeypatch, cap):
+        args = self._fit_args(monkeypatch, *self.CASES["vn-16-0-fails"])[:3] + (cap,)
+        (poly, _, _), fitted = self._fitted_degrees(monkeypatch, estimate._fit_odd_approximant, args)
+        assert poly is None
+        assert sorted(fitted) == list(range(1, cap + 1, 2))
+
+    @pytest.mark.parametrize(
+        "target, dim, k, best",
+        [
+            ("vn", 16, 2, "(best 2.507e-03 at degree 199)"),
+            ("vn", 32, 2, "(best 2.533e-03 at degree 199)"),
+            (1.5, 32, 3, "(best 8.158e-05 at degree 199)"),
+        ],
+        ids=["vn-16-7", "vn-32-7", "renyi-1.5-32-7-k3"],
+    )
+    def test_known_failures_keep_their_message_and_residual(self, monkeypatch, target, dim, k, best):
+        args = self._fit_args(monkeypatch, target, dim, 7, "auto")
+        rho = DensityMatrix.random_seeded(dim, 7)
+        with pytest.raises(ConvergenceError) as info:
+            if target == "vn":
+                von_neumann(rho, k)
+            else:
+                renyi_noninteger(rho, target, k)
+        assert str(info.value) == (
+            f"no odd approximant of degree <= 200 reaches error {args[2]:.3e} {best}"
+        )
+        assert info.value.best_residual == _reference_fit(*args)[2]
 
     def test_non_finite_coefficient_raises_as_the_reference(self, monkeypatch):
         lstsq = np.linalg.lstsq

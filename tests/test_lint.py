@@ -901,10 +901,11 @@ def test_phase_route_scan_fails_a_copy_with_a_block_builder():
 
 # The factor path per module: functions, and Class.method for methods;
 # factor.py reaches poly.py's norm kernel through _sup_norms.  The entropy
-# approximant scan keeps to the same rule: its per-degree kernel recurs its
-# own Chebyshev rows and checks them with poly._clenshaw.
+# approximant search keeps to the same rule: its per-degree kernel,
+# _fit_degree, recurs its own Chebyshev rows and checks them with
+# poly._clenshaw.
 FACTOR_PATH = {
-    "estimate.py": ("_fit_odd_approximant",),
+    "estimate.py": ("_fit_odd_approximant", "_fit_degree"),
     "factor.py": ("find_roots", "factorize_nonneg", "rescale_factors"),
     "poly.py": ("Polynomial.from_roots", "_sup_norms"),
 }
@@ -990,7 +991,19 @@ def test_numpy_polynomial_scan_fails_copies_that_call_it():
     assert swapped == 1
     line = mutated[: mutated.index("npcheb.chebvander")].count("\n") + 1
     assert _numpy_polynomial_uses(mutated, FACTOR_PATH["estimate.py"]) == [
-        f"npcheb in _fit_odd_approximant (line {line})",
+        f"npcheb in _fit_degree (line {line})",
+    ]
+    mutated, swapped = re.subn(
+        r"\nimport numpy as np\n(.*)_clenshaw\(full\[:n\]\.tolist\(\), grid\)",
+        "\nimport numpy as np\nfrom numpy.polynomial.chebyshev import chebval\n"
+        "\\1chebval(grid, full[:n])",
+        estimate_src,
+        flags=re.DOTALL,
+    )
+    assert swapped == 1
+    line = mutated[: mutated.index("chebval(grid")].count("\n") + 1
+    assert _numpy_polynomial_uses(mutated, ("_fit_degree",)) == [
+        f"chebval in _fit_degree (line {line})",
     ]
     assert _numpy_polynomial_uses(
         "from numpy.polynomial.chebyshev import chebval\nimport numpy.polynomial as P\n"
