@@ -798,6 +798,7 @@ def partition_function(
         d += 1
         if d > 400:
             raise ConvergenceError("series degree exceeded 400 without certification")
+
     def taylor(n: int) -> float:
         # (-beta)^n / n!; past float range beta^n or n! overflows, the quotient does not
         try:

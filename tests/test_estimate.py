@@ -3,8 +3,8 @@ import json
 import math
 import re
 import tracemalloc
-from fractions import Fraction
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
