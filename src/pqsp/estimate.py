@@ -276,8 +276,8 @@ def _check_target(p: Polynomial) -> None:
     N + 1 Chebyshev extreme points, N at least 64 times its degree, whose
     largest |p| M certifies M <= ||p|| <= M sec(pi d / 2N); only a target
     whose interval holds 1 + 1e-9 (within 1e-12) pays for its exact norm,
-    polished from the grid's peaks or, if a polish fails, from the
-    colleague-matrix eigensolve.  The verdict is the exact norm's either way.
+    polished from the grid's peaks.  A polish that fails reads the
+    interval's upper end, so its verdict can only err towards a rejection.
     """
     if p.max_imag() > 1e-10:
         raise InputError("target polynomial must have real coefficients")

@@ -54,6 +54,7 @@ from .poly import (
     Polynomial,
     _clenshaw,
     _entry,
+    _integer,
     _shared_polynomial,
     _sup_norms,
     chebyshev_coefficient,
@@ -352,6 +353,7 @@ def factorize_nonneg(R: Polynomial, k: int) -> FactorizationPlan:
     raises InputError, before any sign check; a real one that is not
     non-negative on the real line raises NotNonNegativeError.
     """
+    k = _integer(k, "thread count k", None)
     if k < 1:
         raise InputError("thread count k must be at least 1")
     if R.max_imag() > 1e-12 * max(1.0, max(abs(c) for c in R.cheb)):
@@ -488,6 +490,7 @@ def chebyshev_parallel_terms(p_high: Polynomial, k: int, d: int) -> ParallelTerm
 def _tail_ctilde(p_high: Polynomial, k: int, d: int) -> dict[int, float]:
     """The nonzero ctilde of chebyshev_parallel_terms, by even index, after
     checking the tail's parity, reality and degree against k and d."""
+    k, d = _integer(k, "thread count k", None), _integer(d, "degree d", None)
     if k < 1:
         raise InputError("thread count k must be at least 1")
     if (d - k) % 2 or p_high.degree > max(d - k, 0):

@@ -23,10 +23,8 @@ by one real FFT per series length.  The grid's largest |p|, M, certifies
 M <= ||p|| <= M sec(pi d / 2N) (Ehlich and Zeller, Math. Z. 86, 1964), and
 threshold verdicts (_norms_exceed) decide from that interval.  The exact
 norm polishes each grid peak that could hold the maximum by Newton's method
-inside its grid cell, O(d log d) in all; a slope shorter than _GRID_SLOPE,
-or a polish that leaves its cell or stalls, takes the colleague-matrix
-eigensolve instead (Battles and Trefethen, SIAM J. Sci. Comput. 25, 2004),
-O(d^3), for a batch of polynomials at once.  Each series is first scaled
+inside its grid cell, O(d log d) in all; a polish that leaves its cell or
+stalls takes the interval's upper end instead.  Each series is first scaled
 by the power of two nearest its largest |c_n|, which is exact, so |p|^2
 neither under- nor overflows.  The norm is computed once per polynomial and
 kept on it, scalar multiples carry it along, and layout builders share
@@ -275,6 +273,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, s: complex) -> "Polynomial":
+        if s == 0:
+            raise InputError("cannot divide a polynomial by zero")
         norm = self._norm / abs(s) if hasattr(self, "_norm") else None
         return self._scaled([complex(c / s) for c in self.cheb], norm)
 
@@ -361,11 +361,6 @@ def _clenshaw(c, x):
 # factor costs more: 2N = 128 * 1187 took 38 ms against 4.1 ms at 2^18
 # (one core).
 _GRID = 64
-# Slopes of a lower degree keep the eigensolve for exact norms.  A lone series
-# polished costs 120-220 us up to slope degree 40; the eigensolve grows from
-# 80 us at slope degree 4 and passes it at slope degree 16-20, real or
-# complex (one core; the table is in CHANGES.md).
-_GRID_SLOPE = 18
 # Newton steps a peak may take; from the parabola's vertex one or two converge.
 _POLISH_STEPS = 8
 
@@ -377,10 +372,9 @@ def sup_norm(p: Polynomial) -> float:
     FFT (see _grid).  Every grid peak within the Ehlich-Zeller factor of the
     largest is polished by Newton on (|p|^2)' (zero at the peaks of |p|
     where p' is, for a real p) inside its own grid cell, and |p| is
-    evaluated there and at both ends by Clenshaw's recurrence.  A polish that leaves its cell or stalls
-    sends its series to the colleague-matrix eigensolve, which also takes
-    every slope of degree below _GRID_SLOPE; _short_norm's closed forms take
-    the slopes of degree at most 3.
+    evaluated there and at both ends by Clenshaw's recurrence.  A polish
+    that leaves its cell or stalls takes the grid's certified upper bound;
+    _short_norm's closed forms take the slopes of degree at most 3.
     """
     return p._norm if hasattr(p, "_norm") else _sup_norms((p,))[0]
 
@@ -402,15 +396,14 @@ def _norms_exceed(polys: Sequence[Polynomial], limit: float) -> list[bool]:
     is kept on p as _bound, so a later verdict on p, at any limit, reads it
     instead of a second FFT.  One whose interval, widened by 1e-12 of limit
     and by the FFT's round-off (2^-44 of the Chebyshev 1-norm), still holds
-    limit takes its exact norm, kept on p; those share one kernel call.  A
-    polished norm and the eigensolve's round |p| at different points, up to
-    160 ulps apart (see CHANGES.md), so one within 2^-44 of limit is
-    replaced by the eigensolve's, whose verdict earlier releases gave.
+    limit takes its exact norm, kept on p; those share one kernel call.
+    Where a polish fails, that norm is the interval's upper end, so the
+    verdict errs towards "exceeds", never towards a silent accept.
     """
     if all(hasattr(p, "_norm") for p in polys):
         return [p._norm > limit for p in polys]
     fresh = [p for p in polys if not hasattr(p, "_norm") and not hasattr(p, "_bound")]
-    for rows, cs, real, exps in _stacks([p.cheb for p in fresh], 4):
+    for rows, cs, real, exps in _stacks([p.cheb for p in fresh]):
         g, s = _grid(cs, real)
         for r, m, one, e in zip(rows, g.max(1).tolist(), np.abs(cs).sum(1).tolist(), exps):
             object.__setattr__(fresh[r], "_bound", (m, s, one, 2.0**-e))
@@ -422,25 +415,21 @@ def _norms_exceed(polys: Sequence[Polynomial], limit: float) -> list[bool]:
             if not m - slack <= limit * scale <= m * s + slack:
                 verdicts[i] = m > limit * scale
     todo = [p for i, p in enumerate(polys) if i not in verdicts and not hasattr(p, "_norm")]
-    norms = _exact_norms([p.cheb for p in todo])
-    near = [j for j, norm in enumerate(norms) if abs(norm - limit) <= 2.0**-44 * limit]
-    for j, norm in zip(near, _colleague_norms([todo[j].cheb for j in near]) if near else ()):
-        norms[j] = norm
-    for p, norm in zip(todo, norms):
+    for p, norm in zip(todo, _exact_norms([p.cheb for p in todo])):
         object.__setattr__(p, "_norm", norm)
     return [verdicts[i] if i in verdicts else p._norm > limit for i, p in enumerate(polys)]
 
 
-def _stacks(series: Sequence[Sequence[complex]], min_slope: int):
-    """The series whose slope, p' or (|p|^2)', has degree at least
-    min_slope, in stacks of one length and kind: (their indices, rows scaled
-    by 2^-e as _colleague_norms scales them, real, e of each row)."""
+def _stacks(series: Sequence[Sequence[complex]]):
+    """The series past the closed forms, whose slope, p' or (|p|^2)', has
+    degree at least 4, in stacks of one length and kind: (their indices,
+    rows scaled by 2^-e (see _binade), real, e of each row)."""
     groups: dict[tuple[int, bool], list[int]] = {}
     for i, c in enumerate(series):
-        if 2 * len(c) - 3 < min_slope:  # too short, even if complex
+        if len(c) < 4:  # too short, even if complex: (|p|^2)' has degree 2 len - 3
             continue
         real = all(z.imag == 0 for z in c)
-        if (len(c) - 2 if real else 2 * len(c) - 3) >= min_slope:
+        if not real or len(c) >= 6:
             groups.setdefault((len(c), real), []).append(i)
     for (_, real), rows in groups.items():
         exps = [_binade(series[i]) for i in rows]
@@ -475,24 +464,28 @@ def _grid(cs: np.ndarray, real: bool) -> tuple[np.ndarray, float]:
 
 
 def _exact_norms(series: Sequence[Sequence[complex]]) -> list[float]:
-    """max |p| on [-1, 1] of each Chebyshev series: polished from the grid
-    (_polished) from slope degree _GRID_SLOPE up, from _colleague_norms
-    below it and wherever a polish fails."""
-    if all(2 * len(c) - 3 < _GRID_SLOPE for c in series):  # none long enough, even if complex
-        return _colleague_norms(series)
-    norms: list[float | None] = [None] * len(series)
-    for rows, cs, real, exps in _stacks(series, _GRID_SLOPE):
+    """max |p| on [-1, 1] of each Chebyshev series.  A constant reads |c_0|
+    and a linear p its larger end, as |p|^2 is convex.  A slope of degree 1
+    to 3 takes its roots in closed form (_short_norm); every longer one is
+    polished from the grid (_polished), in stacks of one length and kind,
+    and its norm scaled back by 2^e (exact for normal numbers)."""
+    norms = [abs(c[0]) for c in series]
+    for i, c in enumerate(series):
+        if len(c) == 2:
+            norms[i] = max(abs(c[0] + c[1]), abs(c[0] - c[1]))
+        elif len(c) > 2:
+            real = all(z.imag == 0 for z in c)
+            if len(c) <= (5 if real else 3):
+                norms[i] = _short_norm(c, real)
+    for rows, cs, real, exps in _stacks(series):
         for r, e, norm in zip(rows, exps, _polished(cs, real)):
-            if norm is not None:
-                norms[r] = norm * 2.0**e
-    rest = [i for i, norm in enumerate(norms) if norm is None]
-    for i, norm in zip(rest, _colleague_norms([series[i] for i in rest]) if rest else ()):
-        norms[i] = norm
+            norms[r] = norm * 2.0**e
     return norms
 
 
-def _polished(cs: np.ndarray, real: bool) -> list[float | None]:
-    """max |p| of each row of a scaled stack, or None where a polish fails.
+def _polished(cs: np.ndarray, real: bool) -> list[float]:
+    """max |p| of each row of a scaled stack: its grid peaks polished, or the
+    grid's certified bound M s where a polish fails.
 
     The peaks of the grid (ends included, as |p(cos t)| is even in t) that
     reach M / s are candidates: no other cell can hold the maximum.  Each
@@ -503,11 +496,13 @@ def _polished(cs: np.ndarray, real: bool) -> list[float | None]:
     the distance a step leaves to the peak, and a peak converges, at a
     maximum of |p|^2, once that distance moves |p|^2 by under 2^-60 of its
     norm.  One that does not within _POLISH_STEPS, or that ends more than a
-    cell from its grid point, fails its row.  |p| is evaluated by Clenshaw's
-    recurrence, as _colleague_norms evaluates it, at cos t of each converged
-    peak and at both ends, one point at a time on plain floats, which costs
-    less for a few points than L array steps.  Each peak is polished on its
-    own, so a norm does not depend on the batch.
+    cell from its grid point, fails its row, which then reads M s: still an
+    upper bound, at most 3.0e-4 above the norm, so a factor rescaled by it
+    stays within 1 and a verdict read from it errs towards "exceeds".  |p|
+    is evaluated by Clenshaw's recurrence at cos t of each converged peak
+    and at both ends, one point at a time on plain floats, which costs less
+    for a few points than L array steps.  Each peak is polished on its own,
+    so a norm does not depend on the batch.
     """
     g, s = _grid(cs, real)
     h = math.pi / (g.shape[1] - 1)
@@ -545,8 +540,10 @@ def _polished(cs: np.ndarray, real: bool) -> list[float | None]:
     best = [max(abs(_clenshaw(c, -1.0)), abs(_clenshaw(c, 1.0))) for c in series]
     for r, x in zip(rows[ok].tolist(), np.cos(t[ok]).tolist()):
         best[r] = max(best[r], abs(_clenshaw(series[r], x)))
-    failed = set(rows[~ok].tolist())
-    return [None if r in failed else norm for r, norm in enumerate(best)]
+    bound = top[:, 0].tolist()
+    for r in rows[~ok].tolist():
+        best[r] = bound[r] * s
+    return best
 
 
 def _binade(c: Sequence[complex]) -> int:
@@ -554,71 +551,10 @@ def _binade(c: Sequence[complex]) -> int:
     return min(max(math.frexp(max(map(abs, c)))[1], -1021), 1021)
 
 
-def _colleague_norms(series: Sequence[Sequence[complex]]) -> list[float]:
-    """max |p| on [-1, 1] of each Chebyshev series.  A linear p takes the
-    larger end, as |p|^2 is convex.  Any other series is scaled by 2^-e (see
-    _binade) before |p|^2 is formed, and its norm by 2^e after: exact for
-    normal numbers, so no norm moves by a bit.  One whose slope has degree
-    at most 3 takes its roots in closed form (_short_norm).  Longer real and
-    complex series form one zero-padded stack each (padding adds exact
-    zeros, so a norm does not depend on the batch); a stack's slopes of one
-    degree share one eigvals call."""
-    norms = [abs(c[0]) for c in series]
-    stacks: dict[bool, list[int]] = {True: [], False: []}
-    for i, c in enumerate(series):
-        if len(c) == 2:
-            norms[i] = max(abs(c[0] + c[1]), abs(c[0] - c[1]))
-        elif len(c) > 2:
-            real = all(z.imag == 0 for z in c)
-            if len(c) <= (5 if real else 3):
-                norms[i] = _short_norm(c, real)
-            else:
-                stacks[real].append(i)
-    for real, rows in stacks.items():
-        if not rows:
-            continue
-        m, n = len(rows), max(len(series[i]) for i in rows) - 1
-        exps = [_binade(series[i]) for i in rows]
-        cs = np.array([(*series[i], *(0j,) * (n + 1 - len(series[i]))) for i in rows])
-        cs = q = (cs.real if real else cs) * np.array([2.0 ** -e for e in exps])[:, None]
-        if not real:  # 2|p|^2, as T_i T_j = (T_{i+j} + T_{|i-j|}) / 2 fills two bins per term
-            w = (cs[:, :, None] * cs.conj()[:, None, :]).real.ravel()
-            i, j = np.arange(n + 1)[:, None], np.arange(n + 1)
-            base = (2 * n + 1) * np.arange(m)[:, None, None]
-            q = np.bincount((base + i + j).ravel(), w, m * (2 * n + 1))
-            q = (q + np.bincount((base + abs(i - j)).ravel(), w, len(q))).reshape(m, -1)
-        # (q')_k sums 2 j q_j over j = k+1, k+3, ... (halved at k = 0): the
-        # terms of each parity accumulate down one column of a (pairs, 2) view
-        top = q.shape[1] - 1
-        terms = np.zeros((m, top + top % 2))
-        np.multiply(q[:, :0:-1], np.arange(2 * top, 0, -2), out=terms[:, :top])
-        slopes = terms.reshape(m, -1, 2).cumsum(1).reshape(m, -1)[:, top - 1 :: -1]
-        slopes[:, 0] *= 0.5
-        xs = np.full((m, top + 1), -1.0)  # both ends, roots, repeats of -1
-        xs[:, 1] = 1.0
-        degree = [len(series[i]) - 2 if real else 2 * len(series[i]) - 3 for i in rows]
-        degrees = set(degree)
-        for d in degrees:  # a stack of one degree is sliced, not gathered
-            at = [r for r, e in enumerate(degree) if e == d] if len(degrees) > 1 else slice(None)
-            s = slopes[at, : d + 1]
-            # numpy's chebcompanion, rotated as chebroots does; the off-diagonals
-            # are strided slices of each flattened matrix
-            mats = np.zeros((len(s), d, d))
-            flat = mats.reshape(len(s), -1)
-            flat[:, 1 :: d + 1] = flat[:, d :: d + 1] = [math.sqrt(0.5)] + [0.5] * (d - 2)
-            scl = [0.5 / math.sqrt(0.5)] + [0.5] * (d - 1)  # chebcompanion's scl / scl[-1] / 2
-            mats[:, :, -1] -= (s[:, :-1] / s[:, -1:]) * scl
-            xs[at, 2 : 2 + d] = np.linalg.eigvals(mats[:, ::-1, ::-1]).real
-        xs = np.minimum(np.maximum(xs, -1.0), 1.0)
-        vals = np.abs(_clenshaw(cs.T[:, :, None], xs)).max(axis=1)
-        for i, e, v in zip(rows, exps, vals.tolist()):
-            norms[i] = v * 2.0**e
-    return norms
-
-
 def _short_norm(c: Sequence[complex], real: bool) -> float:
-    """_colleague_norms for one series whose slope has degree 1 to 3, scaled
-    the same way.  The slope is formed in monomial form, p' for a real p and
+    """max |p| on [-1, 1] of one series whose slope has degree 1 to 3, scaled
+    by 2^-e (see _binade) before |p|^2 is formed and its norm by 2^e after,
+    both exact for normal numbers.  The slope is formed in monomial form, p' for a real p and
     Re(p' conj p) = (|p|^2)' / 2 for a complex p of degree 2 (w_ij is
     Re c_i conj c_j), and its roots are found in closed form."""
     e = _binade(c)

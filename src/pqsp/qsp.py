@@ -171,8 +171,8 @@ def find_phases(target: Polynomial, tol: float = 1e-4) -> QspPhases:
     forms the check reads the target on N + 1 Chebyshev extreme points, N at
     least 64 d, whose largest |p| M certifies M <= ||p|| <= M sec(pi d / 2N);
     the exact norm, polished from the grid's peaks by Newton's method (the
-    eigensolve if a polish fails), is taken only when 1 + 1e-9 lies within
-    1e-12 of that interval, or for the message of a rejection.
+    interval's upper end if a polish fails), is taken only when 1 + 1e-9
+    lies within 1e-12 of that interval, or for the message of a rejection.
     """
     scale = max(1.0, max(abs(c) for c in target.cheb))
     if target.max_imag() > 1e-10 * scale:

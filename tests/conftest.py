@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as npcheb
 
 from pqsp import DensityMatrix, Polynomial, estimate, sup_norm
 
@@ -58,3 +59,12 @@ def dense_sup_norm(cheb) -> float:
         best = max(best, float(v.max()))
         centers, half = fine[np.arange(len(fine)), v.argmax(axis=1)], half / 32
     return best
+
+
+def chebroots_norm(c) -> float:
+    """Reference max |p| on [-1, 1] from numpy: the roots of the same slope,
+    (|p|^2)' or p', by chebroots, and |p| at the ends and their clipped real parts."""
+    c = np.asarray(c, dtype=complex)
+    q = npcheb.chebmul(c, c.conj()).real if c.imag.any() else c.real
+    xs = np.clip(npcheb.chebroots(npcheb.chebder(q)).real, -1.0, 1.0)
+    return float(np.abs(npcheb.chebval(np.concatenate(([-1.0, 1.0], xs)), c)).max())

@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import dense_sup_norm, random_parity_target
+from conftest import chebroots_norm, dense_sup_norm, random_parity_target
 from pqsp import estimate, poly, sim
 from pqsp import (
     ConvergenceError,
@@ -329,13 +329,13 @@ class TestTargetCheck:
     @pytest.fixture
     def normed(self, monkeypatch):
         seen = []
-        kernel = poly._colleague_norms
+        kernel = poly._exact_norms
 
         def counting(series):
             seen.extend(tuple(c) for c in series)
             return kernel(series)
 
-        monkeypatch.setattr(poly, "_colleague_norms", counting)
+        monkeypatch.setattr(poly, "_exact_norms", counting)
         return seen
 
     @staticmethod
@@ -1168,11 +1168,11 @@ class TestNormVerdicts:
     @staticmethod
     def scaled(degree: int, norm: float) -> Polynomial:
         """An even series with Chebyshev 1-norm above 1, scaled by its
-        eigensolved norm to the given sup norm."""
+        reference norm (chebroots_norm) to the given sup norm."""
         rng = np.random.default_rng(degree)
         c = np.zeros(degree + 1)
         c[::2] = rng.normal(size=degree // 2 + 1) / (1.0 + np.arange(0, degree + 1, 2))
-        c *= norm / poly._colleague_norms([tuple(map(complex, c))])[0]
+        c *= norm / chebroots_norm(c)
         assert np.abs(c).sum() > 1.0
         return Polynomial.from_cheb(c)
 
@@ -1201,6 +1201,24 @@ class TestNormVerdicts:
             got = self.verdict(partial(call, self.scaled(degree, norm)))
             want = self.SCALES[norm]
             assert got == (self.MESSAGES[name] if want == "rejected" else want), name
+
+    @pytest.mark.parametrize("degree", [6, 40])
+    def test_a_stalled_polish_never_accepts_above_the_limit(self, degree, monkeypatch):
+        # with no Newton step the exact norm is the grid's bound M s, at or
+        # above the reference: the verdict is M s > limit, so it may reject a
+        # target just under the limit (as a typed InputError), never accept
+        # one above it
+        monkeypatch.setattr(poly, "_POLISH_STEPS", 0)
+        limit = 1.0 + 1e-9
+        for norm in (limit * (1 + 1e-12), limit * (1 - 1e-12)):
+            p = self.scaled(degree, norm)
+            exceeds = poly._norms_exceed([p], limit)[0]
+            assert sup_norm(p) >= chebroots_norm(p.cheb)
+            assert exceeds == (sup_norm(p) > limit)
+            assert exceeds or chebroots_norm(p.cheb) <= limit
+            if exceeds:
+                got = self.verdict(partial(estimate._check_target, p))
+                assert got == self.MESSAGES["estimate_direct"]
 
     @pytest.mark.parametrize("degree", [6, 40])
     def test_exact_norm_only_near_the_limit(self, degree):

@@ -155,7 +155,7 @@ class TestLeanRoots:
             got, want = factor._cluster_roots(raw, 1e-7), reference_clusters(raw, 1e-7)
             assert [(repr(z), m) for z, m in got] == [(repr(z), m) for z, m in want]
 
-    def test_one_eigvals_call_per_slope_size(self, monkeypatch):
+    def test_one_eigvals_call_per_factorization(self, monkeypatch):
         calls = []
         eigvals = np.linalg.eigvals
 
@@ -164,19 +164,19 @@ class TestLeanRoots:
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
-        counted = 0
+        polished = 0
         for seed, half, k in [(8, 6, 3), (9, 7, 3), (10, 8, 2), (11, 5, 4), (12, 9, 2)]:
             source = random_nonneg(np.random.default_rng(seed), half)
             calls.clear()
             plan = factorize_nonneg(source, k)
-            # each factor's slope is (|R_j|^2)', of degree 2 deg(R_j) - 1;
-            # slopes of degree at most 3 take their roots in closed form
-            sizes = {2 * f.degree - 1 for f in plan.factors if 2 * f.degree - 1 > 3}
-            assert len(calls) == 1 + len(sizes), (seed, calls)
-            counted += len(sizes)
-        assert counted >= 2
+            # each factor's slope is (|R_j|^2)', of degree 2 deg(R_j) - 1:
+            # in closed form up to degree 3, polished from the grid above it,
+            # so the companion matrix is the only eigvals call
+            assert calls == [(2 * half, 2 * half)], (seed, calls)
+            polished += sum(2 * f.degree - 1 > 3 for f in plan.factors)
+        assert polished >= 2
         # phase-circuit plans: k + 1 root pairs over k threads, so every
-        # factor is short and the companion matrix is the only eigvals call
+        # factor is short
         for seed, k in [(13, 2), (14, 3), (15, 2), (16, 3)]:
             source = random_nonneg(np.random.default_rng(seed), k + 1)
             calls.clear()
@@ -627,6 +627,37 @@ class TestRescale:
 def test_bad_input_raises_its_message(call, message):
     with pytest.raises(InputError) as info:
         call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda R, t: factorize_nonneg(R, 2.0), "thread count k must be an integer, got 2.0"),
+        (lambda R, t: factorize_nonneg(R, True), "thread count k must be an integer, got True"),
+        (lambda R, t: chebyshev_parallel_terms(t, 2.0, 6),
+         "thread count k must be an integer, got 2.0"),
+        (lambda R, t: chebyshev_parallel_terms(t, True, 6),
+         "thread count k must be an integer, got True"),
+        (lambda R, t: chebyshev_parallel_terms(t, 2, 6.0), "degree d must be an integer, got 6.0"),
+        (lambda R, t: chebyshev_parallel_terms(t, 2, False), "degree d must be an integer, got False"),
+        (lambda R, t: factorize_nonneg(R, np.int64(2)) == factorize_nonneg(R, 2), None),
+        (lambda R, t: np.array_equal(chebyshev_parallel_terms(t, np.int64(2), np.int64(6)).coeff,
+                                     chebyshev_parallel_terms(t, 2, 6).coeff), None),
+    ],
+    ids=["factor-float-k", "factor-bool-k", "terms-float-k", "terms-bool-k", "terms-float-d",
+         "terms-bool-d", "factor-numpy-k", "terms-numpy-k-d"],
+)
+def test_integer_arguments_are_typed(call, message):
+    # floats and bools raise InputError naming the argument, as poly's
+    # integer arguments do; numpy integers act as ints
+    source = random_nonneg(np.random.default_rng(25), 3)
+    tail = Polynomial.from_cheb([0.5, 0, 0.25, 0, 0.125])
+    if message is None:
+        assert call(source, tail)
+        return
+    with pytest.raises(InputError) as info:
+        call(source, tail)
     assert str(info.value) == message
 
 

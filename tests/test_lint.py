@@ -821,9 +821,8 @@ def _eigensolves(source: str) -> list[str]:
     """eigvals calls, by top-level definition.
 
     Roots come from one companion eigensolve, in factor.find_roots.  Sup
-    norms come from poly's Chebyshev grid; the colleague eigensolve in
-    _colleague_norms is the fallback, and takes the slopes too short for
-    the grid to win.
+    norms never solve for roots: closed forms take the short slopes and
+    poly's Chebyshev grid, polished, every longer one.
     """
     found = []
     for top in ast.parse(source).body:
@@ -833,11 +832,10 @@ def _eigensolves(source: str) -> list[str]:
     return sorted(found)
 
 
-def test_eigensolves_only_in_find_roots_and_the_norm_fallback():
+def test_eigensolves_only_in_find_roots():
     found = {p.name: _eigensolves(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: calls for name, calls in found.items() if calls} == {
         "factor.py": ["np.linalg.eigvals in find_roots"],
-        "poly.py": ["np.linalg.eigvals in _colleague_norms"],
     }
 
 
@@ -849,9 +847,7 @@ def test_eigensolve_scan_fails_a_copy_that_solves_for_a_norm():
         source,
     )
     assert added == 1
-    assert _eigensolves(mutated) == [
-        "np.linalg.eigvals in _colleague_norms", "np.linalg.eigvals in _polished",
-    ]
+    assert _eigensolves(mutated) == ["np.linalg.eigvals in _polished"]
     assert _eigensolves("from numpy.linalg import eigvals\ndef f(a):\n    return eigvals(a)\n") == [
         "eigvals in f",
     ]

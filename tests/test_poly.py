@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import chebyshev as npcheb
 
-from conftest import dense_sup_norm
+from conftest import chebroots_norm, dense_sup_norm
 from pqsp import poly
 from pqsp import (
     InputError,
@@ -194,10 +194,10 @@ class TestSupNorm:
             decay = 1.0 + np.arange(d + 1)
             c = rng.normal(size=d + 1) / decay
             series += [tuple(c + 0j), tuple(c + 1j * rng.normal(size=d + 1) / decay)]
-        norms = poly._colleague_norms(series)
+        norms = poly._exact_norms(series)
         for c, norm in zip(series, norms):
             assert norm == pytest.approx(dense_sup_norm(c), rel=1e-12)
-            assert norm == poly._colleague_norms([c])[0]
+            assert norm == poly._exact_norms([c])[0]
 
     @pytest.mark.parametrize("complex_coeffs", [False, True])
     def test_random_series_match_dense_reference(self, complex_coeffs):
@@ -221,11 +221,11 @@ def seeded_series(rng, d: int, complex_coeffs: bool) -> tuple[complex, ...]:
 class TestGridNorms:
     """Norms past the closed forms come from one Chebyshev-grid FFT: a
     certified bound for verdicts, polished grid peaks for exact norms, and
-    the colleague eigensolve as the fallback."""
+    the bound's upper end where a polish fails."""
 
-    # (degree, series) per kind.  Few above degree 300: the eigensolves they
-    # are checked against take 0.2-1.4 s each, and a complex one of degree
-    # 600 or 1,200 takes 1.2 or 8 s, so complex series stop at 300
+    # (degree, series) per kind.  Few above degree 300: the chebroots
+    # references they are checked against take 0.2-1.4 s each, and a complex
+    # one of degree 600 or 1,200 takes 1.2 or 8 s, so complex series stop at 300
     COUNTS = {
         False: [(5, 40), (8, 40), (16, 40), (29, 30), (40, 30), (80, 10), (150, 4),
                 (300, 2), (600, 1), (1200, 1)],
@@ -234,31 +234,32 @@ class TestGridNorms:
     }
 
     @pytest.fixture
-    def fallbacks(self, monkeypatch):
+    def normed(self, monkeypatch):
         seen = []
-        kernel = poly._colleague_norms
+        kernel = poly._exact_norms
         monkeypatch.setattr(
-            poly, "_colleague_norms", lambda series: seen.extend(series) or kernel(series)
+            poly, "_exact_norms", lambda series: seen.extend(series) or kernel(series)
         )
         return seen
 
     @pytest.mark.parametrize("complex_coeffs", [False, True])
-    def test_bound_brackets_and_polish_matches_the_eigensolve(self, complex_coeffs, monkeypatch):
-        # every series polished, short ones too.  The eigensolve's norm lies in
-        # [M, M s] up to the FFT's round-off.  The two norms evaluate |p| by
-        # Clenshaw's recurrence at peaks found two ways, so they differ by that
-        # recurrence's round-off: a few ulps, more where a peak sits near an end
-        monkeypatch.setattr(poly, "_GRID_SLOPE", 4)
+    def test_bound_brackets_and_polish_matches_the_eigensolve(self, complex_coeffs):
+        # every series past the closed forms is polished.  The reference norm,
+        # from numpy's chebroots eigensolve of the same slope (chebroots_norm),
+        # lies in [M, M s] up to the FFT's round-off.  The two norms evaluate
+        # |p| at peaks found two ways, so they differ by round-off: a few
+        # ulps, more where a peak sits near an end
         rng = np.random.default_rng(30 + complex_coeffs)
         within4 = total = 0
         for d, count in self.COUNTS[complex_coeffs]:
             series = [seeded_series(rng, d, complex_coeffs) for _ in range(count)]
-            for c, eig, norm in zip(series, poly._colleague_norms(series), poly._exact_norms(series)):
+            for c, norm in zip(series, poly._exact_norms(series)):
+                ref = chebroots_norm(c)
                 row = np.array([c])
                 g, s = poly._grid(row if complex_coeffs else row.real, not complex_coeffs)
                 slack = 2.0**-44 * sum(map(abs, c))
-                assert g.max() - slack <= eig <= g.max() * s + slack, (d, c)
-                ulps = abs(norm - eig) / math.ulp(eig)
+                assert g.max() - slack <= ref <= g.max() * s + slack, (d, c)
+                ulps = abs(norm - ref) / math.ulp(ref)
                 assert ulps <= (4 if d <= 16 else 32), (d, c)
                 within4 += ulps <= 4
                 total += 1
@@ -273,48 +274,42 @@ class TestGridNorms:
         for c, norm in zip(series, norms):
             assert norm == poly._exact_norms([c])[0]
 
-    @staticmethod
-    def below_grid(c) -> bool:
-        slope = len(c) - 2 if all(z.imag == 0 for z in c) else 2 * len(c) - 3
-        return slope < poly._GRID_SLOPE
-
     @pytest.mark.parametrize("phase", [1.0, cmath.exp(0.3j)])
-    def test_fresh_chebyshev_polishes_every_equal_peak(self, phase, fallbacks):
+    def test_fresh_chebyshev_polishes_every_equal_peak(self, phase, normed):
         # a fresh T_n, times a unit phase, peaks at all n + 1 points cos(j pi / n);
-        # only the slopes too short for the grid reach the eigensolve
+        # each reaches the one kernel once and is polished to 1 within 1e-14,
+        # where the grid's bound is up to 3.0e-4 above it
         series = [(0j,) * n + (complex(phase),) for n in (8, 15, 29, 30, 41, 64, 121, 200)]
         for c in series:
-            assert poly._exact_norms([c])[0] == pytest.approx(1.0, rel=1e-14), len(c)
-        assert fallbacks == [c for c in series if self.below_grid(c)]
-        assert len(fallbacks) == (2 if phase == 1.0 else 1)
+            assert sup_norm(Polynomial.from_cheb(c)) == pytest.approx(1.0, rel=1e-14), len(c)
+        assert normed == series
 
     @pytest.mark.parametrize("phase", [0.5, 0.5 * cmath.exp(0.3j)])
-    def test_flat_maximum_polished(self, phase, fallbacks):
+    def test_flat_maximum_polished(self, phase, normed):
         # (1 - x^2)^m: one maximum at 0, flatter as m grows, and zeros of order m at the ends
         p, series = Polynomial([1, 0, -1]) * phase, []
         for m in range(2, 61):
             p = p * Polynomial([1, 0, -1])
             series.append(p.cheb)
-            assert poly._exact_norms([p.cheb])[0] == pytest.approx(0.5, rel=1e-13), m
-        assert fallbacks == [c for c in series if self.below_grid(c)]
-        assert len(fallbacks) < 15
+            assert sup_norm(p) == pytest.approx(0.5, rel=1e-13), m
+        assert normed == series
 
-    def test_a_stalled_polish_falls_back_bit_for_bit(self, monkeypatch, fallbacks):
+    def test_a_stalled_polish_reads_the_grid_bound(self, monkeypatch):
+        # with no Newton step no peak converges, so each norm is the grid's
+        # M s 2^e: at or above the reference norm, and at most s above it
+        # (s <= sec(pi / 128), its square root for a complex series)
         monkeypatch.setattr(poly, "_POLISH_STEPS", 0)
         rng = np.random.default_rng(19)
         series = [seeded_series(rng, d, cplx) for d in (30, 64) for cplx in (False, True)]
-        norms = poly._exact_norms(series)
-        assert fallbacks == series
-        assert norms == [poly._colleague_norms([c])[0] for c in series]
-
-
-def chebroots_norm(c) -> float:
-    """Reference max |p| on [-1, 1] from numpy: the roots of the same slope,
-    (|p|^2)' or p', by chebroots, and |p| at the ends and their clipped real parts."""
-    c = np.asarray(c, dtype=complex)
-    q = npcheb.chebmul(c, c.conj()).real if c.imag.any() else c.real
-    xs = np.clip(npcheb.chebroots(npcheb.chebder(q)).real, -1.0, 1.0)
-    return float(np.abs(npcheb.chebval(np.concatenate(([-1.0, 1.0], xs)), c)).max())
+        for c, norm in zip(series, poly._exact_norms(series)):
+            real = all(z.imag == 0 for z in c)
+            e = poly._binade(c)
+            row = np.array([c]) * 2.0**-e
+            g, s = poly._grid(row.real if real else row, real)
+            assert norm == g.max() * s * 2.0**e
+            ref = chebroots_norm(c)
+            assert ref <= norm <= ref * s
+            assert s <= (1 / math.cos(math.pi / 128)) ** (1 if real else 0.5)
 
 
 def short_series(rng, count):
@@ -337,7 +332,7 @@ class TestShortNorms:
         # every series against numpy's roots of the same slope; every fifth
         # also against the dense grid, which costs 4x as much
         series = short_series(np.random.default_rng(2024), 20_000)
-        for i, (c, norm) in enumerate(zip(series, poly._colleague_norms(series))):
+        for i, (c, norm) in enumerate(zip(series, poly._exact_norms(series))):
             for ref in (chebroots_norm(c), *([dense_sup_norm(c)] if i % 5 == 0 else [])):
                 assert abs(norm - ref) <= 1e-12 * ref, (c, norm, ref)
 
@@ -356,7 +351,7 @@ class TestShortNorms:
         ((0.6, 0.8j, 1e-9), None),
     ])
     def test_edge_cases(self, cheb, exact):
-        norm = poly._colleague_norms([tuple(map(complex, cheb))])[0]
+        norm = poly._exact_norms([tuple(map(complex, cheb))])[0]
         assert norm == pytest.approx(chebroots_norm(cheb), rel=1e-12)
         assert norm == pytest.approx(dense_sup_norm(cheb), rel=1e-12)
         if exact is not None:
@@ -374,7 +369,7 @@ class TestShortNorms:
         # two moderate roots must come out of both
         for eps in np.logspace(-15, -7, 33):
             for c in ((*base, eps), (*base, -eps)):
-                norm = poly._colleague_norms([tuple(map(complex, c))])[0]
+                norm = poly._exact_norms([tuple(map(complex, c))])[0]
                 assert norm == pytest.approx(chebroots_norm(c), rel=1e-12), c
                 assert norm == pytest.approx(dense_sup_norm(c), rel=1e-12), c
 
@@ -393,7 +388,7 @@ class TestShortNorms:
             slope = np.polynomial.polynomial.polyfromroots(roots).real / far
             c = npcheb.poly2cheb(np.polynomial.polynomial.polyint(slope, k=rng.normal()))
             c = tuple(map(complex, c / np.abs(c).max()))
-            norm = poly._colleague_norms([c])[0]
+            norm = poly._exact_norms([c])[0]
             assert norm == pytest.approx(chebroots_norm(c), rel=1e-12), c
             if i % 10 == 0:
                 assert norm == pytest.approx(dense_sup_norm(c), rel=1e-12), c
@@ -457,18 +452,24 @@ class TestNonFinite:
         with pytest.raises(InputError, match="not finite"):
             sup_norm(build(Polynomial([0.1, 0.2, 0.3, 0.1, 0.2])))
 
+    @pytest.mark.parametrize("zero", [0, 0.0, 0j, np.float64(0.0), np.complex128(0)])
+    def test_division_by_zero_raises_input_error(self, zero):
+        # as p * inf does, rather than Python's untyped ZeroDivisionError
+        with pytest.raises(InputError, match="divide a polynomial by zero"):
+            Polynomial([1, 2]) / zero
+
 
 class TestNormMemo:
     @pytest.fixture
     def scans(self, monkeypatch):
         seen = []
-        kernel = poly._colleague_norms
+        kernel = poly._exact_norms
 
         def counting(series):
             seen.extend(tuple(c) for c in series)
             return kernel(series)
 
-        monkeypatch.setattr(poly, "_colleague_norms", counting)
+        monkeypatch.setattr(poly, "_exact_norms", counting)
         return seen
 
     def test_unit_interval_scanned_once(self, scans):

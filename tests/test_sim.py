@@ -505,13 +505,13 @@ class TestParallelRun:
 
     def test_factor_norms_scanned_once_per_factor(self, rho_34, monkeypatch):
         scanned = []
-        kernel = poly._colleague_norms
+        kernel = poly._exact_norms
 
         def counting(series):
             scanned.extend(series)
             return kernel(series)
 
-        monkeypatch.setattr(poly, "_colleague_norms", counting)
+        monkeypatch.setattr(poly, "_exact_norms", counting)
         a, b = Polynomial([0, 0.5]), Polynomial([0.3, 0, 0.4])
         values = {parallel_qsp_run([a, b, a], rho_34).value for _ in range(4)}
         assert len(values) == 1
